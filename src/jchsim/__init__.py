@@ -9,11 +9,11 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, IntegratorError, JchsimError, NotHermitianError,
                      SizeError, TruncationError)
-from .linalg import (TensorDims, dump_matrix_csv, hermitian_eigenvalues, kron,
-                     partial_trace, partial_transpose)
+from .linalg import (TensorDims, hermitian_eigenvalues, kron, partial_trace,
+                     partial_transpose)
 from .model import (HoppingCoefficients, ModelParams, PolaritonLabel, ReducedModel,
-                    ReducedSpace, SiteOperatorSet, build_effective_hamiltonian,
-                    build_full_hamiltonian, build_reduced_model, collapse_operators,
+                    ReducedSpace, SiteOperatorSet, build_full_hamiltonian,
+                    build_reduced_model, collapse_operators,
                     creation_in_polariton_basis, dressed_basis_matrix, dressed_state,
                     excitation_basis, hopping_coefficients, mixing_angle,
                     polariton_energy, prepare_product_polariton_state,

@@ -180,13 +180,12 @@ def _analytic_items() -> list:
 # ---------------------------------------------------------------------------
 # oracle suite
 
-def _oracle_items(n_traj: int, master_seed: int, n_threads: int) -> list:
+def _oracle_items(n_traj: int, master_seed: int) -> list:
     config = scenario_from_mapping({
         "model": {"n_sites": 2, "n_max": 2, "hop": 0.03, "gamma": 0.05},
         "initial": {"labels": "2-, G"},
         "grid": {"t_end": 1500.0, "spacing": "auto"},
-        "run": {"n_traj": n_traj, "master_seed": master_seed,
-                "n_threads": n_threads},
+        "run": {"n_traj": n_traj, "master_seed": master_seed},
         "observables": {"projectors": "P20, P11", "negativity": True},
         "output": {"name": "oracle-suite"},
     })
@@ -200,8 +199,7 @@ def _oracle_items(n_traj: int, master_seed: int, n_threads: int) -> list:
     ensemble = mcwf_ensemble(model.h, model.collapse, psi0, config.grid,
                              n_traj=config.n_traj,
                              master_seed=config.master_seed,
-                             observables=ops, keep_rho=True,
-                             n_threads=config.n_threads)
+                             observables=ops, keep_rho=True)
     rho0 = np.outer(psi0, psi0.conj())
     rhos = lindblad_evolve(model.h, model.collapse, rho0, config.grid)
 
@@ -232,15 +230,15 @@ def _oracle_items(n_traj: int, master_seed: int, n_threads: int) -> list:
     return items
 
 
-def run_suite(name: str, n_traj: int = 2000, master_seed: int = 20260825,
-              n_threads: int = 1) -> CheckReport:
+def run_suite(name: str, n_traj: int = 2000,
+              master_seed: int = 20260825) -> CheckReport:
     """Run one validation suite and return its report."""
     if name == "mapping":
         items = _mapping_items()
     elif name == "analytic":
         items = _analytic_items()
     elif name == "oracle":
-        items = _oracle_items(n_traj, master_seed, n_threads)
+        items = _oracle_items(n_traj, master_seed)
     else:
         raise ConfigError([f"suite: unknown name {name!r}; "
                            f"known: {list(SUITE_NAMES)}"])

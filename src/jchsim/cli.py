@@ -10,8 +10,10 @@ Subcommands::
 ``run`` executes either a scenario config file or a named preset (presets
 bundle one or more scenarios, or a criticality sweep for ``fig4``).
 ``critical`` runs a sweep config.  ``validate`` runs one of the on-demand
-check suites and exits non-zero on failure.  ``--seed``, ``--traj`` and
-``--threads`` override the corresponding config fields.
+check suites and exits non-zero on failure.  ``--seed`` and ``--traj``
+override the corresponding config fields.  ``--threads`` sets the worker
+count of a damping sweep: ``critical``, or ``run`` of a sweep preset
+(``fig4``); a scenario run rejects it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .checks import SUITE_NAMES, run_suite
-from .config import load_scenario_config, load_sweep_config
+from .config import ScenarioConfig, load_scenario_config, load_sweep_config
 from .critical import gamma_c_curve
-from .errors import JchsimError
+from .errors import ConfigError, JchsimError
 from .presets import PRESET_NAMES, load_preset
 from .runner import run_scenario, write_criticality_outputs
 
@@ -45,30 +47,32 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", choices=PRESET_NAMES,
                      help="named preset bundle")
     run_p.add_argument("--out", required=True, help="output directory")
-    _add_overrides(run_p)
+    _add_overrides(run_p, threads=True)
 
     crit_p = sub.add_parser("critical",
                             help="run a critical-damping sweep config")
     crit_p.add_argument("--config", required=True,
                         help="sweep config file (INI or JSON)")
     crit_p.add_argument("--out", required=True, help="output directory")
-    _add_overrides(crit_p)
+    _add_overrides(crit_p, threads=True)
 
     val_p = sub.add_parser("validate", help="run an on-demand check suite")
     val_p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     val_p.add_argument("--json", action="store_true",
                        help="print the machine-readable report as JSON")
-    _add_overrides(val_p)
+    _add_overrides(val_p, threads=False)
     return parser
 
 
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
+def _add_overrides(parser: argparse.ArgumentParser, threads: bool) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
     parser.add_argument("--traj", type=int, default=None,
                         help="override the trajectory count")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="override the worker-thread count")
+    if threads:
+        parser.add_argument("--threads", type=int, default=None,
+                            help="worker threads of a damping sweep (critical, or "
+                                 "run of a sweep preset); scenarios reject it")
 
 
 def _apply_overrides(config, args):
@@ -78,6 +82,9 @@ def _apply_overrides(config, args):
     if args.traj is not None:
         updates["n_traj"] = args.traj
     if args.threads is not None:
+        if isinstance(config, ScenarioConfig):
+            raise ConfigError(["--threads: a scenario run has no worker threads; "
+                               "it applies to sweeps only"])
         updates["n_threads"] = args.threads
     return replace(config, **updates) if updates else config
 
@@ -130,8 +137,6 @@ def _cmd_validate(args) -> int:
         kwargs["n_traj"] = args.traj
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
-    if args.threads is not None:
-        kwargs["n_threads"] = args.threads
     report = run_suite(args.suite, **kwargs)
     if args.json:
         print(json.dumps(report.to_mapping(), sort_keys=True, indent=2))

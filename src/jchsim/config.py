@@ -36,7 +36,7 @@ _SCENARIO_SECTIONS = {
     "model": ("n_sites", "n_max", "hop", "gamma", "omega_a", "omega_c", "g"),
     "initial": ("labels",),
     "grid": ("t_end", "t_start", "dt", "spacing", "n_samples"),
-    "run": ("n_traj", "master_seed", "n_threads"),
+    "run": ("n_traj", "master_seed"),
     "observables": ("projectors", "negativity", "bipartition_cut", "conditional"),
     "output": ("name", "format"),
 }
@@ -121,7 +121,7 @@ def _as_float_or_list(raw: Any, where: str, problems: list):
     return _as_float(raw, where, problems)
 
 
-def _run_problems(n_traj: int, master_seed: int, n_threads: int) -> list:
+def _run_problems(n_traj: int, master_seed: int, n_threads: int = 1) -> list:
     problems = []
     if n_traj < 1:
         problems.append(f"run.n_traj: must be >= 1, got {n_traj}")
@@ -202,7 +202,6 @@ class ScenarioConfig:
     grid: TimeGrid
     n_traj: int = 1
     master_seed: int = 0
-    n_threads: int = 1
     observables: tuple[ProjectorSpec, ...] = ()
     compute_negativity: bool = False
     bipartition_cut: int = 1
@@ -230,7 +229,7 @@ class ScenarioConfig:
             canonical.append(str(label))
         if len(canonical) == len(self.initial):
             object.__setattr__(self, "initial", tuple(canonical))
-        problems += _run_problems(self.n_traj, self.master_seed, self.n_threads)
+        problems += _run_problems(self.n_traj, self.master_seed)
         for spec in self.observables:
             if len(spec.resolved_labels) != self.model.n_sites:
                 problems.append(
@@ -274,8 +273,7 @@ class ScenarioConfig:
                 "spacing": self.grid.spacing,
                 "n_samples": self.grid.n_samples,
             },
-            "run": {"n_traj": self.n_traj, "master_seed": self.master_seed,
-                    "n_threads": self.n_threads},
+            "run": {"n_traj": self.n_traj, "master_seed": self.master_seed},
             "observables": {
                 "projectors": [spec.name for spec in self.observables],
                 "negativity": self.compute_negativity,
@@ -460,7 +458,6 @@ def scenario_from_mapping(mapping: Mapping[str, Any]) -> ScenarioConfig:
     before_run = len(problems)
     n_traj = _as_int(run_sec.get("n_traj", 1), "run.n_traj", problems)
     master_seed = _as_int(run_sec.get("master_seed", 0), "run.master_seed", problems)
-    n_threads = _as_int(run_sec.get("n_threads", 1), "run.n_threads", problems)
     run_parsed = len(problems) == before_run
 
     projectors: list = []
@@ -488,12 +485,12 @@ def scenario_from_mapping(mapping: Mapping[str, Any]) -> ScenarioConfig:
         # the dataclass never gets built, so replicate its scalar checks to
         # keep the report complete
         if run_parsed:
-            problems += _run_problems(n_traj, master_seed, n_threads)
+            problems += _run_problems(n_traj, master_seed)
         problems += _output_problems(name, fmt)
         raise ConfigError(problems)
     return ScenarioConfig(model=model, initial=labels, grid=grid,
                           n_traj=n_traj, master_seed=master_seed,
-                          n_threads=n_threads, observables=tuple(projectors),
+                          observables=tuple(projectors),
                           compute_negativity=negativity, bipartition_cut=cut,
                           include_conditional=conditional,
                           output_name=name, output_format=fmt)

@@ -127,7 +127,7 @@ def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float,
                             master_seed=_point_seed(config.master_seed,
                                                     0, 0) if seed is None else seed,
                             observables={"pinned": pinned_op},
-                            keep_rho=True, n_threads=1)
+                            keep_rho=True)
         pinned = ens.mean_observables["pinned"]
         rho_stack = ens.rho_avg
 

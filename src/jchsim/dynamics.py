@@ -16,33 +16,29 @@ spectral radius seen by the fixed-step scheme.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._stepper import (BACKEND, STATUS_BUFFER_EXHAUSTED, STATUS_NORM_UNDERFLOW,
-                       STATUS_OK, trajectory_kernel)
 from .errors import ConfigError, IntegratorError, SizeError
 from .linalg import as_complex_matrix, require_hermitian
 
 __all__ = [
-    "DEFAULT_DT", "DEFAULT_MAX_DT", "LINDBLAD_DIM_CAP", "RHO_MEMORY_CAP",
+    "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT", "LINDBLAD_DIM_CAP", "RHO_MEMORY_CAP",
     "TimeGrid", "TrajectoryResult", "EnsembleResult", "ConditionalBranch",
     "evolve_unitary", "mcwf_trajectory", "mcwf_ensemble", "no_jump_branch",
     "lindblad_evolve", "superoperator",
 ]
 
+BACKEND = "numpy"              # the trajectory kernel, echoed in sidecars
 DEFAULT_DT = 0.005
 DEFAULT_MAX_DT = 0.01
 LINDBLAD_DIM_CAP = 64          # dense superoperator: (d^2)^2 entries
 RHO_MEMORY_CAP = 256 * 2**20   # bytes allowed for an averaged-density stack
 _BISECT_TOL = 1e-10
 _UNIT_NORM_ATOL = 1e-8
-_INITIAL_UNIFORMS = 256
-_INITIAL_JUMP_SLOTS = 64
-_MAX_BUFFER_RETRIES = 6
+_NORM_UNDERFLOW = 1e-28
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,6 @@ class EnsembleResult:
     n_traj: int
     rho_avg: Optional[np.ndarray]         # (n_samples, dim, dim) or None
     master_seed: int
-    backend: str = BACKEND
 
 
 @dataclass(frozen=True)
@@ -264,33 +259,112 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
 # quantum trajectories
 # ---------------------------------------------------------------------------
 
-def _run_kernel_with_retry(mach: _Machinery, psi0: np.ndarray, grid: TimeGrid,
-                           seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one trajectory, growing RNG/jump buffers deterministically on demand.
+def _norm2(x: np.ndarray) -> float:
+    return np.vdot(x, x).real
 
-    Uniform draws from a fresh generator are prefix-stable, so enlarging
-    the buffer and re-running reproduces the identical trajectory.
+
+def _threshold(rng: np.random.Generator) -> float:
+    """Next waiting-time threshold for the decaying squared norm."""
+    r = rng.random()
+    return r if r > 0.0 else 1e-300
+
+
+def _taylor_flow(powers: list, tau: float) -> np.ndarray:
+    """Degree-4 Taylor flow over ``tau`` from powers = [ψ, Gψ, G²ψ, G³ψ, G⁴ψ]."""
+    psi, v1, v2, v3, v4 = powers
+    return psi + tau * (v1 + (tau / 2.0) * (v2 + (tau / 3.0) * (v3 + (tau / 4.0) * v4)))
+
+
+def _jumps_in_step(mach: _Machinery, work: np.ndarray, r: float, t0: float,
+                   dt: float, rng: np.random.Generator, jumps: list):
+    """Apply every jump inside the elementary step that starts at ``t0``.
+
+    Each threshold crossing is bisected on the degree-4 polynomial flow of
+    the step, which is what the fixed-step integrator applies.  Returns the
+    state at the end of the step and the pending threshold.
     """
-    n_uniform = _INITIAL_UNIFORMS
-    n_slots = _INITIAL_JUMP_SLOTS
-    states = np.empty((grid.n_samples, mach.dim), dtype=np.complex128)
-    for _ in range(_MAX_BUFFER_RETRIES):
-        uniforms = np.random.default_rng(np.random.SeedSequence(seed)).random(n_uniform)
-        jump_times = np.empty(n_slots, dtype=np.float64)
-        jump_channels = np.empty(n_slots, dtype=np.int64)
-        n_jumps, _, status = trajectory_kernel(
-            mach.r_stride, mach.r_pows, mach.gen, mach.collapse, psi0,
-            grid.n_fine, grid.dt, grid.spacing, uniforms, states,
-            jump_times, jump_channels, _BISECT_TOL)
-        if status == STATUS_OK:
-            return states, jump_times[:n_jumps].copy(), jump_channels[:n_jumps].copy()
-        if status == STATUS_NORM_UNDERFLOW:
+    t_in_step = 0.0
+    while True:
+        frac = dt - t_in_step
+        powers = [work]
+        for _ in range(4):
+            powers.append(mach.gen @ powers[-1])
+        end = _taylor_flow(powers, frac)
+        if _norm2(end) > r:
+            return end, r
+        lo, hi = 0.0, frac
+        while hi - lo > _BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            if _norm2(_taylor_flow(powers, mid)) > r:
+                lo = mid
+            else:
+                hi = mid
+        tau = 0.5 * (lo + hi)
+        # channel c with probability ||L_c phi||^2 / sum_k ||L_k phi||^2
+        jumped = mach.collapse @ _taylor_flow(powers, tau)
+        acc = np.cumsum([_norm2(v) for v in jumped])
+        chan = min(int(np.searchsorted(acc, rng.random() * acc[-1], side="right")),
+                   len(acc) - 1)
+        work = jumped[chan] * (1.0 / math.sqrt(_norm2(jumped[chan])))
+        jumps.append((t0 + t_in_step + tau, chan))
+        r = _threshold(rng)
+        t_in_step += tau
+
+
+def _resolve_stride(mach: _Machinery, work: np.ndarray, r: float, t0: float,
+                    grid: TimeGrid, rng: np.random.Generator, jumps: list):
+    """Redo the sample interval starting at ``t0`` in elementary steps.
+
+    Advances by the largest dyadic block of steps whose end stays above the
+    threshold; when a single step crosses it, the jumps are resolved inside
+    that step.  Returns the state at the end of the interval and the
+    pending threshold.
+    """
+    n_fine = grid.n_fine
+    done = 0
+    while done < n_fine:
+        if _norm2(work) < _NORM_UNDERFLOW:
             raise IntegratorError(
                 "state norm fell below 1e-14 before the jump threshold was reached")
-        n_uniform *= 4
-        n_slots *= 4
-    raise IntegratorError(
-        f"trajectory did not terminate within {n_uniform} random draws")
+        for p in range((n_fine - done).bit_length() - 1, -1, -1):
+            trial = mach.r_pows[p] @ work
+            if _norm2(trial) > r:
+                work = trial
+                done += 1 << p
+                break
+        else:
+            work, r = _jumps_in_step(mach, work, r, t0 + done * grid.dt, grid.dt,
+                                     rng, jumps)
+            done += 1
+    return work, r
+
+
+def _trajectory(mach: _Machinery, psi0: np.ndarray, grid: TimeGrid,
+                seed) -> tuple[np.ndarray, list]:
+    """Integrate one trajectory; returns the sampled states and the jumps.
+
+    Uniforms are drawn one at a time from the trajectory's own stream:
+    first the threshold, then per jump the channel and the next threshold.
+    The working state keeps its decaying norm between samples, because the
+    norm carries the waiting time; the stored rows are normalized.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    r = _threshold(rng)
+    jumps: list = []
+    work = psi0
+    states = np.empty((grid.n_samples, mach.dim), dtype=np.complex128)
+    states[0] = work * (1.0 / math.sqrt(_norm2(work)))
+    for s in range(1, grid.n_samples):
+        cand = mach.r_stride @ work
+        if _norm2(cand) > r:
+            work = cand
+        else:
+            # at least one jump inside this interval
+            work, r = _resolve_stride(mach, work, r,
+                                      grid.t_start + (s - 1) * grid.spacing,
+                                      grid, rng, jumps)
+        states[s] = work * (1.0 / math.sqrt(_norm2(work)))
+    return states, jumps
 
 
 def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -298,18 +372,17 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     """One Monte-Carlo wave-function trajectory (waiting-time unraveling).
 
     Between jumps the state evolves under H − (i/2)ΣL†L with decaying
-    norm; when the squared norm crosses a pre-drawn uniform threshold the
-    jump time is bisected to 1e-10, a channel j is selected with
-    probability ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and
-    renormalized.  Deterministic given (seed, grid, inputs).
+    norm; when the squared norm crosses a uniform threshold the jump time
+    is bisected to 1e-10, a channel j is selected with probability
+    ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and renormalized.
+    Deterministic given (seed, grid, inputs).
     """
     if len(collapse) == 0:
         return replace(evolve_unitary(h, psi0, grid), seed=seed)
     mach = _build_machinery(h, collapse, grid)
-    psi = _check_state(psi0, mach.dim)
-    states, jt, jc = _run_kernel_with_retry(mach, psi, grid, seed)
-    jumps = tuple((float(t), int(c)) for t, c in zip(jt, jc))
-    return TrajectoryResult(times=grid.times, states=states, jumps=jumps, seed=seed)
+    states, jumps = _trajectory(mach, _check_state(psi0, mach.dim), grid, seed)
+    return TrajectoryResult(times=grid.times, states=states, jumps=tuple(jumps),
+                            seed=seed)
 
 
 def _batched_expectation(states: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -329,15 +402,12 @@ def _coerce_observables(observables) -> dict:
 
 def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
                   grid: TimeGrid, n_traj: int, master_seed: int,
-                  observables=None, keep_rho: bool = False,
-                  n_threads: int = 1, chunk_size: Optional[int] = None,
-                  ) -> EnsembleResult:
+                  observables=None, keep_rho: bool = False) -> EnsembleResult:
     """Average ``n_traj`` trajectories with per-index RNG streams.
 
-    Trajectory j draws from SeedSequence((master_seed, j)); reduction runs
-    in trajectory-index order inside fixed chunks, so the result does not
-    depend on worker scheduling and repeated runs are byte-identical for
-    a given backend.
+    Trajectory j draws from SeedSequence((master_seed, j)), so it is the
+    same trajectory ``mcwf_trajectory`` gives for seed (master_seed, j);
+    reduction runs in index order, so repeated runs are byte-identical.
     """
     if n_traj < 1:
         raise ConfigError([f"n_traj: must be >= 1, got {n_traj}"])
@@ -366,30 +436,15 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
 
     mach = _build_machinery(h, collapse, grid)
     psi = _check_state(psi0, mach.dim)
-    obs_t = {name: np.ascontiguousarray(op.T) for name, op in obs.items()}
+    obs_t = [np.ascontiguousarray(op.T) for op in obs.values()]
     rows = np.empty((n_traj, len(obs), n), dtype=np.float64)
     rho_sum = np.zeros((n, d, d), dtype=np.complex128) if keep_rho else None
-
-    if chunk_size is None:
-        chunk_size = max(1, min(64, RHO_MEMORY_CAP // max(1, n * d * 16)))
-
-    def _one(idx: int) -> tuple[int, np.ndarray]:
-        states, _, _ = _run_kernel_with_retry(mach, psi, grid, (master_seed, idx))
-        return idx, states
-
-    for start in range(0, n_traj, chunk_size):
-        indices = range(start, min(start + chunk_size, n_traj))
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                produced = dict(pool.map(_one, indices))
-            chunk = [(i, produced[i]) for i in indices]   # index order
-        else:
-            chunk = [_one(i) for i in indices]
-        for idx, states in chunk:
-            for o, (name, op_t) in enumerate(obs_t.items()):
-                rows[idx, o] = np.einsum("ni,ni->n", states.conj(), states @ op_t).real
-            if keep_rho:
-                rho_sum += np.einsum("ni,nj->nij", states, states.conj())
+    for idx in range(n_traj):
+        states, _ = _trajectory(mach, psi, grid, (master_seed, idx))
+        for o, op_t in enumerate(obs_t):
+            rows[idx, o] = np.einsum("ni,ni->n", states.conj(), states @ op_t).real
+        if keep_rho:
+            rho_sum += np.einsum("ni,nj->nij", states, states.conj())
 
     means = {}
     stderr = {}

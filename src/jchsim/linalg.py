@@ -133,13 +133,3 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     d_keep = int(np.prod([td.factors[k] for k in keep])) if keep else 1
     return np.ascontiguousarray(t.reshape(d_keep, d_keep))
 
-
-def dump_matrix_csv(m, path) -> None:
-    """Write a dense matrix as ``row,col,re,im`` lines (debugging aid)."""
-    a = as_complex_matrix(m)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("row,col,re,im\r\n")
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                z = a[i, j]
-                fh.write(f"{i},{j},{z.real!r},{z.imag!r}\r\n")

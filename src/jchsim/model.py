@@ -421,85 +421,6 @@ def creation_in_polariton_basis(params: ModelParams, include_interconverting: bo
     return out
 
 
-def build_effective_hamiltonian(params: ModelParams, variant: str = "full_hop",
-                                include_interconverting: bool = False,
-                                dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
-    """Array Hamiltonian projected onto the polariton states.
-
-    Variants:
-
-    * ``"full_hop"``: hopping carries every branch-preserving product
-      (``P_+ + P_-`` on each side); ``include_interconverting`` additionally
-      keeps the branch-mixing ``k`` ladders.
-    * ``"rwa_hop"``: only same-branch products ``P_+^dag P_+ + P_-^dag P_-``
-      survive (rotating-wave form for well-separated branches).
-    * ``"lower_branch"``: per-site basis restricted to ``G, 1-, ..., n_max-``.
-
-    Site dimension is ``2 n_max + 1`` (both branches) or ``n_max + 1``
-    (lower branch only); the truncated bare remnant is excluded.
-    """
-    if variant not in ("full_hop", "rwa_hop", "lower_branch"):
-        raise ConfigError([f"variant: unknown effective-model variant {variant!r}"])
-    lower_only = variant == "lower_branch"
-    sd = (params.n_max + 1) if lower_only else (2 * params.n_max + 1)
-    if sd ** params.n_sites > dim_cap:
-        raise SizeError(f"effective dimension {sd ** params.n_sites} exceeds cap {dim_cap}")
-
-    def idx(label: PolaritonLabel) -> int:
-        if lower_only:
-            return label.n
-        return dressed_index(label)
-
-    def site_pieces(site: int):
-        diag = np.zeros(sd, dtype=np.float64)
-        p_minus_dag = np.zeros((sd, sd), dtype=np.complex128)
-        p_plus_dag = np.zeros((sd, sd), dtype=np.complex128)
-        k_dag = np.zeros((sd, sd), dtype=np.complex128)
-        diag[idx(PolaritonLabel.ground())] = 0.0
-        for n in range(1, params.n_max + 1):
-            diag[idx(PolaritonLabel.minus(n))] = polariton_energy(PolaritonLabel.minus(n), params, site)
-            if not lower_only:
-                diag[idx(PolaritonLabel.plus(n))] = polariton_energy(PolaritonLabel.plus(n), params, site)
-            co = hopping_coefficients(n, params.detuning, params.g[site])
-            lo_minus = PolaritonLabel.minus(n - 1) if n > 1 else PolaritonLabel.ground()
-            p_minus_dag[idx(PolaritonLabel.minus(n)), idx(lo_minus)] = co.c_minus
-            if not lower_only:
-                lo_plus = PolaritonLabel.plus(n - 1) if n > 1 else PolaritonLabel.ground()
-                p_plus_dag[idx(PolaritonLabel.plus(n)), idx(lo_plus)] = co.c_plus
-                if n > 1:
-                    k_dag[idx(PolaritonLabel.plus(n)), idx(lo_minus)] = co.k_plus
-                    k_dag[idx(PolaritonLabel.minus(n)), idx(lo_plus)] = co.k_minus
-        return np.diag(diag).astype(np.complex128), p_minus_dag, p_plus_dag, k_dag
-
-    eye = np.eye(sd, dtype=np.complex128)
-
-    def embed(op: np.ndarray, site: int) -> np.ndarray:
-        factors = [eye] * params.n_sites
-        factors[site] = op
-        return kron(*factors, dim_cap=dim_cap)
-
-    dim = sd ** params.n_sites
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    raising = []
-    for j in range(params.n_sites):
-        diag, pm_dag, pp_dag, k_dag = site_pieces(j)
-        h += embed(diag, j)
-        if variant == "rwa_hop":
-            raising.append((pm_dag, pp_dag))
-        elif variant == "lower_branch":
-            raising.append((pm_dag,))
-        else:
-            total = pm_dag + pp_dag
-            if include_interconverting:
-                total = total + k_dag
-            raising.append((total,))
-    for j in range(params.n_sites - 1):
-        for left_dag, right_dag in zip(raising[j], raising[j + 1]):
-            term = embed(left_dag, j) @ embed(right_dag.conj().T, j + 1)
-            h += params.hop[j] * (term + term.conj().T)
-    return h
-
-
 # ---------------------------------------------------------------------------
 # conserved-excitation subspace
 # ---------------------------------------------------------------------------
@@ -617,13 +538,6 @@ class ReducedModel:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def effective_hamiltonian(self) -> np.ndarray:
-        """Non-Hermitian no-jump generator ``H - (i/2) sum L^dag L``."""
-        h_eff = self.h.astype(np.complex128).copy()
-        for op in self.collapse:
-            h_eff -= 0.5j * (op.conj().T @ op)
-        return h_eff
 
 
 def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:

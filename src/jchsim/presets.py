@@ -53,8 +53,7 @@ def _scenario(name: str, seed_offset: int, *, n_sites: int, n_max: int,
                   "gamma": gamma, "omega_a": omega_a, "omega_c": 0.0},
         "initial": {"labels": initial},
         "grid": {"t_end": t_end, "dt": 0.005, "spacing": "auto"},
-        "run": {"n_traj": n_traj, "master_seed": _BASE_SEED + seed_offset,
-                "n_threads": 1},
+        "run": {"n_traj": n_traj, "master_seed": _BASE_SEED + seed_offset},
         "observables": {"projectors": projectors, "negativity": negativity,
                         "bipartition_cut": 1, "conditional": conditional},
         "output": {"name": name, "format": "csv"},
@@ -125,13 +124,20 @@ class PresetBundle:
     def with_overrides(self, n_traj: Optional[int] = None,
                        master_seed: Optional[int] = None,
                        n_threads: Optional[int] = None) -> "PresetBundle":
-        """Apply CLI-style overrides to every contained config."""
+        """Apply CLI-style overrides to every contained config.
+
+        ``n_threads`` is the sweep's worker count; scenario bundles reject it.
+        """
         updates = {}
         if n_traj is not None:
             updates["n_traj"] = n_traj
         if master_seed is not None:
             updates["master_seed"] = master_seed
         if n_threads is not None:
+            if self.sweep is None:
+                raise ConfigError([f"--threads: preset {self.name!r} runs scenarios, "
+                                   "which have no worker threads; it applies to "
+                                   "sweeps only"])
             updates["n_threads"] = n_threads
         if not updates:
             return self

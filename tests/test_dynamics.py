@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -148,16 +144,19 @@ class TestTrajectories:
 
     def test_single_trajectory_step_function(self):
         # one damped mode from the one-photon state: the trajectory is |1>
-        # until its single jump, |0> afterwards
+        # until its single jump, |0> afterwards; jump times share the grid's
+        # clock, also when it does not start at zero
         h, collapse, a = damped_mode(dim=2, gamma=0.5)
         psi0 = np.array([0.0, 1.0], dtype=np.complex128)
-        grid = TimeGrid(t_end=20.0, n_samples=201, dt=0.005)
-        traj = mcwf_trajectory(h, collapse, psi0, grid, seed=12)
-        assert len(traj.jumps) == 1
-        t_jump = traj.jumps[0][0]
-        pop1 = np.abs(traj.states[:, 1]) ** 2
-        assert np.all(pop1[grid.times < t_jump] == pytest.approx(1.0))
-        assert np.all(pop1[grid.times > t_jump] == pytest.approx(0.0))
+        for t_start in (0.0, 5.0):
+            grid = TimeGrid(t_end=t_start + 20.0, n_samples=201, dt=0.005,
+                            t_start=t_start)
+            traj = mcwf_trajectory(h, collapse, psi0, grid, seed=12)
+            assert len(traj.jumps) == 1
+            t_jump = traj.jumps[0][0]
+            pop1 = np.abs(traj.states[:, 1]) ** 2
+            assert np.all(pop1[grid.times < t_jump] == pytest.approx(1.0))
+            assert np.all(pop1[grid.times > t_jump] == pytest.approx(0.0))
 
     def test_first_jump_times_exponential(self):
         # waiting times from the one-photon state follow Exp(gamma)
@@ -227,26 +226,20 @@ class TestDeterminism:
         assert runs[0].mean_observables["x"].tobytes() == \
             runs[1].mean_observables["x"].tobytes()
 
-    def test_thread_count_does_not_change_results(self):
+    def test_ensemble_is_mean_of_trajectory_replays(self):
+        # trajectory j of the ensemble is mcwf_trajectory(seed=(master_seed, j)),
+        # so the result cannot depend on how trajectories are grouped
         params, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
         grid = TimeGrid(t_end=50.0, n_samples=26, dt=0.005)
         op = np.diag(np.arange(model.dim, dtype=np.float64))
-        serial = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=40,
-                               master_seed=9, observables={"x": op}, n_threads=1)
-        threaded = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=40,
-                                 master_seed=9, observables={"x": op}, n_threads=3)
-        assert serial.mean_observables["x"].tobytes() == \
-            threaded.mean_observables["x"].tobytes()
-
-    def test_chunk_size_does_not_change_results(self):
-        params, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
-        grid = TimeGrid(t_end=50.0, n_samples=26, dt=0.005)
-        op = np.diag(np.arange(model.dim, dtype=np.float64))
-        results = [mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=30,
-                                 master_seed=5, observables={"x": op},
-                                 chunk_size=cs).mean_observables["x"].tobytes()
-                   for cs in (1, 7, 30)]
-        assert results[0] == results[1] == results[2]
+        ens = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=30,
+                            master_seed=5, observables={"x": op})
+        replays = [mcwf_trajectory(model.h, model.collapse, psi0, grid, seed=(5, j))
+                   for j in range(30)]
+        per_traj = [np.einsum("ni,ij,nj->n", r.states.conj(), op, r.states).real
+                    for r in replays]
+        assert sum(len(r.jumps) for r in replays) > 0
+        assert np.abs(ens.mean_observables["x"] - np.mean(per_traj, axis=0)).max() < 1e-12
 
     def test_trajectory_seed_stream_is_stable(self):
         # the same (master seed, index) pair always reproduces a trajectory,
@@ -257,31 +250,6 @@ class TestDeterminism:
         again = mcwf_trajectory(model.h, model.collapse, psi0, grid, seed=(8, 3))
         assert np.array_equal(alone.states, again.states)
         assert alone.jumps == again.jumps
-
-    @pytest.mark.slow
-    def test_backends_agree_bitwise(self):
-        script = (
-            "import numpy as np\n"
-            "from jchsim.dynamics import TimeGrid, mcwf_ensemble, BACKEND\n"
-            "from jchsim.model import ModelParams, build_reduced_model, "
-            "prepare_product_polariton_state\n"
-            "p = ModelParams(n_sites=2, hop=0.03, gamma=0.05, n_max=2)\n"
-            "m = build_reduced_model(p, max_exc=2)\n"
-            "psi = m.space.reduce_vector(prepare_product_polariton_state(('2-', 'G'), p))\n"
-            "g = TimeGrid(t_end=30.0, n_samples=16, dt=0.005)\n"
-            "op = np.diag(np.arange(m.dim, dtype=np.float64))\n"
-            "e = mcwf_ensemble(m.h, m.collapse, psi, g, n_traj=25, master_seed=3,"
-            " observables={'x': op})\n"
-            "print(BACKEND, e.mean_observables['x'].tobytes().hex())\n"
-        )
-        outputs = {}
-        for backend in ("numba", "numpy"):
-            env = dict(os.environ, JCHSIM_BACKEND=backend)
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, check=True)
-            name, payload = proc.stdout.split()
-            outputs[name] = payload
-        assert outputs["numba"] == outputs["numpy"]
 
 
 class TestMemoryGuards:

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,11 @@ class TestScenarioConfig:
             scenario_from_mapping(bad)
         assert any("coupling_strength" in p for p in err.value.problems)
         assert any("extras" in p for p in err.value.problems)
+
+    def test_thread_count_is_not_a_scenario_key(self):
+        with pytest.raises(ConfigError) as err:
+            tiny_scenario(run={"n_threads": 2})
+        assert "run.n_threads: unknown key" in err.value.problems
 
     def test_spacing_and_samples_mutually_exclusive(self):
         with pytest.raises(ConfigError):
@@ -243,7 +249,7 @@ class TestRunnerArtifacts:
         assert sidecar["content_hash"] == config_content_hash(result.config)
         assert sidecar["columns"] == list(result.column_names)
         assert sidecar["config"] == result.config.to_mapping()
-        assert sidecar["backend"] in ("numba", "numpy")
+        assert sidecar["backend"] == "numpy"
         assert sidecar["table_file"] == result.table_path.name
 
     def test_reruns_are_byte_identical(self, run_dir, tmp_path):
@@ -399,6 +405,14 @@ class TestSweepOnModel:
         sidecar = json.loads(paths["sidecar"].read_text())
         assert sidecar["slope"] == pytest.approx(resonant_curve.slope)
 
+    def test_thread_count_does_not_change_sweep(self, tmp_path):
+        config = sweep_config(gamma_ratios=(0.5, 1.0, 2.0))
+        serial = write_criticality_outputs(gamma_c_curve(config), tmp_path / "serial")
+        threaded = write_criticality_outputs(
+            gamma_c_curve(replace(config, n_threads=2)), tmp_path / "threaded")
+        for key in ("rows", "estimates"):
+            assert serial[key].read_bytes() == threaded[key].read_bytes()
+
     def test_classification_invariant_under_frequency_rescale(self):
         # doubling every rate (coupling, hop, damping) halves every time
         # scale but preserves which regime each point lands in
@@ -454,6 +468,8 @@ class TestPresets:
         assert all(cfg.master_seed == 123 for cfg in bundle.scenarios)
         sweep = load_preset("fig4").with_overrides(n_threads=2)
         assert sweep.sweep.n_threads == 2
+        with pytest.raises(ConfigError, match="--threads"):
+            load_preset("fig3").with_overrides(n_threads=2)
         untouched = load_preset("fig4").with_overrides()
         assert untouched.sweep == load_preset("fig4").sweep
 
@@ -530,6 +546,18 @@ class TestCli:
         assert "slope" in out
         names = {p.name for p in (tmp_path / "out").iterdir()}
         assert {"quick_rows.csv", "quick_estimates.csv", "quick.json"} <= names
+
+    def test_threads_rejected_outside_sweeps(self, tmp_path, capsys):
+        config_path = tmp_path / "scenario.ini"
+        config_path.write_text(SCENARIO_INI)
+        for source in (["--config", str(config_path)], ["--preset", "fig3"]):
+            assert main(["run", *source, "--threads", "2",
+                         "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and "--threads" in err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit):
+            main(["validate", "--suite", "mapping", "--threads", "2"])
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"

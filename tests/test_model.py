@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jchsim.errors import ConfigError, SizeError, TruncationError
-from jchsim.model import (ModelParams, PolaritonLabel, build_effective_hamiltonian,
-                          build_full_hamiltonian, build_reduced_model,
-                          collapse_operators, creation_in_polariton_basis,
-                          dressed_basis_matrix, dressed_state, excitation_basis,
-                          hopping_coefficients, mixing_angle, polariton_energy,
+from jchsim.errors import ConfigError, TruncationError
+from jchsim.model import (ModelParams, PolaritonLabel, build_full_hamiltonian,
+                          build_reduced_model, collapse_operators,
+                          creation_in_polariton_basis, dressed_basis_matrix,
+                          dressed_state, excitation_basis, hopping_coefficients,
+                          mixing_angle, polariton_energy,
                           prepare_product_polariton_state, site_operators,
                           total_excitation_operator, transform_to_dressed_basis)
 
@@ -207,30 +207,3 @@ class TestInitialStates:
         with pytest.raises(TruncationError):
             prepare_product_polariton_state(("2-", "G"), params)
 
-
-class TestEffectiveHamiltonian:
-    @pytest.mark.parametrize("variant", ["full_hop", "rwa_hop", "lower_branch"])
-    def test_variants_hermitian(self, variant):
-        params = ModelParams(n_sites=2, hop=0.04, n_max=2, omega_a=0.3)
-        h = build_effective_hamiltonian(params, variant=variant)
-        assert np.allclose(h, h.conj().T)
-
-    def test_unknown_variant_rejected(self):
-        params = ModelParams(n_sites=2, hop=0.04, n_max=2)
-        with pytest.raises(ConfigError):
-            build_effective_hamiltonian(params, variant="bogus")
-
-    def test_lower_branch_matches_reduced_model_on_blockade_gap(self):
-        # the lower-branch-only picture and the exact reduced model must agree
-        # on the two-excitation anharmonic mismatch driving the blockade
-        params = ModelParams(n_sites=2, hop=0.0, n_max=2)
-        h = build_effective_hamiltonian(params, variant="lower_branch")
-        d = params.n_max + 1
-        e_20 = h[2 * d, 2 * d].real          # |2-, G>
-        e_11 = h[d + 1, d + 1].real          # |1-, 1->
-        assert e_20 - e_11 == pytest.approx(2.0 - math.sqrt(2.0))
-
-    def test_dimension_cap(self):
-        params = ModelParams(n_sites=4, hop=0.03, n_max=4)
-        with pytest.raises(SizeError):
-            build_effective_hamiltonian(params, dim_cap=1000)
