@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, IntegratorError, JchsimError, NotHermitianError,
                      SizeError, TruncationError)
-from .linalg import (TensorDims, hermitian_eigenvalues, kron, partial_trace,
-                     partial_transpose)
+from .linalg import TensorDims, kron, partial_transpose
 from .model import (HoppingCoefficients, ModelParams, PolaritonLabel, ReducedModel,
                     ReducedSpace, SiteOperatorSet, build_full_hamiltonian,
                     build_reduced_model, collapse_operators,
@@ -25,8 +24,7 @@ from .dynamics import (BACKEND, ConditionalBranch, EnsembleResult, TimeGrid,
                        superoperator)
 from .observables import (PROJECTOR_PRESETS, PeakClassification, PeakReport,
                           ProjectorSpec, blockade_beat_period, classify_series,
-                          classify_peak_structure, find_peaks, negativity,
-                          negativity_series, population, pure_negativity,
+                          find_peaks, negativity, negativity_series,
                           recommended_spacing, reduced_bipartition)
 from .config import (CriticalitySweepConfig, ScenarioConfig, config_content_hash,
                      load_scenario_config, load_sweep_config,

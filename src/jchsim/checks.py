@@ -18,10 +18,11 @@ Three suites:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .config import scenario_from_mapping
+from .config import apply_overrides, scenario_from_mapping
 from .dynamics import TimeGrid, evolve_unitary, lindblad_evolve, mcwf_ensemble
 from .errors import ConfigError
 from .linalg import TensorDims
@@ -180,15 +181,15 @@ def _analytic_items() -> list:
 # ---------------------------------------------------------------------------
 # oracle suite
 
-def _oracle_items(n_traj: int, master_seed: int) -> list:
-    config = scenario_from_mapping({
+def _oracle_items(**overrides) -> list:
+    config = apply_overrides(scenario_from_mapping({
         "model": {"n_sites": 2, "n_max": 2, "hop": 0.03, "gamma": 0.05},
         "initial": {"labels": "2-, G"},
         "grid": {"t_end": 1500.0, "spacing": "auto"},
-        "run": {"n_traj": n_traj, "master_seed": master_seed},
+        "run": {"n_traj": 2000, "master_seed": 20260825},
         "observables": {"projectors": "P20, P11", "negativity": True},
         "output": {"name": "oracle-suite"},
-    })
+    }), **overrides)
     params = config.model
     model = build_reduced_model(params, max_exc=config.max_excitation)
     psi0 = model.space.reduce_vector(
@@ -214,7 +215,7 @@ def _oracle_items(n_traj: int, master_seed: int) -> list:
             name=f"trajectory mean vs master equation: {name}",
             passed=ratio <= 1.0, measured=ratio, bound=1.0,
             detail=f"worst dev/allowed over {len(exact)} samples, "
-                   f"{n_traj} trajectories"))
+                   f"{config.n_traj} trajectories"))
 
     dims = TensorDims((params.site_dim, params.site_dim))
     full_avg = np.stack([model.space.embed_density(r)
@@ -226,19 +227,23 @@ def _oracle_items(n_traj: int, master_seed: int) -> list:
     items.append(CheckItem(
         name="trajectory-averaged negativity vs master equation",
         passed=dev <= floor, measured=dev, bound=floor,
-        detail=f"{n_traj} trajectories"))
+        detail=f"{config.n_traj} trajectories"))
     return items
 
 
-def run_suite(name: str, n_traj: int = 2000,
-              master_seed: int = 20260825) -> CheckReport:
-    """Run one validation suite and return its report."""
+def run_suite(name: str, n_traj: Optional[int] = None,
+              master_seed: Optional[int] = None) -> CheckReport:
+    """Run one validation suite and return its report.
+
+    ``n_traj`` and ``master_seed``, when set, override the trajectory count
+    and the seed of the ``oracle`` suite's scenario.
+    """
     if name == "mapping":
         items = _mapping_items()
     elif name == "analytic":
         items = _analytic_items()
     elif name == "oracle":
-        items = _oracle_items(n_traj, master_seed)
+        items = _oracle_items(n_traj=n_traj, master_seed=master_seed)
     else:
         raise ConfigError([f"suite: unknown name {name!r}; "
                            f"known: {list(SUITE_NAMES)}"])

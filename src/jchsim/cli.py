@@ -21,13 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from .checks import SUITE_NAMES, run_suite
-from .config import ScenarioConfig, load_scenario_config, load_sweep_config
+from .config import (CriticalitySweepConfig, apply_overrides, load_scenario_config,
+                     load_sweep_config)
 from .critical import gamma_c_curve
-from .errors import ConfigError, JchsimError
+from .errors import JchsimError
 from .presets import PRESET_NAMES, load_preset
 from .runner import run_scenario, write_criticality_outputs
 
@@ -75,20 +75,6 @@ def _add_overrides(parser: argparse.ArgumentParser, threads: bool) -> None:
                                  "run of a sweep preset); scenarios reject it")
 
 
-def _apply_overrides(config, args):
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.traj is not None:
-        updates["n_traj"] = args.traj
-    if args.threads is not None:
-        if isinstance(config, ScenarioConfig):
-            raise ConfigError(["--threads: a scenario run has no worker threads; "
-                               "it applies to sweeps only"])
-        updates["n_threads"] = args.threads
-    return replace(config, **updates) if updates else config
-
-
 def _run_sweep(config, out_dir) -> None:
     result = gamma_c_curve(config)
     paths = write_criticality_outputs(result, out_dir)
@@ -102,42 +88,33 @@ def _run_sweep(config, out_dir) -> None:
         print(f"wrote {paths[key]}")
 
 
-def _cmd_run(args) -> int:
+def _configs(args) -> tuple:
+    """The configs a ``run`` or ``critical`` command names, overrides applied."""
+    overrides = {"n_traj": args.traj, "master_seed": args.seed,
+                 "n_threads": args.threads}
+    if args.command == "critical":
+        return (apply_overrides(load_sweep_config(args.config), **overrides),)
     if args.config is not None:
-        config = _apply_overrides(load_scenario_config(args.config), args)
+        return (apply_overrides(load_scenario_config(args.config), **overrides),)
+    bundle = load_preset(args.preset).with_overrides(**overrides)
+    return bundle.scenarios or (bundle.sweep,)
+
+
+def _cmd_run(args) -> int:
+    for config in _configs(args):
+        if isinstance(config, CriticalitySweepConfig):
+            _run_sweep(config, args.out)
+            continue
         result = run_scenario(config, args.out)
         print(f"scenario '{config.output_name}': {config.n_traj} trajectories, "
               f"{config.grid.n_samples} samples")
         print(f"wrote {result.table_path}")
         print(f"wrote {result.sidecar_path}")
-        return 0
-    bundle = load_preset(args.preset).with_overrides(
-        n_traj=args.traj, master_seed=args.seed, n_threads=args.threads)
-    if bundle.kind == "sweep":
-        _run_sweep(bundle.sweep, args.out)
-        return 0
-    for config in bundle.scenarios:
-        result = run_scenario(config, args.out)
-        print(f"scenario '{config.output_name}': {config.n_traj} trajectories, "
-              f"{config.grid.n_samples} samples")
-        print(f"wrote {result.table_path}")
-        print(f"wrote {result.sidecar_path}")
-    return 0
-
-
-def _cmd_critical(args) -> int:
-    config = _apply_overrides(load_sweep_config(args.config), args)
-    _run_sweep(config, args.out)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    kwargs = {}
-    if args.traj is not None:
-        kwargs["n_traj"] = args.traj
-    if args.seed is not None:
-        kwargs["master_seed"] = args.seed
-    report = run_suite(args.suite, **kwargs)
+    report = run_suite(args.suite, n_traj=args.traj, master_seed=args.seed)
     if args.json:
         print(json.dumps(report.to_mapping(), sort_keys=True, indent=2))
     else:
@@ -148,11 +125,9 @@ def _cmd_validate(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "critical":
-            return _cmd_critical(args)
-        return _cmd_validate(args)
+        if args.command == "validate":
+            return _cmd_validate(args)
+        return _cmd_run(args)
     except JchsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

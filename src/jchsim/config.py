@@ -4,9 +4,16 @@ Two shapes are understood: a *scenario* (one model, one initial state, one
 ensemble run) and a *criticality sweep* (a grid of hopping strengths and
 damping ratios classified into single- vs multi-peak entanglement traces).
 Both formats carry the same sections whether written as INI or JSON; a JSON
-file is simply the nested ``{section: {key: value}}`` mapping.  Validation
-collects every problem before raising, so a bad file reports all offending
-fields at once.
+file is simply the nested ``{section: {key: value}}`` mapping.
+
+Each config type has one key table: per section, each key's field, the
+coercion of its raw value (INI gives strings, JSON typed values) and whether
+it is required.  Defaults and checks live only on the types
+(:class:`~jchsim.model.ModelParams`, :class:`~jchsim.dynamics.TimeGrid`,
+:class:`ScenarioConfig`, :class:`CriticalitySweepConfig`).  A key that is
+absent, or whose value fails to coerce, takes the type's default and the type
+is still built, so its checks still run: a bad file reports every offending
+field at once.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .dynamics import DEFAULT_DT, TimeGrid
 from .errors import ConfigError
@@ -32,28 +39,11 @@ DEFAULT_GAMMA_RATIOS = (0.3, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
 OUTPUT_FORMATS = ("csv", "json")
 SWEEP_SOURCES = ("oracle", "ensemble")
 
-_SCENARIO_SECTIONS = {
-    "model": ("n_sites", "n_max", "hop", "gamma", "omega_a", "omega_c", "g"),
-    "initial": ("labels",),
-    "grid": ("t_end", "t_start", "dt", "spacing", "n_samples"),
-    "run": ("n_traj", "master_seed"),
-    "observables": ("projectors", "negativity", "bipartition_cut", "conditional"),
-    "output": ("name", "format"),
-}
-_SWEEP_SECTIONS = {
-    "sweep": ("j_values", "gamma_ratios", "delta", "source"),
-    "model": ("n_max", "g"),
-    "grid": ("t_end", "t_start", "dt"),
-    "classifier": ("prominence_threshold", "t_min"),
-    "run": ("n_traj", "master_seed", "n_threads"),
-    "output": ("name", "format"),
-}
-
 
 # ---------------------------------------------------------------------------
-# raw-value coercion (INI gives strings, JSON gives typed values)
+# raw-value coercion; each raises ConfigError with the problems of one value
 
-def _as_bool(raw: Any, where: str, problems: list) -> bool:
+def _as_bool(raw: Any) -> bool:
     if isinstance(raw, bool):
         return raw
     if isinstance(raw, str):
@@ -62,93 +52,86 @@ def _as_bool(raw: Any, where: str, problems: list) -> bool:
             return True
         if low in ("0", "false", "no", "off"):
             return False
-    problems.append(f"{where}: expected a boolean, got {raw!r}")
-    return False
+    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _as_int(raw: Any, where: str, problems: list) -> int:
+def _as_int(raw: Any) -> int:
     # bool is an int subclass; reject it explicitly
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        problems.append(f"{where}: expected an integer, got {raw!r}")
-        return 0
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        problems.append(f"{where}: expected an integer, got {raw!r}")
-        return 0
+    if not isinstance(raw, bool) and not (isinstance(raw, float) and not raw.is_integer()):
+        try:
+            return int(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"expected an integer, got {raw!r}")
 
 
-def _as_float(raw: Any, where: str, problems: list) -> float:
-    if isinstance(raw, bool):
-        problems.append(f"{where}: expected a number, got {raw!r}")
-        return 0.0
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        problems.append(f"{where}: expected a number, got {raw!r}")
-        return 0.0
+def _as_float(raw: Any) -> float:
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"expected a number, got {raw!r}")
 
 
-def _split_items(raw: Any, where: str, problems: list) -> list:
+def _as_lower(raw: Any) -> str:
+    return str(raw).lower()
+
+
+def _split_items(raw: Any) -> list:
     """Return a list of raw items from a comma string or a JSON list."""
     if isinstance(raw, str):
-        items = [part.strip() for part in raw.split(",")]
-        items = [part for part in items if part]
-        if not items:
-            problems.append(f"{where}: empty list")
-        return items
-    if isinstance(raw, (list, tuple)):
-        if not raw:
-            problems.append(f"{where}: empty list")
-        return list(raw)
-    problems.append(f"{where}: expected a comma-separated list, got {raw!r}")
-    return []
+        items = [part.strip() for part in raw.split(",") if part.strip()]
+    elif isinstance(raw, (list, tuple)):
+        items = list(raw)
+    else:
+        raise ConfigError(f"expected a comma-separated list, got {raw!r}")
+    if not items:
+        raise ConfigError("empty list")
+    return items
 
 
-def _as_float_list(raw: Any, where: str, problems: list) -> tuple:
-    before = len(problems)
-    items = _split_items(raw, where, problems)
-    values = tuple(_as_float(item, where, problems) for item in items)
-    return values if len(problems) == before else ()
+def _each(coerce: Callable[[Any], Any], raw: Any) -> tuple:
+    """``coerce`` applied to every list item, reporting every item that fails."""
+    values, problems = [], []
+    for item in _split_items(raw):
+        try:
+            values.append(coerce(item))
+        except ConfigError as exc:
+            problems += exc.problems
+    if problems:
+        raise ConfigError(problems)
+    return tuple(values)
 
 
-def _as_float_or_list(raw: Any, where: str, problems: list):
+def _as_floats(raw: Any) -> tuple:
+    return _each(_as_float, raw)
+
+
+def _as_rates(raw: Any):
     """A scalar rate or one value per site/bond."""
-    if isinstance(raw, str) and "," in raw:
-        return _as_float_list(raw, where, problems)
-    if isinstance(raw, (list, tuple)):
-        return _as_float_list(raw, where, problems)
-    return _as_float(raw, where, problems)
+    if isinstance(raw, (list, tuple)) or (isinstance(raw, str) and "," in raw):
+        return _as_floats(raw)
+    return _as_float(raw)
 
 
-def _run_problems(n_traj: int, master_seed: int, n_threads: int = 1) -> list:
-    problems = []
-    if n_traj < 1:
-        problems.append(f"run.n_traj: must be >= 1, got {n_traj}")
-    if master_seed < 0:
-        problems.append(f"run.master_seed: must be >= 0, got {master_seed}")
-    if n_threads < 1:
-        problems.append(f"run.n_threads: must be >= 1, got {n_threads}")
-    return problems
+def _as_labels(raw: Any) -> tuple:
+    return tuple(str(item).strip() for item in _split_items(raw))
 
 
-def _output_problems(name: str, fmt: str) -> list:
-    problems = []
-    if fmt not in OUTPUT_FORMATS:
-        problems.append(
-            f"output.format: expected one of {OUTPUT_FORMATS}, got {fmt!r}")
-    if not name or "/" in name:
-        problems.append(f"output.name: must be a bare file stem, got {name!r}")
-    return problems
+def _as_spacing(raw: Any):
+    """A sample spacing, or ``"auto"`` for the model's recommendation."""
+    if isinstance(raw, str) and raw.strip().lower() == "auto":
+        return "auto"
+    return _as_float(raw)
 
 
-def _parse_projector_item(text: str, where: str, problems: list) -> ProjectorSpec | None:
-    """One projector: a preset name or ``(label, label, ...)``, with an
+def _as_projector(raw: Any) -> ProjectorSpec:
+    """One projector: a preset name or ``(label; label; ...)``, with an
     optional ``+perm`` suffix requesting the site-permutation sum."""
-    item = text.strip()
-    symmetrize = False
-    if item.endswith("+perm"):
-        symmetrize = True
+    item = str(raw).strip()
+    symmetrize = item.endswith("+perm")
+    if symmetrize:
         item = item[: -len("+perm")].strip()
     try:
         if item.startswith("(") and item.endswith(")"):
@@ -156,42 +139,181 @@ def _parse_projector_item(text: str, where: str, problems: list) -> ProjectorSpe
             return ProjectorSpec(labels=labels, symmetrize=symmetrize)
         return ProjectorSpec(preset=item, symmetrize=symmetrize)
     except (ConfigError, ValueError) as exc:
-        problems.append(f"{where}: bad projector {text!r} ({exc})")
-        return None
+        raise ConfigError(f"bad projector {str(raw)!r} ({exc})") from None
+
+
+def _as_projectors(raw: Any) -> tuple:
+    """A projector list; an empty string or list asks for none."""
+    if (isinstance(raw, str) and not raw.strip()) or (
+            isinstance(raw, (list, tuple)) and not raw):
+        return ()
+    return _each(_as_projector, raw)
 
 
 # ---------------------------------------------------------------------------
-# section plumbing
+# key tables: section -> key -> the field it sets, its coercion, required?
 
-def _check_sections(mapping: Mapping[str, Any], allowed: Mapping[str, tuple],
-                    problems: list) -> None:
-    for section, content in mapping.items():
-        if section not in allowed:
-            problems.append(f"{section}: unknown section")
-            continue
+class _Key(NamedTuple):
+    field: str
+    coerce: Callable[[Any], Any]
+    required: bool = False
+
+
+_RUN = {"n_traj": _Key("n_traj", _as_int),
+        "master_seed": _Key("master_seed", _as_int)}
+_OUTPUT = {"name": _Key("output_name", str),
+           "format": _Key("output_format", _as_lower)}
+
+_SCENARIO_KEYS = {
+    "model": {
+        "n_sites": _Key("n_sites", _as_int, required=True),
+        "n_max": _Key("n_max", _as_int, required=True),
+        "hop": _Key("hop", _as_rates),
+        "gamma": _Key("gamma", _as_rates),
+        "omega_a": _Key("omega_a", _as_float),
+        "omega_c": _Key("omega_c", _as_float),
+        "g": _Key("g", _as_rates),
+    },
+    "initial": {"labels": _Key("initial", _as_labels, required=True)},
+    "grid": {
+        "t_end": _Key("t_end", _as_float, required=True),
+        "t_start": _Key("t_start", _as_float),
+        "dt": _Key("dt", _as_float),
+        "spacing": _Key("spacing", _as_spacing),
+        "n_samples": _Key("n_samples", _as_int),
+    },
+    "run": _RUN,
+    "observables": {
+        "projectors": _Key("observables", _as_projectors),
+        "negativity": _Key("compute_negativity", _as_bool),
+        "bipartition_cut": _Key("bipartition_cut", _as_int),
+        "conditional": _Key("include_conditional", _as_bool),
+    },
+    "output": _OUTPUT,
+}
+
+_SWEEP_KEYS = {
+    "sweep": {
+        "j_values": _Key("j_values", _as_floats, required=True),
+        "gamma_ratios": _Key("gamma_ratios", _as_floats),
+        "delta": _Key("delta", _as_float),
+        "source": _Key("source", _as_lower),
+    },
+    "model": {"n_max": _Key("n_max", _as_int), "g": _Key("coupling", _as_float)},
+    "grid": {
+        "t_end": _Key("t_end", _as_float),
+        "t_start": _Key("t_start", _as_float),
+        "dt": _Key("dt", _as_float),
+    },
+    "classifier": {
+        "prominence_threshold": _Key("prominence_threshold", _as_float),
+        "t_min": _Key("t_min", _as_float),
+    },
+    "run": {**_RUN, "n_threads": _Key("n_threads", _as_int)},
+    "output": _OUTPUT,
+}
+
+
+def _read(mapping: Mapping[str, Any], table: Mapping[str, Mapping[str, _Key]]):
+    """Check ``mapping`` against a key table; return its values and problems.
+
+    The values are ``{section: {field: coerced value}}``.  A value that fails
+    to coerce is left out, so its field takes the type's default; a section
+    that lacks a required value maps to None.  The problems name unknown
+    sections and keys, values that fail to coerce and missing required keys.
+    """
+    problems = [f"{section}: unknown section" for section in mapping
+                if section not in table]
+    values: dict = {}
+    for section, keys in table.items():
+        content = mapping.get(section, {})
         if not isinstance(content, Mapping):
             problems.append(f"{section}: expected a mapping of keys")
-            continue
-        for key in content:
-            if key not in allowed[section]:
-                problems.append(f"{section}.{key}: unknown key")
+            content = {}
+        problems += [f"{section}.{name}: unknown key" for name in content
+                     if name not in keys]
+        coerced = {}
+        for name, key in keys.items():
+            if name not in content:
+                if key.required:
+                    problems.append(f"{section}.{name}: required key missing")
+                continue
+            try:
+                coerced[key.field] = key.coerce(content[name])
+            except ConfigError as exc:
+                problems += [f"{section}.{name}: {p}" for p in exc.problems]
+        complete = all(key.field in coerced for key in keys.values() if key.required)
+        values[section] = coerced if complete else None
+    return values, problems
 
 
-def _section(mapping: Mapping[str, Any], name: str) -> Mapping[str, Any]:
-    content = mapping.get(name, {})
-    return content if isinstance(content, Mapping) else {}
+def _echo(table: Mapping[str, Mapping[str, _Key]], config, **owners) -> dict:
+    """Every key of ``table`` with the value of its field (the sidecar form).
+
+    A section's fields are read from its object in ``owners``, else from
+    ``config``; tuples become lists and projectors their names.
+    """
+    return {section: {name: _plain(getattr(owners.get(section, config), key.field))
+                      for name, key in keys.items()}
+            for section, keys in table.items()}
 
 
-def _require(section: Mapping[str, Any], section_name: str, key: str,
-             problems: list) -> Any:
-    if key not in section:
-        problems.append(f"{section_name}.{key}: required key missing")
+def _plain(value):
+    if isinstance(value, tuple):
+        return [getattr(item, "name", item) for item in value]
+    return value
+
+
+def _build(make: Callable[..., Any], values: Optional[dict], problems: list,
+           prefix: str = ""):
+    """``make(**values)``; None, with its problems added, if it cannot be built."""
+    if values is None:
         return None
-    return section[key]
+    try:
+        return make(**values)
+    except ConfigError as exc:
+        problems += [prefix + p for p in exc.problems]
+        return None
+
+
+def _finish(cls, values: dict, problems: list):
+    """Build ``cls`` from ``values`` and raise if any problem was found.
+
+    When a field the type requires is missing (a part that could not be
+    read or built), only the checks that need none of them still run.
+    """
+    if any(values.get(f.name) is None for f in fields(cls) if f.default is MISSING):
+        raise ConfigError(problems + _settings_problems(cls, values))
+    config = _build(cls, values, problems)
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 # ---------------------------------------------------------------------------
 # configuration types
+
+def _settings_problems(cls, values: Mapping[str, Any]) -> list:
+    """Checks of the run and output settings, which need no model or grid.
+
+    Fields absent from ``values`` take the defaults of ``cls``.
+    """
+    v = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    v.update(values)
+    problems = []
+    if v["n_traj"] < 1:
+        problems.append(f"run.n_traj: must be >= 1, got {v['n_traj']}")
+    if v["master_seed"] < 0:
+        problems.append(f"run.master_seed: must be >= 0, got {v['master_seed']}")
+    if "n_threads" in v and v["n_threads"] < 1:
+        problems.append(f"run.n_threads: must be >= 1, got {v['n_threads']}")
+    if v["output_format"] not in OUTPUT_FORMATS:
+        problems.append(f"output.format: expected one of {OUTPUT_FORMATS}, "
+                        f"got {v['output_format']!r}")
+    if not v["output_name"] or "/" in v["output_name"]:
+        problems.append(f"output.name: must be a bare file stem, got {v['output_name']!r}")
+    return problems
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -211,9 +333,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         problems = []
-        if len(self.initial) != self.model.n_sites:
+        n_sites, n_max = self.model.n_sites, self.model.n_max
+        if len(self.initial) != n_sites:
             problems.append(
-                f"initial.labels: expected {self.model.n_sites} site labels, "
+                f"initial.labels: expected {n_sites} site labels, "
                 f"got {len(self.initial)}")
         canonical = []
         for raw in self.initial:
@@ -222,28 +345,35 @@ class ScenarioConfig:
             except Exception as exc:  # noqa: BLE001 - collected as config problem
                 problems.append(f"initial.labels: bad label {raw!r} ({exc})")
                 continue
-            if label.n > self.model.n_max:
+            if label.n > n_max:
                 problems.append(
                     f"initial.labels: |{label}> needs {label.n} photons, "
-                    f"cutoff is {self.model.n_max}")
+                    f"cutoff is {n_max}")
             canonical.append(str(label))
         if len(canonical) == len(self.initial):
             object.__setattr__(self, "initial", tuple(canonical))
-        problems += _run_problems(self.n_traj, self.master_seed)
+        problems += _settings_problems(ScenarioConfig, vars(self))
         for spec in self.observables:
-            if len(spec.resolved_labels) != self.model.n_sites:
-                problems.append(
-                    f"observables.projectors: {spec.name} has "
-                    f"{len(spec.resolved_labels)} labels for "
-                    f"{self.model.n_sites} sites")
-        if self.compute_negativity and self.model.n_sites < 2:
+            # the run builds each projector inside the excitation subspace of
+            # the initial state, so it must fit the cutoff and that subspace
+            ns = [PolaritonLabel.parse(label).n for label in spec.resolved_labels]
+            if len(ns) != n_sites:
+                problems.append(f"observables.projectors: {spec.name} has "
+                                f"{len(ns)} labels for {n_sites} sites")
+            elif max(ns) > n_max:
+                problems.append(f"observables.projectors: {spec.name} needs "
+                                f"{max(ns)} photons on one site, cutoff is {n_max}")
+            elif len(canonical) == len(self.initial) and sum(ns) > self.max_excitation:
+                problems.append(f"observables.projectors: {spec.name} holds {sum(ns)} "
+                                "excitations, more than the initial state's "
+                                f"{self.max_excitation}")
+        if self.compute_negativity and n_sites < 2:
             problems.append(
                 "observables.negativity: needs at least two sites")
-        if not 1 <= self.bipartition_cut < max(self.model.n_sites, 2):
+        if not 1 <= self.bipartition_cut < max(n_sites, 2):
             problems.append(
                 "observables.bipartition_cut: must satisfy "
-                f"1 <= cut < {self.model.n_sites}, got {self.bipartition_cut}")
-        problems += _output_problems(self.output_name, self.output_format)
+                f"1 <= cut < {n_sites}, got {self.bipartition_cut}")
         if problems:
             raise ConfigError(problems)
 
@@ -253,35 +383,10 @@ class ScenarioConfig:
 
     def to_mapping(self) -> dict:
         """Plain nested dict echoing every consumed parameter (sidecar form)."""
-        return {
-            "model": {
-                "n_sites": self.model.n_sites,
-                "n_max": self.model.n_max,
-                "hop": list(self.model.hop),
-                "gamma": list(self.model.gamma),
-                "omega_a": self.model.omega_a,
-                "omega_c": self.model.omega_c,
-                "g": list(self.model.g),
-                "detuning": self.model.detuning,
-            },
-            "initial": {"labels": list(self.initial),
-                        "max_excitation": self.max_excitation},
-            "grid": {
-                "t_start": self.grid.t_start,
-                "t_end": self.grid.t_end,
-                "dt": self.grid.dt,
-                "spacing": self.grid.spacing,
-                "n_samples": self.grid.n_samples,
-            },
-            "run": {"n_traj": self.n_traj, "master_seed": self.master_seed},
-            "observables": {
-                "projectors": [spec.name for spec in self.observables],
-                "negativity": self.compute_negativity,
-                "bipartition_cut": self.bipartition_cut,
-                "conditional": self.include_conditional,
-            },
-            "output": {"name": self.output_name, "format": self.output_format},
-        }
+        echo = _echo(_SCENARIO_KEYS, self, model=self.model, grid=self.grid)
+        echo["model"]["detuning"] = self.model.detuning
+        echo["initial"]["max_excitation"] = self.max_excitation
+        return echo
 
 
 @dataclass(frozen=True)
@@ -315,18 +420,14 @@ class CriticalitySweepConfig:
         problems = []
         js = tuple(float(j) for j in self.j_values)
         ratios = tuple(float(r) for r in self.gamma_ratios)
-        if not js:
-            problems.append("sweep.j_values: required and non-empty")
-        elif any(j <= 0 for j in js):
-            problems.append("sweep.j_values: hop values must be positive")
-        elif any(b <= a for a, b in zip(js, js[1:])):
-            problems.append("sweep.j_values: must be strictly increasing")
-        if not ratios:
-            problems.append("sweep.gamma_ratios: required and non-empty")
-        elif any(r <= 0 for r in ratios):
-            problems.append("sweep.gamma_ratios: ratios must be positive")
-        elif any(b <= a for a, b in zip(ratios, ratios[1:])):
-            problems.append("sweep.gamma_ratios: must be strictly increasing")
+        for where, grid, what in (("sweep.j_values", js, "hop values"),
+                                  ("sweep.gamma_ratios", ratios, "ratios")):
+            if not grid:
+                problems.append(f"{where}: required and non-empty")
+            elif any(v <= 0 for v in grid):
+                problems.append(f"{where}: {what} must be positive")
+            elif any(b <= a for a, b in zip(grid, grid[1:])):
+                problems.append(f"{where}: must be strictly increasing")
         if self.source not in SWEEP_SOURCES:
             problems.append(
                 f"sweep.source: expected one of {SWEEP_SOURCES}, got {self.source!r}")
@@ -344,8 +445,7 @@ class CriticalitySweepConfig:
                 f"{self.prominence_threshold}")
         if self.t_min < 0:
             problems.append(f"classifier.t_min: must be >= 0, got {self.t_min}")
-        problems += _run_problems(self.n_traj, self.master_seed, self.n_threads)
-        problems += _output_problems(self.output_name, self.output_format)
+        problems += _settings_problems(CriticalitySweepConfig, vars(self))
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "j_values", js)
@@ -362,191 +462,68 @@ class CriticalitySweepConfig:
                                      t_start=self.t_start)
 
     def to_mapping(self) -> dict:
-        return {
-            "sweep": {"j_values": list(self.j_values),
-                      "gamma_ratios": list(self.gamma_ratios),
-                      "delta": self.delta, "source": self.source},
-            "model": {"n_sites": 2, "n_max": self.n_max, "g": self.coupling,
-                      "omega_a": self.delta, "omega_c": 0.0},
-            "grid": {"t_start": self.t_start, "t_end": self.t_end, "dt": self.dt},
-            "classifier": {"prominence_threshold": self.prominence_threshold,
-                           "t_min": self.t_min},
-            "run": {"n_traj": self.n_traj, "master_seed": self.master_seed,
-                    "n_threads": self.n_threads},
-            "output": {"name": self.output_name, "format": self.output_format},
-        }
+        echo = _echo(_SWEEP_KEYS, self)
+        echo["model"].update(n_sites=2, omega_a=self.delta, omega_c=0.0)
+        return echo
+
+
+def apply_overrides(config, n_traj: Optional[int] = None,
+                    master_seed: Optional[int] = None,
+                    n_threads: Optional[int] = None):
+    """``config`` with the command-line overrides that are set.
+
+    ``n_traj`` is ``--traj``, ``master_seed`` is ``--seed`` and
+    ``n_threads`` is ``--threads``, the worker count of a sweep, which a
+    scenario rejects.
+    """
+    if n_threads is not None and isinstance(config, ScenarioConfig):
+        raise ConfigError(["--threads: a scenario run has no worker threads; "
+                           "it applies to sweeps only"])
+    updates = {"n_traj": n_traj, "master_seed": master_seed, "n_threads": n_threads}
+    return replace(config, **{k: v for k, v in updates.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
 # mapping -> config
 
+def _scenario_grid(raw: Any, grid: Optional[dict], model: Optional[ModelParams],
+                   problems: list) -> Optional[TimeGrid]:
+    """The sample grid from ``spacing`` (a number or ``auto``) or
+    ``n_samples``, given in the raw section; never both."""
+    given = raw.keys() & {"spacing", "n_samples"} if isinstance(raw, Mapping) else set()
+    if len(given) != 1:
+        problems.append("grid: give either spacing or n_samples, not both" if given
+                        else "grid: one of spacing or n_samples is required")
+        return None
+    auto = grid is not None and grid.get("spacing") == "auto"
+    if grid is None or not given <= grid.keys() or (auto and model is None):
+        return None                  # the value it needs was reported already
+    try:
+        if auto:
+            # TimeGrid.dt is the grid's own default step
+            grid["spacing"] = recommended_spacing(model, grid.get("dt", TimeGrid.dt))
+        return (TimeGrid.with_spacing if "spacing" in grid else TimeGrid)(**grid)
+    except ConfigError as exc:
+        problems += ["grid." + p for p in exc.problems]
+        return None
+
+
 def scenario_from_mapping(mapping: Mapping[str, Any]) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig`, reporting every problem at once."""
-    problems: list = []
-    _check_sections(mapping, _SCENARIO_SECTIONS, problems)
-    model_sec = _section(mapping, "model")
-    initial_sec = _section(mapping, "initial")
-    grid_sec = _section(mapping, "grid")
-    run_sec = _section(mapping, "run")
-    obs_sec = _section(mapping, "observables")
-    out_sec = _section(mapping, "output")
-
-    if "n_sites" in model_sec:
-        n_sites = _as_int(model_sec["n_sites"], "model.n_sites", problems)
-    else:
-        problems.append("model.n_sites: required key missing")
-        n_sites = 2
-    if "n_max" in model_sec:
-        n_max = _as_int(model_sec["n_max"], "model.n_max", problems)
-    else:
-        problems.append("model.n_max: required key missing")
-        n_max = 1
-    hop = (_as_float_or_list(model_sec["hop"], "model.hop", problems)
-           if "hop" in model_sec else 0.0)
-    gamma = (_as_float_or_list(model_sec["gamma"], "model.gamma", problems)
-             if "gamma" in model_sec else 0.0)
-    omega_a = _as_float(model_sec.get("omega_a", 0.0), "model.omega_a", problems)
-    omega_c = _as_float(model_sec.get("omega_c", 0.0), "model.omega_c", problems)
-    g = (_as_float_or_list(model_sec["g"], "model.g", problems)
-         if "g" in model_sec else 1.0)
-
-    labels_raw = _require(initial_sec, "initial", "labels", problems)
-    labels = tuple(str(item).strip() for item in
-                   _split_items(labels_raw, "initial.labels", problems)) \
-        if labels_raw is not None else ()
-
-    model = None
-    if not problems:
-        try:
-            model = ModelParams(n_sites=n_sites, omega_a=omega_a, omega_c=omega_c,
-                                g=g, hop=hop, gamma=gamma, n_max=n_max)
-        except ConfigError as exc:
-            problems.extend(f"model.{p}" for p in exc.problems)
-
-    t_end = (_as_float(grid_sec["t_end"], "grid.t_end", problems)
-             if "t_end" in grid_sec else None)
-    if t_end is None:
-        problems.append("grid.t_end: required key missing")
-        t_end = 1.0
-    t_start = _as_float(grid_sec.get("t_start", 0.0), "grid.t_start", problems)
-    dt = _as_float(grid_sec.get("dt", DEFAULT_DT), "grid.dt", problems)
-    has_spacing = "spacing" in grid_sec
-    has_samples = "n_samples" in grid_sec
-    if has_spacing and has_samples:
-        problems.append("grid: give either spacing or n_samples, not both")
-    if not has_spacing and not has_samples:
-        problems.append("grid: one of spacing or n_samples is required")
-
-    grid = None
-    if not problems:
-        try:
-            if has_spacing:
-                raw = grid_sec["spacing"]
-                if isinstance(raw, str) and raw.strip().lower() == "auto":
-                    spacing = recommended_spacing(model, dt)
-                else:
-                    spacing = _as_float(raw, "grid.spacing", problems)
-                if not problems:
-                    grid = TimeGrid.with_spacing(t_end, spacing, dt=dt, t_start=t_start)
-            else:
-                n_samples = _as_int(grid_sec["n_samples"], "grid.n_samples", problems)
-                if not problems:
-                    grid = TimeGrid(t_end, n_samples, dt=dt, t_start=t_start)
-        except (ConfigError, ValueError) as exc:
-            problems.append(f"grid: {exc}")
-
-    before_run = len(problems)
-    n_traj = _as_int(run_sec.get("n_traj", 1), "run.n_traj", problems)
-    master_seed = _as_int(run_sec.get("master_seed", 0), "run.master_seed", problems)
-    run_parsed = len(problems) == before_run
-
-    projectors: list = []
-    if "projectors" in obs_sec:
-        raw_items = obs_sec["projectors"]
-        empty = (isinstance(raw_items, str) and not raw_items.strip()) or \
-            (isinstance(raw_items, (list, tuple)) and not raw_items)
-        items = [] if empty else _split_items(raw_items, "observables.projectors",
-                                              problems)
-        for item in items:
-            spec = _parse_projector_item(str(item), "observables.projectors", problems)
-            if spec is not None:
-                projectors.append(spec)
-    negativity = _as_bool(obs_sec.get("negativity", False),
-                          "observables.negativity", problems)
-    cut = _as_int(obs_sec.get("bipartition_cut", 1),
-                  "observables.bipartition_cut", problems)
-    conditional = _as_bool(obs_sec.get("conditional", False),
-                           "observables.conditional", problems)
-
-    name = str(out_sec.get("name", "scenario"))
-    fmt = str(out_sec.get("format", "csv")).lower()
-
-    if problems:
-        # the dataclass never gets built, so replicate its scalar checks to
-        # keep the report complete
-        if run_parsed:
-            problems += _run_problems(n_traj, master_seed)
-        problems += _output_problems(name, fmt)
-        raise ConfigError(problems)
-    return ScenarioConfig(model=model, initial=labels, grid=grid,
-                          n_traj=n_traj, master_seed=master_seed,
-                          observables=tuple(projectors),
-                          compute_negativity=negativity, bipartition_cut=cut,
-                          include_conditional=conditional,
-                          output_name=name, output_format=fmt)
+    values, problems = _read(mapping, _SCENARIO_KEYS)
+    model = _build(ModelParams, values["model"], problems, prefix="model.")
+    grid = _scenario_grid(mapping.get("grid"), values["grid"], model, problems)
+    return _finish(ScenarioConfig, {
+        "model": model, "grid": grid, **(values["initial"] or {}),
+        **values["run"], **values["observables"], **values["output"]}, problems)
 
 
 def sweep_from_mapping(mapping: Mapping[str, Any]) -> CriticalitySweepConfig:
-    problems: list = []
-    _check_sections(mapping, _SWEEP_SECTIONS, problems)
-    sweep_sec = _section(mapping, "sweep")
-    model_sec = _section(mapping, "model")
-    grid_sec = _section(mapping, "grid")
-    cls_sec = _section(mapping, "classifier")
-    run_sec = _section(mapping, "run")
-    out_sec = _section(mapping, "output")
-
-    raw_js = _require(sweep_sec, "sweep", "j_values", problems)
-    j_values = (_as_float_list(raw_js, "sweep.j_values", problems)
-                if raw_js is not None else ())
-    ratios = (_as_float_list(sweep_sec["gamma_ratios"], "sweep.gamma_ratios", problems)
-              if "gamma_ratios" in sweep_sec else DEFAULT_GAMMA_RATIOS)
-    delta = _as_float(sweep_sec.get("delta", 0.0), "sweep.delta", problems)
-    source = str(sweep_sec.get("source", "oracle")).lower()
-
-    n_max = _as_int(model_sec.get("n_max", 2), "model.n_max", problems)
-    coupling = _as_float(model_sec.get("g", 1.0), "model.g", problems)
-
-    t_end = _as_float(grid_sec.get("t_end", 150.0), "grid.t_end", problems)
-    t_start = _as_float(grid_sec.get("t_start", 0.0), "grid.t_start", problems)
-    dt = _as_float(grid_sec.get("dt", DEFAULT_DT), "grid.dt", problems)
-
-    threshold = _as_float(cls_sec.get("prominence_threshold",
-                                      DEFAULT_PROMINENCE_THRESHOLD),
-                          "classifier.prominence_threshold", problems)
-    t_min = _as_float(cls_sec.get("t_min", DEFAULT_BURN_IN),
-                      "classifier.t_min", problems)
-
-    before_run = len(problems)
-    n_traj = _as_int(run_sec.get("n_traj", 2000), "run.n_traj", problems)
-    master_seed = _as_int(run_sec.get("master_seed", 0), "run.master_seed", problems)
-    n_threads = _as_int(run_sec.get("n_threads", 1), "run.n_threads", problems)
-    run_parsed = len(problems) == before_run
-
-    name = str(out_sec.get("name", "criticality"))
-    fmt = str(out_sec.get("format", "csv")).lower()
-
-    if problems:
-        if run_parsed:
-            problems += _run_problems(n_traj, master_seed, n_threads)
-        problems += _output_problems(name, fmt)
-        raise ConfigError(problems)
-    return CriticalitySweepConfig(
-        j_values=j_values, gamma_ratios=ratios, delta=delta, source=source,
-        n_max=n_max, coupling=coupling, t_end=t_end, t_start=t_start, dt=dt,
-        prominence_threshold=threshold, t_min=t_min, n_traj=n_traj,
-        master_seed=master_seed, n_threads=n_threads,
-        output_name=name, output_format=fmt)
+    """Build a :class:`CriticalitySweepConfig`, reporting every problem at once."""
+    values, problems = _read(mapping, _SWEEP_KEYS)
+    return _finish(CriticalitySweepConfig, {
+        field: value for section in values.values() if section
+        for field, value in section.items()}, problems)
 
 
 # ---------------------------------------------------------------------------

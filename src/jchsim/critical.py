@@ -161,9 +161,8 @@ def _grid_flags(config: CriticalitySweepConfig) -> list:
 
 
 def estimate_critical_gamma(config: CriticalitySweepConfig, hop: float,
-                            j_index: int = 0,
-                            rows: Optional[tuple] = None) -> CriticalityEstimate:
-    """Scan the damping grid at one hop value and estimate gamma_c.
+                            rows: tuple) -> CriticalityEstimate:
+    """Estimate gamma_c at one hop value from its rows on the damping grid.
 
     Primary estimator: among single-peak entries, the damping whose peak is
     tallest.  Secondary: the smallest single-peak damping.  Caveats are
@@ -172,11 +171,6 @@ def estimate_critical_gamma(config: CriticalitySweepConfig, hop: float,
     ``non_monotonic`` when single-peak entries reappear below multi-peak
     ones, ``single_point``/``narrow_grid`` for degenerate grids.
     """
-    if rows is None:
-        rows = tuple(
-            classify_point(config, hop, ratio * hop,
-                           seed=_point_seed(config.master_seed, j_index, gi))
-            for gi, ratio in enumerate(config.gamma_ratios))
     flags = _grid_flags(config)
 
     kinds = [row.report.classification.kind for row in rows]
@@ -237,8 +231,7 @@ def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
     estimates = []
     for ji, hop in enumerate(config.j_values):
         rows = tuple(row_list[ji * n_gamma:(ji + 1) * n_gamma])
-        estimates.append(estimate_critical_gamma(config, hop, j_index=ji,
-                                                 rows=rows))
+        estimates.append(estimate_critical_gamma(config, hop, rows))
 
     fitted = [(est.hop, est.gamma_c) for est in estimates
               if est.gamma_c is not None]

@@ -57,7 +57,6 @@ class TimeGrid:
     n_samples: int
     dt: float = DEFAULT_DT
     t_start: float = 0.0
-    max_dt: float = DEFAULT_MAX_DT
 
     def __post_init__(self):
         problems = []
@@ -68,8 +67,8 @@ class TimeGrid:
         if not self.dt > 0:
             problems.append(f"dt: must be positive, got {self.dt}")
         else:
-            if self.dt > self.max_dt:
-                problems.append(f"dt: {self.dt} exceeds the stability cap {self.max_dt}")
+            if self.dt > DEFAULT_MAX_DT:
+                problems.append(f"dt: {self.dt} exceeds the stability cap {DEFAULT_MAX_DT}")
             span = self.t_end - self.t_start
             if span > 0 and self.n_samples >= 2:
                 if self.dt * self.n_samples > span * (1 + 1e-12):
@@ -85,18 +84,23 @@ class TimeGrid:
 
     @classmethod
     def with_spacing(cls, t_end: float, spacing: float, dt: float = DEFAULT_DT,
-                     t_start: float = 0.0, **kw) -> "TimeGrid":
+                     t_start: float = 0.0) -> "TimeGrid":
         """Grid with the requested sample spacing snapped to the dt lattice.
 
         ``t_end`` is trimmed down to the last full sample interval.
         """
+        problems = [] if dt > 0 else [f"dt: must be positive, got {dt}"]
+        if not 0 < spacing < math.inf:
+            problems.append(f"spacing: must be positive and finite, got {spacing}")
+        if problems:
+            raise ConfigError(problems)
         n_fine = max(1, round(spacing / dt))
         snapped = n_fine * dt
         n_samples = int(math.floor((t_end - t_start) / snapped + 1e-9)) + 1
         if n_samples < 2:
             raise ConfigError([f"spacing: {spacing} does not fit inside ({t_start}, {t_end})"])
         return cls(t_end=t_start + (n_samples - 1) * snapped, n_samples=n_samples,
-                   dt=dt, t_start=t_start, **kw)
+                   dt=dt, t_start=t_start)
 
     @property
     def span(self) -> float:

@@ -86,12 +86,6 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     return a
 
 
-def hermitian_eigenvalues(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, as real floats."""
-    a = require_hermitian(m, atol=atol)
-    return np.linalg.eigvalsh(a)
-
-
 def _coerce_state(rho, dims) -> tuple[np.ndarray, TensorDims]:
     td = TensorDims.coerce(dims)
     a = as_complex_matrix(rho)
@@ -114,22 +108,4 @@ def partial_transpose(rho, dims, which: int = 1) -> np.ndarray:
     else:
         t = t.transpose(0, 3, 2, 1)
     return np.ascontiguousarray(t.reshape(da * db, da * db))
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all factors not listed in ``keep`` (indices, original order kept)."""
-    a, td = _coerce_state(rho, dims)
-    n = len(td)
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = sorted(int(k) for k in keep)
-    if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
-        raise SizeError(f"keep indices {keep} invalid for {n} factors")
-    t = a.reshape(td.factors + td.factors)
-    # contract traced-out factors pairwise, highest axis first so indices stay valid
-    traced = [i for i in range(n) if i not in keep]
-    for i in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    d_keep = int(np.prod([td.factors[k] for k in keep])) if keep else 1
-    return np.ascontiguousarray(t.reshape(d_keep, d_keep))
 

@@ -1,4 +1,4 @@
-"""Populations, inter-site entanglement negativity, and the peak classifier.
+"""Projectors, inter-site entanglement negativity, and the peak classifier.
 
 The classifier operationalizes "how many peaks does the negativity trace
 have": the two-excitation blockade superimposes a fast coherent beat
@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import signal
 
-from .dynamics import EnsembleResult
 from .errors import ConfigError, SizeError
 from .linalg import TensorDims, as_complex_matrix, partial_transpose
 from .model import (ModelParams, PolaritonLabel, ReducedSpace, polariton_energy,
@@ -27,9 +26,9 @@ from .model import (ModelParams, PolaritonLabel, ReducedSpace, polariton_energy,
 __all__ = [
     "DEFAULT_PROMINENCE_THRESHOLD", "DEFAULT_BURN_IN", "PROJECTOR_PRESETS",
     "ProjectorSpec", "PeakClassification", "PeakReport",
-    "population", "negativity", "pure_negativity", "negativity_series",
+    "negativity", "negativity_series",
     "reduced_bipartition", "blockade_beat_period", "recommended_spacing",
-    "find_peaks", "classify_series", "classify_peak_structure",
+    "find_peaks", "classify_series",
 ]
 
 DEFAULT_PROMINENCE_THRESHOLD = 0.05
@@ -48,7 +47,7 @@ PROJECTOR_PRESETS = {
 
 
 # ---------------------------------------------------------------------------
-# projectors and populations
+# projectors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -111,29 +110,6 @@ class ProjectorSpec:
         return proj
 
 
-def population(state_or_rho, projector, params: Optional[ModelParams] = None,
-               space: Optional[ReducedSpace] = None) -> float:
-    """⟨ψ|P|ψ⟩ or tr(Pρ), clamped to [0, 1]."""
-    if isinstance(projector, ProjectorSpec):
-        if params is None:
-            raise ConfigError(["population: params required to build a ProjectorSpec"])
-        op = projector.operator(params, space)
-    else:
-        op = as_complex_matrix(projector)
-    x = np.asarray(state_or_rho, dtype=np.complex128)
-    if x.ndim == 1:
-        if op.shape != (x.size, x.size):
-            raise SizeError(f"projector shape {op.shape} does not match state size {x.size}")
-        value = np.vdot(x, op @ x).real
-    elif x.ndim == 2:
-        if op.shape != x.shape:
-            raise SizeError(f"projector shape {op.shape} does not match rho shape {x.shape}")
-        value = np.trace(op @ x).real
-    else:
-        raise SizeError(f"expected a vector or matrix, got ndim={x.ndim}")
-    return float(min(1.0, max(0.0, value)))
-
-
 # ---------------------------------------------------------------------------
 # negativity
 # ---------------------------------------------------------------------------
@@ -148,24 +124,6 @@ def negativity(rho, dims) -> float:
         raise SizeError(f"dims {td} do not match rho dimension {rho.shape[0]}")
     eigs = np.linalg.eigvalsh(partial_transpose(rho, td, which=1))
     return float(-eigs[eigs < 0.0].sum()) + 0.0   # +0.0 normalizes -0.0
-
-
-def pure_negativity(states: np.ndarray, dims) -> np.ndarray:
-    """Negativity of pure states, batched over leading axes.
-
-    For |ψ⟩ with Schmidt values σ across the cut, N = ((Σσ)² − 1)/2;
-    evaluated via the singular values of the coefficient matrix.
-    """
-    td = TensorDims.coerce(dims)
-    if len(td) != 2:
-        raise SizeError(f"negativity needs exactly 2 tensor factors, got {len(td)}")
-    arr = np.asarray(states, dtype=np.complex128)
-    if arr.shape[-1] != td.total:
-        raise SizeError(f"dims {td} do not match state size {arr.shape[-1]}")
-    coeff = arr.reshape(arr.shape[:-1] + (td.factors[0], td.factors[1]))
-    sv = np.linalg.svd(coeff, compute_uv=False)
-    vals = 0.5 * (sv.sum(axis=-1) ** 2 - 1.0)
-    return np.maximum(vals, 0.0)
 
 
 def negativity_series(rho_stack: np.ndarray, dims) -> np.ndarray:
@@ -213,6 +171,8 @@ def blockade_beat_period(params: ModelParams) -> Optional[float]:
 
 def recommended_spacing(params: ModelParams, dt: float = 0.005) -> float:
     """Sample spacing for classification runs: quarter beat, on the dt lattice."""
+    if not dt > 0:
+        raise ConfigError([f"dt: must be positive, got {dt}"])
     period = blockade_beat_period(params)
     if period is None:
         return 500 * dt
@@ -332,27 +292,3 @@ def classify_series(series, times, *,
                          boundary_peak=True)
     return replace(report, beat_filtered=filtered, t_min=t_min)
 
-
-def classify_peak_structure(ensemble: EnsembleResult, observable: str = "negativity",
-                            *, dims=None,
-                            prominence_threshold: float = DEFAULT_PROMINENCE_THRESHOLD,
-                            t_min: float = DEFAULT_BURN_IN,
-                            beat_period: Optional[float] = None) -> PeakReport:
-    """Classify the peak structure of an ensemble observable.
-
-    Uses the precomputed series when the ensemble carries one; otherwise
-    (for ``negativity``) computes it from the averaged density matrix,
-    which requires ``dims``.
-    """
-    if observable in ensemble.mean_observables:
-        series = np.asarray(ensemble.mean_observables[observable], dtype=float)
-    elif observable == "negativity" and ensemble.rho_avg is not None:
-        if dims is None:
-            raise ConfigError(["classify: dims required to compute negativity from rho_avg"])
-        series = negativity_series(ensemble.rho_avg, dims)
-    else:
-        raise ConfigError([f"classify: ensemble carries no {observable!r} series"
-                           " and no averaged density matrix"])
-    return classify_series(series, ensemble.times,
-                           prominence_threshold=prominence_threshold,
-                           t_min=t_min, beat_period=beat_period)

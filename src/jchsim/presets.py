@@ -34,6 +34,7 @@ from typing import Optional
 from .config import (
     CriticalitySweepConfig,
     ScenarioConfig,
+    apply_overrides,
     scenario_from_mapping,
     sweep_from_mapping,
 )
@@ -121,30 +122,12 @@ class PresetBundle:
     scenarios: tuple = ()
     sweep: Optional[CriticalitySweepConfig] = None
 
-    def with_overrides(self, n_traj: Optional[int] = None,
-                       master_seed: Optional[int] = None,
-                       n_threads: Optional[int] = None) -> "PresetBundle":
-        """Apply CLI-style overrides to every contained config.
-
-        ``n_threads`` is the sweep's worker count; scenario bundles reject it.
-        """
-        updates = {}
-        if n_traj is not None:
-            updates["n_traj"] = n_traj
-        if master_seed is not None:
-            updates["master_seed"] = master_seed
-        if n_threads is not None:
-            if self.sweep is None:
-                raise ConfigError([f"--threads: preset {self.name!r} runs scenarios, "
-                                   "which have no worker threads; it applies to "
-                                   "sweeps only"])
-            updates["n_threads"] = n_threads
-        if not updates:
-            return self
-        scenarios = tuple(replace(cfg, **updates) for cfg in self.scenarios)
-        sweep = replace(self.sweep, **updates) if self.sweep is not None else None
-        return PresetBundle(name=self.name, kind=self.kind,
-                            scenarios=scenarios, sweep=sweep)
+    def with_overrides(self, **overrides) -> "PresetBundle":
+        """Apply :func:`~jchsim.config.apply_overrides` to every contained config."""
+        return replace(
+            self, scenarios=tuple(apply_overrides(cfg, **overrides)
+                                  for cfg in self.scenarios),
+            sweep=None if self.sweep is None else apply_overrides(self.sweep, **overrides))
 
 
 _BUILDERS = {

@@ -47,36 +47,54 @@ class ScenarioRunResult:
     sidecar_path: Optional[Path]
 
 
-def _cell(value) -> str:
-    """Exact round-trip text for a table cell."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+def _cell(value):
+    """A table cell as JSON holds it: null, str, bool, int or float."""
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return bool(value)
+    if value is None or isinstance(value, (str, int)):
+        return value
+    return float(value)
+
+
+def _text(value) -> str:
+    """Exact round-trip CSV text for a table cell."""
+    value = _cell(value)
     if value is None:
         return ""
-    return str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _output_paths(out_dir, name: str, fmt: str, tables: tuple) -> tuple:
+    """``<name><table>.<fmt>`` per table, and the sidecar path.
+
+    The sidecar is ``<name>.json``, or ``<name>.meta.json`` when the tables
+    are JSON, so that a table named ``<name>.json`` keeps its name.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sidecar = out_dir / (f"{name}.meta.json" if fmt == "json" else f"{name}.json")
+    return [out_dir / f"{name}{table}.{fmt}" for table in tables], sidecar
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8", newline="\n")
 
 
 def _write_table(path: Path, names, columns: dict, fmt: str) -> None:
     if fmt == "json":
-        payload = {name: [float(v) for v in columns[name]] for name in names}
-        path.write_text(
-            json.dumps({"columns": list(names), "data": payload},
-                       sort_keys=True, indent=2) + "\n",
-            encoding="utf-8", newline="\n")
+        _write_json(path, {"columns": list(names),
+                           "data": {name: [_cell(v) for v in columns[name]]
+                                    for name in names}})
         return
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)          # RFC-4180: CRLF line terminator
         writer.writerow(names)
         n = len(columns[names[0]])
         for i in range(n):
-            writer.writerow([_cell(columns[name][i]) for name in names])
-
-
-def _write_sidecar(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8", newline="\n")
+            writer.writerow([_text(columns[name][i]) for name in names])
 
 
 def _negativity_column(space, params, rho_stack, cut: int) -> np.ndarray:
@@ -139,15 +157,10 @@ def run_scenario(config: ScenarioConfig,
 
     table_path = sidecar_path = None
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "csv" if config.output_format == "csv" else "json"
-        table_path = out_dir / f"{config.output_name}.{suffix}"
-        sidecar_name = (f"{config.output_name}.meta.json"
-                        if suffix == "json" else f"{config.output_name}.json")
-        sidecar_path = out_dir / sidecar_name
+        (table_path,), sidecar_path = _output_paths(
+            out_dir, config.output_name, config.output_format, ("",))
         _write_table(table_path, names, columns, config.output_format)
-        _write_sidecar(sidecar_path, {
+        _write_json(sidecar_path, {
             "kind": "scenario",
             "config": config.to_mapping(),
             "content_hash": config_content_hash(config),
@@ -181,8 +194,6 @@ def write_criticality_outputs(result: CriticalityResult,
     the content hash.
     """
     config: CriticalitySweepConfig = result.config
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     row_names = ("hop", "gamma", "gamma_ratio", "classification", "n_peaks",
                  "peak_times", "peak_heights", "global_max", "boundary_peak",
@@ -214,31 +225,11 @@ def write_criticality_outputs(result: CriticalityResult,
         est_cols["method"].append(est.method)
         est_cols["flags"].append(_fmt_flags(est.flags))
 
-    fmt = config.output_format
-    suffix = "csv" if fmt == "csv" else "json"
-    rows_path = out_dir / f"{config.output_name}_rows.{suffix}"
-    est_path = out_dir / f"{config.output_name}_estimates.{suffix}"
-    sidecar_path = out_dir / f"{config.output_name}.json"
-
-    if fmt == "json":
-        rows_path.write_text(json.dumps(
-            {"columns": list(row_names),
-             "data": {k: [None if v is None else (v if isinstance(v, (str, bool, int))
-                                                  else float(v)) for v in row_cols[k]]
-                      for k in row_names}}, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8", newline="\n")
-        est_path.write_text(json.dumps(
-            {"columns": list(est_names),
-             "data": {k: [None if v is None else (v if isinstance(v, (str, bool, int))
-                                                  else float(v)) for v in est_cols[k]]
-                      for k in est_names}}, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8", newline="\n")
-        sidecar_path = out_dir / f"{config.output_name}.meta.json"
-    else:
-        _write_table(rows_path, row_names, row_cols, "csv")
-        _write_table(est_path, est_names, est_cols, "csv")
-
-    _write_sidecar(sidecar_path, {
+    (rows_path, est_path), sidecar_path = _output_paths(
+        out_dir, config.output_name, config.output_format, ("_rows", "_estimates"))
+    _write_table(rows_path, row_names, row_cols, config.output_format)
+    _write_table(est_path, est_names, est_cols, config.output_format)
+    _write_json(sidecar_path, {
         "kind": "criticality",
         "config": config.to_mapping(),
         "content_hash": config_content_hash(config),

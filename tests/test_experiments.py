@@ -7,6 +7,7 @@ import json
 import math
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from jchsim.config import (DEFAULT_GAMMA_RATIOS, CriticalitySweepConfig,
                            ScenarioConfig, config_content_hash,
                            load_scenario_config, load_sweep_config,
                            scenario_from_mapping, sweep_from_mapping)
-from jchsim.critical import (PRIMARY_METHOD, CriticalityRow,
+from jchsim.critical import (PRIMARY_METHOD, CriticalityResult, CriticalityRow,
                              classify_point, estimate_critical_gamma,
                              gamma_c_curve)
 from jchsim.errors import ConfigError
@@ -65,6 +66,57 @@ SCENARIO_MAPPING = {
 }
 
 
+# every scenario key, written as the sidecar echoes it
+EVERY_SCENARIO_KEY = {
+    "model": {"n_sites": 2, "n_max": 2, "hop": [0.03], "gamma": [0.05, 0.04],
+              "omega_a": 0.2, "omega_c": 0.1, "g": [1.0, 1.1]},
+    "initial": {"labels": ["2-", "G"]},
+    "grid": {"t_end": 11.0, "t_start": 1.0, "dt": 0.005},
+    "run": {"n_traj": 3, "master_seed": 9},
+    "observables": {"projectors": ["P11", "P20+perm"], "negativity": True,
+                    "bipartition_cut": 1, "conditional": True},
+    "output": {"name": "every", "format": "json"},
+}
+
+# every sweep key, written as the sidecar echoes it
+EVERY_SWEEP_KEY = {
+    "sweep": {"j_values": [0.02, 0.04, 0.06], "gamma_ratios": [0.5, 1.0, 2.0],
+              "delta": 0.3, "source": "ensemble"},
+    "model": {"n_max": 3, "g": 1.5},
+    "grid": {"t_end": 120.0, "t_start": 2.0, "dt": 0.0025},
+    "classifier": {"prominence_threshold": 0.1, "t_min": 3.0},
+    "run": {"n_traj": 40, "master_seed": 5, "n_threads": 2},
+    "output": {"name": "every", "format": "json"},
+}
+
+
+def as_ini(mapping: dict) -> str:
+    """INI text for a mapping; lists become comma-separated values."""
+    lines = []
+    for section, keys in mapping.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if isinstance(value, list):
+                value = ", ".join(str(item) for item in value)
+            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def load_both(tmp_path, mapping: dict, load):
+    ini_path = tmp_path / "every.ini"
+    ini_path.write_text(as_ini(mapping))
+    json_path = tmp_path / "every.json"
+    json_path.write_text(json.dumps(mapping))
+    return load(ini_path), load(json_path)
+
+
+def problems_of(build, mapping) -> list:
+    with pytest.raises(ConfigError) as err:
+        build(mapping)
+    return err.value.problems
+
+
 def tiny_scenario(**overrides) -> ScenarioConfig:
     mapping = json.loads(json.dumps(SCENARIO_MAPPING))
     mapping["grid"] = {"t_end": 10.0, "n_samples": 6}
@@ -83,6 +135,75 @@ class TestScenarioConfig:
         from_json = load_scenario_config(json_path)
         assert from_ini == from_json
         assert config_content_hash(from_ini) == config_content_hash(from_json)
+
+    @pytest.mark.parametrize("sampling", [{"spacing": 0.5}, {"n_samples": 21}])
+    def test_every_key_loads_identically_from_ini_and_json(self, tmp_path, sampling):
+        mapping = json.loads(json.dumps(EVERY_SCENARIO_KEY))
+        mapping["grid"].update(sampling)
+        from_ini, from_json = load_both(tmp_path, mapping, load_scenario_config)
+        assert from_ini == from_json
+        assert config_content_hash(from_ini) == config_content_hash(from_json)
+        echo = from_json.to_mapping()
+        for section, keys in mapping.items():
+            for key, value in keys.items():
+                assert echo[section][key] == value, f"{section}.{key}"
+
+    def test_unknown_key_reported_in_every_section(self):
+        bad = {section: {**keys, "bogus": 1}
+               for section, keys in SCENARIO_MAPPING.items()}
+        problems = problems_of(scenario_from_mapping, bad)
+        for section in ("model", "initial", "grid", "run", "observables", "output"):
+            assert f"{section}.bogus: unknown key" in problems
+
+    def test_mixed_errors_all_reported(self):
+        bad = json.loads(json.dumps(SCENARIO_MAPPING))
+        bad["run"]["n_traj"] = "many"
+        bad["initial"]["labels"] = ["2-", "G", "G"]
+        bad["observables"].update(bipartition_cut=5, projectors=["P300"])
+        problems = problems_of(scenario_from_mapping, bad)
+        assert "run.n_traj: expected an integer, got 'many'" in problems
+        assert "initial.labels: expected 2 site labels, got 3" in problems
+        assert any(p.startswith("observables.bipartition_cut:") for p in problems)
+        assert "observables.projectors: P300 has 3 labels for 2 sites" in problems
+
+    def test_projector_beyond_cutoff_rejected(self):
+        problems = problems_of(scenario_from_mapping, {
+            "model": {"n_sites": 2, "n_max": 1},
+            "initial": {"labels": ["1-", "G"]},
+            "grid": {"t_end": 10.0, "n_samples": 6},
+            "observables": {"projectors": ["P20"]},
+        })
+        assert problems == [
+            "observables.projectors: P20 needs 2 photons on one site, cutoff is 1"]
+
+    def test_projector_beyond_initial_excitation_rejected(self):
+        problems = problems_of(scenario_from_mapping, {
+            "model": {"n_sites": 2, "n_max": 2},
+            "initial": {"labels": ["1-", "G"]},
+            "grid": {"t_end": 10.0, "n_samples": 6},
+            "observables": {"projectors": ["P11", "P20"]},
+        })
+        assert len(problems) == 2
+        assert all(p.startswith("observables.projectors: P") and
+                   "excitations, more than the initial state's 1" in p
+                   for p in problems)
+
+    @pytest.mark.parametrize("grid, problem", [
+        ({"dt": 0.0, "spacing": 2.0}, "grid.dt: must be positive, got 0.0"),
+        ({"dt": 0.0, "spacing": "auto"}, "grid.dt: must be positive, got 0.0"),
+        ({"spacing": "inf"}, "grid.spacing: must be positive and finite, got inf"),
+    ])
+    def test_degenerate_grid_reported(self, grid, problem):
+        bad = {**SCENARIO_MAPPING, "grid": {"t_end": 10.0, **grid}}
+        assert problems_of(scenario_from_mapping, bad) == [problem]
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "readme.ini").write_text(example)
+        config = load_scenario_config(tmp_path / "readme.ini")
+        assert config.output_name == "trapping"
+        assert config.include_conditional
 
     def test_content_hash_tracks_content(self):
         base = scenario_from_mapping(SCENARIO_MAPPING)
@@ -213,6 +334,39 @@ class TestSweepConfig:
             sweep_from_mapping({"sweep": {"j_values": [0.02, 0.04]},
                                 "misc": {"a": 1}})
         assert any("misc" in p for p in err.value.problems)
+
+    def test_every_key_loads_identically_from_ini_and_json(self, tmp_path):
+        from_ini, from_json = load_both(tmp_path, EVERY_SWEEP_KEY, load_sweep_config)
+        assert from_ini == from_json
+        assert config_content_hash(from_ini) == config_content_hash(from_json)
+        echo = from_json.to_mapping()
+        for section, keys in EVERY_SWEEP_KEY.items():
+            for key, value in keys.items():
+                assert echo[section][key] == value, f"{section}.{key}"
+
+    def test_unknown_key_reported_in_every_section(self):
+        bad = {section: {**keys, "bogus": 1}
+               for section, keys in EVERY_SWEEP_KEY.items()}
+        problems = problems_of(sweep_from_mapping, bad)
+        for section in EVERY_SWEEP_KEY:
+            assert f"{section}.bogus: unknown key" in problems
+
+    def test_mixed_errors_all_reported(self):
+        problems = problems_of(sweep_from_mapping, {
+            "sweep": {"j_values": [0.02, 0.04], "source": "guess"},
+            "grid": {"dt": "small"},
+            "classifier": {"t_min": -1},
+        })
+        assert "grid.dt: expected a number, got 'small'" in problems
+        assert any(p.startswith("sweep.source:") for p in problems)
+        assert "classifier.t_min: must be >= 0, got -1.0" in problems
+
+    def test_missing_j_values_still_checks_run_and_output(self):
+        problems = problems_of(sweep_from_mapping, {
+            "run": {"n_threads": 0}, "output": {"format": "xml"}})
+        assert "sweep.j_values: required key missing" in problems
+        assert any(p.startswith("run.n_threads:") for p in problems)
+        assert any(p.startswith("output.format:") for p in problems)
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +515,40 @@ class TestEstimatorFlags:
     def test_curve_needs_three_hop_values(self):
         with pytest.raises(ConfigError):
             gamma_c_curve(CriticalitySweepConfig(j_values=(0.02, 0.04)))
+
+
+class TestSweepOutputs:
+    def test_json_tables_and_sidecar(self, tmp_path):
+        config = sweep_config(output_name="sw", output_format="json")
+        rows = (fake_row(0.03, 3), fake_row(0.06, 2))
+        result = CriticalityResult(
+            config=config, slope=None,
+            estimates=(estimate_critical_gamma(config, 0.06, rows=rows),))
+        paths = write_criticality_outputs(result, tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "sw_rows.json", "sw_estimates.json", "sw.meta.json"}
+        table = json.loads(paths["rows"].read_text())
+        assert table["columns"][:5] == ["hop", "gamma", "gamma_ratio",
+                                        "classification", "n_peaks"]
+        data = table["data"]
+        assert data["gamma"] == [0.03, 0.06]
+        assert data["classification"] == ["MultiPeak(3)", "MultiPeak(2)"]
+        assert data["n_peaks"] == [3, 2]
+        assert data["boundary_peak"] == [False, False]
+        assert data["t_half_pinned"] == [None, None]
+        assert data["peak_times"] == ["0.0;1.0;2.0", "0.0;1.0"]
+        estimates = json.loads(paths["estimates"].read_text())
+        assert estimates["columns"] == ["hop", "gamma_c", "gamma_c_ratio",
+                                        "gamma_c_secondary", "method", "flags"]
+        assert estimates["data"]["gamma_c"] == [None]
+        assert estimates["data"]["flags"] == ["not_bracketed"]
+        sidecar = json.loads(paths["sidecar"].read_text())
+        assert sidecar["kind"] == "criticality"
+        assert sidecar["slope"] is None
+        assert sidecar["row_file"] == "sw_rows.json"
+        assert sidecar["estimate_file"] == "sw_estimates.json"
+        assert sidecar["content_hash"] == config_content_hash(config)
+        assert sidecar["config"] == config.to_mapping()
 
 
 @pytest.fixture(scope="module")

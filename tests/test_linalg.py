@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jchsim.errors import NotHermitianError, SizeError
-from jchsim.linalg import (TensorDims, as_complex_matrix, hermitian_eigenvalues,
-                           kron, partial_trace, partial_transpose,
+from jchsim.linalg import (TensorDims, as_complex_matrix, kron, partial_transpose,
                            require_hermitian)
 
 from conftest import random_density_matrix
@@ -57,10 +56,6 @@ class TestHermitian:
         with pytest.raises(NotHermitianError):
             require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_eigenvalues_sorted_real(self):
-        vals = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(vals, [-1.0, 2.0, 3.0])
-
     def test_as_complex_matrix_rejects_nonsquare(self):
         with pytest.raises(SizeError):
             as_complex_matrix(np.zeros((2, 3)))
@@ -105,26 +100,3 @@ class TestPartialTranspose:
         with pytest.raises(SizeError):
             partial_transpose(np.eye(5) / 5, TensorDims((2, 3)))
 
-
-class TestPartialTrace:
-    @given(dims_pairs, seeds)
-    def test_trace_preserved_and_consistent(self, dims, seed):
-        da, db = dims
-        rng = np.random.default_rng(seed)
-        rho = random_density_matrix(rng, da * db)
-        td = TensorDims((da, db))
-        left = partial_trace(rho, td, keep=0)
-        right = partial_trace(rho, td, keep=1)
-        assert left.shape == (da, da)
-        assert right.shape == (db, db)
-        assert abs(np.trace(left) - 1.0) < 1e-12
-        assert abs(np.trace(right) - 1.0) < 1e-12
-
-    def test_product_state_factors_recovered(self):
-        rng = np.random.default_rng(11)
-        ra = random_density_matrix(rng, 2)
-        rb = random_density_matrix(rng, 4)
-        rho = np.kron(ra, rb)
-        td = TensorDims((2, 4))
-        assert np.allclose(partial_trace(rho, td, keep=0), ra)
-        assert np.allclose(partial_trace(rho, td, keep=1), rb)

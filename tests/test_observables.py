@@ -16,8 +16,7 @@ from jchsim.model import (ModelParams, build_reduced_model, excitation_basis,
 from jchsim.observables import (DEFAULT_BURN_IN, PROJECTOR_PRESETS,
                                 ProjectorSpec, blockade_beat_period,
                                 classify_series, find_peaks, negativity,
-                                negativity_series, population,
-                                pure_negativity, recommended_spacing,
+                                negativity_series, recommended_spacing,
                                 reduced_bipartition)
 
 from conftest import oracle_negativity, random_density_matrix, random_unitary, two_site_model
@@ -91,17 +90,6 @@ class TestNegativity:
         expected = abs(math.cos(theta) * math.sin(theta))
         assert negativity(np.outer(psi, psi.conj()), (2, 2)) == \
             pytest.approx(expected, abs=1e-12)
-        assert pure_negativity(psi, (2, 2)) == pytest.approx(expected, abs=1e-12)
-
-    def test_pure_negativity_batches_match_density_version(self, rng):
-        states = []
-        for _ in range(4):
-            v = rng.normal(size=6) + 1j * rng.normal(size=6)
-            states.append(v / np.linalg.norm(v))
-        stack = np.array(states)
-        batched = pure_negativity(stack, (2, 3))
-        singles = [negativity(np.outer(s, s.conj()), (2, 3)) for s in states]
-        assert batched == pytest.approx(singles, abs=1e-9)
 
     def test_negativity_series_maps_over_stack(self, rng):
         stack = np.array([random_density_matrix(rng, 4) for _ in range(3)])
@@ -113,8 +101,6 @@ class TestNegativity:
             negativity(bell_pair(), (2, 3))
         with pytest.raises(SizeError):
             negativity(bell_pair(), (2, 2, 1))
-        with pytest.raises(SizeError):
-            pure_negativity(np.zeros(4, dtype=np.complex128), (4,))
 
 
 @pytest.fixture(scope="module")
@@ -153,17 +139,12 @@ class TestProjectors:
         params, space = two_site
         psi = space.reduce_vector(
             prepare_product_polariton_state(("2-", "G"), params))
-        assert population(psi, ProjectorSpec(preset="P20"), params, space) == \
-            pytest.approx(1.0, abs=1e-12)
-        assert population(psi, ProjectorSpec(preset="P11"), params, space) == \
-            pytest.approx(0.0, abs=1e-12)
+        p20, p11, p02 = (ProjectorSpec(preset=name).operator(params, space)
+                         for name in ("P20", "P11", "P02"))
+        assert np.vdot(psi, p20 @ psi).real == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(psi, p11 @ psi).real == pytest.approx(0.0, abs=1e-12)
         rho = np.outer(psi, psi.conj())
-        assert population(rho, ProjectorSpec(preset="P02"), params, space) == \
-            pytest.approx(0.0, abs=1e-12)
-
-    def test_population_clamps_roundoff(self):
-        op = np.array([[1.0 + 5e-14]], dtype=np.complex128)
-        assert population(np.array([1.0 + 0j]), op) == 1.0
+        assert np.trace(p02 @ rho).real == pytest.approx(0.0, abs=1e-12)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
