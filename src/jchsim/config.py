@@ -27,7 +27,8 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .dynamics import DEFAULT_DT, TimeGrid
 from .errors import ConfigError
-from .model import ModelParams, PolaritonLabel, total_excitation_of_labels
+from .linalg import DEFAULT_DIM_CAP
+from .model import OPERATOR_DIM_CAP, ModelParams, PolaritonLabel, total_excitation_of_labels
 from .observables import (
     DEFAULT_BURN_IN,
     DEFAULT_PROMINENCE_THRESHOLD,
@@ -367,9 +368,19 @@ class ScenarioConfig:
                 problems.append(f"observables.projectors: {spec.name} holds {sum(ns)} "
                                 "excitations, more than the initial state's "
                                 f"{self.max_excitation}")
+        # the initial state is prepared, and negativity taken, in the product space
+        full_dim = self.model.dim
+        if full_dim > DEFAULT_DIM_CAP:
+            problems.append(
+                f"model.n_sites, model.n_max: {n_sites} sites with n_max = {n_max} span "
+                f"{full_dim} product states, above the cap {DEFAULT_DIM_CAP}")
         if self.compute_negativity and n_sites < 2:
             problems.append(
                 "observables.negativity: needs at least two sites")
+        if self.compute_negativity and full_dim > OPERATOR_DIM_CAP:
+            problems.append(
+                f"observables.negativity: needs a {full_dim}-dim density matrix, "
+                f"above the cap {OPERATOR_DIM_CAP}")
         if not 1 <= self.bipartition_cut < max(n_sites, 2):
             problems.append(
                 "observables.bipartition_cut: must satisfy "
@@ -433,6 +444,10 @@ class CriticalitySweepConfig:
                 f"sweep.source: expected one of {SWEEP_SOURCES}, got {self.source!r}")
         if self.n_max < 2:
             problems.append(f"model.n_max: sweep needs n_max >= 2, got {self.n_max}")
+        elif (2 * self.n_max + 2) ** 2 > OPERATOR_DIM_CAP:
+            problems.append(
+                f"model.n_max: negativity needs a {(2 * self.n_max + 2) ** 2}-dim density "
+                f"matrix, above the cap {OPERATOR_DIM_CAP}")
         if self.coupling <= 0:
             problems.append(f"model.g: coupling must be positive, got {self.coupling}")
         if self.t_end <= self.t_start:

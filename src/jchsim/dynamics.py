@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -201,7 +202,10 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
     r_pows[0] = r_dt
     for p in range(1, n_pow):
         r_pows[p] = r_pows[p - 1] @ r_pows[p - 1]
-    r_stride = np.linalg.matrix_power(r_dt, n_fine)
+    # r_dt ** n_fine from the squarings, in matrix_power's order: the set bits of
+    # n_fine, least significant first, except (r @ r) @ r for n_fine = 3
+    bits = [p for p in range(n_pow) if n_fine >> p & 1]
+    r_stride = r_pows[1] @ r_pows[0] if n_fine == 3 else reduce(np.matmul, r_pows[bits])
     stacked = (np.stack(ops) if ops
                else np.zeros((0, d, d), dtype=np.complex128))
     return _Machinery(gen=gen, r_stride=np.ascontiguousarray(r_stride),

@@ -17,7 +17,7 @@ with ``theta_n = 0.5 * arctan(g sqrt(n) / (delta / 2))`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -281,8 +281,7 @@ def site_operators(n_max: int) -> SiteOperatorSet:
     )
 
 
-def embed_site_operator(op: np.ndarray, site: int, params: ModelParams,
-                        dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
+def embed_site_operator(op: np.ndarray, site: int, params: ModelParams) -> np.ndarray:
     """Embed a single-site operator into the full array Hilbert space."""
     if not 0 <= site < params.n_sites:
         raise SizeError(f"site index {site} out of range for {params.n_sites} sites")
@@ -292,17 +291,17 @@ def embed_site_operator(op: np.ndarray, site: int, params: ModelParams,
     eye = np.eye(sd, dtype=np.complex128)
     factors = [eye] * params.n_sites
     factors[site] = op
-    return kron(*factors, dim_cap=dim_cap)
+    return kron(*factors, dim_cap=OPERATOR_DIM_CAP)
 
 
-def build_full_hamiltonian(params: ModelParams, dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
+def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
     """Dense array Hamiltonian in the bare product basis.
 
     Local terms ``omega_a |e><e| + omega_c n + g_j (a^dag sigma^- + a sigma^+)``
     plus nearest-neighbour photon hopping ``J_j (a_j^dag a_{j+1} + h.c.)``.
     """
-    if params.dim > dim_cap:
-        raise SizeError(f"full Hamiltonian dimension {params.dim} exceeds cap {dim_cap}")
+    if params.dim > OPERATOR_DIM_CAP:
+        raise SizeError(f"full Hamiltonian dimension {params.dim} exceeds cap {OPERATOR_DIM_CAP}")
     ops = site_operators(params.n_max)
     h = np.zeros((params.dim, params.dim), dtype=np.complex128)
     for j in range(params.n_sites):
@@ -310,21 +309,21 @@ def build_full_hamiltonian(params: ModelParams, dim_cap: int = OPERATOR_DIM_CAP)
         local = (params.omega_a * ops.excited
                  + params.omega_c * ops.number
                  + params.g[j] * (jc + jc.conj().T))
-        h += embed_site_operator(local, j, params, dim_cap=dim_cap)
+        h += embed_site_operator(local, j, params)
     for j in range(params.n_sites - 1):
-        left = embed_site_operator(ops.a_dag, j, params, dim_cap=dim_cap)
-        right = embed_site_operator(ops.a, j + 1, params, dim_cap=dim_cap)
+        left = embed_site_operator(ops.a_dag, j, params)
+        right = embed_site_operator(ops.a, j + 1, params)
         term = left @ right
         h += params.hop[j] * (term + term.conj().T)
     return h
 
 
-def total_excitation_operator(params: ModelParams, dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
+def total_excitation_operator(params: ModelParams) -> np.ndarray:
     """Sum over sites of photon number plus atomic excitation."""
     ops = site_operators(params.n_max)
     out = np.zeros((params.dim, params.dim), dtype=np.complex128)
     for j in range(params.n_sites):
-        out += embed_site_operator(ops.total_excitation, j, params, dim_cap=dim_cap)
+        out += embed_site_operator(ops.total_excitation, j, params)
     return out
 
 
@@ -333,12 +332,12 @@ def damped_sites(params: ModelParams) -> tuple[int, ...]:
     return tuple(j for j in range(params.n_sites) if params.gamma[j] > 0)
 
 
-def collapse_operators(params: ModelParams, dim_cap: int = OPERATOR_DIM_CAP) -> list[np.ndarray]:
+def collapse_operators(params: ModelParams) -> list[np.ndarray]:
     """Photon leakage jump operators ``sqrt(gamma_j) a_j`` (zero rates skipped)."""
     ops = site_operators(params.n_max)
     out = []
     for j in damped_sites(params):
-        out.append(math.sqrt(params.gamma[j]) * embed_site_operator(ops.a, j, params, dim_cap=dim_cap))
+        out.append(math.sqrt(params.gamma[j]) * embed_site_operator(ops.a, j, params))
     return out
 
 
@@ -396,13 +395,11 @@ def transform_to_dressed_basis(op: np.ndarray, params: ModelParams, site: int = 
     return u.conj().T @ op @ u
 
 
-def creation_in_polariton_basis(params: ModelParams, include_interconverting: bool = True,
-                                site: int = 0) -> np.ndarray:
+def creation_in_polariton_basis(params: ModelParams, site: int = 0) -> np.ndarray:
     """Photon creation operator written directly in the dressed ordering.
 
     Built from the doublet coefficients: branch-preserving ladders weighted
-    by ``c_(n,+/-)`` and, when ``include_interconverting`` is set, the
-    branch-mixing ladders weighted by ``k``.  The row/column of the lone
+    by ``c_(n,+/-)`` and the branch-mixing ladders weighted by ``k``.  The row/column of the lone
     truncated state ``|e, n_max>`` is left zero; inside the polariton block
     the result matches the change-of-basis transform of the bare operator.
     """
@@ -415,7 +412,7 @@ def creation_in_polariton_basis(params: ModelParams, include_interconverting: bo
         lo_plus = PolaritonLabel.plus(n - 1) if n > 1 else PolaritonLabel.ground()
         out[dressed_index(PolaritonLabel.minus(n)), dressed_index(lo_minus)] += co.c_minus
         out[dressed_index(PolaritonLabel.plus(n)), dressed_index(lo_plus)] += co.c_plus
-        if include_interconverting and n > 1:
+        if n > 1:
             out[dressed_index(PolaritonLabel.plus(n)), dressed_index(lo_minus)] += co.k_plus
             out[dressed_index(PolaritonLabel.minus(n)), dressed_index(lo_plus)] += co.k_minus
     return out
@@ -425,6 +422,11 @@ def creation_in_polariton_basis(params: ModelParams, include_interconverting: bo
 # conserved-excitation subspace
 # ---------------------------------------------------------------------------
 
+def _full_index(codes: np.ndarray, site_dim: int) -> np.ndarray:
+    """Product-basis index of site codes ``(..., n_sites)``, site 0 slowest."""
+    return codes @ site_dim ** np.arange(codes.shape[-1] - 1, -1, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class ReducedSpace:
     """Span of all product states with total excitation <= ``max_exc``.
@@ -432,14 +434,15 @@ class ReducedSpace:
     The array Hamiltonian commutes with the total excitation operator and
     photon loss only lowers it, so dynamics started inside this span never
     leaves it: restriction is exact, not an approximation.  Basis states are
-    ordered by ascending full-space index.
+    ordered by ascending full-space index; ``n_tot`` labels each with its
+    excitation sector.
     """
 
     params: ModelParams
     max_exc: int
     states: np.ndarray        # (dim, n_sites, 2) ints: photon, atom per site
     full_indices: np.ndarray  # (dim,) position of each basis state in the product basis
-    _lookup: np.ndarray       # (full_dim,) full index -> reduced index or -1
+    n_tot: np.ndarray         # (dim,) total excitation of each basis state
 
     @property
     def dim(self) -> int:
@@ -467,62 +470,50 @@ class ReducedSpace:
         return np.ascontiguousarray(op[np.ix_(self.full_indices, self.full_indices)],
                                     dtype=np.complex128)
 
-    def embed_density(self, rho: np.ndarray, dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
-        if self.full_dim > dim_cap:
-            raise SizeError(f"embedding a {self.full_dim}-dim density matrix exceeds cap {dim_cap}")
+    def embed_density(self, rho: np.ndarray) -> np.ndarray:
+        if self.full_dim > OPERATOR_DIM_CAP:
+            raise SizeError(f"embedding a {self.full_dim}-dim density matrix "
+                            f"exceeds cap {OPERATOR_DIM_CAP}")
         out = np.zeros((self.full_dim, self.full_dim), dtype=np.complex128)
         out[np.ix_(self.full_indices, self.full_indices)] = rho
         return out
 
-    def index_of(self, sites: tuple) -> int:
-        """Reduced index of a bare product state given ((photon, atom), ...)."""
-        pd = self.params.n_max + 1
-        full = 0
-        for p, a in sites:
-            full = full * self.params.site_dim + (a * pd + p)
-        red = int(self._lookup[full])
-        if red < 0:
-            raise SizeError(f"state {sites} not inside the excitation subspace")
-        return red
+    def index_of(self, states: np.ndarray) -> np.ndarray:
+        """Reduced indices of bare product states ``(m, n_sites, 2)``: photon, atom per site."""
+        codes = states[..., 1] * (self.params.n_max + 1) + states[..., 0]
+        full = _full_index(codes, self.params.site_dim)
+        pos = np.searchsorted(self.full_indices, full)
+        found = self.full_indices[np.minimum(pos, self.dim - 1)] == full
+        if not found.all():
+            raise SizeError(f"state {states[~found][0].tolist()} not inside the excitation subspace")
+        return pos
 
 
 def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
-    """Enumerate the product states with total excitation at most ``max_exc``."""
+    """Enumerate the product states with total excitation at most ``max_exc``.
+
+    States grow one site at a time and prefixes over the budget are dropped,
+    so the cost follows the subspace, not the product space.  Site 0 is the
+    slowest digit, so the states come out in ascending full-space index.
+    """
     if max_exc < 0:
         raise ConfigError([f"max_exc: must be >= 0, got {max_exc}"])
     if max_exc > params.n_max:
         raise ConfigError([
             f"max_exc: photon cutoff n_max = {params.n_max} cannot hold {max_exc} excitations"
             " on one site; raise n_max so the restriction stays exact"])
-    pd = params.n_max + 1
-    sd = params.site_dim
-    full_dim = params.dim
-    states = []
-    full_indices = []
-    lookup = np.full(full_dim, -1, dtype=np.int64)
-    for full in range(full_dim):
-        site_states = []
-        total = 0
-        # decode site-major: site 0 is the slowest digit
-        rem = full
-        for j in range(params.n_sites - 1, -1, -1):
-            code = rem % sd
-            rem //= sd
-            atom, photon = divmod(code, pd)
-            site_states.append((photon, atom))
-            total += photon + atom
-        if total <= max_exc:
-            site_states.reverse()
-            lookup[full] = len(states)
-            states.append(site_states)
-            full_indices.append(full)
-    return ReducedSpace(
-        params=params,
-        max_exc=int(max_exc),
-        states=np.array(states, dtype=np.int64),
-        full_indices=np.array(full_indices, dtype=np.int64),
-        _lookup=lookup,
-    )
+    pd, sd = params.n_max + 1, params.site_dim
+    site_codes = np.arange(sd)
+    site_exc = site_codes // pd + site_codes % pd
+    codes = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(params.n_sites):
+        codes = np.column_stack([np.repeat(codes, sd, axis=0),
+                                 np.tile(site_codes, len(codes))])
+        codes = codes[site_exc[codes].sum(axis=1) <= max_exc]
+    states = np.stack([codes % pd, codes // pd], axis=-1)
+    return ReducedSpace(params=params, max_exc=int(max_exc), states=states,
+                        full_indices=_full_index(codes, sd),
+                        n_tot=states.sum(axis=(1, 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,69 +523,56 @@ class ReducedModel:
     space: ReducedSpace
     h: np.ndarray
     collapse: tuple[np.ndarray, ...]
-    collapse_sites: tuple[int, ...]
-    n_tot: np.ndarray  # (dim,) integer total excitation per basis state
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
+    @property
+    def n_tot(self) -> np.ndarray:
+        return self.space.n_tot
+
+
+def _add_process(op: np.ndarray, space: ReducedSpace, rate: float, moves) -> None:
+    """Add ``rate`` times a product of ladder operators to ``op``, for all states at once.
+
+    ``moves`` lists ``(site, photon change, atom change)``.  Every move changes
+    the photon number, and contributes the larger of its two counts under the
+    square root; a state whose image leaves the local cutoffs is annihilated.
+    """
+    target = space.states.copy()
+    for site, d_photon, d_atom in moves:
+        target[:, site] += (d_photon, d_atom)
+    cols = np.flatnonzero(((target >= 0) & (target <= (space.params.n_max, 1))).all(axis=(1, 2)))
+    moved = [site for site, _, _ in moves]
+    ladder = np.maximum(target, space.states)[cols][:, moved, 0].prod(axis=1)
+    op[space.index_of(target[cols]), cols] += rate * np.sqrt(ladder)
+
 
 def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:
     """Assemble the array Hamiltonian directly inside the excitation subspace.
 
-    Matrix elements are written term by term from the bare-basis action of
-    each directed process (atom-photon exchange, photon hops, photon loss),
-    so no full-space operator is ever materialised.
+    Each directed process (atom-photon exchange, photon hops, photon loss) is
+    one vectorized write from its bare-basis action, so no full-space operator
+    is materialised and every matrix element receives a single term.
     """
     space = excitation_basis(params, max_exc)
-    dim = space.dim
-    n = params.n_sites
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    n_tot = np.zeros(dim, dtype=np.int64)
-    dsites = damped_sites(params)
-    collapse = [np.zeros((dim, dim), dtype=np.complex128) for _ in dsites]
-
-    for i in range(dim):
-        sites = [tuple(s) for s in space.states[i]]
-        n_tot[i] = sum(p + a for p, a in sites)
-        h[i, i] = sum(params.omega_a * a + params.omega_c * p for p, a in sites)
-        for j in range(n):
-            p, a = sites[j]
-            # a^dag sigma^-  : photon emitted into the cavity by the atom
-            if a == 1 and p + 1 <= params.n_max:
-                tgt = sites.copy()
-                tgt[j] = (p + 1, 0)
-                h[space.index_of(tuple(tgt)), i] += params.g[j] * math.sqrt(p + 1)
-            # a sigma^+      : photon absorbed by the atom
-            if a == 0 and p >= 1:
-                tgt = sites.copy()
-                tgt[j] = (p - 1, 1)
-                h[space.index_of(tuple(tgt)), i] += params.g[j] * math.sqrt(p)
-        for j in range(n - 1):
-            (p1, a1), (p2, a2) = sites[j], sites[j + 1]
-            # a_j^dag a_{j+1} : photon hops one site to the left
-            if p2 >= 1 and p1 + 1 <= params.n_max:
-                tgt = sites.copy()
-                tgt[j], tgt[j + 1] = (p1 + 1, a1), (p2 - 1, a2)
-                h[space.index_of(tuple(tgt)), i] += params.hop[j] * math.sqrt((p1 + 1) * p2)
-            # a_j a_{j+1}^dag : photon hops one site to the right
-            if p1 >= 1 and p2 + 1 <= params.n_max:
-                tgt = sites.copy()
-                tgt[j], tgt[j + 1] = (p1 - 1, a1), (p2 + 1, a2)
-                h[space.index_of(tuple(tgt)), i] += params.hop[j] * math.sqrt(p1 * (p2 + 1))
-        for ch, j in enumerate(dsites):
-            p, a = sites[j]
-            if p >= 1:
-                tgt = sites.copy()
-                tgt[j] = (p - 1, a)
-                collapse[ch][space.index_of(tuple(tgt)), i] = \
-                    math.sqrt(params.gamma[j]) * math.sqrt(p)
-
-    return ReducedModel(
-        space=space,
-        h=h,
-        collapse=tuple(collapse),
-        collapse_sites=dsites,
-        n_tot=n_tot,
-    )
+    photons, atoms = space.states[..., 0], space.states[..., 1]
+    h = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    # Python's sum starts from the int 0: an empty site at negative frequency gives +0.0
+    np.fill_diagonal(h, sum(params.omega_a * atoms[:, j] + params.omega_c * photons[:, j]
+                            for j in range(params.n_sites)))
+    for j in range(params.n_sites):
+        # g (a^dag sigma^- + a sigma^+): the atom emits a photon, or absorbs one
+        _add_process(h, space, params.g[j], [(j, 1, -1)])
+        _add_process(h, space, params.g[j], [(j, -1, 1)])
+    for j in range(params.n_sites - 1):
+        # J (a_j^dag a_{j+1} + a_j a_{j+1}^dag): a photon hops left, or right
+        _add_process(h, space, params.hop[j], [(j, 1, 0), (j + 1, -1, 0)])
+        _add_process(h, space, params.hop[j], [(j, -1, 0), (j + 1, 1, 0)])
+    collapse = []
+    for j in damped_sites(params):
+        loss = np.zeros_like(h)
+        _add_process(loss, space, math.sqrt(params.gamma[j]), [(j, -1, 0)])
+        collapse.append(loss)
+    return ReducedModel(space=space, h=h, collapse=tuple(collapse))

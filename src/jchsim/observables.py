@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import signal
 
 from .errors import ConfigError, SizeError
 from .linalg import TensorDims, as_complex_matrix, partial_transpose
@@ -243,6 +242,7 @@ def find_peaks(series, times,
                           classification=_classify_count(0), global_max=global_max,
                           prominence_threshold=prominence_threshold,
                           prominences=np.empty(0))
+    from scipy import signal  # imported here: it costs more than the rest of jchsim to load
     idx, props = signal.find_peaks(y, prominence=prominence_threshold * global_max)
     return PeakReport(peak_times=t[idx], peak_heights=y[idx],
                       classification=_classify_count(len(idx)), global_max=global_max,

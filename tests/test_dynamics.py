@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from jchsim.dynamics import (TimeGrid, evolve_unitary, lindblad_evolve,
-                             mcwf_ensemble, mcwf_trajectory, no_jump_branch,
-                             superoperator)
+from jchsim.dynamics import (TimeGrid, _build_machinery, evolve_unitary,
+                             lindblad_evolve, mcwf_ensemble, mcwf_trajectory,
+                             no_jump_branch, superoperator)
 from jchsim.errors import ConfigError, NotHermitianError, SizeError
 from jchsim.model import (ModelParams, build_full_hamiltonian,
                           build_reduced_model, prepare_product_polariton_state,
@@ -85,6 +85,17 @@ class TestUnitary:
             evolve_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]),
                            np.array([1.0, 0.0], dtype=np.complex128),
                            TimeGrid(t_end=1.0, n_samples=3, dt=0.005))
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("n_fine", [2, 3, 7, 8, 13])
+    def test_stride_equals_matrix_power_bitwise(self, n_fine):
+        _, model, _ = two_site_model(hop=0.05, gamma=0.1, delta=0.3)
+        grid = TimeGrid(t_end=2 * n_fine * 0.005, n_samples=3, dt=0.005)
+        assert grid.n_fine == n_fine
+        mach = _build_machinery(model.h, model.collapse, grid)
+        power = np.linalg.matrix_power(mach.r_pows[0], n_fine)
+        assert mach.r_stride.tobytes() == power.tobytes()
 
 
 class TestLindblad:

@@ -273,6 +273,25 @@ class TestScenarioConfig:
                 "observables": {"negativity": True},
             })
 
+    def test_product_space_over_cap_rejected(self):
+        problems = problems_of(scenario_from_mapping, {
+            "model": {"n_sites": 5, "n_max": 5},
+            "initial": {"labels": ["1-", "G", "G", "G", "G"]},
+            "grid": {"t_end": 10.0, "n_samples": 6},
+        })
+        assert problems == ["model.n_sites, model.n_max: 5 sites with n_max = 5 span "
+                            "248832 product states, above the cap 16384"]
+
+    def test_negativity_over_operator_cap_rejected(self):
+        problems = problems_of(scenario_from_mapping, {
+            "model": {"n_sites": 4, "n_max": 4},
+            "initial": {"labels": ["4-", "G", "G", "G"]},
+            "grid": {"t_end": 10.0, "n_samples": 6},
+            "observables": {"negativity": True},
+        })
+        assert problems == [
+            "observables.negativity: needs a 10000-dim density matrix, above the cap 4096"]
+
     def test_mapping_echo_covers_every_model_field(self):
         config = scenario_from_mapping(SCENARIO_MAPPING)
         echo = config.to_mapping()["model"]
@@ -360,6 +379,13 @@ class TestSweepConfig:
         assert "grid.dt: expected a number, got 'small'" in problems
         assert any(p.startswith("sweep.source:") for p in problems)
         assert "classifier.t_min: must be >= 0, got -1.0" in problems
+
+    def test_photon_cutoff_over_operator_cap_rejected(self):
+        problems = problems_of(sweep_from_mapping, {
+            "sweep": {"j_values": [0.02, 0.04]}, "model": {"n_max": 32}})
+        assert problems == [
+            "model.n_max: negativity needs a 4356-dim density matrix, above the cap 4096"]
+        sweep_from_mapping({"sweep": {"j_values": [0.02, 0.04]}, "model": {"n_max": 31}})
 
     def test_missing_j_values_still_checks_run_and_output(self):
         problems = problems_of(sweep_from_mapping, {

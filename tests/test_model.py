@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jchsim.errors import ConfigError, TruncationError
+from jchsim.errors import ConfigError, SizeError, TruncationError
 from jchsim.model import (ModelParams, PolaritonLabel, build_full_hamiltonian,
                           build_reduced_model, collapse_operators,
                           creation_in_polariton_basis, dressed_basis_matrix,
@@ -19,6 +19,20 @@ from jchsim.model import (ModelParams, PolaritonLabel, build_full_hamiltonian,
                           total_excitation_operator, transform_to_dressed_basis)
 
 detunings = st.floats(-3.0, 3.0, allow_nan=False)
+
+# (ModelParams keywords, max_exc): uniform and site-dependent couplings,
+# detuned and negative frequencies, undamped sites, max_exc below n_max
+REDUCED_CASES = [
+    pytest.param(dict(n_sites=1, n_max=3, omega_a=0.4, omega_c=-0.3, g=1.2, gamma=0.07), 2,
+                 id="one-site"),
+    pytest.param(dict(n_sites=2, n_max=2, hop=0.03, gamma=0.05), 2, id="two-sites-uniform"),
+    pytest.param(dict(n_sites=2, n_max=3, omega_a=-0.6, omega_c=0.2, g=(0.9, 1.3), hop=0.04,
+                      gamma=(0.0, 0.08)), 2, id="two-sites"),
+    pytest.param(dict(n_sites=3, n_max=2, omega_a=0.3, omega_c=0.1, g=(1.0, 0.8, 1.1),
+                      hop=(0.05, -0.02), gamma=(0.1, 0.0, 0.03)), 1, id="three-sites-one-excitation"),
+    pytest.param(dict(n_sites=3, n_max=3, omega_a=-0.2, omega_c=-0.5, g=(1.1, 0.7, 1.0),
+                      hop=(0.02, 0.06), gamma=(0.04, 0.09, 0.02)), 2, id="three-sites"),
+]
 
 
 class TestLabels:
@@ -139,12 +153,17 @@ class TestFullModel:
 
 class TestReducedSpace:
     @pytest.mark.parametrize("n_sites,n_max,expected_dim", [
-        (2, 2, 13), (3, 3, 63), (4, 4, 321),
+        (2, 2, 13), (3, 3, 63), (4, 4, 321), (8, 2, 145),
     ])
     def test_sector_sum_dimensions(self, n_sites, n_max, expected_dim):
         params = ModelParams(n_sites=n_sites, hop=0.03, gamma=0.05, n_max=n_max)
         space = excitation_basis(params, max_exc=n_max)
         assert space.dim == expected_dim
+        assert np.array_equal(space.index_of(space.states), np.arange(space.dim))
+        outside = np.zeros((1, n_sites, 2), dtype=np.int64)
+        outside[0, 0] = (n_max, 1)
+        with pytest.raises(SizeError):
+            space.index_of(outside)
 
     def test_reduce_embed_roundtrip(self):
         params = ModelParams(n_sites=2, hop=0.03, gamma=0.05, n_max=2)
@@ -165,16 +184,21 @@ class TestReducedSpace:
         assert full.shape == (params.dim, params.dim)
         assert np.trace(full).real == pytest.approx(1.0)
 
-    def test_reduced_hamiltonian_matches_projected_full(self):
-        params = ModelParams(n_sites=2, hop=0.03, gamma=0.05, n_max=2)
-        model = build_reduced_model(params, max_exc=2)
+    @pytest.mark.parametrize("kwargs,max_exc", REDUCED_CASES)
+    def test_reduced_hamiltonian_matches_projected_full(self, kwargs, max_exc):
+        params = ModelParams(**kwargs)
+        model = build_reduced_model(params, max_exc=max_exc)
         h_full = build_full_hamiltonian(params)
         assert np.allclose(model.h, model.space.reduce_operator(h_full))
+        n_full = model.space.reduce_operator(total_excitation_operator(params))
+        assert np.allclose(model.space.n_tot, n_full.diagonal(), rtol=0, atol=1e-12)
 
-    def test_reduced_collapse_matches_projected_full(self):
-        params = ModelParams(n_sites=2, hop=0.03, gamma=0.05, n_max=2)
-        model = build_reduced_model(params, max_exc=2)
+    @pytest.mark.parametrize("kwargs,max_exc", REDUCED_CASES)
+    def test_reduced_collapse_matches_projected_full(self, kwargs, max_exc):
+        params = ModelParams(**kwargs)
+        model = build_reduced_model(params, max_exc=max_exc)
         full_ops = collapse_operators(params)
+        assert len(model.collapse) == len(full_ops)
         for reduced, full in zip(model.collapse, full_ops):
             assert np.allclose(reduced, model.space.reduce_operator(full))
 

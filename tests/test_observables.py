@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jchsim
 from jchsim.errors import ConfigError, SizeError
 from jchsim.linalg import TensorDims, partial_transpose
 from jchsim.model import (ModelParams, build_reduced_model, excitation_basis,
@@ -235,6 +240,14 @@ def gaussian(t, center, width, height=1.0):
 
 
 class TestPeakFinding:
+    def test_package_import_leaves_scipy_signal_unloaded(self):
+        # only find_peaks needs scipy.signal, which is slow to import
+        env = {**os.environ, "PYTHONPATH": str(Path(jchsim.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, jchsim; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env, timeout=60)
+        assert out.stdout.strip() == "False"
+
     def test_single_gaussian(self):
         t = np.linspace(0.0, 100.0, 401)
         report = find_peaks(gaussian(t, 40.0, 8.0), t)
