@@ -11,9 +11,8 @@ Subcommands::
 bundle one or more scenarios, or a criticality sweep for ``fig4``).
 ``critical`` runs a sweep config.  ``validate`` runs one of the on-demand
 check suites and exits non-zero on failure.  ``--seed`` and ``--traj``
-override the corresponding config fields.  ``--threads`` sets the worker
-count of a damping sweep: ``critical``, or ``run`` of a sweep preset
-(``fig4``); a scenario run rejects it.
+override the corresponding config fields.  Every command runs in one
+process; its only parallelism is BLAS threads (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations
@@ -47,32 +46,28 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", choices=PRESET_NAMES,
                      help="named preset bundle")
     run_p.add_argument("--out", required=True, help="output directory")
-    _add_overrides(run_p, threads=True)
+    _add_overrides(run_p)
 
     crit_p = sub.add_parser("critical",
                             help="run a critical-damping sweep config")
     crit_p.add_argument("--config", required=True,
                         help="sweep config file (INI or JSON)")
     crit_p.add_argument("--out", required=True, help="output directory")
-    _add_overrides(crit_p, threads=True)
+    _add_overrides(crit_p)
 
     val_p = sub.add_parser("validate", help="run an on-demand check suite")
     val_p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     val_p.add_argument("--json", action="store_true",
                        help="print the machine-readable report as JSON")
-    _add_overrides(val_p, threads=False)
+    _add_overrides(val_p)
     return parser
 
 
-def _add_overrides(parser: argparse.ArgumentParser, threads: bool) -> None:
+def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
     parser.add_argument("--traj", type=int, default=None,
                         help="override the trajectory count")
-    if threads:
-        parser.add_argument("--threads", type=int, default=None,
-                            help="worker threads of a damping sweep (critical, or "
-                                 "run of a sweep preset); scenarios reject it")
 
 
 def _run_sweep(config, out_dir) -> None:
@@ -90,8 +85,7 @@ def _run_sweep(config, out_dir) -> None:
 
 def _configs(args) -> tuple:
     """The configs a ``run`` or ``critical`` command names, overrides applied."""
-    overrides = {"n_traj": args.traj, "master_seed": args.seed,
-                 "n_threads": args.threads}
+    overrides = {"n_traj": args.traj, "master_seed": args.seed}
     if args.command == "critical":
         return (apply_overrides(load_sweep_config(args.config), **overrides),)
     if args.config is not None:

@@ -210,7 +210,7 @@ _SWEEP_KEYS = {
         "prominence_threshold": _Key("prominence_threshold", _as_float),
         "t_min": _Key("t_min", _as_float),
     },
-    "run": {**_RUN, "n_threads": _Key("n_threads", _as_int)},
+    "run": _RUN,
     "output": _OUTPUT,
 }
 
@@ -306,8 +306,6 @@ def _settings_problems(cls, values: Mapping[str, Any]) -> list:
         problems.append(f"run.n_traj: must be >= 1, got {v['n_traj']}")
     if v["master_seed"] < 0:
         problems.append(f"run.master_seed: must be >= 0, got {v['master_seed']}")
-    if "n_threads" in v and v["n_threads"] < 1:
-        problems.append(f"run.n_threads: must be >= 1, got {v['n_threads']}")
     if v["output_format"] not in OUTPUT_FORMATS:
         problems.append(f"output.format: expected one of {OUTPUT_FORMATS}, "
                         f"got {v['output_format']!r}")
@@ -423,7 +421,6 @@ class CriticalitySweepConfig:
     t_min: float = DEFAULT_BURN_IN
     n_traj: int = 2000
     master_seed: int = 0
-    n_threads: int = 1
     output_name: str = "criticality"
     output_format: str = "csv"
 
@@ -483,18 +480,12 @@ class CriticalitySweepConfig:
 
 
 def apply_overrides(config, n_traj: Optional[int] = None,
-                    master_seed: Optional[int] = None,
-                    n_threads: Optional[int] = None):
+                    master_seed: Optional[int] = None):
     """``config`` with the command-line overrides that are set.
 
-    ``n_traj`` is ``--traj``, ``master_seed`` is ``--seed`` and
-    ``n_threads`` is ``--threads``, the worker count of a sweep, which a
-    scenario rejects.
+    ``n_traj`` is ``--traj`` and ``master_seed`` is ``--seed``.
     """
-    if n_threads is not None and isinstance(config, ScenarioConfig):
-        raise ConfigError(["--threads: a scenario run has no worker threads; "
-                           "it applies to sweeps only"])
-    updates = {"n_traj": n_traj, "master_seed": master_seed, "n_threads": n_threads}
+    updates = {"n_traj": n_traj, "master_seed": master_seed}
     return replace(config, **{k: v for k, v in updates.items() if v is not None})
 
 

@@ -14,7 +14,6 @@ in the classifier input.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -204,33 +203,21 @@ def estimate_critical_gamma(config: CriticalitySweepConfig, hop: float,
 def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
     """Estimate gamma_c for every hop value and fit a line through the origin.
 
-    Sweep points are independent jobs run on a bounded worker pool; results
-    are assembled in (hop, gamma) order regardless of completion order.
+    The points run one after another: hop by hop, and each hop's damping
+    values in increasing order.  Any parallelism is BLAS threads inside a
+    point.  With ``source = "ensemble"``, point (ji, gi) draws from its own
+    seed ``_point_seed(master_seed, ji, gi)``.
     """
     if len(config.j_values) < 3:
         raise ConfigError([
             f"sweep.j_values: need at least 3 hop values for a slope fit, "
             f"got {len(config.j_values)}"])
 
-    points = [(ji, gi, hop, ratio * hop)
-              for ji, hop in enumerate(config.j_values)
-              for gi, ratio in enumerate(config.gamma_ratios)]
-
-    def job(point):
-        ji, gi, hop, gamma = point
-        return classify_point(config, hop, gamma,
-                              seed=_point_seed(config.master_seed, ji, gi))
-
-    if config.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            row_list = list(pool.map(job, points))
-    else:
-        row_list = [job(point) for point in points]
-
-    n_gamma = len(config.gamma_ratios)
     estimates = []
     for ji, hop in enumerate(config.j_values):
-        rows = tuple(row_list[ji * n_gamma:(ji + 1) * n_gamma])
+        rows = tuple(classify_point(config, hop, ratio * hop,
+                                    seed=_point_seed(config.master_seed, ji, gi))
+                     for gi, ratio in enumerate(config.gamma_ratios))
         estimates.append(estimate_critical_gamma(config, hop, rows))
 
     fitted = [(est.hop, est.gamma_c) for est in estimates

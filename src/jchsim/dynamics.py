@@ -72,11 +72,10 @@ class TimeGrid:
                 problems.append(f"dt: {self.dt} exceeds the stability cap {DEFAULT_MAX_DT}")
             span = self.t_end - self.t_start
             if span > 0 and self.n_samples >= 2:
-                if self.dt * self.n_samples > span * (1 + 1e-12):
-                    problems.append(
-                        f"dt: {self.dt} too coarse for {self.n_samples} samples over span {span}")
-                ratio = span / (self.n_samples - 1) / self.dt
-                if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
+                ratio = self.spacing / self.dt
+                if round(ratio) < 1:          # n_fine: at least one step per sample
+                    problems.append(f"dt: {self.dt} exceeds the sample spacing {self.spacing}")
+                elif abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
                     problems.append(
                         "spacing: sample spacing must be an integer multiple of dt "
                         f"(spacing/dt = {ratio!r})")
@@ -197,7 +196,7 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
     gen = np.ascontiguousarray(gen, dtype=np.complex128)
     r_dt = _taylor4(grid.dt * gen)
     n_fine = grid.n_fine
-    n_pow = max(1, int(math.floor(math.log2(n_fine))) + 1) if n_fine > 1 else 1
+    n_pow = n_fine.bit_length()
     r_pows = np.empty((n_pow, d, d), dtype=np.complex128)
     r_pows[0] = r_dt
     for p in range(1, n_pow):
@@ -247,6 +246,7 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
     """Evolve the jump-free branch: decaying norm plus renormalized states."""
     mach = _build_machinery(h, collapse, grid)
     psi = _check_state(psi0, mach.dim)
+    obs = _coerce_observables(observables, mach.dim)
     n = grid.n_samples
     states = np.empty((n, mach.dim), dtype=np.complex128)
     survival = np.empty(n, dtype=np.float64)
@@ -257,10 +257,9 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
         norm2 = np.vdot(work, work).real
         survival[s] = norm2
         states[s] = work / math.sqrt(norm2)
-    obs = {name: _batched_expectation(states, as_complex_matrix(op))
-           for name, op in dict(observables or {}).items()}
     return ConditionalBranch(times=grid.times, states=states, survival=survival,
-                             observables=obs)
+                             observables={name: _batched_expectation(states, op)
+                                          for name, op in obs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +397,15 @@ def _batched_expectation(states: np.ndarray, op: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", states.conj(), states @ op.T).real
 
 
-def _coerce_observables(observables) -> dict:
-    if observables is None:
-        return {}
-    items = observables.items() if isinstance(observables, Mapping) else observables
+def _coerce_observables(observables: Optional[Mapping[str, np.ndarray]],
+                        dim: int) -> dict:
+    """The named observables as complex ``(dim, dim)`` matrices."""
     out = {}
-    for name, op in items:
-        out[str(name)] = as_complex_matrix(op)
+    for name, op in (observables or {}).items():
+        op = as_complex_matrix(op)
+        if op.shape != (dim, dim):
+            raise SizeError(f"observable {name!r} shape {op.shape} does not match dim {dim}")
+        out[str(name)] = op
     return out
 
 
@@ -419,17 +420,13 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     """
     if n_traj < 1:
         raise ConfigError([f"n_traj: must be >= 1, got {n_traj}"])
-    obs = _coerce_observables(observables)
     n = grid.n_samples
     d = np.asarray(h).shape[0]
     if keep_rho and n * d * d * 16 > RHO_MEMORY_CAP:
         raise SizeError(
             f"averaged density stack needs {n * d * d * 16} bytes "
             f"(> cap {RHO_MEMORY_CAP}); reduce n_samples or the model dimension")
-
-    for name, op in obs.items():
-        if op.shape != (d, d):
-            raise SizeError(f"observable {name!r} shape {op.shape} does not match dim {d}")
+    obs = _coerce_observables(observables, d)
 
     if len(collapse) == 0:
         # degenerate: every trajectory is the same deterministic unitary run

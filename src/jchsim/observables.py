@@ -90,21 +90,17 @@ class ProjectorSpec:
             base = "P(" + ",".join(self.resolved_labels) + ")"
         return base + ("+perm" if self.symmetrize else "")
 
-    def operator(self, params: ModelParams,
-                 space: Optional[ReducedSpace] = None) -> np.ndarray:
-        """Build the projector matrix on the full or reduced space."""
+    def operator(self, params: ModelParams, space: ReducedSpace) -> np.ndarray:
+        """Build the projector matrix on the reduced space ``space``."""
         labels = self.resolved_labels
         if len(labels) != params.n_sites:
             raise SizeError(f"projector {self.name}: {len(labels)} labels "
                             f"for {params.n_sites} sites")
         orderings = (sorted(set(itertools.permutations(labels)))
                      if self.symmetrize else [tuple(labels)])
-        dim = space.dim if space is not None else params.dim
-        proj = np.zeros((dim, dim), dtype=np.complex128)
+        proj = np.zeros((space.dim, space.dim), dtype=np.complex128)
         for ordering in orderings:
-            vec = prepare_product_polariton_state(ordering, params)
-            if space is not None:
-                vec = space.reduce_vector(vec)
+            vec = space.reduce_vector(prepare_product_polariton_state(ordering, params))
             proj += np.outer(vec, vec.conj())
         return proj
 

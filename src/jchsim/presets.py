@@ -108,7 +108,7 @@ def _build_fig4() -> CriticalitySweepConfig:
                   "source": "oracle"},
         "model": {"n_max": 2},
         "grid": {"t_end": 150.0, "dt": 0.005},
-        "run": {"n_traj": 2000, "master_seed": _BASE_SEED + 8, "n_threads": 1},
+        "run": {"n_traj": 2000, "master_seed": _BASE_SEED + 8},
         "output": {"name": "fig4", "format": "csv"},
     })
 

@@ -48,6 +48,14 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             TimeGrid(**kwargs)
 
+    def test_spacing_of_one_step_allowed_below_one_step_rejected(self):
+        grid = TimeGrid(t_end=0.01, n_samples=3, dt=0.005)
+        assert grid.n_fine == 1
+        # spacing/dt = 2e-7 passes the integer-ratio test; n_fine would be 0
+        with pytest.raises(ConfigError) as err:
+            TimeGrid(t_end=1e-9, n_samples=2, dt=0.005)
+        assert [p.split(":")[0] for p in err.value.problems] == ["dt"]
+
 
 class TestUnitary:
     def test_vacuum_rabi_cosine_squared(self):
@@ -88,7 +96,7 @@ class TestUnitary:
 
 
 class TestPropagator:
-    @pytest.mark.parametrize("n_fine", [2, 3, 7, 8, 13])
+    @pytest.mark.parametrize("n_fine", [1, 2, 3, 7, 8, 13])
     def test_stride_equals_matrix_power_bitwise(self, n_fine):
         _, model, _ = two_site_model(hop=0.05, gamma=0.1, delta=0.3)
         grid = TimeGrid(t_end=2 * n_fine * 0.005, n_samples=3, dt=0.005)
@@ -224,6 +232,18 @@ class TestTrajectories:
         assert np.abs(branch.survival
                       - np.exp(-2.0 * gamma * grid.times)).max() < 1e-8
         assert np.abs(branch.observables["n"] - 2.0).max() < 1e-10
+
+    def test_observable_of_wrong_shape_named_by_both_evolutions(self):
+        h, collapse, _ = damped_mode()
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        grid = TimeGrid(t_end=1.0, n_samples=3, dt=0.005)
+        bad = {"bad": np.eye(3)}
+        with pytest.raises(SizeError, match="observable 'bad' shape"):
+            no_jump_branch(h, collapse, psi0, grid, observables=bad)
+        with pytest.raises(SizeError, match="observable 'bad' shape"):
+            mcwf_ensemble(h, collapse, psi0, grid, n_traj=1, master_seed=0,
+                          observables=bad)
 
 
 class TestDeterminism:

@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +84,7 @@ EVERY_SWEEP_KEY = {
     "model": {"n_max": 3, "g": 1.5},
     "grid": {"t_end": 120.0, "t_start": 2.0, "dt": 0.0025},
     "classifier": {"prominence_threshold": 0.1, "t_min": 3.0},
-    "run": {"n_traj": 40, "master_seed": 5, "n_threads": 2},
+    "run": {"n_traj": 40, "master_seed": 5},
     "output": {"name": "every", "format": "json"},
 }
 
@@ -248,6 +247,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as err:
             tiny_scenario(run={"n_threads": 2})
         assert "run.n_threads: unknown key" in err.value.problems
+        # nor a sweep key: sweep points run one after another
+        problems = problems_of(sweep_from_mapping, {
+            "sweep": {"j_values": [0.02, 0.04, 0.06]}, "run": {"n_threads": 1}})
+        assert problems == ["run.n_threads: unknown key"]
 
     def test_spacing_and_samples_mutually_exclusive(self):
         with pytest.raises(ConfigError):
@@ -389,9 +392,9 @@ class TestSweepConfig:
 
     def test_missing_j_values_still_checks_run_and_output(self):
         problems = problems_of(sweep_from_mapping, {
-            "run": {"n_threads": 0}, "output": {"format": "xml"}})
+            "run": {"n_traj": 0}, "output": {"format": "xml"}})
         assert "sweep.j_values: required key missing" in problems
-        assert any(p.startswith("run.n_threads:") for p in problems)
+        assert "run.n_traj: must be >= 1, got 0" in problems
         assert any(p.startswith("output.format:") for p in problems)
 
 
@@ -619,14 +622,6 @@ class TestSweepOnModel:
         sidecar = json.loads(paths["sidecar"].read_text())
         assert sidecar["slope"] == pytest.approx(resonant_curve.slope)
 
-    def test_thread_count_does_not_change_sweep(self, tmp_path):
-        config = sweep_config(gamma_ratios=(0.5, 1.0, 2.0))
-        serial = write_criticality_outputs(gamma_c_curve(config), tmp_path / "serial")
-        threaded = write_criticality_outputs(
-            gamma_c_curve(replace(config, n_threads=2)), tmp_path / "threaded")
-        for key in ("rows", "estimates"):
-            assert serial[key].read_bytes() == threaded[key].read_bytes()
-
     def test_classification_invariant_under_frequency_rescale(self):
         # doubling every rate (coupling, hop, damping) halves every time
         # scale but preserves which regime each point lands in
@@ -680,10 +675,6 @@ class TestPresets:
         bundle = load_preset("fig3").with_overrides(n_traj=7, master_seed=123)
         assert all(cfg.n_traj == 7 for cfg in bundle.scenarios)
         assert all(cfg.master_seed == 123 for cfg in bundle.scenarios)
-        sweep = load_preset("fig4").with_overrides(n_threads=2)
-        assert sweep.sweep.n_threads == 2
-        with pytest.raises(ConfigError, match="--threads"):
-            load_preset("fig3").with_overrides(n_threads=2)
         untouched = load_preset("fig4").with_overrides()
         assert untouched.sweep == load_preset("fig4").sweep
 
@@ -762,16 +753,18 @@ class TestCli:
         assert {"quick_rows.csv", "quick_estimates.csv", "quick.json"} <= names
 
     def test_threads_rejected_outside_sweeps(self, tmp_path, capsys):
+        # no command takes --threads, a sweep included
         config_path = tmp_path / "scenario.ini"
         config_path.write_text(SCENARIO_INI)
-        for source in (["--config", str(config_path)], ["--preset", "fig3"]):
-            assert main(["run", *source, "--threads", "2",
-                         "--out", str(tmp_path / "out")]) == 1
-            err = capsys.readouterr().err
-            assert "error:" in err and "--threads" in err
-        assert not (tmp_path / "out").exists()
+        for argv in (["run", "--config", str(config_path)],
+                     ["run", "--preset", "fig4"],
+                     ["critical", "--config", str(config_path)]):
+            with pytest.raises(SystemExit):
+                main([*argv, "--threads", "2", "--out", str(tmp_path / "out")])
+            assert "--threads" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["validate", "--suite", "mapping", "--threads", "2"])
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"

@@ -160,8 +160,10 @@ class TestProjectors:
             ProjectorSpec(preset="P99")
         with pytest.raises(ConfigError):
             ProjectorSpec(labels=("2?",))
+        params = ModelParams(n_sites=2, n_max=2)
         with pytest.raises(SizeError):
-            ProjectorSpec(preset="P111").operator(ModelParams(n_sites=2, n_max=2))
+            ProjectorSpec(preset="P111").operator(
+                params, build_reduced_model(params, max_exc=2).space)
 
     def test_names(self):
         assert ProjectorSpec(preset="P11").name == "P11"
