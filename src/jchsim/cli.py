@@ -11,8 +11,10 @@ Subcommands::
 bundle one or more scenarios, or a criticality sweep for ``fig4``).
 ``critical`` runs a sweep config.  ``validate`` runs one of the on-demand
 check suites and exits non-zero on failure.  ``--seed`` and ``--traj``
-override the corresponding config fields.  Every command runs in one
-process; its only parallelism is BLAS threads (``OPENBLAS_NUM_THREADS``).
+override a scenario's master seed and trajectory count; where nothing runs
+trajectories (a sweep, the ``mapping`` and ``analytic`` suites) they are an
+error.  Every command runs in one process; its only parallelism is BLAS
+threads (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .checks import SUITE_NAMES, run_suite
 from .config import (CriticalitySweepConfig, apply_overrides, load_scenario_config,
                      load_sweep_config)
 from .critical import gamma_c_curve
-from .errors import JchsimError
+from .errors import ConfigError, JchsimError
 from .presets import PRESET_NAMES, load_preset
 from .runner import run_scenario, write_criticality_outputs
 
@@ -53,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     crit_p.add_argument("--config", required=True,
                         help="sweep config file (INI or JSON)")
     crit_p.add_argument("--out", required=True, help="output directory")
-    _add_overrides(crit_p)
 
     val_p = sub.add_parser("validate", help="run an on-demand check suite")
     val_p.add_argument("--suite", required=True, choices=SUITE_NAMES)
@@ -68,6 +69,13 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
                         help="override the master seed")
     parser.add_argument("--traj", type=int, default=None,
                         help="override the trajectory count")
+
+
+def _reject_overrides(args, target: str) -> None:
+    """Fail naming each of --traj/--seed given: ``target`` runs no trajectories."""
+    given = [f for f, v in (("--traj", args.traj), ("--seed", args.seed)) if v is not None]
+    if given:
+        raise ConfigError([f"{flag}: {target} runs no trajectories" for flag in given])
 
 
 def _run_sweep(config, out_dir) -> None:
@@ -85,13 +93,15 @@ def _run_sweep(config, out_dir) -> None:
 
 def _configs(args) -> tuple:
     """The configs a ``run`` or ``critical`` command names, overrides applied."""
-    overrides = {"n_traj": args.traj, "master_seed": args.seed}
     if args.command == "critical":
-        return (apply_overrides(load_sweep_config(args.config), **overrides),)
+        return (load_sweep_config(args.config),)
+    overrides = {"n_traj": args.traj, "master_seed": args.seed}
     if args.config is not None:
         return (apply_overrides(load_scenario_config(args.config), **overrides),)
-    bundle = load_preset(args.preset).with_overrides(**overrides)
-    return bundle.scenarios or (bundle.sweep,)
+    bundle = load_preset(args.preset)
+    if bundle.sweep is not None:
+        _reject_overrides(args, f"the {bundle.name} sweep")
+    return bundle.with_overrides(**overrides).scenarios or (bundle.sweep,)
 
 
 def _cmd_run(args) -> int:
@@ -108,6 +118,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.suite != "oracle":
+        _reject_overrides(args, f"suite {args.suite!r}")
     report = run_suite(args.suite, n_traj=args.traj, master_seed=args.seed)
     if args.json:
         print(json.dumps(report.to_mapping(), sort_keys=True, indent=2))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional
@@ -38,7 +39,6 @@ from .observables import (
 
 DEFAULT_GAMMA_RATIOS = (0.3, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
 OUTPUT_FORMATS = ("csv", "json")
-SWEEP_SOURCES = ("oracle", "ensemble")
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,6 @@ class _Key(NamedTuple):
     required: bool = False
 
 
-_RUN = {"n_traj": _Key("n_traj", _as_int),
-        "master_seed": _Key("master_seed", _as_int)}
 _OUTPUT = {"name": _Key("output_name", str),
            "format": _Key("output_format", _as_lower)}
 
@@ -183,7 +181,7 @@ _SCENARIO_KEYS = {
         "spacing": _Key("spacing", _as_spacing),
         "n_samples": _Key("n_samples", _as_int),
     },
-    "run": _RUN,
+    "run": {"n_traj": _Key("n_traj", _as_int), "master_seed": _Key("master_seed", _as_int)},
     "observables": {
         "projectors": _Key("observables", _as_projectors),
         "negativity": _Key("compute_negativity", _as_bool),
@@ -198,9 +196,8 @@ _SWEEP_KEYS = {
         "j_values": _Key("j_values", _as_floats, required=True),
         "gamma_ratios": _Key("gamma_ratios", _as_floats),
         "delta": _Key("delta", _as_float),
-        "source": _Key("source", _as_lower),
     },
-    "model": {"n_max": _Key("n_max", _as_int), "g": _Key("coupling", _as_float)},
+    "model": {"g": _Key("coupling", _as_float)},
     "grid": {
         "t_end": _Key("t_end", _as_float),
         "t_start": _Key("t_start", _as_float),
@@ -210,7 +207,6 @@ _SWEEP_KEYS = {
         "prominence_threshold": _Key("prominence_threshold", _as_float),
         "t_min": _Key("t_min", _as_float),
     },
-    "run": _RUN,
     "output": _OUTPUT,
 }
 
@@ -277,14 +273,16 @@ def _build(make: Callable[..., Any], values: Optional[dict], problems: list,
         return None
 
 
-def _finish(cls, values: dict, problems: list):
+def _finish(cls, values: dict, problems: list, *checks: Callable[[Mapping], list]):
     """Build ``cls`` from ``values`` and raise if any problem was found.
 
     When a field the type requires is missing (a part that could not be
-    read or built), only the checks that need none of them still run.
+    read or built), only ``checks``, which need none of them, still run;
+    fields absent from ``values`` take the defaults of ``cls``.
     """
     if any(values.get(f.name) is None for f in fields(cls) if f.default is MISSING):
-        raise ConfigError(problems + _settings_problems(cls, values))
+        v = {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **values}
+        raise ConfigError(problems + [p for check in checks for p in check(v)])
     config = _build(cls, values, problems)
     if problems:
         raise ConfigError(problems)
@@ -294,18 +292,19 @@ def _finish(cls, values: dict, problems: list):
 # ---------------------------------------------------------------------------
 # configuration types
 
-def _settings_problems(cls, values: Mapping[str, Any]) -> list:
-    """Checks of the run and output settings, which need no model or grid.
-
-    Fields absent from ``values`` take the defaults of ``cls``.
-    """
-    v = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-    v.update(values)
+def _run_problems(v: Mapping[str, Any]) -> list:
+    """Checks of a scenario's run settings, which need no model or grid."""
     problems = []
     if v["n_traj"] < 1:
         problems.append(f"run.n_traj: must be >= 1, got {v['n_traj']}")
     if v["master_seed"] < 0:
         problems.append(f"run.master_seed: must be >= 0, got {v['master_seed']}")
+    return problems
+
+
+def _output_problems(v: Mapping[str, Any]) -> list:
+    """Checks of the output settings, which need no model or grid."""
+    problems = []
     if v["output_format"] not in OUTPUT_FORMATS:
         problems.append(f"output.format: expected one of {OUTPUT_FORMATS}, "
                         f"got {v['output_format']!r}")
@@ -351,7 +350,7 @@ class ScenarioConfig:
             canonical.append(str(label))
         if len(canonical) == len(self.initial):
             object.__setattr__(self, "initial", tuple(canonical))
-        problems += _settings_problems(ScenarioConfig, vars(self))
+        problems += _run_problems(vars(self)) + _output_problems(vars(self))
         for spec in self.observables:
             # the run builds each projector inside the excitation subspace of
             # the initial state, so it must fit the cutoff and that subspace
@@ -398,29 +397,34 @@ class ScenarioConfig:
         return echo
 
 
+# the sweep key behind each field its model or grid can reject; the spacing
+# is a quarter beat on the dt lattice, so one that does not fit needs a later t_end
+_SWEEP_MODEL_KEYS = {"omega_a": "sweep.delta:", "g": "model.g:", "dt": "grid.dt:",
+                     "t_start": "grid.t_start:", "t_end": "grid.t_end:",
+                     "spacing": "grid.t_end: spacing"}
+
+
 @dataclass(frozen=True)
 class CriticalitySweepConfig:
     """Grid of (hop, damping-ratio) points for the critical-damping hunt.
 
-    The sweep is defined for the two-site model; ``delta`` detunes the atoms
-    from the cavities, damping grids are expressed as multiples of each hop
-    value, and classification runs on the deterministic master-equation
-    negativity trace unless ``source`` selects the trajectory ensemble.
+    The sweep is defined for the two-site model started in ``|2-, G>``, with
+    the fixed cutoff ``n_max = 2`` its two excitations need.  ``delta``
+    detunes the atoms from the cavities, damping grids are multiples of each
+    hop value, and every point is classified from its exact master-equation
+    negativity trace.  The sample grid depends on neither hop nor damping,
+    so it is built, and checked, once.
     """
 
     j_values: tuple[float, ...]
     gamma_ratios: tuple[float, ...] = DEFAULT_GAMMA_RATIOS
     delta: float = 0.0
-    source: str = "oracle"
-    n_max: int = 2
     coupling: float = 1.0
     t_end: float = 150.0
     t_start: float = 0.0
     dt: float = DEFAULT_DT
     prominence_threshold: float = DEFAULT_PROMINENCE_THRESHOLD
     t_min: float = DEFAULT_BURN_IN
-    n_traj: int = 2000
-    master_seed: int = 0
     output_name: str = "criticality"
     output_format: str = "csv"
 
@@ -428,62 +432,60 @@ class CriticalitySweepConfig:
         problems = []
         js = tuple(float(j) for j in self.j_values)
         ratios = tuple(float(r) for r in self.gamma_ratios)
-        for where, grid, what in (("sweep.j_values", js, "hop values"),
-                                  ("sweep.gamma_ratios", ratios, "ratios")):
-            if not grid:
+        for where, values, what in (("sweep.j_values", js, "hop values"),
+                                    ("sweep.gamma_ratios", ratios, "ratios")):
+            if not values:
                 problems.append(f"{where}: required and non-empty")
-            elif any(v <= 0 for v in grid):
-                problems.append(f"{where}: {what} must be positive")
-            elif any(b <= a for a, b in zip(grid, grid[1:])):
+            elif not all(0 < v < math.inf for v in values):
+                problems.append(f"{where}: {what} must be positive and finite")
+            elif any(b <= a for a, b in zip(values, values[1:])):
                 problems.append(f"{where}: must be strictly increasing")
-        if self.source not in SWEEP_SOURCES:
-            problems.append(
-                f"sweep.source: expected one of {SWEEP_SOURCES}, got {self.source!r}")
-        if self.n_max < 2:
-            problems.append(f"model.n_max: sweep needs n_max >= 2, got {self.n_max}")
-        elif (2 * self.n_max + 2) ** 2 > OPERATOR_DIM_CAP:
-            problems.append(
-                f"model.n_max: negativity needs a {(2 * self.n_max + 2) ** 2}-dim density "
-                f"matrix, above the cap {OPERATOR_DIM_CAP}")
-        if self.coupling <= 0:
-            problems.append(f"model.g: coupling must be positive, got {self.coupling}")
-        if self.t_end <= self.t_start:
-            problems.append("grid.t_end: must exceed grid.t_start")
-        if self.dt <= 0:
-            problems.append(f"grid.dt: must be positive, got {self.dt}")
+        grid = None
+        try:
+            grid = TimeGrid.with_spacing(
+                self.t_end, recommended_spacing(self.model_for(0.0, 0.0), self.dt),
+                dt=self.dt, t_start=self.t_start)
+        except ConfigError as exc:
+            for problem in exc.problems:
+                name, _, rest = problem.partition(": ")
+                problems.append(f"{_SWEEP_MODEL_KEYS.get(name, 'grid: ' + name)} {rest}")
+        t_last = self.t_end if grid is None else grid.t_end   # t_end trimmed to a sample
         if not 0 < self.prominence_threshold < 1:
             problems.append(
                 "classifier.prominence_threshold: must lie in (0, 1), got "
                 f"{self.prominence_threshold}")
         if self.t_min < 0:
             problems.append(f"classifier.t_min: must be >= 0, got {self.t_min}")
-        problems += _settings_problems(CriticalitySweepConfig, vars(self))
+        elif not self.t_min < t_last:
+            problems.append(
+                f"classifier.t_min: must lie below the last sample time {t_last}, got {self.t_min}")
+        problems += _output_problems(vars(self))
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "j_values", js)
         object.__setattr__(self, "gamma_ratios", ratios)
+        object.__setattr__(self, "_grid", grid)
 
     def model_for(self, hop: float, gamma: float) -> ModelParams:
         return ModelParams(n_sites=2, omega_a=self.delta, omega_c=0.0,
-                           g=self.coupling, hop=hop, gamma=gamma,
-                           n_max=self.n_max)
+                           g=self.coupling, hop=hop, gamma=gamma, n_max=2)
 
     def grid_for(self, params: ModelParams) -> TimeGrid:
-        spacing = recommended_spacing(params, self.dt)
-        return TimeGrid.with_spacing(self.t_end, spacing, dt=self.dt,
-                                     t_start=self.t_start)
+        """The sample grid of every point: it depends on neither hop nor damping."""
+        return self._grid
 
     def to_mapping(self) -> dict:
         echo = _echo(_SWEEP_KEYS, self)
-        echo["model"].update(n_sites=2, omega_a=self.delta, omega_c=0.0)
+        echo["model"].update(n_sites=2, n_max=2, omega_a=self.delta, omega_c=0.0)
         return echo
 
 
-def apply_overrides(config, n_traj: Optional[int] = None,
-                    master_seed: Optional[int] = None):
+def apply_overrides(config: ScenarioConfig, n_traj: Optional[int] = None,
+                    master_seed: Optional[int] = None) -> ScenarioConfig:
     """``config`` with the command-line overrides that are set.
 
-    ``n_traj`` is ``--traj`` and ``master_seed`` is ``--seed``.
+    ``n_traj`` is ``--traj`` and ``master_seed`` is ``--seed``; a sweep,
+    which runs no trajectories, has neither.
     """
     updates = {"n_traj": n_traj, "master_seed": master_seed}
     return replace(config, **{k: v for k, v in updates.items() if v is not None})
@@ -521,7 +523,8 @@ def scenario_from_mapping(mapping: Mapping[str, Any]) -> ScenarioConfig:
     grid = _scenario_grid(mapping.get("grid"), values["grid"], model, problems)
     return _finish(ScenarioConfig, {
         "model": model, "grid": grid, **(values["initial"] or {}),
-        **values["run"], **values["observables"], **values["output"]}, problems)
+        **values["run"], **values["observables"], **values["output"]}, problems,
+        _run_problems, _output_problems)
 
 
 def sweep_from_mapping(mapping: Mapping[str, Any]) -> CriticalitySweepConfig:
@@ -529,7 +532,7 @@ def sweep_from_mapping(mapping: Mapping[str, Any]) -> CriticalitySweepConfig:
     values, problems = _read(mapping, _SWEEP_KEYS)
     return _finish(CriticalitySweepConfig, {
         field: value for section in values.values() if section
-        for field, value in section.items()}, problems)
+        for field, value in section.items()}, problems, _output_problems)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ the single-peak entry whose peak is tallest (with the smallest single-peak
 damping reported as a secondary estimator).  A straight line through the
 origin fitted to (hop, gamma_c) summarizes the sweep.
 
-Classification defaults to the deterministic master-equation trace; the
-trajectory ensemble can be selected instead, at the cost of sampling noise
-in the classifier input.
+Every point is classified from its exact master-equation trace, so a sweep
+draws no random numbers and has no trajectory count or seed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import CriticalitySweepConfig
-from .dynamics import lindblad_evolve, mcwf_ensemble
+from .dynamics import lindblad_evolve
 from .errors import ConfigError
 from .linalg import TensorDims
 from .model import build_reduced_model, prepare_product_polariton_state
@@ -38,7 +37,6 @@ __all__ = [
 ]
 
 PRIMARY_METHOD = "max-peak-height"
-SECONDARY_METHOD = "smallest-single-peak"
 
 _INITIAL_LABELS = ("2-", "G")
 _PINNED = ProjectorSpec(preset="P11")
@@ -95,18 +93,11 @@ class CriticalityResult:
                 yield row
 
 
-def _point_seed(master_seed: int, j_index: int, gamma_index: int) -> int:
-    """Stable per-point seed for ensemble-sourced classification."""
-    ss = np.random.SeedSequence((master_seed, j_index, gamma_index))
-    return int(ss.generate_state(1)[0])
-
-
-def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float,
-                   seed: Optional[int] = None) -> CriticalityRow:
-    """Run one grid point and classify its negativity trace.
+def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float) -> CriticalityRow:
+    """Evolve one grid point's master equation and classify its negativity.
 
     The transition metrics (pinned-state population maximum and half-rise
-    time) come from the same trace source as the classification.
+    time) come from the same density-matrix trace as the classification.
     """
     params = config.model_for(hop, gamma)
     model = build_reduced_model(params, max_exc=2)
@@ -115,22 +106,10 @@ def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float,
     grid = config.grid_for(params)
     pinned_op = _PINNED.operator(params, model.space)
 
-    if config.source == "oracle":
-        rho0 = np.outer(psi0, psi0.conj())
-        rhos = lindblad_evolve(model.h, model.collapse, rho0, grid)
-        pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
-        rho_stack = rhos
-    else:
-        ens = mcwf_ensemble(model.h, model.collapse, psi0, grid,
-                            n_traj=config.n_traj,
-                            master_seed=_point_seed(config.master_seed,
-                                                    0, 0) if seed is None else seed,
-                            observables={"pinned": pinned_op},
-                            keep_rho=True)
-        pinned = ens.mean_observables["pinned"]
-        rho_stack = ens.rho_avg
+    rhos = lindblad_evolve(model.h, model.collapse, np.outer(psi0, psi0.conj()), grid)
+    pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
 
-    full_stack = np.stack([model.space.embed_density(r) for r in rho_stack])
+    full_stack = np.stack([model.space.embed_density(r) for r in rhos])
     dims = TensorDims((params.site_dim, params.site_dim))
     neg = negativity_series(full_stack, dims)
     report = classify_series(
@@ -204,9 +183,7 @@ def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
     """Estimate gamma_c for every hop value and fit a line through the origin.
 
     The points run one after another: hop by hop, and each hop's damping
-    values in increasing order.  Any parallelism is BLAS threads inside a
-    point.  With ``source = "ensemble"``, point (ji, gi) draws from its own
-    seed ``_point_seed(master_seed, ji, gi)``.
+    values in increasing order; any parallelism is BLAS threads in a point.
     """
     if len(config.j_values) < 3:
         raise ConfigError([
@@ -214,10 +191,9 @@ def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
             f"got {len(config.j_values)}"])
 
     estimates = []
-    for ji, hop in enumerate(config.j_values):
-        rows = tuple(classify_point(config, hop, ratio * hop,
-                                    seed=_point_seed(config.master_seed, ji, gi))
-                     for gi, ratio in enumerate(config.gamma_ratios))
+    for hop in config.j_values:
+        rows = tuple(classify_point(config, hop, ratio * hop)
+                     for ratio in config.gamma_ratios)
         estimates.append(estimate_critical_gamma(config, hop, rows))
 
     fitted = [(est.hop, est.gamma_c) for est in estimates

@@ -46,6 +46,13 @@ _NORM_UNDERFLOW = 1e-28
 # time grid
 # ---------------------------------------------------------------------------
 
+def _bound_problems(t_start: float, t_end: float) -> list:
+    """A problem for each grid bound that is not a finite number."""
+    return [f"{name}: must be finite, got {value}"
+            for name, value in (("t_start", t_start), ("t_end", t_end))
+            if not math.isfinite(value)]
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform output grid with an integrator substep.
@@ -60,7 +67,7 @@ class TimeGrid:
     t_start: float = 0.0
 
     def __post_init__(self):
-        problems = []
+        problems = _bound_problems(self.t_start, self.t_end)
         if not self.t_end > self.t_start:
             problems.append(f"t_end: must exceed t_start, got {self.t_end} <= {self.t_start}")
         if int(self.n_samples) != self.n_samples or self.n_samples < 2:
@@ -71,7 +78,7 @@ class TimeGrid:
             if self.dt > DEFAULT_MAX_DT:
                 problems.append(f"dt: {self.dt} exceeds the stability cap {DEFAULT_MAX_DT}")
             span = self.t_end - self.t_start
-            if span > 0 and self.n_samples >= 2:
+            if 0 < span < math.inf and self.n_samples >= 2:
                 ratio = self.spacing / self.dt
                 if round(ratio) < 1:          # n_fine: at least one step per sample
                     problems.append(f"dt: {self.dt} exceeds the sample spacing {self.spacing}")
@@ -89,7 +96,8 @@ class TimeGrid:
 
         ``t_end`` is trimmed down to the last full sample interval.
         """
-        problems = [] if dt > 0 else [f"dt: must be positive, got {dt}"]
+        problems = _bound_problems(t_start, t_end) + (
+            [] if dt > 0 else [f"dt: must be positive, got {dt}"])
         if not 0 < spacing < math.inf:
             problems.append(f"spacing: must be positive and finite, got {spacing}")
         if problems:

@@ -168,6 +168,8 @@ def recommended_spacing(params: ModelParams, dt: float = 0.005) -> float:
     """Sample spacing for classification runs: quarter beat, on the dt lattice."""
     if not dt > 0:
         raise ConfigError([f"dt: must be positive, got {dt}"])
+    if math.isinf(dt):
+        raise ConfigError([f"dt: must be finite, got {dt}"])
     period = blockade_beat_period(params)
     if period is None:
         return 500 * dt

@@ -1,9 +1,10 @@
 """Named, reproducible parameter presets.
 
-Each preset fixes every physical and sampling parameter (including the
-master seed) so that rerunning it reproduces identical files.  Sample
-spacing is chosen automatically as a quarter of the two-excitation beat
-period, which puts classifier-ready sampling on the stored grid.
+Each preset fixes every physical and sampling parameter (including, for a
+scenario, the master seed) so that rerunning it reproduces identical
+files.  Sample spacing is chosen automatically as a quarter of the
+two-excitation beat period, which puts classifier-ready sampling on the
+stored grid.
 
 Scenario presets:
 
@@ -22,8 +23,8 @@ Scenario presets:
 Sweep preset:
 
 ``fig4``   the critical-damping sweep over J in {0.02, 0.04, 0.06, 0.08}
-           at zero detuning, classified from the deterministic
-           master-equation trace.
+           at zero detuning, each point classified from its exact
+           master-equation trace (no trajectories, so no count or seed).
 """
 
 from __future__ import annotations
@@ -104,11 +105,8 @@ def _build_n4() -> tuple:
 
 def _build_fig4() -> CriticalitySweepConfig:
     return sweep_from_mapping({
-        "sweep": {"j_values": "0.02, 0.04, 0.06, 0.08", "delta": 0.0,
-                  "source": "oracle"},
-        "model": {"n_max": 2},
+        "sweep": {"j_values": "0.02, 0.04, 0.06, 0.08", "delta": 0.0},
         "grid": {"t_end": 150.0, "dt": 0.005},
-        "run": {"n_traj": 2000, "master_seed": _BASE_SEED + 8},
         "output": {"name": "fig4", "format": "csv"},
     })
 
@@ -123,11 +121,9 @@ class PresetBundle:
     sweep: Optional[CriticalitySweepConfig] = None
 
     def with_overrides(self, **overrides) -> "PresetBundle":
-        """Apply :func:`~jchsim.config.apply_overrides` to every contained config."""
-        return replace(
-            self, scenarios=tuple(apply_overrides(cfg, **overrides)
-                                  for cfg in self.scenarios),
-            sweep=None if self.sweep is None else apply_overrides(self.sweep, **overrides))
+        """Apply :func:`~jchsim.config.apply_overrides` to every scenario (not the sweep)."""
+        return replace(self, scenarios=tuple(apply_overrides(cfg, **overrides)
+                                             for cfg in self.scenarios))
 
 
 _BUILDERS = {

@@ -80,11 +80,10 @@ EVERY_SCENARIO_KEY = {
 # every sweep key, written as the sidecar echoes it
 EVERY_SWEEP_KEY = {
     "sweep": {"j_values": [0.02, 0.04, 0.06], "gamma_ratios": [0.5, 1.0, 2.0],
-              "delta": 0.3, "source": "ensemble"},
-    "model": {"n_max": 3, "g": 1.5},
+              "delta": 0.3},
+    "model": {"g": 1.5},
     "grid": {"t_end": 120.0, "t_start": 2.0, "dt": 0.0025},
     "classifier": {"prominence_threshold": 0.1, "t_min": 3.0},
-    "run": {"n_traj": 40, "master_seed": 5},
     "output": {"name": "every", "format": "json"},
 }
 
@@ -247,10 +246,22 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as err:
             tiny_scenario(run={"n_threads": 2})
         assert "run.n_threads: unknown key" in err.value.problems
-        # nor a sweep key: sweep points run one after another
+        # nor a sweep key: a sweep has no run section at all
         problems = problems_of(sweep_from_mapping, {
             "sweep": {"j_values": [0.02, 0.04, 0.06]}, "run": {"n_threads": 1}})
-        assert problems == ["run.n_threads: unknown key"]
+        assert problems == ["run: unknown section"]
+
+    @pytest.mark.parametrize("grid, problem", [
+        ({"t_end": math.inf, "spacing": 2.0}, "grid.t_end: must be finite, got inf"),
+        ({"t_end": math.inf, "n_samples": 6}, "grid.t_end: must be finite, got inf"),
+        ({"t_end": 10.0, "t_start": -math.inf, "spacing": 2.0},
+         "grid.t_start: must be finite, got -inf"),
+        ({"t_end": 10.0, "t_start": -math.inf, "n_samples": 6},
+         "grid.t_start: must be finite, got -inf"),
+    ])
+    def test_non_finite_grid_bound_reported(self, grid, problem):
+        bad = {**SCENARIO_MAPPING, "grid": grid}
+        assert problems_of(scenario_from_mapping, bad) == [problem]
 
     def test_spacing_and_samples_mutually_exclusive(self):
         with pytest.raises(ConfigError):
@@ -323,8 +334,43 @@ class TestSweepConfig:
             CriticalitySweepConfig(j_values=(-0.02, 0.04))
 
     def test_source_checked(self):
-        with pytest.raises(ConfigError):
-            CriticalitySweepConfig(j_values=(0.02, 0.04), source="guesswork")
+        # a sweep file written when the ensemble could be chosen as source
+        problems = problems_of(sweep_from_mapping, {
+            "sweep": {"j_values": [0.02, 0.04, 0.06], "source": "ensemble"},
+            "model": {"n_max": 2, "g": 1.0},
+            "run": {"n_traj": 2000, "master_seed": 5}})
+        assert sorted(problems) == ["model.n_max: unknown key", "run: unknown section",
+                                    "sweep.source: unknown key"]
+
+    @pytest.mark.parametrize("grid, problem", [
+        ({"t_end": math.inf}, "grid.t_end: must be finite, got inf"),
+        ({"t_start": -math.inf}, "grid.t_start: must be finite, got -inf"),
+    ])
+    def test_non_finite_grid_bound_reported(self, grid, problem):
+        problems = problems_of(sweep_from_mapping, {
+            "sweep": {"j_values": [0.02, 0.04, 0.06]}, "grid": grid})
+        assert problems == [problem]
+
+    def test_every_value_checked_at_load(self):
+        base = {"sweep": {"j_values": [0.02, 0.04, 0.06]}}
+        cases = [
+            ("sweep", {"j_values": [0.02, 0.04, math.inf]},
+             "sweep.j_values: hop values must be positive and finite"),
+            ("sweep", {"delta": math.nan}, "sweep.delta: non-finite"),
+            ("model", {"g": math.nan}, "model.g: non-finite entry"),
+            ("sweep", {"gamma_ratios": [0.5, math.inf]},
+             "sweep.gamma_ratios: ratios must be positive and finite"),
+            ("grid", {"dt": 0.02}, "grid.dt: 0.02 exceeds the stability cap 0.01"),
+            ("grid", {"t_end": 2.0},
+             "grid.t_end: spacing 2.68 does not fit inside (0.0, 2.0)"),
+            ("classifier", {"t_min": math.inf},
+             "classifier.t_min: must lie below the last sample time 147.4, got inf"),
+            ("classifier", {"t_min": 148.0},
+             "classifier.t_min: must lie below the last sample time 147.4, got 148.0"),
+        ]
+        for section, values, problem in cases:
+            mapping = {**base, section: {**base.get(section, {}), **values}}
+            assert problems_of(sweep_from_mapping, mapping) == [problem], problem
 
     def test_ini_and_json_load_identically(self, tmp_path):
         ini_path = tmp_path / "sweep.ini"
@@ -375,27 +421,20 @@ class TestSweepConfig:
 
     def test_mixed_errors_all_reported(self):
         problems = problems_of(sweep_from_mapping, {
-            "sweep": {"j_values": [0.02, 0.04], "source": "guess"},
+            "sweep": {"j_values": [0.02, 0.04], "delta": "nan"},
             "grid": {"dt": "small"},
             "classifier": {"t_min": -1},
         })
         assert "grid.dt: expected a number, got 'small'" in problems
-        assert any(p.startswith("sweep.source:") for p in problems)
+        assert "sweep.delta: non-finite" in problems
         assert "classifier.t_min: must be >= 0, got -1.0" in problems
 
-    def test_photon_cutoff_over_operator_cap_rejected(self):
-        problems = problems_of(sweep_from_mapping, {
-            "sweep": {"j_values": [0.02, 0.04]}, "model": {"n_max": 32}})
-        assert problems == [
-            "model.n_max: negativity needs a 4356-dim density matrix, above the cap 4096"]
-        sweep_from_mapping({"sweep": {"j_values": [0.02, 0.04]}, "model": {"n_max": 31}})
-
     def test_missing_j_values_still_checks_run_and_output(self):
-        problems = problems_of(sweep_from_mapping, {
-            "run": {"n_traj": 0}, "output": {"format": "xml"}})
-        assert "sweep.j_values: required key missing" in problems
-        assert "run.n_traj: must be >= 1, got 0" in problems
-        assert any(p.startswith("output.format:") for p in problems)
+        # a sweep has no run section; its output is still checked
+        problems = problems_of(sweep_from_mapping, {"output": {"format": "xml"}})
+        assert problems[0] == "sweep.j_values: required key missing"
+        assert problems[1].startswith("output.format:")
+        assert len(problems) == 2
 
 
 @pytest.fixture(scope="module")
@@ -631,11 +670,6 @@ class TestSweepOnModel:
         assert base.report.classification.kind == \
             scaled.report.classification.kind
 
-    def test_ensemble_source_agrees_above_transition(self):
-        config = sweep_config(source="ensemble", n_traj=200)
-        row = classify_point(config, 0.06, 0.06, seed=11)
-        assert row.report.classification.is_single
-
     @pytest.mark.xfail(strict=True, reason=(
         "on the default damping grid the detuned sweep loses its slow "
         "revival before the lowest grid rung, so the fitted slope drops "
@@ -667,15 +701,14 @@ class TestPresets:
         for name in PRESET_NAMES:
             bundle = load_preset(name)
             seeds += [cfg.master_seed for cfg in bundle.scenarios]
-            if bundle.sweep is not None:
-                seeds.append(bundle.sweep.master_seed)
         assert len(seeds) == len(set(seeds))
 
     def test_overrides_propagate(self):
         bundle = load_preset("fig3").with_overrides(n_traj=7, master_seed=123)
         assert all(cfg.n_traj == 7 for cfg in bundle.scenarios)
         assert all(cfg.master_seed == 123 for cfg in bundle.scenarios)
-        untouched = load_preset("fig4").with_overrides()
+        # a sweep runs no trajectories: it has nothing to override
+        untouched = load_preset("fig4").with_overrides(n_traj=7, master_seed=123)
         assert untouched.sweep == load_preset("fig4").sweep
 
     def test_scenario_presets_cover_system_sizes(self):
@@ -765,6 +798,28 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["validate", "--suite", "mapping", "--threads", "2"])
         assert not (tmp_path / "out").exists()
+
+    def test_overrides_rejected_where_unused(self, tmp_path, capsys):
+        # a sweep and the mapping/analytic suites run no trajectories
+        for argv in (["run", "--preset", "fig4", "--out", str(tmp_path / "out")],
+                     ["validate", "--suite", "mapping"],
+                     ["validate", "--suite", "analytic"]):
+            for flag in ("--traj", "--seed"):
+                assert main([*argv, flag, "5"]) == 1
+                assert f"error: {flag}: " in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["critical", "--config", "x.ini", "--seed", "1",
+                  "--out", str(tmp_path / "out")])
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_critical_non_finite_bound_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "sweep.ini"
+        config_path.write_text("[sweep]\nj_values = 0.02, 0.04, 0.06\n\n"
+                               "[grid]\nt_end = inf\n")
+        assert main(["critical", "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "grid.t_end: must be finite" in capsys.readouterr().err
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"
