@@ -19,9 +19,8 @@ from .model import (HoppingCoefficients, ModelParams, PolaritonLabel, ReducedMod
                     site_operators, total_excitation_operator,
                     transform_to_dressed_basis)
 from .dynamics import (BACKEND, ConditionalBranch, EnsembleResult, TimeGrid,
-                       TrajectoryResult, evolve_unitary, lindblad_evolve,
-                       mcwf_ensemble, mcwf_trajectory, no_jump_branch,
-                       superoperator)
+                       TrajectoryResult, lindblad_evolve, mcwf_ensemble,
+                       mcwf_trajectory, no_jump_branch, superoperator)
 from .observables import (PROJECTOR_PRESETS, PeakClassification, PeakReport,
                           ProjectorSpec, blockade_beat_period, classify_series,
                           find_peaks, negativity, negativity_series,

@@ -10,9 +10,9 @@ Three suites:
 ``analytic``  integrator against closed forms: damped-cavity photon number
               e^(-gamma t), vacuum Rabi oscillation cos^2(g t), and strict
               growth of the dressed ladder coefficients with detuning.
-``oracle``    trajectory ensemble against the deterministic master-equation
-              solution on the damped two-site transfer scenario, pointwise
-              within max(3 standard errors, 0.02).
+``oracle``    the table ``run_scenario`` returns for the damped two-site
+              transfer scenario against the deterministic master-equation
+              solution, pointwise within max(3 standard errors, 0.02).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .config import apply_overrides, scenario_from_mapping
-from .dynamics import TimeGrid, evolve_unitary, lindblad_evolve, mcwf_ensemble
+from .dynamics import TimeGrid, lindblad_evolve, no_jump_branch
 from .errors import ConfigError
 from .linalg import TensorDims
 from .model import (
@@ -37,6 +37,7 @@ from .model import (
     creation_in_polariton_basis,
 )
 from .observables import negativity_series
+from .runner import run_scenario
 
 __all__ = ["CheckItem", "CheckReport", "SUITE_NAMES", "run_suite"]
 
@@ -151,7 +152,7 @@ def _rabi_item() -> CheckItem:
     psi0 = np.zeros(params.dim, dtype=np.complex128)
     psi0[params.n_max + 1] = 1.0          # bare |atom excited, 0 photons>
     grid = TimeGrid(t_end=30.0, n_samples=301, dt=0.005)
-    result = evolve_unitary(h, psi0, grid)
+    result = no_jump_branch(h, (), psi0, grid)
     excited = site_operators(params.n_max).excited
     pop = np.einsum("ni,ij,nj->n", result.states.conj(), excited,
                     result.states).real
@@ -190,17 +191,13 @@ def _oracle_items(**overrides) -> list:
         "observables": {"projectors": "P20, P11", "negativity": True},
         "output": {"name": "oracle-suite"},
     }), **overrides)
+    run = run_scenario(config)
     params = config.model
     model = build_reduced_model(params, max_exc=config.max_excitation)
     psi0 = model.space.reduce_vector(
         prepare_product_polariton_state(config.initial, params))
     ops = {spec.name: spec.operator(params, model.space)
            for spec in config.observables}
-
-    ensemble = mcwf_ensemble(model.h, model.collapse, psi0, config.grid,
-                             n_traj=config.n_traj,
-                             master_seed=config.master_seed,
-                             observables=ops, keep_rho=True)
     rho0 = np.outer(psi0, psi0.conj())
     rhos = lindblad_evolve(model.h, model.collapse, rho0, config.grid)
 
@@ -208,8 +205,8 @@ def _oracle_items(**overrides) -> list:
     floor = 0.02
     for name in ("P20", "P11"):
         exact = np.einsum("kij,ji->k", rhos, ops[name]).real
-        dev = np.abs(ensemble.mean_observables[name] - exact)
-        allowed = np.maximum(3.0 * ensemble.stderr[name], floor)
+        dev = np.abs(run.columns[name] - exact)
+        allowed = np.maximum(3.0 * run.columns[f"{name}_stderr"], floor)
         ratio = float((dev / allowed).max())
         items.append(CheckItem(
             name=f"trajectory mean vs master equation: {name}",
@@ -218,12 +215,9 @@ def _oracle_items(**overrides) -> list:
                    f"{config.n_traj} trajectories"))
 
     dims = TensorDims((params.site_dim, params.site_dim))
-    full_avg = np.stack([model.space.embed_density(r)
-                         for r in ensemble.rho_avg])
     full_exact = np.stack([model.space.embed_density(r) for r in rhos])
-    neg_avg = negativity_series(full_avg, dims)
     neg_exact = negativity_series(full_exact, dims)
-    dev = float(np.abs(neg_avg - neg_exact).max())
+    dev = float(np.abs(run.columns["negativity"] - neg_exact).max())
     items.append(CheckItem(
         name="trajectory-averaged negativity vs master equation",
         passed=dev <= floor, measured=dev, bound=floor,
@@ -236,15 +230,19 @@ def run_suite(name: str, n_traj: Optional[int] = None,
     """Run one validation suite and return its report.
 
     ``n_traj`` and ``master_seed``, when set, override the trajectory count
-    and the seed of the ``oracle`` suite's scenario.
+    and the seed of the ``oracle`` suite's scenario; the other suites run no
+    trajectories and reject them.
     """
-    if name == "mapping":
-        items = _mapping_items()
-    elif name == "analytic":
-        items = _analytic_items()
-    elif name == "oracle":
-        items = _oracle_items(n_traj=n_traj, master_seed=master_seed)
-    else:
+    if name not in SUITE_NAMES:
         raise ConfigError([f"suite: unknown name {name!r}; "
                            f"known: {list(SUITE_NAMES)}"])
+    if name == "oracle":
+        items = _oracle_items(n_traj=n_traj, master_seed=master_seed)
+    else:
+        unused = [key for key, value in (("n_traj", n_traj), ("master_seed", master_seed))
+                  if value is not None]
+        if unused:
+            raise ConfigError([f"{key}: suite {name!r} runs no trajectories"
+                               for key in unused])
+        items = _mapping_items() if name == "mapping" else _analytic_items()
     return CheckReport(suite=name, items=tuple(items))

@@ -1,4 +1,7 @@
-"""Time evolution: unitary runs, quantum trajectories, and a density-matrix oracle.
+"""Time evolution: one pure-state stride loop and a density-matrix oracle.
+
+The closed system, the jump-free branch and each quantum trajectory between
+its jumps all evolve under H − (i/2)ΣL†L, in ``_propagate``.
 
 All integrators share one numerical scheme: the classical fixed-step
 4th-order Runge-Kutta update, which for these linear time-invariant
@@ -16,7 +19,7 @@ spectral radius seen by the fixed-step scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Optional, Sequence
 
@@ -28,7 +31,7 @@ from .linalg import as_complex_matrix, require_hermitian
 __all__ = [
     "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT", "LINDBLAD_DIM_CAP", "RHO_MEMORY_CAP",
     "TimeGrid", "TrajectoryResult", "EnsembleResult", "ConditionalBranch",
-    "evolve_unitary", "mcwf_trajectory", "mcwf_ensemble", "no_jump_branch",
+    "mcwf_trajectory", "mcwf_ensemble", "no_jump_branch",
     "lindblad_evolve", "superoperator",
 ]
 
@@ -40,6 +43,7 @@ RHO_MEMORY_CAP = 256 * 2**20   # bytes allowed for an averaged-density stack
 _BISECT_TOL = 1e-10
 _UNIT_NORM_ATOL = 1e-8
 _NORM_UNDERFLOW = 1e-28
+_RESCALE_FLOOR = 1e-150        # jump-free squared norm below which the state is rescaled
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +51,14 @@ _NORM_UNDERFLOW = 1e-28
 # ---------------------------------------------------------------------------
 
 def _bound_problems(t_start: float, t_end: float) -> list:
-    """A problem for each grid bound that is not a finite number."""
-    return [f"{name}: must be finite, got {value}"
-            for name, value in (("t_start", t_start), ("t_end", t_end))
-            if not math.isfinite(value)]
+    """A problem for each grid bound that is not a finite number, and for a
+    span that does not run forward."""
+    problems = [f"{name}: must be finite, got {value}"
+                for name, value in (("t_start", t_start), ("t_end", t_end))
+                if not math.isfinite(value)]
+    if not t_end > t_start:
+        problems.append(f"t_end: must exceed t_start, got {t_end} <= {t_start}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,6 @@ class TimeGrid:
 
     def __post_init__(self):
         problems = _bound_problems(self.t_start, self.t_end)
-        if not self.t_end > self.t_start:
-            problems.append(f"t_end: must exceed t_start, got {self.t_end} <= {self.t_start}")
         if int(self.n_samples) != self.n_samples or self.n_samples < 2:
             problems.append(f"n_samples: need an integer >= 2, got {self.n_samples}")
         if not self.dt > 0:
@@ -134,7 +140,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """One realization: sampled (normalized) states plus the jump record."""
+    """One realization: unit-norm sampled states (lossless too) plus the jump record."""
 
     times: np.ndarray
     states: np.ndarray                    # (n_samples, dim), unit norm rows
@@ -159,7 +165,9 @@ class ConditionalBranch:
     """The deterministic jump-free branch of the unraveling.
 
     ``survival`` is the no-jump probability ‖ψ̃(t)‖²; ``states`` are the
-    renormalized conditional states.  For an initial state in the top
+    renormalized conditional states, finite also once the survival underflows
+    to 0.0.  With no collapse operators, ``survival`` is the norm drift.  For
+    an initial state in the top
     excitation sector (which decay never feeds), the conditional
     populations equal tr(Pρ)/tr(Π_sector ρ) of the full master equation.
     """
@@ -232,46 +240,7 @@ def _check_state(psi0: np.ndarray, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# deterministic evolutions
-# ---------------------------------------------------------------------------
-
-def evolve_unitary(h: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> TrajectoryResult:
-    """Closed-system evolution on the sample grid (no damping, no jumps)."""
-    mach = _build_machinery(h, (), grid)
-    psi = _check_state(psi0, mach.dim)
-    states = np.empty((grid.n_samples, mach.dim), dtype=np.complex128)
-    states[0] = psi
-    for s in range(1, grid.n_samples):
-        psi = mach.r_stride @ psi
-        states[s] = psi
-    return TrajectoryResult(times=grid.times, states=states, jumps=(), seed=0)
-
-
-def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
-                   grid: TimeGrid,
-                   observables: Optional[Mapping[str, np.ndarray]] = None,
-                   ) -> ConditionalBranch:
-    """Evolve the jump-free branch: decaying norm plus renormalized states."""
-    mach = _build_machinery(h, collapse, grid)
-    psi = _check_state(psi0, mach.dim)
-    obs = _coerce_observables(observables, mach.dim)
-    n = grid.n_samples
-    states = np.empty((n, mach.dim), dtype=np.complex128)
-    survival = np.empty(n, dtype=np.float64)
-    work = psi.copy()
-    for s in range(n):
-        if s:
-            work = mach.r_stride @ work
-        norm2 = np.vdot(work, work).real
-        survival[s] = norm2
-        states[s] = work / math.sqrt(norm2)
-    return ConditionalBranch(times=grid.times, states=states, survival=survival,
-                             observables={name: _batched_expectation(states, op)
-                                          for name, op in obs.items()})
-
-
-# ---------------------------------------------------------------------------
-# quantum trajectories
+# pure-state evolutions: jump-free branches and quantum trajectories
 # ---------------------------------------------------------------------------
 
 def _norm2(x: np.ndarray) -> float:
@@ -354,32 +323,47 @@ def _resolve_stride(mach: _Machinery, work: np.ndarray, r: float, t0: float,
     return work, r
 
 
-def _trajectory(mach: _Machinery, psi0: np.ndarray, grid: TimeGrid,
-                seed) -> tuple[np.ndarray, list]:
-    """Integrate one trajectory; returns the sampled states and the jumps.
+def _propagate(mach: _Machinery, psi0: np.ndarray, grid: TimeGrid,
+               seed=None) -> tuple[np.ndarray, np.ndarray, list]:
+    """Normalized sample rows, their squared norms before normalization, jumps.
 
-    Uniforms are drawn one at a time from the trajectory's own stream:
-    first the threshold, then per jump the channel and the next threshold.
-    The working state keeps its decaying norm between samples, because the
-    norm carries the waiting time; the stored rows are normalized.
+    With a seed and a collapse channel this is a trajectory: uniforms are
+    drawn one at a time from the seed's stream (the threshold, then per jump
+    the channel and the next threshold), and the decaying norm carries the
+    waiting time.  Otherwise it never jumps, and the state is rescaled below
+    ``_RESCALE_FLOOR`` with the factor carried in the norms, so rows stay finite.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    r = _threshold(rng)
+    jumping = seed is not None and len(mach.collapse) > 0
+    if jumping:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        r = _threshold(rng)
     jumps: list = []
+    rows = np.empty((grid.n_samples, mach.dim), dtype=np.complex128)
+    norms = np.empty(grid.n_samples, dtype=np.float64)
+    carried = 1.0
     work = psi0
-    states = np.empty((grid.n_samples, mach.dim), dtype=np.complex128)
-    states[0] = work * (1.0 / math.sqrt(_norm2(work)))
-    for s in range(1, grid.n_samples):
-        cand = mach.r_stride @ work
-        if _norm2(cand) > r:
-            work = cand
-        else:
-            # at least one jump inside this interval
-            work, r = _resolve_stride(mach, work, r,
-                                      grid.t_start + (s - 1) * grid.spacing,
-                                      grid, rng, jumps)
-        states[s] = work * (1.0 / math.sqrt(_norm2(work)))
-    return states, jumps
+    norm2 = _norm2(work)
+    for s in range(grid.n_samples):
+        if s:
+            cand = mach.r_stride @ work
+            norm2 = _norm2(cand)
+            if not jumping or norm2 > r:
+                work = cand
+            else:
+                # at least one jump inside this interval
+                work, r = _resolve_stride(mach, work, r,
+                                          grid.t_start + (s - 1) * grid.spacing,
+                                          grid, rng, jumps)
+                norm2 = _norm2(work)
+        if not norm2 > 0.0:
+            raise IntegratorError("the state's norm underflowed to 0 within one "
+                                  "sample interval; use a smaller sample spacing")
+        rows[s] = work * (1.0 / math.sqrt(norm2))
+        norms[s] = carried * norm2
+        if not jumping and norm2 < _RESCALE_FLOOR:
+            carried *= norm2
+            work = rows[s]
+    return rows, norms, jumps
 
 
 def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -392,10 +376,8 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and renormalized.
     Deterministic given (seed, grid, inputs).
     """
-    if len(collapse) == 0:
-        return replace(evolve_unitary(h, psi0, grid), seed=seed)
     mach = _build_machinery(h, collapse, grid)
-    states, jumps = _trajectory(mach, _check_state(psi0, mach.dim), grid, seed)
+    states, _, jumps = _propagate(mach, _check_state(psi0, mach.dim), grid, seed)
     return TrajectoryResult(times=grid.times, states=states, jumps=tuple(jumps),
                             seed=seed)
 
@@ -417,6 +399,23 @@ def _coerce_observables(observables: Optional[Mapping[str, np.ndarray]],
     return out
 
 
+def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
+                   grid: TimeGrid,
+                   observables: Optional[Mapping[str, np.ndarray]] = None,
+                   ) -> ConditionalBranch:
+    """Evolve the jump-free branch: decaying norm plus renormalized states.
+
+    With ``collapse = ()`` this is the closed-system evolution.
+    """
+    mach = _build_machinery(h, collapse, grid)
+    psi = _check_state(psi0, mach.dim)
+    obs = _coerce_observables(observables, mach.dim)
+    states, survival, _ = _propagate(mach, psi, grid)
+    return ConditionalBranch(times=grid.times, states=states, survival=survival,
+                             observables={name: _batched_expectation(states, op)
+                                          for name, op in obs.items()})
+
+
 def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
                   grid: TimeGrid, n_traj: int, master_seed: int,
                   observables=None, keep_rho: bool = False) -> EnsembleResult:
@@ -436,26 +435,16 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
             f"(> cap {RHO_MEMORY_CAP}); reduce n_samples or the model dimension")
     obs = _coerce_observables(observables, d)
 
-    if len(collapse) == 0:
-        # degenerate: every trajectory is the same deterministic unitary run
-        base = evolve_unitary(h, psi0, grid)
-        means = {name: _batched_expectation(base.states, op) for name, op in obs.items()}
-        stderr = {name: np.zeros(n) for name in obs}
-        rho_avg = None
-        if keep_rho:
-            rho_avg = np.einsum("ni,nj->nij", base.states, base.states.conj())
-        return EnsembleResult(times=grid.times, mean_observables=means, stderr=stderr,
-                              n_traj=n_traj, rho_avg=rho_avg, master_seed=master_seed)
-
     mach = _build_machinery(h, collapse, grid)
     psi = _check_state(psi0, mach.dim)
-    obs_t = [np.ascontiguousarray(op.T) for op in obs.values()]
-    rows = np.empty((n_traj, len(obs), n), dtype=np.float64)
+    # without a collapse channel every trajectory is the same jump-free run
+    n_runs = n_traj if len(mach.collapse) else 1
+    rows = np.empty((n_runs, len(obs), n), dtype=np.float64)
     rho_sum = np.zeros((n, d, d), dtype=np.complex128) if keep_rho else None
-    for idx in range(n_traj):
-        states, _ = _trajectory(mach, psi, grid, (master_seed, idx))
-        for o, op_t in enumerate(obs_t):
-            rows[idx, o] = np.einsum("ni,ni->n", states.conj(), states @ op_t).real
+    for idx in range(n_runs):
+        states, _, _ = _propagate(mach, psi, grid, (master_seed, idx))
+        for o, op in enumerate(obs.values()):
+            rows[idx, o] = _batched_expectation(states, op)
         if keep_rho:
             rho_sum += np.einsum("ni,nj->nij", states, states.conj())
 
@@ -464,11 +453,11 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     for o, name in enumerate(obs):
         sample = rows[:, o, :]
         means[name] = sample.mean(axis=0)
-        if n_traj > 1:
+        if n_runs > 1:
             stderr[name] = sample.std(axis=0, ddof=1) / math.sqrt(n_traj)
         else:
             stderr[name] = np.zeros(n)
-    rho_avg = rho_sum / n_traj if keep_rho else None
+    rho_avg = rho_sum / n_runs if keep_rho else None
     return EnsembleResult(times=grid.times, mean_observables=means, stderr=stderr,
                           n_traj=n_traj, rho_avg=rho_avg, master_seed=master_seed)
 

@@ -12,8 +12,7 @@ import pytest
 from jchsim.checks import run_suite
 from jchsim.config import CriticalitySweepConfig
 from jchsim.critical import classify_point, gamma_c_curve
-from jchsim.dynamics import (TimeGrid, evolve_unitary, lindblad_evolve,
-                             no_jump_branch)
+from jchsim.dynamics import TimeGrid, lindblad_evolve, no_jump_branch
 from jchsim.model import (ModelParams, build_reduced_model,
                           hopping_coefficients,
                           prepare_product_polariton_state)
@@ -66,12 +65,12 @@ def lossless_runs():
         psi0 = model.space.reduce_vector(
             prepare_product_polariton_state(("2-", "G"), params))
         grid = TimeGrid.with_spacing(1500.0, 0.25)
-        res = evolve_unitary(model.h, psi0, grid)
+        res = no_jump_branch(model.h, (), psi0, grid)
         pops = {name: projector_series(
                     res.states,
                     ProjectorSpec(preset=name).operator(params, model.space))
                 for name in ("P20", "P02", "P11")}
-        norms = np.linalg.norm(res.states, axis=1)
+        norms = np.sqrt(res.survival)
         runs[delta] = dict(params=params, grid=grid, pops=pops, norms=norms)
     return runs
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from jchsim.dynamics import (TimeGrid, _build_machinery, evolve_unitary,
-                             lindblad_evolve, mcwf_ensemble, mcwf_trajectory,
-                             no_jump_branch, superoperator)
-from jchsim.errors import ConfigError, NotHermitianError, SizeError
+from jchsim.dynamics import (TimeGrid, _build_machinery, lindblad_evolve,
+                             mcwf_ensemble, mcwf_trajectory, no_jump_branch,
+                             superoperator)
+from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
 from jchsim.model import (ModelParams, build_full_hamiltonian,
                           build_reduced_model, prepare_product_polariton_state,
                           site_operators, total_excitation_operator)
@@ -64,7 +64,7 @@ class TestUnitary:
         psi0 = np.zeros(params.dim, dtype=np.complex128)
         psi0[params.n_max + 1] = 1.0
         grid = TimeGrid(t_end=25.0, n_samples=251, dt=0.005)
-        res = evolve_unitary(h, psi0, grid)
+        res = no_jump_branch(h, (), psi0, grid)
         excited = site_operators(params.n_max).excited
         pop = np.einsum("ni,ij,nj->n", res.states.conj(), excited,
                         res.states).real
@@ -73,8 +73,8 @@ class TestUnitary:
     def test_norm_and_energy_conserved(self):
         params, model, psi0 = two_site_model(hop=0.03, gamma=0.0)
         grid = TimeGrid(t_end=200.0, n_samples=101, dt=0.005)
-        res = evolve_unitary(model.h, psi0, grid)
-        norms = np.linalg.norm(res.states, axis=1)
+        res = no_jump_branch(model.h, (), psi0, grid)
+        norms = np.sqrt(res.survival)
         assert np.abs(norms - 1.0).max() < 1e-10
         energy = np.einsum("ni,ij,nj->n", res.states.conj(), model.h,
                            res.states).real
@@ -84,13 +84,13 @@ class TestUnitary:
         params, model, psi0 = two_site_model(hop=0.03, gamma=0.0)
         grid = TimeGrid(t_end=100.0, n_samples=51, dt=0.005)
         fine = TimeGrid(t_end=100.0, n_samples=51, dt=0.0025)
-        a = evolve_unitary(model.h, psi0, grid).states
-        b = evolve_unitary(model.h, psi0, fine).states
+        a = no_jump_branch(model.h, (), psi0, grid).states
+        b = no_jump_branch(model.h, (), psi0, fine).states
         assert np.abs(a - b).max() < 1e-6
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
-            evolve_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]),
+            no_jump_branch(np.array([[0.0, 1.0], [0.0, 0.0]]), (),
                            np.array([1.0, 0.0], dtype=np.complex128),
                            TimeGrid(t_end=1.0, n_samples=3, dt=0.005))
 
@@ -155,9 +155,10 @@ class TestTrajectories:
     def test_zero_damping_equals_unitary_exactly(self):
         params, model, psi0 = two_site_model(hop=0.03, gamma=0.0)
         grid = TimeGrid(t_end=50.0, n_samples=26, dt=0.005)
-        uni = evolve_unitary(model.h, psi0, grid)
+        uni = no_jump_branch(model.h, (), psi0, grid)
         traj = mcwf_trajectory(model.h, model.collapse, psi0, grid, seed=4)
         # collapse list is empty at zero damping -> identical propagation
+        assert model.collapse == ()
         assert np.array_equal(uni.states, traj.states)
         assert traj.jumps == ()
 
@@ -232,6 +233,44 @@ class TestTrajectories:
         assert np.abs(branch.survival
                       - np.exp(-2.0 * gamma * grid.times)).max() < 1e-8
         assert np.abs(branch.observables["n"] - 2.0).max() < 1e-10
+
+    def test_conditional_branch_finite_after_survival_underflows(self):
+        # the survival e^(-2 gamma t) underflows to 0.0 from t = 1500 on;
+        # the conditional state is still |2>
+        gamma = 0.25
+        h, collapse, a = damped_mode(gamma=gamma)
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        grid = TimeGrid(t_end=2000.0, n_samples=41)
+        branch = no_jump_branch(h, collapse, psi0, grid,
+                                observables={"n": a.conj().T @ a})
+        assert np.abs(branch.observables["n"] - 2.0).max() < 1e-10
+        assert np.all(np.isfinite(branch.states))
+        assert branch.survival[-1] == 0.0
+        exact = np.exp(-2.0 * gamma * grid.times)
+        shown = exact > 1e-290
+        assert np.allclose(branch.survival[shown], exact[shown], rtol=1e-6, atol=0.0)
+
+    def test_underflow_within_one_interval_raises(self):
+        # e^(-2 gamma t) over one 1500-long sample interval is below the
+        # smallest double: an error, not a row of NaN
+        h, collapse, _ = damped_mode(gamma=0.25)
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        with pytest.raises(IntegratorError, match="underflowed"):
+            no_jump_branch(h, collapse, psi0, TimeGrid(t_end=3000.0, n_samples=3))
+
+    def test_lossless_ensemble_is_its_one_trajectory(self):
+        params, model, psi0 = two_site_model(hop=0.03, gamma=0.0)
+        grid = TimeGrid(t_end=50.0, n_samples=26, dt=0.005)
+        op = np.diag(np.arange(model.dim, dtype=np.float64))
+        ens = mcwf_ensemble(model.h, (), psi0, grid, n_traj=7, master_seed=1,
+                            observables={"x": op}, keep_rho=True)
+        branch = no_jump_branch(model.h, (), psi0, grid, observables={"x": op})
+        assert np.array_equal(ens.mean_observables["x"], branch.observables["x"])
+        assert not ens.stderr["x"].any()
+        assert np.array_equal(ens.rho_avg, np.einsum("ni,nj->nij", branch.states,
+                                                     branch.states.conj()))
 
     def test_observable_of_wrong_shape_named_by_both_evolutions(self):
         h, collapse, _ = damped_mode()

@@ -263,6 +263,13 @@ class TestScenarioConfig:
         bad = {**SCENARIO_MAPPING, "grid": grid}
         assert problems_of(scenario_from_mapping, bad) == [problem]
 
+    @pytest.mark.parametrize("sampling", [{"spacing": 2.0}, {"spacing": "auto"},
+                                          {"n_samples": 6}])
+    def test_reversed_span_names_t_end(self, sampling):
+        bad = {**SCENARIO_MAPPING, "grid": {"t_end": 1.0, "t_start": 10.0, **sampling}}
+        assert problems_of(scenario_from_mapping, bad) == [
+            "grid.t_end: must exceed t_start, got 1.0 <= 10.0"]
+
     def test_spacing_and_samples_mutually_exclusive(self):
         with pytest.raises(ConfigError):
             tiny_scenario(grid={"spacing": 2.0, "n_samples": 6, "t_end": 10.0})
@@ -350,6 +357,12 @@ class TestSweepConfig:
         problems = problems_of(sweep_from_mapping, {
             "sweep": {"j_values": [0.02, 0.04, 0.06]}, "grid": grid})
         assert problems == [problem]
+
+    def test_reversed_span_names_t_end(self):
+        problems = problems_of(sweep_from_mapping, {
+            "sweep": {"j_values": [0.02, 0.04, 0.06]},
+            "grid": {"t_end": 5.0, "t_start": 10.0}})
+        assert problems == ["grid.t_end: must exceed t_start, got 5.0 <= 10.0"]
 
     def test_every_value_checked_at_load(self):
         base = {"sweep": {"j_values": [0.02, 0.04, 0.06]}}
@@ -723,6 +736,12 @@ class TestValidationSuites:
         assert SUITE_NAMES == ("mapping", "analytic", "oracle")
         with pytest.raises(ConfigError):
             run_suite("everything")
+
+    @pytest.mark.parametrize("suite", ["mapping", "analytic"])
+    def test_fast_suites_reject_trajectory_overrides(self, suite):
+        with pytest.raises(ConfigError) as err:
+            run_suite(suite, n_traj=5, master_seed=3)
+        assert [p.split(":")[0] for p in err.value.problems] == ["n_traj", "master_seed"]
 
     @pytest.mark.parametrize("suite", ["mapping", "analytic"])
     def test_fast_suites_pass(self, suite):
