@@ -3,6 +3,19 @@
 The closed system, the jump-free branch and each quantum trajectory between
 its jumps all evolve under H − (i/2)ΣL†L, in ``_propagate``.
 
+That loop runs on blocks of the basis, read once from the nonzero patterns
+of H, the collapse operators and ψ0: the finest partition in which ψ0 lies
+in one block, H and every L†L couple states of one block only, and each L
+maps a whole block into a single block.  A trajectory therefore occupies
+exactly one block at every instant, and its strides, jumps and reductions
+run on that block alone; no full-size propagator is formed.  On the presets
+the blocks are the excitation sectors (H keeps the total excitation, each
+photon loss lowers it by one); a model without such structure is one
+block.  A block on which every L vanishes, such as the vacuum, is
+absorbing: nothing leaves it, so once the state enters one the per-sample
+jump test stops and the remaining samples are filled at once with powers
+of the block's stride propagator.
+
 All integrators share one numerical scheme: the classical fixed-step
 4th-order Runge-Kutta update, which for these linear time-invariant
 generators is exactly multiplication by the degree-4 Taylor polynomial
@@ -158,6 +171,9 @@ class EnsembleResult:
     n_traj: int
     rho_avg: Optional[np.ndarray]         # (n_samples, dim, dim) or None
     master_seed: int
+    jumps_per_channel: np.ndarray         # (n_traj, n_channels) int: jumps of each trajectory
+    absorbing_entry: np.ndarray           # (n_traj,) int: first sample in an absorbing block,
+                                          # n_samples if never
 
 
 @dataclass(frozen=True)
@@ -187,46 +203,103 @@ def _taylor4(m: np.ndarray) -> np.ndarray:
     return eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
 
 
+def _block_labels(h: np.ndarray, ops: list, psi0: np.ndarray) -> np.ndarray:
+    """Block of each basis state, labelled by the block's smallest state.
+
+    The blocks are the finest partition in which ψ0's support lies in one
+    block, H and every L†L couple states of one block only, and each L maps
+    a whole block into a single block.  Read off the nonzero patterns: each
+    state takes the smallest label among the states it is linked to, until
+    no label changes.
+    """
+    support = np.flatnonzero(psi0)
+    patterns = [np.nonzero(op) for op in ops]
+    fixed = [np.nonzero(h), (support[:-1], support[1:])]
+    for rows, cols in patterns:
+        # states sent onto one row are coupled by L†L; rows come sorted
+        same = rows[1:] == rows[:-1]
+        fixed.append((cols[1:][same], cols[:-1][same]))
+    labels = np.arange(len(psi0))
+    while True:
+        links = list(fixed)
+        for rows, cols in patterns:
+            # the images of one block must share a block
+            order = np.argsort(labels[cols], kind="stable")
+            src = labels[cols][order]
+            same = src[1:] == src[:-1]
+            links.append((rows[order][1:][same], rows[order][:-1][same]))
+        i, j = (np.concatenate(side) for side in zip(*links))
+        low = np.minimum(labels[i], labels[j])
+        new = labels.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+@dataclass(frozen=True)
+class _Block:
+    index: np.ndarray        # the block's basis states, ascending
+    gen: np.ndarray          # no-jump generator -i(H - cI) - (1/2) Σ L†L on the block
+    r_stride: np.ndarray     # propagator over one sample interval
+    r_pows: np.ndarray       # (p_max, k, k): dt-step propagator to powers 2^p
+    targets: tuple           # per channel: the block L maps this one into
+    jumps: tuple             # per channel: L from this block into its target
+    absorbing: bool          # every L vanishes on the block: nothing leaves it
+
+
 @dataclass(frozen=True)
 class _Machinery:
-    gen: np.ndarray          # no-jump generator -i(H - cI) - (1/2) Σ L†L
-    r_stride: np.ndarray     # propagator over one sample interval
-    r_pows: np.ndarray       # (p_max, d, d): dt-step propagator to powers 2^p
-    collapse: np.ndarray     # (n_chan, d, d)
-    center: float
+    blocks: tuple            # of _Block, ordered by their smallest state
+    start: int               # the block that holds psi0
+    psi0: np.ndarray         # psi0 on that block
+    n_chan: int
     dim: int
 
 
 def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
-                     grid: TimeGrid) -> _Machinery:
+                     psi0: np.ndarray, grid: TimeGrid) -> _Machinery:
     h = require_hermitian(as_complex_matrix(h))
     d = h.shape[0]
     ops = [as_complex_matrix(op) for op in collapse]
     for op in ops:
         if op.shape != (d, d):
             raise SizeError(f"collapse operator shape {op.shape} does not match dim {d}")
+    psi0 = _check_state(psi0, d)
+    owner = np.unique(_block_labels(h, ops, psi0), return_inverse=True)[1]
+    members = [np.flatnonzero(owner == b) for b in range(owner.max() + 1)]
     center = float(np.trace(h).real) / d
-    gen = -1j * (h - center * np.eye(d))
-    for op in ops:
-        gen = gen - 0.5 * (op.conj().T @ op)
-    gen = np.ascontiguousarray(gen, dtype=np.complex128)
-    r_dt = _taylor4(grid.dt * gen)
     n_fine = grid.n_fine
     n_pow = n_fine.bit_length()
-    r_pows = np.empty((n_pow, d, d), dtype=np.complex128)
-    r_pows[0] = r_dt
-    for p in range(1, n_pow):
-        r_pows[p] = r_pows[p - 1] @ r_pows[p - 1]
     # r_dt ** n_fine from the squarings, in matrix_power's order: the set bits of
     # n_fine, least significant first, except (r @ r) @ r for n_fine = 3
     bits = [p for p in range(n_pow) if n_fine >> p & 1]
-    r_stride = r_pows[1] @ r_pows[0] if n_fine == 3 else reduce(np.matmul, r_pows[bits])
-    stacked = (np.stack(ops) if ops
-               else np.zeros((0, d, d), dtype=np.complex128))
-    return _Machinery(gen=gen, r_stride=np.ascontiguousarray(r_stride),
-                      r_pows=np.ascontiguousarray(r_pows),
-                      collapse=np.ascontiguousarray(stacked),
-                      center=center, dim=d)
+    blocks = []
+    for b, idx in enumerate(members):
+        gen = -1j * (h[np.ix_(idx, idx)] - center * np.eye(len(idx)))
+        targets, jumps = [], []
+        for op in ops:
+            hit = np.flatnonzero(op[:, idx].any(axis=1))
+            target = owner[hit[0]] if len(hit) else b
+            jump = op[np.ix_(members[target], idx)]
+            gen = gen - 0.5 * (jump.conj().T @ jump)
+            targets.append(int(target))
+            jumps.append(np.ascontiguousarray(jump))
+        r_pows = np.empty((n_pow, len(idx), len(idx)), dtype=np.complex128)
+        r_pows[0] = _taylor4(grid.dt * gen)
+        for p in range(1, n_pow):
+            r_pows[p] = r_pows[p - 1] @ r_pows[p - 1]
+        r_stride = r_pows[1] @ r_pows[0] if n_fine == 3 else reduce(np.matmul, r_pows[bits])
+        blocks.append(_Block(index=idx, gen=np.ascontiguousarray(gen),
+                             r_stride=np.ascontiguousarray(r_stride), r_pows=r_pows,
+                             targets=tuple(targets), jumps=tuple(jumps),
+                             absorbing=not any(jump.any() for jump in jumps)))
+    start = int(owner[np.flatnonzero(psi0)[0]])
+    return _Machinery(blocks=tuple(blocks), start=start,
+                      psi0=np.ascontiguousarray(psi0[members[start]]),
+                      n_chan=len(ops), dim=d)
 
 
 def _check_state(psi0: np.ndarray, d: int) -> np.ndarray:
@@ -259,23 +332,25 @@ def _taylor_flow(powers: list, tau: float) -> np.ndarray:
     return psi + tau * (v1 + (tau / 2.0) * (v2 + (tau / 3.0) * (v3 + (tau / 4.0) * v4)))
 
 
-def _jumps_in_step(mach: _Machinery, work: np.ndarray, r: float, t0: float,
+def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
                    dt: float, rng: np.random.Generator, jumps: list):
     """Apply every jump inside the elementary step that starts at ``t0``.
 
     Each threshold crossing is bisected on the degree-4 polynomial flow of
     the step, which is what the fixed-step integrator applies.  Returns the
-    state at the end of the step and the pending threshold.
+    state at the end of the step, the pending threshold and the block the
+    state then occupies.
     """
     t_in_step = 0.0
     while True:
+        blk = mach.blocks[b]
         frac = dt - t_in_step
         powers = [work]
         for _ in range(4):
-            powers.append(mach.gen @ powers[-1])
+            powers.append(blk.gen @ powers[-1])
         end = _taylor_flow(powers, frac)
         if _norm2(end) > r:
-            return end, r
+            return end, r, b
         lo, hi = 0.0, frac
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
@@ -285,24 +360,26 @@ def _jumps_in_step(mach: _Machinery, work: np.ndarray, r: float, t0: float,
                 hi = mid
         tau = 0.5 * (lo + hi)
         # channel c with probability ||L_c phi||^2 / sum_k ||L_k phi||^2
-        jumped = mach.collapse @ _taylor_flow(powers, tau)
+        phi = _taylor_flow(powers, tau)
+        jumped = [jump @ phi for jump in blk.jumps]
         acc = np.cumsum([_norm2(v) for v in jumped])
         chan = min(int(np.searchsorted(acc, rng.random() * acc[-1], side="right")),
                    len(acc) - 1)
         work = jumped[chan] * (1.0 / math.sqrt(_norm2(jumped[chan])))
+        b = blk.targets[chan]
         jumps.append((t0 + t_in_step + tau, chan))
         r = _threshold(rng)
         t_in_step += tau
 
 
-def _resolve_stride(mach: _Machinery, work: np.ndarray, r: float, t0: float,
+def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
                     grid: TimeGrid, rng: np.random.Generator, jumps: list):
     """Redo the sample interval starting at ``t0`` in elementary steps.
 
     Advances by the largest dyadic block of steps whose end stays above the
     threshold; when a single step crosses it, the jumps are resolved inside
-    that step.  Returns the state at the end of the interval and the
-    pending threshold.
+    that step.  Returns the state at the end of the interval, the pending
+    threshold and the block the state then occupies.
     """
     n_fine = grid.n_fine
     done = 0
@@ -310,60 +387,102 @@ def _resolve_stride(mach: _Machinery, work: np.ndarray, r: float, t0: float,
         if _norm2(work) < _NORM_UNDERFLOW:
             raise IntegratorError(
                 "state norm fell below 1e-14 before the jump threshold was reached")
+        r_pows = mach.blocks[b].r_pows
         for p in range((n_fine - done).bit_length() - 1, -1, -1):
-            trial = mach.r_pows[p] @ work
+            trial = r_pows[p] @ work
             if _norm2(trial) > r:
                 work = trial
                 done += 1 << p
                 break
         else:
-            work, r = _jumps_in_step(mach, work, r, t0 + done * grid.dt, grid.dt,
-                                     rng, jumps)
+            work, r, b = _jumps_in_step(mach, b, work, r, t0 + done * grid.dt, grid.dt,
+                                        rng, jumps)
             done += 1
-    return work, r
+    return work, r, b
 
 
-def _propagate(mach: _Machinery, psi0: np.ndarray, grid: TimeGrid,
-               seed=None) -> tuple[np.ndarray, np.ndarray, list]:
-    """Normalized sample rows, their squared norms before normalization, jumps.
+def _stride_powers(r_stride: np.ndarray, psi: np.ndarray, m: int) -> np.ndarray:
+    """Rows R⁰ψ, R¹ψ, …, R^(m-1)ψ, doubling the columns with each squaring of R."""
+    cols = psi[:, None]
+    power = r_stride
+    while cols.shape[1] < m:
+        cols = np.hstack([cols, power @ cols[:, :m - cols.shape[1]]])
+        power = power @ power
+    return cols.T
 
-    With a seed and a collapse channel this is a trajectory: uniforms are
-    drawn one at a time from the seed's stream (the threshold, then per jump
-    the channel and the next threshold), and the decaying norm carries the
-    waiting time.  Otherwise it never jumps, and the state is rescaled below
-    ``_RESCALE_FLOOR`` with the factor carried in the norms, so rows stay finite.
+
+def _propagate(mach: _Machinery, grid: TimeGrid, seed=None):
+    """Normalized sample rows by block, their squared norms before
+    normalization, the jumps, and the first sample in an absorbing block.
+
+    The rows come as runs ``(block, first sample, rows)``: consecutive samples
+    in one block, each row the state on that block.  With a seed and a
+    collapse channel this is a trajectory: uniforms are drawn one at a time
+    from the seed's stream (the threshold, then per jump the channel and the
+    next threshold), and the decaying norm carries the waiting time.
+    Otherwise it never jumps, and the state is rescaled below
+    ``_RESCALE_FLOOR`` with the factor carried in the norms, so rows stay
+    finite.  Once the state is in an absorbing block (``n_samples`` if
+    never), the remaining rows are the powers of that block's stride
+    propagator, filled at once.
     """
-    jumping = seed is not None and len(mach.collapse) > 0
+    jumping = seed is not None and mach.n_chan > 0
     if jumping:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         r = _threshold(rng)
+    n = grid.n_samples
     jumps: list = []
-    rows = np.empty((grid.n_samples, mach.dim), dtype=np.complex128)
-    norms = np.empty(grid.n_samples, dtype=np.float64)
+    runs: list = []
+    norms = np.empty(n, dtype=np.float64)
     carried = 1.0
-    work = psi0
+    b, work = mach.start, mach.psi0
     norm2 = _norm2(work)
-    for s in range(grid.n_samples):
+    absorbed = n
+    for s in range(n):
         if s:
-            cand = mach.r_stride @ work
+            cand = mach.blocks[b].r_stride @ work
             norm2 = _norm2(cand)
             if not jumping or norm2 > r:
                 work = cand
             else:
                 # at least one jump inside this interval
-                work, r = _resolve_stride(mach, work, r,
-                                          grid.t_start + (s - 1) * grid.spacing,
-                                          grid, rng, jumps)
+                work, r, b = _resolve_stride(mach, b, work, r,
+                                             grid.t_start + (s - 1) * grid.spacing,
+                                             grid, rng, jumps)
                 norm2 = _norm2(work)
+        if not runs or runs[-1][0] != b:
+            runs.append((b, s, np.empty((n - s, len(work)), dtype=np.complex128)))
+        _, first, rows = runs[-1]
+        if mach.blocks[b].absorbing:
+            absorbed = s
+            tail = _stride_powers(mach.blocks[b].r_stride, work, n - s)
+            tail_norm2 = np.einsum("ni,ni->n", tail.conj(), tail).real
+            if not tail_norm2.min() > _RESCALE_FLOOR:
+                raise IntegratorError(
+                    f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
+                    f"dt = {grid.dt} is too coarse for the spectrum of H")
+            rows[s - first:] = tail * (1.0 / np.sqrt(tail_norm2))[:, None]
+            norms[s:] = carried * tail_norm2
+            break
         if not norm2 > 0.0:
             raise IntegratorError("the state's norm underflowed to 0 within one "
                                   "sample interval; use a smaller sample spacing")
-        rows[s] = work * (1.0 / math.sqrt(norm2))
+        rows[s - first] = work * (1.0 / math.sqrt(norm2))
         norms[s] = carried * norm2
         if not jumping and norm2 < _RESCALE_FLOOR:
             carried *= norm2
-            work = rows[s]
-    return rows, norms, jumps
+            work = rows[s - first]
+    ends = [first for _, first, _ in runs[1:]] + [n]
+    runs = [(b, first, rows[:end - first]) for (b, first, rows), end in zip(runs, ends)]
+    return runs, norms, jumps, absorbed
+
+
+def _dense_rows(mach: _Machinery, runs: list, n: int) -> np.ndarray:
+    """The runs' rows as ``(n, dim)`` states, zero outside each block."""
+    out = np.zeros((n, mach.dim), dtype=np.complex128)
+    for b, first, rows in runs:
+        out[first:first + len(rows), mach.blocks[b].index] = rows
+    return out
 
 
 def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -376,10 +495,11 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and renormalized.
     Deterministic given (seed, grid, inputs).
     """
-    mach = _build_machinery(h, collapse, grid)
-    states, _, jumps = _propagate(mach, _check_state(psi0, mach.dim), grid, seed)
-    return TrajectoryResult(times=grid.times, states=states, jumps=tuple(jumps),
-                            seed=seed)
+    mach = _build_machinery(h, collapse, psi0, grid)
+    runs, _, jumps, _ = _propagate(mach, grid, seed)
+    return TrajectoryResult(times=grid.times,
+                            states=_dense_rows(mach, runs, grid.n_samples),
+                            jumps=tuple(jumps), seed=seed)
 
 
 def _batched_expectation(states: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -399,6 +519,20 @@ def _coerce_observables(observables: Optional[Mapping[str, np.ndarray]],
     return out
 
 
+def _block_observables(mach: _Machinery, obs: dict) -> list:
+    """Each observable restricted to each block: ``[block][observable]``."""
+    return [[op[np.ix_(blk.index, blk.index)] for op in obs.values()]
+            for blk in mach.blocks]
+
+
+def _reduce(runs: list, block_obs: list, out: np.ndarray) -> np.ndarray:
+    """``out[o, s]`` = <ψ_s|P_o|ψ_s>, each sample reduced on its block."""
+    for b, first, rows in runs:
+        for o, op in enumerate(block_obs[b]):
+            out[o, first:first + len(rows)] = _batched_expectation(rows, op)
+    return out
+
+
 def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
                    grid: TimeGrid,
                    observables: Optional[Mapping[str, np.ndarray]] = None,
@@ -407,13 +541,14 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
 
     With ``collapse = ()`` this is the closed-system evolution.
     """
-    mach = _build_machinery(h, collapse, grid)
-    psi = _check_state(psi0, mach.dim)
+    mach = _build_machinery(h, collapse, psi0, grid)
     obs = _coerce_observables(observables, mach.dim)
-    states, survival, _ = _propagate(mach, psi, grid)
-    return ConditionalBranch(times=grid.times, states=states, survival=survival,
-                             observables={name: _batched_expectation(states, op)
-                                          for name, op in obs.items()})
+    runs, survival, _, _ = _propagate(mach, grid)
+    values = _reduce(runs, _block_observables(mach, obs),
+                     np.empty((len(obs), grid.n_samples)))
+    return ConditionalBranch(times=grid.times,
+                             states=_dense_rows(mach, runs, grid.n_samples),
+                             survival=survival, observables=dict(zip(obs, values)))
 
 
 def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
@@ -435,18 +570,24 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
             f"(> cap {RHO_MEMORY_CAP}); reduce n_samples or the model dimension")
     obs = _coerce_observables(observables, d)
 
-    mach = _build_machinery(h, collapse, grid)
-    psi = _check_state(psi0, mach.dim)
+    mach = _build_machinery(h, collapse, psi0, grid)
+    block_obs = _block_observables(mach, obs)
     # without a collapse channel every trajectory is the same jump-free run
-    n_runs = n_traj if len(mach.collapse) else 1
+    n_runs = n_traj if mach.n_chan else 1
     rows = np.empty((n_runs, len(obs), n), dtype=np.float64)
-    rho_sum = np.zeros((n, d, d), dtype=np.complex128) if keep_rho else None
+    counts = np.zeros((n_runs, mach.n_chan), dtype=np.int64)
+    absorbed = np.empty(n_runs, dtype=np.int64)
+    # ρ̄ is block-diagonal: accumulate each block's stack, embed it once at the end
+    rho_sums = [np.zeros((n, len(blk.index), len(blk.index)), dtype=np.complex128)
+                for blk in mach.blocks] if keep_rho else None
     for idx in range(n_runs):
-        states, _, _ = _propagate(mach, psi, grid, (master_seed, idx))
-        for o, op in enumerate(obs.values()):
-            rows[idx, o] = _batched_expectation(states, op)
+        runs, _, jumps, absorbed[idx] = _propagate(mach, grid, (master_seed, idx))
+        _reduce(runs, block_obs, rows[idx])
+        counts[idx] = np.bincount([chan for _, chan in jumps], minlength=mach.n_chan)
         if keep_rho:
-            rho_sum += np.einsum("ni,nj->nij", states, states.conj())
+            for b, first, states in runs:
+                rho_sums[b][first:first + len(states)] += np.einsum(
+                    "ni,nj->nij", states, states.conj())
 
     means = {}
     stderr = {}
@@ -457,9 +598,16 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
             stderr[name] = sample.std(axis=0, ddof=1) / math.sqrt(n_traj)
         else:
             stderr[name] = np.zeros(n)
-    rho_avg = rho_sum / n_runs if keep_rho else None
+    rho_avg = None
+    if keep_rho:
+        rho_avg = np.zeros((n, d, d), dtype=np.complex128)
+        for blk, rho_sum in zip(mach.blocks, rho_sums):
+            rho_avg[:, blk.index[:, None], blk.index] = rho_sum / n_runs
+    copies = n_traj // n_runs
     return EnsembleResult(times=grid.times, mean_observables=means, stderr=stderr,
-                          n_traj=n_traj, rho_avg=rho_avg, master_seed=master_seed)
+                          n_traj=n_traj, rho_avg=rho_avg, master_seed=master_seed,
+                          jumps_per_channel=np.repeat(counts, copies, axis=0),
+                          absorbing_entry=np.repeat(absorbed, copies))
 
 
 # ---------------------------------------------------------------------------

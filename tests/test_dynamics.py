@@ -13,6 +13,7 @@ from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeE
 from jchsim.model import (ModelParams, build_full_hamiltonian,
                           build_reduced_model, prepare_product_polariton_state,
                           site_operators, total_excitation_operator)
+from jchsim.presets import load_preset
 
 from conftest import two_site_model
 
@@ -21,6 +22,100 @@ def damped_mode(dim=4, gamma=0.25):
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(np.complex128)
     h = np.zeros((dim, dim), dtype=np.complex128)
     return h, [np.sqrt(gamma) * a], a
+
+
+def dark_block_model(gamma=0.3):
+    """|e> decays into {|g1>, |g2>}, which H mixes and no channel leaves."""
+    h = np.array([[1.0, 0.0, 0.0], [0.0, 0.2, 0.7], [0.0, 0.7, -0.4]],
+                 dtype=np.complex128)
+    lower = np.zeros((3, 3), dtype=np.complex128)
+    lower[1, 0] = np.sqrt(gamma)
+    psi0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+    return h, [lower], psi0
+
+
+def preset_problem(name):
+    """Model, initial state and grid of a scenario preset."""
+    config = load_preset(name).scenarios[0]
+    model = build_reduced_model(config.model, max_exc=config.max_excitation)
+    psi0 = model.space.reduce_vector(
+        prepare_product_polariton_state(config.initial, config.model))
+    return config, model, psi0
+
+
+def dense_reference_trajectory(h, collapse, psi0, grid, seed):
+    """The waiting-time trajectory on the full space, written out plainly.
+
+    Full d x d propagators, one sample interval at a time; a crossing is
+    redone in dyadic blocks of dt steps and bisected inside its step; same
+    draws, same shift c = tr(H)/d.  Returns the normalized rows and the jumps.
+    """
+    d = len(psi0)
+    gen = -1j * (h - np.trace(h).real / d * np.eye(d))
+    for op in collapse:
+        gen = gen - 0.5 * (op.conj().T @ op)
+    eye = np.eye(d)
+    m = grid.dt * gen
+    r_dt = eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
+    pows = [r_dt]
+    while len(pows) < grid.n_fine.bit_length():
+        pows.append(pows[-1] @ pows[-1])
+    r_stride = np.linalg.matrix_power(r_dt, grid.n_fine)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def norm2(v):
+        return np.vdot(v, v).real
+
+    def threshold():
+        r = rng.random()
+        return r if r > 0.0 else 1e-300
+
+    def flow(ps, tau):
+        return ps[0] + tau * (ps[1] + (tau / 2.0) * (ps[2] + (tau / 3.0) * (
+            ps[3] + (tau / 4.0) * ps[4])))
+
+    r = threshold()
+    work = psi0
+    rows = [work / np.sqrt(norm2(work))]
+    jumps = []
+    for s in range(1, grid.n_samples):
+        cand = r_stride @ work
+        if norm2(cand) > r:
+            work = cand
+        else:
+            done = 0
+            while done < grid.n_fine:
+                for p in range((grid.n_fine - done).bit_length() - 1, -1, -1):
+                    if norm2(pows[p] @ work) > r:
+                        work = pows[p] @ work
+                        done += 1 << p
+                        break
+                else:
+                    t0 = grid.t_start + (s - 1) * grid.spacing + done * grid.dt
+                    t_in = 0.0
+                    while True:
+                        ps = [work]
+                        for _ in range(4):
+                            ps.append(gen @ ps[-1])
+                        if norm2(flow(ps, grid.dt - t_in)) > r:
+                            work = flow(ps, grid.dt - t_in)
+                            break
+                        lo, hi = 0.0, grid.dt - t_in
+                        while hi - lo > 1e-10:
+                            mid = 0.5 * (lo + hi)
+                            lo, hi = (mid, hi) if norm2(flow(ps, mid)) > r else (lo, mid)
+                        tau = 0.5 * (lo + hi)
+                        jumped = [op @ flow(ps, tau) for op in collapse]
+                        acc = np.cumsum([norm2(v) for v in jumped])
+                        chan = min(int(np.searchsorted(acc, rng.random() * acc[-1],
+                                                       side="right")), len(acc) - 1)
+                        work = jumped[chan] / np.sqrt(norm2(jumped[chan]))
+                        jumps.append((t0 + t_in + tau, chan))
+                        r = threshold()
+                        t_in += tau
+                    done += 1
+        rows.append(work / np.sqrt(norm2(work)))
+    return np.array(rows), jumps
 
 
 class TestTimeGrid:
@@ -98,12 +193,94 @@ class TestUnitary:
 class TestPropagator:
     @pytest.mark.parametrize("n_fine", [1, 2, 3, 7, 8, 13])
     def test_stride_equals_matrix_power_bitwise(self, n_fine):
-        _, model, _ = two_site_model(hop=0.05, gamma=0.1, delta=0.3)
+        _, model, psi0 = two_site_model(hop=0.05, gamma=0.1, delta=0.3)
         grid = TimeGrid(t_end=2 * n_fine * 0.005, n_samples=3, dt=0.005)
         assert grid.n_fine == n_fine
-        mach = _build_machinery(model.h, model.collapse, grid)
-        power = np.linalg.matrix_power(mach.r_pows[0], n_fine)
-        assert mach.r_stride.tobytes() == power.tobytes()
+        mach = _build_machinery(model.h, model.collapse, psi0, grid)
+        assert len(mach.blocks) == 3
+        for blk in mach.blocks:
+            power = np.linalg.matrix_power(blk.r_pows[0], n_fine)
+            assert blk.r_stride.tobytes() == power.tobytes()
+
+
+def _two_sector_state():
+    params, model, pair = two_site_model(hop=0.03, gamma=0.05)
+    single = model.space.reduce_vector(prepare_product_polariton_state(("1-", "G"), params))
+    return model.h, model.collapse, (pair + single) / np.sqrt(2.0)
+
+
+def _mixing_channel():
+    # one dense channel couples every state to every other: a single block
+    _, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
+    rng = np.random.default_rng(11)
+    mix = rng.normal(size=(model.dim,) * 2) + 1j * rng.normal(size=(model.dim,) * 2)
+    return model.h, [0.05 * mix / np.sqrt(model.dim)], psi0
+
+
+def _pair(delta=0.0):
+    _, model, psi0 = two_site_model(hop=0.03, gamma=0.05, delta=delta)
+    return model.h, model.collapse, psi0
+
+
+REFERENCE_CASES = {
+    "fig2": _pair,
+    "detuned": lambda: _pair(delta=0.5),     # tr(H) != 0: the vacuum turns by a phase
+    "two_sectors": _two_sector_state,
+    "dark_block": dark_block_model,
+    "mixing_channel": _mixing_channel,
+}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("name", ["fig2", "n3", "n4"])
+    def test_blocks_are_the_excitation_sectors(self, name):
+        config, model, psi0 = preset_problem(name)
+        mach = _build_machinery(model.h, model.collapse, psi0, config.grid)
+        sectors = [np.flatnonzero(model.n_tot == k) for k in range(config.max_excitation + 1)]
+        assert [blk.index.tolist() for blk in mach.blocks] == [s.tolist() for s in sectors]
+        assert mach.start == config.max_excitation
+        assert [blk.absorbing for blk in mach.blocks] == [True] + [False] * config.max_excitation
+        # every loss channel lowers the excitation by one
+        for k, blk in enumerate(mach.blocks[1:], start=1):
+            assert blk.targets == (k - 1,) * len(model.collapse)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_trajectories_match_dense_reference(self, case):
+        h, collapse, psi0 = REFERENCE_CASES[case]()
+        h, psi0 = np.asarray(h), np.asarray(psi0, dtype=np.complex128)
+        grid = TimeGrid(t_end=300.0, n_samples=301, dt=0.005)
+        n_blocks = len(_build_machinery(h, collapse, psi0, grid).blocks)
+        assert n_blocks == {"fig2": 3, "detuned": 3, "two_sectors": 1,
+                            "dark_block": 2, "mixing_channel": 1}[case]
+        n_jumps = 0
+        for seed in range(6):
+            traj = mcwf_trajectory(h, collapse, psi0, grid, seed=(7, seed))
+            rows, jumps = dense_reference_trajectory(h, collapse, psi0, grid, (7, seed))
+            assert [c for _, c in traj.jumps] == [c for _, c in jumps]
+            assert np.abs(np.subtract(traj.jumps, jumps)).max(initial=0.0) < 1e-10
+            assert np.abs(traj.states - rows).max() < 1e-12
+            n_jumps += len(jumps)
+        assert n_jumps > 0
+
+    @pytest.mark.parametrize("name", ["fig2", "n3", "n4"])
+    def test_every_trajectory_ends_in_the_vacuum_after_n0_jumps(self, name):
+        config, model, psi0 = preset_problem(name)
+        n0, grid = config.max_excitation, config.grid
+        ens = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=3,
+                            master_seed=config.master_seed)
+        vacuum = np.flatnonzero(model.n_tot == 0)
+        assert ens.jumps_per_channel.shape == (3, len(model.collapse))
+        for j in range(3):
+            traj = mcwf_trajectory(model.h, model.collapse, psi0, grid,
+                                   (config.master_seed, j))
+            assert len(traj.jumps) == n0
+            assert ens.jumps_per_channel[j].tolist() == np.bincount(
+                [c for _, c in traj.jumps], minlength=len(model.collapse)).tolist()
+            entry = ens.absorbing_entry[j]
+            assert grid.times[entry - 1] < traj.jumps[-1][0] <= grid.times[entry]
+            tail = traj.states[entry:]
+            assert np.abs(np.abs(tail[:, vacuum]) - 1.0).max() < 1e-12
+            assert not np.delete(tail, vacuum, axis=1).any()
 
 
 class TestLindblad:
@@ -260,6 +437,15 @@ class TestTrajectories:
         with pytest.raises(IntegratorError, match="underflowed"):
             no_jump_branch(h, collapse, psi0, TimeGrid(t_end=3000.0, n_samples=3))
 
+    def test_norm_loss_where_no_channel_acts_raises(self):
+        # |R|^2 = 1 - 1/72 + 1/576 per step at |dt (H - c)| = 1: no channel acts
+        # on |1>, so its rows come from powers of R, which underflow by t = 300
+        h = np.diag([0.0, 200.0]).astype(np.complex128)
+        psi0 = np.array([0.0, 1.0], dtype=np.complex128)
+        grid = TimeGrid(t_end=1000.0, n_samples=11, dt=0.01)
+        with pytest.raises(IntegratorError, match="too coarse"):
+            no_jump_branch(h, (), psi0, grid)
+
     def test_lossless_ensemble_is_its_one_trajectory(self):
         params, model, psi0 = two_site_model(hop=0.03, gamma=0.0)
         grid = TimeGrid(t_end=50.0, n_samples=26, dt=0.005)
@@ -271,6 +457,9 @@ class TestTrajectories:
         assert not ens.stderr["x"].any()
         assert np.array_equal(ens.rho_avg, np.einsum("ni,nj->nij", branch.states,
                                                      branch.states.conj()))
+        # no channel acts anywhere: every block absorbs from the first sample
+        assert ens.jumps_per_channel.shape == (7, 0)
+        assert ens.absorbing_entry.tolist() == [0] * 7
 
     def test_observable_of_wrong_shape_named_by_both_evolutions(self):
         h, collapse, _ = damped_mode()
