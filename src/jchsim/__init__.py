@@ -20,7 +20,7 @@ from .model import (HoppingCoefficients, ModelParams, PolaritonLabel, ReducedMod
                     transform_to_dressed_basis)
 from .dynamics import (BACKEND, ConditionalBranch, EnsembleResult, TimeGrid,
                        TrajectoryResult, lindblad_evolve, mcwf_ensemble,
-                       mcwf_trajectory, no_jump_branch, superoperator)
+                       mcwf_trajectory, no_jump_branch)
 from .observables import (PROJECTOR_PRESETS, PeakClassification, PeakReport,
                           ProjectorSpec, blockade_beat_period, classify_series,
                           find_peaks, negativity, negativity_series,

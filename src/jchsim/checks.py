@@ -215,8 +215,7 @@ def _oracle_items(**overrides) -> list:
                    f"{config.n_traj} trajectories"))
 
     dims = TensorDims((params.site_dim, params.site_dim))
-    full_exact = np.stack([model.space.embed_density(r) for r in rhos])
-    neg_exact = negativity_series(full_exact, dims)
+    neg_exact = negativity_series(model.space.embed_density(rhos), dims)
     dev = float(np.abs(run.columns["negativity"] - neg_exact).max())
     items.append(CheckItem(
         name="trajectory-averaged negativity vs master equation",

@@ -109,9 +109,8 @@ def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float) -> 
     rhos = lindblad_evolve(model.h, model.collapse, np.outer(psi0, psi0.conj()), grid)
     pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
 
-    full_stack = np.stack([model.space.embed_density(r) for r in rhos])
     dims = TensorDims((params.site_dim, params.site_dim))
-    neg = negativity_series(full_stack, dims)
+    neg = negativity_series(model.space.embed_density(rhos), dims)
     report = classify_series(
         neg, grid.times,
         prominence_threshold=config.prominence_threshold,

@@ -16,6 +16,12 @@ absorbing: nothing leaves it, so once the state enters one the per-sample
 jump test stops and the remaining samples are filled at once with powers
 of the block's stride propagator.
 
+The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
+ρ0's support in one block.  ρ then stays block-diagonal, so only the
+entries (i, j) inside one block are propagated: a superoperator of
+(Σ_b k_b²)² entries for blocks of k_b states, not d⁴.  On the two-site
+presets (blocks of 1, 4 and 8 states) that is 81² instead of 169².
+
 All integrators share one numerical scheme: the classical fixed-step
 4th-order Runge-Kutta update, which for these linear time-invariant
 generators is exactly multiplication by the degree-4 Taylor polynomial
@@ -23,11 +29,12 @@ R(dt·A) = Σ_{k≤4} (dt·A)^k / k!.  R is computed once per run and applied
 per step; whole sample intervals use matrix powers of R, so the scheme,
 its order, and its roundoff behaviour are identical everywhere.
 
-Propagators are built from H − c·I with c = tr(H)/dim.  The shift is a
-global phase on pure states (populations, norms, jump statistics and
-entanglement are unchanged; returned state phases differ by e^{−ict})
-and cancels identically in the density-matrix commutator; it halves the
-spectral radius seen by the fixed-step scheme.
+Pure-state propagators are built from H − c·I with c = tr(H)/dim.  The
+shift is a global phase on pure states (populations, norms, jump
+statistics and entanglement are unchanged; returned state phases differ
+by e^{−ict}); it halves the spectral radius seen by the fixed-step scheme.
+It cancels identically in the density-matrix commutator, so the oracle
+uses H itself.
 """
 from __future__ import annotations
 
@@ -45,13 +52,13 @@ __all__ = [
     "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT", "LINDBLAD_DIM_CAP", "RHO_MEMORY_CAP",
     "TimeGrid", "TrajectoryResult", "EnsembleResult", "ConditionalBranch",
     "mcwf_trajectory", "mcwf_ensemble", "no_jump_branch",
-    "lindblad_evolve", "superoperator",
+    "lindblad_evolve",
 ]
 
 BACKEND = "numpy"              # the trajectory kernel, echoed in sidecars
 DEFAULT_DT = 0.005
 DEFAULT_MAX_DT = 0.01
-LINDBLAD_DIM_CAP = 64          # dense superoperator: (d^2)^2 entries
+LINDBLAD_DIM_CAP = 64          # dim of ρ; the superoperator on its blocks has (Σ k_b²)² entries
 RHO_MEMORY_CAP = 256 * 2**20   # bytes allowed for an averaged-density stack
 _BISECT_TOL = 1e-10
 _UNIT_NORM_ATOL = 1e-8
@@ -203,23 +210,22 @@ def _taylor4(m: np.ndarray) -> np.ndarray:
     return eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
 
 
-def _block_labels(h: np.ndarray, ops: list, psi0: np.ndarray) -> np.ndarray:
+def _block_labels(h: np.ndarray, ops: list, support: np.ndarray) -> np.ndarray:
     """Block of each basis state, labelled by the block's smallest state.
 
-    The blocks are the finest partition in which ψ0's support lies in one
-    block, H and every L†L couple states of one block only, and each L maps
-    a whole block into a single block.  Read off the nonzero patterns: each
-    state takes the smallest label among the states it is linked to, until
-    no label changes.
+    The blocks are the finest partition in which the ``support`` states lie
+    in one block, H and every L†L couple states of one block only, and each
+    L maps a whole block into a single block.  Read off the nonzero
+    patterns: each state takes the smallest label among the states it is
+    linked to, until no label changes.
     """
-    support = np.flatnonzero(psi0)
     patterns = [np.nonzero(op) for op in ops]
     fixed = [np.nonzero(h), (support[:-1], support[1:])]
     for rows, cols in patterns:
         # states sent onto one row are coupled by L†L; rows come sorted
         same = rows[1:] == rows[:-1]
         fixed.append((cols[1:][same], cols[:-1][same]))
-    labels = np.arange(len(psi0))
+    labels = np.arange(h.shape[0])
     while True:
         links = list(fixed)
         for rows, cols in patterns:
@@ -240,13 +246,44 @@ def _block_labels(h: np.ndarray, ops: list, psi0: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Block:
+class _Part:
+    """One block of the partition: its states, generator and jump maps."""
+
     index: np.ndarray        # the block's basis states, ascending
     gen: np.ndarray          # no-jump generator -i(H - cI) - (1/2) Σ L†L on the block
-    r_stride: np.ndarray     # propagator over one sample interval
-    r_pows: np.ndarray       # (p_max, k, k): dt-step propagator to powers 2^p
     targets: tuple           # per channel: the block L maps this one into
     jumps: tuple             # per channel: L from this block into its target
+
+
+def _partition(h: np.ndarray, ops: list, support: np.ndarray,
+               center: float) -> tuple:
+    """The blocks of ``_block_labels`` with each block's generator and jump maps.
+
+    Returns the block of each basis state and one ``_Part`` per block,
+    ordered by the block's smallest state.
+    """
+    owner = np.unique(_block_labels(h, ops, support), return_inverse=True)[1]
+    members = [np.flatnonzero(owner == b) for b in range(owner.max() + 1)]
+    parts = []
+    for b, idx in enumerate(members):
+        gen = -1j * (h[np.ix_(idx, idx)] - center * np.eye(len(idx)))
+        targets, jumps = [], []
+        for op in ops:
+            hit = np.flatnonzero(op[:, idx].any(axis=1))
+            target = owner[hit[0]] if len(hit) else b
+            jump = op[np.ix_(members[target], idx)]
+            gen = gen - 0.5 * (jump.conj().T @ jump)
+            targets.append(int(target))
+            jumps.append(np.ascontiguousarray(jump))
+        parts.append(_Part(index=idx, gen=np.ascontiguousarray(gen),
+                           targets=tuple(targets), jumps=tuple(jumps)))
+    return owner, parts
+
+
+@dataclass(frozen=True)
+class _Block(_Part):
+    r_stride: np.ndarray     # propagator over one sample interval
+    r_pows: np.ndarray       # (p_max, k, k): dt-step propagator to powers 2^p
     absorbing: bool          # every L vanishes on the block: nothing leaves it
 
 
@@ -259,46 +296,42 @@ class _Machinery:
     dim: int
 
 
-def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
-                     psi0: np.ndarray, grid: TimeGrid) -> _Machinery:
-    h = require_hermitian(as_complex_matrix(h))
-    d = h.shape[0]
+def _check_ops(collapse: Sequence[np.ndarray], d: int) -> list:
     ops = [as_complex_matrix(op) for op in collapse]
     for op in ops:
         if op.shape != (d, d):
             raise SizeError(f"collapse operator shape {op.shape} does not match dim {d}")
+    return ops
+
+
+def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
+                     psi0: np.ndarray, grid: TimeGrid) -> _Machinery:
+    h = require_hermitian(as_complex_matrix(h))
+    d = h.shape[0]
+    ops = _check_ops(collapse, d)
     psi0 = _check_state(psi0, d)
-    owner = np.unique(_block_labels(h, ops, psi0), return_inverse=True)[1]
-    members = [np.flatnonzero(owner == b) for b in range(owner.max() + 1)]
-    center = float(np.trace(h).real) / d
+    support = np.flatnonzero(psi0)
+    owner, parts = _partition(h, ops, support, float(np.trace(h).real) / d)
     n_fine = grid.n_fine
     n_pow = n_fine.bit_length()
     # r_dt ** n_fine from the squarings, in matrix_power's order: the set bits of
     # n_fine, least significant first, except (r @ r) @ r for n_fine = 3
     bits = [p for p in range(n_pow) if n_fine >> p & 1]
     blocks = []
-    for b, idx in enumerate(members):
-        gen = -1j * (h[np.ix_(idx, idx)] - center * np.eye(len(idx)))
-        targets, jumps = [], []
-        for op in ops:
-            hit = np.flatnonzero(op[:, idx].any(axis=1))
-            target = owner[hit[0]] if len(hit) else b
-            jump = op[np.ix_(members[target], idx)]
-            gen = gen - 0.5 * (jump.conj().T @ jump)
-            targets.append(int(target))
-            jumps.append(np.ascontiguousarray(jump))
-        r_pows = np.empty((n_pow, len(idx), len(idx)), dtype=np.complex128)
-        r_pows[0] = _taylor4(grid.dt * gen)
+    for part in parts:
+        k = len(part.index)
+        r_pows = np.empty((n_pow, k, k), dtype=np.complex128)
+        r_pows[0] = _taylor4(grid.dt * part.gen)
         for p in range(1, n_pow):
             r_pows[p] = r_pows[p - 1] @ r_pows[p - 1]
         r_stride = r_pows[1] @ r_pows[0] if n_fine == 3 else reduce(np.matmul, r_pows[bits])
-        blocks.append(_Block(index=idx, gen=np.ascontiguousarray(gen),
+        blocks.append(_Block(index=part.index, gen=part.gen,
                              r_stride=np.ascontiguousarray(r_stride), r_pows=r_pows,
-                             targets=tuple(targets), jumps=tuple(jumps),
-                             absorbing=not any(jump.any() for jump in jumps)))
-    start = int(owner[np.flatnonzero(psi0)[0]])
+                             targets=part.targets, jumps=part.jumps,
+                             absorbing=not any(jump.any() for jump in part.jumps)))
+    start = int(owner[support[0]])
     return _Machinery(blocks=tuple(blocks), start=start,
-                      psi0=np.ascontiguousarray(psi0[members[start]]),
+                      psi0=np.ascontiguousarray(psi0[blocks[start].index]),
                       n_chan=len(ops), dim=d)
 
 
@@ -614,28 +647,35 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
 # density-matrix oracle
 # ---------------------------------------------------------------------------
 
-def superoperator(h: np.ndarray, collapse: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense generator of the damped evolution acting on row-major vec(ρ)."""
-    h = require_hermitian(as_complex_matrix(h))
-    d = h.shape[0]
-    eye = np.eye(d)
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op in collapse:
-        op = as_complex_matrix(op)
-        if op.shape != (d, d):
-            raise SizeError(f"collapse operator shape {op.shape} does not match dim {d}")
-        ldl = op.conj().T @ op
-        sup += (np.kron(op, op.conj())
-                - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
-    return sup
+def _block_superoperator(parts: list) -> tuple:
+    """Generator of the master equation on the block-diagonal part of ρ.
+
+    ρ's block (b, b) is stored row-major at ``offsets[b]:offsets[b + 1]`` of
+    the restricted vector.  Block (b, b) evolves under G_b ρ_b + ρ_b G_b†,
+    and each channel feeds L ρ_b L† into the block (t, t) it maps b into.
+    """
+    offsets = np.cumsum([0] + [len(part.index) ** 2 for part in parts])
+    sup = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
+    for b, part in enumerate(parts):
+        eye = np.eye(len(part.index))
+        cols = slice(offsets[b], offsets[b + 1])
+        sup[cols, cols] += np.kron(part.gen, eye) + np.kron(eye, part.gen.conj())
+        for t, jump in zip(part.targets, part.jumps):
+            sup[offsets[t]:offsets[t + 1], cols] += np.kron(jump, jump.conj())
+    return sup, offsets
 
 
 def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
                     rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Propagate the full density matrix; returns (n_samples, d, d).
+    """Propagate the density matrix; returns (n_samples, d, d).
 
-    Dense-superoperator integrator used as the validation oracle; the
-    same fixed-step degree-4 scheme as the trajectory integrator.
+    The validation oracle, with the same fixed-step degree-4 scheme as the
+    trajectory integrator.  ρ0's support lies in one block of the trajectory
+    partition; H and every L†L act inside a block and each L maps a block
+    into one block, so ρ stays block-diagonal.  Only the entries of the
+    diagonal blocks are propagated, by a dense superoperator of
+    (Σ_b k_b²)² entries for blocks of k_b states; entries off the blocks
+    are returned as exact zeros.  A model without structure is one block.
     """
     rho0 = as_complex_matrix(rho0)
     d = rho0.shape[0]
@@ -646,14 +686,21 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
         raise ConfigError([f"rho0: trace must be 1, got {np.trace(rho0)!r}"])
     if np.linalg.eigvalsh(rho0).min() < -1e-8:
         raise ConfigError(["rho0: must be positive semidefinite"])
+    h = require_hermitian(as_complex_matrix(h))
+    if h.shape != (d, d):
+        raise SizeError(f"Hamiltonian shape {h.shape} does not match dim {d}")
 
-    sup = superoperator(h, collapse)
-    r_dt = _taylor4(grid.dt * sup)
-    r_stride = np.linalg.matrix_power(r_dt, grid.n_fine)
-    out = np.empty((grid.n_samples, d, d), dtype=np.complex128)
-    vec = rho0.reshape(-1).astype(np.complex128)
-    out[0] = rho0
+    support = np.flatnonzero(rho0.any(axis=0) | rho0.any(axis=1))
+    _, parts = _partition(h, _check_ops(collapse, d), support, 0.0)
+    sup, offsets = _block_superoperator(parts)
+    r_stride = np.linalg.matrix_power(_taylor4(grid.dt * sup), grid.n_fine)
+    vecs = np.empty((grid.n_samples, offsets[-1]), dtype=np.complex128)
+    vecs[0] = np.concatenate([rho0[np.ix_(part.index, part.index)].reshape(-1)
+                              for part in parts])
     for s in range(1, grid.n_samples):
-        vec = r_stride @ vec
-        out[s] = vec.reshape(d, d)
+        vecs[s] = r_stride @ vecs[s - 1]
+    out = np.zeros((grid.n_samples, d, d), dtype=np.complex128)
+    for part, first, end in zip(parts, offsets, offsets[1:]):
+        k = len(part.index)
+        out[:, part.index[:, None], part.index] = vecs[:, first:end].reshape(-1, k, k)
     return out

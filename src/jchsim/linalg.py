@@ -88,24 +88,27 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
 
 def _coerce_state(rho, dims) -> tuple[np.ndarray, TensorDims]:
     td = TensorDims.coerce(dims)
-    a = as_complex_matrix(rho)
-    if a.shape[0] != td.total:
-        raise SizeError(f"matrix dimension {a.shape[0]} does not match factors {td.factors}")
+    a = np.asarray(rho, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise SizeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    if a.shape[-1] != td.total:
+        raise SizeError(f"matrix dimension {a.shape[-1]} does not match factors {td.factors}")
     return a, td
 
 
 def partial_transpose(rho, dims, which: int = 1) -> np.ndarray:
-    """Partial transpose of a bipartite operator over factor ``which`` (0 or 1)."""
+    """Partial transpose over factor ``which`` (0 or 1) of a bipartite
+    operator, or of each operator in a ``(..., d, d)`` stack."""
     a, td = _coerce_state(rho, dims)
     if len(td) != 2:
         raise SizeError(f"partial_transpose expects exactly two factors, got {len(td)}")
     if which not in (0, 1):
         raise SizeError(f"which must be 0 or 1, got {which}")
     da, db = td.factors
-    t = a.reshape(da, db, da, db)
-    if which == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return np.ascontiguousarray(t.reshape(da * db, da * db))
-
+    lead = a.ndim - 2
+    swap = (2, 1, 0, 3) if which == 0 else (0, 3, 2, 1)
+    t = a.reshape(a.shape[:lead] + (da, db, da, db))
+    t = t.transpose(tuple(range(lead)) + tuple(lead + k for k in swap))
+    return np.ascontiguousarray(t.reshape(a.shape))

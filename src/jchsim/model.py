@@ -471,11 +471,13 @@ class ReducedSpace:
                                     dtype=np.complex128)
 
     def embed_density(self, rho: np.ndarray) -> np.ndarray:
+        """``rho``, or each matrix of a ``(..., dim, dim)`` stack, in the product space."""
         if self.full_dim > OPERATOR_DIM_CAP:
             raise SizeError(f"embedding a {self.full_dim}-dim density matrix "
                             f"exceeds cap {OPERATOR_DIM_CAP}")
-        out = np.zeros((self.full_dim, self.full_dim), dtype=np.complex128)
-        out[np.ix_(self.full_indices, self.full_indices)] = rho
+        rho = np.asarray(rho)
+        out = np.zeros(rho.shape[:-2] + (self.full_dim, self.full_dim), dtype=np.complex128)
+        out[..., self.full_indices[:, None], self.full_indices] = rho
         return out
 
     def index_of(self, states: np.ndarray) -> np.ndarray:

@@ -111,19 +111,30 @@ class ProjectorSpec:
 
 def negativity(rho, dims) -> float:
     """Sum of |negative eigenvalues| of the partial transpose (Bell pair: 0.5)."""
-    rho = as_complex_matrix(rho)
-    td = TensorDims.coerce(dims)
-    if len(td) != 2:
-        raise SizeError(f"negativity needs exactly 2 tensor factors, got {len(td)}")
-    if td.total != rho.shape[0]:
-        raise SizeError(f"dims {td} do not match rho dimension {rho.shape[0]}")
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, td, which=1))
-    return float(-eigs[eigs < 0.0].sum()) + 0.0   # +0.0 normalizes -0.0
+    return float(negativity_series(as_complex_matrix(rho)[None], dims)[0])
 
 
 def negativity_series(rho_stack: np.ndarray, dims) -> np.ndarray:
-    """negativity() applied along the first axis of a density-matrix stack."""
-    return np.array([negativity(r, dims) for r in np.asarray(rho_stack)])
+    """negativity() of each matrix in an ``(n, d, d)`` stack, in one batch.
+
+    One partial transpose of the stack and one ``eigvalsh`` call.  Each row
+    of eigenvalues is ascending, so its negative ones are a prefix; rows
+    with the same prefix length are summed together, which adds each row in
+    the order a sum of that prefix alone would.
+    """
+    stack = np.asarray(rho_stack)
+    td = TensorDims.coerce(dims)
+    if len(td) != 2:
+        raise SizeError(f"negativity needs exactly 2 tensor factors, got {len(td)}")
+    if stack.ndim != 3 or stack.shape[1] != td.total:
+        raise SizeError(f"dims {td} do not match a stack of shape {stack.shape}")
+    eigs = np.linalg.eigvalsh(partial_transpose(stack, td, which=1))
+    counts = (eigs < 0.0).sum(axis=1)
+    out = np.empty(len(eigs))
+    for m in set(counts.tolist()):
+        rows = counts == m
+        out[rows] = -eigs[rows, :m].sum(axis=1)
+    return out + 0.0   # +0.0 normalizes -0.0
 
 
 def reduced_bipartition(rho, site_dims: Sequence[int], cut: int):

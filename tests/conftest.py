@@ -47,9 +47,8 @@ def oracle_negativity(params, model, psi0, t_end: float):
     grid = TimeGrid.with_spacing(t_end, recommended_spacing(params))
     rho0 = np.outer(psi0, psi0.conj())
     rhos = lindblad_evolve(model.h, model.collapse, rho0, grid)
-    full = np.stack([model.space.embed_density(r) for r in rhos])
     dims = TensorDims((params.site_dim, params.site_dim))
-    return grid, negativity_series(full, dims)
+    return grid, negativity_series(model.space.embed_density(rhos), dims)
 
 
 @pytest.fixture(scope="session")

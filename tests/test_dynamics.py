@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from jchsim.dynamics import (TimeGrid, _build_machinery, lindblad_evolve,
-                             mcwf_ensemble, mcwf_trajectory, no_jump_branch,
-                             superoperator)
+from jchsim.dynamics import (TimeGrid, _block_superoperator, _build_machinery, _partition,
+                             lindblad_evolve, mcwf_ensemble, mcwf_trajectory,
+                             no_jump_branch)
 from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
 from jchsim.model import (ModelParams, build_full_hamiltonian,
                           build_reduced_model, prepare_product_polariton_state,
@@ -283,7 +283,97 @@ class TestBlocks:
             assert not np.delete(tail, vacuum, axis=1).any()
 
 
+def dense_superoperator(h, collapse):
+    """The master-equation generator on all of row-major vec(ρ), written out."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in collapse:
+        ldl = op.conj().T @ op
+        sup += np.kron(op, op.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return sup
+
+
+def dense_reference_lindblad(h, collapse, rho0, grid):
+    """ρ(t) from the full d² x d² generator: its degree-4 Taylor step, that
+    step to the power n_fine, and one matvec per sample."""
+    d = len(rho0)
+    eye = np.eye(d * d)
+    m = grid.dt * dense_superoperator(h, collapse)
+    r_dt = eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
+    r_stride = np.linalg.matrix_power(r_dt, grid.n_fine)
+    vec = rho0.reshape(-1)
+    out = [rho0]
+    for _ in range(1, grid.n_samples):
+        vec = r_stride @ vec
+        out.append(vec.reshape(d, d))
+    return np.array(out)
+
+
+def _fig4_point():
+    config = load_preset("fig4").sweep
+    hop = config.j_values[1]
+    params = config.model_for(hop, hop)
+    model = build_reduced_model(params, max_exc=2)
+    psi0 = model.space.reduce_vector(prepare_product_polariton_state(("2-", "G"), params))
+    return (model.h, model.collapse, np.outer(psi0, psi0.conj()), config.grid_for(params),
+            model.n_tot)
+
+
+_SHORT = TimeGrid(t_end=40.0, n_samples=41, dt=0.005)
+
+
+def _lindblad_detuned():
+    _, model, psi0 = two_site_model(hop=0.03, gamma=0.05, delta=0.5)
+    return model.h, model.collapse, np.outer(psi0, psi0.conj()), _SHORT, model.n_tot
+
+
+def _lindblad_coherent_sectors():
+    h, collapse, psi0 = _two_sector_state()
+    return h, collapse, np.outer(psi0, psi0.conj()), _SHORT, np.zeros(len(psi0))
+
+
+def _lindblad_mixed_sectors():
+    params, model, pair = two_site_model(hop=0.03, gamma=0.05)
+    single = model.space.reduce_vector(prepare_product_polariton_state(("1-", "G"), params))
+    rho0 = 0.5 * (np.outer(pair, pair.conj()) + np.outer(single, single.conj()))
+    return model.h, model.collapse, rho0, _SHORT, np.zeros(model.dim)
+
+
+def _lindblad_damped_mode():
+    h, collapse, _ = damped_mode()
+    rho0 = np.zeros((4, 4), dtype=np.complex128)
+    rho0[2, 2] = 1.0
+    return h, collapse, rho0, _SHORT, np.arange(4)
+
+
+def _lindblad_mixing_channel():
+    h, collapse, psi0 = _mixing_channel()
+    return h, collapse, np.outer(psi0, psi0.conj()), _SHORT, np.zeros(len(psi0))
+
+
+# each case: H, collapse operators, ρ0, grid and the block label of each state
+LINDBLAD_CASES = {
+    "fig4_point": _fig4_point,
+    "detuned": _lindblad_detuned,
+    "coherent_sectors": _lindblad_coherent_sectors,
+    "mixed_sectors": _lindblad_mixed_sectors,
+    "damped_mode": _lindblad_damped_mode,
+    "mixing_channel": _lindblad_mixing_channel,
+}
+
+
 class TestLindblad:
+    @pytest.mark.parametrize("case", sorted(LINDBLAD_CASES))
+    def test_blocks_match_dense_reference(self, case):
+        h, collapse, rho0, grid, labels = LINDBLAD_CASES[case]()
+        rhos = lindblad_evolve(h, collapse, rho0, grid)
+        reference = dense_reference_lindblad(h, collapse, rho0, grid)
+        assert rhos.shape == reference.shape
+        assert np.abs(rhos - reference).max() < 1e-12
+        kept = labels[:, None] == labels[None, :]
+        assert not rhos[:, ~kept].any()
+
     def test_damped_mode_decay_matches_exponential(self):
         h, collapse, a = damped_mode()
         number = a.conj().T @ a
@@ -304,13 +394,21 @@ class TestLindblad:
         assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() < 1e-10
 
     def test_generator_is_trace_free(self):
-        h, collapse, _ = damped_mode()
-        sup = superoperator(h, collapse)
+        _, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
+        _, parts = _partition(model.h, model.collapse, np.flatnonzero(psi0), 0.0)
+        assert len(parts) == 3
+        sup, offsets = _block_superoperator(parts)
         rng = np.random.default_rng(0)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = m @ m.conj().T
-        deriv = (sup @ rho.reshape(-1)).reshape(4, 4)
-        assert abs(np.trace(deriv)) < 1e-12
+        blocks = []
+        for part in parts:
+            k = len(part.index)
+            m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            blocks.append(m @ m.conj().T)
+        deriv = sup @ np.concatenate([rho.reshape(-1) for rho in blocks])
+        traces = [np.trace(deriv[first:end].reshape(len(part.index), -1))
+                  for part, first, end in zip(parts, offsets, offsets[1:])]
+        assert abs(sum(traces)) < 1e-12
+        assert abs(traces[0]) > 1e-3          # decay feeds the vacuum block
 
     def test_dimension_cap(self):
         dim = 80

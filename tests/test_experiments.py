@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -682,6 +685,30 @@ class TestSweepOnModel:
         scaled = classify_point(scaled_config, 0.12, 0.06)
         assert base.report.classification.kind == \
             scaled.report.classification.kind
+
+    def test_point_independent_of_blas_threads(self):
+        # the same fig4 point in fresh processes at 1 and 2 BLAS threads
+        script = textwrap.dedent("""\
+            import json
+            from jchsim.critical import classify_point
+            from jchsim.presets import load_preset
+            row = classify_point(load_preset("fig4").sweep, 0.04, 0.04)
+            report = row.report
+            print(json.dumps([str(report.classification), report.peak_times.tolist(),
+                              report.peak_heights.tolist(), report.prominences.tolist(),
+                              report.global_max, row.max_pinned, row.t_half_pinned]))
+            """)
+        path = [str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH", "")]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True, timeout=120)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])[0] == "SinglePeak"
 
     @pytest.mark.xfail(strict=True, reason=(
         "on the default damping grid the detuned sweep loses its slow "

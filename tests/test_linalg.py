@@ -96,7 +96,19 @@ class TestPartialTranspose:
         after = np.sort(np.linalg.eigvalsh(partial_transpose(rho, td)))
         assert np.allclose(before, after)
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_stack_is_transposed_matrix_by_matrix(self, which):
+        rng = np.random.default_rng(4)
+        td = TensorDims((2, 3))
+        stack = np.array([random_density_matrix(rng, 6) for _ in range(4)]).reshape(2, 2, 6, 6)
+        pt = partial_transpose(stack, td, which=which)
+        assert pt.shape == stack.shape
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(pt[idx], partial_transpose(stack[idx], td, which=which))
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(SizeError):
             partial_transpose(np.eye(5) / 5, TensorDims((2, 3)))
+        with pytest.raises(SizeError):
+            partial_transpose(np.ones((2, 6, 5)), TensorDims((2, 3)))
 

@@ -183,6 +183,9 @@ class TestReducedSpace:
         full = space.embed_density(rho)
         assert full.shape == (params.dim, params.dim)
         assert np.trace(full).real == pytest.approx(1.0)
+        stack = space.embed_density(np.stack([rho, 2.0 * rho, rho.conj()]))
+        assert stack.shape == (3, params.dim, params.dim)
+        assert np.array_equal(stack, [full, 2.0 * full, full.conj()])
 
     @pytest.mark.parametrize("kwargs,max_exc", REDUCED_CASES)
     def test_reduced_hamiltonian_matches_projected_full(self, kwargs, max_exc):

@@ -101,6 +101,21 @@ class TestNegativity:
         series = negativity_series(stack, (2, 2))
         assert series == pytest.approx([negativity(r, (2, 2)) for r in stack])
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (6, 6)])
+    def test_series_equals_one_matrix_at_a_time_bitwise(self, rng, dims):
+        # Hermitian stacks whose partial transposes have from none to about
+        # half of their eigenvalues negative, so every prefix length occurs
+        d = dims[0] * dims[1]
+        m = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+        stack = m + m.conj().transpose(0, 2, 1)
+        stack[:5] = np.array([random_density_matrix(rng, d) for _ in range(5)])
+        stack[5] = np.eye(d) / d
+        expected = []
+        for rho in stack:
+            eigs = np.linalg.eigvalsh(partial_transpose(rho, TensorDims(dims), which=1))
+            expected.append(float(-eigs[eigs < 0.0].sum()) + 0.0)
+        assert negativity_series(stack, dims).tobytes() == np.array(expected).tobytes()
+
     def test_dimension_validation(self):
         with pytest.raises(SizeError):
             negativity(bell_pair(), (2, 3))
