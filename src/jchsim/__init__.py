@@ -22,8 +22,8 @@ from .dynamics import (BACKEND, ConditionalBranch, EnsembleResult, TimeGrid,
                        TrajectoryResult, lindblad_evolve, mcwf_ensemble,
                        mcwf_trajectory, no_jump_branch)
 from .observables import (PROJECTOR_PRESETS, PeakClassification, PeakReport,
-                          ProjectorSpec, blockade_beat_period, classify_series,
-                          find_peaks, negativity, negativity_series,
+                          ProjectorSpec, block_negativity, blockade_beat_period,
+                          classify_series, find_peaks, negativity, negativity_series,
                           recommended_spacing, reduced_bipartition)
 from .config import (CriticalitySweepConfig, ScenarioConfig, config_content_hash,
                      load_scenario_config, load_sweep_config,

@@ -26,10 +26,10 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
-from .dynamics import DEFAULT_DT, TimeGrid
+from .dynamics import DEFAULT_DT, RHO_MEMORY_CAP, TimeGrid
 from .errors import ConfigError
 from .linalg import DEFAULT_DIM_CAP
-from .model import OPERATOR_DIM_CAP, ModelParams, PolaritonLabel, total_excitation_of_labels
+from .model import ModelParams, PolaritonLabel, excitation_basis, total_excitation_of_labels
 from .observables import (
     DEFAULT_BURN_IN,
     DEFAULT_PROMINENCE_THRESHOLD,
@@ -365,7 +365,7 @@ class ScenarioConfig:
                 problems.append(f"observables.projectors: {spec.name} holds {sum(ns)} "
                                 "excitations, more than the initial state's "
                                 f"{self.max_excitation}")
-        # the initial state is prepared, and negativity taken, in the product space
+        # the initial state is prepared in the product space
         full_dim = self.model.dim
         if full_dim > DEFAULT_DIM_CAP:
             problems.append(
@@ -374,10 +374,16 @@ class ScenarioConfig:
         if self.compute_negativity and n_sites < 2:
             problems.append(
                 "observables.negativity: needs at least two sites")
-        if self.compute_negativity and full_dim > OPERATOR_DIM_CAP:
-            problems.append(
-                f"observables.negativity: needs a {full_dim}-dim density matrix, "
-                f"above the cap {OPERATOR_DIM_CAP}")
+        if (self.compute_negativity and len(canonical) == len(self.initial)
+                and self.max_excitation <= n_max):
+            # negativity is taken on the averaged-state stack the ensemble keeps
+            dim = excitation_basis(self.model, self.max_excitation).dim
+            stack_bytes = self.grid.n_samples * dim * dim * 16
+            if stack_bytes > RHO_MEMORY_CAP:
+                problems.append(
+                    f"observables.negativity: the averaged-state stack of "
+                    f"{self.grid.n_samples} samples of {dim}-dim matrices needs "
+                    f"{stack_bytes} bytes, above the cap {RHO_MEMORY_CAP}")
         if not 1 <= self.bipartition_cut < max(n_sites, 2):
             problems.append(
                 "observables.bipartition_cut: must satisfy "

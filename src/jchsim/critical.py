@@ -21,13 +21,13 @@ import numpy as np
 from .config import CriticalitySweepConfig
 from .dynamics import lindblad_evolve
 from .errors import ConfigError
-from .linalg import TensorDims
 from .model import build_reduced_model, prepare_product_polariton_state
 from .observables import (
     ProjectorSpec,
     blockade_beat_period,
+    block_negativity,
     classify_series,
-    negativity_series,
+    negativity_series,  # noqa: F401 - a traced name of perfbench's gamma_c_sweep
     PeakReport,
 )
 
@@ -96,8 +96,10 @@ class CriticalityResult:
 def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float) -> CriticalityRow:
     """Evolve one grid point's master equation and classify its negativity.
 
-    The transition metrics (pinned-state population maximum and half-rise
-    time) come from the same density-matrix trace as the classification.
+    The negativity is ``block_negativity`` of the ``lindblad_evolve`` stack
+    across the two sites, read off the 13-dim reduced states.  The
+    transition metrics (pinned-state population maximum and half-rise time)
+    come from the same density-matrix trace as the classification.
     """
     params = config.model_for(hop, gamma)
     model = build_reduced_model(params, max_exc=2)
@@ -109,8 +111,7 @@ def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float) -> 
     rhos = lindblad_evolve(model.h, model.collapse, np.outer(psi0, psi0.conj()), grid)
     pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
 
-    dims = TensorDims((params.site_dim, params.site_dim))
-    neg = negativity_series(model.space.embed_density(rhos), dims)
+    neg = block_negativity(rhos, model.space, cut=1)
     report = classify_series(
         neg, grid.times,
         prominence_threshold=config.prominence_threshold,

@@ -41,3 +41,22 @@ def test_every_workload_round_records_its_engine_span(monkeypatch, tmp_path):
             tracer.uninstall()
         for _, _, span_name, _ in engine:
             assert tracer.count(span_name) >= 1, f"{name}: {span_name}"
+
+
+def test_every_workload_round_runs_under_its_full_trace(monkeypatch, tmp_path):
+    # ``--trace 1`` wraps every target at once; a wrapper that breaks a call
+    # would otherwise surface only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        prep = workload.setup(seed=1, smoke=True)
+        targets = workload.trace_targets(full=True)
+        tracer = spans.Tracer()
+        tracer.install(targets)
+        try:
+            workload.run_round(prep, tmp_path / name, tracer)
+        finally:
+            tracer.uninstall()
+        assert any((tmp_path / name).iterdir()), name

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -306,15 +307,34 @@ class TestScenarioConfig:
         assert problems == ["model.n_sites, model.n_max: 5 sites with n_max = 5 span "
                             "248832 product states, above the cap 16384"]
 
-    def test_negativity_over_operator_cap_rejected(self):
-        problems = problems_of(scenario_from_mapping, {
+    def test_negativity_over_stack_cap_rejected(self):
+        # n4's model with negativity on: 561 samples of the 321-dim ρ̄
+        mapping = {
             "model": {"n_sites": 4, "n_max": 4},
             "initial": {"labels": ["4-", "G", "G", "G"]},
-            "grid": {"t_end": 10.0, "n_samples": 6},
+            "grid": {"t_end": 1120.0, "n_samples": 561},
             "observables": {"negativity": True},
+        }
+        assert problems_of(scenario_from_mapping, mapping) == [
+            "observables.negativity: the averaged-state stack of 561 samples of "
+            "321-dim matrices needs 924896016 bytes, above the cap 268435456"]
+        with pytest.raises(ConfigError, match="923247360 bytes"):
+            replace(load_preset("n4").scenarios[0], compute_negativity=True)
+
+    def test_negativity_beyond_the_operator_cap_runs(self):
+        # 10^4 product states, but ρ̄ lives in the 9-dim one-excitation space
+        config = scenario_from_mapping({
+            "model": {"n_sites": 4, "n_max": 4, "hop": 0.03, "gamma": 0.05},
+            "initial": {"labels": ["1-", "G", "G", "G"]},
+            "grid": {"t_end": 40.0, "n_samples": 9},
+            "run": {"n_traj": 3},
+            "observables": {"negativity": True, "bipartition_cut": 2},
         })
-        assert problems == [
-            "observables.negativity: needs a 10000-dim density matrix, above the cap 4096"]
+        assert config.model.dim == 10_000
+        run = run_scenario(config)
+        assert run.ensemble.rho_avg.shape == (9, 9, 9)
+        neg = run.columns["negativity"]
+        assert neg[0] <= 1e-12 and neg.max() > 1e-3 and np.all(np.isfinite(neg))
 
     def test_mapping_echo_covers_every_model_field(self):
         config = scenario_from_mapping(SCENARIO_MAPPING)
@@ -495,6 +515,28 @@ class TestRunnerArtifacts:
         rerun = run_scenario(tiny_scenario(), out_dir=tmp_path)
         assert rerun.table_path.read_bytes() == result.table_path.read_bytes()
         assert rerun.sidecar_path.read_bytes() == result.sidecar_path.read_bytes()
+
+    def test_table_independent_of_blas_threads(self, tmp_path):
+        # fig2 with a few trajectories, in fresh processes at 1 and 2 BLAS threads
+        script = textwrap.dedent("""\
+            import sys
+            from jchsim.presets import load_preset
+            from jchsim.runner import run_scenario
+            config = load_preset("fig2").with_overrides(n_traj=5).scenarios[0]
+            run = run_scenario(config, out_dir=sys.argv[1])
+            sys.stdout.buffer.write(run.table_path.read_bytes())
+            """)
+        path = [str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH", "")]
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            done = subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
+                                  env=env, capture_output=True, check=True, timeout=120)
+            tables.append(done.stdout)
+        assert tables[0] == tables[1]
+        assert b"negativity" in tables[0].split(b"\r\n")[0]
 
     def test_survival_and_conditional_columns_are_sane(self, run_dir):
         _, result = run_dir

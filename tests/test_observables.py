@@ -14,15 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jchsim
+from jchsim.dynamics import lindblad_evolve, mcwf_ensemble
 from jchsim.errors import ConfigError, SizeError
 from jchsim.linalg import TensorDims, partial_transpose
 from jchsim.model import (ModelParams, build_reduced_model, excitation_basis,
                           prepare_product_polariton_state)
 from jchsim.observables import (DEFAULT_BURN_IN, PROJECTOR_PRESETS,
-                                ProjectorSpec, blockade_beat_period,
+                                ProjectorSpec, block_negativity, blockade_beat_period,
                                 classify_series, find_peaks, negativity,
                                 negativity_series, recommended_spacing,
                                 reduced_bipartition)
+from jchsim.presets import load_preset
+from jchsim.runner import run_scenario
 
 from conftest import oracle_negativity, random_density_matrix, random_unitary, two_site_model
 
@@ -121,6 +124,105 @@ class TestNegativity:
             negativity(bell_pair(), (2, 3))
         with pytest.raises(SizeError):
             negativity(bell_pair(), (2, 2, 1))
+
+
+def dense_negativity(space, rhos, cut: int) -> np.ndarray:
+    """The product-space value: embed, regroup at ``cut``, transpose, ``eigvalsh``."""
+    sd, n_sites = space.params.site_dim, space.params.n_sites
+    return negativity_series(space.embed_density(rhos),
+                             TensorDims((sd ** cut, sd ** (n_sites - cut))))
+
+
+def sector_density(rng, space) -> np.ndarray:
+    """Random density matrix on ``space`` that commutes with the total excitation."""
+    rho = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for sector in np.unique(space.n_tot):
+        idx = np.flatnonzero(space.n_tot == sector)
+        rho[np.ix_(idx, idx)] = random_density_matrix(rng, len(idx)) * rng.uniform(0.1, 1.0)
+    return rho / np.trace(rho).real
+
+
+@pytest.fixture(scope="module")
+def three_site_space():
+    return excitation_basis(ModelParams(n_sites=3, hop=0.03, n_max=2), max_exc=2)
+
+
+class TestBlockNegativity:
+    """``block_negativity`` against the product-space ``negativity_series``."""
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3"])
+    def test_scenario_averaged_state(self, preset):
+        for config in load_preset(preset).with_overrides(n_traj=3).scenarios:
+            run = run_scenario(config)
+            space = build_reduced_model(config.model, config.max_excitation).space
+            expected = dense_negativity(space, run.ensemble.rho_avg, config.bipartition_cut)
+            assert np.abs(run.columns["negativity"] - expected).max() <= 1e-12
+            assert expected.max() > 0.01
+
+    def test_sweep_point_stack(self):
+        config = load_preset("fig4").sweep
+        params = config.model_for(0.04, 0.04)
+        model = build_reduced_model(params, max_exc=2)
+        psi0 = model.space.reduce_vector(prepare_product_polariton_state(("2-", "G"), params))
+        rhos = lindblad_evolve(model.h, model.collapse, np.outer(psi0, psi0.conj()),
+                               config.grid_for(params))
+        expected = dense_negativity(model.space, rhos, 1)
+        assert np.abs(block_negativity(rhos, model.space, 1) - expected).max() <= 1e-12
+        assert expected.max() > 0.01
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_three_site_averaged_state(self, cut):
+        config = load_preset("n3").scenarios[0]
+        model = build_reduced_model(config.model, config.max_excitation)
+        psi0 = model.space.reduce_vector(
+            prepare_product_polariton_state(config.initial, config.model))
+        rho_avg = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=4,
+                                master_seed=1, keep_rho=True).rho_avg
+        # the product space has 512 dimensions: compare the early samples,
+        # where ρ̄ is entangled, and every 112th
+        picked = np.r_[0:10, 112::112]
+        expected = dense_negativity(model.space, rho_avg[picked], cut)
+        got = block_negativity(rho_avg, model.space, cut)[picked]
+        assert np.abs(got - expected).max() <= 1e-12
+        assert expected.max() > 1e-3
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_random_excitation_commuting_states(self, rng, three_site_space, cut):
+        space = three_site_space
+        rhos = np.array([sector_density(rng, space) for _ in range(4)])
+        expected = dense_negativity(space, rhos, cut)
+        assert np.abs(block_negativity(rhos, space, cut) - expected).max() <= 1e-12
+        assert expected.min() > 0.0
+
+    def test_random_dense_state(self, rng, three_site_space):
+        rho = random_density_matrix(rng, three_site_space.dim)[None]
+        for cut in (1, 2):
+            expected = dense_negativity(three_site_space, rho, cut)
+            assert abs(block_negativity(rho, three_site_space, cut) - expected).max() <= 1e-12
+
+    def test_samples_with_different_patterns(self, rng, three_site_space):
+        space = three_site_space
+        mixed = sector_density(rng, space)
+        rhos = np.array([mixed, random_density_matrix(rng, space.dim),
+                         np.diag(np.diag(mixed)), np.zeros_like(mixed), mixed])
+        for cut in (1, 2):
+            expected = dense_negativity(space, rhos, cut)
+            got = block_negativity(rhos, space, cut)
+            assert np.abs(got - expected).max() <= 1e-12
+            assert got[2] == got[3] == 0.0
+            # the stack's union pattern merges blocks; a sample's value does not change
+            assert got[0] == pytest.approx(block_negativity(rhos[:1], space, cut)[0], abs=1e-12)
+
+    def test_zero_stack_and_validation(self, three_site_space):
+        space = three_site_space
+        zeros = np.zeros((2, space.dim, space.dim))
+        assert block_negativity(zeros, space, 1).tolist() == [0.0, 0.0]
+        with pytest.raises(SizeError):
+            block_negativity(zeros, space, 0)
+        with pytest.raises(SizeError):
+            block_negativity(zeros, space, 3)
+        with pytest.raises(SizeError):
+            block_negativity(zeros[0], space, 1)
 
 
 @pytest.fixture(scope="module")
