@@ -350,6 +350,11 @@ class ScenarioConfig:
             canonical.append(str(label))
         if len(canonical) == len(self.initial):
             object.__setattr__(self, "initial", tuple(canonical))
+            if self.max_excitation > n_max:
+                # the run's basis holds at most n_max excitations in total
+                problems.append(
+                    f"initial.labels, model.n_max: the initial state holds "
+                    f"{self.max_excitation} excitations, above the cutoff {n_max}")
         problems += _run_problems(vars(self)) + _output_problems(vars(self))
         for spec in self.observables:
             # the run builds each projector inside the excitation subspace of

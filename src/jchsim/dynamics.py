@@ -16,6 +16,14 @@ absorbing: nothing leaves it, so once the state enters one the per-sample
 jump test stops and the remaining samples are filled at once with powers
 of the block's stride propagator.
 
+A trajectory advances a whole sample interval at a time while its squared
+norm stays above the waiting-time threshold.  An interval that crosses it
+is redone in one dyadic descent over the powers 2^p of the dt step, which
+finds the last step still above the threshold.  The crossing inside the
+next step is bisected on that step's squared norm, a real polynomial of
+degree 8 in the time into the step whose coefficients come from the Gram
+matrix of ψ, Gψ, …, G⁴ψ; no state vector is formed while bisecting.
+
 The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
 ρ0's support in one block.  ρ then stays block-diagonal, so only the
 entries (i, j) inside one block are propagated: a superoperator of
@@ -365,14 +373,42 @@ def _taylor_flow(powers: list, tau: float) -> np.ndarray:
     return psi + tau * (v1 + (tau / 2.0) * (v2 + (tau / 3.0) * (v3 + (tau / 4.0) * v4)))
 
 
+# the Gram entry <G^i ψ, G^j ψ> enters the coefficient of τ^(i+j) with weight 1/(i! j!)
+_GRAM_DEGREE = np.add.outer(np.arange(5), np.arange(5)).ravel()
+_INV_FACTORIAL = 1.0 / np.array([math.factorial(k) for k in range(5)])
+_GRAM_WEIGHT = np.outer(_INV_FACTORIAL, _INV_FACTORIAL).ravel()
+
+
+def _flow_norm2_poly(powers: list) -> list:
+    """‖_taylor_flow(powers, τ)‖² as a real polynomial of degree 8 in τ.
+
+    The coefficient of τ^n is Σ_{i+j=n} Re<G^iψ, G^jψ>/(i! j!), read off
+    the 5×5 Gram matrix of the powers.  Returned highest degree first, the
+    order ``_poly_value`` takes.
+    """
+    v = np.array(powers)
+    gram = (v.conj() @ v.T).real.ravel()
+    return np.bincount(_GRAM_DEGREE, weights=gram * _GRAM_WEIGHT).tolist()[::-1]
+
+
+def _poly_value(coeffs: list, tau: float) -> float:
+    """Horner's rule on coefficients given highest degree first."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * tau + c
+    return acc
+
+
 def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
                    dt: float, rng: np.random.Generator, jumps: list):
     """Apply every jump inside the elementary step that starts at ``t0``.
 
-    Each threshold crossing is bisected on the degree-4 polynomial flow of
-    the step, which is what the fixed-step integrator applies.  Returns the
-    state at the end of the step, the pending threshold and the block the
-    state then occupies.
+    The step is the degree-4 polynomial flow the fixed-step integrator
+    applies.  Each threshold crossing is bisected on the flow's squared
+    norm, a scalar polynomial of degree 8 in the time into the step, so the
+    flow vector is formed only at the end of the step and at the jump.
+    Returns the state at the end of the step, the pending threshold and the
+    block the state then occupies.
     """
     t_in_step = 0.0
     while True:
@@ -384,10 +420,11 @@ def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: flo
         end = _taylor_flow(powers, frac)
         if _norm2(end) > r:
             return end, r, b
+        coeffs = _flow_norm2_poly(powers)
         lo, hi = 0.0, frac
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
-            if _norm2(_taylor_flow(powers, mid)) > r:
+            if _poly_value(coeffs, mid) > r:
                 lo = mid
             else:
                 hi = mid
@@ -409,10 +446,14 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
                     grid: TimeGrid, rng: np.random.Generator, jumps: list):
     """Redo the sample interval starting at ``t0`` in elementary steps.
 
-    Advances by the largest dyadic block of steps whose end stays above the
-    threshold; when a single step crosses it, the jumps are resolved inside
-    that step.  Returns the state at the end of the interval, the pending
-    threshold and the block the state then occupies.
+    One dyadic descent finds the last step whose end stays above the
+    threshold: the powers 2^p of the step are tried from the largest that
+    fits the remainder down to 1, each from the state the passed trials
+    reached.  The jump-free norm never increases, so a power once passed
+    over need not be tried again.  The single step after the descent
+    crosses; its jumps are resolved inside it, and a new descent starts.
+    Returns the state at the end of the interval, the pending threshold and
+    the block the state then occupies.
     """
     n_fine = grid.n_fine
     done = 0
@@ -422,12 +463,12 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
                 "state norm fell below 1e-14 before the jump threshold was reached")
         r_pows = mach.blocks[b].r_pows
         for p in range((n_fine - done).bit_length() - 1, -1, -1):
-            trial = r_pows[p] @ work
-            if _norm2(trial) > r:
-                work = trial
-                done += 1 << p
-                break
-        else:
+            if done + (1 << p) <= n_fine:
+                trial = r_pows[p] @ work
+                if _norm2(trial) > r:
+                    work = trial
+                    done += 1 << p
+        if done < n_fine:
             work, r, b = _jumps_in_step(mach, b, work, r, t0 + done * grid.dt, grid.dt,
                                         rng, jumps)
             done += 1
@@ -524,8 +565,10 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
 
     Between jumps the state evolves under H − (i/2)ΣL†L with decaying
     norm; when the squared norm crosses a uniform threshold the jump time
-    is bisected to 1e-10, a channel j is selected with probability
-    ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and renormalized.
+    is bisected to 1e-10 on the step's norm polynomial (the squared norm
+    of the degree-4 flow, of degree 8 in time), a channel j is selected
+    with probability ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and
+    renormalized.
     Deterministic given (seed, grid, inputs).
     """
     mach = _build_machinery(h, collapse, psi0, grid)

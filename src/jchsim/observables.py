@@ -302,7 +302,7 @@ class PeakReport:
 
 def find_peaks(series, times,
                prominence_threshold: float = DEFAULT_PROMINENCE_THRESHOLD) -> PeakReport:
-    """Strict local maxima whose prominence exceeds threshold · global max.
+    """Strict local maxima whose prominence is at least threshold · global max.
 
     Prominence is the topographic definition (height above the higher of
     the two flanking minima); endpoints are never peaks.  An all-zero
@@ -320,12 +320,37 @@ def find_peaks(series, times,
                           classification=_classify_count(0), global_max=global_max,
                           prominence_threshold=prominence_threshold,
                           prominences=np.empty(0))
-    from scipy import signal  # imported here: it costs more than the rest of jchsim to load
-    idx, props = signal.find_peaks(y, prominence=prominence_threshold * global_max)
+    idx, prominences = _maxima_and_prominences(y)
+    keep = prominences >= prominence_threshold * global_max
+    idx = idx[keep]
     return PeakReport(peak_times=t[idx], peak_heights=y[idx],
                       classification=_classify_count(len(idx)), global_max=global_max,
                       prominence_threshold=prominence_threshold,
-                      prominences=props["prominences"])
+                      prominences=prominences[keep])
+
+
+def _maxima_and_prominences(y: np.ndarray) -> tuple:
+    """Strict local maxima of ``y`` and their topographic prominences.
+
+    A plateau higher than both neighbours is one maximum, at its middle
+    sample rounded down; a plateau touching either end is none.  A
+    maximum's prominence is its height above the higher of the two lowest
+    samples reached on each side before a higher sample or the edge.  These
+    are the peaks and prominences of ``scipy.signal.find_peaks``.
+    """
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])   # runs of equal samples
+    ends = np.r_[starts[1:], y.size] - 1
+    level = y[starts]
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    idx = (starts[top] + ends[top]) // 2
+    prominences = np.empty(idx.size)
+    for n, i in enumerate(idx):
+        higher = np.flatnonzero(y > y[i])
+        cut = np.searchsorted(higher, i)
+        lo = higher[cut - 1] + 1 if cut else 0
+        hi = higher[cut] if cut < higher.size else y.size
+        prominences[n] = y[i] - max(y[lo:i + 1].min(), y[i:hi].min())
+    return idx, prominences
 
 
 def _beat_notch(y: np.ndarray, t: np.ndarray, beat_period: float):

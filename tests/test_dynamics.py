@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from jchsim.dynamics import (TimeGrid, _block_superoperator, _build_machinery, _partition,
-                             lindblad_evolve, mcwf_ensemble, mcwf_trajectory,
-                             no_jump_branch)
+from jchsim.dynamics import (TimeGrid, _block_superoperator, _build_machinery,
+                             _flow_norm2_poly, _norm2, _partition, _poly_value,
+                             _taylor_flow, lindblad_evolve, mcwf_ensemble,
+                             mcwf_trajectory, no_jump_branch)
 from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
 from jchsim.model import (ModelParams, build_full_hamiltonian,
                           build_reduced_model, prepare_product_polariton_state,
@@ -222,13 +227,34 @@ def _pair(delta=0.0):
     return model.h, model.collapse, psi0
 
 
+def _fig2_preset():
+    _, model, psi0 = preset_problem("fig2")
+    return model.h, model.collapse, psi0
+
+
 REFERENCE_CASES = {
     "fig2": _pair,
+    "fig2_preset": _fig2_preset,
     "detuned": lambda: _pair(delta=0.5),     # tr(H) != 0: the vacuum turns by a phase
     "two_sectors": _two_sector_state,
     "dark_block": dark_block_model,
     "mixing_channel": _mixing_channel,
 }
+
+
+@functools.lru_cache(maxsize=None)
+def norm_polynomial_blocks():
+    """No-jump generators of every block of the fig2 and n4 presets and of
+    the mixing-channel case, with the dt of their grids."""
+    gens = []
+    for name in ("fig2", "n4"):
+        config, model, psi0 = preset_problem(name)
+        mach = _build_machinery(model.h, model.collapse, psi0, config.grid)
+        gens += [(blk.gen, config.grid.dt) for blk in mach.blocks]
+    h, collapse, psi0 = _mixing_channel()
+    grid = TimeGrid(t_end=1.0, n_samples=3)
+    gens += [(blk.gen, grid.dt) for blk in _build_machinery(h, collapse, psi0, grid).blocks]
+    return tuple(gens)
 
 
 class TestBlocks:
@@ -248,9 +274,11 @@ class TestBlocks:
     def test_trajectories_match_dense_reference(self, case):
         h, collapse, psi0 = REFERENCE_CASES[case]()
         h, psi0 = np.asarray(h), np.asarray(psi0, dtype=np.complex128)
-        grid = TimeGrid(t_end=300.0, n_samples=301, dt=0.005)
+        # n_fine = 200, or the fig2 preset's own 536: a 10-level dyadic descent
+        grid = (load_preset("fig2").scenarios[0].grid if case == "fig2_preset"
+                else TimeGrid(t_end=300.0, n_samples=301, dt=0.005))
         n_blocks = len(_build_machinery(h, collapse, psi0, grid).blocks)
-        assert n_blocks == {"fig2": 3, "detuned": 3, "two_sectors": 1,
+        assert n_blocks == {"fig2": 3, "fig2_preset": 3, "detuned": 3, "two_sectors": 1,
                             "dark_block": 2, "mixing_channel": 1}[case]
         n_jumps = 0
         for seed in range(6):
@@ -281,6 +309,22 @@ class TestBlocks:
             tail = traj.states[entry:]
             assert np.abs(np.abs(tail[:, vacuum]) - 1.0).max() < 1e-12
             assert not np.delete(tail, vacuum, axis=1).any()
+
+
+class TestNormPolynomial:
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), frac=st.floats(0.0, 1.0))
+    @settings(max_examples=100)
+    def test_horner_value_is_the_flow_norm(self, data, seed, frac):
+        # the bisection's scalar polynomial against the flow vector it replaces
+        gen, dt = data.draw(st.sampled_from(norm_polynomial_blocks()))
+        rng = np.random.default_rng(seed)
+        k = gen.shape[0]
+        powers = [(rng.normal(size=k) + 1j * rng.normal(size=k)) * rng.uniform(1e-3, 1.0)]
+        for _ in range(4):
+            powers.append(gen @ powers[-1])
+        tau = frac * dt
+        expected = _norm2(_taylor_flow(powers, tau))
+        assert abs(_poly_value(_flow_norm2_poly(powers), tau) - expected) <= 1e-13 * expected
 
 
 def dense_superoperator(h, collapse):

@@ -178,6 +178,17 @@ class TestScenarioConfig:
         assert problems == [
             "observables.projectors: P20 needs 2 photons on one site, cutoff is 1"]
 
+    def test_initial_excitation_beyond_cutoff_rejected(self):
+        # each label fits n_max = 1, their total of 2 excitations does not
+        problems = problems_of(scenario_from_mapping, {
+            "model": {"n_sites": 2, "n_max": 1},
+            "initial": {"labels": ["1-", "1-"]},
+            "grid": {"t_end": 10.0, "n_samples": 6},
+            "observables": {"negativity": True},
+        })
+        assert len(problems) == 1
+        assert problems[0].startswith("initial.labels, model.n_max: ")
+
     def test_projector_beyond_initial_excitation_rejected(self):
         problems = problems_of(scenario_from_mapping, {
             "model": {"n_sites": 2, "n_max": 2},

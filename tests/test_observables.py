@@ -359,13 +359,43 @@ def gaussian(t, center, width, height=1.0):
 
 
 class TestPeakFinding:
-    def test_package_import_leaves_scipy_signal_unloaded(self):
-        # only find_peaks needs scipy.signal, which is slow to import
+    def test_runtime_never_imports_scipy(self, tmp_path):
+        # scipy is a test dependency only; importing scipy.signal alone takes about 1 s
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import jchsim\n"
+            "from jchsim.cli import main\n"
+            "t = np.linspace(0.0, 100.0, 401)\n"
+            "jchsim.classify_series(np.exp(-0.5 * ((t - 40.0) / 8.0) ** 2), t)\n"
+            "assert main(['run', '--preset', 'fig1', '--out', sys.argv[1]]) == 0\n"
+            "print('scipy' in sys.modules)\n")
         env = {**os.environ, "PYTHONPATH": str(Path(jchsim.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, jchsim; print('scipy.signal' in sys.modules)"],
-            capture_output=True, text=True, check=True, env=env, timeout=60)
-        assert out.stdout.strip() == "False"
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                             capture_output=True, text=True, check=True, env=env,
+                             timeout=120)
+        assert out.stdout.splitlines()[-1] == "False"
+        assert len(list(tmp_path.glob("fig1_*.csv"))) == 2
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 80),
+           kind=st.sampled_from(["plateaus", "noise", "noise"]),
+           threshold=st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.0, 0.5)))
+    @settings(max_examples=150)
+    def test_matches_scipy_find_peaks(self, seed, size, kind, threshold):
+        from scipy import signal
+        rng = np.random.default_rng(seed)
+        y = rng.random(size)
+        if kind == "plateaus":
+            # runs of equal samples, at the ends too, and prominences on the threshold
+            y = np.round(4.0 * y) / 4.0
+        t = np.arange(size, dtype=float)
+        report = find_peaks(y, t, threshold)
+        if y.max() > 0:
+            idx, props = signal.find_peaks(y, prominence=threshold * y.max())
+            assert report.peak_times.tolist() == idx.tolist()
+            assert report.prominences.tobytes() == props["prominences"].tobytes()
+        else:
+            assert report.classification.kind == "NoPeak"
 
     def test_single_gaussian(self):
         t = np.linspace(0.0, 100.0, 401)
