@@ -16,6 +16,13 @@ absorbing: nothing leaves it, so once the state enters one the per-sample
 jump test stops and the remaining samples are filled at once with powers
 of the block's stride propagator.
 
+The blocks and their propagators depend only on H, the collapse operators,
+ψ0 and the grid, so they are built once per ensemble: ``mcwf_ensemble``
+keeps them in its result, and ``EnsembleResult.jump_free_branch`` runs the
+conditional branch on them.  Each observable is reduced on its support in a
+block, the states where its restriction has a nonzero row or column: on
+n4's 192-state top block, P4000 and P1111 need 2 and 16 of them.
+
 A trajectory advances a whole sample interval at a time while its squared
 norm stays above the waiting-time threshold.  An interval that crosses it
 is redone in one dyadic descent over the powers 2^p of the dt step, which
@@ -47,14 +54,14 @@ uses H itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, IntegratorError, SizeError
-from .linalg import as_complex_matrix, require_hermitian
+from .linalg import as_complex_matrix, min_labels, require_hermitian
 
 __all__ = [
     "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT", "LINDBLAD_DIM_CAP", "RHO_MEMORY_CAP",
@@ -178,7 +185,12 @@ class TrajectoryResult:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Trajectory-averaged observables with standard errors."""
+    """Trajectory-averaged observables with standard errors.
+
+    It keeps the block propagators the trajectories ran on, so that
+    ``jump_free_branch`` runs the same model's conditional branch without
+    building them again.
+    """
 
     times: np.ndarray
     mean_observables: dict                # name -> (n_samples,) float array
@@ -189,6 +201,13 @@ class EnsembleResult:
     jumps_per_channel: np.ndarray         # (n_traj, n_channels) int: jumps of each trajectory
     absorbing_entry: np.ndarray           # (n_traj,) int: first sample in an absorbing block,
                                           # n_samples if never
+    _machinery: _Machinery = field(repr=False, compare=False)
+
+    def jump_free_branch(self, observables: Optional[Mapping[str, np.ndarray]] = None,
+                         ) -> ConditionalBranch:
+        """``no_jump_branch`` of the ensemble's model, ψ0 and grid, on its blocks."""
+        mach = self._machinery
+        return _jump_free_branch(mach, _coerce_observables(observables, mach.dim))
 
 
 @dataclass(frozen=True)
@@ -243,11 +262,7 @@ def _block_labels(h: np.ndarray, ops: list, support: np.ndarray) -> np.ndarray:
             same = src[1:] == src[:-1]
             links.append((rows[order][1:][same], rows[order][:-1][same]))
         i, j = (np.concatenate(side) for side in zip(*links))
-        low = np.minimum(labels[i], labels[j])
-        new = labels.copy()
-        np.minimum.at(new, i, low)
-        np.minimum.at(new, j, low)
-        new = new[new]
+        new = min_labels(labels, i, j)
         if np.array_equal(new, labels):
             return labels
         labels = new
@@ -302,6 +317,7 @@ class _Machinery:
     psi0: np.ndarray         # psi0 on that block
     n_chan: int
     dim: int
+    grid: TimeGrid           # the strides and powers are built for its dt and n_fine
 
 
 def _check_ops(collapse: Sequence[np.ndarray], d: int) -> list:
@@ -340,7 +356,7 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
     start = int(owner[support[0]])
     return _Machinery(blocks=tuple(blocks), start=start,
                       psi0=np.ascontiguousarray(psi0[blocks[start].index]),
-                      n_chan=len(ops), dim=d)
+                      n_chan=len(ops), dim=d, grid=grid)
 
 
 def _check_state(psi0: np.ndarray, d: int) -> np.ndarray:
@@ -485,7 +501,7 @@ def _stride_powers(r_stride: np.ndarray, psi: np.ndarray, m: int) -> np.ndarray:
     return cols.T
 
 
-def _propagate(mach: _Machinery, grid: TimeGrid, seed=None):
+def _propagate(mach: _Machinery, seed=None):
     """Normalized sample rows by block, their squared norms before
     normalization, the jumps, and the first sample in an absorbing block.
 
@@ -500,6 +516,7 @@ def _propagate(mach: _Machinery, grid: TimeGrid, seed=None):
     never), the remaining rows are the powers of that block's stride
     propagator, filled at once.
     """
+    grid = mach.grid
     jumping = seed is not None and mach.n_chan > 0
     if jumping:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -572,7 +589,7 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     Deterministic given (seed, grid, inputs).
     """
     mach = _build_machinery(h, collapse, psi0, grid)
-    runs, _, jumps, _ = _propagate(mach, grid, seed)
+    runs, _, jumps, _ = _propagate(mach, seed)
     return TrajectoryResult(times=grid.times,
                             states=_dense_rows(mach, runs, grid.n_samples),
                             jumps=tuple(jumps), seed=seed)
@@ -596,17 +613,42 @@ def _coerce_observables(observables: Optional[Mapping[str, np.ndarray]],
 
 
 def _block_observables(mach: _Machinery, obs: dict) -> list:
-    """Each observable restricted to each block: ``[block][observable]``."""
-    return [[op[np.ix_(blk.index, blk.index)] for op in obs.values()]
-            for blk in mach.blocks]
+    """Each observable on each block's support: ``[block][observable]``.
+
+    The support is the block's states where the observable's restriction has
+    a nonzero row or column; each entry is ``(support, restriction to the
+    support)``.
+    """
+    out = []
+    for blk in mach.blocks:
+        entries = []
+        for op in obs.values():
+            sub = op[np.ix_(blk.index, blk.index)]
+            support = np.flatnonzero(sub.any(axis=0) | sub.any(axis=1))
+            entries.append((support, np.ascontiguousarray(sub[np.ix_(support, support)])))
+        out.append(entries)
+    return out
 
 
 def _reduce(runs: list, block_obs: list, out: np.ndarray) -> np.ndarray:
-    """``out[o, s]`` = <ψ_s|P_o|ψ_s>, each sample reduced on its block."""
+    """``out[o, s]`` = <ψ_s|P_o|ψ_s>, each sample reduced on its block's
+    columns in the observable's support (0.0 where that is empty)."""
     for b, first, rows in runs:
-        for o, op in enumerate(block_obs[b]):
-            out[o, first:first + len(rows)] = _batched_expectation(rows, op)
+        for o, (support, op) in enumerate(block_obs[b]):
+            if len(support):
+                out[o, first:first + len(rows)] = _batched_expectation(rows[:, support], op)
+            else:
+                out[o, first:first + len(rows)] = 0.0
     return out
+
+
+def _jump_free_branch(mach: _Machinery, obs: dict) -> ConditionalBranch:
+    """The seedless run of ``_propagate`` on built blocks, reduced and embedded."""
+    n = mach.grid.n_samples
+    runs, survival, _, _ = _propagate(mach)
+    values = _reduce(runs, _block_observables(mach, obs), np.empty((len(obs), n)))
+    return ConditionalBranch(times=mach.grid.times, states=_dense_rows(mach, runs, n),
+                             survival=survival, observables=dict(zip(obs, values)))
 
 
 def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
@@ -615,16 +657,12 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
                    ) -> ConditionalBranch:
     """Evolve the jump-free branch: decaying norm plus renormalized states.
 
-    With ``collapse = ()`` this is the closed-system evolution.
+    With ``collapse = ()`` this is the closed-system evolution.  A caller
+    that has run ``mcwf_ensemble`` on the same inputs gets the same branch,
+    without building the blocks again, from ``EnsembleResult.jump_free_branch``.
     """
     mach = _build_machinery(h, collapse, psi0, grid)
-    obs = _coerce_observables(observables, mach.dim)
-    runs, survival, _, _ = _propagate(mach, grid)
-    values = _reduce(runs, _block_observables(mach, obs),
-                     np.empty((len(obs), grid.n_samples)))
-    return ConditionalBranch(times=grid.times,
-                             states=_dense_rows(mach, runs, grid.n_samples),
-                             survival=survival, observables=dict(zip(obs, values)))
+    return _jump_free_branch(mach, _coerce_observables(observables, mach.dim))
 
 
 def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
@@ -657,7 +695,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     rho_sums = [np.zeros((n, len(blk.index), len(blk.index)), dtype=np.complex128)
                 for blk in mach.blocks] if keep_rho else None
     for idx in range(n_runs):
-        runs, _, jumps, absorbed[idx] = _propagate(mach, grid, (master_seed, idx))
+        runs, _, jumps, absorbed[idx] = _propagate(mach, (master_seed, idx))
         _reduce(runs, block_obs, rows[idx])
         counts[idx] = np.bincount([chan for _, chan in jumps], minlength=mach.n_chan)
         if keep_rho:
@@ -683,7 +721,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     return EnsembleResult(times=grid.times, mean_observables=means, stderr=stderr,
                           n_traj=n_traj, rho_avg=rho_avg, master_seed=master_seed,
                           jumps_per_channel=np.repeat(counts, copies, axis=0),
-                          absorbing_entry=np.repeat(absorbed, copies))
+                          absorbing_entry=np.repeat(absorbed, copies), _machinery=mach)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,25 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     return a
 
 
+def min_labels(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Merge the classes of ``labels`` along the links (i, j).
+
+    ``labels`` gives each node the smallest node of its class (``arange``
+    for singletons).  Every node takes the smallest label among the nodes
+    it is linked to, until no label changes; each merged class is then
+    labelled by its smallest node.
+    """
+    while True:
+        low = np.minimum(labels[i], labels[j])
+        new = labels.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
 def _coerce_state(rho, dims) -> tuple[np.ndarray, TensorDims]:
     td = TensorDims.coerce(dims)
     a = np.asarray(rho, dtype=np.complex128)

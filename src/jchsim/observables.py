@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, SizeError
-from .linalg import TensorDims, as_complex_matrix, partial_transpose
+from .linalg import TensorDims, as_complex_matrix, min_labels, partial_transpose
 from .model import (ModelParams, PolaritonLabel, ReducedSpace, polariton_energy,
                     prepare_product_polariton_state)
 
@@ -146,25 +146,6 @@ def negativity_series(rho_stack: np.ndarray, dims) -> np.ndarray:
     return out + 0.0   # +0.0 normalizes -0.0
 
 
-def _components(n_nodes: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Connected component of each node under the links (i, j).
-
-    Each node is labelled by the smallest node of its component: every node
-    takes the smallest label among the nodes it is linked to, until no label
-    changes.
-    """
-    labels = np.arange(n_nodes)
-    while True:
-        low = np.minimum(labels[i], labels[j])
-        new = labels.copy()
-        np.minimum.at(new, i, low)
-        np.minimum.at(new, j, low)
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
 def block_negativity(rho_stack: np.ndarray, space: ReducedSpace, cut: int) -> np.ndarray:
     """Negativity across ``cut`` of each state in an ``(n, dim, dim)`` reduced-basis stack.
 
@@ -192,7 +173,8 @@ def block_negativity(rho_stack: np.ndarray, space: ReducedSpace, cut: int) -> np
                                            left[j] * right_dim + right[i]]),
                            return_inverse=True)
     row, col = pos[:len(i)], pos[len(i):]
-    blocks, owner = np.unique(_components(len(nodes), row, col), return_inverse=True)
+    blocks, owner = np.unique(min_labels(np.arange(len(nodes)), row, col),
+                              return_inverse=True)
     local = np.empty(len(nodes), dtype=np.intp)
     out = np.zeros(len(stack))
     for b in range(len(blocks)):

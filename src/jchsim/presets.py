@@ -15,7 +15,8 @@ Scenario presets:
            doubly-excited state drains; negativity + conditional columns.
 ``fig3``   J = 0.06 below (gamma = 0.02) and above (gamma = 0.06) the
            critical damping; negativity + conditional columns.
-``n3``     three sites, initial |3-, G, G>, populations + conditional.
+``n3``     three sites, initial |3-, G, G>, populations, negativity across
+           the default cut + conditional.
 ``n4``     four sites, initial |4-, G, G, G>, populations + conditional
            (no negativity: the averaged-state stack would exceed the
            memory budget at this dimension).
@@ -93,7 +94,7 @@ def _build_n3() -> tuple:
     return (_scenario("n3", 6, n_sites=3, n_max=3, hop=0.03, gamma=0.05,
                       omega_a=0.0, initial="3-, G, G",
                       projectors="P300, P111", t_end=1500.0,
-                      negativity=False, conditional=True, n_traj=2000),)
+                      negativity=True, conditional=True, n_traj=2000),)
 
 
 def _build_n4() -> tuple:

@@ -4,8 +4,9 @@
 trajectory ensemble, assembles the output table (time, ensemble means with
 standard errors, optionally the averaged-state negativity and the jump-free
 conditional columns), and writes it next to a JSON sidecar echoing every
-consumed parameter together with a content hash of the configuration.
-Reruns of the same configuration produce byte-identical files.
+consumed parameter together with a content hash of the configuration and
+the ensemble's jump diagnostics.  Reruns of the same configuration produce
+byte-identical files.
 
 CSV conventions: RFC-4180 (CRLF line ends, header row, '.' decimal); float
 cells use ``repr`` so values round-trip exactly.
@@ -28,7 +29,9 @@ from .config import (
     config_content_hash,
 )
 from .critical import CriticalityResult
-from .dynamics import BACKEND, EnsembleResult, mcwf_ensemble, no_jump_branch
+from .dynamics import BACKEND, EnsembleResult, mcwf_ensemble
+# traced name of perfbench's ensemble workloads; no run path calls it
+from .dynamics import no_jump_branch  # noqa: F401
 from .model import build_reduced_model, prepare_product_polariton_state
 from .observables import block_negativity
 # traced names of perfbench's pair_trapping; no run path calls them
@@ -105,7 +108,15 @@ def run_scenario(config: ScenarioConfig,
 
     Returns the in-memory result either way.  With ``out_dir`` set, writes
     ``<name>.csv`` (or ``.json``) and the ``<name>.json``/``<name>.meta.json``
-    sidecar into the directory (created if missing).
+    sidecar into the directory (created if missing).  Besides the
+    configuration, the sidecar records the ensemble's jump diagnostics as
+    plain ints: the total jumps of each collapse channel, and the min, lower
+    median and max of the sample at which each trajectory enters an
+    absorbing block (``n_samples`` for one that never does) with the count
+    of those that never do.
+
+    The ensemble builds the model's block propagators once; the conditional
+    columns come from its ``jump_free_branch`` on those same blocks.
 
     The ``negativity`` column is N(ρ̄), the negativity of the
     trajectory-averaged state across ``bipartition_cut``, taken by
@@ -139,8 +150,7 @@ def run_scenario(config: ScenarioConfig,
         columns["negativity"] = block_negativity(
             ensemble.rho_avg, model.space, config.bipartition_cut)
     if config.include_conditional:
-        branch = no_jump_branch(model.h, model.collapse, psi0, config.grid,
-                                observables=ops)
+        branch = ensemble.jump_free_branch(ops)
         names.append("survival")
         columns["survival"] = branch.survival
         for spec in config.observables:
@@ -160,6 +170,9 @@ def run_scenario(config: ScenarioConfig,
             "package_version": __version__,
             "backend": BACKEND,
             "columns": list(names),
+            "jumps_per_channel": ensemble.jumps_per_channel.sum(axis=0).tolist(),
+            "absorbing_entry": _absorbing_summary(ensemble.absorbing_entry,
+                                                  config.grid.n_samples),
             "projector_symmetrize": {spec.name: spec.symmetrize
                                      for spec in config.observables},
             "table_file": table_path.name,
@@ -167,6 +180,14 @@ def run_scenario(config: ScenarioConfig,
     return ScenarioRunResult(config=config, ensemble=ensemble,
                              column_names=tuple(names), columns=columns,
                              table_path=table_path, sidecar_path=sidecar_path)
+
+
+def _absorbing_summary(entry: np.ndarray, n_samples: int) -> dict:
+    """Min, lower median and max of the absorbing-entry sample, and how many never enter."""
+    return {"min": int(entry.min()),
+            "median_lower": int(np.quantile(entry, 0.5, method="lower")),
+            "max": int(entry.max()),
+            "never": int(np.count_nonzero(entry == n_samples))}
 
 
 def _fmt_flags(flags) -> str:

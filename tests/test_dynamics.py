@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from jchsim.dynamics import (TimeGrid, _block_superoperator, _build_machinery,
+from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
+                             _block_superoperator, _build_machinery,
                              _flow_norm2_poly, _norm2, _partition, _poly_value,
-                             _taylor_flow, lindblad_evolve, mcwf_ensemble,
+                             _reduce, _taylor_flow, lindblad_evolve, mcwf_ensemble,
                              mcwf_trajectory, no_jump_branch)
 from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
 from jchsim.model import (ModelParams, build_full_hamiltonian,
@@ -46,6 +47,16 @@ def preset_problem(name):
     psi0 = model.space.reduce_vector(
         prepare_product_polariton_state(config.initial, config.model))
     return config, model, psi0
+
+
+def preset_projectors(config, model):
+    return {spec.name: spec.operator(config.model, model.space)
+            for spec in config.observables}
+
+
+def random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (m + m.conj().T) / (2.0 * np.sqrt(dim))
 
 
 def dense_reference_trajectory(h, collapse, psi0, grid, seed):
@@ -614,6 +625,80 @@ class TestTrajectories:
         with pytest.raises(SizeError, match="observable 'bad' shape"):
             mcwf_ensemble(h, collapse, psi0, grid, n_traj=1, master_seed=0,
                           observables=bad)
+
+
+def _branch_case(name):
+    """h, collapse, psi0, grid and observables of a jump-free branch case."""
+    rng = np.random.default_rng(5)
+    if name in ("fig2", "n4"):
+        config, model, psi0 = preset_problem(name)
+        grid = config.grid
+        if name == "n4":
+            grid = TimeGrid.with_spacing(150.0, grid.spacing, dt=grid.dt)
+        return model.h, model.collapse, psi0, grid, preset_projectors(config, model)
+    if name == "closed":
+        _, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
+        h, collapse = model.h, ()
+    else:
+        h, collapse, psi0 = _two_sector_state()
+    obs = {"diag": np.diag(np.arange(len(psi0), dtype=np.float64)),
+           "dense": random_hermitian(rng, len(psi0))}
+    return h, collapse, psi0, TimeGrid(t_end=100.0, n_samples=41), obs
+
+
+class TestSharedBlocks:
+    @pytest.mark.parametrize("name", ["fig2", "n4", "closed", "two_sectors"])
+    def test_ensemble_branch_equals_no_jump_branch_bitwise(self, name):
+        h, collapse, psi0, grid, obs = _branch_case(name)
+        ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=2, master_seed=3,
+                            observables=obs)
+        got = ens.jump_free_branch(obs)
+        want = no_jump_branch(h, collapse, psi0, grid, observables=obs)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.survival.tobytes() == want.survival.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert list(got.observables) == list(want.observables) == list(obs)
+        for key in obs:
+            assert got.observables[key].tobytes() == want.observables[key].tobytes()
+
+    def test_machinery_hidden_from_repr_and_observables_checked(self):
+        h, collapse, psi0, grid, _ = _branch_case("closed")
+        ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=1, master_seed=3)
+        assert "_machinery" not in repr(ens)
+        assert ens.jump_free_branch().observables == {}
+        with pytest.raises(SizeError, match="observable 'bad' shape"):
+            ens.jump_free_branch({"bad": np.eye(3)})
+
+    @pytest.mark.parametrize("name,supports", [
+        # fig2: sectors of 1, 4 and 8 states; P20, P02, P11 live in the 8-state one
+        ("fig2", [[0, 0, 0], [0, 0, 0], [2, 2, 4]]),
+        # n4: sectors of 1, 8, 32, 88 and 192 states
+        ("n4", [[0, 0]] * 4 + [[2, 16]]),
+    ])
+    def test_preset_projector_supports(self, name, supports):
+        config, model, psi0 = preset_problem(name)
+        mach = _build_machinery(model.h, model.collapse, psi0, config.grid)
+        block_obs = _block_observables(mach, preset_projectors(config, model))
+        assert [[len(sup) for sup, _ in entries] for entries in block_obs] == supports
+
+    @pytest.mark.parametrize("name", ["fig2", "n4"])
+    def test_support_reduction_matches_full_block(self, name):
+        rng = np.random.default_rng(17)
+        config, model, psi0 = preset_problem(name)
+        mach = _build_machinery(model.h, model.collapse, psi0, config.grid)
+        obs = preset_projectors(config, model)
+        obs["dense"] = random_hermitian(rng, model.dim)
+        block_obs = _block_observables(mach, obs)
+        for b, blk in enumerate(mach.blocks):
+            k = len(blk.index)
+            rows = rng.normal(size=(9, k)) + 1j * rng.normal(size=(9, k))
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            got = _reduce([(b, 0, rows)], block_obs, np.full((len(obs), 9), np.nan))
+            for o, op in enumerate(obs.values()):
+                full = _batched_expectation(rows, op[np.ix_(blk.index, blk.index)])
+                assert np.abs(got[o] - full).max() <= 1e-15
+                if not len(block_obs[b][o][0]):
+                    assert not got[o].any()
 
 
 class TestDeterminism:

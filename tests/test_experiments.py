@@ -521,6 +521,37 @@ class TestRunnerArtifacts:
         assert sidecar["backend"] == "numpy"
         assert sidecar["table_file"] == result.table_path.name
 
+    def test_sidecar_records_jump_diagnostics(self, tmp_path):
+        # fig2 from |2-, G>: every trajectory makes both jumps and ends in the vacuum
+        config = load_preset("fig2").with_overrides(n_traj=5).scenarios[0]
+        result = run_scenario(config, out_dir=tmp_path)
+        sidecar = json.loads(result.sidecar_path.read_text())
+        ens = result.ensemble
+        assert sidecar["jumps_per_channel"] == ens.jumps_per_channel.sum(axis=0).tolist()
+        assert sum(sidecar["jumps_per_channel"]) == 2 * 5
+        entry = ens.absorbing_entry
+        assert sidecar["absorbing_entry"] == {
+            "min": entry.min(), "median_lower": sorted(entry)[2], "max": entry.max(),
+            "never": 0}
+        values = sidecar["jumps_per_channel"] + list(sidecar["absorbing_entry"].values())
+        assert all(type(v) is int for v in values)
+
+    def test_scenario_builds_its_blocks_once(self, monkeypatch):
+        from jchsim import dynamics
+        calls = []
+        build = dynamics._build_machinery
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(dynamics, "_build_machinery", counted)
+        config = load_preset("fig2").with_overrides(n_traj=3).scenarios[0]
+        assert config.include_conditional
+        result = run_scenario(config)
+        assert len(calls) == 1
+        assert "survival" in result.column_names
+
     def test_reruns_are_byte_identical(self, run_dir, tmp_path):
         out, result = run_dir
         rerun = run_scenario(tiny_scenario(), out_dir=tmp_path)
@@ -803,6 +834,12 @@ class TestPresets:
         # a sweep runs no trajectories: it has nothing to override
         untouched = load_preset("fig4").with_overrides(n_traj=7, master_seed=123)
         assert untouched.sweep == load_preset("fig4").sweep
+
+    def test_negativity_on_every_preset_but_n4(self):
+        # n4's averaged-state stack (561 x 321^2 entries) is above the memory cap
+        assert {name: load_preset(name).scenarios[0].compute_negativity
+                for name in ("fig2", "fig3", "n3", "n4")} == {
+            "fig2": True, "fig3": True, "n3": True, "n4": False}
 
     def test_scenario_presets_cover_system_sizes(self):
         sizes = {cfg.model.n_sites

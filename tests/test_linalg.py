@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jchsim.errors import NotHermitianError, SizeError
-from jchsim.linalg import (TensorDims, as_complex_matrix, kron, partial_transpose,
-                           require_hermitian)
+from jchsim.linalg import (TensorDims, as_complex_matrix, kron, min_labels,
+                           partial_transpose, require_hermitian)
 
 from conftest import random_density_matrix
 
@@ -59,6 +59,21 @@ class TestHermitian:
     def test_as_complex_matrix_rejects_nonsquare(self):
         with pytest.raises(SizeError):
             as_complex_matrix(np.zeros((2, 3)))
+
+
+class TestMinLabels:
+    def test_components_labelled_by_their_smallest_node(self):
+        # links 5-1, 1-3 and 4-0, given in an order that needs several passes
+        i, j = np.array([5, 1, 4]), np.array([1, 3, 0])
+        assert min_labels(np.arange(7), i, j).tolist() == [0, 1, 2, 1, 0, 1, 6]
+
+    def test_given_classes_are_kept_and_merged(self):
+        # {0, 2} and {3, 5} already merged; one link joins 5 to 4
+        labels = np.array([0, 1, 0, 3, 4, 3])
+        merged = min_labels(labels, np.array([4]), np.array([5]))
+        assert merged.tolist() == [0, 1, 0, 3, 3, 3]
+        assert min_labels(labels, np.array([], dtype=int),
+                          np.array([], dtype=int)) is labels
 
 
 class TestPartialTranspose:
