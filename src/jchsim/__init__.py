@@ -9,15 +9,13 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, IntegratorError, JchsimError, NotHermitianError,
                      SizeError, TruncationError)
-from .linalg import TensorDims, kron, partial_transpose
+from .linalg import TensorDims, partial_transpose
 from .model import (HoppingCoefficients, ModelParams, PolaritonLabel, ReducedModel,
-                    ReducedSpace, SiteOperatorSet, build_full_hamiltonian,
-                    build_reduced_model, collapse_operators,
+                    ReducedSpace, SiteOperatorSet, build_reduced_model,
                     creation_in_polariton_basis, dressed_basis_matrix, dressed_state,
                     excitation_basis, hopping_coefficients, mixing_angle,
                     polariton_energy, prepare_product_polariton_state,
-                    site_operators, total_excitation_operator,
-                    transform_to_dressed_basis)
+                    site_operators, transform_to_dressed_basis)
 from .dynamics import (BACKEND, ConditionalBranch, EnsembleResult, TimeGrid,
                        TrajectoryResult, lindblad_evolve, mcwf_ensemble,
                        mcwf_trajectory, no_jump_branch)

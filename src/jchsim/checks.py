@@ -25,18 +25,15 @@ import numpy as np
 from .config import apply_overrides, scenario_from_mapping
 from .dynamics import TimeGrid, lindblad_evolve, no_jump_branch
 from .errors import ConfigError
-from .linalg import TensorDims
 from .model import (
     ModelParams,
-    build_full_hamiltonian,
     build_reduced_model,
     hopping_coefficients,
-    prepare_product_polariton_state,
     site_operators,
     transform_to_dressed_basis,
     creation_in_polariton_basis,
 )
-from .observables import negativity_series
+from .observables import block_negativity
 from .runner import run_scenario
 
 __all__ = ["CheckItem", "CheckReport", "SUITE_NAMES", "run_suite"]
@@ -147,13 +144,12 @@ def _decay_item() -> CheckItem:
 
 
 def _rabi_item() -> CheckItem:
-    params = ModelParams(n_sites=1, n_max=1)
-    h = build_full_hamiltonian(params)
-    psi0 = np.zeros(params.dim, dtype=np.complex128)
-    psi0[params.n_max + 1] = 1.0          # bare |atom excited, 0 photons>
+    model = build_reduced_model(ModelParams(n_sites=1, n_max=1), max_exc=1)
+    psi0 = np.zeros(model.dim, dtype=np.complex128)
+    psi0[model.space.index_of(np.array([[[0, 1]]]))] = 1.0   # |0 photons, atom excited>
     grid = TimeGrid(t_end=30.0, n_samples=301, dt=0.005)
-    result = no_jump_branch(h, (), psi0, grid)
-    excited = site_operators(params.n_max).excited
+    result = no_jump_branch(model.h, (), psi0, grid)
+    excited = np.diag(model.space.states[:, 0, 1]).astype(np.complex128)
     pop = np.einsum("ni,ij,nj->n", result.states.conj(), excited,
                     result.states).real
     target = np.cos(grid.times) ** 2
@@ -194,8 +190,7 @@ def _oracle_items(**overrides) -> list:
     run = run_scenario(config)
     params = config.model
     model = build_reduced_model(params, max_exc=config.max_excitation)
-    psi0 = model.space.reduce_vector(
-        prepare_product_polariton_state(config.initial, params))
+    psi0 = model.space.product_state(config.initial)
     ops = {spec.name: spec.operator(params, model.space)
            for spec in config.observables}
     rho0 = np.outer(psi0, psi0.conj())
@@ -214,8 +209,7 @@ def _oracle_items(**overrides) -> list:
             detail=f"worst dev/allowed over {len(exact)} samples, "
                    f"{config.n_traj} trajectories"))
 
-    dims = TensorDims((params.site_dim, params.site_dim))
-    neg_exact = negativity_series(model.space.embed_density(rhos), dims)
+    neg_exact = block_negativity(rhos, model.space, config.bipartition_cut)
     dev = float(np.abs(run.columns["negativity"] - neg_exact).max())
     items.append(CheckItem(
         name="trajectory-averaged negativity vs master equation",

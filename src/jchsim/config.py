@@ -28,8 +28,8 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .dynamics import DEFAULT_DT, RHO_MEMORY_CAP, TimeGrid
 from .errors import ConfigError
-from .linalg import DEFAULT_DIM_CAP
-from .model import ModelParams, PolaritonLabel, excitation_basis, total_excitation_of_labels
+from .model import (PRODUCT_INDEX_LIMIT, ModelParams, PolaritonLabel, damped_sites,
+                    excitation_dim, total_excitation_of_labels)
 from .observables import (
     DEFAULT_BURN_IN,
     DEFAULT_PROMINENCE_THRESHOLD,
@@ -370,25 +370,33 @@ class ScenarioConfig:
                 problems.append(f"observables.projectors: {spec.name} holds {sum(ns)} "
                                 "excitations, more than the initial state's "
                                 f"{self.max_excitation}")
-        # the initial state is prepared in the product space
-        full_dim = self.model.dim
-        if full_dim > DEFAULT_DIM_CAP:
+        if self.model.dim >= PRODUCT_INDEX_LIMIT:
+            # the basis keeps each state's product-space index as an int64
             problems.append(
-                f"model.n_sites, model.n_max: {n_sites} sites with n_max = {n_max} span "
-                f"{full_dim} product states, above the cap {DEFAULT_DIM_CAP}")
+                f"model.n_sites, model.n_max, initial.labels: {n_sites} sites with "
+                f"n_max = {n_max} span at least 2**63 product states, whose "
+                "indices overflow int64")
         if self.compute_negativity and n_sites < 2:
             problems.append(
                 "observables.negativity: needs at least two sites")
-        if (self.compute_negativity and len(canonical) == len(self.initial)
-                and self.max_excitation <= n_max):
-            # negativity is taken on the averaged-state stack the ensemble keeps
-            dim = excitation_basis(self.model, self.max_excitation).dim
-            stack_bytes = self.grid.n_samples * dim * dim * 16
-            if stack_bytes > RHO_MEMORY_CAP:
+        if len(canonical) == len(self.initial) and self.max_excitation <= n_max:
+            # the run holds H and each loss operator densely on the reduced basis
+            dim = excitation_dim(n_sites, self.max_excitation)
+            n_dense = 1 + len(damped_sites(self.model))
+            model_bytes = n_dense * dim * dim * 16
+            if model_bytes > RHO_MEMORY_CAP:
                 problems.append(
-                    f"observables.negativity: the averaged-state stack of "
-                    f"{self.grid.n_samples} samples of {dim}-dim matrices needs "
-                    f"{stack_bytes} bytes, above the cap {RHO_MEMORY_CAP}")
+                    f"model.n_sites, model.n_max, initial.labels: the reduced model's "
+                    f"{n_dense} dense {dim}-dim operators need {model_bytes} bytes, "
+                    f"above the budget {RHO_MEMORY_CAP}")
+            if self.compute_negativity:
+                # negativity is taken on the averaged-state stack the ensemble keeps
+                stack_bytes = self.grid.n_samples * dim * dim * 16
+                if stack_bytes > RHO_MEMORY_CAP:
+                    problems.append(
+                        f"observables.negativity: the averaged-state stack of "
+                        f"{self.grid.n_samples} samples of {dim}-dim matrices needs "
+                        f"{stack_bytes} bytes, above the cap {RHO_MEMORY_CAP}")
         if not 1 <= self.bipartition_cut < max(n_sites, 2):
             problems.append(
                 "observables.bipartition_cut: must satisfy "

@@ -21,7 +21,7 @@ import numpy as np
 from .config import CriticalitySweepConfig
 from .dynamics import lindblad_evolve
 from .errors import ConfigError
-from .model import build_reduced_model, prepare_product_polariton_state
+from .model import build_reduced_model
 from .observables import (
     ProjectorSpec,
     blockade_beat_period,
@@ -103,8 +103,7 @@ def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float) -> 
     """
     params = config.model_for(hop, gamma)
     model = build_reduced_model(params, max_exc=2)
-    psi0 = model.space.reduce_vector(
-        prepare_product_polariton_state(_INITIAL_LABELS, params))
+    psi0 = model.space.product_state(_INITIAL_LABELS)
     grid = config.grid_for(params)
     pinned_op = _PINNED.operator(params, model.space)
 

@@ -2,19 +2,15 @@
 
 All operators are plain ``numpy`` arrays, complex128, C-ordered.  Basis
 ordering convention for composite systems: factor 0 is the *leftmost*
-(slowest-varying) index, i.e. ``kron(A0, A1, ...)``.
+(slowest-varying) index, i.e. ``np.kron(A0, A1, ...)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NotHermitianError, SizeError
-
-#: hard ceiling on any matrix dimension produced here (kron products, embeddings)
-DEFAULT_DIM_CAP = 16384
 
 #: absolute tolerance used when checking Hermiticity of inputs
 HERMITICITY_ATOL = 1e-10
@@ -55,26 +51,6 @@ def as_complex_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def kron(*ops, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Kronecker product of one or more square matrices, leftmost factor slowest.
-
-    The resulting dimension is checked against ``dim_cap`` *before* any
-    allocation happens.
-    """
-    if not ops:
-        raise SizeError("kron needs at least one operand")
-    mats = [as_complex_matrix(op) for op in ops]
-    total = 1
-    for m in mats:
-        total *= m.shape[0]
-    if total > dim_cap:
-        raise SizeError(f"kron result dimension {total} exceeds cap {dim_cap}")
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:

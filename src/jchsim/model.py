@@ -13,6 +13,13 @@ Polariton (dressed) states per site::
 
 with ``theta_n = 0.5 * arctan(g sqrt(n) / (delta / 2))`` and
 ``delta = omega_a - omega_c``.
+
+H conserves the total excitation and each loss lowers it by one, so a run
+lives on the product states with at most the initial excitations
+(:class:`ReducedSpace`): its model, initial state and projectors are built
+there, never in the site_dim^N product space, whose int64 indices bound it
+below 2**63.  ``prepare_product_polariton_state``, ``reduce_vector`` and
+``embed_density`` remain only as product-space references.
 """
 from __future__ import annotations
 
@@ -23,10 +30,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, SizeError, TruncationError
-from .linalg import DEFAULT_DIM_CAP, kron
 
-#: default cap for *dense operator* builds (vectors may go up to DEFAULT_DIM_CAP)
+#: cap on a product-space vector (``prepare_product_polariton_state``)
+DEFAULT_DIM_CAP = 16384
+#: cap on a product-space density matrix (``ReducedSpace.embed_density``)
 OPERATOR_DIM_CAP = 4096
+#: product-basis indices are int64, so the product space must stay below this
+PRODUCT_INDEX_LIMIT = 2**63
 
 GROUND = "ground"
 MINUS = "minus"
@@ -180,13 +190,10 @@ def polariton_energy(label: PolaritonLabel, params: ModelParams, site: int = 0) 
     return params.omega_c * n + 0.5 * delta + 0.5 * sign * rabi
 
 
-def dressed_state(label: PolaritonLabel, params: ModelParams, site: int = 0) -> np.ndarray:
-    """Single-site dressed state as a vector in the bare (atom, photon) basis."""
-    dim = params.site_dim
-    vec = np.zeros(dim, dtype=np.complex128)
+def _dressed_components(label: PolaritonLabel, params: ModelParams, site: int) -> tuple:
+    """Bare components ``((photon, atom), amplitude)`` of a single-site dressed state."""
     if label.branch == GROUND:
-        vec[0] = 1.0
-        return vec
+        return (((0, 0), 1.0),)
     n = label.n
     if n > params.n_max:
         raise TruncationError(f"|{label}> needs {n} photons, cutoff is {params.n_max}")
@@ -194,8 +201,14 @@ def dressed_state(label: PolaritonLabel, params: ModelParams, site: int = 0) -> 
     g_comp, e_comp = math.cos(th), -math.sin(th)
     if label.branch == PLUS:
         g_comp, e_comp = math.sin(th), math.cos(th)
-    vec[n] = g_comp                            # |g, n>
-    vec[(params.n_max + 1) + (n - 1)] = e_comp  # |e, n-1>
+    return (((n, 0), g_comp), ((n - 1, 1), e_comp))
+
+
+def dressed_state(label: PolaritonLabel, params: ModelParams, site: int = 0) -> np.ndarray:
+    """Single-site dressed state as a vector in the bare (atom, photon) basis."""
+    vec = np.zeros(params.site_dim, dtype=np.complex128)
+    for (photon, atom), amp in _dressed_components(label, params, site):
+        vec[atom * (params.n_max + 1) + photon] = amp
     return vec
 
 
@@ -281,73 +294,25 @@ def site_operators(n_max: int) -> SiteOperatorSet:
     )
 
 
-def embed_site_operator(op: np.ndarray, site: int, params: ModelParams) -> np.ndarray:
-    """Embed a single-site operator into the full array Hilbert space."""
-    if not 0 <= site < params.n_sites:
-        raise SizeError(f"site index {site} out of range for {params.n_sites} sites")
-    sd = params.site_dim
-    if op.shape != (sd, sd):
-        raise SizeError(f"site operator shape {op.shape} does not match site dim {sd}")
-    eye = np.eye(sd, dtype=np.complex128)
-    factors = [eye] * params.n_sites
-    factors[site] = op
-    return kron(*factors, dim_cap=OPERATOR_DIM_CAP)
-
-
-def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Dense array Hamiltonian in the bare product basis.
-
-    Local terms ``omega_a |e><e| + omega_c n + g_j (a^dag sigma^- + a sigma^+)``
-    plus nearest-neighbour photon hopping ``J_j (a_j^dag a_{j+1} + h.c.)``.
-    """
-    if params.dim > OPERATOR_DIM_CAP:
-        raise SizeError(f"full Hamiltonian dimension {params.dim} exceeds cap {OPERATOR_DIM_CAP}")
-    ops = site_operators(params.n_max)
-    h = np.zeros((params.dim, params.dim), dtype=np.complex128)
-    for j in range(params.n_sites):
-        jc = ops.a_dag @ ops.sigma_minus
-        local = (params.omega_a * ops.excited
-                 + params.omega_c * ops.number
-                 + params.g[j] * (jc + jc.conj().T))
-        h += embed_site_operator(local, j, params)
-    for j in range(params.n_sites - 1):
-        left = embed_site_operator(ops.a_dag, j, params)
-        right = embed_site_operator(ops.a, j + 1, params)
-        term = left @ right
-        h += params.hop[j] * (term + term.conj().T)
-    return h
-
-
-def total_excitation_operator(params: ModelParams) -> np.ndarray:
-    """Sum over sites of photon number plus atomic excitation."""
-    ops = site_operators(params.n_max)
-    out = np.zeros((params.dim, params.dim), dtype=np.complex128)
-    for j in range(params.n_sites):
-        out += embed_site_operator(ops.total_excitation, j, params)
-    return out
-
-
 def damped_sites(params: ModelParams) -> tuple[int, ...]:
     """Site indices with a nonzero photon decay rate, ascending."""
     return tuple(j for j in range(params.n_sites) if params.gamma[j] > 0)
 
 
-def collapse_operators(params: ModelParams) -> list[np.ndarray]:
-    """Photon leakage jump operators ``sqrt(gamma_j) a_j`` (zero rates skipped)."""
-    ops = site_operators(params.n_max)
-    out = []
-    for j in damped_sites(params):
-        out.append(math.sqrt(params.gamma[j]) * embed_site_operator(ops.a, j, params))
-    return out
+def _parse_labels(labels: Sequence[PolaritonLabel | str], n_sites: int) -> list:
+    if len(labels) != n_sites:
+        raise SizeError(f"need {n_sites} labels, got {len(labels)}")
+    return [lab if isinstance(lab, PolaritonLabel) else PolaritonLabel.parse(lab)
+            for lab in labels]
 
 
 def prepare_product_polariton_state(labels: Sequence[PolaritonLabel | str],
                                     params: ModelParams) -> np.ndarray:
-    """Product of single-site dressed states as a full-space vector."""
-    if len(labels) != params.n_sites:
-        raise SizeError(f"need {params.n_sites} labels, got {len(labels)}")
-    parsed = [lab if isinstance(lab, PolaritonLabel) else PolaritonLabel.parse(lab)
-              for lab in labels]
+    """Product of single-site dressed states as a full-space vector.
+
+    The product-space reference of ``ReducedSpace.product_state``.
+    """
+    parsed = _parse_labels(labels, params.n_sites)
     if params.dim > DEFAULT_DIM_CAP:
         raise SizeError(f"state dimension {params.dim} exceeds cap {DEFAULT_DIM_CAP}")
     vec = np.ones(1, dtype=np.complex128)
@@ -461,15 +426,6 @@ class ReducedSpace:
             raise TruncationError(f"state has weight {lost:.3e} outside the excitation subspace")
         return out
 
-    def embed_vector(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.full_dim, dtype=np.complex128)
-        out[self.full_indices] = v
-        return out
-
-    def reduce_operator(self, op: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(op[np.ix_(self.full_indices, self.full_indices)],
-                                    dtype=np.complex128)
-
     def embed_density(self, rho: np.ndarray) -> np.ndarray:
         """``rho``, or each matrix of a ``(..., dim, dim)`` stack, in the product space."""
         if self.full_dim > OPERATOR_DIM_CAP:
@@ -479,6 +435,30 @@ class ReducedSpace:
         out = np.zeros(rho.shape[:-2] + (self.full_dim, self.full_dim), dtype=np.complex128)
         out[..., self.full_indices[:, None], self.full_indices] = rho
         return out
+
+    def product_state(self, labels: Sequence[PolaritonLabel | str]) -> np.ndarray:
+        """Product of single-site dressed states on this basis.
+
+        Each basis state gets the product over sites of its site's dressed
+        amplitude, read off ``states``, so nothing the size of a site's or the
+        array's bare space is formed.  Raises ``TruncationError`` for a label
+        beyond the photon cutoff or labels holding more than ``max_exc``
+        excitations in total.
+        """
+        parsed = _parse_labels(labels, self.params.n_sites)
+        components = [_dressed_components(lab, self.params, site)
+                      for site, lab in enumerate(parsed)]
+        n_exc = sum(lab.n for lab in parsed)
+        if n_exc > self.max_exc:
+            raise TruncationError(f"state holds {n_exc} excitations, the basis "
+                                  f"at most {self.max_exc}")
+        amp = np.ones(self.dim, dtype=np.complex128)
+        for site, site_components in enumerate(components):
+            factor = np.zeros(self.dim, dtype=np.complex128)
+            for bare, value in site_components:
+                factor[(self.states[:, site] == bare).all(axis=1)] = value
+            amp *= factor
+        return amp
 
     def index_of(self, states: np.ndarray) -> np.ndarray:
         """Reduced indices of bare product states ``(m, n_sites, 2)``: photon, atom per site."""
@@ -494,8 +474,9 @@ class ReducedSpace:
 def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
     """Enumerate the product states with total excitation at most ``max_exc``.
 
-    States grow one site at a time and prefixes over the budget are dropped,
-    so the cost follows the subspace, not the product space.  Site 0 is the
+    States grow one site at a time from each site's states within the
+    budget, and prefixes over the budget are dropped, so the cost follows the
+    subspace, not the product space or the photon cutoff.  Site 0 is the
     slowest digit, so the states come out in ascending full-space index.
     """
     if max_exc < 0:
@@ -504,18 +485,35 @@ def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
         raise ConfigError([
             f"max_exc: photon cutoff n_max = {params.n_max} cannot hold {max_exc} excitations"
             " on one site; raise n_max so the restriction stays exact"])
-    pd, sd = params.n_max + 1, params.site_dim
-    site_codes = np.arange(sd)
-    site_exc = site_codes // pd + site_codes % pd
-    codes = np.zeros((1, 0), dtype=np.int64)
+    if params.dim >= PRODUCT_INDEX_LIMIT:
+        raise SizeError(f"{params.n_sites} sites of dimension {params.site_dim} span at "
+                        "least 2**63 product states, beyond int64 indices")
+    # a site's states with at most max_exc excitations, in ascending code
+    # atom * (n_max + 1) + photon: |0, g> ... |max_exc, g>, |0, e> ... |max_exc - 1, e>
+    photon = np.r_[np.arange(max_exc + 1), np.arange(max_exc)]
+    atom = np.repeat([0, 1], [max_exc + 1, max_exc])
+    site_exc = photon + atom
+    picks = np.zeros((1, 0), dtype=np.int64)
     for _ in range(params.n_sites):
-        codes = np.column_stack([np.repeat(codes, sd, axis=0),
-                                 np.tile(site_codes, len(codes))])
-        codes = codes[site_exc[codes].sum(axis=1) <= max_exc]
-    states = np.stack([codes % pd, codes // pd], axis=-1)
+        picks = np.column_stack([np.repeat(picks, len(photon), axis=0),
+                                 np.tile(np.arange(len(photon)), len(picks))])
+        picks = picks[site_exc[picks].sum(axis=1) <= max_exc]
+    states = np.stack([photon[picks], atom[picks]], axis=-1)
+    codes = atom[picks] * (params.n_max + 1) + photon[picks]
     return ReducedSpace(params=params, max_exc=int(max_exc), states=states,
-                        full_indices=_full_index(codes, sd),
+                        full_indices=_full_index(codes, params.site_dim),
                         n_tot=states.sum(axis=(1, 2)))
+
+
+def excitation_dim(n_sites: int, max_exc: int) -> int:
+    """``excitation_basis(params, max_exc).dim`` without enumerating the basis.
+
+    A site holds one state with no excitation and two with k >= 1 (k <= n_max),
+    so the states with m excited sites and at most ``max_exc`` excitations
+    number C(n_sites, m) 2^m C(max_exc, m).
+    """
+    return sum(math.comb(n_sites, m) * 2**m * math.comb(max_exc, m)
+               for m in range(min(n_sites, max_exc) + 1))
 
 
 @dataclass(frozen=True, eq=False)

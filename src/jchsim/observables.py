@@ -7,7 +7,7 @@ product space.  A state that commutes with the total excitation has a
 partial transpose that is block-diagonal in the excitation imbalance across
 the cut (fig4's 13-dim states: blocks of 9, 6, 6, 2 and 2 in the 36-dim
 space).  ``negativity``/``negativity_series`` keep the dense product-space
-form as the independent oracle.
+form as the reference that tests compare against; no run path calls them.
 
 The classifier operationalizes "how many peaks does the negativity trace
 have": the two-excitation blockade superimposes a fast coherent beat
@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeError
 from .linalg import TensorDims, as_complex_matrix, min_labels, partial_transpose
-from .model import (ModelParams, PolaritonLabel, ReducedSpace, polariton_energy,
-                    prepare_product_polariton_state)
+from .model import ModelParams, PolaritonLabel, ReducedSpace, polariton_energy
 
 __all__ = [
     "DEFAULT_PROMINENCE_THRESHOLD", "DEFAULT_BURN_IN", "PROJECTOR_PRESETS",
@@ -109,7 +108,7 @@ class ProjectorSpec:
                      if self.symmetrize else [tuple(labels)])
         proj = np.zeros((space.dim, space.dim), dtype=np.complex128)
         for ordering in orderings:
-            vec = space.reduce_vector(prepare_product_polariton_state(ordering, params))
+            vec = space.product_state(ordering)
             proj += np.outer(vec, vec.conj())
         return proj
 

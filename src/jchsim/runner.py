@@ -32,7 +32,7 @@ from .critical import CriticalityResult
 from .dynamics import BACKEND, EnsembleResult, mcwf_ensemble
 # traced name of perfbench's ensemble workloads; no run path calls it
 from .dynamics import no_jump_branch  # noqa: F401
-from .model import build_reduced_model, prepare_product_polariton_state
+from .model import build_reduced_model
 from .observables import block_negativity
 # traced names of perfbench's pair_trapping; no run path calls them
 from .observables import negativity, reduced_bipartition  # noqa: F401
@@ -129,8 +129,7 @@ def run_scenario(config: ScenarioConfig,
     """
     params = config.model
     model = build_reduced_model(params, max_exc=config.max_excitation)
-    psi0 = model.space.reduce_vector(
-        prepare_product_polariton_state(config.initial, params))
+    psi0 = model.space.product_state(config.initial)
     ops = {spec.name: spec.operator(params, model.space)
            for spec in config.observables}
 

@@ -60,3 +60,27 @@ def test_every_workload_round_runs_under_its_full_trace(monkeypatch, tmp_path):
         finally:
             tracer.uninstall()
         assert any((tmp_path / name).iterdir()), name
+
+
+def test_every_workload_prepares_the_inputs_the_run_builds(monkeypatch):
+    # perfbench builds ψ0 by slicing the product-space vector and replays
+    # trajectories from it (``ensemble_is_trajectory_mean``); the run builds
+    # ψ0 and its projectors on the reduced basis, so the two must agree bitwise
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from jchsim import critical
+
+    for name, workload in workloads.WORKLOADS.items():
+        prep = workload.setup(seed=1, smoke=True)
+        space = prep.model.space
+        if name == "gamma_c_sweep":
+            initial, specs = critical._INITIAL_LABELS, (critical._PINNED,)
+            params = space.params
+        else:
+            initial, specs = prep.config.initial, prep.config.observables
+            params = prep.config.model
+        assert space.product_state(initial).tobytes() == prep.psi0.tobytes(), name
+        assert list(prep.ops) == [spec.name for spec in specs], name
+        for spec in specs:
+            assert (spec.operator(params, space).tobytes()
+                    == prep.ops[spec.name].tobytes()), (name, spec.name)

@@ -16,12 +16,12 @@ from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
                              _reduce, _taylor_flow, lindblad_evolve, mcwf_ensemble,
                              mcwf_trajectory, no_jump_branch)
 from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
-from jchsim.model import (ModelParams, build_full_hamiltonian,
-                          build_reduced_model, prepare_product_polariton_state,
-                          site_operators, total_excitation_operator)
+from jchsim.model import (ModelParams, build_reduced_model,
+                          prepare_product_polariton_state, site_operators)
 from jchsim.presets import load_preset
 
-from conftest import two_site_model
+from conftest import (build_full_hamiltonian, restrict, total_excitation_operator,
+                      two_site_model)
 
 
 def damped_mode(dim=4, gamma=0.25):
@@ -525,7 +525,7 @@ class TestTrajectories:
 
     def test_excitation_never_increases_along_trajectory(self):
         params, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
-        n_tot = model.space.reduce_operator(total_excitation_operator(params))
+        n_tot = restrict(total_excitation_operator(params), model.space)
         grid = TimeGrid(t_end=300.0, n_samples=301, dt=0.005)
         found_jumps = 0
         for seed in range(6):

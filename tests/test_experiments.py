@@ -25,6 +25,7 @@ from jchsim.critical import (PRIMARY_METHOD, CriticalityResult, CriticalityRow,
                              classify_point, estimate_critical_gamma,
                              gamma_c_curve)
 from jchsim.errors import ConfigError
+from jchsim.model import ReducedSpace, excitation_basis
 from jchsim.observables import (PeakClassification, PeakReport,
                                 recommended_spacing)
 from jchsim.presets import PRESET_NAMES, load_preset
@@ -309,14 +310,63 @@ class TestScenarioConfig:
                 "observables": {"negativity": True},
             })
 
-    def test_product_space_over_cap_rejected(self):
+    @pytest.mark.parametrize("n_sites,n_max,dim", [
+        (5, 5, 11), (4, 7, 9), (6, 2, 13), (8, 1, 17),
+    ], ids=["5-sites", "4-sites", "6-sites", "8-sites"])
+    def test_models_past_the_product_cap_load_and_run(self, n_sites, n_max, dim):
+        # 46 656 to 248 832 product states, past the old product cap of 16 384,
+        # but one excitation: the run allocates its reduced model only
+        labels = ["1-"] + ["G"] * (n_sites - 1)
+        config = scenario_from_mapping({
+            "model": {"n_sites": n_sites, "n_max": n_max, "hop": 0.03, "gamma": 0.05},
+            "initial": {"labels": labels},
+            "grid": {"t_end": 10.0, "n_samples": 6},
+            "run": {"n_traj": 3},
+            "observables": {"projectors": ["(" + ";".join(labels) + ")"]},
+        })
+        assert config.model.dim > 16384
+        assert excitation_basis(config.model, config.max_excitation).dim == dim
+        run = run_scenario(config)
+        assert run.ensemble.jumps_per_channel.shape == (3, n_sites)
+        column = run.columns["P(" + ",".join(labels) + ")"]
+        assert column[0] == pytest.approx(1.0) and np.all(np.isfinite(column))
+
+    def test_dense_model_over_budget_rejected(self):
+        # 8065 reduced states: H and two loss operators need 3.1 GB
         problems = problems_of(scenario_from_mapping, {
-            "model": {"n_sites": 5, "n_max": 5},
-            "initial": {"labels": ["1-", "G", "G", "G", "G"]},
+            "model": {"n_sites": 2, "n_max": 63, "gamma": 0.05},
+            "initial": {"labels": ["63-", "G"]},
             "grid": {"t_end": 10.0, "n_samples": 6},
         })
-        assert problems == ["model.n_sites, model.n_max: 5 sites with n_max = 5 span "
-                            "248832 product states, above the cap 16384"]
+        assert problems == [
+            "model.n_sites, model.n_max, initial.labels: the reduced model's 3 dense "
+            "8065-dim operators need 3122122800 bytes, above the budget 268435456"]
+
+    def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
+        # n_max = 10**9 gives a 2e9-dim site; one excitation keeps 3 states
+        config = scenario_from_mapping({
+            "model": {"n_sites": 1, "n_max": 10**9, "gamma": 0.05},
+            "initial": {"labels": ["1-"]},
+            "grid": {"t_end": 10.0, "n_samples": 6},
+            "run": {"n_traj": 3},
+            "observables": {"projectors": ["(1-)"], "conditional": True},
+        })
+        run = run_scenario(config)
+        assert run.columns["P(1-)"][0] == pytest.approx(1.0)
+        assert np.all(np.diff(run.columns["survival"]) < 0)
+
+    def test_product_indices_beyond_int64_rejected(self):
+        # at n_max = 1 a site has 4 states: 31 sites span 2**62, 32 sites 2**64
+        def mapping(n_sites):
+            return {"model": {"n_sites": n_sites, "n_max": 1},
+                    "initial": {"labels": ["1-"] + ["G"] * (n_sites - 1)},
+                    "grid": {"t_end": 10.0, "n_samples": 6}}
+        assert scenario_from_mapping(mapping(31)).model.dim == 2**62
+        for n_sites in (32, 33):
+            assert problems_of(scenario_from_mapping, mapping(n_sites)) == [
+                f"model.n_sites, model.n_max, initial.labels: {n_sites} sites with "
+                "n_max = 1 span at least 2**63 product states, whose indices "
+                "overflow int64"]
 
     def test_negativity_over_stack_cap_rejected(self):
         # n4's model with negativity on: 561 samples of the 321-dim ρ̄
@@ -874,6 +924,20 @@ class TestValidationSuites:
         payload = report.to_mapping()
         assert payload["suite"] == "oracle"
         assert all(item["passed"] for item in payload["items"])
+
+
+def test_run_paths_never_enter_the_product_space(monkeypatch, tmp_path):
+    # the product-space slicing and embedding stay only as test and benchmark
+    # references; every run path builds on the reduced basis
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run path entered the product space")
+
+    monkeypatch.setattr(ReducedSpace, "reduce_vector", refuse)
+    monkeypatch.setattr(ReducedSpace, "embed_density", refuse)
+    assert main(["run", "--preset", "fig2", "--traj", "4", "--out", str(tmp_path)]) == 0
+    classify_point(load_preset("fig4").sweep, 0.04, 0.04)
+    for suite in ("analytic", "mapping"):
+        assert run_suite(suite).passed
 
 
 class TestCli:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jchsim.errors import NotHermitianError, SizeError
-from jchsim.linalg import (TensorDims, as_complex_matrix, kron, min_labels,
+from jchsim.linalg import (TensorDims, as_complex_matrix, min_labels,
                            partial_transpose, require_hermitian)
 
 from conftest import random_density_matrix
@@ -32,22 +32,6 @@ class TestTensorDims:
     def test_rejects_bad_factors(self, bad):
         with pytest.raises(SizeError):
             TensorDims(tuple(bad))
-
-
-class TestKron:
-    def test_matches_numpy(self):
-        a = np.arange(4).reshape(2, 2)
-        b = np.eye(3)
-        assert np.array_equal(kron(a, b), np.kron(a, b))
-
-    def test_associative_three_factors(self):
-        rng = np.random.default_rng(5)
-        a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-        assert np.allclose(kron(a, b, c), np.kron(a, np.kron(b, c)))
-
-    def test_dim_cap_enforced(self):
-        with pytest.raises(SizeError):
-            kron(np.eye(100), np.eye(100), dim_cap=4096)
 
 
 class TestHermitian:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,13 +11,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jchsim.errors import ConfigError, SizeError, TruncationError
-from jchsim.model import (ModelParams, PolaritonLabel, build_full_hamiltonian,
-                          build_reduced_model, collapse_operators,
+from jchsim.model import (ModelParams, PolaritonLabel, build_reduced_model,
                           creation_in_polariton_basis, dressed_basis_matrix,
-                          dressed_state, excitation_basis, hopping_coefficients,
-                          mixing_angle, polariton_energy,
+                          dressed_state, excitation_basis, excitation_dim,
+                          hopping_coefficients, mixing_angle, polariton_energy,
                           prepare_product_polariton_state, site_operators,
-                          total_excitation_operator, transform_to_dressed_basis)
+                          transform_to_dressed_basis)
+from jchsim.observables import ProjectorSpec
+from jchsim.presets import PRESET_NAMES, load_preset
+
+from conftest import (build_full_hamiltonian, collapse_operators, embed, restrict,
+                      total_excitation_operator)
 
 detunings = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -158,19 +163,41 @@ class TestReducedSpace:
     def test_sector_sum_dimensions(self, n_sites, n_max, expected_dim):
         params = ModelParams(n_sites=n_sites, hop=0.03, gamma=0.05, n_max=n_max)
         space = excitation_basis(params, max_exc=n_max)
-        assert space.dim == expected_dim
+        assert space.dim == expected_dim == excitation_dim(n_sites, n_max)
         assert np.array_equal(space.index_of(space.states), np.arange(space.dim))
         outside = np.zeros((1, n_sites, 2), dtype=np.int64)
         outside[0, 0] = (n_max, 1)
         with pytest.raises(SizeError):
             space.index_of(outside)
 
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 5])
+    @pytest.mark.parametrize("max_exc", [0, 1, 2, 4])
+    def test_dimension_counted_without_the_basis(self, n_sites, max_exc):
+        space = excitation_basis(ModelParams(n_sites=n_sites, n_max=4), max_exc)
+        assert excitation_dim(n_sites, max_exc) == space.dim
+
+    def test_basis_cost_does_not_follow_the_photon_cutoff(self):
+        # a site_dim-long array here would take 16 GB
+        space = excitation_basis(ModelParams(n_sites=1, n_max=10**9), max_exc=1)
+        assert space.states.tolist() == [[[0, 0]], [[1, 0]], [[0, 1]]]
+        assert space.full_indices.tolist() == [0, 1, 10**9 + 1]
+
+    def test_product_indices_stay_inside_int64(self):
+        # 31 sites at n_max = 1 span 4**31 = 2**62 product states; 32 sites
+        # would wrap the int64 indices, so the basis refuses them
+        space = excitation_basis(ModelParams(n_sites=31, n_max=1), max_exc=1)
+        assert space.dim == 63
+        assert (np.diff(space.full_indices) > 0).all()
+        assert space.full_indices[-1] == 2 * 4**30
+        with pytest.raises(SizeError, match="int64"):
+            excitation_basis(ModelParams(n_sites=32, n_max=1), max_exc=1)
+
     def test_reduce_embed_roundtrip(self):
         params = ModelParams(n_sites=2, hop=0.03, gamma=0.05, n_max=2)
         space = excitation_basis(params, max_exc=2)
         rng = np.random.default_rng(7)
         v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-        assert np.allclose(space.reduce_vector(space.embed_vector(v)), v)
+        assert np.allclose(space.reduce_vector(embed(v, space)), v)
 
     def test_embed_density_preserves_trace(self):
         params = ModelParams(n_sites=2, hop=0.03, gamma=0.05, n_max=2)
@@ -192,8 +219,8 @@ class TestReducedSpace:
         params = ModelParams(**kwargs)
         model = build_reduced_model(params, max_exc=max_exc)
         h_full = build_full_hamiltonian(params)
-        assert np.allclose(model.h, model.space.reduce_operator(h_full))
-        n_full = model.space.reduce_operator(total_excitation_operator(params))
+        assert np.allclose(model.h, restrict(h_full, model.space))
+        n_full = restrict(total_excitation_operator(params), model.space)
         assert np.allclose(model.space.n_tot, n_full.diagonal(), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kwargs,max_exc", REDUCED_CASES)
@@ -203,7 +230,7 @@ class TestReducedSpace:
         full_ops = collapse_operators(params)
         assert len(model.collapse) == len(full_ops)
         for reduced, full in zip(model.collapse, full_ops):
-            assert np.allclose(reduced, model.space.reduce_operator(full))
+            assert np.allclose(reduced, restrict(full, model.space))
 
     def test_collapse_maps_stay_inside_reduced_space(self):
         # applying the full-space loss to any embedded basis vector must
@@ -214,14 +241,54 @@ class TestReducedSpace:
         for k in range(model.space.dim):
             v = np.zeros(model.space.dim, dtype=np.complex128)
             v[k] = 1.0
-            full_v = model.space.embed_vector(v)
+            full_v = embed(v, model.space)
             for full in full_ops:
                 image = full @ full_v
-                back = model.space.embed_vector(model.space.reduce_vector(image))
+                back = embed(model.space.reduce_vector(image), model.space)
                 assert np.allclose(back, image, atol=1e-12)
 
 
+def _preset_states():
+    """(params, max_exc, labels) of every preset ψ0 and projector ordering."""
+    for name in PRESET_NAMES:
+        bundle = load_preset(name)
+        if bundle.sweep is not None:
+            sweep = bundle.sweep
+            hop = sweep.j_values[0]
+            configs = [(sweep.model_for(hop, hop), 2, ("2-", "G"),
+                        [ProjectorSpec(preset="P11")])]
+        else:
+            configs = [(cfg.model, cfg.max_excitation, cfg.initial, cfg.observables)
+                       for cfg in bundle.scenarios]
+        for params, max_exc, initial, specs in configs:
+            yield name, params, max_exc, initial
+            for spec in specs:
+                labels = spec.resolved_labels
+                for ordering in (sorted(set(itertools.permutations(labels)))
+                                 if spec.symmetrize else [labels]):
+                    yield name, params, max_exc, ordering
+
+
 class TestInitialStates:
+    def test_reduced_product_state_is_the_sliced_product_vector_bitwise(self):
+        seen = set()
+        for name, params, max_exc, labels in _preset_states():
+            space = excitation_basis(params, max_exc)
+            ref = space.reduce_vector(prepare_product_polariton_state(labels, params))
+            assert space.product_state(labels).tobytes() == ref.tobytes(), (name, labels)
+            seen.add(name)
+        assert seen == set(PRESET_NAMES)
+
+    def test_reduced_product_state_truncation(self):
+        space = excitation_basis(ModelParams(n_sites=2, n_max=1), max_exc=1)
+        with pytest.raises(TruncationError, match="cutoff"):
+            space.product_state(("2-", "G"))        # beyond the photon cutoff
+        space = excitation_basis(ModelParams(n_sites=2, n_max=2), max_exc=1)
+        with pytest.raises(TruncationError, match="excitations"):
+            space.product_state(("1-", "1+"))       # beyond the basis's budget
+        with pytest.raises(SizeError):
+            space.product_state(("1-",))
+
     def test_product_state_is_normalized_and_projects(self):
         params = ModelParams(n_sites=2, hop=0.03, n_max=2)
         psi = prepare_product_polariton_state(("2-", "G"), params)
