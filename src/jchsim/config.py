@@ -26,8 +26,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
-from .dynamics import DEFAULT_DT, RHO_MEMORY_CAP, TimeGrid
+from .dynamics import DEFAULT_DT, TimeGrid
 from .errors import ConfigError
+from .linalg import MEMORY_CAP
 from .model import (PRODUCT_INDEX_LIMIT, ModelParams, PolaritonLabel, damped_sites,
                     excitation_dim, total_excitation_of_labels)
 from .observables import (
@@ -380,23 +381,21 @@ class ScenarioConfig:
             problems.append(
                 "observables.negativity: needs at least two sites")
         if len(canonical) == len(self.initial) and self.max_excitation <= n_max:
-            # the run holds H and each loss operator densely on the reduced basis
+            # H, each loss operator and each projector are dense on the reduced basis;
+            # negativity needs ρ̄ twice, on its blocks (Σ k_b² <= dim²) and embedded
             dim = excitation_dim(n_sites, self.max_excitation)
-            n_dense = 1 + len(damped_sites(self.model))
-            model_bytes = n_dense * dim * dim * 16
-            if model_bytes > RHO_MEMORY_CAP:
+            terms = [("model.n_sites, model.n_max, initial.labels",
+                      1 + len(damped_sites(self.model)), "H and the loss operators"),
+                     ("observables.projectors", len(self.observables), "the projectors"),
+                     ("observables.negativity", 2 * self.grid.n_samples * self.compute_negativity,
+                      f"ρ̄'s {self.grid.n_samples} samples, twice")]
+            terms = [term for term in terms if term[1]]
+            n_dense = sum(n for _, n, _ in terms)
+            if n_dense * dim * dim * 16 > MEMORY_CAP:
                 problems.append(
-                    f"model.n_sites, model.n_max, initial.labels: the reduced model's "
-                    f"{n_dense} dense {dim}-dim operators need {model_bytes} bytes, "
-                    f"above the budget {RHO_MEMORY_CAP}")
-            if self.compute_negativity:
-                # negativity is taken on the averaged-state stack the ensemble keeps
-                stack_bytes = self.grid.n_samples * dim * dim * 16
-                if stack_bytes > RHO_MEMORY_CAP:
-                    problems.append(
-                        f"observables.negativity: the averaged-state stack of "
-                        f"{self.grid.n_samples} samples of {dim}-dim matrices needs "
-                        f"{stack_bytes} bytes, above the cap {RHO_MEMORY_CAP}")
+                    f"{', '.join(key for key, _, _ in terms)}: {n_dense} dense {dim}-dim "
+                    f"matrices ({', '.join(f'{n} for {what}' for _, n, what in terms)}) "
+                    f"need {n_dense * dim * dim * 16} bytes, above the budget {MEMORY_CAP}")
         if not 1 <= self.bipartition_cut < max(n_sites, 2):
             problems.append(
                 "observables.bipartition_cut: must satisfy "
@@ -431,8 +430,9 @@ class CriticalitySweepConfig:
     the fixed cutoff ``n_max = 2`` its two excitations need.  ``delta``
     detunes the atoms from the cavities, damping grids are multiples of each
     hop value, and every point is classified from its exact master-equation
-    negativity trace.  The sample grid depends on neither hop nor damping,
-    so it is built, and checked, once.
+    negativity trace; the slope fit needs at least three hop values.  The
+    sample grid depends on neither hop nor damping, so it is built, and
+    checked, once.
     """
 
     j_values: tuple[float, ...]
@@ -459,6 +459,9 @@ class CriticalitySweepConfig:
                 problems.append(f"{where}: {what} must be positive and finite")
             elif any(b <= a for a, b in zip(values, values[1:])):
                 problems.append(f"{where}: must be strictly increasing")
+        if 0 < len(js) < 3:
+            problems.append(f"sweep.j_values: need at least 3 hop values for a slope fit, "
+                            f"got {len(js)}")
         grid = None
         try:
             grid = TimeGrid.with_spacing(

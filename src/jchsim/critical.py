@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import CriticalitySweepConfig
 from .dynamics import lindblad_evolve
-from .errors import ConfigError
 from .model import build_reduced_model
 from .observables import (
     ProjectorSpec,
@@ -184,11 +183,6 @@ def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
     The points run one after another: hop by hop, and each hop's damping
     values in increasing order; any parallelism is BLAS threads in a point.
     """
-    if len(config.j_values) < 3:
-        raise ConfigError([
-            f"sweep.j_values: need at least 3 hop values for a slope fit, "
-            f"got {len(config.j_values)}"])
-
     estimates = []
     for hop in config.j_values:
         rows = tuple(classify_point(config, hop, ratio * hop)

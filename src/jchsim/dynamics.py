@@ -16,12 +16,13 @@ absorbing: nothing leaves it, so once the state enters one the per-sample
 jump test stops and the remaining samples are filled at once with powers
 of the block's stride propagator.
 
-The blocks and their propagators depend only on H, the collapse operators,
-ψ0 and the grid, so they are built once per ensemble: ``mcwf_ensemble``
-keeps them in its result, and ``EnsembleResult.jump_free_branch`` runs the
-conditional branch on them.  Each observable is reduced on its support in a
-block, the states where its restriction has a nonzero row or column: on
-n4's 192-state top block, P4000 and P1111 need 2 and 16 of them.
+The blocks, their propagators and the observables restricted to them
+depend only on H, the collapse operators, ψ0, the grid and the observables,
+so they are built once per ensemble: ``mcwf_ensemble`` keeps them in its
+result, and ``EnsembleResult.jump_free_branch`` runs the conditional branch
+on them.  Each observable is reduced on its support in a block, the states
+where its restriction has a nonzero row or column: on n4's 192-state top
+block, P4000 and P1111 need 2 and 16 of them.
 
 A trajectory advances a whole sample interval at a time while its squared
 norm stays above the waiting-time threshold.  An interval that crosses it
@@ -61,10 +62,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, IntegratorError, SizeError
-from .linalg import as_complex_matrix, min_labels, require_hermitian
+from .linalg import as_complex_matrix, check_budget, min_labels, require_hermitian
 
 __all__ = [
-    "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT", "LINDBLAD_DIM_CAP", "RHO_MEMORY_CAP",
+    "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT",
     "TimeGrid", "TrajectoryResult", "EnsembleResult", "ConditionalBranch",
     "mcwf_trajectory", "mcwf_ensemble", "no_jump_branch",
     "lindblad_evolve",
@@ -73,8 +74,6 @@ __all__ = [
 BACKEND = "numpy"              # the trajectory kernel, echoed in sidecars
 DEFAULT_DT = 0.005
 DEFAULT_MAX_DT = 0.01
-LINDBLAD_DIM_CAP = 64          # dim of ρ; the superoperator on its blocks has (Σ k_b²)² entries
-RHO_MEMORY_CAP = 256 * 2**20   # bytes allowed for an averaged-density stack
 _BISECT_TOL = 1e-10
 _UNIT_NORM_ATOL = 1e-8
 _NORM_UNDERFLOW = 1e-28
@@ -187,9 +186,9 @@ class TrajectoryResult:
 class EnsembleResult:
     """Trajectory-averaged observables with standard errors.
 
-    It keeps the block propagators the trajectories ran on, so that
-    ``jump_free_branch`` runs the same model's conditional branch without
-    building them again.
+    It keeps the block propagators and observables the trajectories ran on,
+    so that ``jump_free_branch`` runs the same model's conditional branch
+    without building them again.
     """
 
     times: np.ndarray
@@ -203,11 +202,9 @@ class EnsembleResult:
                                           # n_samples if never
     _machinery: _Machinery = field(repr=False, compare=False)
 
-    def jump_free_branch(self, observables: Optional[Mapping[str, np.ndarray]] = None,
-                         ) -> ConditionalBranch:
-        """``no_jump_branch`` of the ensemble's model, ψ0 and grid, on its blocks."""
-        mach = self._machinery
-        return _jump_free_branch(mach, _coerce_observables(observables, mach.dim))
+    def jump_free_branch(self) -> ConditionalBranch:
+        """``no_jump_branch`` of the ensemble's inputs and observables, on its blocks."""
+        return _jump_free_branch(self._machinery)
 
 
 @dataclass(frozen=True)
@@ -318,6 +315,8 @@ class _Machinery:
     n_chan: int
     dim: int
     grid: TimeGrid           # the strides and powers are built for its dt and n_fine
+    names: tuple             # of the observables
+    block_obs: list          # ``_block_observables`` of the blocks
 
 
 def _check_ops(collapse: Sequence[np.ndarray], d: int) -> list:
@@ -329,11 +328,13 @@ def _check_ops(collapse: Sequence[np.ndarray], d: int) -> list:
 
 
 def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
-                     psi0: np.ndarray, grid: TimeGrid) -> _Machinery:
+                     psi0: np.ndarray, grid: TimeGrid,
+                     observables: Optional[Mapping[str, np.ndarray]] = None) -> _Machinery:
     h = require_hermitian(as_complex_matrix(h))
     d = h.shape[0]
     ops = _check_ops(collapse, d)
     psi0 = _check_state(psi0, d)
+    obs = _coerce_observables(observables, d)
     support = np.flatnonzero(psi0)
     owner, parts = _partition(h, ops, support, float(np.trace(h).real) / d)
     n_fine = grid.n_fine
@@ -356,7 +357,8 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
     start = int(owner[support[0]])
     return _Machinery(blocks=tuple(blocks), start=start,
                       psi0=np.ascontiguousarray(psi0[blocks[start].index]),
-                      n_chan=len(ops), dim=d, grid=grid)
+                      n_chan=len(ops), dim=d, grid=grid, names=tuple(obs),
+                      block_obs=_block_observables(blocks, obs))
 
 
 def _check_state(psi0: np.ndarray, d: int) -> np.ndarray:
@@ -612,7 +614,7 @@ def _coerce_observables(observables: Optional[Mapping[str, np.ndarray]],
     return out
 
 
-def _block_observables(mach: _Machinery, obs: dict) -> list:
+def _block_observables(blocks: Sequence[_Part], obs: dict) -> list:
     """Each observable on each block's support: ``[block][observable]``.
 
     The support is the block's states where the observable's restriction has
@@ -620,7 +622,7 @@ def _block_observables(mach: _Machinery, obs: dict) -> list:
     support)``.
     """
     out = []
-    for blk in mach.blocks:
+    for blk in blocks:
         entries = []
         for op in obs.values():
             sub = op[np.ix_(blk.index, blk.index)]
@@ -642,13 +644,13 @@ def _reduce(runs: list, block_obs: list, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jump_free_branch(mach: _Machinery, obs: dict) -> ConditionalBranch:
+def _jump_free_branch(mach: _Machinery) -> ConditionalBranch:
     """The seedless run of ``_propagate`` on built blocks, reduced and embedded."""
     n = mach.grid.n_samples
     runs, survival, _, _ = _propagate(mach)
-    values = _reduce(runs, _block_observables(mach, obs), np.empty((len(obs), n)))
+    values = _reduce(runs, mach.block_obs, np.empty((len(mach.names), n)))
     return ConditionalBranch(times=mach.grid.times, states=_dense_rows(mach, runs, n),
-                             survival=survival, observables=dict(zip(obs, values)))
+                             survival=survival, observables=dict(zip(mach.names, values)))
 
 
 def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
@@ -661,8 +663,7 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
     that has run ``mcwf_ensemble`` on the same inputs gets the same branch,
     without building the blocks again, from ``EnsembleResult.jump_free_branch``.
     """
-    mach = _build_machinery(h, collapse, psi0, grid)
-    return _jump_free_branch(mach, _coerce_observables(observables, mach.dim))
+    return _jump_free_branch(_build_machinery(h, collapse, psi0, grid, observables))
 
 
 def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
@@ -673,22 +674,20 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     Trajectory j draws from SeedSequence((master_seed, j)), so it is the
     same trajectory ``mcwf_trajectory`` gives for seed (master_seed, j);
     reduction runs in index order, so repeated runs are byte-identical.
+    With ``keep_rho``, the bytes of ρ̄'s per-block sums and of the dense stack
+    embedded from them, alive at once, count against ``linalg.MEMORY_CAP``.
     """
     if n_traj < 1:
         raise ConfigError([f"n_traj: must be >= 1, got {n_traj}"])
     n = grid.n_samples
-    d = np.asarray(h).shape[0]
-    if keep_rho and n * d * d * 16 > RHO_MEMORY_CAP:
-        raise SizeError(
-            f"averaged density stack needs {n * d * d * 16} bytes "
-            f"(> cap {RHO_MEMORY_CAP}); reduce n_samples or the model dimension")
-    obs = _coerce_observables(observables, d)
-
-    mach = _build_machinery(h, collapse, psi0, grid)
-    block_obs = _block_observables(mach, obs)
+    mach = _build_machinery(h, collapse, psi0, grid, observables)
+    d = mach.dim
+    if keep_rho:
+        check_budget(n * (sum(len(blk.index) ** 2 for blk in mach.blocks) + d * d) * 16,
+                     f"averaging ρ over {n} samples (its blocks and the dense stack)")
     # without a collapse channel every trajectory is the same jump-free run
     n_runs = n_traj if mach.n_chan else 1
-    rows = np.empty((n_runs, len(obs), n), dtype=np.float64)
+    rows = np.empty((n_runs, len(mach.names), n), dtype=np.float64)
     counts = np.zeros((n_runs, mach.n_chan), dtype=np.int64)
     absorbed = np.empty(n_runs, dtype=np.int64)
     # ρ̄ is block-diagonal: accumulate each block's stack, embed it once at the end
@@ -696,7 +695,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
                 for blk in mach.blocks] if keep_rho else None
     for idx in range(n_runs):
         runs, _, jumps, absorbed[idx] = _propagate(mach, (master_seed, idx))
-        _reduce(runs, block_obs, rows[idx])
+        _reduce(runs, mach.block_obs, rows[idx])
         counts[idx] = np.bincount([chan for _, chan in jumps], minlength=mach.n_chan)
         if keep_rho:
             for b, first, states in runs:
@@ -705,7 +704,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
 
     means = {}
     stderr = {}
-    for o, name in enumerate(obs):
+    for o, name in enumerate(mach.names):
         sample = rows[:, o, :]
         means[name] = sample.mean(axis=0)
         if n_runs > 1:
@@ -755,13 +754,12 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     partition; H and every L†L act inside a block and each L maps a block
     into one block, so ρ stays block-diagonal.  Only the entries of the
     diagonal blocks are propagated, by a dense superoperator of
-    (Σ_b k_b²)² entries for blocks of k_b states; entries off the blocks
-    are returned as exact zeros.  A model without structure is one block.
+    (Σ_b k_b²)² entries for blocks of k_b states, checked against
+    ``linalg.MEMORY_CAP`` before it is built; entries off the blocks are returned
+    as exact zeros.  A model without structure is one block.
     """
     rho0 = as_complex_matrix(rho0)
     d = rho0.shape[0]
-    if d > LINDBLAD_DIM_CAP:
-        raise SizeError(f"dense superoperator needs dim <= {LINDBLAD_DIM_CAP}, got {d}")
     require_hermitian(rho0, atol=1e-8)
     if abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise ConfigError([f"rho0: trace must be 1, got {np.trace(rho0)!r}"])
@@ -773,6 +771,8 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
 
     support = np.flatnonzero(rho0.any(axis=0) | rho0.any(axis=1))
     _, parts = _partition(h, _check_ops(collapse, d), support, 0.0)
+    n_kept = sum(len(part.index) ** 2 for part in parts)
+    check_budget(n_kept ** 2 * 16, f"the superoperator on {n_kept} entries of ρ")
     sup, offsets = _block_superoperator(parts)
     r_stride = np.linalg.matrix_power(_taylor4(grid.dt * sup), grid.n_fine)
     vecs = np.empty((grid.n_samples, offsets[-1]), dtype=np.complex128)

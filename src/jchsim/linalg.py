@@ -14,6 +14,8 @@ from .errors import NotHermitianError, SizeError
 
 #: absolute tolerance used when checking Hermiticity of inputs
 HERMITICITY_ATOL = 1e-10
+#: bytes one run may allocate for its largest arrays; every size guard counts against it
+MEMORY_CAP = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,12 @@ def as_complex_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def check_budget(n_bytes: int, what: str) -> None:
+    """Raise :class:`SizeError` if ``n_bytes`` for ``what`` exceed ``MEMORY_CAP``."""
+    if n_bytes > MEMORY_CAP:
+        raise SizeError(f"{what} needs {n_bytes} bytes, above the budget {MEMORY_CAP}")
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:

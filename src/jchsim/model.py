@@ -19,7 +19,7 @@ lives on the product states with at most the initial excitations
 (:class:`ReducedSpace`): its model, initial state and projectors are built
 there, never in the site_dim^N product space, whose int64 indices bound it
 below 2**63.  ``prepare_product_polariton_state``, ``reduce_vector`` and
-``embed_density`` remain only as product-space references.
+``embed_density`` remain only as product-space references, within ``MEMORY_CAP``.
 """
 from __future__ import annotations
 
@@ -30,11 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, SizeError, TruncationError
+from .linalg import check_budget
 
-#: cap on a product-space vector (``prepare_product_polariton_state``)
-DEFAULT_DIM_CAP = 16384
-#: cap on a product-space density matrix (``ReducedSpace.embed_density``)
-OPERATOR_DIM_CAP = 4096
 #: product-basis indices are int64, so the product space must stay below this
 PRODUCT_INDEX_LIMIT = 2**63
 
@@ -313,8 +310,7 @@ def prepare_product_polariton_state(labels: Sequence[PolaritonLabel | str],
     The product-space reference of ``ReducedSpace.product_state``.
     """
     parsed = _parse_labels(labels, params.n_sites)
-    if params.dim > DEFAULT_DIM_CAP:
-        raise SizeError(f"state dimension {params.dim} exceeds cap {DEFAULT_DIM_CAP}")
+    check_budget(params.dim * 16, f"a {params.dim}-dim product state")
     vec = np.ones(1, dtype=np.complex128)
     for site, lab in enumerate(parsed):
         vec = np.kron(vec, dressed_state(lab, params, site))
@@ -428,11 +424,10 @@ class ReducedSpace:
 
     def embed_density(self, rho: np.ndarray) -> np.ndarray:
         """``rho``, or each matrix of a ``(..., dim, dim)`` stack, in the product space."""
-        if self.full_dim > OPERATOR_DIM_CAP:
-            raise SizeError(f"embedding a {self.full_dim}-dim density matrix "
-                            f"exceeds cap {OPERATOR_DIM_CAP}")
         rho = np.asarray(rho)
-        out = np.zeros(rho.shape[:-2] + (self.full_dim, self.full_dim), dtype=np.complex128)
+        shape = rho.shape[:-2] + (self.full_dim, self.full_dim)
+        check_budget(math.prod(shape) * 16, f"a {shape} product-space stack")
+        out = np.zeros(shape, dtype=np.complex128)
         out[..., self.full_indices[:, None], self.full_indices] = rho
         return out
 

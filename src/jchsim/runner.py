@@ -115,8 +115,8 @@ def run_scenario(config: ScenarioConfig,
     absorbing block (``n_samples`` for one that never does) with the count
     of those that never do.
 
-    The ensemble builds the model's block propagators once; the conditional
-    columns come from its ``jump_free_branch`` on those same blocks.
+    The ensemble builds the block propagators and the projectors' block
+    restrictions once; the conditional columns come from its ``jump_free_branch``.
 
     The ``negativity`` column is N(ρ̄), the negativity of the
     trajectory-averaged state across ``bipartition_cut``, taken by
@@ -149,7 +149,7 @@ def run_scenario(config: ScenarioConfig,
         columns["negativity"] = block_negativity(
             ensemble.rho_avg, model.space, config.bipartition_cut)
     if config.include_conditional:
-        branch = ensemble.jump_free_branch(ops)
+        branch = ensemble.jump_free_branch()
         names.append("survival")
         columns["survival"] = branch.survival
         for spec in config.observables:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from jchsim import dynamics
 from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
                              _block_superoperator, _build_machinery,
                              _flow_norm2_poly, _norm2, _partition, _poly_value,
@@ -465,13 +466,21 @@ class TestLindblad:
         assert abs(sum(traces)) < 1e-12
         assert abs(traces[0]) > 1e-3          # decay feeds the vacuum block
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        # the budget counts the superoperator's bytes, not dim: 80 uncoupled
+        # states are 80 one-state blocks, whose superoperator has 80² entries
         dim = 80
-        h = np.zeros((dim, dim), dtype=np.complex128)
         rho0 = np.zeros((dim, dim), dtype=np.complex128)
         rho0[0, 0] = 1.0
-        with pytest.raises(SizeError):
-            lindblad_evolve(h, [], rho0, TimeGrid(t_end=1.0, n_samples=3, dt=0.005))
+        grid = TimeGrid(t_end=1.0, n_samples=3, dt=0.005)
+        rhos = lindblad_evolve(np.zeros((dim, dim), dtype=np.complex128), [], rho0, grid)
+        assert np.array_equal(rhos, np.broadcast_to(rho0, (3, dim, dim)))
+        # a dense H makes them one block: (80²)² entries, refused before they are built
+        monkeypatch.setattr(dynamics, "_block_superoperator",
+                            lambda parts: pytest.fail("the superoperator was built"))
+        with pytest.raises(SizeError, match="the superoperator on 6400 entries of ρ needs "
+                                            "655360000 bytes, above the budget 268435456"):
+            lindblad_evolve(random_hermitian(np.random.default_rng(2), dim), [], rho0, grid)
 
     def test_bad_initial_state_rejected(self):
         h, collapse, _ = damped_mode()
@@ -652,7 +661,7 @@ class TestSharedBlocks:
         h, collapse, psi0, grid, obs = _branch_case(name)
         ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=2, master_seed=3,
                             observables=obs)
-        got = ens.jump_free_branch(obs)
+        got = ens.jump_free_branch()
         want = no_jump_branch(h, collapse, psi0, grid, observables=obs)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.survival.tobytes() == want.survival.tobytes()
@@ -662,12 +671,15 @@ class TestSharedBlocks:
             assert got.observables[key].tobytes() == want.observables[key].tobytes()
 
     def test_machinery_hidden_from_repr_and_observables_checked(self):
-        h, collapse, psi0, grid, _ = _branch_case("closed")
+        # the branch reduces the ensemble's own observables, checked once
+        # when the ensemble coerced them
+        h, collapse, psi0, grid, obs = _branch_case("closed")
         ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=1, master_seed=3)
         assert "_machinery" not in repr(ens)
         assert ens.jump_free_branch().observables == {}
-        with pytest.raises(SizeError, match="observable 'bad' shape"):
-            ens.jump_free_branch({"bad": np.eye(3)})
+        ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=1, master_seed=3,
+                            observables=obs)
+        assert list(ens.jump_free_branch().observables) == list(obs)
 
     @pytest.mark.parametrize("name,supports", [
         # fig2: sectors of 1, 4 and 8 states; P20, P02, P11 live in the 8-state one
@@ -678,7 +690,7 @@ class TestSharedBlocks:
     def test_preset_projector_supports(self, name, supports):
         config, model, psi0 = preset_problem(name)
         mach = _build_machinery(model.h, model.collapse, psi0, config.grid)
-        block_obs = _block_observables(mach, preset_projectors(config, model))
+        block_obs = _block_observables(mach.blocks, preset_projectors(config, model))
         assert [[len(sup) for sup, _ in entries] for entries in block_obs] == supports
 
     @pytest.mark.parametrize("name", ["fig2", "n4"])
@@ -688,7 +700,7 @@ class TestSharedBlocks:
         mach = _build_machinery(model.h, model.collapse, psi0, config.grid)
         obs = preset_projectors(config, model)
         obs["dense"] = random_hermitian(rng, model.dim)
-        block_obs = _block_observables(mach, obs)
+        block_obs = _block_observables(mach.blocks, obs)
         for b, blk in enumerate(mach.blocks):
             k = len(blk.index)
             rows = rng.normal(size=(9, k)) + 1j * rng.normal(size=(9, k))
@@ -745,6 +757,8 @@ class TestMemoryGuards:
         psi0 = model.space.reduce_vector(
             prepare_product_polariton_state(("4-", "G", "G", "G"), params))
         grid = TimeGrid(t_end=1500.0, n_samples=601, dt=0.005)
-        with pytest.raises(SizeError):
+        # blocks of 1, 8, 32, 88 and 192 states: 601 · (45 697 + 321²) · 16 bytes
+        with pytest.raises(SizeError, match=r"averaging ρ over 601 samples \(its blocks and "
+                                            r"the dense stack\) needs 1430264608 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)

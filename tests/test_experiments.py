@@ -339,8 +339,24 @@ class TestScenarioConfig:
             "grid": {"t_end": 10.0, "n_samples": 6},
         })
         assert problems == [
-            "model.n_sites, model.n_max, initial.labels: the reduced model's 3 dense "
-            "8065-dim operators need 3122122800 bytes, above the budget 268435456"]
+            "model.n_sites, model.n_max, initial.labels: 3 dense 8065-dim matrices "
+            "(3 for H and the loss operators) need 3122122800 bytes, above the budget "
+            "268435456"]
+
+    def test_projectors_counted_against_the_budget(self):
+        # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
+        # and each projector is one more dense matrix of 71 436 304 bytes
+        mapping = {
+            "model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
+            "initial": {"labels": ["32-", "G"]},
+            "grid": {"t_end": 10.0, "n_samples": 6},
+        }
+        assert scenario_from_mapping(mapping).max_excitation == 32
+        mapping["observables"] = {"projectors": ["(32-;G)"]}
+        assert problems_of(scenario_from_mapping, mapping) == [
+            "model.n_sites, model.n_max, initial.labels, observables.projectors: 4 dense "
+            "2113-dim matrices (3 for H and the loss operators, 1 for the projectors) "
+            "need 285745216 bytes, above the budget 268435456"]
 
     def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
         # n_max = 10**9 gives a 2e9-dim site; one excitation keeps 3 states
@@ -369,7 +385,7 @@ class TestScenarioConfig:
                 "overflow int64"]
 
     def test_negativity_over_stack_cap_rejected(self):
-        # n4's model with negativity on: 561 samples of the 321-dim ρ̄
+        # n4's model with negativity on: two copies of ρ̄, 561 samples of 321 dims
         mapping = {
             "model": {"n_sites": 4, "n_max": 4},
             "initial": {"labels": ["4-", "G", "G", "G"]},
@@ -377,9 +393,10 @@ class TestScenarioConfig:
             "observables": {"negativity": True},
         }
         assert problems_of(scenario_from_mapping, mapping) == [
-            "observables.negativity: the averaged-state stack of 561 samples of "
-            "321-dim matrices needs 924896016 bytes, above the cap 268435456"]
-        with pytest.raises(ConfigError, match="923247360 bytes"):
+            "model.n_sites, model.n_max, initial.labels, observables.negativity: 1123 "
+            "dense 321-dim matrices (1 for H and the loss operators, 1122 for ρ̄'s 561 "
+            "samples, twice) need 1851440688 bytes, above the budget 268435456"]
+        with pytest.raises(ConfigError, match="1858035312 bytes"):
             replace(load_preset("n4").scenarios[0], compute_negativity=True)
 
     def test_negativity_beyond_the_operator_cap_runs(self):
@@ -417,12 +434,12 @@ class TestSweepConfig:
 
     def test_grids_must_increase(self):
         with pytest.raises(ConfigError):
-            CriticalitySweepConfig(j_values=(0.04, 0.02))
+            CriticalitySweepConfig(j_values=(0.06, 0.04, 0.02))
         with pytest.raises(ConfigError):
-            CriticalitySweepConfig(j_values=(0.02, 0.04),
+            CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06),
                                    gamma_ratios=(1.0, 1.0))
         with pytest.raises(ConfigError):
-            CriticalitySweepConfig(j_values=(-0.02, 0.04))
+            CriticalitySweepConfig(j_values=(-0.02, 0.04, 0.06))
 
     def test_source_checked(self):
         # a sweep file written when the ensemble could be chosen as source
@@ -496,7 +513,7 @@ class TestSweepConfig:
 
     def test_unknown_section_reported(self):
         with pytest.raises(ConfigError) as err:
-            sweep_from_mapping({"sweep": {"j_values": [0.02, 0.04]},
+            sweep_from_mapping({"sweep": {"j_values": [0.02, 0.04, 0.06]},
                                 "misc": {"a": 1}})
         assert any("misc" in p for p in err.value.problems)
 
@@ -518,7 +535,7 @@ class TestSweepConfig:
 
     def test_mixed_errors_all_reported(self):
         problems = problems_of(sweep_from_mapping, {
-            "sweep": {"j_values": [0.02, 0.04], "delta": "nan"},
+            "sweep": {"j_values": [0.02, 0.04, 0.06], "delta": "nan"},
             "grid": {"dt": "small"},
             "classifier": {"t_min": -1},
         })
@@ -731,8 +748,9 @@ class TestEstimatorFlags:
         assert "narrow_grid" in est.flags
 
     def test_curve_needs_three_hop_values(self):
-        with pytest.raises(ConfigError):
-            gamma_c_curve(CriticalitySweepConfig(j_values=(0.02, 0.04)))
+        # the slope fit's need is checked at load, before any point runs
+        problems = problems_of(sweep_from_mapping, {"sweep": {"j_values": [0.02, 0.04]}})
+        assert problems == ["sweep.j_values: need at least 3 hop values for a slope fit, got 2"]
 
 
 class TestSweepOutputs:
@@ -886,7 +904,7 @@ class TestPresets:
         assert untouched.sweep == load_preset("fig4").sweep
 
     def test_negativity_on_every_preset_but_n4(self):
-        # n4's averaged-state stack (561 x 321^2 entries) is above the memory cap
+        # n4's two copies of ρ̄ (560 samples of 321 dims) are above the memory budget
         assert {name: load_preset(name).scenarios[0].compute_negativity
                 for name in ("fig2", "fig3", "n3", "n4")} == {
             "fig2": True, "fig3": True, "n3": True, "n4": False}

@@ -214,6 +214,16 @@ class TestReducedSpace:
         assert stack.shape == (3, params.dim, params.dim)
         assert np.array_equal(stack, [full, 2.0 * full, full.conj()])
 
+    def test_embed_density_counts_the_leading_axes(self):
+        # one 36-dim product-space matrix takes 20 736 bytes; a stack of 12 945
+        # fits the budget, and one more is refused before its allocation
+        space = excitation_basis(ModelParams(n_sites=2, n_max=2), max_exc=2)
+        rho = np.zeros((space.dim, space.dim), dtype=np.complex128)
+        assert space.embed_density(rho).nbytes == 20736
+        with pytest.raises(SizeError, match=r"a \(12946, 36, 36\) product-space stack "
+                                            "needs 268448256 bytes, above the budget"):
+            space.embed_density(np.broadcast_to(rho, (12946,) + rho.shape))
+
     @pytest.mark.parametrize("kwargs,max_exc", REDUCED_CASES)
     def test_reduced_hamiltonian_matches_projected_full(self, kwargs, max_exc):
         params = ModelParams(**kwargs)
@@ -295,6 +305,12 @@ class TestInitialStates:
         assert np.linalg.norm(psi) == pytest.approx(1.0)
         other = prepare_product_polariton_state(("1-", "1-"), params)
         assert abs(np.vdot(psi, other)) < 1e-12
+
+    def test_product_state_over_the_budget_refused(self):
+        # 10 sites of 6 states: 6**10 amplitudes of 16 bytes (9 sites, 161 MB, would fit)
+        with pytest.raises(SizeError, match="a 60466176-dim product state needs "
+                                            "967458816 bytes, above the budget"):
+            prepare_product_polariton_state(["G"] * 10, ModelParams(n_sites=10, n_max=2))
 
     def test_cutoff_violation_raises(self):
         params = ModelParams(n_sites=2, hop=0.03, n_max=1)
