@@ -382,20 +382,25 @@ class ScenarioConfig:
                 "observables.negativity: needs at least two sites")
         if len(canonical) == len(self.initial) and self.max_excitation <= n_max:
             # H, each loss operator and each projector are dense on the reduced basis;
-            # negativity needs ρ̄ twice, on its blocks (Σ k_b² <= dim²) and embedded
+            # negativity needs ρ̄ twice, on its blocks (Σ k_b² <= dim²) and embedded;
+            # each trajectory keeps its observable rows, and the batch holds its state
             dim = excitation_dim(n_sites, self.max_excitation)
+            n_samples = self.grid.n_samples
             terms = [("model.n_sites, model.n_max, initial.labels",
                       1 + len(damped_sites(self.model)), "H and the loss operators"),
                      ("observables.projectors", len(self.observables), "the projectors"),
-                     ("observables.negativity", 2 * self.grid.n_samples * self.compute_negativity,
-                      f"ρ̄'s {self.grid.n_samples} samples, twice")]
+                     ("observables.negativity", 2 * n_samples * self.compute_negativity,
+                      f"ρ̄'s {n_samples} samples, twice")]
             terms = [term for term in terms if term[1]]
             n_dense = sum(n for _, n, _ in terms)
-            if n_dense * dim * dim * 16 > MEMORY_CAP:
+            n_bytes = (n_dense * dim * dim * 16
+                       + self.n_traj * (len(self.observables) * n_samples * 8 + dim * 16))
+            if n_bytes > MEMORY_CAP:
                 problems.append(
-                    f"{', '.join(key for key, _, _ in terms)}: {n_dense} dense {dim}-dim "
-                    f"matrices ({', '.join(f'{n} for {what}' for _, n, what in terms)}) "
-                    f"need {n_dense * dim * dim * 16} bytes, above the budget {MEMORY_CAP}")
+                    f"{', '.join(key for key, _, _ in terms)}, run.n_traj: {n_dense} dense "
+                    f"{dim}-dim matrices ({', '.join(f'{n} for {what}' for _, n, what in terms)}) "
+                    f"and the observable rows and live states of {self.n_traj} trajectories "
+                    f"need {n_bytes} bytes, above the budget {MEMORY_CAP}")
         if not 1 <= self.bipartition_cut < max(n_sites, 2):
             problems.append(
                 "observables.bipartition_cut: must satisfy "

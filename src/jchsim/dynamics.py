@@ -12,9 +12,16 @@ run on that block alone; no full-size propagator is formed.  On the presets
 the blocks are the excitation sectors (H keeps the total excitation, each
 photon loss lowers it by one); a model without such structure is one
 block.  A block on which every L vanishes, such as the vacuum, is
-absorbing: nothing leaves it, so once the state enters one the per-sample
-jump test stops and the remaining samples are filled at once with powers
-of the block's stride propagator.
+absorbing: nothing leaves it, so a state in one takes no jump test.
+
+The loop is time-major: it advances a batch of columns, each one
+pure-state evolution, through the samples together.  The columns are
+grouped by the block each occupies, so each stride is one matrix product
+per occupied block, and each sample's observables are reduced for all of
+a block's rows at once.  ``mcwf_ensemble`` is a batch of ``n_traj``
+trajectories, ``mcwf_trajectory`` a batch of one, and the jump-free branch
+a seedless batch of one.  Every trajectory keeps its own random stream
+and draw order, so it is the same whatever else runs in its batch.
 
 The blocks, their propagators and the observables restricted to them
 depend only on H, the collapse operators, ψ0, the grid and the observables,
@@ -26,7 +33,8 @@ block, P4000 and P1111 need 2 and 16 of them.
 
 A trajectory advances a whole sample interval at a time while its squared
 norm stays above the waiting-time threshold.  An interval that crosses it
-is redone in one dyadic descent over the powers 2^p of the dt step, which
+is redone, for that column alone, in one dyadic descent over the powers
+2^p of the dt step, which
 finds the last step still above the threshold.  The crossing inside the
 next step is bisected on that step's squared norm, a real polynomial of
 degree 8 in the time into the step whose coefficients come from the Gram
@@ -493,89 +501,157 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
     return work, r, b
 
 
-def _stride_powers(r_stride: np.ndarray, psi: np.ndarray, m: int) -> np.ndarray:
-    """Rows R⁰ψ, R¹ψ, …, R^(m-1)ψ, doubling the columns with each squaring of R."""
-    cols = psi[:, None]
-    power = r_stride
-    while cols.shape[1] < m:
-        cols = np.hstack([cols, power @ cols[:, :m - cols.shape[1]]])
-        power = power @ power
-    return cols.T
+def _row_norm2(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a C-contiguous complex ``(m, k)`` array."""
+    flat = rows.view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
 
 
-def _propagate(mach: _Machinery, seed=None):
-    """Normalized sample rows by block, their squared norms before
-    normalization, the jumps, and the first sample in an absorbing block.
+@dataclass(frozen=True)
+class _Batch:
+    """What ``_propagate`` returns for a batch of columns."""
 
-    The rows come as runs ``(block, first sample, rows)``: consecutive samples
-    in one block, each row the state on that block.  With a seed and a
-    collapse channel this is a trajectory: uniforms are drawn one at a time
-    from the seed's stream (the threshold, then per jump the channel and the
-    next threshold), and the decaying norm carries the waiting time.
-    Otherwise it never jumps, and the state is rescaled below
-    ``_RESCALE_FLOOR`` with the factor carried in the norms, so rows stay
-    finite.  Once the state is in an absorbing block (``n_samples`` if
-    never), the remaining rows are the powers of that block's stride
-    propagator, filled at once.
+    values: Optional[np.ndarray]     # (n_cols, n_observables, n_samples), reduced per sample
+    rho_sums: Optional[list]         # per block: (n_samples, k, k) sum over its rows of |ψ><ψ|
+    states: Optional[np.ndarray]     # recorded batch of one: (n_samples, dim) normalized rows
+    survival: Optional[np.ndarray]   # recorded batch of one: squared norms, rescaling included
+    jumps: list                      # per column: [(time, channel), ...]
+    absorbed: np.ndarray             # (n_cols,) first sample in an absorbing block, or n_samples
+
+
+def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
+            absorbed: np.ndarray, idle: set) -> dict:
+    """Advance every column one sample interval, into the sample ``s``.
+
+    Each block's rows take one product with its stride propagator, except
+    in the ``idle`` blocks, which nothing leaves and whose rows nothing
+    reads.  The rows whose squared norm fell to their pending threshold redo
+    the interval one at a time in ``_resolve_stride`` with their own
+    Generator; a row that jumps into another block joins that block's rows,
+    which stay ordered by column.  Returns the new groups.
     """
     grid = mach.grid
-    jumping = seed is not None and mach.n_chan > 0
-    if jumping:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        r = _threshold(rng)
+    out, arrivals = {}, {}
+    for b, (cols, work, norm2) in groups.items():
+        if b in idle:
+            out[b] = (cols, work, norm2)
+            continue
+        blk = mach.blocks[b]
+        cand = work @ blk.r_stride.T
+        norm2 = _row_norm2(cand)
+        crossed = () if rngs is None or blk.absorbing else np.flatnonzero(
+            ~(norm2 > pending[cols]))
+        if len(crossed):
+            t0 = grid.t_start + (s - 1) * grid.spacing
+            stay = np.ones(len(cols), dtype=bool)
+            for i in crossed:
+                j = cols[i]
+                state, pending[j], dest = _resolve_stride(mach, b, work[i], pending[j], t0,
+                                                          grid, rngs[j], jumps[j])
+                if dest == b:
+                    cand[i], norm2[i] = state, _norm2(state)
+                else:
+                    stay[i] = False
+                    arrivals.setdefault(dest, []).append((j, state))
+            cols, cand, norm2 = cols[stay], cand[stay], norm2[stay]
+        if len(cols):
+            out[b] = (cols, cand, norm2)
+    for dest, moved in arrivals.items():
+        cols = np.array([j for j, _ in moved])
+        work = np.array([state for _, state in moved])
+        if mach.blocks[dest].absorbing:
+            absorbed[cols] = s
+        if dest in out:
+            old_cols, old_work, _ = out[dest]
+            cols = np.concatenate([old_cols, cols])
+            order = np.argsort(cols, kind="stable")
+            cols, work = cols[order], np.concatenate([old_work, work])[order]
+        out[dest] = (cols, work, _row_norm2(work))
+    return out
+
+
+def _propagate(mach: _Machinery, seeds=None, record: bool = False,
+               keep_rho: bool = False) -> _Batch:
+    """Advance a batch of columns through the sample grid together, time-major.
+
+    Column j is one pure-state evolution from ψ0.  With ``seeds`` and a
+    collapse channel, column j is the trajectory of ``seeds[j]``: uniforms
+    are drawn one at a time from its own stream (the threshold, then per
+    jump the channel and the next threshold), and the decaying norm carries
+    the waiting time.  Otherwise nothing jumps and every column would be the
+    same run, so the batch is one column (seedless: ``[None]``); its state
+    is rescaled below ``_RESCALE_FLOOR`` with the factor carried in the
+    survival, so rows stay finite.
+
+    The columns are grouped by the block each occupies, and every stride
+    advances a whole group with one matrix product (``_stride``).  With
+    ``record`` the batch is one column whose rows and survival are kept;
+    otherwise each group's rows are reduced at once at each sample: the
+    observables on their supports and, with ``keep_rho``, the block's sum
+    of |ψ><ψ|.  A block where every support is empty and ρ̄ is not kept
+    costs no per-sample work, and its values stay 0.0; if no channel acts
+    on it either, its rows are not stepped at all.  A block no channel acts
+    on should keep the norm, so one whose stepped rows fall below
+    ``_RESCALE_FLOOR`` raises.
+    """
+    grid = mach.grid
     n = grid.n_samples
-    jumps: list = []
-    runs: list = []
-    norms = np.empty(n, dtype=np.float64)
+    seeds = [None] if seeds is None else seeds
+    jumping = seeds[0] is not None and mach.n_chan > 0
+    rngs = pending = None
+    if jumping:
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+        pending = np.array([_threshold(rng) for rng in rngs])
+    jumps: list = [[] for _ in seeds]
+    absorbed = np.full(len(seeds), 0 if mach.blocks[mach.start].absorbing else n,
+                       dtype=np.int64)
     carried = 1.0
-    b, work = mach.start, mach.psi0
-    norm2 = _norm2(work)
-    absorbed = n
+    states = survival = values = None
+    if record:
+        # the column's rows, normalized once the loop is done, and their squared norms
+        states = np.zeros((n, mach.dim), dtype=np.complex128)
+        norm2s = np.empty(n)
+        survival = np.empty(n)
+    else:
+        values = np.zeros((len(seeds), len(mach.names), n))
+    rho_sums = [np.zeros((n, len(blk.index), len(blk.index)), dtype=np.complex128)
+                for blk in mach.blocks] if keep_rho else None
+    busy = [keep_rho or any(len(sup) for sup, _ in entries) for entries in mach.block_obs]
+    idle = set() if record else {b for b, blk in enumerate(mach.blocks)
+                                 if blk.absorbing and not busy[b]}
+    work = np.repeat(mach.psi0[None, :], len(seeds), axis=0)
+    # block -> (its columns, ascending; their states; their squared norms)
+    groups = {mach.start: (np.arange(len(seeds)), work, _row_norm2(work))}
     for s in range(n):
         if s:
-            cand = mach.blocks[b].r_stride @ work
-            norm2 = _norm2(cand)
-            if not jumping or norm2 > r:
-                work = cand
-            else:
-                # at least one jump inside this interval
-                work, r, b = _resolve_stride(mach, b, work, r,
-                                             grid.t_start + (s - 1) * grid.spacing,
-                                             grid, rng, jumps)
-                norm2 = _norm2(work)
-        if not runs or runs[-1][0] != b:
-            runs.append((b, s, np.empty((n - s, len(work)), dtype=np.complex128)))
-        _, first, rows = runs[-1]
-        if mach.blocks[b].absorbing:
-            absorbed = s
-            tail = _stride_powers(mach.blocks[b].r_stride, work, n - s)
-            tail_norm2 = np.einsum("ni,ni->n", tail.conj(), tail).real
-            if not tail_norm2.min() > _RESCALE_FLOOR:
-                raise IntegratorError(
-                    f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
-                    f"dt = {grid.dt} is too coarse for the spectrum of H")
-            rows[s - first:] = tail * (1.0 / np.sqrt(tail_norm2))[:, None]
-            norms[s:] = carried * tail_norm2
-            break
-        if not norm2 > 0.0:
-            raise IntegratorError("the state's norm underflowed to 0 within one "
-                                  "sample interval; use a smaller sample spacing")
-        rows[s - first] = work * (1.0 / math.sqrt(norm2))
-        norms[s] = carried * norm2
-        if not jumping and norm2 < _RESCALE_FLOOR:
-            carried *= norm2
-            work = rows[s - first]
-    ends = [first for _, first, _ in runs[1:]] + [n]
-    runs = [(b, first, rows[:end - first]) for (b, first, rows), end in zip(runs, ends)]
-    return runs, norms, jumps, absorbed
-
-
-def _dense_rows(mach: _Machinery, runs: list, n: int) -> np.ndarray:
-    """The runs' rows as ``(n, dim)`` states, zero outside each block."""
-    out = np.zeros((n, mach.dim), dtype=np.complex128)
-    for b, first, rows in runs:
-        out[first:first + len(rows), mach.blocks[b].index] = rows
-    return out
+            groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle)
+        for b, (cols, work, norm2) in groups.items():
+            if b in idle:
+                continue
+            blk = mach.blocks[b]
+            if blk.absorbing:
+                if not norm2.min() > _RESCALE_FLOOR:
+                    raise IntegratorError(
+                        f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
+                        f"dt = {grid.dt} is too coarse for the spectrum of H")
+            elif not jumping and not norm2[0] > 0.0:
+                raise IntegratorError("the state's norm underflowed to 0 within one "
+                                      "sample interval; use a smaller sample spacing")
+            if record:
+                states[s, blk.index] = work[0]
+                norm2s[s], survival[s] = norm2[0], carried * norm2[0]
+            elif busy[b]:
+                rows = work * (1.0 / np.sqrt(norm2))[:, None]
+                values[cols, :, s] = _reduce(mach.block_obs[b], rows)
+                if keep_rho:
+                    np.matmul(rows.T, rows.conj(), out=rho_sums[b][s])
+            if not jumping and not blk.absorbing and norm2[0] < _RESCALE_FLOOR:
+                carried *= norm2[0]
+                work[0] = work[0] * (1.0 / math.sqrt(norm2[0]))
+    if record:
+        states *= (1.0 / np.sqrt(norm2s))[:, None]
+    return _Batch(values=values, rho_sums=rho_sums, states=states, survival=survival,
+                  jumps=jumps, absorbed=absorbed)
 
 
 def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -587,14 +663,14 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     is bisected to 1e-10 on the step's norm polynomial (the squared norm
     of the degree-4 flow, of degree 8 in time), a channel j is selected
     with probability ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and
-    renormalized.
+    renormalized.  It is a batch of one column in ``_propagate``'s loop,
+    with its rows recorded.
     Deterministic given (seed, grid, inputs).
     """
     mach = _build_machinery(h, collapse, psi0, grid)
-    runs, _, jumps, _ = _propagate(mach, seed)
-    return TrajectoryResult(times=grid.times,
-                            states=_dense_rows(mach, runs, grid.n_samples),
-                            jumps=tuple(jumps), seed=seed)
+    batch = _propagate(mach, [seed], record=True)
+    return TrajectoryResult(times=grid.times, states=batch.states,
+                            jumps=tuple(batch.jumps[0]), seed=seed)
 
 
 def _batched_expectation(states: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -632,25 +708,24 @@ def _block_observables(blocks: Sequence[_Part], obs: dict) -> list:
     return out
 
 
-def _reduce(runs: list, block_obs: list, out: np.ndarray) -> np.ndarray:
-    """``out[o, s]`` = <ψ_s|P_o|ψ_s>, each sample reduced on its block's
-    columns in the observable's support (0.0 where that is empty)."""
-    for b, first, rows in runs:
-        for o, (support, op) in enumerate(block_obs[b]):
-            if len(support):
-                out[o, first:first + len(rows)] = _batched_expectation(rows[:, support], op)
-            else:
-                out[o, first:first + len(rows)] = 0.0
+def _reduce(entries: list, rows: np.ndarray) -> np.ndarray:
+    """``out[i, o]`` = <ψ_i|P_o|ψ_i> for the rows ψ_i of one block, each
+    observable reduced on its support there (0.0 where that is empty)."""
+    out = np.zeros((len(rows), len(entries)))
+    for o, (support, op) in enumerate(entries):
+        if len(support):
+            out[:, o] = _batched_expectation(rows[:, support], op)
     return out
 
 
 def _jump_free_branch(mach: _Machinery) -> ConditionalBranch:
-    """The seedless run of ``_propagate`` on built blocks, reduced and embedded."""
-    n = mach.grid.n_samples
-    runs, survival, _, _ = _propagate(mach)
-    values = _reduce(runs, mach.block_obs, np.empty((len(mach.names), n)))
-    return ConditionalBranch(times=mach.grid.times, states=_dense_rows(mach, runs, n),
-                             survival=survival, observables=dict(zip(mach.names, values)))
+    """The seedless batch of one on built blocks, reduced on the block it
+    never leaves."""
+    batch = _propagate(mach, record=True)
+    values = _reduce(mach.block_obs[mach.start],
+                     batch.states[:, mach.blocks[mach.start].index])
+    return ConditionalBranch(times=mach.grid.times, states=batch.states, survival=batch.survival,
+                             observables=dict(zip(mach.names, np.ascontiguousarray(values.T))))
 
 
 def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
@@ -659,7 +734,9 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
                    ) -> ConditionalBranch:
     """Evolve the jump-free branch: decaying norm plus renormalized states.
 
-    With ``collapse = ()`` this is the closed-system evolution.  A caller
+    It is the seedless batch of one in ``_propagate``'s loop, rescaled
+    whenever its squared norm falls below ``_RESCALE_FLOOR``.  With
+    ``collapse = ()`` this is the closed-system evolution.  A caller
     that has run ``mcwf_ensemble`` on the same inputs gets the same branch,
     without building the blocks again, from ``EnsembleResult.jump_free_branch``.
     """
@@ -671,36 +748,34 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
                   observables=None, keep_rho: bool = False) -> EnsembleResult:
     """Average ``n_traj`` trajectories with per-index RNG streams.
 
-    Trajectory j draws from SeedSequence((master_seed, j)), so it is the
-    same trajectory ``mcwf_trajectory`` gives for seed (master_seed, j);
-    reduction runs in index order, so repeated runs are byte-identical.
-    With ``keep_rho``, the bytes of ρ̄'s per-block sums and of the dense stack
-    embedded from them, alive at once, count against ``linalg.MEMORY_CAP``.
+    The trajectories are one batch of ``n_traj`` columns in ``_propagate``'s
+    time-major loop.  Trajectory j draws from SeedSequence((master_seed, j))
+    in its own order, so it is the trajectory ``mcwf_trajectory`` gives for
+    seed (master_seed, j), whatever else runs in the batch; reduction runs
+    in index order, so repeated runs are byte-identical.  The bytes of the
+    per-trajectory observable rows, of the batch's live states and, with
+    ``keep_rho``, of ρ̄'s per-block sums and the dense stack embedded from
+    them count against ``linalg.MEMORY_CAP`` before any of them exists.
     """
     if n_traj < 1:
         raise ConfigError([f"n_traj: must be >= 1, got {n_traj}"])
     n = grid.n_samples
     mach = _build_machinery(h, collapse, psi0, grid, observables)
     d = mach.dim
-    if keep_rho:
-        check_budget(n * (sum(len(blk.index) ** 2 for blk in mach.blocks) + d * d) * 16,
-                     f"averaging ρ over {n} samples (its blocks and the dense stack)")
     # without a collapse channel every trajectory is the same jump-free run
     n_runs = n_traj if mach.n_chan else 1
-    rows = np.empty((n_runs, len(mach.names), n), dtype=np.float64)
+    n_bytes = n_runs * (len(mach.names) * n * 8 + d * 16)
+    what = f"the ensemble of {n_runs} trajectories: observable rows, live states"
+    if keep_rho:
+        n_bytes += n * (sum(len(blk.index) ** 2 for blk in mach.blocks) + d * d) * 16
+        what += f", ρ̄ over {n} samples (its blocks and the dense stack)"
+    check_budget(n_bytes, what)
+    batch = _propagate(mach, [(master_seed, j) for j in range(n_runs)], keep_rho=keep_rho)
+    rows = batch.values
     counts = np.zeros((n_runs, mach.n_chan), dtype=np.int64)
-    absorbed = np.empty(n_runs, dtype=np.int64)
-    # ρ̄ is block-diagonal: accumulate each block's stack, embed it once at the end
-    rho_sums = [np.zeros((n, len(blk.index), len(blk.index)), dtype=np.complex128)
-                for blk in mach.blocks] if keep_rho else None
-    for idx in range(n_runs):
-        runs, _, jumps, absorbed[idx] = _propagate(mach, (master_seed, idx))
-        _reduce(runs, mach.block_obs, rows[idx])
-        counts[idx] = np.bincount([chan for _, chan in jumps], minlength=mach.n_chan)
-        if keep_rho:
-            for b, first, states in runs:
-                rho_sums[b][first:first + len(states)] += np.einsum(
-                    "ni,nj->nij", states, states.conj())
+    for j, record in enumerate(batch.jumps):
+        for _, chan in record:
+            counts[j, chan] += 1
 
     means = {}
     stderr = {}
@@ -713,14 +788,16 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
             stderr[name] = np.zeros(n)
     rho_avg = None
     if keep_rho:
+        # ρ̄ is block-diagonal: embed each block's stack once
         rho_avg = np.zeros((n, d, d), dtype=np.complex128)
-        for blk, rho_sum in zip(mach.blocks, rho_sums):
+        for blk, rho_sum in zip(mach.blocks, batch.rho_sums):
             rho_avg[:, blk.index[:, None], blk.index] = rho_sum / n_runs
     copies = n_traj // n_runs
     return EnsembleResult(times=grid.times, mean_observables=means, stderr=stderr,
                           n_traj=n_traj, rho_avg=rho_avg, master_seed=master_seed,
                           jumps_per_channel=np.repeat(counts, copies, axis=0),
-                          absorbing_entry=np.repeat(absorbed, copies), _machinery=mach)
+                          absorbing_entry=np.repeat(batch.absorbed, copies),
+                          _machinery=mach)
 
 
 # ---------------------------------------------------------------------------

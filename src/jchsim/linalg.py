@@ -16,6 +16,8 @@ from .errors import NotHermitianError, SizeError
 HERMITICITY_ATOL = 1e-10
 #: bytes one run may allocate for its largest arrays; every size guard counts against it
 MEMORY_CAP = 256 * 2**20
+#: entries of a − a† that ``require_hermitian`` forms at a time
+_HERMITIAN_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,16 @@ def check_budget(n_bytes: int, what: str) -> None:
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Raise :class:`NotHermitianError` unless ``m`` is Hermitian within ``atol``."""
+    """Raise :class:`NotHermitianError` unless ``m`` is Hermitian within ``atol``.
+
+    The deviation max |a − a†| is taken over blocks of about
+    ``_HERMITIAN_CHUNK`` entries at a time, so no dim² temporary is formed.
+    """
     a = as_complex_matrix(m)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    d = a.shape[0]
+    step = max(1, _HERMITIAN_CHUNK // max(d, 1))
+    dev = max((np.max(np.abs(a[i:i + step] - a[:, i:i + step].conj().T))
+               for i in range(0, d, step)), default=0.0)
     if dev > atol:
         raise NotHermitianError(f"matrix deviates from Hermiticity by {dev:.3e} (atol {atol:.1e})")
     return a

@@ -705,12 +705,12 @@ class TestSharedBlocks:
             k = len(blk.index)
             rows = rng.normal(size=(9, k)) + 1j * rng.normal(size=(9, k))
             rows /= np.linalg.norm(rows, axis=1)[:, None]
-            got = _reduce([(b, 0, rows)], block_obs, np.full((len(obs), 9), np.nan))
+            got = _reduce(block_obs[b], rows)
             for o, op in enumerate(obs.values()):
                 full = _batched_expectation(rows, op[np.ix_(blk.index, blk.index)])
-                assert np.abs(got[o] - full).max() <= 1e-15
+                assert np.abs(got[:, o] - full).max() <= 1e-15
                 if not len(block_obs[b][o][0]):
-                    assert not got[o].any()
+                    assert not got[:, o].any()
 
 
 class TestDeterminism:
@@ -739,6 +739,29 @@ class TestDeterminism:
         assert sum(len(r.jumps) for r in replays) > 0
         assert np.abs(ens.mean_observables["x"] - np.mean(per_traj, axis=0)).max() < 1e-12
 
+    @pytest.mark.parametrize("name", ["fig2", "n3", "n4"])
+    def test_results_do_not_depend_on_batch_composition(self, name):
+        # the first 7 trajectories of a 64-column batch are those of a 7-column
+        # batch and of 7 one-column replays
+        config, model, psi0 = preset_problem(name)
+        grid, seed = config.grid, config.master_seed
+        obs = preset_projectors(config, model)
+        small, large = (mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=n,
+                                      master_seed=seed, observables=obs) for n in (7, 64))
+        assert np.array_equal(large.jumps_per_channel[:7], small.jumps_per_channel)
+        assert np.array_equal(large.absorbing_entry[:7], small.absorbing_entry)
+        batch = dynamics._propagate(large._machinery, [(seed, j) for j in range(64)])
+        per_traj = []
+        for j in range(7):
+            replay = mcwf_trajectory(model.h, model.collapse, psi0, grid, (seed, j))
+            assert [c for _, c in batch.jumps[j]] == [c for _, c in replay.jumps]
+            assert np.abs(np.subtract(batch.jumps[j], replay.jumps)).max() < 1e-10
+            per_traj.append([_batched_expectation(replay.states, op) for op in obs.values()])
+        assert sum(len(record) for record in batch.jumps[:7]) == 7 * config.max_excitation
+        means = np.mean(per_traj, axis=0)
+        for o, key in enumerate(obs):
+            assert np.abs(small.mean_observables[key] - means[o]).max() < 1e-12
+
     def test_trajectory_seed_stream_is_stable(self):
         # the same (master seed, index) pair always reproduces a trajectory,
         # independently of which other trajectories run around it
@@ -751,6 +774,22 @@ class TestDeterminism:
 
 
 class TestMemoryGuards:
+    def test_trajectory_rows_over_budget_raise_before_allocating(self, monkeypatch):
+        # 10⁶ trajectories of 41 samples of one observable on a 4-dim model:
+        # 10⁶ · (41 · 8 + 4 · 16) bytes of rows and live states
+        h, collapse, a = damped_mode()
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+
+        def never(*args, **kwargs):
+            raise AssertionError("the batch ran")
+
+        monkeypatch.setattr(dynamics, "_propagate", never)
+        with pytest.raises(SizeError, match=r"the ensemble of 1000000 trajectories: observable "
+                                            r"rows, live states needs 392000000 bytes"):
+            mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
+                          n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
+
     def test_keep_rho_over_budget_raises_before_allocating(self):
         params = ModelParams(n_sites=4, hop=0.03, gamma=0.05, n_max=4)
         model = build_reduced_model(params, max_exc=4)
@@ -758,7 +797,8 @@ class TestMemoryGuards:
             prepare_product_polariton_state(("4-", "G", "G", "G"), params))
         grid = TimeGrid(t_end=1500.0, n_samples=601, dt=0.005)
         # blocks of 1, 8, 32, 88 and 192 states: 601 · (45 697 + 321²) · 16 bytes
-        with pytest.raises(SizeError, match=r"averaging ρ over 601 samples \(its blocks and "
-                                            r"the dense stack\) needs 1430264608 bytes"):
+        # for ρ̄, and 2 · 321 · 16 for the two trajectories' live states
+        with pytest.raises(SizeError, match=r"live states, ρ̄ over 601 samples \(its blocks and "
+                                            r"the dense stack\) needs 1430274880 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)

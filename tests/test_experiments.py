@@ -332,20 +332,22 @@ class TestScenarioConfig:
         assert column[0] == pytest.approx(1.0) and np.all(np.isfinite(column))
 
     def test_dense_model_over_budget_rejected(self):
-        # 8065 reduced states: H and two loss operators need 3.1 GB
+        # 8065 reduced states: H and two loss operators need 3.1 GB, and the one
+        # trajectory's state 8065 · 16 bytes more
         problems = problems_of(scenario_from_mapping, {
             "model": {"n_sites": 2, "n_max": 63, "gamma": 0.05},
             "initial": {"labels": ["63-", "G"]},
             "grid": {"t_end": 10.0, "n_samples": 6},
         })
         assert problems == [
-            "model.n_sites, model.n_max, initial.labels: 3 dense 8065-dim matrices "
-            "(3 for H and the loss operators) need 3122122800 bytes, above the budget "
-            "268435456"]
+            "model.n_sites, model.n_max, initial.labels, run.n_traj: 3 dense 8065-dim "
+            "matrices (3 for H and the loss operators) and the observable rows and live "
+            "states of 1 trajectories need 3122251840 bytes, above the budget 268435456"]
 
     def test_projectors_counted_against_the_budget(self):
         # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
-        # and each projector is one more dense matrix of 71 436 304 bytes
+        # and each projector is one more dense matrix of 71 436 304 bytes; the
+        # trajectory adds its state (33 808 bytes) and one row per projector (48)
         mapping = {
             "model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
             "initial": {"labels": ["32-", "G"]},
@@ -354,9 +356,25 @@ class TestScenarioConfig:
         assert scenario_from_mapping(mapping).max_excitation == 32
         mapping["observables"] = {"projectors": ["(32-;G)"]}
         assert problems_of(scenario_from_mapping, mapping) == [
-            "model.n_sites, model.n_max, initial.labels, observables.projectors: 4 dense "
-            "2113-dim matrices (3 for H and the loss operators, 1 for the projectors) "
-            "need 285745216 bytes, above the budget 268435456"]
+            "model.n_sites, model.n_max, initial.labels, observables.projectors, run.n_traj: "
+            "4 dense 2113-dim matrices (3 for H and the loss operators, 1 for the "
+            "projectors) and the observable rows and live states of 1 trajectories "
+            "need 285779072 bytes, above the budget 268435456"]
+
+    def test_trajectory_rows_counted_against_the_budget(self):
+        # fig2: each trajectory keeps 3 · 560 observable rows of 8 bytes and, while
+        # the batch runs, its 13-dim state: 13 648 bytes each, 13.6 GB at a million
+        bundle = load_preset("fig2")
+        assert bundle.with_overrides(n_traj=2000).scenarios[0].n_traj == 2000
+        with pytest.raises(ConfigError) as err:
+            bundle.with_overrides(n_traj=1_000_000)
+        (problem,) = err.value.problems
+        assert problem.startswith("model.n_sites, model.n_max, initial.labels, "
+                                  "observables.projectors, observables.negativity, "
+                                  "run.n_traj: ")
+        assert problem.endswith("the observable rows and live states of 1000000 "
+                                "trajectories need 13651044704 bytes, above the budget "
+                                "268435456")
 
     def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
         # n_max = 10**9 gives a 2e9-dim site; one excitation keeps 3 states
@@ -393,10 +411,12 @@ class TestScenarioConfig:
             "observables": {"negativity": True},
         }
         assert problems_of(scenario_from_mapping, mapping) == [
-            "model.n_sites, model.n_max, initial.labels, observables.negativity: 1123 "
-            "dense 321-dim matrices (1 for H and the loss operators, 1122 for ρ̄'s 561 "
-            "samples, twice) need 1851440688 bytes, above the budget 268435456"]
-        with pytest.raises(ConfigError, match="1858035312 bytes"):
+            "model.n_sites, model.n_max, initial.labels, observables.negativity, "
+            "run.n_traj: 1123 dense 321-dim matrices (1 for H and the loss operators, "
+            "1122 for ρ̄'s 561 samples, twice) and the observable rows and live states "
+            "of 1 trajectories need 1851445824 bytes, above the budget 268435456"]
+        # the preset's 2000 trajectories add 2000 · (2 · 560 · 8 + 321 · 16) bytes
+        with pytest.raises(ConfigError, match="1886227312 bytes"):
             replace(load_preset("n4").scenarios[0], compute_negativity=True)
 
     def test_negativity_beyond_the_operator_cap_runs(self):
@@ -626,26 +646,31 @@ class TestRunnerArtifacts:
         assert rerun.sidecar_path.read_bytes() == result.sidecar_path.read_bytes()
 
     def test_table_independent_of_blas_threads(self, tmp_path):
-        # fig2 with a few trajectories, in fresh processes at 1 and 2 BLAS threads
+        # fig2 in fresh processes at 1 and 2 BLAS threads: with a few trajectories,
+        # and with a batch of 300, whose block products are large enough to thread
         script = textwrap.dedent("""\
             import sys
             from jchsim.presets import load_preset
             from jchsim.runner import run_scenario
-            config = load_preset("fig2").with_overrides(n_traj=5).scenarios[0]
+            config = load_preset("fig2").with_overrides(n_traj=int(sys.argv[2])).scenarios[0]
             run = run_scenario(config, out_dir=sys.argv[1])
-            sys.stdout.buffer.write(run.table_path.read_bytes())
+            sys.stdout.buffer.write(run.table_path.read_bytes() + b"\\0"
+                                    + run.sidecar_path.read_bytes())
             """)
         path = [str(Path(__file__).resolve().parents[1] / "src"),
                 os.environ.get("PYTHONPATH", "")]
-        tables = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, path)))
-            done = subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
-                                  env=env, capture_output=True, check=True, timeout=120)
-            tables.append(done.stdout)
-        assert tables[0] == tables[1]
-        assert b"negativity" in tables[0].split(b"\r\n")[0]
+        for n_traj in ("5", "300"):
+            outputs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join(filter(None, path)))
+                done = subprocess.run(
+                    [sys.executable, "-c", script, str(tmp_path / n_traj / threads), n_traj],
+                    env=env, capture_output=True, check=True, timeout=120)
+                outputs.append(done.stdout)
+            assert outputs[0] == outputs[1], n_traj
+            assert b"negativity" in outputs[0].split(b"\r\n")[0]
+            assert b'"n_traj": ' + n_traj.encode() in outputs[0]
 
     def test_survival_and_conditional_columns_are_sane(self, run_dir):
         _, result = run_dir

@@ -40,6 +40,34 @@ class TestHermitian:
         with pytest.raises(NotHermitianError):
             require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("dim", [1, 2, 35, 36, 925])
+    def test_deviation_is_the_full_maximum(self, dim):
+        # the blocks of rows cover the matrix: the worst entry is found wherever it is
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = a + a.conj().T
+        for i, j in [(0, dim - 1), (dim - 1, 0), (dim // 2, dim // 3)]:
+            bad = a.copy()
+            bad[i, j] += 1e-3 * (1 + 1j)
+            want = np.max(np.abs(bad - bad.conj().T))
+            with pytest.raises(NotHermitianError, match=f"by {want:.3e} "):
+                require_hermitian(bad)
+        assert require_hermitian(a) is not None
+
+    def test_no_dim_squared_temporaries(self):
+        # a 925-dim complex matrix takes 13.7 MB; the check holds under a quarter
+        import tracemalloc
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(925, 925)) + 1j * rng.normal(size=(925, 925))
+        a = np.ascontiguousarray(a + a.conj().T)
+        tracemalloc.start()
+        try:
+            require_hermitian(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
+
     def test_as_complex_matrix_rejects_nonsquare(self):
         with pytest.raises(SizeError):
             as_complex_matrix(np.zeros((2, 3)))
