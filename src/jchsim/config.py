@@ -382,7 +382,8 @@ class ScenarioConfig:
                 "observables.negativity: needs at least two sites")
         if len(canonical) == len(self.initial) and self.max_excitation <= n_max:
             # H, each loss operator and each projector are dense on the reduced basis;
-            # negativity needs ρ̄ twice, on its blocks (Σ k_b² <= dim²) and embedded;
+            # negativity holds ρ̄'s block entries (Σ k_b² <= dim² a sample) and the
+            # partial transpose's blocks at once, counted as two dim² stacks;
             # each trajectory keeps its observable rows, and the batch holds its state
             dim = excitation_dim(n_sites, self.max_excitation)
             n_samples = self.grid.n_samples

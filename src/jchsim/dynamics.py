@@ -44,7 +44,9 @@ The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
 ρ0's support in one block.  ρ then stays block-diagonal, so only the
 entries (i, j) inside one block are propagated: a superoperator of
 (Σ_b k_b²)² entries for blocks of k_b states, not d⁴.  On the two-site
-presets (blocks of 1, 4 and 8 states) that is 81² instead of 169².
+presets (blocks of 1, 4 and 8 states) that is 81² instead of 169².  The
+oracle's ρ and the ensemble's ρ̄ are both held as those entries, in one
+layout (``_block_layout``); ρ̄ is returned in it, as a ``BlockDensity``.
 
 All integrators share one numerical scheme: the classical fixed-step
 4th-order Runge-Kutta update, which for these linear time-invariant
@@ -70,7 +72,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, IntegratorError, SizeError
-from .linalg import as_complex_matrix, check_budget, min_labels, require_hermitian
+from .linalg import BlockDensity, as_complex_matrix, check_budget, min_labels, require_hermitian
 
 __all__ = [
     "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT",
@@ -203,7 +205,7 @@ class EnsembleResult:
     mean_observables: dict                # name -> (n_samples,) float array
     stderr: dict                          # same keys/shapes, >= 0
     n_traj: int
-    rho_avg: Optional[np.ndarray]         # (n_samples, dim, dim) or None
+    rho_blocks: Optional[BlockDensity]    # ρ̄ on its blocks, or None
     master_seed: int
     jumps_per_channel: np.ndarray         # (n_traj, n_channels) int: jumps of each trajectory
     absorbing_entry: np.ndarray           # (n_traj,) int: first sample in an absorbing block,
@@ -238,8 +240,16 @@ class ConditionalBranch:
 # ---------------------------------------------------------------------------
 
 def _taylor4(m: np.ndarray) -> np.ndarray:
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    return eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
+    """I + m(I + (m/2)(I + (m/3)(I + m/4))), from the inside out.
+
+    Each I is made just before it is added in place, so that m and at most
+    three more matrices of its size are live at once.
+    """
+    acc = m / 4.0
+    for scaled in (lambda: m / 3.0, lambda: m / 2.0, lambda: m):
+        acc += np.eye(len(m))
+        acc = scaled() @ acc
+    return acc + np.eye(len(m))
 
 
 def _block_labels(h: np.ndarray, ops: list, support: np.ndarray) -> np.ndarray:
@@ -306,6 +316,17 @@ def _partition(h: np.ndarray, ops: list, support: np.ndarray,
         parts.append(_Part(index=idx, gen=np.ascontiguousarray(gen),
                            targets=tuple(targets), jumps=tuple(jumps)))
     return owner, parts
+
+
+def _block_layout(parts: Sequence[_Part]) -> tuple:
+    """ρ's diagonal blocks as one vector: block b row-major at ``offsets[b]:offsets[b + 1]``.
+
+    Returns the offsets and the basis row and column of each entry.
+    """
+    offsets = np.cumsum([0] + [len(part.index) ** 2 for part in parts])
+    rows = np.concatenate([np.repeat(part.index, len(part.index)) for part in parts])
+    cols = np.concatenate([np.tile(part.index, len(part.index)) for part in parts])
+    return offsets, rows, cols
 
 
 @dataclass(frozen=True)
@@ -512,7 +533,7 @@ class _Batch:
     """What ``_propagate`` returns for a batch of columns."""
 
     values: Optional[np.ndarray]     # (n_cols, n_observables, n_samples), reduced per sample
-    rho_sums: Optional[list]         # per block: (n_samples, k, k) sum over its rows of |ψ><ψ|
+    rho_sum: Optional[np.ndarray]    # (n_samples, Σ_b k_b²): Σ over the rows of |ψ><ψ|
     states: Optional[np.ndarray]     # recorded batch of one: (n_samples, dim) normalized rows
     survival: Optional[np.ndarray]   # recorded batch of one: squared norms, rescaling included
     jumps: list                      # per column: [(time, channel), ...]
@@ -588,7 +609,8 @@ def _propagate(mach: _Machinery, seeds=None, record: bool = False,
     ``record`` the batch is one column whose rows and survival are kept;
     otherwise each group's rows are reduced at once at each sample: the
     observables on their supports and, with ``keep_rho``, the block's sum
-    of |ψ><ψ|.  A block where every support is empty and ρ̄ is not kept
+    of |ψ><ψ|, written into that block's slice of one ``_block_layout``
+    array.  A block where every support is empty and ρ̄ is not kept
     costs no per-sample work, and its values stay 0.0; if no channel acts
     on it either, its rows are not stepped at all.  A block no channel acts
     on should keep the norm, so one whose stepped rows fall below
@@ -614,8 +636,8 @@ def _propagate(mach: _Machinery, seeds=None, record: bool = False,
         survival = np.empty(n)
     else:
         values = np.zeros((len(seeds), len(mach.names), n))
-    rho_sums = [np.zeros((n, len(blk.index), len(blk.index)), dtype=np.complex128)
-                for blk in mach.blocks] if keep_rho else None
+    offsets = _block_layout(mach.blocks)[0] if keep_rho else None
+    rho_sum = np.zeros((n, offsets[-1]), dtype=np.complex128) if keep_rho else None
     busy = [keep_rho or any(len(sup) for sup, _ in entries) for entries in mach.block_obs]
     idle = set() if record else {b for b, blk in enumerate(mach.blocks)
                                  if blk.absorbing and not busy[b]}
@@ -644,13 +666,14 @@ def _propagate(mach: _Machinery, seeds=None, record: bool = False,
                 rows = work * (1.0 / np.sqrt(norm2))[:, None]
                 values[cols, :, s] = _reduce(mach.block_obs[b], rows)
                 if keep_rho:
-                    np.matmul(rows.T, rows.conj(), out=rho_sums[b][s])
+                    np.matmul(rows.T, rows.conj(), out=rho_sum[s, offsets[b]:offsets[b + 1]]
+                              .reshape(len(blk.index), -1))
             if not jumping and not blk.absorbing and norm2[0] < _RESCALE_FLOOR:
                 carried *= norm2[0]
                 work[0] = work[0] * (1.0 / math.sqrt(norm2[0]))
     if record:
         states *= (1.0 / np.sqrt(norm2s))[:, None]
-    return _Batch(values=values, rho_sums=rho_sums, states=states, survival=survival,
+    return _Batch(values=values, rho_sum=rho_sum, states=states, survival=survival,
                   jumps=jumps, absorbed=absorbed)
 
 
@@ -754,21 +777,21 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     seed (master_seed, j), whatever else runs in the batch; reduction runs
     in index order, so repeated runs are byte-identical.  The bytes of the
     per-trajectory observable rows, of the batch's live states and, with
-    ``keep_rho``, of ρ̄'s per-block sums and the dense stack embedded from
-    them count against ``linalg.MEMORY_CAP`` before any of them exists.
+    ``keep_rho``, of ρ̄'s block entries with their rows and columns count
+    against ``linalg.MEMORY_CAP`` before any of them exists.  ρ̄ is returned
+    on its blocks, as ``EnsembleResult.rho_blocks``; no dense stack is formed.
     """
     if n_traj < 1:
         raise ConfigError([f"n_traj: must be >= 1, got {n_traj}"])
     n = grid.n_samples
     mach = _build_machinery(h, collapse, psi0, grid, observables)
-    d = mach.dim
     # without a collapse channel every trajectory is the same jump-free run
     n_runs = n_traj if mach.n_chan else 1
-    n_bytes = n_runs * (len(mach.names) * n * 8 + d * 16)
+    n_bytes = n_runs * (len(mach.names) * n * 8 + mach.dim * 16)
     what = f"the ensemble of {n_runs} trajectories: observable rows, live states"
     if keep_rho:
-        n_bytes += n * (sum(len(blk.index) ** 2 for blk in mach.blocks) + d * d) * 16
-        what += f", ρ̄ over {n} samples (its blocks and the dense stack)"
+        n_bytes += (n + 1) * sum(len(blk.index) ** 2 for blk in mach.blocks) * 16
+        what += f", ρ̄'s block entries over {n} samples"
     check_budget(n_bytes, what)
     batch = _propagate(mach, [(master_seed, j) for j in range(n_runs)], keep_rho=keep_rho)
     rows = batch.values
@@ -777,24 +800,14 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
         for _, chan in record:
             counts[j, chan] += 1
 
-    means = {}
-    stderr = {}
-    for o, name in enumerate(mach.names):
-        sample = rows[:, o, :]
-        means[name] = sample.mean(axis=0)
-        if n_runs > 1:
-            stderr[name] = sample.std(axis=0, ddof=1) / math.sqrt(n_traj)
-        else:
-            stderr[name] = np.zeros(n)
-    rho_avg = None
-    if keep_rho:
-        # ρ̄ is block-diagonal: embed each block's stack once
-        rho_avg = np.zeros((n, d, d), dtype=np.complex128)
-        for blk, rho_sum in zip(mach.blocks, batch.rho_sums):
-            rho_avg[:, blk.index[:, None], blk.index] = rho_sum / n_runs
+    means = {name: rows[:, o].mean(axis=0) for o, name in enumerate(mach.names)}
+    stderr = {name: (rows[:, o].std(axis=0, ddof=1) / math.sqrt(n_traj) if n_runs > 1
+                     else np.zeros(n)) for o, name in enumerate(mach.names)}
+    rho_blocks = (BlockDensity(np.divide(batch.rho_sum, n_runs, out=batch.rho_sum),
+                               *_block_layout(mach.blocks)[1:]) if keep_rho else None)
     copies = n_traj // n_runs
     return EnsembleResult(times=grid.times, mean_observables=means, stderr=stderr,
-                          n_traj=n_traj, rho_avg=rho_avg, master_seed=master_seed,
+                          n_traj=n_traj, rho_blocks=rho_blocks, master_seed=master_seed,
                           jumps_per_channel=np.repeat(counts, copies, axis=0),
                           absorbing_entry=np.repeat(batch.absorbed, copies),
                           _machinery=mach)
@@ -804,14 +817,14 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
 # density-matrix oracle
 # ---------------------------------------------------------------------------
 
-def _block_superoperator(parts: list) -> tuple:
+def _block_superoperator(parts: list) -> np.ndarray:
     """Generator of the master equation on the block-diagonal part of ρ.
 
-    ρ's block (b, b) is stored row-major at ``offsets[b]:offsets[b + 1]`` of
-    the restricted vector.  Block (b, b) evolves under G_b ρ_b + ρ_b G_b†,
-    and each channel feeds L ρ_b L† into the block (t, t) it maps b into.
+    ρ's entries are in ``_block_layout``.  Block (b, b) evolves under
+    G_b ρ_b + ρ_b G_b†, and each channel feeds L ρ_b L† into the block
+    (t, t) it maps b into.
     """
-    offsets = np.cumsum([0] + [len(part.index) ** 2 for part in parts])
+    offsets = _block_layout(parts)[0]
     sup = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
     for b, part in enumerate(parts):
         eye = np.eye(len(part.index))
@@ -819,7 +832,7 @@ def _block_superoperator(parts: list) -> tuple:
         sup[cols, cols] += np.kron(part.gen, eye) + np.kron(eye, part.gen.conj())
         for t, jump in zip(part.targets, part.jumps):
             sup[offsets[t]:offsets[t + 1], cols] += np.kron(jump, jump.conj())
-    return sup, offsets
+    return sup
 
 
 def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -830,10 +843,13 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     trajectory integrator.  ρ0's support lies in one block of the trajectory
     partition; H and every L†L act inside a block and each L maps a block
     into one block, so ρ stays block-diagonal.  Only the entries of the
-    diagonal blocks are propagated, by a dense superoperator of
-    (Σ_b k_b²)² entries for blocks of k_b states, checked against
-    ``linalg.MEMORY_CAP`` before it is built; entries off the blocks are returned
-    as exact zeros.  A model without structure is one block.
+    diagonal blocks are propagated, in ``_block_layout``, by a dense
+    superoperator of (Σ_b k_b²)² entries for blocks of k_b states; they are
+    scattered into the returned stack, whose entries off the blocks are exact
+    zeros.  A model without structure is one block.  The peak of four
+    superoperators, while R is formed and raised to a stride, and the
+    sampled entries and returned stack are checked against
+    ``linalg.MEMORY_CAP`` before any of them is built.
     """
     rho0 = as_complex_matrix(rho0)
     d = rho0.shape[0]
@@ -848,17 +864,19 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
 
     support = np.flatnonzero(rho0.any(axis=0) | rho0.any(axis=1))
     _, parts = _partition(h, _check_ops(collapse, d), support, 0.0)
-    n_kept = sum(len(part.index) ** 2 for part in parts)
-    check_budget(n_kept ** 2 * 16, f"the superoperator on {n_kept} entries of ρ")
-    sup, offsets = _block_superoperator(parts)
-    r_stride = np.linalg.matrix_power(_taylor4(grid.dt * sup), grid.n_fine)
-    vecs = np.empty((grid.n_samples, offsets[-1]), dtype=np.complex128)
-    vecs[0] = np.concatenate([rho0[np.ix_(part.index, part.index)].reshape(-1)
-                              for part in parts])
+    _, rows, cols = _block_layout(parts)
+    n_kept = len(rows)
+    # at their peaks _taylor4 and matrix_power each hold four superoperators
+    check_budget((4 * n_kept ** 2 + grid.n_samples * (n_kept + d * d)) * 16,
+                 f"four superoperators on {n_kept} entries of ρ and {grid.n_samples} samples")
+    r_step = _block_superoperator(parts)
+    r_step *= grid.dt
+    r_step = _taylor4(r_step)             # the rebinding frees dt·A before the powers
+    r_stride = np.linalg.matrix_power(r_step, grid.n_fine)
+    vecs = np.empty((grid.n_samples, n_kept), dtype=np.complex128)
+    vecs[0] = rho0[rows, cols]
     for s in range(1, grid.n_samples):
         vecs[s] = r_stride @ vecs[s - 1]
     out = np.zeros((grid.n_samples, d, d), dtype=np.complex128)
-    for part, first, end in zip(parts, offsets, offsets[1:]):
-        k = len(part.index)
-        out[:, part.index[:, None], part.index] = vecs[:, first:end].reshape(-1, k, k)
+    out[:, rows, cols] = vecs
     return out

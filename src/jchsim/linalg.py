@@ -47,6 +47,19 @@ class TensorDims:
         return cls(tuple(int(d) for d in dims))
 
 
+@dataclass(frozen=True)
+class BlockDensity:
+    """A stack of density matrices held as the entries of their diagonal blocks.
+
+    ``entries[s, m]`` is ρ_s[rows[m], cols[m]]; every other entry is zero.
+    ``dynamics`` keeps ρ̄ in its block layout: block by block, each row-major.
+    """
+
+    entries: np.ndarray                   # (n_samples, Σ_b k_b²) complex
+    rows: np.ndarray                      # (Σ_b k_b²,) basis row of each entry
+    cols: np.ndarray                      # (Σ_b k_b²,) basis column of each entry
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a square, finite, C-contiguous complex128 matrix."""
     a = np.ascontiguousarray(m, dtype=np.complex128)

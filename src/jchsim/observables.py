@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, SizeError
-from .linalg import TensorDims, as_complex_matrix, min_labels, partial_transpose
+from .linalg import BlockDensity, TensorDims, as_complex_matrix, min_labels, partial_transpose
 from .model import ModelParams, PolaritonLabel, ReducedSpace, polariton_energy
 
 __all__ = [
@@ -145,28 +145,36 @@ def negativity_series(rho_stack: np.ndarray, dims) -> np.ndarray:
     return out + 0.0   # +0.0 normalizes -0.0
 
 
-def block_negativity(rho_stack: np.ndarray, space: ReducedSpace, cut: int) -> np.ndarray:
-    """Negativity across ``cut`` of each state in an ``(n, dim, dim)`` reduced-basis stack.
+def block_negativity(rho, space: ReducedSpace, cut: int) -> np.ndarray:
+    """Negativity across ``cut`` of each state of a reduced-basis stack.
 
+    ``rho`` is a ``BlockDensity``, such as the ensemble's ρ̄, or an ``(n,
+    dim, dim)`` stack, which is read as one entry per matrix element.
     The same value as ``negativity_series`` of the embedded stack with the
     sites regrouped at ``cut``, without the product space.  Each basis
     state's product index splits into (left, right) at the cut, and the
     partial transpose on the right sends entry (i, j) to row (left_i,
     right_j) and column (left_j, right_i).  Its blocks are the connected
-    components of those (row, column) links over the union of the stack's
-    nonzero entries, so the split is exact for any state.  Each block gets
-    one ``eigvalsh`` of its ``(n, k, k)`` stack; the blocks' negative
-    eigenvalues are added in the order of their smallest product index.
+    components of those (row, column) links over the entries that are
+    nonzero at some sample, so the split is exact for any state.  Each
+    block gets one ``eigvalsh`` of its ``(n, k, k)`` stack; the blocks'
+    negative eigenvalues are added in the order of their smallest product
+    index.
     """
-    stack = np.asarray(rho_stack)
     n_sites = space.params.n_sites
     if not 1 <= cut < n_sites:
         raise SizeError(f"cut must satisfy 1 <= cut < {n_sites}, got {cut}")
-    if stack.ndim != 3 or stack.shape[1:] != (space.dim, space.dim):
-        raise SizeError(f"expected a stack of {space.dim}-dim matrices, got shape {stack.shape}")
+    if not isinstance(rho, BlockDensity):
+        stack = np.asarray(rho)
+        if stack.ndim != 3 or stack.shape[1:] != (space.dim, space.dim):
+            raise SizeError(f"expected a stack of {space.dim}-dim matrices, got shape {stack.shape}")
+        rho = BlockDensity(stack.reshape(len(stack), space.dim ** 2),
+                           *np.divmod(np.arange(space.dim ** 2), space.dim))
     right_dim = space.params.site_dim ** (n_sites - cut)
     left, right = np.divmod(space.full_indices, right_dim)
-    i, j = np.nonzero((stack != 0).any(axis=0))
+    # an entry that is zero at every sample links nothing
+    kept = np.flatnonzero((rho.entries != 0).any(axis=0))
+    i, j = rho.rows[kept], rho.cols[kept]
     # product indices of the transposed entries, numbered compactly
     nodes, pos = np.unique(np.concatenate([left[i] * right_dim + right[j],
                                            left[j] * right_dim + right[i]]),
@@ -175,14 +183,14 @@ def block_negativity(rho_stack: np.ndarray, space: ReducedSpace, cut: int) -> np
     blocks, owner = np.unique(min_labels(np.arange(len(nodes)), row, col),
                               return_inverse=True)
     local = np.empty(len(nodes), dtype=np.intp)
-    out = np.zeros(len(stack))
+    out = np.zeros(len(rho.entries))
     for b in range(len(blocks)):
         members = owner == b
         local[members] = np.arange(np.count_nonzero(members))
         links = members[row]
-        block = np.zeros((len(stack),) + (np.count_nonzero(members),) * 2,
+        block = np.zeros((len(rho.entries),) + (np.count_nonzero(members),) * 2,
                          dtype=np.complex128)
-        block[:, local[row[links]], local[col[links]]] = stack[:, i[links], j[links]]
+        block[:, local[row[links]], local[col[links]]] = rho.entries[:, kept[links]]
         out -= np.minimum(np.linalg.eigvalsh(block), 0.0).sum(axis=1)
     return out + 0.0   # +0.0 normalizes -0.0
 

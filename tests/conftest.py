@@ -40,6 +40,13 @@ def two_site_model(hop: float, gamma: float, delta: float = 0.0,
     return params, model, model.space.product_state(("2-", "G"))
 
 
+def dense_stack(rho, dim: int) -> np.ndarray:
+    """A ``BlockDensity``'s ``(n, dim, dim)`` stack, zero off its entries."""
+    out = np.zeros((len(rho.entries), dim, dim), dtype=np.complex128)
+    out[:, rho.rows, rho.cols] = rho.entries
+    return out
+
+
 def oracle_negativity(params, model, psi0, t_end: float):
     """Deterministic negativity trace on the classifier-ready grid."""
     grid = TimeGrid.with_spacing(t_end, recommended_spacing(params))

@@ -84,3 +84,18 @@ def test_every_workload_prepares_the_inputs_the_run_builds(monkeypatch):
         for spec in specs:
             assert (spec.operator(params, space).tobytes()
                     == prep.ops[spec.name].tobytes()), (name, spec.name)
+
+
+def test_every_workload_passes_its_checks_on_a_smoke_round(monkeypatch, tmp_path):
+    # perfbench's checks compare a round's files with its own oracle and with
+    # replayed trajectories; run in process, they hold tier-1 to the same bar
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        prep = workload.setup(seed=1, smoke=True)
+        workload.run_round(prep, tmp_path / name, spans.Tracer())
+        checks, _ = workload.check(prep, tmp_path / name)
+        failed = [f"{check.name}: {check.detail}" for check in checks if not check.passed]
+        assert checks and not failed, (name, failed)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy import stats
 
 from jchsim import dynamics
 from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
-                             _block_superoperator, _build_machinery,
+                             _block_layout, _block_superoperator, _build_machinery,
                              _flow_norm2_poly, _norm2, _partition, _poly_value,
                              _reduce, _taylor_flow, lindblad_evolve, mcwf_ensemble,
                              mcwf_trajectory, no_jump_branch)
@@ -21,8 +22,8 @@ from jchsim.model import (ModelParams, build_reduced_model,
                           prepare_product_polariton_state, site_operators)
 from jchsim.presets import load_preset
 
-from conftest import (build_full_hamiltonian, restrict, total_excitation_operator,
-                      two_site_model)
+from conftest import (build_full_hamiltonian, dense_stack, restrict,
+                      total_excitation_operator, two_site_model)
 
 
 def damped_mode(dim=4, gamma=0.25):
@@ -453,7 +454,8 @@ class TestLindblad:
         _, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
         _, parts = _partition(model.h, model.collapse, np.flatnonzero(psi0), 0.0)
         assert len(parts) == 3
-        sup, offsets = _block_superoperator(parts)
+        sup = _block_superoperator(parts)
+        offsets = _block_layout(parts)[0]
         rng = np.random.default_rng(0)
         blocks = []
         for part in parts:
@@ -478,8 +480,10 @@ class TestLindblad:
         # a dense H makes them one block: (80²)² entries, refused before they are built
         monkeypatch.setattr(dynamics, "_block_superoperator",
                             lambda parts: pytest.fail("the superoperator was built"))
-        with pytest.raises(SizeError, match="the superoperator on 6400 entries of ρ needs "
-                                            "655360000 bytes, above the budget 268435456"):
+        # four superoperators, (4 · 6400² + 3 · (6400 + 80²)) · 16 bytes
+        with pytest.raises(SizeError, match="four superoperators on 6400 entries of ρ and 3 "
+                                            "samples needs 2622054400 bytes, above the budget "
+                                            "268435456"):
             lindblad_evolve(random_hermitian(np.random.default_rng(2), dim), [], rho0, grid)
 
     def test_bad_initial_state_rejected(self):
@@ -617,8 +621,8 @@ class TestTrajectories:
         branch = no_jump_branch(model.h, (), psi0, grid, observables={"x": op})
         assert np.array_equal(ens.mean_observables["x"], branch.observables["x"])
         assert not ens.stderr["x"].any()
-        assert np.array_equal(ens.rho_avg, np.einsum("ni,nj->nij", branch.states,
-                                                     branch.states.conj()))
+        assert np.array_equal(dense_stack(ens.rho_blocks, model.dim),
+                              np.einsum("ni,nj->nij", branch.states, branch.states.conj()))
         # no channel acts anywhere: every block absorbs from the first sample
         assert ens.jumps_per_channel.shape == (7, 0)
         assert ens.absorbing_entry.tolist() == [0] * 7
@@ -796,9 +800,46 @@ class TestMemoryGuards:
         psi0 = model.space.reduce_vector(
             prepare_product_polariton_state(("4-", "G", "G", "G"), params))
         grid = TimeGrid(t_end=1500.0, n_samples=601, dt=0.005)
-        # blocks of 1, 8, 32, 88 and 192 states: 601 · (45 697 + 321²) · 16 bytes
-        # for ρ̄, and 2 · 321 · 16 for the two trajectories' live states
-        with pytest.raises(SizeError, match=r"live states, ρ̄ over 601 samples \(its blocks and "
-                                            r"the dense stack\) needs 1430274880 bytes"):
+        # blocks of 1, 8, 32, 88 and 192 states: (601 + 1) · 45 697 · 16 bytes for
+        # ρ̄'s entries, rows and columns, and 2 · 321 · 16 for the live states
+        with pytest.raises(SizeError, match=r"live states, ρ̄'s block entries over 601 samples "
+                                            r"needs 440163776 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)
+
+    def test_kept_rho_stays_below_one_dense_stack(self):
+        # n3's ρ̄ is 560 samples of 1 805 block entries, 16.2 MB; one dense
+        # (560, 63, 63) stack alone would be 35.6 MB
+        config = load_preset("n3").scenarios[0]
+        model = build_reduced_model(config.model, config.max_excitation)
+        psi0 = model.space.product_state(config.initial)
+        tracemalloc.start()
+        try:
+            ens = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=2,
+                                master_seed=1, keep_rho=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = config.grid.n_samples
+        assert ens.rho_blocks.entries.shape == (n, 1805)
+        assert peak < n * model.dim ** 2 * 16
+
+    def test_lindblad_peak_stays_under_its_count(self, monkeypatch):
+        # blocks of 1, 4, 8, 12 and 16 states: a superoperator on 481 entries of ρ
+        # (3.7 MB); the parent peaked at 7 of them against a count of one
+        counted = []
+        monkeypatch.setattr(dynamics, "check_budget", lambda n_bytes, what: counted.append(n_bytes))
+        params = ModelParams(n_sites=2, hop=0.03, gamma=0.05, n_max=4)
+        model = build_reduced_model(params, max_exc=4)
+        psi0 = model.space.product_state(("4-", "G"))
+        rho0 = np.outer(psi0, psi0.conj())
+        # seven steps a sample: matrix_power keeps its running product and square
+        grid = TimeGrid(t_end=0.35, n_samples=11, dt=0.005)
+        tracemalloc.start()
+        try:
+            lindblad_evolve(model.h, model.collapse, rho0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted == [(4 * 481 ** 2 + 11 * (481 + 41 ** 2)) * 16]
+        assert 3 * 481 ** 2 * 16 < peak <= counted[0]

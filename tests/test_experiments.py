@@ -31,6 +31,8 @@ from jchsim.observables import (PeakClassification, PeakReport,
 from jchsim.presets import PRESET_NAMES, load_preset
 from jchsim.runner import run_scenario, write_criticality_outputs
 
+from conftest import dense_stack
+
 SCENARIO_INI = textwrap.dedent("""\
     [model]
     n_sites = 2
@@ -430,7 +432,7 @@ class TestScenarioConfig:
         })
         assert config.model.dim == 10_000
         run = run_scenario(config)
-        assert run.ensemble.rho_avg.shape == (9, 9, 9)
+        assert dense_stack(run.ensemble.rho_blocks, 9).shape == (9, 9, 9)
         neg = run.columns["negativity"]
         assert neg[0] <= 1e-12 and neg.max() > 1e-3 and np.all(np.isfinite(neg))
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import jchsim
 from jchsim.dynamics import lindblad_evolve, mcwf_ensemble
 from jchsim.errors import ConfigError, SizeError
-from jchsim.linalg import TensorDims, partial_transpose
+from jchsim.linalg import BlockDensity, TensorDims, partial_transpose
 from jchsim.model import (ModelParams, build_reduced_model, excitation_basis,
                           prepare_product_polariton_state)
 from jchsim.observables import (DEFAULT_BURN_IN, PROJECTOR_PRESETS,
@@ -27,7 +28,8 @@ from jchsim.observables import (DEFAULT_BURN_IN, PROJECTOR_PRESETS,
 from jchsim.presets import load_preset
 from jchsim.runner import run_scenario
 
-from conftest import oracle_negativity, random_density_matrix, random_unitary, two_site_model
+from conftest import (dense_stack, oracle_negativity, random_density_matrix, random_unitary,
+                      two_site_model)
 
 
 def bell_pair() -> np.ndarray:
@@ -155,9 +157,16 @@ class TestBlockNegativity:
         for config in load_preset(preset).with_overrides(n_traj=3).scenarios:
             run = run_scenario(config)
             space = build_reduced_model(config.model, config.max_excitation).space
-            expected = dense_negativity(space, run.ensemble.rho_avg, config.bipartition_cut)
+            dense = dense_stack(run.ensemble.rho_blocks, space.dim)
+            expected = dense_negativity(space, dense, config.bipartition_cut)
             assert np.abs(run.columns["negativity"] - expected).max() <= 1e-12
             assert expected.max() > 0.01
+            # ρ̄'s block entries read as their dense stack, bitwise
+            assert (run.columns["negativity"].tobytes()
+                    == block_negativity(dense, space, config.bipartition_cut).tobytes())
+            if preset == "fig1":
+                # lossless: some entries inside the block stay zero at every sample
+                assert not (run.ensemble.rho_blocks.entries != 0).any(axis=0).all()
 
     def test_sweep_point_stack(self):
         config = load_preset("fig4").sweep
@@ -176,15 +185,45 @@ class TestBlockNegativity:
         model = build_reduced_model(config.model, config.max_excitation)
         psi0 = model.space.reduce_vector(
             prepare_product_polariton_state(config.initial, config.model))
-        rho_avg = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=4,
-                                master_seed=1, keep_rho=True).rho_avg
+        rho_blocks = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=4,
+                                   master_seed=1, keep_rho=True).rho_blocks
         # the product space has 512 dimensions: compare the early samples,
         # where ρ̄ is entangled, and every 112th
         picked = np.r_[0:10, 112::112]
-        expected = dense_negativity(model.space, rho_avg[picked], cut)
-        got = block_negativity(rho_avg, model.space, cut)[picked]
-        assert np.abs(got - expected).max() <= 1e-12
+        dense = dense_stack(rho_blocks, model.dim)
+        expected = dense_negativity(model.space, dense[picked], cut)
+        got = block_negativity(rho_blocks, model.space, cut)
+        assert got.tobytes() == block_negativity(dense, model.space, cut).tobytes()
+        assert np.abs(got[picked] - expected).max() <= 1e-12
         assert expected.max() > 1e-3
+
+    def test_random_block_entries_with_an_empty_block(self, rng, three_site_space):
+        space = three_site_space
+        rows, cols = np.nonzero(space.n_tot[:, None] == space.n_tot[None, :])
+        rhos = np.array([sector_density(rng, space) for _ in range(3)])
+        one = np.flatnonzero(space.n_tot == 1)
+        rhos[:, one[:, None], one] = 0.0
+        blocks = BlockDensity(rhos[:, rows, cols], rows, cols)
+        assert np.array_equal(dense_stack(blocks, space.dim), rhos)
+        for cut in (1, 2):
+            got = block_negativity(blocks, space, cut)
+            assert got.tobytes() == block_negativity(rhos, space, cut).tobytes()
+            assert np.abs(got - dense_negativity(space, rhos, cut)).max() <= 1e-12
+
+    def test_load_time_term_bounds_rho_and_its_negativity(self):
+        # ScenarioConfig counts n3's ρ̄ as 2 · 560 samples of 63² entries, 71.1 MB
+        config = load_preset("n3").scenarios[0]
+        model = build_reduced_model(config.model, config.max_excitation)
+        psi0 = model.space.product_state(config.initial)
+        tracemalloc.start()
+        try:
+            rho = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=2,
+                                master_seed=1, keep_rho=True).rho_blocks
+            block_negativity(rho, model.space, config.bipartition_cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * config.grid.n_samples * model.dim ** 2 * 16
 
     @pytest.mark.parametrize("cut", [1, 2])
     def test_random_excitation_commuting_states(self, rng, three_site_space, cut):
