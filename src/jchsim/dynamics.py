@@ -42,11 +42,17 @@ matrix of ψ, Gψ, …, G⁴ψ; no state vector is formed while bisecting.
 
 The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
 ρ0's support in one block.  ρ then stays block-diagonal, so only the
-entries (i, j) inside one block are propagated: a superoperator of
+entries (i, j) inside one block are propagated: a generator of
 (Σ_b k_b²)² entries for blocks of k_b states, not d⁴.  On the two-site
 presets (blocks of 1, 4 and 8 states) that is 81² instead of 169².  The
-oracle's ρ and the ensemble's ρ̄ are both held as those entries, in one
-layout (``_block_layout``); ρ̄ is returned in it, as a ``BlockDensity``.
+oracle's ρ and the ensemble's ρ̄ are both held in one layout
+(``_block_layout``); ρ̄ as the complex entries, returned as a
+``BlockDensity``, and the oracle's ρ as real coordinates, Re ρ_ij on and
+above each block's diagonal and Im ρ_ij below it.  Each block is
+Hermitian, so those k_b² reals are the whole block, and the master
+equation is real-linear on them: the oracle's generator, step, stride and
+samples are real matrices, whose products cost about a quarter of complex
+ones.
 
 All integrators share one numerical scheme: the classical fixed-step
 4th-order Runge-Kutta update, which for these linear time-invariant
@@ -817,21 +823,57 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
 # density-matrix oracle
 # ---------------------------------------------------------------------------
 
-def _block_superoperator(parts: list) -> np.ndarray:
-    """Generator of the master equation on the block-diagonal part of ρ.
+def _hermitian_basis(k: int, first: int, end: int) -> np.ndarray:
+    """The Hermitian k×k matrices of the coordinates ``first:end``, row-major.
 
-    ρ's entries are in ``_block_layout``.  Block (b, b) evolves under
-    G_b ρ_b + ρ_b G_b†, and each channel feeds L ρ_b L† into the block
-    (t, t) it maps b into.
+    Coordinate (i, j) is Re X_ij on and above the diagonal and Im X_ij below
+    it; its basis matrix is the Hermitian X whose coordinates are 0 but for
+    that one, which is 1.
     """
-    offsets = _block_layout(parts)[0]
-    sup = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
+    i, j = np.divmod(np.arange(first, end), k)
+    value = np.where(i > j, 1j, 1.0)
+    basis = np.zeros((end - first, k, k), dtype=np.complex128)
+    basis[np.arange(end - first), i, j] = value
+    basis[np.arange(end - first), j, i] = value.conj()
+    return basis
+
+
+def _real_generator(parts: list, spare: int) -> np.ndarray:
+    """Generator of the master equation on the real coordinates of ρ's diagonal blocks.
+
+    Block b holds k_b² coordinates at its ``_block_layout`` slice, those of
+    ``_hermitian_basis``.  Column m is the derivative of basis matrix m:
+    G_b X + X G_b† in block b, and L X L† in the block each channel maps b
+    into.  The basis is applied in column chunks whose temporaries take at
+    most about ``spare`` bytes.
+    """
+    offsets, rows, cols = _block_layout(parts)
+    block = [slice(first, end) for first, end in zip(offsets, offsets[1:])]
+    # float 2m of a block's matrix is entry m's real part and float 2m + 1 its
+    # imaginary part; each coordinate picks the one its side of the diagonal names
+    picks = 2 * (np.arange(len(rows)) - np.repeat(offsets[:-1], np.diff(offsets))) + (rows > cols)
+
+    def coordinates(t, stack):
+        """The coordinates of each matrix in a stack on block t, one row each."""
+        return stack.reshape(len(stack), -1).view(np.float64)[:, picks[block[t]]]
+
+    sup = np.zeros((len(rows), len(rows)))
     for b, part in enumerate(parts):
-        eye = np.eye(len(part.index))
-        cols = slice(offsets[b], offsets[b + 1])
-        sup[cols, cols] += np.kron(part.gen, eye) + np.kron(eye, part.gen.conj())
-        for t, jump in zip(part.targets, part.jumps):
-            sup[offsets[t]:offsets[t + 1], cols] += np.kron(jump, jump.conj())
+        k = len(part.index)
+        # complex entries per column at most: the basis matrix, G X, X G† and
+        # their coordinates, then one channel's L X, L X L† and its coordinates
+        width = 4 * k * k + max((len(parts[t].index) * (k + 2 * len(parts[t].index))
+                                 for t in part.targets), default=0)
+        chunk = max(1, spare // (16 * width))
+        for first in range(0, k * k, chunk):
+            end = min(first + chunk, k * k)
+            basis = _hermitian_basis(k, first, end)
+            col = slice(offsets[b] + first, offsets[b] + end)
+            deriv = part.gen @ basis
+            deriv += basis @ part.gen.conj().T
+            sup[block[b], col] += coordinates(b, deriv).T
+            for t, jump in zip(part.targets, part.jumps):
+                sup[block[t], col] += coordinates(t, jump @ basis @ jump.conj().T).T
     return sup
 
 
@@ -842,14 +884,17 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     The validation oracle, with the same fixed-step degree-4 scheme as the
     trajectory integrator.  ρ0's support lies in one block of the trajectory
     partition; H and every L†L act inside a block and each L maps a block
-    into one block, so ρ stays block-diagonal.  Only the entries of the
-    diagonal blocks are propagated, in ``_block_layout``, by a dense
-    superoperator of (Σ_b k_b²)² entries for blocks of k_b states; they are
-    scattered into the returned stack, whose entries off the blocks are exact
-    zeros.  A model without structure is one block.  The peak of four
-    superoperators, while R is formed and raised to a stride, and the
-    sampled entries and returned stack are checked against
-    ``linalg.MEMORY_CAP`` before any of them is built.
+    into one block, so ρ stays block-diagonal.  Each diagonal block of k_b
+    states is Hermitian, so it is held as k_b² real coordinates in
+    ``_block_layout``: Re ρ_ij on and above the diagonal, Im ρ_ij below it.
+    The master equation is real-linear on them, so its generator
+    (``_real_generator``), the Taylor step, the stride power and every
+    sample's product are real, on (Σ_b k_b²)² entries.  The samples are
+    scattered into the returned stack, which is exactly Hermitian and whose
+    entries off the blocks are exact zeros.  A model without structure is
+    one block.  The peak of four real generators, while R is formed and
+    raised to a stride, and the sampled coordinates and returned stack are
+    checked against ``linalg.MEMORY_CAP`` before any of them is built.
     """
     rho0 = as_complex_matrix(rho0)
     d = rho0.shape[0]
@@ -866,17 +911,23 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     _, parts = _partition(h, _check_ops(collapse, d), support, 0.0)
     _, rows, cols = _block_layout(parts)
     n_kept = len(rows)
-    # at their peaks _taylor4 and matrix_power each hold four superoperators
-    check_budget((4 * n_kept ** 2 + grid.n_samples * (n_kept + d * d)) * 16,
-                 f"four superoperators on {n_kept} entries of ρ and {grid.n_samples} samples")
-    r_step = _block_superoperator(parts)
+    n = grid.n_samples
+    # at their peaks _taylor4 and matrix_power each hold four generators
+    n_bytes = 4 * n_kept ** 2 * 8 + n * (n_kept * 8 + d * d * 16)
+    check_budget(n_bytes, f"four real generators on {n_kept} coordinates of ρ and {n} samples")
+    r_step = _real_generator(parts, n_bytes - n_kept ** 2 * 8)   # chunks in the count's rest
     r_step *= grid.dt
     r_step = _taylor4(r_step)             # the rebinding frees dt·A before the powers
     r_stride = np.linalg.matrix_power(r_step, grid.n_fine)
-    vecs = np.empty((grid.n_samples, n_kept), dtype=np.complex128)
-    vecs[0] = rho0[rows, cols]
-    for s in range(1, grid.n_samples):
-        vecs[s] = r_stride @ vecs[s - 1]
-    out = np.zeros((grid.n_samples, d, d), dtype=np.complex128)
-    out[:, rows, cols] = vecs
+    coords = np.empty((n, n_kept))
+    lower = rows > cols
+    first = rho0[rows, cols]
+    coords[0] = np.where(lower, first.imag, first.real)
+    for s in range(1, n):
+        np.matmul(r_stride, coords[s - 1], out=coords[s])
+    out = np.zeros((n, d, d), dtype=np.complex128)
+    re_im = out.view(np.float64)          # Re ρ_rc at [r, 2c], Im ρ_rc at [r, 2c + 1]
+    re_im[:, rows, 2 * cols + lower] = coords
+    np.negative(coords, out=coords, where=lower)
+    re_im[:, cols, 2 * rows + lower] = coords      # ρ_cr = conj(ρ_rc)
     return out
