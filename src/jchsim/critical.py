@@ -47,14 +47,13 @@ class CriticalityRow:
 
     hop: float
     gamma: float
-    gamma_ratio: float
     report: PeakReport
     max_pinned: float
     t_half_pinned: Optional[float]
 
     @property
-    def classification(self) -> str:
-        return str(self.report.classification)
+    def gamma_ratio(self) -> float:
+        return self.gamma / self.hop
 
     @property
     def peak_height(self) -> float:
@@ -64,12 +63,12 @@ class CriticalityRow:
 
 @dataclass(frozen=True)
 class CriticalityEstimate:
-    """Per-hop critical damping with method tag and caveat flags."""
+    """Per-hop critical damping by ``PRIMARY_METHOD``, its secondary estimate
+    and caveat flags."""
 
     hop: float
     gamma_c: Optional[float]
     gamma_c_secondary: Optional[float]
-    method: str
     flags: tuple
     rows: tuple
 
@@ -122,8 +121,7 @@ def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float) -> 
         above = np.nonzero(pinned >= 0.5 * max_pinned)[0]
         if above.size:
             t_half = float(grid.times[above[0]])
-    return CriticalityRow(hop=float(hop), gamma=float(gamma),
-                          gamma_ratio=float(gamma / hop), report=report,
+    return CriticalityRow(hop=float(hop), gamma=float(gamma), report=report,
                           max_pinned=max_pinned, t_half_pinned=t_half)
 
 
@@ -162,8 +160,7 @@ def estimate_critical_gamma(config: CriticalitySweepConfig, hop: float,
 
     if not singles:
         flags.append("not_bracketed")
-        return CriticalityEstimate(hop=float(hop), gamma_c=None,
-                                   gamma_c_secondary=None, method=PRIMARY_METHOD,
+        return CriticalityEstimate(hop=float(hop), gamma_c=None, gamma_c_secondary=None,
                                    flags=tuple(flags), rows=tuple(rows))
     if not multis:
         # transition below the bottom of the grid
@@ -172,8 +169,7 @@ def estimate_critical_gamma(config: CriticalitySweepConfig, hop: float,
     tallest = max(singles, key=lambda row: row.peak_height)
     smallest = min(singles, key=lambda row: row.gamma)
     return CriticalityEstimate(hop=float(hop), gamma_c=tallest.gamma,
-                               gamma_c_secondary=smallest.gamma,
-                               method=PRIMARY_METHOD, flags=tuple(flags),
+                               gamma_c_secondary=smallest.gamma, flags=tuple(flags),
                                rows=tuple(rows))
 
 

@@ -71,6 +71,7 @@ uses H itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Optional, Sequence
@@ -100,6 +101,14 @@ _RESCALE_FLOOR = 1e-150        # jump-free squared norm below which the state is
 # time grid
 # ---------------------------------------------------------------------------
 
+def _whole(value, least: int) -> Optional[int]:
+    """``value`` as an int if it is a whole number >= ``least`` and not a bool, else None."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < least):
+        return None
+    return int(value)
+
+
 def _bound_problems(t_start: float, t_end: float) -> list:
     """A problem for each grid bound that is not a finite number, and for a
     span that does not run forward."""
@@ -115,8 +124,9 @@ def _bound_problems(t_start: float, t_end: float) -> list:
 class TimeGrid:
     """Uniform output grid with an integrator substep.
 
-    ``n_samples`` points span [t_start, t_end] inclusive; the sample
-    spacing must be an integer multiple of the integrator step ``dt``.
+    ``n_samples`` points span [t_start, t_end] inclusive, and a whole
+    number given as a float is stored as an int; the sample spacing must be
+    an integer multiple of the integrator step ``dt``.
     """
 
     t_end: float
@@ -126,15 +136,18 @@ class TimeGrid:
 
     def __post_init__(self):
         problems = _bound_problems(self.t_start, self.t_end)
-        if int(self.n_samples) != self.n_samples or self.n_samples < 2:
+        n_samples = _whole(self.n_samples, 2)
+        if n_samples is None:
             problems.append(f"n_samples: need an integer >= 2, got {self.n_samples}")
+        else:
+            object.__setattr__(self, "n_samples", n_samples)
         if not self.dt > 0:
             problems.append(f"dt: must be positive, got {self.dt}")
         else:
             if self.dt > DEFAULT_MAX_DT:
                 problems.append(f"dt: {self.dt} exceeds the stability cap {DEFAULT_MAX_DT}")
             span = self.t_end - self.t_start
-            if 0 < span < math.inf and self.n_samples >= 2:
+            if 0 < span < math.inf and n_samples is not None:
                 ratio = self.spacing / self.dt
                 if round(ratio) < 1:          # n_fine: at least one step per sample
                     problems.append(f"dt: {self.dt} exceeds the sample spacing {self.spacing}")
@@ -190,29 +203,29 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """One realization: unit-norm sampled states (lossless too) plus the jump record."""
+    """One realization: unit-norm sampled states (lossless too) plus the jump record.
 
-    times: np.ndarray
+    Row s of ``states`` is the sample at ``grid.times[s]`` of the grid it ran on.
+    """
+
     states: np.ndarray                    # (n_samples, dim), unit norm rows
     jumps: tuple                          # ((time, channel), ...) strictly increasing
-    seed: object                          # int or tuple fed to the RNG stream
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     """Trajectory-averaged observables with standard errors.
 
-    It keeps the block propagators and observables the trajectories ran on,
+    The samples are those of the grid the ensemble ran on, and there is one
+    row of ``jumps_per_channel`` and ``absorbing_entry`` per trajectory.  It
+    keeps the block propagators and observables the trajectories ran on,
     so that ``jump_free_branch`` runs the same model's conditional branch
     without building them again.
     """
 
-    times: np.ndarray
     mean_observables: dict                # name -> (n_samples,) float array
     stderr: dict                          # same keys/shapes, >= 0
-    n_traj: int
     rho_blocks: Optional[BlockDensity]    # ρ̄ on its blocks, or None
-    master_seed: int
     jumps_per_channel: np.ndarray         # (n_traj, n_channels) int: jumps of each trajectory
     absorbing_entry: np.ndarray           # (n_traj,) int: first sample in an absorbing block,
                                           # n_samples if never
@@ -233,9 +246,9 @@ class ConditionalBranch:
     an initial state in the top
     excitation sector (which decay never feeds), the conditional
     populations equal tr(Pρ)/tr(Π_sector ρ) of the full master equation.
+    Every array runs over the samples of the grid the branch ran on.
     """
 
-    times: np.ndarray
     states: np.ndarray
     survival: np.ndarray
     observables: dict
@@ -694,12 +707,17 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     with probability ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and
     renormalized.  It is a batch of one column in ``_propagate``'s loop,
     with its rows recorded.
-    Deterministic given (seed, grid, inputs).
+    Deterministic given (seed, grid, inputs).  The seed is an int >= 0 or
+    a tuple of them, as ``SeedSequence`` takes it; anything else is refused
+    before the blocks are built.
     """
+    parts = [_whole(part, 0) for part in (seed if isinstance(seed, tuple) else (seed,))]
+    if None in parts:
+        raise ConfigError([f"seed: need an integer >= 0 or a tuple of them, got {seed!r}"])
+    seed = tuple(parts) if isinstance(seed, tuple) else parts[0]
     mach = _build_machinery(h, collapse, psi0, grid)
     batch = _propagate(mach, [seed], record=True)
-    return TrajectoryResult(times=grid.times, states=batch.states,
-                            jumps=tuple(batch.jumps[0]), seed=seed)
+    return TrajectoryResult(states=batch.states, jumps=tuple(batch.jumps[0]))
 
 
 def _batched_expectation(states: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -753,7 +771,7 @@ def _jump_free_branch(mach: _Machinery) -> ConditionalBranch:
     batch = _propagate(mach, record=True)
     values = _reduce(mach.block_obs[mach.start],
                      batch.states[:, mach.blocks[mach.start].index])
-    return ConditionalBranch(times=mach.grid.times, states=batch.states, survival=batch.survival,
+    return ConditionalBranch(states=batch.states, survival=batch.survival,
                              observables=dict(zip(mach.names, np.ascontiguousarray(values.T))))
 
 
@@ -786,9 +804,14 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     ``keep_rho``, of ρ̄'s block entries with their rows and columns count
     against ``linalg.MEMORY_CAP`` before any of them exists.  ρ̄ is returned
     on its blocks, as ``EnsembleResult.rho_blocks``; no dense stack is formed.
+    ``n_traj`` and ``master_seed`` must be whole numbers, at least 1 and 0.
     """
-    if n_traj < 1:
-        raise ConfigError([f"n_traj: must be >= 1, got {n_traj}"])
+    problems = [f"{name}: need an integer >= {least}, got {value!r}"
+                for name, value, least in (("n_traj", n_traj, 1), ("master_seed", master_seed, 0))
+                if _whole(value, least) is None]
+    if problems:
+        raise ConfigError(problems)
+    n_traj, master_seed = int(n_traj), int(master_seed)
     n = grid.n_samples
     mach = _build_machinery(h, collapse, psi0, grid, observables)
     # without a collapse channel every trajectory is the same jump-free run
@@ -812,8 +835,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     rho_blocks = (BlockDensity(np.divide(batch.rho_sum, n_runs, out=batch.rho_sum),
                                *_block_layout(mach.blocks)[1:]) if keep_rho else None)
     copies = n_traj // n_runs
-    return EnsembleResult(times=grid.times, mean_observables=means, stderr=stderr,
-                          n_traj=n_traj, rho_blocks=rho_blocks, master_seed=master_seed,
+    return EnsembleResult(mean_observables=means, stderr=stderr, rho_blocks=rho_blocks,
                           jumps_per_channel=np.repeat(counts, copies, axis=0),
                           absorbing_entry=np.repeat(batch.absorbed, copies),
                           _machinery=mach)

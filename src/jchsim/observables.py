@@ -251,8 +251,16 @@ def recommended_spacing(params: ModelParams, dt: float = 0.005) -> float:
 
 @dataclass(frozen=True)
 class PeakClassification:
-    kind: str      # "NoPeak" | "SinglePeak" | "MultiPeak"
+    """The classifier's verdict on a count of qualifying peaks."""
+
     count: int
+
+    @property
+    def kind(self) -> str:
+        """One of NoPeak, SinglePeak and MultiPeak."""
+        if self.count == 0:
+            return "NoPeak"
+        return "SinglePeak" if self.count == 1 else "MultiPeak"
 
     def __str__(self) -> str:
         return f"MultiPeak({self.count})" if self.kind == "MultiPeak" else self.kind
@@ -266,27 +274,20 @@ class PeakClassification:
         return self.kind == "MultiPeak"
 
 
-def _classify_count(count: int) -> PeakClassification:
-    if count == 0:
-        return PeakClassification("NoPeak", 0)
-    if count == 1:
-        return PeakClassification("SinglePeak", 1)
-    return PeakClassification("MultiPeak", count)
-
-
 @dataclass(frozen=True)
 class PeakReport:
-    """Qualifying peaks of a series and the classification they imply."""
+    """Qualifying peaks of a series; ``classification`` is read off their count."""
 
     peak_times: np.ndarray
     peak_heights: np.ndarray
-    classification: PeakClassification
     global_max: float
-    prominence_threshold: float
     prominences: np.ndarray = None
     boundary_peak: bool = False     # single peak sat at the first retained sample
     beat_filtered: bool = False
-    t_min: float = 0.0
+
+    @property
+    def classification(self) -> PeakClassification:
+        return PeakClassification(len(self.peak_times))
 
 
 def find_peaks(series, times,
@@ -306,15 +307,11 @@ def find_peaks(series, times,
     global_max = float(y.max()) if y.size else 0.0
     if global_max <= 0.0:
         return PeakReport(peak_times=np.empty(0), peak_heights=np.empty(0),
-                          classification=_classify_count(0), global_max=global_max,
-                          prominence_threshold=prominence_threshold,
-                          prominences=np.empty(0))
+                          global_max=global_max, prominences=np.empty(0))
     idx, prominences = _maxima_and_prominences(y)
     keep = prominences >= prominence_threshold * global_max
     idx = idx[keep]
-    return PeakReport(peak_times=t[idx], peak_heights=y[idx],
-                      classification=_classify_count(len(idx)), global_max=global_max,
-                      prominence_threshold=prominence_threshold,
+    return PeakReport(peak_times=t[idx], peak_heights=y[idx], global_max=global_max,
                       prominences=prominences[keep])
 
 
@@ -379,8 +376,7 @@ def classify_series(series, times, *,
             and report.global_max > 0 and int(np.argmax(y)) == 0):
         report = replace(report,
                          peak_times=t[:1].copy(), peak_heights=y[:1].copy(),
-                         classification=_classify_count(1),
                          prominences=np.array([report.global_max]),
                          boundary_peak=True)
-    return replace(report, beat_filtered=filtered, t_min=t_min)
+    return replace(report, beat_filtered=filtered)
 

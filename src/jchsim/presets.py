@@ -117,9 +117,13 @@ class PresetBundle:
     """A named preset: either scenario configs or one sweep config."""
 
     name: str
-    kind: str                                   # "scenario" | "sweep"
     scenarios: tuple = ()
     sweep: Optional[CriticalitySweepConfig] = None
+
+    @property
+    def kind(self) -> str:
+        """``sweep`` when the bundle holds a sweep config, else ``scenario``."""
+        return "scenario" if self.sweep is None else "sweep"
 
     def with_overrides(self, **overrides) -> "PresetBundle":
         """Apply :func:`~jchsim.config.apply_overrides` to every scenario (not the sweep)."""
@@ -128,12 +132,12 @@ class PresetBundle:
 
 
 _BUILDERS = {
-    "fig1": lambda: PresetBundle("fig1", "scenario", scenarios=_build_fig1()),
-    "fig2": lambda: PresetBundle("fig2", "scenario", scenarios=_build_fig2()),
-    "fig3": lambda: PresetBundle("fig3", "scenario", scenarios=_build_fig3()),
-    "fig4": lambda: PresetBundle("fig4", "sweep", sweep=_build_fig4()),
-    "n3": lambda: PresetBundle("n3", "scenario", scenarios=_build_n3()),
-    "n4": lambda: PresetBundle("n4", "scenario", scenarios=_build_n4()),
+    "fig1": lambda: PresetBundle("fig1", scenarios=_build_fig1()),
+    "fig2": lambda: PresetBundle("fig2", scenarios=_build_fig2()),
+    "fig3": lambda: PresetBundle("fig3", scenarios=_build_fig3()),
+    "fig4": lambda: PresetBundle("fig4", sweep=_build_fig4()),
+    "n3": lambda: PresetBundle("n3", scenarios=_build_n3()),
+    "n4": lambda: PresetBundle("n4", scenarios=_build_n4()),
 }
 
 PRESET_NAMES = tuple(sorted(_BUILDERS))

@@ -28,7 +28,7 @@ from .config import (
     ScenarioConfig,
     config_content_hash,
 )
-from .critical import CriticalityResult
+from .critical import PRIMARY_METHOD, CriticalityResult
 from .dynamics import BACKEND, EnsembleResult, mcwf_ensemble
 # traced name of perfbench's ensemble workloads; no run path calls it
 from .dynamics import no_jump_branch  # noqa: F401
@@ -42,14 +42,20 @@ __all__ = ["ScenarioRunResult", "run_scenario", "write_criticality_outputs"]
 
 @dataclass(frozen=True)
 class ScenarioRunResult:
-    """In-memory table plus the paths written (if an output dir was given)."""
+    """In-memory table plus the paths written (if an output dir was given).
+
+    ``columns`` maps each column's name to its cells, in table order.
+    """
 
     config: ScenarioConfig
     ensemble: EnsembleResult
-    column_names: tuple
     columns: dict
     table_path: Optional[Path]
     sidecar_path: Optional[Path]
+
+    @property
+    def column_names(self) -> tuple:
+        return tuple(self.columns)
 
 
 def _cell(value):
@@ -88,18 +94,18 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _write_table(path: Path, names, columns: dict, fmt: str) -> None:
+def _write_table(path: Path, columns: dict, fmt: str) -> None:
+    """Write ``columns``, name -> cells, as a table whose columns keep the mapping's order."""
     if fmt == "json":
-        _write_json(path, {"columns": list(names),
-                           "data": {name: [_cell(v) for v in columns[name]]
-                                    for name in names}})
+        _write_json(path, {"columns": list(columns),
+                           "data": {name: [_cell(v) for v in cells]
+                                    for name, cells in columns.items()}})
         return
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)          # RFC-4180: CRLF line terminator
-        writer.writerow(names)
-        n = len(columns[names[0]])
-        for i in range(n):
-            writer.writerow([_text(columns[name][i]) for name in names])
+        writer.writerow(columns)
+        for row in zip(*columns.values()):
+            writer.writerow([_text(value) for value in row])
 
 
 def run_scenario(config: ScenarioConfig,
@@ -142,37 +148,31 @@ def run_scenario(config: ScenarioConfig,
         n_traj=config.n_traj, master_seed=config.master_seed,
         observables=ops, keep_rho=config.compute_negativity)
 
-    names: list = ["t"]
     columns: dict = {"t": config.grid.times}
     for spec in config.observables:
-        names += [spec.name, f"{spec.name}_stderr"]
         columns[spec.name] = ensemble.mean_observables[spec.name]
         columns[f"{spec.name}_stderr"] = ensemble.stderr[spec.name]
     if config.compute_negativity:
-        names.append("negativity")
         columns["negativity"] = block_negativity(
             ensemble.rho_blocks, model.space, config.bipartition_cut)
     if config.include_conditional:
         branch = ensemble.jump_free_branch()
-        names.append("survival")
         columns["survival"] = branch.survival
         for spec in config.observables:
-            cond_name = f"{spec.name}_cond"
-            names.append(cond_name)
-            columns[cond_name] = branch.observables[spec.name]
+            columns[f"{spec.name}_cond"] = branch.observables[spec.name]
 
     table_path = sidecar_path = None
     if out_dir is not None:
         (table_path,), sidecar_path = _output_paths(
             out_dir, config.output_name, config.output_format, ("",))
-        _write_table(table_path, names, columns, config.output_format)
+        _write_table(table_path, columns, config.output_format)
         _write_json(sidecar_path, {
             "kind": "scenario",
             "config": config.to_mapping(),
             "content_hash": config_content_hash(config),
             "package_version": __version__,
             "backend": BACKEND,
-            "columns": list(names),
+            "columns": list(columns),
             "jumps_per_channel": ensemble.jumps_per_channel.sum(axis=0).tolist(),
             "absorbing_entry": _absorbing_summary(ensemble.absorbing_entry,
                                                   config.grid.n_samples),
@@ -180,8 +180,7 @@ def run_scenario(config: ScenarioConfig,
                                      for spec in config.observables},
             "table_file": table_path.name,
         })
-    return ScenarioRunResult(config=config, ensemble=ensemble,
-                             column_names=tuple(names), columns=columns,
+    return ScenarioRunResult(config=config, ensemble=ensemble, columns=columns,
                              table_path=table_path, sidecar_path=sidecar_path)
 
 
@@ -193,12 +192,33 @@ def _absorbing_summary(entry: np.ndarray, n_samples: int) -> dict:
             "never": int(np.count_nonzero(entry == n_samples))}
 
 
-def _fmt_flags(flags) -> str:
-    return ";".join(flags)
-
-
 def _fmt_seq(values) -> str:
     return ";".join(repr(float(v)) for v in values)
+
+
+# the sweep tables in column order: name -> the cell of one grid point or one hop
+_ROW_COLUMNS = {
+    "hop": lambda row: row.hop,
+    "gamma": lambda row: row.gamma,
+    "gamma_ratio": lambda row: row.gamma_ratio,
+    "classification": lambda row: str(row.report.classification),
+    "n_peaks": lambda row: len(row.report.peak_times),
+    "peak_times": lambda row: _fmt_seq(row.report.peak_times),
+    "peak_heights": lambda row: _fmt_seq(row.report.peak_heights),
+    "global_max": lambda row: row.report.global_max,
+    "boundary_peak": lambda row: row.report.boundary_peak,
+    "beat_filtered": lambda row: row.report.beat_filtered,
+    "max_pinned": lambda row: row.max_pinned,
+    "t_half_pinned": lambda row: row.t_half_pinned,
+}
+_ESTIMATE_COLUMNS = {
+    "hop": lambda est: est.hop,
+    "gamma_c": lambda est: est.gamma_c,
+    "gamma_c_ratio": lambda est: est.ratio,
+    "gamma_c_secondary": lambda est: est.gamma_c_secondary,
+    "method": lambda est: PRIMARY_METHOD,
+    "flags": lambda est: ";".join(est.flags),
+}
 
 
 def write_criticality_outputs(result: CriticalityResult,
@@ -211,41 +231,12 @@ def write_criticality_outputs(result: CriticalityResult,
     the content hash.
     """
     config: CriticalitySweepConfig = result.config
-
-    row_names = ("hop", "gamma", "gamma_ratio", "classification", "n_peaks",
-                 "peak_times", "peak_heights", "global_max", "boundary_peak",
-                 "beat_filtered", "max_pinned", "t_half_pinned")
-    row_cols: dict = {name: [] for name in row_names}
-    for row in result.rows():
-        rep = row.report
-        row_cols["hop"].append(row.hop)
-        row_cols["gamma"].append(row.gamma)
-        row_cols["gamma_ratio"].append(row.gamma_ratio)
-        row_cols["classification"].append(str(rep.classification))
-        row_cols["n_peaks"].append(len(rep.peak_times))
-        row_cols["peak_times"].append(_fmt_seq(rep.peak_times))
-        row_cols["peak_heights"].append(_fmt_seq(rep.peak_heights))
-        row_cols["global_max"].append(rep.global_max)
-        row_cols["boundary_peak"].append(rep.boundary_peak)
-        row_cols["beat_filtered"].append(rep.beat_filtered)
-        row_cols["max_pinned"].append(row.max_pinned)
-        row_cols["t_half_pinned"].append(row.t_half_pinned)
-
-    est_names = ("hop", "gamma_c", "gamma_c_ratio", "gamma_c_secondary",
-                 "method", "flags")
-    est_cols: dict = {name: [] for name in est_names}
-    for est in result.estimates:
-        est_cols["hop"].append(est.hop)
-        est_cols["gamma_c"].append(est.gamma_c)
-        est_cols["gamma_c_ratio"].append(est.ratio)
-        est_cols["gamma_c_secondary"].append(est.gamma_c_secondary)
-        est_cols["method"].append(est.method)
-        est_cols["flags"].append(_fmt_flags(est.flags))
-
     (rows_path, est_path), sidecar_path = _output_paths(
         out_dir, config.output_name, config.output_format, ("_rows", "_estimates"))
-    _write_table(rows_path, row_names, row_cols, config.output_format)
-    _write_table(est_path, est_names, est_cols, config.output_format)
+    for path, cells, records in ((rows_path, _ROW_COLUMNS, list(result.rows())),
+                                 (est_path, _ESTIMATE_COLUMNS, result.estimates)):
+        _write_table(path, {name: [cell(record) for record in records]
+                            for name, cell in cells.items()}, config.output_format)
     _write_json(sidecar_path, {
         "kind": "criticality",
         "config": config.to_mapping(),

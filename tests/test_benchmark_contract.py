@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -43,23 +45,51 @@ def test_every_workload_round_records_its_engine_span(monkeypatch, tmp_path):
             assert tracer.count(span_name) >= 1, f"{name}: {span_name}"
 
 
-def test_every_workload_round_runs_under_its_full_trace(monkeypatch, tmp_path):
+@pytest.fixture(scope="module")
+def full_trace_rounds(tmp_path_factory):
+    """Each workload's smoke round with every ``--trace 1`` target wrapped.
+
+    Maps the workload's name to its output directory, its targets and the
+    tracer that recorded the round.
+    """
+    rounds = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        import spans
+        import workloads
+
+        for name, workload in workloads.WORKLOADS.items():
+            prep = workload.setup(seed=1, smoke=True)
+            targets = workload.trace_targets(full=True)
+            out_dir = tmp_path_factory.mktemp(name)
+            tracer = spans.Tracer()
+            tracer.install(targets)
+            try:
+                workload.run_round(prep, out_dir, tracer)
+            finally:
+                tracer.uninstall()
+            rounds[name] = (out_dir, targets, tracer)
+    return rounds
+
+
+def test_every_workload_round_runs_under_its_full_trace(full_trace_rounds):
     # ``--trace 1`` wraps every target at once; a wrapper that breaks a call
     # would otherwise surface only in a traced benchmark run
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import spans
-    import workloads
+    for name, (out_dir, _, _) in full_trace_rounds.items():
+        assert any(out_dir.iterdir()), name
 
-    for name, workload in workloads.WORKLOADS.items():
-        prep = workload.setup(seed=1, smoke=True)
-        targets = workload.trace_targets(full=True)
-        tracer = spans.Tracer()
-        tracer.install(targets)
-        try:
-            workload.run_round(prep, tmp_path / name, tracer)
-        finally:
-            tracer.uninstall()
-        assert any((tmp_path / name).iterdir()), name
+
+@pytest.mark.xfail(strict=True, reason=(
+    "perfbench traces names that no run path calls: no_jump_branch, "
+    "reduced_bipartition, negativity, negativity_series and "
+    "ReducedSpace.embed_density, so their layers read 0; retargeting them "
+    "to the block negativity and EnsembleResult.jump_free_branch makes "
+    "this pass"))
+def test_every_full_trace_target_is_entered_by_its_round(full_trace_rounds):
+    # a traced layer whose span is never entered reads 0 in every BENCH file
+    missed = [f"{name}: {span}" for name, (_, targets, tracer) in full_trace_rounds.items()
+              for _, _, span, _ in targets if not tracer.count(span)]
+    assert not missed, missed
 
 
 def test_every_workload_prepares_the_inputs_the_run_builds(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,27 @@ class TestTimeGrid:
     def test_invalid_grids_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TimeGrid(**kwargs)
+
+    @pytest.mark.parametrize("n_samples, stored", [
+        (5.0, 5), (np.float64(5.0), 5),
+        (math.nan, None), (math.inf, None), ("5", None), (5.5, None),
+    ])
+    def test_n_samples_stored_as_int_or_refused(self, n_samples, stored):
+        if stored is None:
+            with pytest.raises(ConfigError) as err:
+                TimeGrid(t_end=5.0, n_samples=n_samples)
+            assert err.value.problems == [f"n_samples: need an integer >= 2, got {n_samples}"]
+            return
+        grid = TimeGrid(t_end=5.0, n_samples=n_samples)
+        assert type(grid.n_samples) is int and grid.n_samples == stored
+        # every evolution takes the grid's sample count as a length
+        h, collapse, _ = damped_mode()
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        assert len(no_jump_branch(h, collapse, psi0, grid).survival) == 5
+        assert len(mcwf_ensemble(h, collapse, psi0, grid, n_traj=2, master_seed=0,
+                                 keep_rho=True).rho_blocks.entries) == 5
+        assert lindblad_evolve(h, collapse, np.outer(psi0, psi0), grid).shape == (5, 4, 4)
 
     def test_spacing_of_one_step_allowed_below_one_step_rejected(self):
         grid = TimeGrid(t_end=0.01, n_samples=3, dt=0.005)
@@ -706,6 +728,54 @@ class TestTrajectories:
             mcwf_ensemble(h, collapse, psi0, grid, n_traj=1, master_seed=0,
                           observables=bad)
 
+    @pytest.mark.parametrize("kwargs, problems", [
+        (dict(n_traj=2.5), ["n_traj: need an integer >= 1, got 2.5"]),
+        (dict(n_traj=True), ["n_traj: need an integer >= 1, got True"]),
+        (dict(n_traj=0), ["n_traj: need an integer >= 1, got 0"]),
+        (dict(master_seed=-1), ["master_seed: need an integer >= 0, got -1"]),
+        (dict(master_seed=1.5), ["master_seed: need an integer >= 0, got 1.5"]),
+        (dict(master_seed=(1, 2)), ["master_seed: need an integer >= 0, got (1, 2)"]),
+        (dict(n_traj="3", master_seed=None), ["n_traj: need an integer >= 1, got '3'",
+                                              "master_seed: need an integer >= 0, got None"]),
+    ])
+    def test_ensemble_names_a_bad_count_or_seed_before_building(self, monkeypatch,
+                                                                 kwargs, problems):
+        monkeypatch.setattr(dynamics, "_build_machinery",
+                            lambda *args: pytest.fail("the blocks were built"))
+        h, collapse, _ = damped_mode()
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        with pytest.raises(ConfigError) as err:
+            mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=1.0, n_samples=3),
+                          **{"n_traj": 2, "master_seed": 1, **kwargs})
+        assert err.value.problems == problems
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True, (3, -1), (3, 1.5), [3, 1]])
+    def test_trajectory_names_a_bad_seed_before_building(self, monkeypatch, seed):
+        monkeypatch.setattr(dynamics, "_build_machinery",
+                            lambda *args: pytest.fail("the blocks were built"))
+        h, collapse, _ = damped_mode()
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        with pytest.raises(ConfigError) as err:
+            mcwf_trajectory(h, collapse, psi0, TimeGrid(t_end=1.0, n_samples=3), seed)
+        assert err.value.problems == [
+            f"seed: need an integer >= 0 or a tuple of them, got {seed!r}"]
+
+    def test_whole_counts_and_seeds_run_as_their_ints(self):
+        h, collapse, _ = damped_mode()
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        grid = TimeGrid(t_end=10.0, n_samples=11)
+        want = mcwf_ensemble(h, collapse, psi0, grid, n_traj=3, master_seed=5)
+        got = mcwf_ensemble(h, collapse, psi0, grid, n_traj=3.0, master_seed=np.int64(5))
+        assert np.array_equal(got.jumps_per_channel, want.jumps_per_channel)
+        assert np.array_equal(got.absorbing_entry, want.absorbing_entry)
+        jumps = mcwf_trajectory(h, collapse, psi0, grid, (5, 1)).jumps
+        assert jumps and mcwf_trajectory(h, collapse, psi0, grid, (5.0, np.int64(1))).jumps == jumps
+        assert (mcwf_trajectory(h, collapse, psi0, grid, 4.0).jumps
+                == mcwf_trajectory(h, collapse, psi0, grid, 4).jumps)
+
 
 def _branch_case(name):
     """h, collapse, psi0, grid and observables of a jump-free branch case."""
@@ -734,7 +804,6 @@ class TestSharedBlocks:
                             observables=obs)
         got = ens.jump_free_branch()
         want = no_jump_branch(h, collapse, psi0, grid, observables=obs)
-        assert got.times.tobytes() == want.times.tobytes()
         assert got.survival.tobytes() == want.survival.tobytes()
         assert got.states.tobytes() == want.states.tobytes()
         assert list(got.observables) == list(want.observables) == list(obs)

@@ -26,8 +26,7 @@ from jchsim.critical import (PRIMARY_METHOD, CriticalityResult, CriticalityRow,
                              gamma_c_curve)
 from jchsim.errors import ConfigError
 from jchsim.model import ReducedSpace, excitation_basis
-from jchsim.observables import (PeakClassification, PeakReport,
-                                recommended_spacing)
+from jchsim.observables import PeakReport, recommended_spacing
 from jchsim.presets import PRESET_NAMES, load_preset
 from jchsim.runner import run_scenario, write_criticality_outputs
 
@@ -707,19 +706,14 @@ class TestRunnerArtifacts:
 
 
 def fake_report(count: int, height: float) -> PeakReport:
-    kinds = {0: "NoPeak", 1: "SinglePeak"}
-    kind = kinds.get(count, "MultiPeak")
     return PeakReport(peak_times=np.arange(count, dtype=float),
                       peak_heights=np.full(count, height),
-                      classification=PeakClassification(kind, count),
                       global_max=height if count else 0.0,
-                      prominence_threshold=0.05,
                       prominences=np.full(count, height))
 
 
 def fake_row(gamma: float, count: int, height: float = 0.1) -> CriticalityRow:
-    return CriticalityRow(hop=0.06, gamma=gamma, gamma_ratio=gamma / 0.06,
-                          report=fake_report(count, height),
+    return CriticalityRow(hop=0.06, gamma=gamma, report=fake_report(count, height),
                           max_pinned=0.1, t_half_pinned=None)
 
 
@@ -736,7 +730,6 @@ class TestEstimatorFlags:
         est = estimate_critical_gamma(sweep_config(), 0.06, rows=rows)
         assert est.gamma_c == pytest.approx(0.06)
         assert est.gamma_c_secondary == pytest.approx(0.045)
-        assert est.method == PRIMARY_METHOD
         assert est.flags == ()
         assert est.ratio == pytest.approx(1.0)
 
@@ -812,6 +805,25 @@ class TestSweepOutputs:
         assert sidecar["estimate_file"] == "sw_estimates.json"
         assert sidecar["content_hash"] == config_content_hash(config)
         assert sidecar["config"] == config.to_mapping()
+
+    def test_cells_derived_as_fig4_is_written(self, resonant_curve, tmp_path):
+        # gamma_ratio, n_peaks, classification and method are computed from
+        # the records as the tables are written, not stored in them
+        assert resonant_curve.config == replace(load_preset("fig4").sweep,
+                                                output_name="criticality")
+        paths = write_criticality_outputs(resonant_curve, tmp_path)
+        with open(paths["rows"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 * len(DEFAULT_GAMMA_RATIOS)
+        for row in rows:
+            assert float(row["gamma_ratio"]) == float(row["gamma"]) / float(row["hop"])
+            n_peaks = len(row["peak_times"].split(";")) if row["peak_times"] else 0
+            assert int(row["n_peaks"]) == n_peaks
+            assert row["classification"] == (
+                {0: "NoPeak", 1: "SinglePeak"}.get(n_peaks, f"MultiPeak({n_peaks})"))
+        with open(paths["estimates"], newline="") as fh:
+            estimates = list(csv.DictReader(fh))
+        assert [est["method"] for est in estimates] == [PRIMARY_METHOD] * 4
 
 
 @pytest.fixture(scope="module")
