@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, IntegratorError, JchsimError, NotHermitianError,
                      SizeError, TruncationError)
-from .linalg import BlockDensity, TensorDims, partial_transpose
+from .linalg import BlockDensity, partial_transpose
 from .model import (HoppingCoefficients, ModelParams, PolaritonLabel, ReducedModel,
                     ReducedSpace, SiteOperatorSet, build_reduced_model,
                     creation_in_polariton_basis, dressed_basis_matrix, dressed_state,

@@ -26,9 +26,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
-from .dynamics import DEFAULT_DT, TimeGrid
+from .dynamics import DEFAULT_DT, TimeGrid, ensemble_bytes, ensemble_problems
 from .errors import ConfigError
-from .linalg import MEMORY_CAP
+from .linalg import MEMORY_CAP, whole
 from .model import (PRODUCT_INDEX_LIMIT, ModelParams, PolaritonLabel, damped_sites,
                     excitation_dim, total_excitation_of_labels)
 from .observables import (
@@ -58,13 +58,14 @@ def _as_bool(raw: Any) -> bool:
 
 
 def _as_int(raw: Any) -> int:
-    # bool is an int subclass; reject it explicitly
-    if not isinstance(raw, bool) and not (isinstance(raw, float) and not raw.is_integer()):
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"expected an integer, got {raw!r}")
+    """A whole number, or text that ``int`` reads as one; the field's type checks its range."""
+    try:
+        value = whole(int(raw) if isinstance(raw, str) else raw, -math.inf)
+    except ValueError:
+        value = None
+    if value is None:
+        raise ConfigError(f"expected an integer, got {raw!r}")
+    return value
 
 
 def _as_float(raw: Any) -> float:
@@ -294,13 +295,8 @@ def _finish(cls, values: dict, problems: list, *checks: Callable[[Mapping], list
 # configuration types
 
 def _run_problems(v: Mapping[str, Any]) -> list:
-    """Checks of a scenario's run settings, which need no model or grid."""
-    problems = []
-    if v["n_traj"] < 1:
-        problems.append(f"run.n_traj: must be >= 1, got {v['n_traj']}")
-    if v["master_seed"] < 0:
-        problems.append(f"run.master_seed: must be >= 0, got {v['master_seed']}")
-    return problems
+    """The ensemble's checks of a scenario's run settings, which need no model or grid."""
+    return ["run." + p for p in ensemble_problems(v["n_traj"], v["master_seed"])]
 
 
 def _output_problems(v: Mapping[str, Any]) -> list:
@@ -356,7 +352,14 @@ class ScenarioConfig:
                 problems.append(
                     f"initial.labels, model.n_max: the initial state holds "
                     f"{self.max_excitation} excitations, above the cutoff {n_max}")
-        problems += _run_problems(vars(self)) + _output_problems(vars(self))
+        run_problems = _run_problems(vars(self))
+        if not run_problems:
+            object.__setattr__(self, "n_traj", int(self.n_traj))
+            object.__setattr__(self, "master_seed", int(self.master_seed))
+        problems += run_problems + _output_problems(vars(self))
+        names = [spec.name for spec in self.observables]
+        problems += [f"observables.projectors: {name} is named {names.count(name)} times"
+                     for name in dict.fromkeys(names) if names.count(name) > 1]
         for spec in self.observables:
             # the run builds each projector inside the excitation subspace of
             # the initial state, so it must fit the cutoff and that subspace
@@ -380,7 +383,8 @@ class ScenarioConfig:
         if self.compute_negativity and n_sites < 2:
             problems.append(
                 "observables.negativity: needs at least two sites")
-        if len(canonical) == len(self.initial) and self.max_excitation <= n_max:
+        if (len(canonical) == len(self.initial) and self.max_excitation <= n_max
+                and not run_problems):
             # H, each loss operator and each projector are dense on the reduced basis;
             # negativity holds ρ̄'s block entries (Σ k_b² <= dim² a sample) and the
             # partial transpose's blocks at once, counted as two dim² stacks;
@@ -395,17 +399,19 @@ class ScenarioConfig:
             terms = [term for term in terms if term[1]]
             n_dense = sum(n for _, n, _ in terms)
             n_bytes = (n_dense * dim * dim * 16
-                       + self.n_traj * (len(self.observables) * n_samples * 8 + dim * 16))
+                       + ensemble_bytes(self.n_traj, len(self.observables), n_samples, dim))
             if n_bytes > MEMORY_CAP:
                 problems.append(
                     f"{', '.join(key for key, _, _ in terms)}, run.n_traj: {n_dense} dense "
                     f"{dim}-dim matrices ({', '.join(f'{n} for {what}' for _, n, what in terms)}) "
                     f"and the observable rows and live states of {self.n_traj} trajectories "
                     f"need {n_bytes} bytes, above the budget {MEMORY_CAP}")
-        if not 1 <= self.bipartition_cut < max(n_sites, 2):
+        if whole(self.bipartition_cut, 1) is None or self.bipartition_cut >= max(n_sites, 2):
             problems.append(
-                "observables.bipartition_cut: must satisfy "
-                f"1 <= cut < {n_sites}, got {self.bipartition_cut}")
+                "observables.bipartition_cut: need an integer with "
+                f"1 <= cut < {n_sites}, got {self.bipartition_cut!r}")
+        else:
+            object.__setattr__(self, "bipartition_cut", int(self.bipartition_cut))
         if problems:
             raise ConfigError(problems)
 

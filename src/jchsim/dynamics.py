@@ -71,7 +71,6 @@ uses H itself.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Optional, Sequence
@@ -79,7 +78,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, IntegratorError, SizeError
-from .linalg import BlockDensity, as_complex_matrix, check_budget, min_labels, require_hermitian
+from .linalg import (BlockDensity, as_complex_matrix, check_budget, min_labels,
+                     require_hermitian, whole)
 
 __all__ = [
     "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT",
@@ -100,14 +100,6 @@ _RESCALE_FLOOR = 1e-150        # jump-free squared norm below which the state is
 # ---------------------------------------------------------------------------
 # time grid
 # ---------------------------------------------------------------------------
-
-def _whole(value, least: int) -> Optional[int]:
-    """``value`` as an int if it is a whole number >= ``least`` and not a bool, else None."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value) or value < least):
-        return None
-    return int(value)
-
 
 def _bound_problems(t_start: float, t_end: float) -> list:
     """A problem for each grid bound that is not a finite number, and for a
@@ -136,7 +128,7 @@ class TimeGrid:
 
     def __post_init__(self):
         problems = _bound_problems(self.t_start, self.t_end)
-        n_samples = _whole(self.n_samples, 2)
+        n_samples = whole(self.n_samples, 2)
         if n_samples is None:
             problems.append(f"n_samples: need an integer >= 2, got {self.n_samples}")
         else:
@@ -711,7 +703,7 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     a tuple of them, as ``SeedSequence`` takes it; anything else is refused
     before the blocks are built.
     """
-    parts = [_whole(part, 0) for part in (seed if isinstance(seed, tuple) else (seed,))]
+    parts = [whole(part, 0) for part in (seed if isinstance(seed, tuple) else (seed,))]
     if None in parts:
         raise ConfigError([f"seed: need an integer >= 0 or a tuple of them, got {seed!r}"])
     seed = tuple(parts) if isinstance(seed, tuple) else parts[0]
@@ -790,6 +782,19 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
     return _jump_free_branch(_build_machinery(h, collapse, psi0, grid, observables))
 
 
+def ensemble_problems(n_traj, master_seed) -> list:
+    """A problem for an ``n_traj`` or a ``master_seed`` that is not a whole
+    number, at least 1 and 0 respectively."""
+    return [f"{name}: need an integer >= {least}, got {value!r}"
+            for name, value, least in (("n_traj", n_traj, 1), ("master_seed", master_seed, 0))
+            if whole(value, least) is None]
+
+
+def ensemble_bytes(n_runs: int, n_observables: int, n_samples: int, dim: int) -> int:
+    """Bytes of the observable rows and live states of ``n_runs`` trajectories."""
+    return n_runs * (n_observables * n_samples * 8 + dim * 16)
+
+
 def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
                   grid: TimeGrid, n_traj: int, master_seed: int,
                   observables=None, keep_rho: bool = False) -> EnsembleResult:
@@ -806,9 +811,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     on its blocks, as ``EnsembleResult.rho_blocks``; no dense stack is formed.
     ``n_traj`` and ``master_seed`` must be whole numbers, at least 1 and 0.
     """
-    problems = [f"{name}: need an integer >= {least}, got {value!r}"
-                for name, value, least in (("n_traj", n_traj, 1), ("master_seed", master_seed, 0))
-                if _whole(value, least) is None]
+    problems = ensemble_problems(n_traj, master_seed)
     if problems:
         raise ConfigError(problems)
     n_traj, master_seed = int(n_traj), int(master_seed)
@@ -816,7 +819,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     mach = _build_machinery(h, collapse, psi0, grid, observables)
     # without a collapse channel every trajectory is the same jump-free run
     n_runs = n_traj if mach.n_chan else 1
-    n_bytes = n_runs * (len(mach.names) * n * 8 + mach.dim * 16)
+    n_bytes = ensemble_bytes(n_runs, len(mach.names), n, mach.dim)
     what = f"the ensemble of {n_runs} trajectories: observable rows, live states"
     if keep_rho:
         n_bytes += (n + 1) * sum(len(blk.index) ** 2 for blk in mach.blocks) * 16

@@ -1,12 +1,20 @@
-"""Dense linear algebra for small tensor-product Hilbert spaces.
+"""Input rules and small dense linear algebra shared by the package.
 
-All operators are plain ``numpy`` arrays, complex128, C-ordered.  Basis
-ordering convention for composite systems: factor 0 is the *leftmost*
-(slowest-varying) index, i.e. ``np.kron(A0, A1, ...)``.
+``whole`` is the one rule for whole-number inputs (counts, cutoffs, cuts,
+labels, seeds); ``as_complex_matrix``, ``require_hermitian`` and
+``check_budget`` check matrices and their bytes.  ``BlockDensity`` is the
+block layout of ρ̄ and ``min_labels`` merges basis states into blocks.
+``partial_transpose`` acts on an operator of a (left, right) bipartition,
+factor 0 the slower index as in ``np.kron(A, B)``; only the product-space
+reference negativity uses it.  All operators are complex128 ``numpy``
+arrays.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,33 +29,6 @@ _HERMITIAN_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
-class TensorDims:
-    """Dimensions of the tensor factors making up a composite space."""
-
-    factors: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.factors) == 0:
-            raise SizeError("TensorDims needs at least one factor")
-        if any((not isinstance(d, (int, np.integer))) or d < 1 for d in self.factors):
-            raise SizeError(f"factor dimensions must be positive integers, got {self.factors}")
-        object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
-
-    @property
-    def total(self) -> int:
-        return int(np.prod(self.factors))
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    @classmethod
-    def coerce(cls, dims) -> "TensorDims":
-        if isinstance(dims, TensorDims):
-            return dims
-        return cls(tuple(int(d) for d in dims))
-
-
-@dataclass(frozen=True)
 class BlockDensity:
     """A stack of density matrices held as the entries of their diagonal blocks.
 
@@ -58,6 +39,16 @@ class BlockDensity:
     entries: np.ndarray                   # (n_samples, Σ_b k_b²) complex
     rows: np.ndarray                      # (Σ_b k_b²,) basis row of each entry
     cols: np.ndarray                      # (Σ_b k_b²,) basis column of each entry
+
+
+def whole(value, least: float) -> Optional[int]:
+    """``value`` as an int if it is a finite whole number >= ``least`` and not
+    a bool, else None; a whole float or NumPy number runs as its int.  The
+    callers raise their own error, naming their own field."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < least):
+        return None
+    return int(value)
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -111,27 +102,22 @@ def min_labels(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _coerce_state(rho, dims) -> tuple[np.ndarray, TensorDims]:
-    td = TensorDims.coerce(dims)
+def partial_transpose(rho, dims, which: int = 1) -> np.ndarray:
+    """Partial transpose over factor ``which`` (0 or 1) of an operator on a
+    ``dims = (left, right)`` bipartition, or of each operator in a
+    ``(..., d, d)`` stack."""
+    factors = tuple(whole(d, 1) for d in dims) if isinstance(dims, (tuple, list)) else ()
+    if len(factors) != 2 or None in factors:
+        raise SizeError(f"dims: need a pair of integers >= 1, got {dims!r}")
+    da, db = factors
     a = np.asarray(rho, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise SizeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2:] != (da * db, da * db):
+        raise SizeError(f"expected a {da * db}-dim matrix or a stack of them for dims "
+                        f"{dims!r}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
-    if a.shape[-1] != td.total:
-        raise SizeError(f"matrix dimension {a.shape[-1]} does not match factors {td.factors}")
-    return a, td
-
-
-def partial_transpose(rho, dims, which: int = 1) -> np.ndarray:
-    """Partial transpose over factor ``which`` (0 or 1) of a bipartite
-    operator, or of each operator in a ``(..., d, d)`` stack."""
-    a, td = _coerce_state(rho, dims)
-    if len(td) != 2:
-        raise SizeError(f"partial_transpose expects exactly two factors, got {len(td)}")
     if which not in (0, 1):
         raise SizeError(f"which must be 0 or 1, got {which}")
-    da, db = td.factors
     lead = a.ndim - 2
     swap = (2, 1, 0, 3) if which == 0 else (0, 3, 2, 1)
     t = a.reshape(a.shape[:lead] + (da, db, da, db))

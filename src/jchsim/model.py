@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, SizeError, TruncationError
-from .linalg import check_budget
+from .linalg import check_budget, whole
 
 #: product-basis indices are int64, so the product space must stay below this
 PRODUCT_INDEX_LIMIT = 2**63
@@ -69,12 +69,11 @@ class ModelParams:
 
     def __post_init__(self):
         problems = []
-        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 1:
-            problems.append(f"n_sites: must be a positive integer, got {self.n_sites!r}")
-            raise ConfigError(problems)
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
-            problems.append(f"n_max: must be a positive integer, got {self.n_max!r}")
-        n = int(self.n_sites)
+        n, n_max = whole(self.n_sites, 1), whole(self.n_max, 1)
+        if n is None:
+            raise ConfigError([f"n_sites: need an integer >= 1, got {self.n_sites!r}"])
+        if n_max is None:
+            problems.append(f"n_max: need an integer >= 1, got {self.n_max!r}")
         g = _as_tuple(self.g, n, "g", problems)
         hop = _as_tuple(self.hop, max(n - 1, 0), "hop", problems)
         gamma = _as_tuple(self.gamma, n, "gamma", problems)
@@ -89,7 +88,7 @@ class ModelParams:
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "n_sites", n)
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "omega_a", float(self.omega_a))
         object.__setattr__(self, "omega_c", float(self.omega_c))
         object.__setattr__(self, "g", g)
@@ -119,10 +118,12 @@ class PolaritonLabel:
     def __post_init__(self):
         if self.branch not in _BRANCHES:
             raise ConfigError([f"branch: must be one of {_BRANCHES}, got {self.branch!r}"])
-        if (self.branch == GROUND) != (self.n == 0):
-            raise ConfigError([f"label ({self.n}, {self.branch}): n = 0 iff branch is ground"])
-        if self.n < 0:
-            raise ConfigError([f"label n must be >= 0, got {self.n}"])
+        n = whole(self.n, 0)
+        if n is None:
+            raise ConfigError([f"n: need an integer >= 0, got {self.n!r}"])
+        if (self.branch == GROUND) != (n == 0):
+            raise ConfigError([f"label ({n}, {self.branch}): n = 0 iff branch is ground"])
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def ground(cls) -> "PolaritonLabel":
@@ -166,8 +167,8 @@ def mixing_angle(n: int, delta: float, g: float = 1.0) -> float:
     ``atan2`` keeps the angle in (0, pi/2) for every detuning sign and
     returns exactly ``pi/4`` on resonance.
     """
-    if n < 1:
-        raise ValueError(f"mixing angle defined for n >= 1, got n = {n}")
+    if whole(n, 1) is None:
+        raise ValueError(f"n: need an integer >= 1, got {n!r}")
     if g <= 0:
         raise ValueError(f"coupling must be positive, got g = {g}")
     return 0.5 * math.atan2(g * math.sqrt(n), delta / 2.0)
@@ -220,7 +221,6 @@ class HoppingCoefficients:
     the vacuum).
     """
 
-    n: int
     c_plus: float
     c_minus: float
     k_plus: float
@@ -228,18 +228,16 @@ class HoppingCoefficients:
 
 
 def hopping_coefficients(n: int, delta: float, g: float = 1.0) -> HoppingCoefficients:
-    """Creation-operator coefficients between the ``n-1`` and ``n`` doublets."""
-    if n < 1:
-        raise ValueError(f"coefficients defined for n >= 1, got n = {n}")
+    """Creation-operator coefficients between the ``n-1`` and ``n`` doublets
+    (``mixing_angle`` checks ``n``)."""
     th_n = mixing_angle(n, delta, g)
     if n == 1:
-        return HoppingCoefficients(1, math.sin(th_n), math.cos(th_n), 0.0, 0.0)
+        return HoppingCoefficients(math.sin(th_n), math.cos(th_n), 0.0, 0.0)
     th_m = mixing_angle(n - 1, delta, g)
     rn, rm = math.sqrt(n), math.sqrt(n - 1)
     sn, cn = math.sin(th_n), math.cos(th_n)
     sm, cm = math.sin(th_m), math.cos(th_m)
     return HoppingCoefficients(
-        n,
         c_plus=rn * sn * sm + rm * cn * cm,
         c_minus=rn * cn * cm + rm * sn * sm,
         k_plus=rn * sn * cm - rm * cn * sm,
@@ -252,11 +250,9 @@ class SiteOperatorSet:
     """Dense single-site operators in the bare basis (atom slowest)."""
 
     n_max: int
-    identity: np.ndarray
     a: np.ndarray
     a_dag: np.ndarray
     sigma_minus: np.ndarray
-    sigma_plus: np.ndarray
     number: np.ndarray
     excited: np.ndarray
     total_excitation: np.ndarray
@@ -264,9 +260,9 @@ class SiteOperatorSet:
 
 def site_operators(n_max: int) -> SiteOperatorSet:
     """Build the standard single-site operator set for photon cutoff ``n_max``."""
-    if n_max < 1:
-        raise ConfigError([f"n_max: must be >= 1, got {n_max}"])
-    pd = n_max + 1
+    if whole(n_max, 1) is None:
+        raise ConfigError([f"n_max: need an integer >= 1, got {n_max!r}"])
+    pd = int(n_max) + 1
     a_ph = np.diag(np.sqrt(np.arange(1, pd)), k=1).astype(np.complex128)
     i_ph = np.eye(pd, dtype=np.complex128)
     i_at = np.eye(2, dtype=np.complex128)
@@ -280,11 +276,9 @@ def site_operators(n_max: int) -> SiteOperatorSet:
     exc = np.kron(pe_at, i_ph)
     return SiteOperatorSet(
         n_max=int(n_max),
-        identity=np.kron(i_at, i_ph),
         a=a,
         a_dag=a.conj().T,
         sigma_minus=sm,
-        sigma_plus=sm.conj().T,
         number=num,
         excited=exc,
         total_excitation=num + exc,
@@ -466,6 +460,21 @@ class ReducedSpace:
         return pos
 
 
+def _checked_max_exc(params: ModelParams, max_exc: int) -> int:
+    """``max_exc`` as an int, refused unless the restriction to it is exact
+    and its states' product indices fit int64."""
+    if whole(max_exc, 0) is None:
+        raise ConfigError([f"max_exc: need an integer >= 0, got {max_exc!r}"])
+    if max_exc > params.n_max:
+        raise ConfigError([
+            f"max_exc: photon cutoff n_max = {params.n_max} cannot hold {max_exc} excitations"
+            " on one site; raise n_max so the restriction stays exact"])
+    if params.dim >= PRODUCT_INDEX_LIMIT:
+        raise SizeError(f"{params.n_sites} sites of dimension {params.site_dim} span at "
+                        "least 2**63 product states, beyond int64 indices")
+    return int(max_exc)
+
+
 def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
     """Enumerate the product states with total excitation at most ``max_exc``.
 
@@ -474,15 +483,7 @@ def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
     subspace, not the product space or the photon cutoff.  Site 0 is the
     slowest digit, so the states come out in ascending full-space index.
     """
-    if max_exc < 0:
-        raise ConfigError([f"max_exc: must be >= 0, got {max_exc}"])
-    if max_exc > params.n_max:
-        raise ConfigError([
-            f"max_exc: photon cutoff n_max = {params.n_max} cannot hold {max_exc} excitations"
-            " on one site; raise n_max so the restriction stays exact"])
-    if params.dim >= PRODUCT_INDEX_LIMIT:
-        raise SizeError(f"{params.n_sites} sites of dimension {params.site_dim} span at "
-                        "least 2**63 product states, beyond int64 indices")
+    max_exc = _checked_max_exc(params, max_exc)
     # a site's states with at most max_exc excitations, in ascending code
     # atom * (n_max + 1) + photon: |0, g> ... |max_exc, g>, |0, e> ... |max_exc - 1, e>
     photon = np.r_[np.arange(max_exc + 1), np.arange(max_exc)]
@@ -495,7 +496,7 @@ def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
         picks = picks[site_exc[picks].sum(axis=1) <= max_exc]
     states = np.stack([photon[picks], atom[picks]], axis=-1)
     codes = atom[picks] * (params.n_max + 1) + photon[picks]
-    return ReducedSpace(params=params, max_exc=int(max_exc), states=states,
+    return ReducedSpace(params=params, max_exc=max_exc, states=states,
                         full_indices=_full_index(codes, params.site_dim),
                         n_tot=states.sum(axis=(1, 2)))
 
@@ -549,8 +550,14 @@ def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:
 
     Each directed process (atom-photon exchange, photon hops, photon loss) is
     one vectorized write from its bare-basis action, so no full-space operator
-    is materialised and every matrix element receives a single term.
+    is materialised and every matrix element receives a single term.  H and
+    the loss operators are dense, and their bytes count against the budget
+    before anything is built.
     """
+    dim = excitation_dim(params.n_sites, _checked_max_exc(params, max_exc))
+    damped = damped_sites(params)
+    check_budget((1 + len(damped)) * dim * dim * 16,
+                 f"H and {len(damped)} loss operators on {dim} states")
     space = excitation_basis(params, max_exc)
     photons, atoms = space.states[..., 0], space.states[..., 1]
     h = np.zeros((space.dim, space.dim), dtype=np.complex128)
@@ -566,7 +573,7 @@ def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:
         _add_process(h, space, params.hop[j], [(j, 1, 0), (j + 1, -1, 0)])
         _add_process(h, space, params.hop[j], [(j, -1, 0), (j + 1, 1, 0)])
     collapse = []
-    for j in damped_sites(params):
+    for j in damped:
         loss = np.zeros_like(h)
         _add_process(loss, space, math.sqrt(params.gamma[j]), [(j, -1, 0)])
         collapse.append(loss)

@@ -27,7 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, SizeError
-from .linalg import BlockDensity, TensorDims, as_complex_matrix, min_labels, partial_transpose
+from .dynamics import DEFAULT_DT
+from .linalg import (BlockDensity, as_complex_matrix, check_budget, min_labels,
+                     partial_transpose, whole)
 from .model import ModelParams, PolaritonLabel, ReducedSpace, polariton_energy
 
 __all__ = [
@@ -106,6 +108,7 @@ class ProjectorSpec:
                             f"for {params.n_sites} sites")
         orderings = (sorted(set(itertools.permutations(labels)))
                      if self.symmetrize else [tuple(labels)])
+        check_budget(space.dim ** 2 * 16, f"projector {self.name} on {space.dim} states")
         proj = np.zeros((space.dim, space.dim), dtype=np.complex128)
         for ordering in orderings:
             vec = space.product_state(ordering)
@@ -118,7 +121,8 @@ class ProjectorSpec:
 # ---------------------------------------------------------------------------
 
 def negativity(rho, dims) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose (Bell pair: 0.5)."""
+    """Sum of |negative eigenvalues| of the partial transpose over the right
+    factor of ``dims = (left, right)`` (Bell pair: 0.5)."""
     return float(negativity_series(as_complex_matrix(rho)[None], dims)[0])
 
 
@@ -131,12 +135,9 @@ def negativity_series(rho_stack: np.ndarray, dims) -> np.ndarray:
     the order a sum of that prefix alone would.
     """
     stack = np.asarray(rho_stack)
-    td = TensorDims.coerce(dims)
-    if len(td) != 2:
-        raise SizeError(f"negativity needs exactly 2 tensor factors, got {len(td)}")
-    if stack.ndim != 3 or stack.shape[1] != td.total:
-        raise SizeError(f"dims {td} do not match a stack of shape {stack.shape}")
-    eigs = np.linalg.eigvalsh(partial_transpose(stack, td, which=1))
+    if stack.ndim != 3:
+        raise SizeError(f"expected an (n, d, d) stack, got shape {stack.shape}")
+    eigs = np.linalg.eigvalsh(partial_transpose(stack, dims, which=1))
     counts = (eigs < 0.0).sum(axis=1)
     out = np.empty(len(eigs))
     for m in set(counts.tolist()):
@@ -162,8 +163,9 @@ def block_negativity(rho, space: ReducedSpace, cut: int) -> np.ndarray:
     index.
     """
     n_sites = space.params.n_sites
-    if not 1 <= cut < n_sites:
-        raise SizeError(f"cut must satisfy 1 <= cut < {n_sites}, got {cut}")
+    if whole(cut, 1) is None or cut >= n_sites:
+        raise SizeError(f"cut: need an integer with 1 <= cut < {n_sites}, got {cut!r}")
+    cut = int(cut)
     if not isinstance(rho, BlockDensity):
         stack = np.asarray(rho)
         if stack.ndim != 3 or stack.shape[1:] != (space.dim, space.dim):
@@ -199,17 +201,20 @@ def reduced_bipartition(rho, site_dims: Sequence[int], cut: int):
     """Regroup an N-site state into a left|right bipartition at ``cut``.
 
     Pure index bookkeeping — the matrix is unchanged; only the factor
-    dimensions are regrouped to (prod(dims[:cut]), prod(dims[cut:])).
+    dimensions are regrouped to the pair (prod(dims[:cut]), prod(dims[cut:])).
     """
-    site_dims = [int(d) for d in site_dims]
-    if not 1 <= cut < len(site_dims):
-        raise SizeError(f"cut must satisfy 1 <= cut < {len(site_dims)}, got {cut}")
+    dims = [whole(d, 1) for d in site_dims]
+    if None in dims:
+        raise SizeError(f"site_dims: need integers >= 1, got {site_dims!r}")
+    if whole(cut, 1) is None or cut >= len(dims):
+        raise SizeError(f"cut: need an integer with 1 <= cut < {len(dims)}, got {cut!r}")
+    cut = int(cut)
     rho = as_complex_matrix(rho)
-    left = math.prod(site_dims[:cut])
-    right = math.prod(site_dims[cut:])
+    left = math.prod(dims[:cut])
+    right = math.prod(dims[cut:])
     if left * right != rho.shape[0]:
-        raise SizeError(f"site dims {site_dims} do not match rho dimension {rho.shape[0]}")
-    return rho, TensorDims((left, right))
+        raise SizeError(f"site dims {dims} do not match rho dimension {rho.shape[0]}")
+    return rho, (left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +238,7 @@ def blockade_beat_period(params: ModelParams) -> Optional[float]:
     return 2.0 * math.pi / mismatch
 
 
-def recommended_spacing(params: ModelParams, dt: float = 0.005) -> float:
+def recommended_spacing(params: ModelParams, dt: float = DEFAULT_DT) -> float:
     """Sample spacing for classification runs: quarter beat, on the dt lattice."""
     if not dt > 0:
         raise ConfigError([f"dt: must be positive, got {dt}"])

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from jchsim.dynamics import TimeGrid, lindblad_evolve
-from jchsim.linalg import TensorDims
 from jchsim.model import (ModelParams, build_reduced_model, damped_sites,
                           site_operators)
 from jchsim.observables import negativity_series, recommended_spacing
@@ -52,7 +51,7 @@ def oracle_negativity(params, model, psi0, t_end: float):
     grid = TimeGrid.with_spacing(t_end, recommended_spacing(params))
     rho0 = np.outer(psi0, psi0.conj())
     rhos = lindblad_evolve(model.h, model.collapse, rho0, grid)
-    dims = TensorDims((params.site_dim, params.site_dim))
+    dims = (params.site_dim, params.site_dim)
     return grid, negativity_series(model.space.embed_density(rhos), dims)
 
 

@@ -18,15 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from jchsim import dynamics
+from jchsim import dynamics, linalg, model as model_module
 from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
                              _block_layout, _build_machinery, _flow_norm2_poly,
                              _norm2, _partition, _poly_value, _real_generator,
                              _reduce, _taylor_flow, lindblad_evolve, mcwf_ensemble,
                              mcwf_trajectory, no_jump_branch)
 from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
-from jchsim.model import (ModelParams, build_reduced_model,
+from jchsim.model import (ModelParams, ReducedSpace, build_reduced_model, excitation_basis,
                           prepare_product_polariton_state, site_operators)
+from jchsim.observables import ProjectorSpec
 from jchsim.presets import load_preset
 
 from conftest import (build_full_hamiltonian, dense_stack, restrict,
@@ -970,6 +971,22 @@ class TestMemoryGuards:
                                             r"rows, live states needs 392000000 bytes"):
             mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
                           n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
+
+    def test_model_and_projector_over_budget_raise_before_allocating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built")
+
+        space = excitation_basis(ModelParams(n_sites=2, n_max=4), max_exc=4)
+        monkeypatch.setattr(model_module, "excitation_basis", never)
+        monkeypatch.setattr(ReducedSpace, "product_state", never)
+        # two damped sites at n_max = 45: H and two loss operators on 4 141 states
+        with pytest.raises(SizeError, match=r"^H and 2 loss operators on 4141 states needs "
+                                            r"823098288 bytes, above the budget 268435456$"):
+            build_reduced_model(ModelParams(n_sites=2, n_max=45, hop=0.03, gamma=0.05), 45)
+        # one projector on 41 states, 26 896 bytes, under a budget a byte short
+        monkeypatch.setattr(linalg, "MEMORY_CAP", 41 ** 2 * 16 - 1)
+        with pytest.raises(SizeError, match=r"^projector P\(4-,G\) on 41 states needs 26896 "):
+            ProjectorSpec(labels=("4-", "G")).operator(space.params, space)
 
     def test_keep_rho_over_budget_raises_before_allocating(self):
         params = ModelParams(n_sites=4, hop=0.03, gamma=0.05, n_max=4)

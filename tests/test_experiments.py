@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -169,6 +170,16 @@ class TestScenarioConfig:
         assert "initial.labels: expected 2 site labels, got 3" in problems
         assert any(p.startswith("observables.bipartition_cut:") for p in problems)
         assert "observables.projectors: P300 has 3 labels for 2 sites" in problems
+
+    def test_projector_named_twice_rejected(self):
+        mapping = json.loads(json.dumps(SCENARIO_MAPPING))
+        mapping["observables"]["projectors"] = ["P20", "P11", "P20"]
+        assert problems_of(scenario_from_mapping, mapping) == [
+            "observables.projectors: P20 is named 2 times"]
+        config = tiny_scenario()
+        with pytest.raises(ConfigError) as err:
+            replace(config, observables=config.observables + config.observables[2:])
+        assert err.value.problems == ["observables.projectors: P(1-,1-)+perm is named 2 times"]
 
     def test_projector_beyond_cutoff_rejected(self):
         problems = problems_of(scenario_from_mapping, {
@@ -829,6 +840,31 @@ class TestSweepOutputs:
 @pytest.fixture(scope="module")
 def resonant_curve():
     return gamma_c_curve(sweep_config(j_values=(0.02, 0.04, 0.06, 0.08)))
+
+
+# sha256 of every file the fig1 and fig4 presets write: outputs are pinned across
+# commits, and a change that moves them on purpose records new digests here
+PRESET_DIGESTS = {
+    "fig1_delta0.csv": "0868231c065354d97787cbd3bbdf5a2fcafc9eb611acf60bae2fe58e84e1a003",
+    "fig1_delta0.json": "9f2615891606c21e9e3243b24efb4cfb8ebfe99a41690bf66e4b2863874a5b5e",
+    "fig1_delta09.csv": "f6735b9f7624fb483145b67bc6cec48a850efd8957daeaea2d6d389b6e3fe4c4",
+    "fig1_delta09.json": "6f5876c546bcd05b6715c5ecb62d0f45f2fde55480d9e02caec97fc0e0264e08",
+    "fig4.json": "4769668912505a8f583e56f6385d6fe0b92442dd64fab53194bbb47caa449e68",
+    "fig4_estimates.csv": "58e51a9ddaa34b5c87e50911ee654aa2b2d283afc0814259dc94107c128cca4c",
+    "fig4_rows.csv": "20f4b9c7f8db9609727cc7ab56488034bbade4825284786b029834f92ee530c7",
+}
+
+
+def test_fig1_and_fig4_outputs_match_their_digests(resonant_curve, tmp_path):
+    # fig4 is the module's sweep, written under the preset's own name
+    fig4 = load_preset("fig4").sweep
+    assert resonant_curve.config == replace(fig4, output_name="criticality")
+    write_criticality_outputs(replace(resonant_curve, config=fig4), tmp_path)
+    for config in load_preset("fig1").scenarios:
+        run_scenario(config, out_dir=tmp_path)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == PRESET_DIGESTS
 
 
 class TestSweepOnModel:

@@ -1,37 +1,27 @@
-"""Tensor-space linear algebra: invariants as property tests."""
+"""Input rules and linear algebra: invariants as property tests."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jchsim.errors import NotHermitianError, SizeError
-from jchsim.linalg import (TensorDims, as_complex_matrix, min_labels,
-                           partial_transpose, require_hermitian)
+from jchsim.config import scenario_from_mapping
+from jchsim.errors import ConfigError, NotHermitianError, SizeError
+from jchsim.linalg import as_complex_matrix, min_labels, partial_transpose, require_hermitian
+from jchsim.model import (ModelParams, PolaritonLabel, excitation_basis,
+                          hopping_coefficients, mixing_angle, site_operators)
+from jchsim.observables import block_negativity, reduced_bipartition
+from jchsim.presets import load_preset
 
 from conftest import random_density_matrix
 
 dims_pairs = st.tuples(st.integers(2, 4), st.integers(2, 4))
 seeds = st.integers(0, 2**32 - 1)
-
-
-class TestTensorDims:
-    def test_total_and_len(self):
-        td = TensorDims((2, 3, 4))
-        assert td.total == 24
-        assert len(td) == 3
-
-    def test_coerce_passthrough_and_sequence(self):
-        td = TensorDims((2, 3))
-        assert TensorDims.coerce(td) is td
-        assert TensorDims.coerce([2, 3]) == td
-
-    @pytest.mark.parametrize("bad", [(), (0,), (2, -1), (2, 2.5)])
-    def test_rejects_bad_factors(self, bad):
-        with pytest.raises(SizeError):
-            TensorDims(tuple(bad))
 
 
 class TestHermitian:
@@ -93,14 +83,14 @@ class TestPartialTranspose:
     def test_involution(self, dims, seed):
         da, db = dims
         rho = random_density_matrix(np.random.default_rng(seed), da * db)
-        td = TensorDims((da, db))
+        td = (da, db)
         assert np.allclose(partial_transpose(partial_transpose(rho, td), td), rho)
 
     @given(dims_pairs, seeds)
     def test_trace_and_hermiticity_preserved(self, dims, seed):
         da, db = dims
         rho = random_density_matrix(np.random.default_rng(seed), da * db)
-        td = TensorDims((da, db))
+        td = (da, db)
         pt = partial_transpose(rho, td)
         assert abs(np.trace(pt) - 1.0) < 1e-12
         assert np.allclose(pt, pt.conj().T)
@@ -109,7 +99,7 @@ class TestPartialTranspose:
     def test_transposing_both_factors_is_full_transpose(self, dims, seed):
         da, db = dims
         rho = random_density_matrix(np.random.default_rng(seed), da * db)
-        td = TensorDims((da, db))
+        td = (da, db)
         both = partial_transpose(partial_transpose(rho, td, which=0), td, which=1)
         assert np.allclose(both, rho.T)
 
@@ -118,7 +108,7 @@ class TestPartialTranspose:
         ra = random_density_matrix(rng, 3)
         rb = random_density_matrix(rng, 2)
         rho = np.kron(ra, rb)
-        td = TensorDims((3, 2))
+        td = (3, 2)
         before = np.sort(np.linalg.eigvalsh(rho))
         after = np.sort(np.linalg.eigvalsh(partial_transpose(rho, td)))
         assert np.allclose(before, after)
@@ -126,16 +116,101 @@ class TestPartialTranspose:
     @pytest.mark.parametrize("which", [0, 1])
     def test_stack_is_transposed_matrix_by_matrix(self, which):
         rng = np.random.default_rng(4)
-        td = TensorDims((2, 3))
+        td = (2, 3)
         stack = np.array([random_density_matrix(rng, 6) for _ in range(4)]).reshape(2, 2, 6, 6)
         pt = partial_transpose(stack, td, which=which)
         assert pt.shape == stack.shape
         for idx in np.ndindex(2, 2):
             assert np.array_equal(pt[idx], partial_transpose(stack[idx], td, which=which))
 
+    @pytest.mark.parametrize("bad", [(6,), (2, 3, 1), (0, 6), (2.5, 2), (True, 6)])
+    def test_rejects_bad_pairs(self, bad):
+        with pytest.raises(SizeError, match=r"^dims: need a pair of integers >= 1"):
+            partial_transpose(np.eye(6) / 6, bad)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(SizeError):
-            partial_transpose(np.eye(5) / 5, TensorDims((2, 3)))
+            partial_transpose(np.eye(5) / 5, (2, 3))
         with pytest.raises(SizeError):
-            partial_transpose(np.ones((2, 6, 5)), TensorDims((2, 3)))
+            partial_transpose(np.ones((2, 6, 5)), (2, 3))
 
+
+
+# ---------------------------------------------------------------------------
+# the whole-number rule: each entry point that takes a count, cutoff, cut,
+# label or seed, with the value under test in one argument
+
+_RHO8 = random_density_matrix(np.random.default_rng(8), 8)
+_SPACE3 = excitation_basis(ModelParams(n_sites=3, hop=0.03, n_max=2), max_exc=2)
+_STACK3 = np.array([np.diag(np.arange(_SPACE3.dim) == k).astype(complex) for k in (1, 5)])
+_FIG2 = load_preset("fig2").scenarios[0]
+
+
+def _from_mapping(n_traj):
+    return scenario_from_mapping({
+        "model": {"n_sites": 2, "n_max": 2}, "initial": {"labels": ["2-", "G"]},
+        "grid": {"t_end": 10.0, "n_samples": 6}, "run": {"n_traj": n_traj}})
+
+
+# entry: (call with the value, a whole value it takes, the error, its message's
+# start, the least value taken)
+RULE_ENTRIES = {
+    "ModelParams.n_sites": (lambda v: ModelParams(n_sites=v), 2, ConfigError, "n_sites: ", 1),
+    "ModelParams.n_max": (lambda v: ModelParams(n_sites=2, n_max=v), 2, ConfigError,
+                          "n_max: ", 1),
+    "PolaritonLabel.n": (lambda v: PolaritonLabel(v, "minus"), 2, ConfigError, "n: ", 0),
+    "site_operators.n_max": (site_operators, 2, ConfigError, "n_max: ", 1),
+    "mixing_angle.n": (lambda v: mixing_angle(v, 0.3), 2, ValueError, "n: ", 1),
+    "hopping_coefficients.n": (lambda v: hopping_coefficients(v, 0.3), 2, ValueError, "n: ", 1),
+    "excitation_basis.max_exc": (lambda v: excitation_basis(ModelParams(n_sites=2, n_max=2), v),
+                                 2, ConfigError, "max_exc: ", 0),
+    "partial_transpose.dims": (lambda v: partial_transpose(_RHO8, (v, 4)), 2, SizeError,
+                               "dims: ", 1),
+    "reduced_bipartition.site_dims": (lambda v: reduced_bipartition(_RHO8, (v, 2, 2), 1), 2,
+                                      SizeError, "site_dims: ", 1),
+    "reduced_bipartition.cut": (lambda v: reduced_bipartition(_RHO8, (2, 2, 2), v), 2,
+                                SizeError, "cut: ", 1),
+    "block_negativity.cut": (lambda v: block_negativity(_STACK3, _SPACE3, v), 2, SizeError,
+                             "cut: ", 1),
+    "ScenarioConfig.n_traj": (lambda v: replace(_FIG2, n_traj=v), 20, ConfigError,
+                              "run.n_traj: ", 1),
+    "ScenarioConfig.master_seed": (lambda v: replace(_FIG2, master_seed=v), 3, ConfigError,
+                                   "run.master_seed: ", 0),
+    "ScenarioConfig.bipartition_cut": (
+        lambda v: replace(load_preset("n3").scenarios[0], bipartition_cut=v),
+        2, ConfigError, "observables.bipartition_cut: ", 1),
+    "config run.n_traj": (_from_mapping, 3, ConfigError, "run.n_traj: ", 1),
+}
+
+
+def _plain(result):
+    """A result in a form that compares equal only if its numbers have the same types."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, tuple):
+        return tuple(_plain(item) for item in result)
+    return repr(getattr(result, "__dict__", result))
+
+
+class TestWholeNumberRule:
+    @pytest.mark.parametrize("entry", RULE_ENTRIES)
+    @pytest.mark.parametrize("value", [True, 1.5, math.nan, "2", "least - 1"])
+    def test_refused_naming_the_argument(self, entry, value):
+        call, good, error, start, least = RULE_ENTRIES[entry]
+        value = least - 1 if value == "least - 1" else value
+        if entry == "config run.n_traj" and value == "2":
+            # a config file's text is read by int()
+            assert _plain(call(value)) == _plain(call(2))
+            return
+        with pytest.raises(error) as err:
+            call(value)
+        message = str(err.value)
+        assert message.startswith(start) and repr(value) in message, message
+        assert type(err.value) is error
+        assert getattr(err.value, "problems", [message]) == [message]
+
+    @pytest.mark.parametrize("entry", RULE_ENTRIES)
+    def test_whole_floats_run_as_their_ints(self, entry):
+        call, good, _, _, _ = RULE_ENTRIES[entry]
+        assert _plain(call(float(good))) == _plain(call(good))
+        assert _plain(call(np.int64(good))) == _plain(call(good))

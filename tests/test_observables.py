@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import jchsim
 from jchsim.dynamics import lindblad_evolve, mcwf_ensemble
 from jchsim.errors import ConfigError, SizeError
-from jchsim.linalg import BlockDensity, TensorDims, partial_transpose
+from jchsim.linalg import BlockDensity, partial_transpose
 from jchsim.model import (ModelParams, build_reduced_model, excitation_basis,
                           prepare_product_polariton_state)
 from jchsim.observables import (DEFAULT_BURN_IN, PROJECTOR_PRESETS,
@@ -59,7 +59,7 @@ class TestNegativity:
     def test_matches_trace_norm_identity(self, rng):
         for _ in range(20):
             rho = random_density_matrix(rng, 6)
-            eigs = np.linalg.eigvalsh(partial_transpose(rho, TensorDims((2, 3)), which=1))
+            eigs = np.linalg.eigvalsh(partial_transpose(rho, (2, 3), which=1))
             from_trace_norm = 0.5 * (np.abs(eigs).sum() - 1.0)
             assert negativity(rho, (2, 3)) == pytest.approx(
                 max(from_trace_norm, 0.0), abs=1e-9)
@@ -117,7 +117,7 @@ class TestNegativity:
         stack[5] = np.eye(d) / d
         expected = []
         for rho in stack:
-            eigs = np.linalg.eigvalsh(partial_transpose(rho, TensorDims(dims), which=1))
+            eigs = np.linalg.eigvalsh(partial_transpose(rho, dims, which=1))
             expected.append(float(-eigs[eigs < 0.0].sum()) + 0.0)
         assert negativity_series(stack, dims).tobytes() == np.array(expected).tobytes()
 
@@ -131,8 +131,7 @@ class TestNegativity:
 def dense_negativity(space, rhos, cut: int) -> np.ndarray:
     """The product-space value: embed, regroup at ``cut``, transpose, ``eigvalsh``."""
     sd, n_sites = space.params.site_dim, space.params.n_sites
-    return negativity_series(space.embed_density(rhos),
-                             TensorDims((sd ** cut, sd ** (n_sites - cut))))
+    return negativity_series(space.embed_density(rhos), (sd ** cut, sd ** (n_sites - cut)))
 
 
 def sector_density(rng, space) -> np.ndarray:
@@ -334,14 +333,14 @@ class TestBipartition:
         rho = random_density_matrix(rng, 9)
         out, dims = reduced_bipartition(rho, (3, 3), cut=1)
         assert out is rho or np.array_equal(out, rho)
-        assert dims.factors == (3, 3)
+        assert dims == (3, 3)
 
     def test_three_sites_regroups(self, rng):
         rho = random_density_matrix(rng, 8)
         _, left_cut = reduced_bipartition(rho, (2, 2, 2), cut=1)
         _, right_cut = reduced_bipartition(rho, (2, 2, 2), cut=2)
-        assert left_cut.factors == (2, 4)
-        assert right_cut.factors == (4, 2)
+        assert left_cut == (2, 4)
+        assert right_cut == (4, 2)
 
     def test_cut_position_consistent_for_symmetric_state(self):
         # W state is permutation-symmetric: both cuts give equal negativity
