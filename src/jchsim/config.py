@@ -14,6 +14,10 @@ it is required.  Defaults and checks live only on the types
 absent, or whose value fails to coerce, takes the type's default and the type
 is still built, so its checks still run: a bad file reports every offending
 field at once.
+
+A scenario states no rule or byte count of its own: its load pass calls
+the checks of the modules that own each input, naming this config's keys,
+and sums the byte counts of the run's guards from their own functions.
 """
 
 from __future__ import annotations
@@ -26,16 +30,20 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
-from .dynamics import DEFAULT_DT, TimeGrid, ensemble_bytes, ensemble_problems
-from .errors import ConfigError
-from .linalg import MEMORY_CAP, whole
-from .model import (PRODUCT_INDEX_LIMIT, ModelParams, PolaritonLabel, damped_sites,
-                    excitation_dim, total_excitation_of_labels)
+from .dynamics import DEFAULT_DT, TimeGrid, batch_bytes, ensemble_problems, rho_bytes
+from .errors import ConfigError, JchsimError
+from .linalg import check_budget, real, whole
+from .model import (ModelParams, PolaritonLabel, basis_bytes, check_product_index,
+                    checked_labels, checked_max_exc, model_bytes, sector_dims)
 from .observables import (
     DEFAULT_BURN_IN,
     DEFAULT_PROMINENCE_THRESHOLD,
     ProjectorSpec,
+    checked_cut,
+    projector_bytes,
     recommended_spacing,
+    transpose_block_bound,
+    transpose_bytes,
 )
 
 DEFAULT_GAMMA_RATIOS = (0.3, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
@@ -263,14 +271,12 @@ def _plain(value):
     return value
 
 
-def _build(make: Callable[..., Any], values: Optional[dict], problems: list,
-           prefix: str = ""):
-    """``make(**values)``; None, with its problems added, if it cannot be built."""
-    if values is None:
-        return None
+def _call(problems: list, check: Callable[..., Any], *args, prefix: str = "", **kwargs):
+    """``check(*args, **kwargs)``; None, with the problems it raised added
+    after ``prefix``, if it raises."""
     try:
-        return make(**values)
-    except ConfigError as exc:
+        return check(*args, **kwargs)
+    except JchsimError as exc:
         problems += [prefix + p for p in exc.problems]
         return None
 
@@ -285,7 +291,7 @@ def _finish(cls, values: dict, problems: list, *checks: Callable[[Mapping], list
     if any(values.get(f.name) is None for f in fields(cls) if f.default is MISSING):
         v = {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **values}
         raise ConfigError(problems + [p for check in checks for p in check(v)])
-    config = _build(cls, values, problems)
+    config = _call(problems, cls, **values)
     if problems:
         raise ConfigError(problems)
     return config
@@ -328,30 +334,16 @@ class ScenarioConfig:
 
     def __post_init__(self):
         problems = []
-        n_sites, n_max = self.model.n_sites, self.model.n_max
-        if len(self.initial) != n_sites:
-            problems.append(
-                f"initial.labels: expected {n_sites} site labels, "
-                f"got {len(self.initial)}")
-        canonical = []
-        for raw in self.initial:
-            try:
-                label = PolaritonLabel.parse(str(raw))
-            except Exception as exc:  # noqa: BLE001 - collected as config problem
-                problems.append(f"initial.labels: bad label {raw!r} ({exc})")
-                continue
-            if label.n > n_max:
-                problems.append(
-                    f"initial.labels: |{label}> needs {label.n} photons, "
-                    f"cutoff is {n_max}")
-            canonical.append(str(label))
-        if len(canonical) == len(self.initial):
-            object.__setattr__(self, "initial", tuple(canonical))
-            if self.max_excitation > n_max:
-                # the run's basis holds at most n_max excitations in total
-                problems.append(
-                    f"initial.labels, model.n_max: the initial state holds "
-                    f"{self.max_excitation} excitations, above the cutoff {n_max}")
+        params, n_sites = self.model, self.model.n_sites
+        _call(problems, check_product_index, params,
+              field="model.n_sites, model.n_max, initial.labels")
+        labels = _call(problems, checked_labels, self.initial, params, field="initial.labels")
+        max_exc = None
+        if labels is not None:
+            object.__setattr__(self, "initial", tuple(map(str, labels)))
+            # the run's basis holds the initial excitations, and n_max must hold them
+            max_exc = _call(problems, checked_max_exc, params, self.max_excitation,
+                            field="initial.labels, model.n_max")
         run_problems = _run_problems(vars(self))
         if not run_problems:
             object.__setattr__(self, "n_traj", int(self.n_traj))
@@ -361,63 +353,53 @@ class ScenarioConfig:
         problems += [f"observables.projectors: {name} is named {names.count(name)} times"
                      for name in dict.fromkeys(names) if names.count(name) > 1]
         for spec in self.observables:
-            # the run builds each projector inside the excitation subspace of
-            # the initial state, so it must fit the cutoff and that subspace
-            ns = [PolaritonLabel.parse(label).n for label in spec.resolved_labels]
-            if len(ns) != n_sites:
-                problems.append(f"observables.projectors: {spec.name} has "
-                                f"{len(ns)} labels for {n_sites} sites")
-            elif max(ns) > n_max:
-                problems.append(f"observables.projectors: {spec.name} needs "
-                                f"{max(ns)} photons on one site, cutoff is {n_max}")
-            elif len(canonical) == len(self.initial) and sum(ns) > self.max_excitation:
-                problems.append(f"observables.projectors: {spec.name} holds {sum(ns)} "
-                                "excitations, more than the initial state's "
-                                f"{self.max_excitation}")
-        if self.model.dim >= PRODUCT_INDEX_LIMIT:
-            # the basis keeps each state's product-space index as an int64
-            problems.append(
-                f"model.n_sites, model.n_max, initial.labels: {n_sites} sites with "
-                f"n_max = {n_max} span at least 2**63 product states, whose "
-                "indices overflow int64")
+            _call(problems, checked_labels, spec.resolved_labels, params, max_exc,
+                  field=f"observables.projectors: {spec.name}")
         if self.compute_negativity and n_sites < 2:
-            problems.append(
-                "observables.negativity: needs at least two sites")
-        if (len(canonical) == len(self.initial) and self.max_excitation <= n_max
-                and not run_problems):
-            # H, each loss operator and each projector are dense on the reduced basis;
-            # negativity holds ρ̄'s block entries (Σ k_b² <= dim² a sample) and the
-            # partial transpose's blocks at once, counted as two dim² stacks;
-            # each trajectory keeps its observable rows, and the batch holds its state
-            dim = excitation_dim(n_sites, self.max_excitation)
-            n_samples = self.grid.n_samples
-            terms = [("model.n_sites, model.n_max, initial.labels",
-                      1 + len(damped_sites(self.model)), "H and the loss operators"),
-                     ("observables.projectors", len(self.observables), "the projectors"),
-                     ("observables.negativity", 2 * n_samples * self.compute_negativity,
-                      f"ρ̄'s {n_samples} samples, twice")]
-            terms = [term for term in terms if term[1]]
-            n_dense = sum(n for _, n, _ in terms)
-            n_bytes = (n_dense * dim * dim * 16
-                       + ensemble_bytes(self.n_traj, len(self.observables), n_samples, dim))
-            if n_bytes > MEMORY_CAP:
-                problems.append(
-                    f"{', '.join(key for key, _, _ in terms)}, run.n_traj: {n_dense} dense "
-                    f"{dim}-dim matrices ({', '.join(f'{n} for {what}' for _, n, what in terms)}) "
-                    f"and the observable rows and live states of {self.n_traj} trajectories "
-                    f"need {n_bytes} bytes, above the budget {MEMORY_CAP}")
-        if whole(self.bipartition_cut, 1) is None or self.bipartition_cut >= max(n_sites, 2):
-            problems.append(
-                "observables.bipartition_cut: need an integer with "
-                f"1 <= cut < {n_sites}, got {self.bipartition_cut!r}")
-        else:
-            object.__setattr__(self, "bipartition_cut", int(self.bipartition_cut))
+            problems.append("observables.negativity: needs at least two sites")
+        # a one-site model keeps the default cut, which nothing reads
+        cut = _call(problems, checked_cut, self.bipartition_cut, max(n_sites, 2),
+                    field="observables.bipartition_cut")
+        if cut is not None:
+            object.__setattr__(self, "bipartition_cut", cut)
+        if max_exc is not None and cut is not None and not run_problems:
+            _call(problems, check_budget, *self._load_count(max_exc))
         if problems:
             raise ConfigError(problems)
 
+    def _load_count(self, max_exc: int) -> tuple:
+        """The sum of the run's guards' own counts, and what they hold under
+        which keys.  The run's blocks lie in the sectors, so their sizes
+        bound every block the counts read, without enumerating the basis."""
+        params, n = self.model, self.grid.n_samples
+        sectors = sector_dims(params.n_sites, max_exc)
+        n_obs = len(self.observables)
+        model_keys = "model.n_sites, model.n_max, initial.labels"
+        terms = [(model_keys, basis_bytes(params, max_exc), "the basis"),
+                 (model_keys, model_bytes(params, max_exc), "H and the loss operators"),
+                 ("observables.projectors",
+                  sum(projector_bytes(params, max_exc) for _ in self.observables),
+                  "the projectors")]
+        if self.compute_negativity:
+            block = transpose_block_bound(params.n_sites, max_exc, self.bipartition_cut)
+            terms += [("observables.negativity", rho_bytes(n, sectors),
+                       f"ρ̄'s block entries over {n} samples"),
+                      ("observables.negativity, observables.bipartition_cut",
+                       transpose_bytes(n, block),
+                       f"the partial transpose's largest block of at most {block} states")]
+        if self.include_conditional:
+            terms.append(("observables.conditional",
+                          batch_bytes(1, n_obs, n, sectors, record=True), "the jump-free branch"))
+        terms.append(("run.n_traj", batch_bytes(self.n_traj, n_obs, n, sectors),
+                      f"the observable rows and live states of {self.n_traj} trajectories"))
+        terms = [term for term in terms if term[1]]
+        names = dict.fromkeys(key for keys, _, _ in terms for key in keys.split(", "))
+        return (sum(n_bytes for _, n_bytes, _ in terms),
+                f"{', '.join(names)}: {', '.join(what for _, _, what in terms)}")
+
     @property
     def max_excitation(self) -> int:
-        return total_excitation_of_labels(self.initial)
+        return sum(PolaritonLabel.parse(label).n for label in self.initial)
 
     def to_mapping(self) -> dict:
         """Plain nested dict echoing every consumed parameter (sidecar form)."""
@@ -461,14 +443,15 @@ class CriticalitySweepConfig:
 
     def __post_init__(self):
         problems = []
-        js = tuple(float(j) for j in self.j_values)
-        ratios = tuple(float(r) for r in self.gamma_ratios)
-        for where, values, what in (("sweep.j_values", js, "hop values"),
-                                    ("sweep.gamma_ratios", ratios, "ratios")):
+        js = tuple(real(j, above=0.0) for j in self.j_values)
+        ratios = tuple(real(r, above=0.0) for r in self.gamma_ratios)
+        for where, values, raw, what in (("sweep.j_values", js, self.j_values, "hop values"),
+                                         ("sweep.gamma_ratios", ratios, self.gamma_ratios,
+                                          "ratios")):
             if not values:
                 problems.append(f"{where}: required and non-empty")
-            elif not all(0 < v < math.inf for v in values):
-                problems.append(f"{where}: {what} must be positive and finite")
+            elif None in values:
+                problems.append(f"{where}: {what} must be positive and finite, got {raw!r}")
             elif any(b <= a for a, b in zip(values, values[1:])):
                 problems.append(f"{where}: must be strictly increasing")
         if 0 < len(js) < 3:
@@ -483,16 +466,16 @@ class CriticalitySweepConfig:
             for problem in exc.problems:
                 name, _, rest = problem.partition(": ")
                 problems.append(f"{_SWEEP_MODEL_KEYS.get(name, 'grid: ' + name)} {rest}")
-        t_last = self.t_end if grid is None else grid.t_end   # t_end trimmed to a sample
-        if not 0 < self.prominence_threshold < 1:
+        if real(self.prominence_threshold, above=0.0, below=1.0) is None:
             problems.append(
                 "classifier.prominence_threshold: must lie in (0, 1), got "
-                f"{self.prominence_threshold}")
-        if self.t_min < 0:
-            problems.append(f"classifier.t_min: must be >= 0, got {self.t_min}")
-        elif not self.t_min < t_last:
-            problems.append(
-                f"classifier.t_min: must lie below the last sample time {t_last}, got {self.t_min}")
+                f"{self.prominence_threshold!r}")
+        t_min = real(self.t_min, 0.0)
+        if t_min is None:
+            problems.append(f"classifier.t_min: must be finite and >= 0, got {self.t_min!r}")
+        elif grid is not None and not t_min < grid.t_end:      # t_end trimmed to a sample
+            problems.append(f"classifier.t_min: must lie below the last sample time "
+                            f"{grid.t_end}, got {self.t_min}")
         problems += _output_problems(vars(self))
         if problems:
             raise ConfigError(problems)
@@ -553,7 +536,8 @@ def _scenario_grid(raw: Any, grid: Optional[dict], model: Optional[ModelParams],
 def scenario_from_mapping(mapping: Mapping[str, Any]) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig`, reporting every problem at once."""
     values, problems = _read(mapping, _SCENARIO_KEYS)
-    model = _build(ModelParams, values["model"], problems, prefix="model.")
+    model = (None if values["model"] is None
+             else _call(problems, ModelParams, prefix="model.", **values["model"]))
     grid = _scenario_grid(mapping.get("grid"), values["grid"], model, problems)
     return _finish(ScenarioConfig, {
         "model": model, "grid": grid, **(values["initial"] or {}),

@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegratorError, SizeError
 from .linalg import (BlockDensity, as_complex_matrix, check_budget, min_labels,
-                     require_hermitian, whole)
+                     real, require_hermitian, whole)
 
 __all__ = [
     "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT",
@@ -101,24 +101,28 @@ _RESCALE_FLOOR = 1e-150        # jump-free squared norm below which the state is
 # time grid
 # ---------------------------------------------------------------------------
 
-def _bound_problems(t_start: float, t_end: float) -> list:
-    """A problem for each grid bound that is not a finite number, and for a
-    span that does not run forward."""
-    problems = [f"{name}: must be finite, got {value}"
-                for name, value in (("t_start", t_start), ("t_end", t_end))
-                if not math.isfinite(value)]
-    if not t_end > t_start:
+def _bound_problems(t_start, t_end, dt) -> tuple:
+    """The grid's bounds and step as ``linalg.real`` takes them, None where it
+    refuses one, and a problem for each refused one and for a backward span."""
+    t0, t1, step = real(t_start), real(t_end), real(dt, above=0.0)
+    problems = [f"{name}: must be a finite number, got {raw!r}"
+                for name, raw, value in (("t_start", t_start, t0), ("t_end", t_end, t1))
+                if value is None]
+    if None not in (t0, t1) and not t1 > t0:
         problems.append(f"t_end: must exceed t_start, got {t_end} <= {t_start}")
-    return problems
+    if step is None:
+        problems.append(f"dt: must be positive and finite, got {dt!r}")
+    return (t0, t1, step), problems
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform output grid with an integrator substep.
 
-    ``n_samples`` points span [t_start, t_end] inclusive, and a whole
-    number given as a float is stored as an int; the sample spacing must be
-    an integer multiple of the integrator step ``dt``.
+    ``n_samples`` points span [t_start, t_end] inclusive.  A whole number
+    given as a float is stored as an int, and the bounds and step as floats
+    (``linalg.whole`` and ``linalg.real``); the sample spacing must be an
+    integer multiple of the integrator step ``dt``.
     """
 
     t_end: float
@@ -127,28 +131,26 @@ class TimeGrid:
     t_start: float = 0.0
 
     def __post_init__(self):
-        problems = _bound_problems(self.t_start, self.t_end)
+        (t_start, t_end, dt), problems = _bound_problems(self.t_start, self.t_end, self.dt)
         n_samples = whole(self.n_samples, 2)
         if n_samples is None:
             problems.append(f"n_samples: need an integer >= 2, got {self.n_samples}")
-        else:
-            object.__setattr__(self, "n_samples", n_samples)
-        if not self.dt > 0:
-            problems.append(f"dt: must be positive, got {self.dt}")
-        else:
-            if self.dt > DEFAULT_MAX_DT:
-                problems.append(f"dt: {self.dt} exceeds the stability cap {DEFAULT_MAX_DT}")
-            span = self.t_end - self.t_start
-            if 0 < span < math.inf and n_samples is not None:
-                ratio = self.spacing / self.dt
-                if round(ratio) < 1:          # n_fine: at least one step per sample
-                    problems.append(f"dt: {self.dt} exceeds the sample spacing {self.spacing}")
-                elif abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
-                    problems.append(
-                        "spacing: sample spacing must be an integer multiple of dt "
-                        f"(spacing/dt = {ratio!r})")
+        if dt is not None and dt > DEFAULT_MAX_DT:
+            problems.append(f"dt: {self.dt} exceeds the stability cap {DEFAULT_MAX_DT}")
+        if None not in (t_start, t_end, dt, n_samples) and t_end > t_start:
+            spacing = (t_end - t_start) / (n_samples - 1)
+            ratio = spacing / dt
+            if round(ratio) < 1:              # n_fine: at least one step per sample
+                problems.append(f"dt: {self.dt} exceeds the sample spacing {spacing}")
+            elif abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
+                problems.append(
+                    "spacing: sample spacing must be an integer multiple of dt "
+                    f"(spacing/dt = {ratio!r})")
         if problems:
             raise ConfigError(problems)
+        for name, value in (("t_end", t_end), ("n_samples", n_samples), ("dt", dt),
+                            ("t_start", t_start)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def with_spacing(cls, t_end: float, spacing: float, dt: float = DEFAULT_DT,
@@ -157,10 +159,9 @@ class TimeGrid:
 
         ``t_end`` is trimmed down to the last full sample interval.
         """
-        problems = _bound_problems(t_start, t_end) + (
-            [] if dt > 0 else [f"dt: must be positive, got {dt}"])
-        if not 0 < spacing < math.inf:
-            problems.append(f"spacing: must be positive and finite, got {spacing}")
+        (t_start, t_end, dt), problems = _bound_problems(t_start, t_end, dt)
+        if real(spacing, above=0.0) is None:
+            problems.append(f"spacing: must be positive and finite, got {spacing!r}")
         if problems:
             raise ConfigError(problems)
         n_fine = max(1, round(spacing / dt))
@@ -602,8 +603,25 @@ def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
     return out
 
 
+def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
+                record: bool = False) -> int:
+    """Bytes of a batch of ``n_cols`` columns on blocks of ``block_dims``
+    states: each column's live state and, recorded, the column's states and
+    squared norms at every sample, else its observable rows."""
+    dim = sum(block_dims)
+    rows = (n_samples * (dim * 16 + 2 * 8) if record
+            else n_cols * n_observables * n_samples * 8)
+    return rows + n_cols * dim * 16
+
+
+def rho_bytes(n_samples: int, block_dims) -> int:
+    """Bytes of ρ̄'s entries on blocks of ``block_dims`` states at every
+    sample, with the row and column of each entry."""
+    return (n_samples + 1) * sum(k * k for k in block_dims) * 16
+
+
 def _propagate(mach: _Machinery, seeds=None, record: bool = False,
-               keep_rho: bool = False) -> _Batch:
+               keep_rho: bool = False, what: str = "the batch") -> _Batch:
     """Advance a batch of columns through the sample grid together, time-major.
 
     Column j is one pure-state evolution from ψ0.  With ``seeds`` and a
@@ -626,10 +644,21 @@ def _propagate(mach: _Machinery, seeds=None, record: bool = False,
     on it either, its rows are not stepped at all.  A block no channel acts
     on should keep the norm, so one whose stepped rows fall below
     ``_RESCALE_FLOOR`` raises.
+
+    Before any of them exists, the batch's arrays (``batch_bytes`` and, with
+    ``keep_rho``, ``rho_bytes``) count against ``linalg.MEMORY_CAP``, in a
+    message that begins with ``what``, the caller's name for the batch.
     """
     grid = mach.grid
     n = grid.n_samples
     seeds = [None] if seeds is None else seeds
+    dims = [len(blk.index) for blk in mach.blocks]
+    n_bytes = batch_bytes(len(seeds), len(mach.names), n, dims, record)
+    parts = ["recorded states and norms" if record else "observable rows", "live states"]
+    if keep_rho:
+        n_bytes += rho_bytes(n, dims)
+        parts.append(f"ρ̄'s block entries over {n} samples")
+    check_budget(n_bytes, f"{what}: {', '.join(parts)}")
     jumping = seeds[0] is not None and mach.n_chan > 0
     rngs = pending = None
     if jumping:
@@ -708,7 +737,7 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
         raise ConfigError([f"seed: need an integer >= 0 or a tuple of them, got {seed!r}"])
     seed = tuple(parts) if isinstance(seed, tuple) else parts[0]
     mach = _build_machinery(h, collapse, psi0, grid)
-    batch = _propagate(mach, [seed], record=True)
+    batch = _propagate(mach, [seed], record=True, what="the trajectory")
     return TrajectoryResult(states=batch.states, jumps=tuple(batch.jumps[0]))
 
 
@@ -760,7 +789,7 @@ def _reduce(entries: list, rows: np.ndarray) -> np.ndarray:
 def _jump_free_branch(mach: _Machinery) -> ConditionalBranch:
     """The seedless batch of one on built blocks, reduced on the block it
     never leaves."""
-    batch = _propagate(mach, record=True)
+    batch = _propagate(mach, record=True, what="the jump-free branch")
     values = _reduce(mach.block_obs[mach.start],
                      batch.states[:, mach.blocks[mach.start].index])
     return ConditionalBranch(states=batch.states, survival=batch.survival,
@@ -790,11 +819,6 @@ def ensemble_problems(n_traj, master_seed) -> list:
             if whole(value, least) is None]
 
 
-def ensemble_bytes(n_runs: int, n_observables: int, n_samples: int, dim: int) -> int:
-    """Bytes of the observable rows and live states of ``n_runs`` trajectories."""
-    return n_runs * (n_observables * n_samples * 8 + dim * 16)
-
-
 def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
                   grid: TimeGrid, n_traj: int, master_seed: int,
                   observables=None, keep_rho: bool = False) -> EnsembleResult:
@@ -804,11 +828,10 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     time-major loop.  Trajectory j draws from SeedSequence((master_seed, j))
     in its own order, so it is the trajectory ``mcwf_trajectory`` gives for
     seed (master_seed, j), whatever else runs in the batch; reduction runs
-    in index order, so repeated runs are byte-identical.  The bytes of the
-    per-trajectory observable rows, of the batch's live states and, with
-    ``keep_rho``, of ρ̄'s block entries with their rows and columns count
-    against ``linalg.MEMORY_CAP`` before any of them exists.  ρ̄ is returned
-    on its blocks, as ``EnsembleResult.rho_blocks``; no dense stack is formed.
+    in index order, so repeated runs are byte-identical.  ``_propagate``
+    counts the batch's arrays against ``linalg.MEMORY_CAP`` before any of
+    them exists.  ρ̄ is returned on its blocks, as
+    ``EnsembleResult.rho_blocks``; no dense stack is formed.
     ``n_traj`` and ``master_seed`` must be whole numbers, at least 1 and 0.
     """
     problems = ensemble_problems(n_traj, master_seed)
@@ -819,13 +842,8 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     mach = _build_machinery(h, collapse, psi0, grid, observables)
     # without a collapse channel every trajectory is the same jump-free run
     n_runs = n_traj if mach.n_chan else 1
-    n_bytes = ensemble_bytes(n_runs, len(mach.names), n, mach.dim)
-    what = f"the ensemble of {n_runs} trajectories: observable rows, live states"
-    if keep_rho:
-        n_bytes += (n + 1) * sum(len(blk.index) ** 2 for blk in mach.blocks) * 16
-        what += f", ρ̄'s block entries over {n} samples"
-    check_budget(n_bytes, what)
-    batch = _propagate(mach, [(master_seed, j) for j in range(n_runs)], keep_rho=keep_rho)
+    batch = _propagate(mach, [(master_seed, j) for j in range(n_runs)], keep_rho=keep_rho,
+                       what=f"the ensemble of {n_runs} trajectories")
     rows = batch.values
     counts = np.zeros((n_runs, mach.n_chan), dtype=np.int64)
     for j, record in enumerate(batch.jumps):

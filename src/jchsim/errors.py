@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each carries its ``problems``."""
 
 
 class JchsimError(Exception):
     """Base class for package-specific errors."""
+
+    def __init__(self, problems):
+        if isinstance(problems, str):
+            problems = [problems]
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
 
 
 class SizeError(JchsimError, ValueError):
@@ -19,12 +25,6 @@ class TruncationError(JchsimError, ValueError):
 
 class ConfigError(JchsimError, ValueError):
     """Invalid run configuration.  Collects every offending field."""
-
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 class IntegratorError(JchsimError, RuntimeError):

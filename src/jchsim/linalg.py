@@ -1,8 +1,10 @@
 """Input rules and small dense linear algebra shared by the package.
 
 ``whole`` is the one rule for whole-number inputs (counts, cutoffs, cuts,
-labels, seeds); ``as_complex_matrix``, ``require_hermitian`` and
-``check_budget`` check matrices and their bytes.  ``BlockDensity`` is the
+labels, seeds) and ``real`` for real-number ones (rates, times, steps).
+``check_budget`` guards ``MEMORY_CAP`` for counts made beside each guard,
+which the config's load pass sums; ``as_complex_matrix`` and
+``require_hermitian`` check matrices.  ``BlockDensity`` is the
 block layout of ρ̄ and ``min_labels`` merges basis states into blocks.
 ``partial_transpose`` acts on an operator of a (left, right) bipartition,
 factor 0 the slower index as in ``np.kron(A, B)``; only the product-space
@@ -45,10 +47,26 @@ def whole(value, least: float) -> Optional[int]:
     """``value`` as an int if it is a finite whole number >= ``least`` and not
     a bool, else None; a whole float or NumPy number runs as its int.  The
     callers raise their own error, naming their own field."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value) or value < least):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
-    return int(value)
+    if not isinstance(value, numbers.Integral) and not (
+            math.isfinite(value) and value == int(value)):
+        return None
+    return int(value) if value >= least else None
+
+
+def real(value, least: float = -math.inf, *, above: float = -math.inf,
+         below: float = math.inf) -> Optional[float]:
+    """``value`` as a float if it is a finite real number >= ``least``, >
+    ``above`` and < ``below``, and not a bool, else None; text is not a
+    number.  The callers raise their own error, naming their own field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:                 # an int beyond the float range
+        return None
+    return x if math.isfinite(x) and x >= least and above < x < below else None
 
 
 def as_complex_matrix(m) -> np.ndarray:

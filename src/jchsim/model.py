@@ -20,17 +20,22 @@ lives on the product states with at most the initial excitations
 there, never in the site_dim^N product space, whose int64 indices bound it
 below 2**63.  ``prepare_product_polariton_state``, ``reduce_vector`` and
 ``embed_density`` remain only as product-space references, within ``MEMORY_CAP``.
+
+The rules of labels, excitations and product indices (``checked_labels``,
+``checked_max_exc``, ``check_product_index``) and the byte counts of the
+basis and of H (``basis_bytes``, ``model_bytes``) live here, each once.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, SizeError, TruncationError
-from .linalg import check_budget, whole
+from .linalg import check_budget, real, whole
 
 #: product-basis indices are int64, so the product space must stay below this
 PRODUCT_INDEX_LIMIT = 2**63
@@ -41,17 +46,16 @@ PLUS = "plus"
 _BRANCHES = (GROUND, MINUS, PLUS)
 
 
-def _as_tuple(value, n: int, name: str, problems: list) -> tuple:
-    """Broadcast a scalar or coerce a length-``n`` sequence to a float tuple."""
-    if np.isscalar(value):
-        out = (float(value),) * n
-    else:
-        out = tuple(float(v) for v in value)
-        if len(out) != n:
-            problems.append(f"{name}: expected {n} entries, got {len(out)}")
-            return out
-    if not all(math.isfinite(v) for v in out):
-        problems.append(f"{name}: non-finite entry")
+def _as_tuple(value, n: int, name: str, what: str, problems: list, **bounds) -> tuple:
+    """A scalar broadcast to ``n`` floats, or a length-``n`` sequence as floats,
+    each entry passed by ``linalg.real`` with ``bounds``."""
+    values = (tuple(value) if isinstance(value, (_Sequence, np.ndarray))
+              and not isinstance(value, str) else (value,) * n)
+    if len(values) != n:
+        problems.append(f"{name}: expected {n} entries, got {len(values)}")
+    out = tuple(real(v, **bounds) for v in values)
+    if None in out:
+        problems.append(f"{name}: entries must be {what}, got {value!r}")
     return out
 
 
@@ -74,23 +78,19 @@ class ModelParams:
             raise ConfigError([f"n_sites: need an integer >= 1, got {self.n_sites!r}"])
         if n_max is None:
             problems.append(f"n_max: need an integer >= 1, got {self.n_max!r}")
-        g = _as_tuple(self.g, n, "g", problems)
-        hop = _as_tuple(self.hop, max(n - 1, 0), "hop", problems)
-        gamma = _as_tuple(self.gamma, n, "gamma", problems)
-        for name, val in (("omega_a", self.omega_a), ("omega_c", self.omega_c)):
-            if not math.isfinite(float(val)):
-                problems.append(f"{name}: non-finite")
-        if not problems:
-            if any(v <= 0 for v in g):
-                problems.append("g: couplings must be positive")
-            if any(v < 0 for v in gamma):
-                problems.append("gamma: decay rates must be non-negative")
+        g = _as_tuple(self.g, n, "g", "positive and finite", problems, above=0.0)
+        hop = _as_tuple(self.hop, max(n - 1, 0), "hop", "finite", problems)
+        gamma = _as_tuple(self.gamma, n, "gamma", "finite and >= 0", problems, least=0.0)
+        omega = {name: real(value) for name, value in
+                 (("omega_a", self.omega_a), ("omega_c", self.omega_c))}
+        problems += [f"{name}: must be a finite number, got {getattr(self, name)!r}"
+                     for name, value in omega.items() if value is None]
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "n_sites", n)
         object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "omega_a", float(self.omega_a))
-        object.__setattr__(self, "omega_c", float(self.omega_c))
+        object.__setattr__(self, "omega_a", omega["omega_a"])
+        object.__setattr__(self, "omega_c", omega["omega_c"])
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "hop", hop)
         object.__setattr__(self, "gamma", gamma)
@@ -151,14 +151,17 @@ class PolaritonLabel:
             return cls(n, MINUS if s[-1] == "-" else PLUS)
         raise ConfigError([f"cannot parse polariton label {text!r}"])
 
-    @property
-    def excitation(self) -> int:
-        return self.n
-
     def __str__(self) -> str:
         if self.branch == GROUND:
             return "G"
         return f"{self.n}{'-' if self.branch == MINUS else '+'}"
+
+
+def _beyond_cutoff(label: PolaritonLabel, params: ModelParams) -> Optional[str]:
+    """The problem of a site label whose photons exceed the cutoff, or None."""
+    if label.n > params.n_max:
+        return f"|{label}> needs {label.n} photons, cutoff is {params.n_max}"
+    return None
 
 
 def mixing_angle(n: int, delta: float, g: float = 1.0) -> float:
@@ -178,9 +181,9 @@ def polariton_energy(label: PolaritonLabel, params: ModelParams, site: int = 0) 
     """Energy of a single-site dressed state (vacuum energy is zero)."""
     if label.branch == GROUND:
         return 0.0
+    if problem := _beyond_cutoff(label, params):
+        raise TruncationError(problem)
     n = label.n
-    if n > params.n_max:
-        raise TruncationError(f"|{label}> needs {n} photons, cutoff is {params.n_max}")
     delta = params.detuning
     g = params.g[site]
     rabi = math.sqrt(delta * delta + 4.0 * g * g * n)
@@ -192,9 +195,9 @@ def _dressed_components(label: PolaritonLabel, params: ModelParams, site: int) -
     """Bare components ``((photon, atom), amplitude)`` of a single-site dressed state."""
     if label.branch == GROUND:
         return (((0, 0), 1.0),)
+    if problem := _beyond_cutoff(label, params):
+        raise TruncationError(problem)
     n = label.n
-    if n > params.n_max:
-        raise TruncationError(f"|{label}> needs {n} photons, cutoff is {params.n_max}")
     th = mixing_angle(n, params.detuning, params.g[site])
     g_comp, e_comp = math.cos(th), -math.sin(th)
     if label.branch == PLUS:
@@ -290,11 +293,28 @@ def damped_sites(params: ModelParams) -> tuple[int, ...]:
     return tuple(j for j in range(params.n_sites) if params.gamma[j] > 0)
 
 
-def _parse_labels(labels: Sequence[PolaritonLabel | str], n_sites: int) -> list:
-    if len(labels) != n_sites:
-        raise SizeError(f"need {n_sites} labels, got {len(labels)}")
-    return [lab if isinstance(lab, PolaritonLabel) else PolaritonLabel.parse(lab)
-            for lab in labels]
+def checked_labels(labels: Sequence[PolaritonLabel | str], params: ModelParams,
+                   max_exc: Optional[int] = None, field: str = "labels") -> tuple:
+    """``labels`` parsed, one per site (else ``SizeError``), each parsed (else
+    ``ConfigError``) and within the photon cutoff, and with ``max_exc`` at most
+    that many excitations in total (else ``TruncationError``), naming ``field``."""
+    if len(labels) != params.n_sites:
+        raise SizeError(f"{field}: expected {params.n_sites} site labels, got {len(labels)}")
+    parsed, bad = [], []
+    for raw in labels:
+        try:
+            parsed.append(raw if isinstance(raw, PolaritonLabel) else PolaritonLabel.parse(raw))
+        except ConfigError as exc:
+            bad.append(f"{field}: bad label {raw!r} ({exc})")
+    if bad:
+        raise ConfigError(bad)
+    beyond = [f"{field}: {p}" for p in (_beyond_cutoff(lab, params) for lab in parsed) if p]
+    total = sum(lab.n for lab in parsed)
+    if not beyond and max_exc is not None and total > max_exc:
+        beyond.append(f"{field}: {total} excitations in total, the basis holds at most {max_exc}")
+    if beyond:
+        raise TruncationError(beyond)
+    return tuple(parsed)
 
 
 def prepare_product_polariton_state(labels: Sequence[PolaritonLabel | str],
@@ -303,18 +323,12 @@ def prepare_product_polariton_state(labels: Sequence[PolaritonLabel | str],
 
     The product-space reference of ``ReducedSpace.product_state``.
     """
-    parsed = _parse_labels(labels, params.n_sites)
+    parsed = checked_labels(labels, params)
     check_budget(params.dim * 16, f"a {params.dim}-dim product state")
     vec = np.ones(1, dtype=np.complex128)
     for site, lab in enumerate(parsed):
         vec = np.kron(vec, dressed_state(lab, params, site))
     return vec
-
-
-def total_excitation_of_labels(labels: Sequence[PolaritonLabel | str]) -> int:
-    parsed = [lab if isinstance(lab, PolaritonLabel) else PolaritonLabel.parse(lab)
-              for lab in labels]
-    return sum(lab.excitation for lab in parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +446,11 @@ class ReducedSpace:
         amplitude, read off ``states``, so nothing the size of a site's or the
         array's bare space is formed.  Raises ``TruncationError`` for a label
         beyond the photon cutoff or labels holding more than ``max_exc``
-        excitations in total.
+        excitations in total (``checked_labels``).
         """
-        parsed = _parse_labels(labels, self.params.n_sites)
+        parsed = checked_labels(labels, self.params, self.max_exc)
         components = [_dressed_components(lab, self.params, site)
                       for site, lab in enumerate(parsed)]
-        n_exc = sum(lab.n for lab in parsed)
-        if n_exc > self.max_exc:
-            raise TruncationError(f"state holds {n_exc} excitations, the basis "
-                                  f"at most {self.max_exc}")
         amp = np.ones(self.dim, dtype=np.complex128)
         for site, site_components in enumerate(components):
             factor = np.zeros(self.dim, dtype=np.complex128)
@@ -460,19 +470,39 @@ class ReducedSpace:
         return pos
 
 
-def _checked_max_exc(params: ModelParams, max_exc: int) -> int:
-    """``max_exc`` as an int, refused unless the restriction to it is exact
-    and its states' product indices fit int64."""
+def checked_max_exc(params: ModelParams, max_exc: int, field: str = "max_exc") -> int:
+    """``max_exc`` as an int, refused with a ``ConfigError`` naming ``field``
+    unless the restriction to it is exact: every site must hold it."""
     if whole(max_exc, 0) is None:
-        raise ConfigError([f"max_exc: need an integer >= 0, got {max_exc!r}"])
+        raise ConfigError([f"{field}: need an integer >= 0, got {max_exc!r}"])
     if max_exc > params.n_max:
         raise ConfigError([
-            f"max_exc: photon cutoff n_max = {params.n_max} cannot hold {max_exc} excitations"
+            f"{field}: photon cutoff n_max = {params.n_max} cannot hold {max_exc} excitations"
             " on one site; raise n_max so the restriction stays exact"])
-    if params.dim >= PRODUCT_INDEX_LIMIT:
-        raise SizeError(f"{params.n_sites} sites of dimension {params.site_dim} span at "
-                        "least 2**63 product states, beyond int64 indices")
     return int(max_exc)
+
+
+def check_product_index(params: ModelParams, field: str = "n_sites, n_max") -> None:
+    """Raise ``SizeError`` naming ``field`` unless the product-space index of
+    every state fits int64: the basis keeps each one."""
+    if params.dim >= PRODUCT_INDEX_LIMIT:
+        raise SizeError(f"{field}: {params.n_sites} sites with n_max = {params.n_max} span "
+                        "at least 2**63 product states, whose indices overflow int64")
+
+
+def basis_bytes(params: ModelParams, max_exc: int) -> int:
+    """Peak bytes of ``excitation_basis(params, max_exc)``.
+
+    Growing the prefixes over site m holds each of the P kept prefixes of
+    m − 1 sites extended by the s = 2·max_exc + 1 site states: m int64
+    codes a row, about twice over with their sums.  The finished basis
+    holds its codes, states and indices, at most eight int64 per site and
+    state.  8 KiB more cover the array headers.
+    """
+    s = 2 * max_exc + 1
+    n = params.n_sites
+    grow = max(8 * (2 * m + 2) * s * excitation_dim(m - 1, max_exc) for m in range(1, n + 1))
+    return max(grow, 64 * n * excitation_dim(n, max_exc)) + 2**13
 
 
 def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
@@ -483,7 +513,10 @@ def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
     subspace, not the product space or the photon cutoff.  Site 0 is the
     slowest digit, so the states come out in ascending full-space index.
     """
-    max_exc = _checked_max_exc(params, max_exc)
+    check_product_index(params)
+    max_exc = checked_max_exc(params, max_exc)
+    check_budget(basis_bytes(params, max_exc),
+                 f"the basis of {params.n_sites} sites with at most {max_exc} excitations")
     # a site's states with at most max_exc excitations, in ascending code
     # atom * (n_max + 1) + photon: |0, g> ... |max_exc, g>, |0, e> ... |max_exc - 1, e>
     photon = np.r_[np.arange(max_exc + 1), np.arange(max_exc)]
@@ -499,6 +532,14 @@ def excitation_basis(params: ModelParams, max_exc: int) -> ReducedSpace:
     return ReducedSpace(params=params, max_exc=max_exc, states=states,
                         full_indices=_full_index(codes, params.site_dim),
                         n_tot=states.sum(axis=(1, 2)))
+
+
+def sector_dims(n_sites: int, max_exc: int) -> list:
+    """The number of basis states with each total excitation 0, …, ``max_exc``,
+    without enumerating the basis.  H keeps the total excitation and each
+    loss lowers it by one, so every block a run finds lies in one sector."""
+    dims = [excitation_dim(n_sites, m) for m in range(max_exc + 1)]
+    return dims[:1] + [b - a for a, b in zip(dims, dims[1:])]
 
 
 def excitation_dim(n_sites: int, max_exc: int) -> int:
@@ -545,6 +586,12 @@ def _add_process(op: np.ndarray, space: ReducedSpace, rate: float, moves) -> Non
     op[space.index_of(target[cols]), cols] += rate * np.sqrt(ladder)
 
 
+def model_bytes(params: ModelParams, max_exc: int) -> int:
+    """Bytes of H and the loss operators, dense on the basis with at most
+    ``max_exc`` excitations."""
+    return (1 + len(damped_sites(params))) * excitation_dim(params.n_sites, max_exc) ** 2 * 16
+
+
 def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:
     """Assemble the array Hamiltonian directly inside the excitation subspace.
 
@@ -554,10 +601,11 @@ def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:
     the loss operators are dense, and their bytes count against the budget
     before anything is built.
     """
-    dim = excitation_dim(params.n_sites, _checked_max_exc(params, max_exc))
+    check_product_index(params)
+    max_exc = checked_max_exc(params, max_exc)
     damped = damped_sites(params)
-    check_budget((1 + len(damped)) * dim * dim * 16,
-                 f"H and {len(damped)} loss operators on {dim} states")
+    check_budget(model_bytes(params, max_exc), f"H and {len(damped)} loss operators on "
+                                               f"{excitation_dim(params.n_sites, max_exc)} states")
     space = excitation_basis(params, max_exc)
     photons, atoms = space.states[..., 0], space.states[..., 1]
     h = np.zeros((space.dim, space.dim), dtype=np.complex128)

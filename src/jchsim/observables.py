@@ -9,6 +9,10 @@ the cut (fig4's 13-dim states: blocks of 9, 6, 6, 2 and 2 in the 36-dim
 space).  ``negativity``/``negativity_series`` keep the dense product-space
 form as the reference that tests compare against; no run path calls them.
 
+``checked_cut`` is the one cut rule; ``projector_bytes`` and
+``transpose_bytes`` count the bytes that the guards of a projector and of
+the partial transpose's largest block check.
+
 The classifier operationalizes "how many peaks does the negativity trace
 have": the two-excitation blockade superimposes a fast coherent beat
 (period 2π over the anharmonic mismatch) on every trace, so the series
@@ -29,8 +33,9 @@ import numpy as np
 from .errors import ConfigError, SizeError
 from .dynamics import DEFAULT_DT
 from .linalg import (BlockDensity, as_complex_matrix, check_budget, min_labels,
-                     partial_transpose, whole)
-from .model import ModelParams, PolaritonLabel, ReducedSpace, polariton_energy
+                     partial_transpose, real, whole)
+from .model import (ModelParams, PolaritonLabel, ReducedSpace, checked_labels,
+                    excitation_dim, polariton_energy, sector_dims)
 
 __all__ = [
     "DEFAULT_PROMINENCE_THRESHOLD", "DEFAULT_BURN_IN", "PROJECTOR_PRESETS",
@@ -103,12 +108,11 @@ class ProjectorSpec:
     def operator(self, params: ModelParams, space: ReducedSpace) -> np.ndarray:
         """Build the projector matrix on the reduced space ``space``."""
         labels = self.resolved_labels
-        if len(labels) != params.n_sites:
-            raise SizeError(f"projector {self.name}: {len(labels)} labels "
-                            f"for {params.n_sites} sites")
+        checked_labels(labels, params, space.max_exc, field=f"projector {self.name}")
         orderings = (sorted(set(itertools.permutations(labels)))
                      if self.symmetrize else [tuple(labels)])
-        check_budget(space.dim ** 2 * 16, f"projector {self.name} on {space.dim} states")
+        check_budget(projector_bytes(params, space.max_exc),
+                     f"projector {self.name} on {space.dim} states")
         proj = np.zeros((space.dim, space.dim), dtype=np.complex128)
         for ordering in orderings:
             vec = space.product_state(ordering)
@@ -116,9 +120,45 @@ class ProjectorSpec:
         return proj
 
 
+def projector_bytes(params: ModelParams, max_exc: int) -> int:
+    """Bytes of one projector, dense on the basis with at most ``max_exc`` excitations."""
+    return excitation_dim(params.n_sites, max_exc) ** 2 * 16
+
+
 # ---------------------------------------------------------------------------
 # negativity
 # ---------------------------------------------------------------------------
+
+def checked_cut(cut, n_sites: int, field: str = "cut") -> int:
+    """``cut`` as an int if it splits ``n_sites`` sites in two, 1 <= cut <
+    ``n_sites``; else ``SizeError`` naming ``field``."""
+    if whole(cut, 1) is None or cut >= n_sites:
+        raise SizeError(f"{field}: need an integer with 1 <= cut < {n_sites}, got {cut!r}")
+    return int(cut)
+
+
+def transpose_bytes(n_samples: int, block: int) -> int:
+    """Bytes ``block_negativity`` holds for the partial transpose's largest
+    block, of ``block`` states: its ``(n_samples, block, block)`` stack, the
+    entries gathered into it, and its eigenvalues."""
+    return n_samples * (2 * block * block + block) * 16
+
+
+def transpose_block_bound(n_sites: int, max_exc: int, cut: int) -> int:
+    """At least the states of the partial transpose's largest block across
+    ``cut``, for a state on the basis with at most ``max_exc`` excitations
+    that keeps the total excitation, as ρ̄ does.
+
+    The transpose sends each entry to a row and a column whose left
+    excitations less their right ones are one number q, so each block lies
+    in one q: at most Σ_a L_a·R_(a−q) states, with L and R the sector sizes
+    of the sites left and right of the cut.
+    """
+    left, right = sector_dims(cut, max_exc), sector_dims(n_sites - cut, max_exc)
+    return max(sum(left[a] * right[a - q]
+                   for a in range(max(q, 0), min(len(left), len(right) + q)))
+               for q in range(-max_exc, max_exc + 1))
+
 
 def negativity(rho, dims) -> float:
     """Sum of |negative eigenvalues| of the partial transpose over the right
@@ -163,9 +203,7 @@ def block_negativity(rho, space: ReducedSpace, cut: int) -> np.ndarray:
     index.
     """
     n_sites = space.params.n_sites
-    if whole(cut, 1) is None or cut >= n_sites:
-        raise SizeError(f"cut: need an integer with 1 <= cut < {n_sites}, got {cut!r}")
-    cut = int(cut)
+    cut = checked_cut(cut, n_sites)
     if not isinstance(rho, BlockDensity):
         stack = np.asarray(rho)
         if stack.ndim != 3 or stack.shape[1:] != (space.dim, space.dim):
@@ -184,6 +222,10 @@ def block_negativity(rho, space: ReducedSpace, cut: int) -> np.ndarray:
     row, col = pos[:len(i)], pos[len(i):]
     blocks, owner = np.unique(min_labels(np.arange(len(nodes)), row, col),
                               return_inverse=True)
+    largest = int(np.bincount(owner).max(initial=0))
+    check_budget(transpose_bytes(len(rho.entries), largest),
+                 f"the partial transpose's largest block, {largest} states over "
+                 f"{len(rho.entries)} samples,")
     local = np.empty(len(nodes), dtype=np.intp)
     out = np.zeros(len(rho.entries))
     for b in range(len(blocks)):
@@ -206,9 +248,7 @@ def reduced_bipartition(rho, site_dims: Sequence[int], cut: int):
     dims = [whole(d, 1) for d in site_dims]
     if None in dims:
         raise SizeError(f"site_dims: need integers >= 1, got {site_dims!r}")
-    if whole(cut, 1) is None or cut >= len(dims):
-        raise SizeError(f"cut: need an integer with 1 <= cut < {len(dims)}, got {cut!r}")
-    cut = int(cut)
+    cut = checked_cut(cut, len(dims))
     rho = as_complex_matrix(rho)
     left = math.prod(dims[:cut])
     right = math.prod(dims[cut:])
@@ -240,10 +280,8 @@ def blockade_beat_period(params: ModelParams) -> Optional[float]:
 
 def recommended_spacing(params: ModelParams, dt: float = DEFAULT_DT) -> float:
     """Sample spacing for classification runs: quarter beat, on the dt lattice."""
-    if not dt > 0:
-        raise ConfigError([f"dt: must be positive, got {dt}"])
-    if math.isinf(dt):
-        raise ConfigError([f"dt: must be finite, got {dt}"])
+    if real(dt, above=0.0) is None:
+        raise ConfigError([f"dt: must be positive and finite, got {dt!r}"])
     period = blockade_beat_period(params)
     if period is None:
         return 500 * dt
@@ -367,12 +405,16 @@ def classify_series(series, times, *,
     When damping is strong enough that the single maximum sits inside the
     burn-in window, the retained series decreases monotonically from its
     first sample; that case is reported as SinglePeak with
-    ``boundary_peak=True`` rather than NoPeak.
+    ``boundary_peak=True`` rather than NoPeak.  ``beat_period`` is None
+    (no filter) or a positive finite number.
     """
     y = np.asarray(series, dtype=float)
     t = np.asarray(times, dtype=float)
     filtered = False
-    if beat_period is not None and beat_period > 0:
+    if beat_period is not None:
+        if real(beat_period, above=0.0) is None:
+            raise ConfigError([f"beat_period: must be None or positive and finite, "
+                               f"got {beat_period!r}"])
         y, t, filtered = _beat_notch(y, t, beat_period)
     keep = t >= t_min - 1e-12
     y, t = y[keep], t[keep]

@@ -27,7 +27,7 @@ from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
 from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
 from jchsim.model import (ModelParams, ReducedSpace, build_reduced_model, excitation_basis,
                           prepare_product_polariton_state, site_operators)
-from jchsim.observables import ProjectorSpec
+from jchsim.observables import ProjectorSpec, block_negativity
 from jchsim.presets import load_preset
 
 from conftest import (build_full_hamiltonian, dense_stack, restrict,
@@ -966,11 +966,20 @@ class TestMemoryGuards:
         def never(*args, **kwargs):
             raise AssertionError("the batch ran")
 
-        monkeypatch.setattr(dynamics, "_propagate", never)
-        with pytest.raises(SizeError, match=r"the ensemble of 1000000 trajectories: observable "
-                                            r"rows, live states needs 392000000 bytes"):
-            mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
-                          n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
+        # the batch's own guard, in _propagate, raises before its first stride
+        monkeypatch.setattr(dynamics, "_stride", never)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match=r"the ensemble of 1000000 trajectories: "
+                                                r"observable rows, live states needs "
+                                                r"392000000 bytes"):
+                mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
+                              n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the seeds list is all that exists by then: none of the counted arrays
+        assert peak < 392000000 // 2
 
     def test_model_and_projector_over_budget_raise_before_allocating(self, monkeypatch):
         def never(*args, **kwargs):
@@ -1000,6 +1009,47 @@ class TestMemoryGuards:
                                             r"needs 440163776 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)
+
+    def test_record_paths_and_negativity_raise_before_allocating(self, monkeypatch):
+        # fig2: a recorded run keeps 560 states of 13 amplitudes and two squared
+        # norms a sample, 560 · (13 · 16 + 16) bytes, and its live state, 13 · 16;
+        # ρ̄'s partial transpose has blocks of at most 9 states, held twice with
+        # their eigenvalues: 560 · (2 · 9² + 9) · 16 bytes
+        config, model, psi0 = preset_problem("fig2")
+        grid = config.grid
+        ens = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=4, master_seed=1,
+                            keep_rho=True)
+
+        def never(*args, **kwargs):
+            raise AssertionError("allocated past the guard")
+
+        monkeypatch.setattr(dynamics, "_stride", never)
+        monkeypatch.setattr(np.linalg, "eigvalsh", never)
+        record = 560 * (13 * 16 + 16) + 13 * 16
+        calls = [
+            (record, "the jump-free branch", ens.jump_free_branch),
+            (record, "the jump-free branch",
+             lambda: no_jump_branch(model.h, model.collapse, psi0, grid)),
+            (record, "the trajectory",
+             lambda: mcwf_trajectory(model.h, model.collapse, psi0, grid, seed=3)),
+            (560 * (2 * 9 ** 2 + 9) * 16,
+             "the partial transpose's largest block, 9 states over 560 samples,",
+             lambda: block_negativity(ens.rho_blocks, model.space, 1)),
+        ]
+        for n_bytes, what, call in calls:
+            # a budget one byte short of the count
+            monkeypatch.setattr(linalg, "MEMORY_CAP", n_bytes - 1)
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeError) as err:
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(err.value).startswith(what)
+            assert str(err.value).endswith(f" needs {n_bytes} bytes, above the budget "
+                                           f"{n_bytes - 1}")
+            assert peak < n_bytes
 
     def test_kept_rho_stays_below_one_dense_stack(self):
         # n3's ρ̄ is 560 samples of 1 805 block entries, 16.2 MB; one dense

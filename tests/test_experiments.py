@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jchsim import config as config_module, dynamics, model as model_module, observables
 from jchsim.checks import SUITE_NAMES, run_suite
 from jchsim.cli import main
 from jchsim.config import (DEFAULT_GAMMA_RATIOS, CriticalitySweepConfig,
                            ScenarioConfig, config_content_hash,
                            load_scenario_config, load_sweep_config,
                            scenario_from_mapping, sweep_from_mapping)
+from jchsim.dynamics import TimeGrid
 from jchsim.critical import (PRIMARY_METHOD, CriticalityResult, CriticalityRow,
                              classify_point, estimate_critical_gamma,
                              gamma_c_curve)
@@ -169,7 +171,7 @@ class TestScenarioConfig:
         assert "run.n_traj: expected an integer, got 'many'" in problems
         assert "initial.labels: expected 2 site labels, got 3" in problems
         assert any(p.startswith("observables.bipartition_cut:") for p in problems)
-        assert "observables.projectors: P300 has 3 labels for 2 sites" in problems
+        assert "observables.projectors: P300: expected 2 site labels, got 3" in problems
 
     def test_projector_named_twice_rejected(self):
         mapping = json.loads(json.dumps(SCENARIO_MAPPING))
@@ -189,7 +191,7 @@ class TestScenarioConfig:
             "observables": {"projectors": ["P20"]},
         })
         assert problems == [
-            "observables.projectors: P20 needs 2 photons on one site, cutoff is 1"]
+            "observables.projectors: P20: |2-> needs 2 photons, cutoff is 1"]
 
     def test_initial_excitation_beyond_cutoff_rejected(self):
         # each label fits n_max = 1, their total of 2 excitations does not
@@ -210,13 +212,13 @@ class TestScenarioConfig:
             "observables": {"projectors": ["P11", "P20"]},
         })
         assert len(problems) == 2
-        assert all(p.startswith("observables.projectors: P") and
-                   "excitations, more than the initial state's 1" in p
-                   for p in problems)
+        assert problems == [
+            f"observables.projectors: {name}: 2 excitations in total, the basis holds at most 1"
+            for name in ("P11", "P20")]
 
     @pytest.mark.parametrize("grid, problem", [
-        ({"dt": 0.0, "spacing": 2.0}, "grid.dt: must be positive, got 0.0"),
-        ({"dt": 0.0, "spacing": "auto"}, "grid.dt: must be positive, got 0.0"),
+        ({"dt": 0.0, "spacing": 2.0}, "grid.dt: must be positive and finite, got 0.0"),
+        ({"dt": 0.0, "spacing": "auto"}, "grid.dt: must be positive and finite, got 0.0"),
         ({"spacing": "inf"}, "grid.spacing: must be positive and finite, got inf"),
     ])
     def test_degenerate_grid_reported(self, grid, problem):
@@ -280,12 +282,12 @@ class TestScenarioConfig:
         assert problems == ["run: unknown section"]
 
     @pytest.mark.parametrize("grid, problem", [
-        ({"t_end": math.inf, "spacing": 2.0}, "grid.t_end: must be finite, got inf"),
-        ({"t_end": math.inf, "n_samples": 6}, "grid.t_end: must be finite, got inf"),
+        ({"t_end": math.inf, "spacing": 2.0}, "grid.t_end: must be a finite number, got inf"),
+        ({"t_end": math.inf, "n_samples": 6}, "grid.t_end: must be a finite number, got inf"),
         ({"t_end": 10.0, "t_start": -math.inf, "spacing": 2.0},
-         "grid.t_start: must be finite, got -inf"),
+         "grid.t_start: must be a finite number, got -inf"),
         ({"t_end": 10.0, "t_start": -math.inf, "n_samples": 6},
-         "grid.t_start: must be finite, got -inf"),
+         "grid.t_start: must be a finite number, got -inf"),
     ])
     def test_non_finite_grid_bound_reported(self, grid, problem):
         bad = {**SCENARIO_MAPPING, "grid": grid}
@@ -344,7 +346,8 @@ class TestScenarioConfig:
         assert column[0] == pytest.approx(1.0) and np.all(np.isfinite(column))
 
     def test_dense_model_over_budget_rejected(self):
-        # 8065 reduced states: H and two loss operators need 3.1 GB, and the one
+        # 8065 reduced states: H and two loss operators need 3.1 GB; the basis
+        # enumeration 64 · 2 · 8065 + 8192 bytes at its peak, and the one
         # trajectory's state 8065 · 16 bytes more
         problems = problems_of(scenario_from_mapping, {
             "model": {"n_sites": 2, "n_max": 63, "gamma": 0.05},
@@ -352,14 +355,15 @@ class TestScenarioConfig:
             "grid": {"t_end": 10.0, "n_samples": 6},
         })
         assert problems == [
-            "model.n_sites, model.n_max, initial.labels, run.n_traj: 3 dense 8065-dim "
-            "matrices (3 for H and the loss operators) and the observable rows and live "
-            "states of 1 trajectories need 3122251840 bytes, above the budget 268435456"]
+            "model.n_sites, model.n_max, initial.labels, run.n_traj: the basis, H and the "
+            "loss operators, the observable rows and live states of 1 trajectories needs "
+            "3123292352 bytes, above the budget 268435456"]
 
     def test_projectors_counted_against_the_budget(self):
         # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
         # and each projector is one more dense matrix of 71 436 304 bytes; the
-        # trajectory adds its state (33 808 bytes) and one row per projector (48)
+        # basis enumeration peaks at 278 656 bytes, and the trajectory adds its
+        # state (33 808 bytes) and one row per projector (48)
         mapping = {
             "model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
             "initial": {"labels": ["32-", "G"]},
@@ -369,13 +373,14 @@ class TestScenarioConfig:
         mapping["observables"] = {"projectors": ["(32-;G)"]}
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.projectors, run.n_traj: "
-            "4 dense 2113-dim matrices (3 for H and the loss operators, 1 for the "
-            "projectors) and the observable rows and live states of 1 trajectories "
-            "need 285779072 bytes, above the budget 268435456"]
+            "the basis, H and the loss operators, the projectors, the observable rows and "
+            "live states of 1 trajectories needs 286057728 bytes, above the budget 268435456"]
 
     def test_trajectory_rows_counted_against_the_budget(self):
         # fig2: each trajectory keeps 3 · 560 observable rows of 8 bytes and, while
-        # the batch runs, its 13-dim state: 13 648 bytes each, 13.6 GB at a million
+        # the batch runs, its 13-dim state: 13 648 bytes each, 13.6 GB at a million;
+        # the model, projectors, ρ̄, its partial transpose and the jump-free branch
+        # add 2 410 944 bytes
         bundle = load_preset("fig2")
         assert bundle.with_overrides(n_traj=2000).scenarios[0].n_traj == 2000
         with pytest.raises(ConfigError) as err:
@@ -383,9 +388,10 @@ class TestScenarioConfig:
         (problem,) = err.value.problems
         assert problem.startswith("model.n_sites, model.n_max, initial.labels, "
                                   "observables.projectors, observables.negativity, "
+                                  "observables.bipartition_cut, observables.conditional, "
                                   "run.n_traj: ")
         assert problem.endswith("the observable rows and live states of 1000000 "
-                                "trajectories need 13651044704 bytes, above the budget "
+                                "trajectories needs 13650410944 bytes, above the budget "
                                 "268435456")
 
     def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
@@ -415,7 +421,10 @@ class TestScenarioConfig:
                 "overflow int64"]
 
     def test_negativity_over_stack_cap_rejected(self):
-        # n4's model with negativity on: two copies of ρ̄, 561 samples of 321 dims
+        # n4's model with negativity on: ρ̄'s entries on the sectors of 1, 8, 32,
+        # 88 and 192 states, (561 + 1) · 45 697 · 16 bytes with their rows and
+        # columns, and the partial transpose's largest block across the cut,
+        # at most 257 states: 561 · (2 · 257² + 257) · 16 bytes
         mapping = {
             "model": {"n_sites": 4, "n_max": 4},
             "initial": {"labels": ["4-", "G", "G", "G"]},
@@ -424,12 +433,33 @@ class TestScenarioConfig:
         }
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.negativity, "
-            "run.n_traj: 1123 dense 321-dim matrices (1 for H and the loss operators, "
-            "1122 for ρ̄'s 561 samples, twice) and the observable rows and live states "
-            "of 1 trajectories need 1851445824 bytes, above the budget 268435456"]
-        # the preset's 2000 trajectories add 2000 · (2 · 560 · 8 + 321 · 16) bytes
-        with pytest.raises(ConfigError, match="1886227312 bytes"):
+            "observables.bipartition_cut, run.n_traj: the basis, H and the loss operators, "
+            "ρ̄'s block entries over 561 samples, the partial transpose's largest block of "
+            "at most 257 states, the observable rows and live states of 1 trajectories "
+            "needs 1600680768 bytes, above the budget 268435456"]
+        # the preset: 560 samples, 2000 trajectories with 2 projectors, four damped
+        # sites and the jump-free branch
+        with pytest.raises(ConfigError, match="1638800992 bytes"):
             replace(load_preset("n4").scenarios[0], compute_negativity=True)
+
+    def test_partial_transpose_beyond_the_budget_refused_at_load(self):
+        # six sites from |2-, G, ...>: 85 states, but at cut 3 the partial
+        # transpose's largest block holds 361, a (560, 361, 361) stack of
+        # 1 167 676 160 bytes; without negativity the config loads
+        mapping = {
+            "model": {"n_sites": 6, "n_max": 2, "hop": 0.03, "gamma": 0.05},
+            "initial": {"labels": ["2-"] + ["G"] * 5},
+            "grid": {"t_end": 1500.0, "spacing": "auto"},
+            "observables": {"negativity": False, "bipartition_cut": 3},
+        }
+        assert scenario_from_mapping(mapping).grid.n_samples == 560
+        mapping["observables"]["negativity"] = True
+        (problem,) = problems_of(scenario_from_mapping, mapping)
+        assert problem.startswith("model.n_sites, model.n_max, initial.labels, "
+                                  "observables.negativity, observables.bipartition_cut, "
+                                  "run.n_traj: ")
+        assert "the partial transpose's largest block of at most 361 states" in problem
+        assert problem.endswith("above the budget 268435456")
 
     def test_negativity_beyond_the_operator_cap_runs(self):
         # 10^4 product states, but ρ̄ lives in the 9-dim one-excitation space
@@ -483,8 +513,8 @@ class TestSweepConfig:
                                     "sweep.source: unknown key"]
 
     @pytest.mark.parametrize("grid, problem", [
-        ({"t_end": math.inf}, "grid.t_end: must be finite, got inf"),
-        ({"t_start": -math.inf}, "grid.t_start: must be finite, got -inf"),
+        ({"t_end": math.inf}, "grid.t_end: must be a finite number, got inf"),
+        ({"t_start": -math.inf}, "grid.t_start: must be a finite number, got -inf"),
     ])
     def test_non_finite_grid_bound_reported(self, grid, problem):
         problems = problems_of(sweep_from_mapping, {
@@ -501,16 +531,16 @@ class TestSweepConfig:
         base = {"sweep": {"j_values": [0.02, 0.04, 0.06]}}
         cases = [
             ("sweep", {"j_values": [0.02, 0.04, math.inf]},
-             "sweep.j_values: hop values must be positive and finite"),
-            ("sweep", {"delta": math.nan}, "sweep.delta: non-finite"),
-            ("model", {"g": math.nan}, "model.g: non-finite entry"),
+             "sweep.j_values: hop values must be positive and finite, got (0.02, 0.04, inf)"),
+            ("sweep", {"delta": math.nan}, "sweep.delta: must be a finite number, got nan"),
+            ("model", {"g": math.nan}, "model.g: entries must be positive and finite, got nan"),
             ("sweep", {"gamma_ratios": [0.5, math.inf]},
-             "sweep.gamma_ratios: ratios must be positive and finite"),
+             "sweep.gamma_ratios: ratios must be positive and finite, got (0.5, inf)"),
             ("grid", {"dt": 0.02}, "grid.dt: 0.02 exceeds the stability cap 0.01"),
             ("grid", {"t_end": 2.0},
              "grid.t_end: spacing 2.68 does not fit inside (0.0, 2.0)"),
             ("classifier", {"t_min": math.inf},
-             "classifier.t_min: must lie below the last sample time 147.4, got inf"),
+             "classifier.t_min: must be finite and >= 0, got inf"),
             ("classifier", {"t_min": 148.0},
              "classifier.t_min: must lie below the last sample time 147.4, got 148.0"),
         ]
@@ -572,8 +602,8 @@ class TestSweepConfig:
             "classifier": {"t_min": -1},
         })
         assert "grid.dt: expected a number, got 'small'" in problems
-        assert "sweep.delta: non-finite" in problems
-        assert "classifier.t_min: must be >= 0, got -1.0" in problems
+        assert "sweep.delta: must be a finite number, got nan" in problems
+        assert "classifier.t_min: must be finite and >= 0, got -1.0" in problems
 
     def test_missing_j_values_still_checks_run_and_output(self):
         # a sweep has no run section; its output is still checked
@@ -842,9 +872,20 @@ def resonant_curve():
     return gamma_c_curve(sweep_config(j_values=(0.02, 0.04, 0.06, 0.08)))
 
 
-# sha256 of every file the fig1 and fig4 presets write: outputs are pinned across
-# commits, and a change that moves them on purpose records new digests here
+# sha256 of every file the fig1 and fig4 presets write, and fig2 and fig3 at
+# --traj 20 and n3 and n4 at --traj 2: outputs are pinned across commits, and a
+# change that moves them on purpose records new digests here
 PRESET_DIGESTS = {
+    "fig2.csv": "40a57d7a5c0ef1d51040cc33df0feb4b87d120c95f4c68a75f8d080df8cd9780",
+    "fig2.json": "e82255bfde9482c8520873cf0ffc698e56f338cf0343d4a10480e4685bbe3e5c",
+    "fig3_above_critical.csv": "c0afa985dffbca0cc6283b0967c44ae510fa25a2a6ff02d21e6f166f94d23a77",
+    "fig3_above_critical.json": "4d2b48922063f8cba97263e800247a542e5696490eb812de1cda0345080f850e",
+    "fig3_below_critical.csv": "95578582cd9869855ca33e57aa74dacf280dbe8dd12d7ca4df92e76454386375",
+    "fig3_below_critical.json": "cf2d097799532d0aa3c7253e43e9abcf099da4578a8ea87f1cfd46e62e7db7a9",
+    "n3.csv": "c4d989c82c91db914fe77646ef13b0c398076f114c4f60a649f4c88f728fe406",
+    "n3.json": "0accf348a8edb5c200cff92fde146c3fab4fce1dd17d0f2587c539330a4df3dc",
+    "n4.csv": "dff3d3e2063fca2aa81314d004679faff696e5bbd262f552c77e1ce50a7a1a49",
+    "n4.json": "de88be9f3dc8d226612107372f3aac70c47c6b19c65d230072489cd63861b9b0",
     "fig1_delta0.csv": "0868231c065354d97787cbd3bbdf5a2fcafc9eb611acf60bae2fe58e84e1a003",
     "fig1_delta0.json": "9f2615891606c21e9e3243b24efb4cfb8ebfe99a41690bf66e4b2863874a5b5e",
     "fig1_delta09.csv": "f6735b9f7624fb483145b67bc6cec48a850efd8957daeaea2d6d389b6e3fe4c4",
@@ -860,8 +901,9 @@ def test_fig1_and_fig4_outputs_match_their_digests(resonant_curve, tmp_path):
     fig4 = load_preset("fig4").sweep
     assert resonant_curve.config == replace(fig4, output_name="criticality")
     write_criticality_outputs(replace(resonant_curve, config=fig4), tmp_path)
-    for config in load_preset("fig1").scenarios:
-        run_scenario(config, out_dir=tmp_path)
+    for name, n_traj in (("fig1", None), ("fig2", 20), ("fig3", 20), ("n3", 2), ("n4", 2)):
+        for config in load_preset(name).with_overrides(n_traj=n_traj).scenarios:
+            run_scenario(config, out_dir=tmp_path)
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert digests == PRESET_DIGESTS
@@ -979,10 +1021,33 @@ class TestPresets:
         assert untouched.sweep == load_preset("fig4").sweep
 
     def test_negativity_on_every_preset_but_n4(self):
-        # n4's two copies of ρ̄ (560 samples of 321 dims) are above the memory budget
+        # n4's ρ̄ (560 samples of 45 697 block entries) and its partial transpose
+        # (blocks of up to 257 states) are above the memory budget
         assert {name: load_preset(name).scenarios[0].compute_negativity
                 for name in ("fig2", "fig3", "n3", "n4")} == {
             "fig2": True, "fig3": True, "n3": True, "n4": False}
+
+    @pytest.mark.parametrize("negativity", [False, True])
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "n3", "n4"])
+    def test_load_count_covers_every_guard_of_the_run(self, name, negativity, monkeypatch):
+        # each preset on 20 of its samples with at most 20 trajectories, so that
+        # n4's ρ̄ stays small: every count grows with both alike
+        loaded, guarded = [], []
+        monkeypatch.setattr(config_module, "check_budget", lambda n, what: loaded.append(n))
+        for module in (model_module, observables, dynamics):
+            monkeypatch.setattr(module, "check_budget", lambda n, what: guarded.append(n))
+        for preset in load_preset(name).scenarios:
+            grid = TimeGrid(t_end=19 * preset.grid.spacing, n_samples=20, dt=preset.grid.dt)
+            loaded.clear()
+            guarded.clear()
+            config = replace(preset, grid=grid, n_traj=min(preset.n_traj, 20),
+                             compute_negativity=negativity)
+            run_scenario(config)
+            # the basis, H, each projector, the ensemble, and the branch and
+            # partial transpose when the config asks for them
+            assert len(guarded) == (3 + len(config.observables) + negativity
+                                    + config.include_conditional)
+            assert loaded == [loaded[0]] and loaded[0] >= sum(guarded)
 
     def test_scenario_presets_cover_system_sizes(self):
         sizes = {cfg.model.n_sites
@@ -1112,7 +1177,7 @@ class TestCli:
                                "[grid]\nt_end = inf\n")
         assert main(["critical", "--config", str(config_path),
                      "--out", str(tmp_path / "out")]) == 1
-        assert "grid.t_end: must be finite" in capsys.readouterr().err
+        assert "grid.t_end: must be a finite number" in capsys.readouterr().err
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"

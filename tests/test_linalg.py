@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jchsim.config import scenario_from_mapping
+from jchsim.config import CriticalitySweepConfig, scenario_from_mapping, sweep_from_mapping
+from jchsim.dynamics import TimeGrid
 from jchsim.errors import ConfigError, NotHermitianError, SizeError
 from jchsim.linalg import as_complex_matrix, min_labels, partial_transpose, require_hermitian
 from jchsim.model import (ModelParams, PolaritonLabel, excitation_basis,
                           hopping_coefficients, mixing_angle, site_operators)
-from jchsim.observables import block_negativity, reduced_bipartition
+from jchsim.observables import (block_negativity, classify_series, recommended_spacing,
+                                reduced_bipartition)
 from jchsim.presets import load_preset
 
 from conftest import random_density_matrix
@@ -214,3 +216,97 @@ class TestWholeNumberRule:
         call, good, _, _, _ = RULE_ENTRIES[entry]
         assert _plain(call(float(good))) == _plain(call(good))
         assert _plain(call(np.int64(good))) == _plain(call(good))
+
+
+# ---------------------------------------------------------------------------
+# the real-number rule: each entry point that takes a rate, frequency, time,
+# step or threshold, with the value under test in one argument
+
+_TIMES = np.linspace(0.0, 20.0, 201)
+_SERIES = np.sin(_TIMES) ** 2
+_J = (0.02, 0.04, 0.06)
+
+
+# entry: (call with the value, a value it takes, its message's start, a finite
+# number outside its range or None)
+REAL_ENTRIES = {
+    "ModelParams.g": (lambda v: ModelParams(n_sites=2, g=v), 2.0, "g: ", 0.0),
+    "ModelParams.hop": (lambda v: ModelParams(n_sites=2, hop=v), 0.03, "hop: ", None),
+    "ModelParams.gamma": (lambda v: ModelParams(n_sites=2, gamma=(0.05, v)), 0.05,
+                          "gamma: ", -0.05),
+    "ModelParams.omega_a": (lambda v: ModelParams(n_sites=2, omega_a=v), 0.9, "omega_a: ", None),
+    "ModelParams.omega_c": (lambda v: ModelParams(n_sites=2, omega_c=v), 0.9, "omega_c: ", None),
+    "TimeGrid.t_end": (lambda v: TimeGrid(t_end=v, n_samples=6), 10.0, "t_end: ", None),
+    "TimeGrid.t_start": (lambda v: TimeGrid(t_end=20.0, n_samples=6, t_start=v), 10.0,
+                         "t_start: ", None),
+    "TimeGrid.dt": (lambda v: TimeGrid(t_end=10.0, n_samples=6, dt=v), 0.005, "dt: ", 0.0),
+    "TimeGrid.with_spacing.t_end": (lambda v: TimeGrid.with_spacing(v, 2.0), 10.0,
+                                    "t_end: ", None),
+    "TimeGrid.with_spacing.spacing": (lambda v: TimeGrid.with_spacing(10.0, v), 2.0,
+                                      "spacing: ", 0.0),
+    "TimeGrid.with_spacing.dt": (lambda v: TimeGrid.with_spacing(10.0, 2.0, dt=v), 0.005,
+                                 "dt: ", 0.0),
+    "recommended_spacing.dt": (lambda v: recommended_spacing(ModelParams(n_sites=2, n_max=2), v),
+                               0.005, "dt: ", 0.0),
+    "classify_series.beat_period": (lambda v: classify_series(_SERIES, _TIMES, beat_period=v),
+                                    2.0, "beat_period: ", 0.0),
+    "sweep.j_values": (lambda v: CriticalitySweepConfig(j_values=(0.02, 0.04, v)), 0.06,
+                       "sweep.j_values: ", -0.06),
+    "sweep.gamma_ratios": (lambda v: CriticalitySweepConfig(j_values=_J, gamma_ratios=(0.5, v)),
+                           1.0, "sweep.gamma_ratios: ", -1.0),
+    "sweep.delta": (lambda v: CriticalitySweepConfig(j_values=_J, delta=v), 0.3,
+                    "sweep.delta: ", None),
+    "sweep.g": (lambda v: CriticalitySweepConfig(j_values=_J, coupling=v), 1.0, "model.g: ", 0.0),
+    "sweep.t_end": (lambda v: CriticalitySweepConfig(j_values=_J, t_end=v), 150.0,
+                    "grid.t_end: ", None),
+    "sweep.t_start": (lambda v: CriticalitySweepConfig(j_values=_J, t_start=v), 10.0,
+                      "grid.t_start: ", None),
+    "sweep.dt": (lambda v: CriticalitySweepConfig(j_values=_J, dt=v), 0.005, "grid.dt: ", 0.0),
+    "sweep.prominence_threshold": (
+        lambda v: CriticalitySweepConfig(j_values=_J, prominence_threshold=v), 0.05,
+        "classifier.prominence_threshold: ", 1.0),
+    "sweep.t_min": (lambda v: CriticalitySweepConfig(j_values=_J, t_min=v), 1.0,
+                    "classifier.t_min: ", -1.0),
+}
+
+
+class TestRealNumberRule:
+    @pytest.mark.parametrize("entry", REAL_ENTRIES)
+    @pytest.mark.parametrize("value", [True, "2", math.nan, math.inf, "beyond"])
+    def test_refused_naming_the_argument(self, entry, value):
+        call, good, start, beyond = REAL_ENTRIES[entry]
+        if value == "beyond":
+            if beyond is None:
+                return
+            value = beyond
+        with pytest.raises(ConfigError) as err:
+            call(value)
+        message = str(err.value)
+        assert message.startswith(start) and repr(value) in message, message
+        assert err.value.problems == [message]
+
+    @pytest.mark.parametrize("entry", REAL_ENTRIES)
+    def test_numpy_and_whole_numbers_run(self, entry):
+        call, good, _, _ = REAL_ENTRIES[entry]
+        call(good)
+        call(np.float64(good))
+        if good == int(good):
+            call(int(good))
+
+    def test_rates_and_grid_stored_as_floats(self):
+        params = ModelParams(n_sites=2, g=np.float64(2), hop=1, gamma=[0, np.int64(1)],
+                             omega_a=np.int64(1))
+        grid = TimeGrid(t_end=10, n_samples=6, dt=np.float64(0.005), t_start=np.int64(0))
+        for value in (*params.g, *params.hop, *params.gamma, params.omega_a, params.omega_c,
+                      grid.t_end, grid.t_start, grid.dt):
+            assert type(value) is float
+
+    def test_config_text_still_read_as_numbers(self):
+        sweep = sweep_from_mapping({"sweep": {"j_values": "0.02, 0.04, 0.06", "delta": "0.3"},
+                                    "model": {"g": "1.5"}, "grid": {"t_end": "150"}})
+        assert sweep.j_values == _J and sweep.delta == 0.3 and sweep.coupling == 1.5
+        config = scenario_from_mapping({
+            "model": {"n_sites": "2", "n_max": "2", "hop": "0.03", "gamma": "0.05, 0.0"},
+            "initial": {"labels": "2-, G"}, "grid": {"t_end": "10", "n_samples": "6"}})
+        assert config.model.hop == (0.03,) and config.model.gamma == (0.05, 0.0)
+        assert config.grid.t_end == 10.0

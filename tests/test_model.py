@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jchsim import linalg
 from jchsim.errors import ConfigError, SizeError, TruncationError
-from jchsim.model import (ModelParams, PolaritonLabel, build_reduced_model,
+from jchsim.model import (ModelParams, PolaritonLabel, basis_bytes, build_reduced_model,
                           creation_in_polariton_basis, dressed_basis_matrix,
                           dressed_state, excitation_basis, excitation_dim,
                           hopping_coefficients, mixing_angle, polariton_energy,
-                          prepare_product_polariton_state, site_operators,
+                          prepare_product_polariton_state, sector_dims, site_operators,
                           transform_to_dressed_basis)
 from jchsim.observables import ProjectorSpec
 from jchsim.presets import PRESET_NAMES, load_preset
@@ -175,6 +177,42 @@ class TestReducedSpace:
     def test_dimension_counted_without_the_basis(self, n_sites, max_exc):
         space = excitation_basis(ModelParams(n_sites=n_sites, n_max=4), max_exc)
         assert excitation_dim(n_sites, max_exc) == space.dim
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 5])
+    @pytest.mark.parametrize("max_exc", [0, 1, 2, 4])
+    def test_sectors_counted_without_the_basis(self, n_sites, max_exc):
+        space = excitation_basis(ModelParams(n_sites=n_sites, n_max=4), max_exc)
+        assert sector_dims(n_sites, max_exc) == np.bincount(
+            space.n_tot, minlength=max_exc + 1).tolist()
+
+    @pytest.mark.parametrize("n_sites,max_exc", [(1, 3), (2, 45), (3, 3), (4, 4), (5, 8),
+                                                 (6, 2), (8, 3)])
+    def test_basis_peak_stays_under_its_count(self, n_sites, max_exc):
+        params = ModelParams(n_sites=n_sites, n_max=max_exc)
+        tracemalloc.start()
+        try:
+            excitation_basis(params, max_exc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= basis_bytes(params, max_exc)
+        if peak > 2**20:
+            assert basis_bytes(params, max_exc) < 1.5 * peak
+
+    def test_basis_over_budget_refused_before_enumerating(self, monkeypatch):
+        # six sites at n_max = 12: 369 305 states, 238 862 192 bytes at the peak
+        params = ModelParams(n_sites=6, n_max=12)
+        assert basis_bytes(params, 12) == 238862192
+        monkeypatch.setattr(linalg, "MEMORY_CAP", 238862192 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match=r"^the basis of 6 sites with at most 12 "
+                                                r"excitations needs 238862192 bytes"):
+                excitation_basis(params, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_basis_cost_does_not_follow_the_photon_cutoff(self):
         # a site_dim-long array here would take 16 GB

@@ -15,16 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jchsim
-from jchsim.dynamics import lindblad_evolve, mcwf_ensemble
+from jchsim import observables as observables_module
+from jchsim.dynamics import batch_bytes, lindblad_evolve, mcwf_ensemble, rho_bytes
 from jchsim.errors import ConfigError, SizeError
 from jchsim.linalg import BlockDensity, partial_transpose
 from jchsim.model import (ModelParams, build_reduced_model, excitation_basis,
-                          prepare_product_polariton_state)
+                          prepare_product_polariton_state, sector_dims)
 from jchsim.observables import (DEFAULT_BURN_IN, PROJECTOR_PRESETS,
                                 ProjectorSpec, block_negativity, blockade_beat_period,
                                 classify_series, find_peaks, negativity,
                                 negativity_series, recommended_spacing,
-                                reduced_bipartition)
+                                reduced_bipartition, transpose_block_bound, transpose_bytes)
 from jchsim.presets import load_preset
 from jchsim.runner import run_scenario
 
@@ -210,7 +211,8 @@ class TestBlockNegativity:
             assert np.abs(got - dense_negativity(space, rhos, cut)).max() <= 1e-12
 
     def test_load_time_term_bounds_rho_and_its_negativity(self):
-        # ScenarioConfig counts n3's ρ̄ as 2 · 560 samples of 63² entries, 71.1 MB
+        # ScenarioConfig counts n3's ρ̄ as 561 · 1 805 entries on its sectors, 16.2 MB,
+        # and the partial transpose's largest block, at most 49 states, as 43.5 MB
         config = load_preset("n3").scenarios[0]
         model = build_reduced_model(config.model, config.max_excitation)
         psi0 = model.space.product_state(config.initial)
@@ -222,7 +224,24 @@ class TestBlockNegativity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * config.grid.n_samples * model.dim ** 2 * 16
+        n, sectors = config.grid.n_samples, sector_dims(3, 3)
+        assert transpose_block_bound(3, 3, config.bipartition_cut) == 49
+        assert peak <= (rho_bytes(n, sectors) + transpose_bytes(n, 49)
+                        + batch_bytes(2, 0, n, sectors))
+
+    @pytest.mark.parametrize("n_sites,max_exc,cut,largest", [
+        (2, 2, 1, 9), (3, 3, 1, 49), (3, 3, 2, 49), (4, 4, 1, 257), (6, 2, 3, 361)])
+    def test_transpose_block_bound_is_the_largest_block(self, monkeypatch, n_sites, max_exc,
+                                                        cut, largest):
+        # a state with every entry of every sector block nonzero has the
+        # largest partial-transpose blocks any such state can have
+        space = excitation_basis(ModelParams(n_sites=n_sites, n_max=max_exc), max_exc)
+        rows, cols = np.nonzero(space.n_tot[:, None] == space.n_tot[None, :])
+        seen = []
+        monkeypatch.setattr(observables_module, "transpose_bytes",
+                            lambda n, block: seen.append(block) or 0)
+        block_negativity(BlockDensity(np.ones((1, len(rows))), rows, cols), space, cut)
+        assert seen == [largest] == [transpose_block_bound(n_sites, max_exc, cut)]
 
     @pytest.mark.parametrize("cut", [1, 2])
     def test_random_excitation_commuting_states(self, rng, three_site_space, cut):
