@@ -15,9 +15,10 @@ absent, or whose value fails to coerce, takes the type's default and the type
 is still built, so its checks still run: a bad file reports every offending
 field at once.
 
-A scenario states no rule or byte count of its own: its load pass calls
+A config states no rule or byte count of its own: its load pass calls
 the checks of the modules that own each input, naming this config's keys,
-and sums the byte counts of the run's guards from their own functions.
+gathers what they raise with ``errors.collect``, and sums the byte counts
+of the run's guards from their own functions.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .dynamics import DEFAULT_DT, TimeGrid, batch_bytes, ensemble_problems, rho_bytes
-from .errors import ConfigError, JchsimError
-from .linalg import check_budget, real, whole
+from .errors import ConfigError, collect
+from .linalg import check_budget, real, reals, whole
 from .model import (ModelParams, PolaritonLabel, basis_bytes, check_product_index,
                     checked_labels, checked_max_exc, model_bytes, sector_dims)
 from .observables import (
@@ -40,7 +41,6 @@ from .observables import (
     DEFAULT_PROMINENCE_THRESHOLD,
     ProjectorSpec,
     checked_cut,
-    projector_bytes,
     recommended_spacing,
     transpose_block_bound,
     transpose_bytes,
@@ -68,12 +68,9 @@ def _as_bool(raw: Any) -> bool:
 def _as_int(raw: Any) -> int:
     """A whole number, or text that ``int`` reads as one; the field's type checks its range."""
     try:
-        value = whole(int(raw) if isinstance(raw, str) else raw, -math.inf)
-    except ValueError:
-        value = None
-    if value is None:
-        raise ConfigError(f"expected an integer, got {raw!r}")
-    return value
+        return whole(int(raw) if isinstance(raw, str) else raw, -math.inf, "")
+    except ValueError:                    # int()'s, or the rule's ConfigError
+        raise ConfigError(f"expected an integer, got {raw!r}") from None
 
 
 def _as_float(raw: Any) -> float:
@@ -271,16 +268,6 @@ def _plain(value):
     return value
 
 
-def _call(problems: list, check: Callable[..., Any], *args, prefix: str = "", **kwargs):
-    """``check(*args, **kwargs)``; None, with the problems it raised added
-    after ``prefix``, if it raises."""
-    try:
-        return check(*args, **kwargs)
-    except JchsimError as exc:
-        problems += [prefix + p for p in exc.problems]
-        return None
-
-
 def _finish(cls, values: dict, problems: list, *checks: Callable[[Mapping], list]):
     """Build ``cls`` from ``values`` and raise if any problem was found.
 
@@ -291,7 +278,7 @@ def _finish(cls, values: dict, problems: list, *checks: Callable[[Mapping], list
     if any(values.get(f.name) is None for f in fields(cls) if f.default is MISSING):
         v = {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **values}
         raise ConfigError(problems + [p for check in checks for p in check(v)])
-    config = _call(problems, cls, **values)
+    config = collect(problems, cls, **values)
     if problems:
         raise ConfigError(problems)
     return config
@@ -335,15 +322,15 @@ class ScenarioConfig:
     def __post_init__(self):
         problems = []
         params, n_sites = self.model, self.model.n_sites
-        _call(problems, check_product_index, params,
-              field="model.n_sites, model.n_max, initial.labels")
-        labels = _call(problems, checked_labels, self.initial, params, field="initial.labels")
+        collect(problems, check_product_index, params,
+                field="model.n_sites, model.n_max, initial.labels")
+        labels = collect(problems, checked_labels, self.initial, params, field="initial.labels")
         max_exc = None
         if labels is not None:
             object.__setattr__(self, "initial", tuple(map(str, labels)))
             # the run's basis holds the initial excitations, and n_max must hold them
-            max_exc = _call(problems, checked_max_exc, params, self.max_excitation,
-                            field="initial.labels, model.n_max")
+            max_exc = collect(problems, checked_max_exc, params, self.max_excitation,
+                              field="initial.labels, model.n_max")
         run_problems = _run_problems(vars(self))
         if not run_problems:
             object.__setattr__(self, "n_traj", int(self.n_traj))
@@ -353,17 +340,17 @@ class ScenarioConfig:
         problems += [f"observables.projectors: {name} is named {names.count(name)} times"
                      for name in dict.fromkeys(names) if names.count(name) > 1]
         for spec in self.observables:
-            _call(problems, checked_labels, spec.resolved_labels, params, max_exc,
-                  field=f"observables.projectors: {spec.name}")
+            collect(problems, checked_labels, spec.resolved_labels, params, max_exc,
+                    field=f"observables.projectors: {spec.name}")
         if self.compute_negativity and n_sites < 2:
             problems.append("observables.negativity: needs at least two sites")
         # a one-site model keeps the default cut, which nothing reads
-        cut = _call(problems, checked_cut, self.bipartition_cut, max(n_sites, 2),
-                    field="observables.bipartition_cut")
+        cut = collect(problems, checked_cut, self.bipartition_cut, max(n_sites, 2),
+                      field="observables.bipartition_cut")
         if cut is not None:
             object.__setattr__(self, "bipartition_cut", cut)
         if max_exc is not None and cut is not None and not run_problems:
-            _call(problems, check_budget, *self._load_count(max_exc))
+            collect(problems, check_budget, *self._load_count(max_exc))
         if problems:
             raise ConfigError(problems)
 
@@ -377,8 +364,7 @@ class ScenarioConfig:
         model_keys = "model.n_sites, model.n_max, initial.labels"
         terms = [(model_keys, basis_bytes(params, max_exc), "the basis"),
                  (model_keys, model_bytes(params, max_exc), "H and the loss operators"),
-                 ("observables.projectors",
-                  sum(projector_bytes(params, max_exc) for _ in self.observables),
+                 ("observables.projectors", model_bytes(params, max_exc, n_obs),
                   "the projectors")]
         if self.compute_negativity:
             block = transpose_block_bound(params.n_sites, max_exc, self.bipartition_cut)
@@ -443,20 +429,16 @@ class CriticalitySweepConfig:
 
     def __post_init__(self):
         problems = []
-        js = tuple(real(j, above=0.0) for j in self.j_values)
-        ratios = tuple(real(r, above=0.0) for r in self.gamma_ratios)
-        for where, values, raw, what in (("sweep.j_values", js, self.j_values, "hop values"),
-                                         ("sweep.gamma_ratios", ratios, self.gamma_ratios,
-                                          "ratios")):
-            if not values:
-                problems.append(f"{where}: required and non-empty")
-            elif None in values:
-                problems.append(f"{where}: {what} must be positive and finite, got {raw!r}")
-            elif any(b <= a for a, b in zip(values, values[1:])):
-                problems.append(f"{where}: must be strictly increasing")
-        if 0 < len(js) < 3:
+        values = {name: collect(problems, reals, getattr(self, name), f"sweep.{name}", above=0.0)
+                  for name in ("j_values", "gamma_ratios")}
+        for name, value in values.items():
+            if value == ():
+                problems.append(f"sweep.{name}: required and non-empty")
+            elif value and any(b <= a for a, b in zip(value, value[1:])):
+                problems.append(f"sweep.{name}: must be strictly increasing")
+        if 0 < len(self.j_values) < 3:
             problems.append(f"sweep.j_values: need at least 3 hop values for a slope fit, "
-                            f"got {len(js)}")
+                            f"got {len(self.j_values)}")
         grid = None
         try:
             grid = TimeGrid.with_spacing(
@@ -466,22 +448,18 @@ class CriticalitySweepConfig:
             for problem in exc.problems:
                 name, _, rest = problem.partition(": ")
                 problems.append(f"{_SWEEP_MODEL_KEYS.get(name, 'grid: ' + name)} {rest}")
-        if real(self.prominence_threshold, above=0.0, below=1.0) is None:
-            problems.append(
-                "classifier.prominence_threshold: must lie in (0, 1), got "
-                f"{self.prominence_threshold!r}")
-        t_min = real(self.t_min, 0.0)
-        if t_min is None:
-            problems.append(f"classifier.t_min: must be finite and >= 0, got {self.t_min!r}")
-        elif grid is not None and not t_min < grid.t_end:      # t_end trimmed to a sample
+        values["prominence_threshold"] = collect(
+            problems, real, self.prominence_threshold, "classifier.prominence_threshold",
+            above=0.0, below=1.0)
+        t_min = values["t_min"] = collect(problems, real, self.t_min, "classifier.t_min", 0.0)
+        if None not in (t_min, grid) and not t_min < grid.t_end:   # t_end trimmed to a sample
             problems.append(f"classifier.t_min: must lie below the last sample time "
                             f"{grid.t_end}, got {self.t_min}")
         problems += _output_problems(vars(self))
         if problems:
             raise ConfigError(problems)
-        object.__setattr__(self, "j_values", js)
-        object.__setattr__(self, "gamma_ratios", ratios)
-        object.__setattr__(self, "_grid", grid)
+        for name, value in {**values, "_grid": grid}.items():
+            object.__setattr__(self, name, value)
 
     def model_for(self, hop: float, gamma: float) -> ModelParams:
         return ModelParams(n_sites=2, omega_a=self.delta, omega_c=0.0,
@@ -537,7 +515,7 @@ def scenario_from_mapping(mapping: Mapping[str, Any]) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig`, reporting every problem at once."""
     values, problems = _read(mapping, _SCENARIO_KEYS)
     model = (None if values["model"] is None
-             else _call(problems, ModelParams, prefix="model.", **values["model"]))
+             else collect(problems, ModelParams, prefix="model.", **values["model"]))
     grid = _scenario_grid(mapping.get("grid"), values["grid"], model, problems)
     return _finish(ScenarioConfig, {
         "model": model, "grid": grid, **(values["initial"] or {}),

@@ -77,7 +77,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegratorError, SizeError
+from .errors import ConfigError, IntegratorError, SizeError, collect
 from .linalg import (BlockDensity, as_complex_matrix, check_budget, min_labels,
                      real, require_hermitian, whole)
 
@@ -103,16 +103,15 @@ _RESCALE_FLOOR = 1e-150        # jump-free squared norm below which the state is
 
 def _bound_problems(t_start, t_end, dt) -> tuple:
     """The grid's bounds and step as ``linalg.real`` takes them, None where it
-    refuses one, and a problem for each refused one and for a backward span."""
-    t0, t1, step = real(t_start), real(t_end), real(dt, above=0.0)
-    problems = [f"{name}: must be a finite number, got {raw!r}"
-                for name, raw, value in (("t_start", t_start, t0), ("t_end", t_end, t1))
-                if value is None]
+    refuses one, and a problem for each refused one and for a span that does
+    not run forward or is too long for a float."""
+    problems = []
+    t0, t1 = collect(problems, real, t_start, "t_start"), collect(problems, real, t_end, "t_end")
     if None not in (t0, t1) and not t1 > t0:
         problems.append(f"t_end: must exceed t_start, got {t_end} <= {t_start}")
-    if step is None:
-        problems.append(f"dt: must be positive and finite, got {dt!r}")
-    return (t0, t1, step), problems
+    elif None not in (t0, t1):
+        collect(problems, real, t1 - t0, "t_end - t_start")
+    return (t0, t1, collect(problems, real, dt, "dt", above=0.0)), problems
 
 
 @dataclass(frozen=True)
@@ -132,14 +131,12 @@ class TimeGrid:
 
     def __post_init__(self):
         (t_start, t_end, dt), problems = _bound_problems(self.t_start, self.t_end, self.dt)
-        n_samples = whole(self.n_samples, 2)
-        if n_samples is None:
-            problems.append(f"n_samples: need an integer >= 2, got {self.n_samples}")
+        n_samples = collect(problems, whole, self.n_samples, 2, "n_samples")
+        spacing = None if problems else (t_end - t_start) / (n_samples - 1)
         if dt is not None and dt > DEFAULT_MAX_DT:
             problems.append(f"dt: {self.dt} exceeds the stability cap {DEFAULT_MAX_DT}")
-        if None not in (t_start, t_end, dt, n_samples) and t_end > t_start:
-            spacing = (t_end - t_start) / (n_samples - 1)
-            ratio = spacing / dt
+        ratio = None if spacing is None else collect(problems, real, spacing / dt, "spacing/dt")
+        if ratio is not None:
             if round(ratio) < 1:              # n_fine: at least one step per sample
                 problems.append(f"dt: {self.dt} exceeds the sample spacing {spacing}")
             elif abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
@@ -160,8 +157,7 @@ class TimeGrid:
         ``t_end`` is trimmed down to the last full sample interval.
         """
         (t_start, t_end, dt), problems = _bound_problems(t_start, t_end, dt)
-        if real(spacing, above=0.0) is None:
-            problems.append(f"spacing: must be positive and finite, got {spacing!r}")
+        collect(problems, real, spacing, "spacing", above=0.0)
         if problems:
             raise ConfigError(problems)
         n_fine = max(1, round(spacing / dt))
@@ -620,16 +616,17 @@ def rho_bytes(n_samples: int, block_dims) -> int:
     return (n_samples + 1) * sum(k * k for k in block_dims) * 16
 
 
-def _propagate(mach: _Machinery, seeds=None, record: bool = False,
+def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = False,
                keep_rho: bool = False, what: str = "the batch") -> _Batch:
-    """Advance a batch of columns through the sample grid together, time-major.
+    """Advance a batch of ``n_cols`` columns through the sample grid together,
+    time-major.
 
-    Column j is one pure-state evolution from ψ0.  With ``seeds`` and a
-    collapse channel, column j is the trajectory of ``seeds[j]``: uniforms
+    Column j is one pure-state evolution from ψ0.  With ``seed_of`` and a
+    collapse channel, column j is the trajectory of ``seed_of(j)``: uniforms
     are drawn one at a time from its own stream (the threshold, then per
     jump the channel and the next threshold), and the decaying norm carries
     the waiting time.  Otherwise nothing jumps and every column would be the
-    same run, so the batch is one column (seedless: ``[None]``); its state
+    same run, so the batch is one column; its state
     is rescaled below ``_RESCALE_FLOOR`` with the factor carried in the
     survival, so rows stay finite.
 
@@ -651,21 +648,20 @@ def _propagate(mach: _Machinery, seeds=None, record: bool = False,
     """
     grid = mach.grid
     n = grid.n_samples
-    seeds = [None] if seeds is None else seeds
     dims = [len(blk.index) for blk in mach.blocks]
-    n_bytes = batch_bytes(len(seeds), len(mach.names), n, dims, record)
+    n_bytes = batch_bytes(n_cols, len(mach.names), n, dims, record)
     parts = ["recorded states and norms" if record else "observable rows", "live states"]
     if keep_rho:
         n_bytes += rho_bytes(n, dims)
         parts.append(f"ρ̄'s block entries over {n} samples")
     check_budget(n_bytes, f"{what}: {', '.join(parts)}")
-    jumping = seeds[0] is not None and mach.n_chan > 0
+    jumping = seed_of is not None and mach.n_chan > 0
     rngs = pending = None
     if jumping:
-        rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed_of(j))) for j in range(n_cols)]
         pending = np.array([_threshold(rng) for rng in rngs])
-    jumps: list = [[] for _ in seeds]
-    absorbed = np.full(len(seeds), 0 if mach.blocks[mach.start].absorbing else n,
+    jumps: list = [[] for _ in range(n_cols)]
+    absorbed = np.full(n_cols, 0 if mach.blocks[mach.start].absorbing else n,
                        dtype=np.int64)
     carried = 1.0
     states = survival = values = None
@@ -675,15 +671,15 @@ def _propagate(mach: _Machinery, seeds=None, record: bool = False,
         norm2s = np.empty(n)
         survival = np.empty(n)
     else:
-        values = np.zeros((len(seeds), len(mach.names), n))
+        values = np.zeros((n_cols, len(mach.names), n))
     offsets = _block_layout(mach.blocks)[0] if keep_rho else None
     rho_sum = np.zeros((n, offsets[-1]), dtype=np.complex128) if keep_rho else None
     busy = [keep_rho or any(len(sup) for sup, _ in entries) for entries in mach.block_obs]
     idle = set() if record else {b for b, blk in enumerate(mach.blocks)
                                  if blk.absorbing and not busy[b]}
-    work = np.repeat(mach.psi0[None, :], len(seeds), axis=0)
+    work = np.repeat(mach.psi0[None, :], n_cols, axis=0)
     # block -> (its columns, ascending; their states; their squared norms)
-    groups = {mach.start: (np.arange(len(seeds)), work, _row_norm2(work))}
+    groups = {mach.start: (np.arange(n_cols), work, _row_norm2(work))}
     for s in range(n):
         if s:
             groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle)
@@ -732,12 +728,14 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     a tuple of them, as ``SeedSequence`` takes it; anything else is refused
     before the blocks are built.
     """
-    parts = [whole(part, 0) for part in (seed if isinstance(seed, tuple) else (seed,))]
-    if None in parts:
+    problems = []
+    parts = [collect(problems, whole, part, 0, "seed")
+             for part in (seed if isinstance(seed, tuple) else (seed,))]
+    if problems:
         raise ConfigError([f"seed: need an integer >= 0 or a tuple of them, got {seed!r}"])
     seed = tuple(parts) if isinstance(seed, tuple) else parts[0]
     mach = _build_machinery(h, collapse, psi0, grid)
-    batch = _propagate(mach, [seed], record=True, what="the trajectory")
+    batch = _propagate(mach, 1, lambda j: seed, record=True, what="the trajectory")
     return TrajectoryResult(states=batch.states, jumps=tuple(batch.jumps[0]))
 
 
@@ -814,9 +812,10 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
 def ensemble_problems(n_traj, master_seed) -> list:
     """A problem for an ``n_traj`` or a ``master_seed`` that is not a whole
     number, at least 1 and 0 respectively."""
-    return [f"{name}: need an integer >= {least}, got {value!r}"
-            for name, value, least in (("n_traj", n_traj, 1), ("master_seed", master_seed, 0))
-            if whole(value, least) is None]
+    problems = []
+    collect(problems, whole, n_traj, 1, "n_traj")
+    collect(problems, whole, master_seed, 0, "master_seed")
+    return problems
 
 
 def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarray,
@@ -842,7 +841,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     mach = _build_machinery(h, collapse, psi0, grid, observables)
     # without a collapse channel every trajectory is the same jump-free run
     n_runs = n_traj if mach.n_chan else 1
-    batch = _propagate(mach, [(master_seed, j) for j in range(n_runs)], keep_rho=keep_rho,
+    batch = _propagate(mach, n_runs, lambda j: (master_seed, j), keep_rho=keep_rho,
                        what=f"the ensemble of {n_runs} trajectories")
     rows = batch.values
     counts = np.zeros((n_runs, mach.n_chan), dtype=np.int64)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package; each carries its ``problems``."""
+"""Exception types shared across the package; each carries its ``problems``,
+which ``collect`` gathers from several checks."""
 
 
 class JchsimError(Exception):
@@ -29,3 +30,13 @@ class ConfigError(JchsimError, ValueError):
 
 class IntegratorError(JchsimError, RuntimeError):
     """Numerical failure during time evolution (norm underflow, bad step)."""
+
+
+def collect(problems: list, check, *args, prefix: str = "", **kwargs):
+    """``check(*args, **kwargs)``; None, with the problems it raised added
+    after ``prefix``, if it raises a package error."""
+    try:
+        return check(*args, **kwargs)
+    except JchsimError as exc:
+        problems += [prefix + p for p in exc.problems]
+        return None

@@ -1,7 +1,8 @@
 """Input rules and small dense linear algebra shared by the package.
 
 ``whole`` is the one rule for whole-number inputs (counts, cutoffs, cuts,
-labels, seeds) and ``real`` for real-number ones (rates, times, steps).
+labels, seeds) and ``real`` for real-number ones (rates, times, steps);
+each takes the caller's field name and raises an error that starts with it.
 ``check_budget`` guards ``MEMORY_CAP`` for counts made beside each guard,
 which the config's load pass sums; ``as_complex_matrix`` and
 ``require_hermitian`` check matrices.  ``BlockDensity`` is the
@@ -16,11 +17,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import NotHermitianError, SizeError
+from .errors import ConfigError, NotHermitianError, SizeError
 
 #: absolute tolerance used when checking Hermiticity of inputs
 HERMITICITY_ATOL = 1e-10
@@ -43,30 +43,42 @@ class BlockDensity:
     cols: np.ndarray                      # (Σ_b k_b²,) basis column of each entry
 
 
-def whole(value, least: float) -> Optional[int]:
+def whole(value, least: float, field: str, error: type = ConfigError) -> int:
     """``value`` as an int if it is a finite whole number >= ``least`` and not
-    a bool, else None; a whole float or NumPy number runs as its int.  The
-    callers raise their own error, naming their own field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    if not isinstance(value, numbers.Integral) and not (
-            math.isfinite(value) and value == int(value)):
-        return None
-    return int(value) if value >= least else None
+    a bool (a whole float or NumPy number runs as its int); else ``error``
+    naming ``field``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value))
+    if integral and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise error(f"{field}: need an integer >= {least}, got {value!r}")
 
 
-def real(value, least: float = -math.inf, *, above: float = -math.inf,
-         below: float = math.inf) -> Optional[float]:
+def real(value, field: str, least: float = -math.inf, *, above: float = -math.inf,
+         below: float = math.inf) -> float:
     """``value`` as a float if it is a finite real number >= ``least``, >
-    ``above`` and < ``below``, and not a bool, else None; text is not a
-    number.  The callers raise their own error, naming their own field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    try:
-        x = float(value)
-    except OverflowError:                 # an int beyond the float range
-        return None
-    return x if math.isfinite(x) and x >= least and above < x < below else None
+    ``above`` and < ``below``, and not a bool; else ``ConfigError`` naming
+    ``field``.  Text is not a number."""
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:             # an int beyond the float range
+            pass
+    if math.isfinite(x) and x >= least and above < x < below:
+        return x
+    if below < math.inf:
+        rule = f"in ({above:g}, {below:g})"
+    elif above == 0.0:
+        rule = "positive and finite"
+    else:
+        rule = f"finite and >= {least:g}" if least > -math.inf else "a finite number"
+    raise ConfigError(f"{field}: must be {rule}, got {value!r}")
+
+
+def reals(values, field: str, **bounds) -> tuple:
+    """Each of ``values`` as ``real`` takes it, naming ``field``."""
+    return tuple(real(v, field, **bounds) for v in values)
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -124,10 +136,9 @@ def partial_transpose(rho, dims, which: int = 1) -> np.ndarray:
     """Partial transpose over factor ``which`` (0 or 1) of an operator on a
     ``dims = (left, right)`` bipartition, or of each operator in a
     ``(..., d, d)`` stack."""
-    factors = tuple(whole(d, 1) for d in dims) if isinstance(dims, (tuple, list)) else ()
-    if len(factors) != 2 or None in factors:
+    if not isinstance(dims, (tuple, list)) or len(dims) != 2:
         raise SizeError(f"dims: need a pair of integers >= 1, got {dims!r}")
-    da, db = factors
+    da, db = (whole(d, 1, "dims", SizeError) for d in dims)
     a = np.asarray(rho, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2:] != (da * db, da * db):
         raise SizeError(f"expected a {da * db}-dim matrix or a stack of them for dims "

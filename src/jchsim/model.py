@@ -23,7 +23,8 @@ below 2**63.  ``prepare_product_polariton_state``, ``reduce_vector`` and
 
 The rules of labels, excitations and product indices (``checked_labels``,
 ``checked_max_exc``, ``check_product_index``) and the byte counts of the
-basis and of H (``basis_bytes``, ``model_bytes``) live here, each once.
+basis and of dense matrices on it (``basis_bytes``, ``dense_bytes``,
+``model_bytes``) live here, each once.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SizeError, TruncationError
-from .linalg import check_budget, real, whole
+from .errors import ConfigError, SizeError, TruncationError, collect
+from .linalg import check_budget, real, reals, whole
 
 #: product-basis indices are int64, so the product space must stay below this
 PRODUCT_INDEX_LIMIT = 2**63
@@ -46,17 +47,14 @@ PLUS = "plus"
 _BRANCHES = (GROUND, MINUS, PLUS)
 
 
-def _as_tuple(value, n: int, name: str, what: str, problems: list, **bounds) -> tuple:
+def _as_tuple(value, n: int, name: str, **bounds) -> tuple:
     """A scalar broadcast to ``n`` floats, or a length-``n`` sequence as floats,
     each entry passed by ``linalg.real`` with ``bounds``."""
-    values = (tuple(value) if isinstance(value, (_Sequence, np.ndarray))
-              and not isinstance(value, str) else (value,) * n)
-    if len(values) != n:
-        problems.append(f"{name}: expected {n} entries, got {len(values)}")
-    out = tuple(real(v, **bounds) for v in values)
-    if None in out:
-        problems.append(f"{name}: entries must be {what}, got {value!r}")
-    return out
+    if not isinstance(value, (_Sequence, np.ndarray)) or isinstance(value, str):
+        return (real(value, name, **bounds),) * n
+    if len(value) != n:
+        raise ConfigError([f"{name}: expected {n} entries, got {len(value)}"])
+    return reals(tuple(value), name, **bounds)
 
 
 @dataclass(frozen=True)
@@ -73,27 +71,18 @@ class ModelParams:
 
     def __post_init__(self):
         problems = []
-        n, n_max = whole(self.n_sites, 1), whole(self.n_max, 1)
-        if n is None:
-            raise ConfigError([f"n_sites: need an integer >= 1, got {self.n_sites!r}"])
-        if n_max is None:
-            problems.append(f"n_max: need an integer >= 1, got {self.n_max!r}")
-        g = _as_tuple(self.g, n, "g", "positive and finite", problems, above=0.0)
-        hop = _as_tuple(self.hop, max(n - 1, 0), "hop", "finite", problems)
-        gamma = _as_tuple(self.gamma, n, "gamma", "finite and >= 0", problems, least=0.0)
-        omega = {name: real(value) for name, value in
-                 (("omega_a", self.omega_a), ("omega_c", self.omega_c))}
-        problems += [f"{name}: must be a finite number, got {getattr(self, name)!r}"
-                     for name, value in omega.items() if value is None]
+        n = whole(self.n_sites, 1, "n_sites")
+        values = {"n_max": collect(problems, whole, self.n_max, 1, "n_max"),
+                  "g": collect(problems, _as_tuple, self.g, n, "g", above=0.0),
+                  "hop": collect(problems, _as_tuple, self.hop, max(n - 1, 0), "hop"),
+                  "gamma": collect(problems, _as_tuple, self.gamma, n, "gamma", least=0.0),
+                  "omega_a": collect(problems, real, self.omega_a, "omega_a"),
+                  "omega_c": collect(problems, real, self.omega_c, "omega_c")}
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "n_sites", n)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "omega_a", omega["omega_a"])
-        object.__setattr__(self, "omega_c", omega["omega_c"])
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "hop", hop)
-        object.__setattr__(self, "gamma", gamma)
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @property
     def detuning(self) -> float:
@@ -118,9 +107,7 @@ class PolaritonLabel:
     def __post_init__(self):
         if self.branch not in _BRANCHES:
             raise ConfigError([f"branch: must be one of {_BRANCHES}, got {self.branch!r}"])
-        n = whole(self.n, 0)
-        if n is None:
-            raise ConfigError([f"n: need an integer >= 0, got {self.n!r}"])
+        n = whole(self.n, 0, "n")
         if (self.branch == GROUND) != (n == 0):
             raise ConfigError([f"label ({n}, {self.branch}): n = 0 iff branch is ground"])
         object.__setattr__(self, "n", n)
@@ -170,10 +157,8 @@ def mixing_angle(n: int, delta: float, g: float = 1.0) -> float:
     ``atan2`` keeps the angle in (0, pi/2) for every detuning sign and
     returns exactly ``pi/4`` on resonance.
     """
-    if whole(n, 1) is None:
-        raise ValueError(f"n: need an integer >= 1, got {n!r}")
-    if g <= 0:
-        raise ValueError(f"coupling must be positive, got g = {g}")
+    whole(n, 1, "n", ValueError)
+    real(g, "g", above=0.0)
     return 0.5 * math.atan2(g * math.sqrt(n), delta / 2.0)
 
 
@@ -263,9 +248,7 @@ class SiteOperatorSet:
 
 def site_operators(n_max: int) -> SiteOperatorSet:
     """Build the standard single-site operator set for photon cutoff ``n_max``."""
-    if whole(n_max, 1) is None:
-        raise ConfigError([f"n_max: need an integer >= 1, got {n_max!r}"])
-    pd = int(n_max) + 1
+    pd = whole(n_max, 1, "n_max") + 1
     a_ph = np.diag(np.sqrt(np.arange(1, pd)), k=1).astype(np.complex128)
     i_ph = np.eye(pd, dtype=np.complex128)
     i_at = np.eye(2, dtype=np.complex128)
@@ -473,13 +456,12 @@ class ReducedSpace:
 def checked_max_exc(params: ModelParams, max_exc: int, field: str = "max_exc") -> int:
     """``max_exc`` as an int, refused with a ``ConfigError`` naming ``field``
     unless the restriction to it is exact: every site must hold it."""
-    if whole(max_exc, 0) is None:
-        raise ConfigError([f"{field}: need an integer >= 0, got {max_exc!r}"])
+    max_exc = whole(max_exc, 0, field)
     if max_exc > params.n_max:
         raise ConfigError([
             f"{field}: photon cutoff n_max = {params.n_max} cannot hold {max_exc} excitations"
             " on one site; raise n_max so the restriction stays exact"])
-    return int(max_exc)
+    return max_exc
 
 
 def check_product_index(params: ModelParams, field: str = "n_sites, n_max") -> None:
@@ -586,10 +568,16 @@ def _add_process(op: np.ndarray, space: ReducedSpace, rate: float, moves) -> Non
     op[space.index_of(target[cols]), cols] += rate * np.sqrt(ladder)
 
 
-def model_bytes(params: ModelParams, max_exc: int) -> int:
-    """Bytes of H and the loss operators, dense on the basis with at most
-    ``max_exc`` excitations."""
-    return (1 + len(damped_sites(params))) * excitation_dim(params.n_sites, max_exc) ** 2 * 16
+def dense_bytes(dim: int, n_matrices: int = 1) -> int:
+    """Bytes of ``n_matrices`` dense complex ``dim``-square matrices."""
+    return n_matrices * dim * dim * 16
+
+
+def model_bytes(params: ModelParams, max_exc: int, n_matrices: Optional[int] = None) -> int:
+    """Bytes of ``n_matrices`` dense matrices on the basis with at most
+    ``max_exc`` excitations; by default H and the loss operators."""
+    n = 1 + len(damped_sites(params)) if n_matrices is None else n_matrices
+    return dense_bytes(excitation_dim(params.n_sites, max_exc), n)
 
 
 def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:

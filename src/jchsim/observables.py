@@ -9,9 +9,8 @@ the cut (fig4's 13-dim states: blocks of 9, 6, 6, 2 and 2 in the 36-dim
 space).  ``negativity``/``negativity_series`` keep the dense product-space
 form as the reference that tests compare against; no run path calls them.
 
-``checked_cut`` is the one cut rule; ``projector_bytes`` and
-``transpose_bytes`` count the bytes that the guards of a projector and of
-the partial transpose's largest block check.
+``checked_cut`` is the one cut rule; ``transpose_bytes`` counts the bytes
+that the guard of the partial transpose's largest block checks.
 
 The classifier operationalizes "how many peaks does the negativity trace
 have": the two-excitation blockade superimposes a fast coherent beat
@@ -35,7 +34,7 @@ from .dynamics import DEFAULT_DT
 from .linalg import (BlockDensity, as_complex_matrix, check_budget, min_labels,
                      partial_transpose, real, whole)
 from .model import (ModelParams, PolaritonLabel, ReducedSpace, checked_labels,
-                    excitation_dim, polariton_energy, sector_dims)
+                    dense_bytes, polariton_energy, sector_dims)
 
 __all__ = [
     "DEFAULT_PROMINENCE_THRESHOLD", "DEFAULT_BURN_IN", "PROJECTOR_PRESETS",
@@ -111,18 +110,12 @@ class ProjectorSpec:
         checked_labels(labels, params, space.max_exc, field=f"projector {self.name}")
         orderings = (sorted(set(itertools.permutations(labels)))
                      if self.symmetrize else [tuple(labels)])
-        check_budget(projector_bytes(params, space.max_exc),
-                     f"projector {self.name} on {space.dim} states")
+        check_budget(dense_bytes(space.dim), f"projector {self.name} on {space.dim} states")
         proj = np.zeros((space.dim, space.dim), dtype=np.complex128)
         for ordering in orderings:
             vec = space.product_state(ordering)
             proj += np.outer(vec, vec.conj())
         return proj
-
-
-def projector_bytes(params: ModelParams, max_exc: int) -> int:
-    """Bytes of one projector, dense on the basis with at most ``max_exc`` excitations."""
-    return excitation_dim(params.n_sites, max_exc) ** 2 * 16
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +125,7 @@ def projector_bytes(params: ModelParams, max_exc: int) -> int:
 def checked_cut(cut, n_sites: int, field: str = "cut") -> int:
     """``cut`` as an int if it splits ``n_sites`` sites in two, 1 <= cut <
     ``n_sites``; else ``SizeError`` naming ``field``."""
-    if whole(cut, 1) is None or cut >= n_sites:
+    if whole(cut, 1, field, SizeError) >= n_sites:
         raise SizeError(f"{field}: need an integer with 1 <= cut < {n_sites}, got {cut!r}")
     return int(cut)
 
@@ -245,9 +238,7 @@ def reduced_bipartition(rho, site_dims: Sequence[int], cut: int):
     Pure index bookkeeping — the matrix is unchanged; only the factor
     dimensions are regrouped to the pair (prod(dims[:cut]), prod(dims[cut:])).
     """
-    dims = [whole(d, 1) for d in site_dims]
-    if None in dims:
-        raise SizeError(f"site_dims: need integers >= 1, got {site_dims!r}")
+    dims = [whole(d, 1, "site_dims", SizeError) for d in site_dims]
     cut = checked_cut(cut, len(dims))
     rho = as_complex_matrix(rho)
     left = math.prod(dims[:cut])
@@ -280,8 +271,7 @@ def blockade_beat_period(params: ModelParams) -> Optional[float]:
 
 def recommended_spacing(params: ModelParams, dt: float = DEFAULT_DT) -> float:
     """Sample spacing for classification runs: quarter beat, on the dt lattice."""
-    if real(dt, above=0.0) is None:
-        raise ConfigError([f"dt: must be positive and finite, got {dt!r}"])
+    real(dt, "dt", above=0.0)
     period = blockade_beat_period(params)
     if period is None:
         return 500 * dt
@@ -412,10 +402,7 @@ def classify_series(series, times, *,
     t = np.asarray(times, dtype=float)
     filtered = False
     if beat_period is not None:
-        if real(beat_period, above=0.0) is None:
-            raise ConfigError([f"beat_period: must be None or positive and finite, "
-                               f"got {beat_period!r}"])
-        y, t, filtered = _beat_notch(y, t, beat_period)
+        y, t, filtered = _beat_notch(y, t, real(beat_period, "beat_period", above=0.0))
     keep = t >= t_min - 1e-12
     y, t = y[keep], t[keep]
     report = find_peaks(y, t, prominence_threshold)

@@ -531,11 +531,11 @@ class TestSweepConfig:
         base = {"sweep": {"j_values": [0.02, 0.04, 0.06]}}
         cases = [
             ("sweep", {"j_values": [0.02, 0.04, math.inf]},
-             "sweep.j_values: hop values must be positive and finite, got (0.02, 0.04, inf)"),
+             "sweep.j_values: must be positive and finite, got inf"),
             ("sweep", {"delta": math.nan}, "sweep.delta: must be a finite number, got nan"),
-            ("model", {"g": math.nan}, "model.g: entries must be positive and finite, got nan"),
+            ("model", {"g": math.nan}, "model.g: must be positive and finite, got nan"),
             ("sweep", {"gamma_ratios": [0.5, math.inf]},
-             "sweep.gamma_ratios: ratios must be positive and finite, got (0.5, inf)"),
+             "sweep.gamma_ratios: must be positive and finite, got inf"),
             ("grid", {"dt": 0.02}, "grid.dt: 0.02 exceeds the stability cap 0.01"),
             ("grid", {"t_end": 2.0},
              "grid.t_end: spacing 2.68 does not fit inside (0.0, 2.0)"),

@@ -127,7 +127,7 @@ class TestPartialTranspose:
 
     @pytest.mark.parametrize("bad", [(6,), (2, 3, 1), (0, 6), (2.5, 2), (True, 6)])
     def test_rejects_bad_pairs(self, bad):
-        with pytest.raises(SizeError, match=r"^dims: need a pair of integers >= 1"):
+        with pytest.raises(SizeError, match=r"^dims: need (a pair of integers|an integer) >= 1"):
             partial_transpose(np.eye(6) / 6, bad)
 
     def test_dimension_mismatch_raises(self):
@@ -297,9 +297,32 @@ class TestRealNumberRule:
         params = ModelParams(n_sites=2, g=np.float64(2), hop=1, gamma=[0, np.int64(1)],
                              omega_a=np.int64(1))
         grid = TimeGrid(t_end=10, n_samples=6, dt=np.float64(0.005), t_start=np.int64(0))
+        sweep = CriticalitySweepConfig(j_values=(1, 2, np.int64(3)), gamma_ratios=(1,),
+                                       prominence_threshold=np.float64(0.05), t_min=1)
         for value in (*params.g, *params.hop, *params.gamma, params.omega_a, params.omega_c,
-                      grid.t_end, grid.t_start, grid.dt):
+                      grid.t_end, grid.t_start, grid.dt, *sweep.j_values, *sweep.gamma_ratios,
+                      sweep.prominence_threshold, sweep.t_min):
             assert type(value) is float
+
+    @pytest.mark.parametrize("hop", [True, "x", math.nan])
+    def test_one_site_hop_checked_though_it_has_no_bond(self, hop):
+        with pytest.raises(ConfigError) as err:
+            ModelParams(n_sites=1, hop=hop)
+        assert err.value.problems == [f"hop: must be a finite number, got {hop!r}"]
+
+    @pytest.mark.parametrize("call", [
+        lambda: TimeGrid(t_end=1e308, t_start=-1e308, n_samples=2),
+        lambda: TimeGrid.with_spacing(1e308, 1.0, t_start=-1e308),
+    ])
+    def test_span_beyond_the_float_range_refused(self, call):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert err.value.problems == ["t_end - t_start: must be a finite number, got inf"]
+
+    def test_step_ratio_beyond_the_float_range_refused(self):
+        with pytest.raises(ConfigError) as err:
+            TimeGrid(t_end=1e300, n_samples=2, dt=1e-300)
+        assert err.value.problems == ["spacing/dt: must be a finite number, got inf"]
 
     def test_config_text_still_read_as_numbers(self):
         sweep = sweep_from_mapping({"sweep": {"j_values": "0.02, 0.04, 0.06", "delta": "0.3"},
