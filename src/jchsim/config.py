@@ -31,7 +31,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
-from .dynamics import DEFAULT_DT, TimeGrid, batch_bytes, ensemble_problems, rho_bytes
+from .dynamics import (DEFAULT_DT, TimeGrid, batch_bytes, ensemble_problems, lindblad_bytes,
+                       rho_bytes)
 from .errors import ConfigError, collect
 from .linalg import check_budget, real, reals, whole
 from .model import (ModelParams, PolaritonLabel, basis_bytes, check_product_index,
@@ -287,6 +288,15 @@ def _finish(cls, values: dict, problems: list, *checks: Callable[[Mapping], list
 # ---------------------------------------------------------------------------
 # configuration types
 
+def _budget(terms: list) -> tuple:
+    """The bytes of the nonzero ``(keys, bytes, what)`` terms of a load
+    count, and what they hold under which keys, as ``check_budget`` takes them."""
+    terms = [term for term in terms if term[1]]
+    names = dict.fromkeys(key for keys, _, _ in terms for key in keys.split(", "))
+    return (sum(n_bytes for _, n_bytes, _ in terms),
+            f"{', '.join(names)}: {', '.join(what for _, _, what in terms)}")
+
+
 def _run_problems(v: Mapping[str, Any]) -> list:
     """The ensemble's checks of a scenario's run settings, which need no model or grid."""
     return ["run." + p for p in ensemble_problems(v["n_traj"], v["master_seed"])]
@@ -378,10 +388,7 @@ class ScenarioConfig:
                           batch_bytes(1, n_obs, n, sectors, record=True), "the jump-free branch"))
         terms.append(("run.n_traj", batch_bytes(self.n_traj, n_obs, n, sectors),
                       f"the observable rows and live states of {self.n_traj} trajectories"))
-        terms = [term for term in terms if term[1]]
-        names = dict.fromkeys(key for keys, _, _ in terms for key in keys.split(", "))
-        return (sum(n_bytes for _, n_bytes, _ in terms),
-                f"{', '.join(names)}: {', '.join(what for _, _, what in terms)}")
+        return _budget(terms)
 
     @property
     def max_excitation(self) -> int:
@@ -455,11 +462,30 @@ class CriticalitySweepConfig:
         if None not in (t_min, grid) and not t_min < grid.t_end:   # t_end trimmed to a sample
             problems.append(f"classifier.t_min: must lie below the last sample time "
                             f"{grid.t_end}, got {self.t_min}")
+        if grid is not None:
+            collect(problems, check_budget, *self._load_count(grid))
         problems += _output_problems(vars(self))
         if problems:
             raise ConfigError(problems)
         for name, value in {**values, "_grid": grid}.items():
             object.__setattr__(self, name, value)
+
+    def _load_count(self, grid: TimeGrid) -> tuple:
+        """The sum of one point's guards' own counts.  Every point runs the
+        damped two-site model started in |2-, G>, so only the sample count,
+        which the grid keys set, differs between sweeps."""
+        params, n = self.model_for(1.0, 1.0), grid.n_samples
+        sectors = sector_dims(2, params.n_max)
+        block = transpose_block_bound(2, params.n_max, 1)
+        keys = "grid.t_end, grid.t_start, grid.dt"
+        return _budget([
+            (keys, basis_bytes(params, params.n_max), "the basis"),
+            (keys, model_bytes(params, params.n_max), "H and the loss operators"),
+            (keys, model_bytes(params, params.n_max, 1), "the pinned-state projector"),
+            (keys, lindblad_bytes(n, sum(sectors), sectors),
+             f"the master equation's generators and {n} samples"),
+            (keys, transpose_bytes(n, block),
+             f"the partial transpose's largest block of at most {block} states")])
 
     def model_for(self, hop: float, gamma: float) -> ModelParams:
         return ModelParams(n_sites=2, omega_a=self.delta, omega_c=0.0,

@@ -919,6 +919,15 @@ def _real_generator(parts: list, spare: int) -> np.ndarray:
     return sup
 
 
+def lindblad_bytes(n_samples: int, dim: int, block_dims) -> int:
+    """Peak bytes of ``lindblad_evolve`` on blocks of ``block_dims`` states of
+    a ``dim``-state model: four real generators on the Σ_b k_b² coordinates
+    of ρ (``_taylor4`` and ``matrix_power`` each hold four at their peaks),
+    the sampled coordinates and the returned ``(n_samples, dim, dim)`` stack."""
+    n_kept = sum(k * k for k in block_dims)
+    return 4 * n_kept ** 2 * 8 + n_samples * (n_kept * 8 + dim * dim * 16)
+
+
 def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
                     rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Propagate the density matrix; returns (n_samples, d, d).
@@ -934,9 +943,8 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     sample's product are real, on (Σ_b k_b²)² entries.  The samples are
     scattered into the returned stack, which is exactly Hermitian and whose
     entries off the blocks are exact zeros.  A model without structure is
-    one block.  The peak of four real generators, while R is formed and
-    raised to a stride, and the sampled coordinates and returned stack are
-    checked against ``linalg.MEMORY_CAP`` before any of them is built.
+    one block.  Its peak (``lindblad_bytes``) is checked against
+    ``linalg.MEMORY_CAP`` before any of its arrays is built.
     """
     rho0 = as_complex_matrix(rho0)
     d = rho0.shape[0]
@@ -954,8 +962,7 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     _, rows, cols = _block_layout(parts)
     n_kept = len(rows)
     n = grid.n_samples
-    # at their peaks _taylor4 and matrix_power each hold four generators
-    n_bytes = 4 * n_kept ** 2 * 8 + n * (n_kept * 8 + d * d * 16)
+    n_bytes = lindblad_bytes(n, d, [len(part.index) for part in parts])
     check_budget(n_bytes, f"four real generators on {n_kept} coordinates of ρ and {n} samples")
     r_step = _real_generator(parts, n_bytes - n_kept ** 2 * 8)   # chunks in the count's rest
     r_step *= grid.dt

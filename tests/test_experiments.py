@@ -485,6 +485,16 @@ class TestScenarioConfig:
 
 
 class TestSweepConfig:
+    def test_sample_count_beyond_the_budget_refused_at_load(self):
+        # 3 731 344 samples: the master equation's returned stack alone is 9.4 GB
+        with pytest.raises(ConfigError) as err:
+            CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06), t_end=1e7)
+        assert err.value.problems == [
+            "grid.t_end, grid.t_start, grid.dt: the basis, H and the loss operators, the "
+            "pinned-state projector, the master equation's generators and 3731344 samples, "
+            "the partial transpose's largest block of at most 9 states needs 22716652896 "
+            "bytes, above the budget 268435456"]
+
     def test_defaults_and_grid(self):
         config = CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06))
         assert config.gamma_ratios == DEFAULT_GAMMA_RATIOS
@@ -1048,6 +1058,18 @@ class TestPresets:
             assert len(guarded) == (3 + len(config.observables) + negativity
                                     + config.include_conditional)
             assert loaded == [loaded[0]] and loaded[0] >= sum(guarded)
+
+    def test_sweep_load_count_covers_every_guard_of_a_point(self, monkeypatch):
+        loaded, guarded = [], []
+        monkeypatch.setattr(config_module, "check_budget", lambda n, what: loaded.append(n))
+        for module in (model_module, observables, dynamics):
+            monkeypatch.setattr(module, "check_budget", lambda n, what: guarded.append(n))
+        sweep = load_preset("fig4").sweep
+        classify_point(sweep, sweep.j_values[0], sweep.gamma_ratios[0] * sweep.j_values[0])
+        # the basis, H, the pinned-state projector, the master equation and
+        # the partial transpose
+        assert len(guarded) == 5
+        assert loaded == [loaded[0]] and loaded[0] >= sum(guarded)
 
     def test_scenario_presets_cover_system_sizes(self):
         sizes = {cfg.model.n_sites
