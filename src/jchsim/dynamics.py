@@ -626,9 +626,9 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     are drawn one at a time from its own stream (the threshold, then per
     jump the channel and the next threshold), and the decaying norm carries
     the waiting time.  Otherwise nothing jumps and every column would be the
-    same run, so the batch is one column; its state
-    is rescaled below ``_RESCALE_FLOOR`` with the factor carried in the
-    survival, so rows stay finite.
+    same run, so the batch is one column; its state is rescaled below
+    ``_RESCALE_FLOOR`` with the factor carried in the survival, so rows stay
+    finite.
 
     The columns are grouped by the block each occupies, and every stride
     advances a whole group with one matrix product (``_stride``).  With
@@ -642,9 +642,10 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     on should keep the norm, so one whose stepped rows fall below
     ``_RESCALE_FLOOR`` raises.
 
-    Before any of them exists, the batch's arrays (``batch_bytes`` and, with
-    ``keep_rho``, ``rho_bytes``) count against ``linalg.MEMORY_CAP``, in a
-    message that begins with ``what``, the caller's name for the batch.
+    Before any of them, or any column's seed or Generator, exists, the
+    batch's arrays (``batch_bytes`` and, with ``keep_rho``, ``rho_bytes``)
+    count against ``linalg.MEMORY_CAP``, in a message that begins with
+    ``what``, the caller's name for the batch.
     """
     grid = mach.grid
     n = grid.n_samples
