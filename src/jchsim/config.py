@@ -471,17 +471,20 @@ class CriticalitySweepConfig:
             object.__setattr__(self, name, value)
 
     def _load_count(self, grid: TimeGrid) -> tuple:
-        """The sum of one point's guards' own counts.  Every point runs the
-        damped two-site model started in |2-, G>, so only the sample count,
-        which the grid keys set, differs between sweeps."""
+        """The sum of the guards' own counts: of what the sweep builds once
+        and of one point.  Every point runs the damped two-site model
+        started in |2-, G>, so only the sample count, which the grid keys
+        set, differs between sweeps."""
         params, n = self.model_for(1.0, 1.0), grid.n_samples
         sectors = sector_dims(2, params.n_max)
         block = transpose_block_bound(2, params.n_max, 1)
         keys = "grid.t_end, grid.t_start, grid.dt"
         return _budget([
-            (keys, basis_bytes(params, params.n_max), "the basis"),
-            (keys, model_bytes(params, params.n_max), "H and the loss operators"),
+            (keys, 2 * basis_bytes(params, params.n_max), "two bases"),
+            (keys, 2 * model_bytes(params, params.n_max), "two models' H and loss operators"),
+            (keys, model_bytes(params, params.n_max, 1), "the hop terms"),
             (keys, model_bytes(params, params.n_max, 1), "the pinned-state projector"),
+            (keys, model_bytes(params, params.n_max), "a point's H and loss operators"),
             (keys, lindblad_bytes(n, sum(sectors), sectors),
              f"the master equation's generators and {n} samples"),
             (keys, transpose_bytes(n, block),

@@ -9,18 +9,29 @@ origin fitted to (hop, gamma_c) summarizes the sweep.
 
 Every point is classified from its exact master-equation trace, so a sweep
 draws no random numbers and has no trajectory count or seed.
+
+The points differ only in J and γ.  A sweep builds once what they share:
+the basis, H at J = 0, the hop terms at unit J, the loss operators at unit
+γ, ψ0 and ρ0, the pinned-state projector, the grid and the beat period.
+Each point forms H = H0 + J·K and L = √γ·A and runs its own master
+equation; ``build_reduced_model`` gives every element of H and L a single
+term, so these are bit for bit the operators a build at (J, γ) gives.
+Nothing is kept past the call.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .config import CriticalitySweepConfig
 from .dynamics import lindblad_evolve
-from .model import build_reduced_model
+from .linalg import check_budget
+from .model import build_reduced_model, damped_sites, dense_bytes, model_bytes
 from .observables import (
     ProjectorSpec,
     blockade_beat_period,
@@ -92,37 +103,57 @@ class CriticalityResult:
 
 
 def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float) -> CriticalityRow:
-    """Evolve one grid point's master equation and classify its negativity.
+    """Evolve one grid point's master equation and classify its negativity:
+    a sweep of the one point."""
+    return next(_classify_points(config, [(hop, gamma)]))
 
-    The negativity is ``block_negativity`` of the ``lindblad_evolve`` stack
-    across the two sites, read off the 13-dim reduced states.  The
-    transition metrics (pinned-state population maximum and half-rise time)
-    come from the same density-matrix trace as the classification.
+
+def _classify_points(config: CriticalitySweepConfig,
+                     points: Iterable[tuple]) -> Iterator[CriticalityRow]:
+    """Each ``(hop, gamma)`` of ``points``, evolved and classified in turn.
+
+    H0 and the loss operators A are the model at J = 0 and unit γ, and the
+    hop terms K are the model at J = 1 less H0.  The negativity is
+    ``block_negativity`` of the ``lindblad_evolve`` stack across the two
+    sites, read off the 13-dim reduced states.  The transition metrics
+    (pinned-state population maximum and half-rise time) come from the
+    same density-matrix trace as the classification.
     """
-    params = config.model_for(hop, gamma)
-    model = build_reduced_model(params, max_exc=2)
-    psi0 = model.space.product_state(_INITIAL_LABELS)
+    base = build_reduced_model(config.model_for(0.0, 1.0), max_exc=2)
+    space, params = base.space, base.space.params
+    check_budget(dense_bytes(space.dim), f"the hop terms on {space.dim} states")
+    hop_terms = build_reduced_model(config.model_for(1.0, 1.0), max_exc=2).h - base.h
+    psi0 = space.product_state(_INITIAL_LABELS)
+    rho0 = np.outer(psi0, psi0.conj())
+    pinned_op = _PINNED.operator(params, space)
     grid = config.grid_for(params)
-    pinned_op = _PINNED.operator(params, model.space)
+    beat_period = blockade_beat_period(params)
 
-    rhos = lindblad_evolve(model.h, model.collapse, np.outer(psi0, psi0.conj()), grid)
-    pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
+    for hop, gamma in points:
+        point = config.model_for(hop, gamma)
+        damped = damped_sites(point)
+        check_budget(model_bytes(point, 2),
+                     f"H and {len(damped)} loss operators on {space.dim} states")
+        h = base.h + point.hop[0] * hop_terms
+        collapse = [math.sqrt(point.gamma[j]) * base.collapse[j] for j in damped]
+        rhos = lindblad_evolve(h, collapse, rho0, grid)
+        pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
 
-    neg = block_negativity(rhos, model.space, cut=1)
-    report = classify_series(
-        neg, grid.times,
-        prominence_threshold=config.prominence_threshold,
-        t_min=config.t_min,
-        beat_period=blockade_beat_period(params))
+        neg = block_negativity(rhos, space, cut=1)
+        report = classify_series(
+            neg, grid.times,
+            prominence_threshold=config.prominence_threshold,
+            t_min=config.t_min,
+            beat_period=beat_period)
 
-    max_pinned = float(pinned.max()) if pinned.size else 0.0
-    t_half = None
-    if max_pinned > 0.0:
-        above = np.nonzero(pinned >= 0.5 * max_pinned)[0]
-        if above.size:
-            t_half = float(grid.times[above[0]])
-    return CriticalityRow(hop=float(hop), gamma=float(gamma), report=report,
-                          max_pinned=max_pinned, t_half_pinned=t_half)
+        max_pinned = float(pinned.max()) if pinned.size else 0.0
+        t_half = None
+        if max_pinned > 0.0:
+            above = np.nonzero(pinned >= 0.5 * max_pinned)[0]
+            if above.size:
+                t_half = float(grid.times[above[0]])
+        yield CriticalityRow(hop=float(hop), gamma=float(gamma), report=report,
+                             max_pinned=max_pinned, t_half_pinned=t_half)
 
 
 def _grid_flags(config: CriticalitySweepConfig) -> list:
@@ -178,12 +209,15 @@ def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
 
     The points run one after another: hop by hop, and each hop's damping
     values in increasing order; any parallelism is BLAS threads in a point.
+    The basis, H at J = 0, the hop terms, the loss operators at unit γ, ψ0,
+    the pinned-state projector, the grid and the beat period are built once
+    for the whole sweep, and each point scales J and γ in.
     """
-    estimates = []
-    for hop in config.j_values:
-        rows = tuple(classify_point(config, hop, ratio * hop)
-                     for ratio in config.gamma_ratios)
-        estimates.append(estimate_critical_gamma(config, hop, rows))
+    rows = _classify_points(config, ((hop, ratio * hop) for hop in config.j_values
+                                     for ratio in config.gamma_ratios))
+    estimates = [estimate_critical_gamma(
+                     config, hop, tuple(itertools.islice(rows, len(config.gamma_ratios))))
+                 for hop in config.j_values]
 
     fitted = [(est.hop, est.gamma_c) for est in estimates
               if est.gamma_c is not None]

@@ -95,6 +95,11 @@ _BISECT_TOL = 1e-10
 _UNIT_NORM_ATOL = 1e-8
 _NORM_UNDERFLOW = 1e-28
 _RESCALE_FLOOR = 1e-150        # jump-free squared norm below which the state is rescaled
+# a column's Python objects (``batch_bytes``): its Generator with its SeedSequence
+# and seed tuple and its jump list, about 1.1 KB by tracemalloc, with the
+# temporaries of a row that jumps; and each jump's (time, channel) record
+_COLUMN_BYTES = 1536
+_JUMP_BYTES = 96
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +607,15 @@ def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
 def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
                 record: bool = False) -> int:
     """Bytes of a batch of ``n_cols`` columns on blocks of ``block_dims``
-    states: each column's live state and, recorded, the column's states and
-    squared norms at every sample, else its observable rows."""
+    states: each column's live state and Python objects, with a jump record
+    per block it can leave, and, recorded, the column's states and squared
+    norms at every sample, else its observable rows.  Each loss lowers the
+    excitation, so a column leaves a block at most once; channels that map
+    a block into itself record jumps this does not count."""
     dim = sum(block_dims)
     rows = (n_samples * (dim * 16 + 2 * 8) if record
             else n_cols * n_observables * n_samples * 8)
-    return rows + n_cols * dim * 16
+    return rows + n_cols * (dim * 16 + _COLUMN_BYTES + _JUMP_BYTES * (len(block_dims) - 1))
 
 
 def rho_bytes(n_samples: int, block_dims) -> int:

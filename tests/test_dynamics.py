@@ -957,8 +957,9 @@ class TestDeterminism:
 
 class TestMemoryGuards:
     def test_trajectory_rows_over_budget_raise_before_allocating(self, monkeypatch):
-        # 10⁶ trajectories of 41 samples of one observable on a 4-dim model:
-        # 10⁶ · (41 · 8 + 4 · 16) bytes of rows and live states
+        # 10⁶ trajectories of 41 samples of one observable on a 4-dim model of
+        # four one-state blocks: 10⁶ · (41 · 8 + 4 · 16 + 1 536 + 3 · 96) bytes
+        # of rows, live states, objects and jump records
         h, collapse, a = damped_mode()
         psi0 = np.zeros(4, dtype=np.complex128)
         psi0[2] = 1.0
@@ -972,7 +973,7 @@ class TestMemoryGuards:
         try:
             with pytest.raises(SizeError, match=r"the ensemble of 1000000 trajectories: "
                                                 r"observable rows, live states needs "
-                                                r"392000000 bytes"):
+                                                r"2216000000 bytes"):
                 mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
                               n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
             peak = tracemalloc.get_traced_memory()[1]
@@ -997,6 +998,28 @@ class TestMemoryGuards:
         with pytest.raises(SizeError, match=r"^projector P\(4-,G\) on 41 states needs 26896 "):
             ProjectorSpec(labels=("4-", "G")).operator(space.params, space)
 
+    def test_accepted_batch_peaks_below_its_count(self, monkeypatch):
+        # 10 000 trajectories of a damped mode from two photons: each holds a
+        # Generator, its seed tuple and a jump list, about 1.1 KB of Python
+        # objects against 64 bytes of state and 24 of observable rows
+        h, collapse, a = damped_mode()
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        counts = []
+        guard = dynamics.check_budget
+        monkeypatch.setattr(dynamics, "check_budget",
+                            lambda n_bytes, what: (counts.append(n_bytes), guard(n_bytes, what)))
+        tracemalloc.start()
+        try:
+            ens = mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=0.4, n_samples=3),
+                                n_traj=10_000, master_seed=0, observables={"n": a.conj().T @ a})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ens.jumps_per_channel.sum(axis=1) == 2).any()
+        assert counts == [10_000 * (3 * 8 + 4 * 16 + 1536 + 3 * 96)]
+        assert peak < counts[0]
+
     def test_keep_rho_over_budget_raises_before_allocating(self):
         params = ModelParams(n_sites=4, hop=0.03, gamma=0.05, n_max=4)
         model = build_reduced_model(params, max_exc=4)
@@ -1004,15 +1027,17 @@ class TestMemoryGuards:
             prepare_product_polariton_state(("4-", "G", "G", "G"), params))
         grid = TimeGrid(t_end=1500.0, n_samples=601, dt=0.005)
         # blocks of 1, 8, 32, 88 and 192 states: (601 + 1) · 45 697 · 16 bytes for
-        # ρ̄'s entries, rows and columns, and 2 · 321 · 16 for the live states
+        # ρ̄'s entries, rows and columns, 2 · 321 · 16 for the live states and
+        # 2 · (1 536 + 4 · 96) for the trajectories' objects and jump records
         with pytest.raises(SizeError, match=r"live states, ρ̄'s block entries over 601 samples "
-                                            r"needs 440163776 bytes"):
+                                            r"needs 440167616 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)
 
     def test_record_paths_and_negativity_raise_before_allocating(self, monkeypatch):
         # fig2: a recorded run keeps 560 states of 13 amplitudes and two squared
-        # norms a sample, 560 · (13 · 16 + 16) bytes, and its live state, 13 · 16;
+        # norms a sample, 560 · (13 · 16 + 16) bytes, its live state, 13 · 16, and
+        # its objects and a jump record for each of two sectors, 1 536 + 2 · 96;
         # ρ̄'s partial transpose has blocks of at most 9 states, held twice with
         # their eigenvalues: 560 · (2 · 9² + 9) · 16 bytes
         config, model, psi0 = preset_problem("fig2")
@@ -1025,7 +1050,7 @@ class TestMemoryGuards:
 
         monkeypatch.setattr(dynamics, "_stride", never)
         monkeypatch.setattr(np.linalg, "eigvalsh", never)
-        record = 560 * (13 * 16 + 16) + 13 * 16
+        record = 560 * (13 * 16 + 16) + 13 * 16 + 1536 + 2 * 96
         calls = [
             (record, "the jump-free branch", ens.jump_free_branch),
             (record, "the jump-free branch",

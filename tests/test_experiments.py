@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jchsim import config as config_module, dynamics, model as model_module, observables
+from jchsim import (config as config_module, critical, dynamics, model as model_module,
+                    observables)
 from jchsim.checks import SUITE_NAMES, run_suite
 from jchsim.cli import main
 from jchsim.config import (DEFAULT_GAMMA_RATIOS, CriticalitySweepConfig,
@@ -28,7 +29,7 @@ from jchsim.critical import (PRIMARY_METHOD, CriticalityResult, CriticalityRow,
                              classify_point, estimate_critical_gamma,
                              gamma_c_curve)
 from jchsim.errors import ConfigError
-from jchsim.model import ReducedSpace, excitation_basis
+from jchsim.model import ReducedSpace, build_reduced_model, excitation_basis
 from jchsim.observables import PeakReport, recommended_spacing
 from jchsim.presets import PRESET_NAMES, load_preset
 from jchsim.runner import run_scenario, write_criticality_outputs
@@ -348,7 +349,8 @@ class TestScenarioConfig:
     def test_dense_model_over_budget_rejected(self):
         # 8065 reduced states: H and two loss operators need 3.1 GB; the basis
         # enumeration 64 · 2 · 8065 + 8192 bytes at its peak, and the one
-        # trajectory's state 8065 · 16 bytes more
+        # trajectory's state 8065 · 16 bytes more, with its objects and a jump
+        # record for each of 63 sectors it can leave, 1 536 + 63 · 96
         problems = problems_of(scenario_from_mapping, {
             "model": {"n_sites": 2, "n_max": 63, "gamma": 0.05},
             "initial": {"labels": ["63-", "G"]},
@@ -357,13 +359,14 @@ class TestScenarioConfig:
         assert problems == [
             "model.n_sites, model.n_max, initial.labels, run.n_traj: the basis, H and the "
             "loss operators, the observable rows and live states of 1 trajectories needs "
-            "3123292352 bytes, above the budget 268435456"]
+            "3123299936 bytes, above the budget 268435456"]
 
     def test_projectors_counted_against_the_budget(self):
         # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
         # and each projector is one more dense matrix of 71 436 304 bytes; the
         # basis enumeration peaks at 278 656 bytes, and the trajectory adds its
-        # state (33 808 bytes) and one row per projector (48)
+        # state (33 808 bytes), its objects and jump records (1 536 + 32 · 96)
+        # and one row per projector (48)
         mapping = {
             "model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
             "initial": {"labels": ["32-", "G"]},
@@ -374,13 +377,14 @@ class TestScenarioConfig:
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.projectors, run.n_traj: "
             "the basis, H and the loss operators, the projectors, the observable rows and "
-            "live states of 1 trajectories needs 286057728 bytes, above the budget 268435456"]
+            "live states of 1 trajectories needs 286062336 bytes, above the budget 268435456"]
 
     def test_trajectory_rows_counted_against_the_budget(self):
         # fig2: each trajectory keeps 3 · 560 observable rows of 8 bytes and, while
-        # the batch runs, its 13-dim state: 13 648 bytes each, 13.6 GB at a million;
-        # the model, projectors, ρ̄, its partial transpose and the jump-free branch
-        # add 2 410 944 bytes
+        # the batch runs, its 13-dim state, its objects and a jump record for each
+        # of the two sectors it can leave: 13 648 + 1 536 + 2 · 96 bytes each,
+        # 15.4 GB at a million; the model, projectors, ρ̄, its partial transpose
+        # and the jump-free branch add 2 412 672 bytes
         bundle = load_preset("fig2")
         assert bundle.with_overrides(n_traj=2000).scenarios[0].n_traj == 2000
         with pytest.raises(ConfigError) as err:
@@ -391,7 +395,7 @@ class TestScenarioConfig:
                                   "observables.bipartition_cut, observables.conditional, "
                                   "run.n_traj: ")
         assert problem.endswith("the observable rows and live states of 1000000 "
-                                "trajectories needs 13650410944 bytes, above the budget "
+                                "trajectories needs 15378412672 bytes, above the budget "
                                 "268435456")
 
     def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
@@ -436,10 +440,10 @@ class TestScenarioConfig:
             "observables.bipartition_cut, run.n_traj: the basis, H and the loss operators, "
             "ρ̄'s block entries over 561 samples, the partial transpose's largest block of "
             "at most 257 states, the observable rows and live states of 1 trajectories "
-            "needs 1600680768 bytes, above the budget 268435456"]
+            "needs 1600682688 bytes, above the budget 268435456"]
         # the preset: 560 samples, 2000 trajectories with 2 projectors, four damped
         # sites and the jump-free branch
-        with pytest.raises(ConfigError, match="1638800992 bytes"):
+        with pytest.raises(ConfigError, match="1642642912 bytes"):
             replace(load_preset("n4").scenarios[0], compute_negativity=True)
 
     def test_partial_transpose_beyond_the_budget_refused_at_load(self):
@@ -490,10 +494,11 @@ class TestSweepConfig:
         with pytest.raises(ConfigError) as err:
             CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06), t_end=1e7)
         assert err.value.problems == [
-            "grid.t_end, grid.t_start, grid.dt: the basis, H and the loss operators, the "
-            "pinned-state projector, the master equation's generators and 3731344 samples, "
-            "the partial transpose's largest block of at most 9 states needs 22716652896 "
-            "bytes, above the budget 268435456"]
+            "grid.t_end, grid.t_start, grid.dt: two bases, two models' H and loss operators, "
+            "the hop terms, the pinned-state projector, a point's H and loss operators, the "
+            "master equation's generators and 3731344 samples, the partial transpose's "
+            "largest block of at most 9 states needs 22716681680 bytes, above the budget "
+            "268435456"]
 
     def test_defaults_and_grid(self):
         config = CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06))
@@ -956,6 +961,50 @@ class TestSweepOnModel:
         sidecar = json.loads(paths["sidecar"].read_text())
         assert sidecar["slope"] == pytest.approx(resonant_curve.slope)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"delta": 0.5}, {"coupling": 0.7, "delta": -0.3}])
+    def test_each_point_runs_the_operators_of_its_own_build(self, kwargs, monkeypatch):
+        # H0 + J·K and √γ·A equal a fresh build at (J, γ) bit for bit
+        config = sweep_config(j_values=(0.02, 0.04, 0.06, 0.08), **kwargs)
+        seen = []
+        evolve = critical.lindblad_evolve
+
+        def record(h, collapse, rho0, grid):
+            seen.append((h, collapse))
+            return evolve(h, collapse, rho0, grid)
+
+        monkeypatch.setattr(critical, "lindblad_evolve", record)
+        result = gamma_c_curve(config)
+        assert len(seen) == len(list(result.rows()))
+        for row, (h, collapse) in zip(result.rows(), seen, strict=True):
+            built = build_reduced_model(config.model_for(row.hop, row.gamma), max_exc=2)
+            assert h.tobytes() == built.h.tobytes()
+            assert [op.tobytes() for op in collapse] == [op.tobytes() for op in built.collapse]
+
+    def test_sweep_rows_equal_point_rows(self, resonant_curve):
+        def cells(row):
+            report = row.report
+            return (row.hop, row.gamma, report.peak_times.tobytes(),
+                    report.peak_heights.tobytes(), report.prominences.tobytes(),
+                    report.global_max, report.boundary_peak, report.beat_filtered,
+                    row.max_pinned, row.t_half_pinned)
+
+        config = resonant_curve.config
+        for row in resonant_curve.rows():
+            assert cells(classify_point(config, row.hop, row.gamma)) == cells(row)
+
+    @pytest.mark.parametrize("j_values,gamma_ratios", [
+        ((0.02, 0.04, 0.06), (0.5,)), ((0.02, 0.04, 0.06, 0.08), DEFAULT_GAMMA_RATIOS)])
+    def test_sweep_builds_its_models_once(self, j_values, gamma_ratios, monkeypatch):
+        calls = {"build_reduced_model": 0, "lindblad_evolve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(critical, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(critical, name, counted)
+        gamma_c_curve(sweep_config(j_values=j_values, gamma_ratios=gamma_ratios))
+        assert calls == {"build_reduced_model": 2,
+                         "lindblad_evolve": len(j_values) * len(gamma_ratios)}
+
     def test_classification_invariant_under_frequency_rescale(self):
         # doubling every rate (coupling, hop, damping) halves every time
         # scale but preserves which regime each point lands in
@@ -1062,13 +1111,14 @@ class TestPresets:
     def test_sweep_load_count_covers_every_guard_of_a_point(self, monkeypatch):
         loaded, guarded = [], []
         monkeypatch.setattr(config_module, "check_budget", lambda n, what: loaded.append(n))
-        for module in (model_module, observables, dynamics):
+        for module in (model_module, observables, dynamics, critical):
             monkeypatch.setattr(module, "check_budget", lambda n, what: guarded.append(n))
         sweep = load_preset("fig4").sweep
         classify_point(sweep, sweep.j_values[0], sweep.gamma_ratios[0] * sweep.j_values[0])
-        # the basis, H, the pinned-state projector, the master equation and
-        # the partial transpose
-        assert len(guarded) == 5
+        # built once: two bases, two models, the hop terms and the pinned-state
+        # projector; then the point's H and loss operators, its master equation
+        # and its partial transpose
+        assert len(guarded) == 9
         assert loaded == [loaded[0]] and loaded[0] >= sum(guarded)
 
     def test_scenario_presets_cover_system_sizes(self):
