@@ -39,6 +39,10 @@ finds the last step still above the threshold.  The crossing inside the
 next step is bisected on that step's squared norm, a real polynomial of
 degree 8 in the time into the step whose coefficients come from the Gram
 matrix of ψ, Gψ, …, G⁴ψ; no state vector is formed while bisecting.
+Crossings are resolved one row at a time, and a row's scalar work, the
+bisection's Horner steps and the channel draw's running sum, runs on
+Python floats: on the two-site blocks of 4 and 8 states a NumPy call costs
+more than the arithmetic it would do.
 
 The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
 ρ0's support in one block.  ρ then stays block-diagonal, so only the
@@ -71,8 +75,10 @@ uses H itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -265,22 +271,27 @@ def _taylor4(m: np.ndarray) -> np.ndarray:
     return acc + np.eye(len(m))
 
 
-def _block_labels(h: np.ndarray, ops: list, support: np.ndarray) -> np.ndarray:
-    """Block of each basis state, labelled by the block's smallest state.
+def _nonzero(m: np.ndarray) -> tuple:
+    """Row and column of each nonzero entry of ``m``, in row-major order, as
+    ``np.nonzero`` gives them."""
+    return np.divmod(np.flatnonzero(m != 0), m.shape[1])
+
+
+def _block_labels(d: int, h_pattern: tuple, patterns: list, support: np.ndarray) -> np.ndarray:
+    """Block of each of the ``d`` basis states, labelled by the block's smallest state.
 
     The blocks are the finest partition in which the ``support`` states lie
     in one block, H and every L†L couple states of one block only, and each
     L maps a whole block into a single block.  Read off the nonzero
-    patterns: each state takes the smallest label among the states it is
-    linked to, until no label changes.
+    patterns (``_nonzero``) of H and of each L: each state takes the
+    smallest label among the states it is linked to, until no label changes.
     """
-    patterns = [np.nonzero(op) for op in ops]
-    fixed = [np.nonzero(h), (support[:-1], support[1:])]
+    fixed = [h_pattern, (support[:-1], support[1:])]
     for rows, cols in patterns:
         # states sent onto one row are coupled by L†L; rows come sorted
         same = rows[1:] == rows[:-1]
         fixed.append((cols[1:][same], cols[:-1][same]))
-    labels = np.arange(h.shape[0])
+    labels = np.arange(d)
     while True:
         links = list(fixed)
         for rows, cols in patterns:
@@ -310,24 +321,33 @@ def _partition(h: np.ndarray, ops: list, support: np.ndarray,
                center: float) -> tuple:
     """The blocks of ``_block_labels`` with each block's generator and jump maps.
 
+    Each operator's nonzero pattern is read once.  A channel maps a block
+    into the block of the first row, in row-major order, of its entries in
+    the block's columns, and a block it does not touch into itself.
     Returns the block of each basis state and one ``_Part`` per block,
     ordered by the block's smallest state.
     """
-    owner = np.unique(_block_labels(h, ops, support), return_inverse=True)[1]
+    patterns = [_nonzero(op) for op in ops]
+    owner = np.unique(_block_labels(h.shape[0], _nonzero(h), patterns, support),
+                      return_inverse=True)[1]
     members = [np.flatnonzero(owner == b) for b in range(owner.max() + 1)]
+    targets = []
+    for rows, cols in patterns:
+        target = np.arange(len(members))
+        touched, first = np.unique(owner[cols], return_index=True)
+        target[touched] = owner[rows[first]]
+        targets.append(target.tolist())
     parts = []
     for b, idx in enumerate(members):
         gen = -1j * (h[np.ix_(idx, idx)] - center * np.eye(len(idx)))
-        targets, jumps = [], []
-        for op in ops:
-            hit = np.flatnonzero(op[:, idx].any(axis=1))
-            target = owner[hit[0]] if len(hit) else b
-            jump = op[np.ix_(members[target], idx)]
+        jumps = []
+        for op, target in zip(ops, targets):
+            jump = op[np.ix_(members[target[b]], idx)]
             gen = gen - 0.5 * (jump.conj().T @ jump)
-            targets.append(int(target))
             jumps.append(np.ascontiguousarray(jump))
         parts.append(_Part(index=idx, gen=np.ascontiguousarray(gen),
-                           targets=tuple(targets), jumps=tuple(jumps)))
+                           targets=tuple(target[b] for target in targets),
+                           jumps=tuple(jumps)))
     return owner, parts
 
 
@@ -417,10 +437,6 @@ def _check_state(psi0: np.ndarray, d: int) -> np.ndarray:
 # pure-state evolutions: jump-free branches and quantum trajectories
 # ---------------------------------------------------------------------------
 
-def _norm2(x: np.ndarray) -> float:
-    return np.vdot(x, x).real
-
-
 def _threshold(rng: np.random.Generator) -> float:
     """Next waiting-time threshold for the decaying squared norm."""
     r = rng.random()
@@ -443,20 +459,33 @@ def _flow_norm2_poly(powers: list) -> list:
     """‖_taylor_flow(powers, τ)‖² as a real polynomial of degree 8 in τ.
 
     The coefficient of τ^n is Σ_{i+j=n} Re<G^iψ, G^jψ>/(i! j!), read off
-    the 5×5 Gram matrix of the powers.  Returned highest degree first, the
-    order ``_poly_value`` takes.
+    the 5×5 Gram matrix of the powers.  Returned as Python floats, highest
+    degree first, the order ``_crossing_time`` takes.
     """
     v = np.array(powers)
     gram = (v.conj() @ v.T).real.ravel()
     return np.bincount(_GRAM_DEGREE, weights=gram * _GRAM_WEIGHT).tolist()[::-1]
 
 
-def _poly_value(coeffs: list, tau: float) -> float:
-    """Horner's rule on coefficients given highest degree first."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * tau + c
-    return acc
+def _crossing_time(coeffs: list, frac: float, r: float) -> float:
+    """The time in [0, ``frac``] at which the degree-8 polynomial ``coeffs``
+    (highest degree first) falls to ``r``, bisected to ``_BISECT_TOL``.
+
+    Horner's rule is written out on Python floats.  It takes the steps
+    ``acc * mid + c`` of a loop from ``acc = 0.0``, whose first step,
+    ``0.0 * mid + c``, can differ from ``c`` only in the sign of a zero; no
+    later step turns that into a nonzero value, and no comparison sees it.
+    """
+    c8, c7, c6, c5, c4, c3, c2, c1, c0 = coeffs
+    lo, hi = 0.0, frac
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if ((((((((c8 * mid + c7) * mid + c6) * mid + c5) * mid + c4) * mid + c3) * mid
+                + c2) * mid + c1) * mid + c0) > r:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
@@ -478,24 +507,17 @@ def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: flo
         for _ in range(4):
             powers.append(blk.gen @ powers[-1])
         end = _taylor_flow(powers, frac)
-        if _norm2(end) > r:
+        if np.vdot(end, end).real > r:
             return end, r, b
-        coeffs = _flow_norm2_poly(powers)
-        lo, hi = 0.0, frac
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if _poly_value(coeffs, mid) > r:
-                lo = mid
-            else:
-                hi = mid
-        tau = 0.5 * (lo + hi)
-        # channel c with probability ||L_c phi||^2 / sum_k ||L_k phi||^2
+        tau = _crossing_time(_flow_norm2_poly(powers), frac, r)
+        # channel c with probability ||L_c phi||^2 / sum_k ||L_k phi||^2: the first
+        # channel whose running sum exceeds the draw
         phi = _taylor_flow(powers, tau)
         jumped = [jump @ phi for jump in blk.jumps]
-        acc = np.cumsum([_norm2(v) for v in jumped])
-        chan = min(int(np.searchsorted(acc, rng.random() * acc[-1], side="right")),
-                   len(acc) - 1)
-        work = jumped[chan] * (1.0 / math.sqrt(_norm2(jumped[chan])))
+        norms = [np.vdot(v, v).real for v in jumped]
+        acc = list(accumulate(norms))
+        chan = min(bisect_right(acc, rng.random() * acc[-1]), len(acc) - 1)
+        work = jumped[chan] * (1.0 / math.sqrt(norms[chan]))
         b = blk.targets[chan]
         jumps.append((t0 + t_in_step + tau, chan))
         r = _threshold(rng)
@@ -515,22 +537,22 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
     Returns the state at the end of the interval, the pending threshold and
     the block the state then occupies.
     """
-    n_fine = grid.n_fine
+    n_fine, dt = grid.n_fine, grid.dt
+    r = float(r)
     done = 0
     while done < n_fine:
-        if _norm2(work) < _NORM_UNDERFLOW:
+        if np.vdot(work, work).real < _NORM_UNDERFLOW:
             raise IntegratorError(
                 "state norm fell below 1e-14 before the jump threshold was reached")
         r_pows = mach.blocks[b].r_pows
         for p in range((n_fine - done).bit_length() - 1, -1, -1):
             if done + (1 << p) <= n_fine:
                 trial = r_pows[p] @ work
-                if _norm2(trial) > r:
+                if np.vdot(trial, trial).real > r:
                     work = trial
                     done += 1 << p
         if done < n_fine:
-            work, r, b = _jumps_in_step(mach, b, work, r, t0 + done * grid.dt, grid.dt,
-                                        rng, jumps)
+            work, r, b = _jumps_in_step(mach, b, work, r, t0 + done * dt, dt, rng, jumps)
             done += 1
     return work, r, b
 
@@ -583,7 +605,7 @@ def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
                 state, pending[j], dest = _resolve_stride(mach, b, work[i], pending[j], t0,
                                                           grid, rngs[j], jumps[j])
                 if dest == b:
-                    cand[i], norm2[i] = state, _norm2(state)
+                    cand[i], norm2[i] = state, np.vdot(state, state).real
                 else:
                     stay[i] = False
                     arrivals.setdefault(dest, []).append((j, state))
@@ -611,11 +633,19 @@ def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
     per block it can leave, and, recorded, the column's states and squared
     norms at every sample, else its observable rows.  Each loss lowers the
     excitation, so a column leaves a block at most once; channels that map
-    a block into itself record jumps this does not count."""
+    a block into itself record jumps this does not count.
+
+    The live state is ``dim`` amplitudes, and ``_stride`` holds at most four
+    more copies of it, each counted on the largest block: a row's product
+    sits beside it, and the rows that stay are copied out of the products;
+    a row that jumps is held as its own state and stacked with its new
+    block's other arrivals, and that block's rows are concatenated and then
+    put in column order."""
     dim = sum(block_dims)
     rows = (n_samples * (dim * 16 + 2 * 8) if record
             else n_cols * n_observables * n_samples * 8)
-    return rows + n_cols * (dim * 16 + _COLUMN_BYTES + _JUMP_BYTES * (len(block_dims) - 1))
+    live = (dim + 4 * max(block_dims)) * 16
+    return rows + n_cols * (live + _COLUMN_BYTES + _JUMP_BYTES * (len(block_dims) - 1))
 
 
 def rho_bytes(n_samples: int, block_dims) -> int:
@@ -644,11 +674,11 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     otherwise each group's rows are reduced at once at each sample: the
     observables on their supports and, with ``keep_rho``, the block's sum
     of |ψ><ψ|, written into that block's slice of one ``_block_layout``
-    array.  A block where every support is empty and ρ̄ is not kept
-    costs no per-sample work, and its values stay 0.0; if no channel acts
-    on it either, its rows are not stepped at all.  A block no channel acts
-    on should keep the norm, so one whose stepped rows fall below
-    ``_RESCALE_FLOOR`` raises.
+    array.  A block where every support is empty is not reduced, and its
+    values stay 0.0; unless ρ̄ is kept it costs no per-sample work, and if
+    no channel acts on it either, its rows are not stepped at all.  A block
+    no channel acts on should keep the norm, so one whose stepped rows fall
+    below ``_RESCALE_FLOOR`` raises.
 
     Before any of them, or any column's seed or Generator, exists, the
     batch's arrays (``batch_bytes`` and, with ``keep_rho``, ``rho_bytes``)
@@ -683,9 +713,9 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
         values = np.zeros((n_cols, len(mach.names), n))
     offsets = _block_layout(mach.blocks)[0] if keep_rho else None
     rho_sum = np.zeros((n, offsets[-1]), dtype=np.complex128) if keep_rho else None
-    busy = [keep_rho or any(len(sup) for sup, _ in entries) for entries in mach.block_obs]
+    reduced = [any(len(sup) for sup, _ in entries) for entries in mach.block_obs]
     idle = set() if record else {b for b, blk in enumerate(mach.blocks)
-                                 if blk.absorbing and not busy[b]}
+                                 if blk.absorbing and not (keep_rho or reduced[b])}
     work = np.repeat(mach.psi0[None, :], n_cols, axis=0)
     # block -> (its columns, ascending; their states; their squared norms)
     groups = {mach.start: (np.arange(n_cols), work, _row_norm2(work))}
@@ -707,9 +737,10 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
             if record:
                 states[s, blk.index] = work[0]
                 norm2s[s], survival[s] = norm2[0], carried * norm2[0]
-            elif busy[b]:
+            elif keep_rho or reduced[b]:
                 rows = work * (1.0 / np.sqrt(norm2))[:, None]
-                values[cols, :, s] = _reduce(mach.block_obs[b], rows)
+                if reduced[b]:
+                    values[cols, :, s] = _reduce(mach.block_obs[b], rows)
                 if keep_rho:
                     np.matmul(rows.T, rows.conj(), out=rho_sum[s, offsets[b]:offsets[b + 1]]
                               .reshape(len(blk.index), -1))

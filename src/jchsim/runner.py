@@ -77,6 +77,14 @@ def _text(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _column_text(cells) -> list:
+    """``_text`` of each cell; a float64 array's cells are Python floats
+    after ``tolist``, whose ``repr`` is the text ``_text`` gives them."""
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        return list(map(repr, cells.tolist()))
+    return [_text(value) for value in cells]
+
+
 def _output_paths(out_dir, name: str, fmt: str, tables: tuple) -> tuple:
     """``<name><table>.<fmt>`` per table, and the sidecar path.
 
@@ -94,18 +102,27 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
+_CHUNK_ROWS = 64       # rows formatted at once: a chunk's text, not the table's, is live
+
+
 def _write_table(path: Path, columns: dict, fmt: str) -> None:
-    """Write ``columns``, name -> cells, as a table whose columns keep the mapping's order."""
+    """Write ``columns``, name -> cells, as a table whose columns keep the mapping's order.
+
+    A CSV table is formatted a chunk of rows at a time, column by column,
+    and has as many rows as its shortest column.
+    """
     if fmt == "json":
         _write_json(path, {"columns": list(columns),
                            "data": {name: [_cell(v) for v in cells]
                                     for name, cells in columns.items()}})
         return
+    n_rows = min(map(len, columns.values()), default=0)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)          # RFC-4180: CRLF line terminator
         writer.writerow(columns)
-        for row in zip(*columns.values()):
-            writer.writerow([_text(value) for value in row])
+        for first in range(0, n_rows, _CHUNK_ROWS):
+            writer.writerows(zip(*(_column_text(cells[first:first + _CHUNK_ROWS])
+                                   for cells in columns.values())))
 
 
 def run_scenario(config: ScenarioConfig,

@@ -39,6 +39,15 @@ def two_site_model(hop: float, gamma: float, delta: float = 0.0,
     return params, model, model.space.product_state(("2-", "G"))
 
 
+def poly_value(coeffs: list, tau: float) -> float:
+    """Horner's rule on coefficients given highest degree first: the loop
+    that ``dynamics._crossing_time`` writes out."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * tau + c
+    return acc
+
+
 def dense_stack(rho, dim: int) -> np.ndarray:
     """A ``BlockDensity``'s ``(n, dim, dim)`` stack, zero off its entries."""
     out = np.zeros((len(rho.entries), dim, dim), dtype=np.complex128)

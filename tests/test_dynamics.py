@@ -20,9 +20,9 @@ from scipy import stats
 
 from jchsim import dynamics, linalg, model as model_module
 from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
-                             _block_layout, _build_machinery, _flow_norm2_poly,
-                             _norm2, _partition, _poly_value, _real_generator,
-                             _reduce, _taylor_flow, lindblad_evolve, mcwf_ensemble,
+                             _block_layout, _build_machinery, _crossing_time,
+                             _flow_norm2_poly, _partition, _real_generator, _reduce,
+                             _taylor_flow, lindblad_evolve, mcwf_ensemble,
                              mcwf_trajectory, no_jump_branch)
 from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
 from jchsim.model import (ModelParams, ReducedSpace, build_reduced_model, excitation_basis,
@@ -30,7 +30,7 @@ from jchsim.model import (ModelParams, ReducedSpace, build_reduced_model, excita
 from jchsim.observables import ProjectorSpec, block_negativity
 from jchsim.presets import load_preset
 
-from conftest import (build_full_hamiltonian, dense_stack, restrict,
+from conftest import (build_full_hamiltonian, dense_stack, poly_value, restrict,
                       total_excitation_operator, two_site_model)
 
 
@@ -365,8 +365,38 @@ class TestNormPolynomial:
         for _ in range(4):
             powers.append(gen @ powers[-1])
         tau = frac * dt
-        expected = _norm2(_taylor_flow(powers, tau))
-        assert abs(_poly_value(_flow_norm2_poly(powers), tau) - expected) <= 1e-13 * expected
+        flow = _taylor_flow(powers, tau)
+        expected = np.vdot(flow, flow).real
+        assert abs(poly_value(_flow_norm2_poly(powers), tau) - expected) <= 1e-13 * expected
+
+    def test_written_out_bisection_is_the_horner_loop_bitwise(self):
+        # _crossing_time's written-out Horner steps against the loop it replaces,
+        # at thresholds inside the step's fall of the norm, at its ends and beyond
+        rng = np.random.default_rng(11)
+        inside = 0
+        for gen, dt in norm_polynomial_blocks():
+            k = gen.shape[0]
+            for _ in range(6):
+                powers = [(rng.normal(size=k) + 1j * rng.normal(size=k))
+                          * rng.uniform(1e-3, 1.0)]
+                for _ in range(4):
+                    powers.append(gen @ powers[-1])
+                coeffs = _flow_norm2_poly(powers)
+                frac = dt * rng.uniform(0.01, 1.0)
+                top, bottom = poly_value(coeffs, 0.0), poly_value(coeffs, frac)
+                for r in (bottom + rng.uniform() * (top - bottom), top, bottom,
+                          2.0 * top, 0.5 * bottom):
+                    lo, hi = 0.0, frac
+                    while hi - lo > 1e-10:
+                        mid = 0.5 * (lo + hi)
+                        if poly_value(coeffs, mid) > r:
+                            lo = mid
+                        else:
+                            hi = mid
+                    tau = _crossing_time(coeffs, frac, r)
+                    assert tau.hex() == (0.5 * (lo + hi)).hex()
+                    inside += 1e-10 < tau < frac - 1e-10
+        assert inside > len(norm_polynomial_blocks())
 
 
 def dense_superoperator(h, collapse):
@@ -853,6 +883,34 @@ class TestSharedBlocks:
                 if not len(block_obs[b][o][0]):
                     assert not got[:, o].any()
 
+    def test_blocks_without_support_are_never_reduced(self, monkeypatch):
+        # fig2 keeps ρ̄, as its preset does; its projectors live in the 8-state
+        # sector, so the 4-state sector and the vacuum, which only ρ̄ keeps busy,
+        # are never reduced, and a trajectory's values there stay 0.0
+        config, model, psi0 = preset_problem("fig2")
+        grid = config.grid
+        reduced, batches = [], []
+        reduce, propagate = dynamics._reduce, dynamics._propagate
+
+        def counted(entries, rows):
+            reduced.append(rows.shape[1])
+            return reduce(entries, rows)
+
+        def kept(*args, **kwargs):
+            batches.append(propagate(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(dynamics, "_reduce", counted)
+        monkeypatch.setattr(dynamics, "_propagate", kept)
+        mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=40, master_seed=1,
+                      observables=preset_projectors(config, model), keep_rho=True)
+        assert set(reduced) == {8}
+        (batch,) = batches
+        for values, record in zip(batch.values, batch.jumps):
+            left = grid.times > record[0][0]      # the samples after the first jump
+            assert left.any() and values[:, ~left].any()
+            assert not values[:, left].any()
+
 
 @functools.lru_cache(maxsize=None)
 def oracle_at_blas_threads(threads):
@@ -958,8 +1016,9 @@ class TestDeterminism:
 class TestMemoryGuards:
     def test_trajectory_rows_over_budget_raise_before_allocating(self, monkeypatch):
         # 10⁶ trajectories of 41 samples of one observable on a 4-dim model of
-        # four one-state blocks: 10⁶ · (41 · 8 + 4 · 16 + 1 536 + 3 · 96) bytes
-        # of rows, live states, objects and jump records
+        # four one-state blocks: 10⁶ · (41 · 8 + (4 + 4 · 1) · 16 + 1 536 + 3 · 96)
+        # bytes of rows, live states with their stride copies, objects and jump
+        # records
         h, collapse, a = damped_mode()
         psi0 = np.zeros(4, dtype=np.complex128)
         psi0[2] = 1.0
@@ -973,7 +1032,7 @@ class TestMemoryGuards:
         try:
             with pytest.raises(SizeError, match=r"the ensemble of 1000000 trajectories: "
                                                 r"observable rows, live states needs "
-                                                r"2216000000 bytes"):
+                                                r"2280000000 bytes"):
                 mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
                               n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
             peak = tracemalloc.get_traced_memory()[1]
@@ -1001,7 +1060,8 @@ class TestMemoryGuards:
     def test_accepted_batch_peaks_below_its_count(self, monkeypatch):
         # 10 000 trajectories of a damped mode from two photons: each holds a
         # Generator, its seed tuple and a jump list, about 1.1 KB of Python
-        # objects against 64 bytes of state and 24 of observable rows
+        # objects against 64 bytes of state, 64 of stride copies and 24 of
+        # observable rows
         h, collapse, a = damped_mode()
         psi0 = np.zeros(4, dtype=np.complex128)
         psi0[2] = 1.0
@@ -1017,8 +1077,39 @@ class TestMemoryGuards:
         finally:
             tracemalloc.stop()
         assert (ens.jumps_per_channel.sum(axis=1) == 2).any()
-        assert counts == [10_000 * (3 * 8 + 4 * 16 + 1536 + 3 * 96)]
+        assert counts == [10_000 * (3 * 8 + (4 + 4 * 1) * 16 + 1536 + 3 * 96)]
         assert peak < counts[0]
+
+        # n3 and n4 over their first 40 samples, where rows of their top blocks
+        # of 38 and 192 states cross and jump: the rows, their products, the
+        # copies that stay and the arrivals in the next sector.  The batch's
+        # own peak, above what its blocks already hold
+        peaks = []
+        propagate = dynamics._propagate
+
+        def traced(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            batch = propagate(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return batch
+
+        monkeypatch.setattr(dynamics, "_propagate", traced)
+        for name, n_traj, dims in (("n3", 600, [1, 6, 18, 38]),
+                                   ("n4", 600, [1, 8, 32, 88, 192])):
+            config, model, psi0 = preset_problem(name)
+            grid = TimeGrid(t_end=39 * config.grid.spacing, n_samples=40, dt=config.grid.dt)
+            counts.clear()
+            tracemalloc.start()
+            try:
+                ens = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=n_traj,
+                                    master_seed=1, observables=preset_projectors(config, model))
+            finally:
+                tracemalloc.stop()
+            assert ens.jumps_per_channel.sum() > n_traj
+            assert counts == [n_traj * (2 * 40 * 8 + (sum(dims) + 4 * max(dims)) * 16 + 1536
+                                        + (len(dims) - 1) * 96)]
+            assert peaks[-1] < counts[0], name
 
     def test_keep_rho_over_budget_raises_before_allocating(self):
         params = ModelParams(n_sites=4, hop=0.03, gamma=0.05, n_max=4)
@@ -1027,17 +1118,19 @@ class TestMemoryGuards:
             prepare_product_polariton_state(("4-", "G", "G", "G"), params))
         grid = TimeGrid(t_end=1500.0, n_samples=601, dt=0.005)
         # blocks of 1, 8, 32, 88 and 192 states: (601 + 1) · 45 697 · 16 bytes for
-        # ρ̄'s entries, rows and columns, 2 · 321 · 16 for the live states and
-        # 2 · (1 536 + 4 · 96) for the trajectories' objects and jump records
+        # ρ̄'s entries, rows and columns, 2 · (321 + 4 · 192) · 16 for the live
+        # states and their stride copies, and 2 · (1 536 + 4 · 96) for the
+        # trajectories' objects and jump records
         with pytest.raises(SizeError, match=r"live states, ρ̄'s block entries over 601 samples "
-                                            r"needs 440167616 bytes"):
+                                            r"needs 440192192 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)
 
     def test_record_paths_and_negativity_raise_before_allocating(self, monkeypatch):
         # fig2: a recorded run keeps 560 states of 13 amplitudes and two squared
-        # norms a sample, 560 · (13 · 16 + 16) bytes, its live state, 13 · 16, and
-        # its objects and a jump record for each of two sectors, 1 536 + 2 · 96;
+        # norms a sample, 560 · (13 · 16 + 16) bytes, its live state and stride
+        # copies, (13 + 4 · 8) · 16, and its objects and a jump record for each of
+        # two sectors, 1 536 + 2 · 96;
         # ρ̄'s partial transpose has blocks of at most 9 states, held twice with
         # their eigenvalues: 560 · (2 · 9² + 9) · 16 bytes
         config, model, psi0 = preset_problem("fig2")
@@ -1050,7 +1143,7 @@ class TestMemoryGuards:
 
         monkeypatch.setattr(dynamics, "_stride", never)
         monkeypatch.setattr(np.linalg, "eigvalsh", never)
-        record = 560 * (13 * 16 + 16) + 13 * 16 + 1536 + 2 * 96
+        record = 560 * (13 * 16 + 16) + (13 + 4 * 8) * 16 + 1536 + 2 * 96
         calls = [
             (record, "the jump-free branch", ens.jump_free_branch),
             (record, "the jump-free branch",

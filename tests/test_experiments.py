@@ -32,7 +32,7 @@ from jchsim.errors import ConfigError
 from jchsim.model import ReducedSpace, build_reduced_model, excitation_basis
 from jchsim.observables import PeakReport, recommended_spacing
 from jchsim.presets import PRESET_NAMES, load_preset
-from jchsim.runner import run_scenario, write_criticality_outputs
+from jchsim.runner import _text, _write_table, run_scenario, write_criticality_outputs
 
 from conftest import dense_stack
 
@@ -349,8 +349,9 @@ class TestScenarioConfig:
     def test_dense_model_over_budget_rejected(self):
         # 8065 reduced states: H and two loss operators need 3.1 GB; the basis
         # enumeration 64 · 2 · 8065 + 8192 bytes at its peak, and the one
-        # trajectory's state 8065 · 16 bytes more, with its objects and a jump
-        # record for each of 63 sectors it can leave, 1 536 + 63 · 96
+        # trajectory's state and its stride copies, (8065 + 4 · 252) · 16 bytes
+        # more, with its objects and a jump record for each of 63 sectors it can
+        # leave, 1 536 + 63 · 96
         problems = problems_of(scenario_from_mapping, {
             "model": {"n_sites": 2, "n_max": 63, "gamma": 0.05},
             "initial": {"labels": ["63-", "G"]},
@@ -359,14 +360,14 @@ class TestScenarioConfig:
         assert problems == [
             "model.n_sites, model.n_max, initial.labels, run.n_traj: the basis, H and the "
             "loss operators, the observable rows and live states of 1 trajectories needs "
-            "3123299936 bytes, above the budget 268435456"]
+            "3123316064 bytes, above the budget 268435456"]
 
     def test_projectors_counted_against_the_budget(self):
         # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
         # and each projector is one more dense matrix of 71 436 304 bytes; the
         # basis enumeration peaks at 278 656 bytes, and the trajectory adds its
-        # state (33 808 bytes), its objects and jump records (1 536 + 32 · 96)
-        # and one row per projector (48)
+        # state and stride copies ((2113 + 4 · 128) · 16 bytes), its objects and
+        # jump records (1 536 + 32 · 96) and one row per projector (48)
         mapping = {
             "model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
             "initial": {"labels": ["32-", "G"]},
@@ -377,14 +378,15 @@ class TestScenarioConfig:
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.projectors, run.n_traj: "
             "the basis, H and the loss operators, the projectors, the observable rows and "
-            "live states of 1 trajectories needs 286062336 bytes, above the budget 268435456"]
+            "live states of 1 trajectories needs 286070528 bytes, above the budget 268435456"]
 
     def test_trajectory_rows_counted_against_the_budget(self):
         # fig2: each trajectory keeps 3 · 560 observable rows of 8 bytes and, while
-        # the batch runs, its 13-dim state, its objects and a jump record for each
-        # of the two sectors it can leave: 13 648 + 1 536 + 2 · 96 bytes each,
-        # 15.4 GB at a million; the model, projectors, ρ̄, its partial transpose
-        # and the jump-free branch add 2 412 672 bytes
+        # the batch runs, its 13-dim state with four stride copies of the 8-state
+        # sector, its objects and a jump record for each of the two sectors it
+        # can leave: 13 440 + 720 + 1 536 + 2 · 96 bytes each, 15.9 GB at a
+        # million; the model, projectors, ρ̄, its partial transpose and the
+        # jump-free branch add 2 413 184 bytes
         bundle = load_preset("fig2")
         assert bundle.with_overrides(n_traj=2000).scenarios[0].n_traj == 2000
         with pytest.raises(ConfigError) as err:
@@ -395,7 +397,7 @@ class TestScenarioConfig:
                                   "observables.bipartition_cut, observables.conditional, "
                                   "run.n_traj: ")
         assert problem.endswith("the observable rows and live states of 1000000 "
-                                "trajectories needs 15378412672 bytes, above the budget "
+                                "trajectories needs 15890413184 bytes, above the budget "
                                 "268435456")
 
     def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
@@ -440,10 +442,10 @@ class TestScenarioConfig:
             "observables.bipartition_cut, run.n_traj: the basis, H and the loss operators, "
             "ρ̄'s block entries over 561 samples, the partial transpose's largest block of "
             "at most 257 states, the observable rows and live states of 1 trajectories "
-            "needs 1600682688 bytes, above the budget 268435456"]
+            "needs 1600694976 bytes, above the budget 268435456"]
         # the preset: 560 samples, 2000 trajectories with 2 projectors, four damped
         # sites and the jump-free branch
-        with pytest.raises(ConfigError, match="1642642912 bytes"):
+        with pytest.raises(ConfigError, match="1667231200 bytes"):
             replace(load_preset("n4").scenarios[0], compute_negativity=True)
 
     def test_partial_transpose_beyond_the_budget_refused_at_load(self):
@@ -628,6 +630,16 @@ class TestSweepConfig:
         assert len(problems) == 2
 
 
+def rowwise_table(path: Path, columns: dict) -> bytes:
+    """The CSV table written a row at a time, each cell through ``_text``."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in zip(*columns.values()):
+            writer.writerow([_text(value) for value in row])
+    return path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -736,6 +748,34 @@ class TestRunnerArtifacts:
         assert np.all(np.diff(survival) <= 1e-12)
         cond = result.columns["P20_cond"]
         assert np.all((cond >= -1e-12) & (cond <= 1.0 + 1e-12))
+
+    def test_column_writer_is_the_row_writer(self, tmp_path):
+        # float64 columns are formatted whole, 64 rows at a time; 150 rows span
+        # three chunks, the last one short
+        specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1, -2.5e-17]
+        floats = np.array(specials * 19)[:150]
+        columns = {"t": np.linspace(0.0, 1500.0, 150), "special": floats,
+                   "scalars": [np.float64(v) for v in floats[::-1]],
+                   "counts": np.arange(150), "float32": np.linspace(-1.0, 1.0, 150, dtype=np.float32)}
+        _write_table(tmp_path / "floats.csv", columns, "csv")
+        written = (tmp_path / "floats.csv").read_bytes()
+        assert written == rowwise_table(tmp_path / "rows.csv", columns)
+        for text in (b",-0.0,", b",nan,", b",inf,", b",-inf,", b",5e-324,", b",1e+300,"):
+            assert text in written
+        # a sweep's table: lists of str, int, None, bool and float cells
+        columns = {"hop": [0.02, 0.04, np.float64(0.06)], "classification": ["single",
+                   "multi, \"quoted\"", ""], "n_peaks": [1, np.int64(3), 0],
+                   "gamma_c": [None, 0.75, math.nan], "pinned": [True, np.bool_(False), False],
+                   "flags": ["", "not_bracketed;non_monotonic", None]}
+        _write_table(tmp_path / "sweep.csv", columns, "csv")
+        written = (tmp_path / "sweep.csv").read_bytes()
+        assert written == rowwise_table(tmp_path / "sweep_rows.csv", columns)
+        assert written.count(b"\r\n") == 4 and b"true" in written and b"false" in written
+        # no columns, and columns of unequal length, as zip reads them
+        for columns in ({}, {"t": np.arange(3.0), "short": [1, 2]}):
+            _write_table(tmp_path / "odd.csv", columns, "csv")
+            assert (tmp_path / "odd.csv").read_bytes() == rowwise_table(
+                tmp_path / "odd_rows.csv", columns)
 
     def test_json_table_format(self, tmp_path):
         config = tiny_scenario(output={"format": "json", "name": "tbl"})
