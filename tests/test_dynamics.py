@@ -370,8 +370,20 @@ class TestNormPolynomial:
         assert abs(poly_value(_flow_norm2_poly(powers), tau) - expected) <= 1e-13 * expected
 
     def test_written_out_bisection_is_the_horner_loop_bitwise(self):
-        # _crossing_time's written-out Horner steps against the loop it replaces,
-        # at thresholds inside the step's fall of the norm, at its ends and beyond
+        # _crossing_time's written-out Horner steps against the loop, at thresholds
+        # inside the step's fall of the norm, at its ends and beyond, and equal to
+        # the loop's value at each midpoint the bisection visits, where a value
+        # rounded any other way would turn that comparison
+        def bisect(coeffs, frac, r):
+            lo, hi, mids = 0.0, frac, []
+            while hi - lo > 1e-10:
+                mids.append(0.5 * (lo + hi))
+                if poly_value(coeffs, mids[-1]) > r:
+                    lo = mids[-1]
+                else:
+                    hi = mids[-1]
+            return 0.5 * (lo + hi), mids
+
         rng = np.random.default_rng(11)
         inside = 0
         for gen, dt in norm_polynomial_blocks():
@@ -384,19 +396,13 @@ class TestNormPolynomial:
                 coeffs = _flow_norm2_poly(powers)
                 frac = dt * rng.uniform(0.01, 1.0)
                 top, bottom = poly_value(coeffs, 0.0), poly_value(coeffs, frac)
-                for r in (bottom + rng.uniform() * (top - bottom), top, bottom,
-                          2.0 * top, 0.5 * bottom):
-                    lo, hi = 0.0, frac
-                    while hi - lo > 1e-10:
-                        mid = 0.5 * (lo + hi)
-                        if poly_value(coeffs, mid) > r:
-                            lo = mid
-                        else:
-                            hi = mid
+                r = bottom + rng.uniform() * (top - bottom)
+                edges = [poly_value(coeffs, mid) for mid in bisect(coeffs, frac, r)[1]]
+                for r in [r, top, bottom, 2.0 * top, 0.5 * bottom] + edges:
                     tau = _crossing_time(coeffs, frac, r)
-                    assert tau.hex() == (0.5 * (lo + hi)).hex()
+                    assert tau.hex() == bisect(coeffs, frac, r)[0].hex()
                     inside += 1e-10 < tau < frac - 1e-10
-        assert inside > len(norm_polynomial_blocks())
+        assert inside > 20 * len(norm_polynomial_blocks())
 
 
 def dense_superoperator(h, collapse):
