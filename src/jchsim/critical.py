@@ -3,9 +3,9 @@
 For each grid point the two-site scenario starting from both excitations in
 one cavity is evolved, the inter-site negativity trace is classified into
 no/single/multi-peak structure, and per hop value the critical damping is
-the single-peak entry whose peak is tallest (with the smallest single-peak
-damping reported as a secondary estimator).  A straight line through the
-origin fitted to (hop, gamma_c) summarizes the sweep.
+the paper's: the smallest damping on the grid whose negativity shows a
+single peak.  A straight line through the origin fitted to (hop, gamma_c)
+summarizes the sweep.
 
 Every point is classified from its exact master-equation trace, so a sweep
 draws no random numbers and has no trajectory count or seed.
@@ -46,8 +46,6 @@ __all__ = [
     "classify_point", "estimate_critical_gamma", "gamma_c_curve",
 ]
 
-PRIMARY_METHOD = "max-peak-height"
-
 _INITIAL_LABELS = ("2-", "G")
 _PINNED = ProjectorSpec(preset="P11")
 
@@ -66,20 +64,14 @@ class CriticalityRow:
     def gamma_ratio(self) -> float:
         return self.gamma / self.hop
 
-    @property
-    def peak_height(self) -> float:
-        heights = self.report.peak_heights
-        return float(max(heights)) if len(heights) else float(self.report.global_max)
-
 
 @dataclass(frozen=True)
 class CriticalityEstimate:
-    """Per-hop critical damping by ``PRIMARY_METHOD``, its secondary estimate
-    and caveat flags."""
+    """Per-hop critical damping (the smallest single-peak damping) and caveat
+    flags."""
 
     hop: float
     gamma_c: Optional[float]
-    gamma_c_secondary: Optional[float]
     flags: tuple
     rows: tuple
 
@@ -169,38 +161,30 @@ def estimate_critical_gamma(config: CriticalitySweepConfig, hop: float,
                             rows: tuple) -> CriticalityEstimate:
     """Estimate gamma_c at one hop value from its rows on the damping grid.
 
-    Primary estimator: among single-peak entries, the damping whose peak is
-    tallest.  Secondary: the smallest single-peak damping.  Caveats are
-    reported as flags rather than repaired: ``not_bracketed`` when the grid
-    never shows the structure needed to pin the transition from both sides,
-    ``non_monotonic`` when single-peak entries reappear below multi-peak
-    ones, ``single_point``/``narrow_grid`` for degenerate grids.
+    gamma_c is the paper's critical damping on the grid: the smallest
+    damping whose negativity shows a single peak (the rows run in increasing
+    damping).  Caveats are reported as flags rather than repaired:
+    ``not_bracketed`` when the grid never shows the structure needed to pin
+    the transition from both sides, ``non_monotonic`` when multi-peak entries
+    reappear above a single-peak one, ``no_peak_rows`` when some entry has no
+    peak, ``single_point``/``narrow_grid`` for degenerate grids.
     """
     flags = _grid_flags(config)
 
     kinds = [row.report.classification.kind for row in rows]
-    singles = [row for row in rows if row.report.classification.is_single]
-    multis = [row for row in rows if row.report.classification.is_multi]
-    if any(kind == "NoPeak" for kind in kinds):
+    if "NoPeak" in kinds:
         flags.append("no_peak_rows")
 
     # re-entrant structure: a multi-peak entry above some single-peak entry
     first_single = next((i for i, k in enumerate(kinds) if k == "SinglePeak"), None)
     if first_single is not None and "MultiPeak" in kinds[first_single:]:
         flags.append("non_monotonic")
-
-    if not singles:
-        flags.append("not_bracketed")
-        return CriticalityEstimate(hop=float(hop), gamma_c=None, gamma_c_secondary=None,
-                                   flags=tuple(flags), rows=tuple(rows))
-    if not multis:
-        # transition below the bottom of the grid
+    # no single-peak entry, or none multi-peak: the transition lies off the grid
+    if first_single is None or "MultiPeak" not in kinds:
         flags.append("not_bracketed")
 
-    tallest = max(singles, key=lambda row: row.peak_height)
-    smallest = min(singles, key=lambda row: row.gamma)
-    return CriticalityEstimate(hop=float(hop), gamma_c=tallest.gamma,
-                               gamma_c_secondary=smallest.gamma, flags=tuple(flags),
+    gamma_c = None if first_single is None else rows[first_single].gamma
+    return CriticalityEstimate(hop=float(hop), gamma_c=gamma_c, flags=tuple(flags),
                                rows=tuple(rows))
 
 

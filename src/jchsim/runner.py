@@ -28,7 +28,7 @@ from .config import (
     ScenarioConfig,
     config_content_hash,
 )
-from .critical import PRIMARY_METHOD, CriticalityResult
+from .critical import CriticalityResult
 from .dynamics import BACKEND, EnsembleResult, mcwf_ensemble
 # traced name of perfbench's ensemble workloads; no run path calls it
 from .dynamics import no_jump_branch  # noqa: F401
@@ -232,8 +232,6 @@ _ESTIMATE_COLUMNS = {
     "hop": lambda est: est.hop,
     "gamma_c": lambda est: est.gamma_c,
     "gamma_c_ratio": lambda est: est.ratio,
-    "gamma_c_secondary": lambda est: est.gamma_c_secondary,
-    "method": lambda est: PRIMARY_METHOD,
     "flags": lambda est: ";".join(est.flags),
 }
 

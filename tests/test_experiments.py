@@ -25,9 +25,8 @@ from jchsim.config import (DEFAULT_GAMMA_RATIOS, CriticalitySweepConfig,
                            load_scenario_config, load_sweep_config,
                            scenario_from_mapping, sweep_from_mapping)
 from jchsim.dynamics import TimeGrid
-from jchsim.critical import (PRIMARY_METHOD, CriticalityResult, CriticalityRow,
-                             classify_point, estimate_critical_gamma,
-                             gamma_c_curve)
+from jchsim.critical import (CriticalityResult, CriticalityRow, classify_point,
+                             estimate_critical_gamma, gamma_c_curve)
 from jchsim.errors import ConfigError
 from jchsim.model import ReducedSpace, build_reduced_model, excitation_basis
 from jchsim.observables import PeakReport, recommended_spacing
@@ -640,6 +639,28 @@ def rowwise_table(path: Path, columns: dict) -> bytes:
     return path.read_bytes()
 
 
+def table_at_blas_threads(out_dir: Path, preset: str, n_traj: int,
+                          threads: str) -> tuple:
+    """The (table, sidecar) bytes of a preset's first scenario at ``n_traj``
+    trajectories, run in a fresh process at ``threads`` BLAS threads."""
+    script = textwrap.dedent("""\
+        import sys
+        from jchsim.presets import load_preset
+        from jchsim.runner import run_scenario
+        bundle = load_preset(sys.argv[2]).with_overrides(n_traj=int(sys.argv[3]))
+        run = run_scenario(bundle.scenarios[0], out_dir=sys.argv[1])
+        sys.stdout.buffer.write(run.table_path.read_bytes() + b"\\0"
+                                + run.sidecar_path.read_bytes())
+        """)
+    path = [str(Path(__file__).resolve().parents[1] / "src"),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", script, str(out_dir), preset, str(n_traj)],
+                          env=env, capture_output=True, check=True, timeout=120)
+    return tuple(done.stdout.split(b"\0"))
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -717,29 +738,23 @@ class TestRunnerArtifacts:
     def test_table_independent_of_blas_threads(self, tmp_path):
         # fig2 in fresh processes at 1 and 2 BLAS threads: with a few trajectories,
         # and with a batch of 300, whose block products are large enough to thread
-        script = textwrap.dedent("""\
-            import sys
-            from jchsim.presets import load_preset
-            from jchsim.runner import run_scenario
-            config = load_preset("fig2").with_overrides(n_traj=int(sys.argv[2])).scenarios[0]
-            run = run_scenario(config, out_dir=sys.argv[1])
-            sys.stdout.buffer.write(run.table_path.read_bytes() + b"\\0"
-                                    + run.sidecar_path.read_bytes())
-            """)
-        path = [str(Path(__file__).resolve().parents[1] / "src"),
-                os.environ.get("PYTHONPATH", "")]
-        for n_traj in ("5", "300"):
-            outputs = []
-            for threads in ("1", "2"):
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                           PYTHONPATH=os.pathsep.join(filter(None, path)))
-                done = subprocess.run(
-                    [sys.executable, "-c", script, str(tmp_path / n_traj / threads), n_traj],
-                    env=env, capture_output=True, check=True, timeout=120)
-                outputs.append(done.stdout)
-            assert outputs[0] == outputs[1], n_traj
-            assert b"negativity" in outputs[0].split(b"\r\n")[0]
-            assert b'"n_traj": ' + n_traj.encode() in outputs[0]
+        for n_traj in (5, 300):
+            one, two = (table_at_blas_threads(tmp_path / str(n_traj) / threads,
+                                              "fig2", n_traj, threads)
+                        for threads in ("1", "2"))
+            assert one == two, n_traj
+            assert b"negativity" in one[0].split(b"\r\n")[0]
+            assert b'"n_traj": ' + str(n_traj).encode() in one[1]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "n3's rho-bar sums each sample's block rows with one matmul whose inner "
+        "dimension is the trajectory count; OpenBLAS splits it over threads in an "
+        "order that depends on the thread count, so the negativity column differs "
+        "in its last bits at 1 and 2 threads on a 2-core machine"))
+    def test_n3_table_independent_of_blas_threads(self, tmp_path):
+        one, two = (table_at_blas_threads(tmp_path / threads, "n3", 200, threads)[0]
+                    for threads in ("1", "2"))
+        assert one == two
 
     def test_survival_and_conditional_columns_are_sane(self, run_dir):
         _, result = run_dir
@@ -819,28 +834,27 @@ def sweep_config(**kwargs) -> CriticalitySweepConfig:
 
 
 class TestEstimatorFlags:
-    def test_tallest_single_wins(self):
+    def test_smallest_single_wins(self):
+        # the first single-peak damping, not the taller single peak above it
         rows = (fake_row(0.018, 3), fake_row(0.03, 2),
                 fake_row(0.045, 1, height=0.22), fake_row(0.06, 1, height=0.30),
                 fake_row(0.09, 1, height=0.12))
         est = estimate_critical_gamma(sweep_config(), 0.06, rows=rows)
-        assert est.gamma_c == pytest.approx(0.06)
-        assert est.gamma_c_secondary == pytest.approx(0.045)
+        assert est.gamma_c == pytest.approx(0.045)
         assert est.flags == ()
-        assert est.ratio == pytest.approx(1.0)
+        assert est.ratio == pytest.approx(0.75)
 
     def test_all_multi_rows_not_bracketed(self):
         rows = tuple(fake_row(g, 3) for g in (0.02, 0.04, 0.06))
         est = estimate_critical_gamma(sweep_config(), 0.06, rows=rows)
         assert est.gamma_c is None
-        assert est.gamma_c_secondary is None
         assert "not_bracketed" in est.flags
 
     def test_all_single_rows_flagged_but_estimated(self):
         rows = tuple(fake_row(g, 1, height=0.1 + 0.01 * i)
                      for i, g in enumerate((0.02, 0.04, 0.06)))
         est = estimate_critical_gamma(sweep_config(), 0.06, rows=rows)
-        assert est.gamma_c == pytest.approx(0.06)
+        assert est.gamma_c == pytest.approx(0.02)
         assert "not_bracketed" in est.flags
 
     def test_reentrant_rows_flagged_non_monotonic(self):
@@ -890,8 +904,7 @@ class TestSweepOutputs:
         assert data["t_half_pinned"] == [None, None]
         assert data["peak_times"] == ["0.0;1.0;2.0", "0.0;1.0"]
         estimates = json.loads(paths["estimates"].read_text())
-        assert estimates["columns"] == ["hop", "gamma_c", "gamma_c_ratio",
-                                        "gamma_c_secondary", "method", "flags"]
+        assert estimates["columns"] == ["hop", "gamma_c", "gamma_c_ratio", "flags"]
         assert estimates["data"]["gamma_c"] == [None]
         assert estimates["data"]["flags"] == ["not_bracketed"]
         sidecar = json.loads(paths["sidecar"].read_text())
@@ -903,8 +916,8 @@ class TestSweepOutputs:
         assert sidecar["config"] == config.to_mapping()
 
     def test_cells_derived_as_fig4_is_written(self, resonant_curve, tmp_path):
-        # gamma_ratio, n_peaks, classification and method are computed from
-        # the records as the tables are written, not stored in them
+        # gamma_ratio, n_peaks, classification and gamma_c_ratio are computed
+        # from the records as the tables are written, not stored in them
         assert resonant_curve.config == replace(load_preset("fig4").sweep,
                                                 output_name="criticality")
         paths = write_criticality_outputs(resonant_curve, tmp_path)
@@ -919,12 +932,19 @@ class TestSweepOutputs:
                 {0: "NoPeak", 1: "SinglePeak"}.get(n_peaks, f"MultiPeak({n_peaks})"))
         with open(paths["estimates"], newline="") as fh:
             estimates = list(csv.DictReader(fh))
-        assert [est["method"] for est in estimates] == [PRIMARY_METHOD] * 4
+        assert len(estimates) == 4
+        for est in estimates:
+            assert float(est["gamma_c_ratio"]) == float(est["gamma_c"]) / float(est["hop"])
 
 
 @pytest.fixture(scope="module")
 def resonant_curve():
     return gamma_c_curve(sweep_config(j_values=(0.02, 0.04, 0.06, 0.08)))
+
+
+@pytest.fixture(scope="module")
+def detuned_curve():
+    return gamma_c_curve(sweep_config(j_values=(0.02, 0.04, 0.06, 0.08), delta=0.5))
 
 
 # sha256 of every file the fig1 and fig4 presets write, and fig2 and fig3 at
@@ -946,7 +966,7 @@ PRESET_DIGESTS = {
     "fig1_delta09.csv": "f6735b9f7624fb483145b67bc6cec48a850efd8957daeaea2d6d389b6e3fe4c4",
     "fig1_delta09.json": "6f5876c546bcd05b6715c5ecb62d0f45f2fde55480d9e02caec97fc0e0264e08",
     "fig4.json": "4769668912505a8f583e56f6385d6fe0b92442dd64fab53194bbb47caa449e68",
-    "fig4_estimates.csv": "58e51a9ddaa34b5c87e50911ee654aa2b2d283afc0814259dc94107c128cca4c",
+    "fig4_estimates.csv": "f9c8870d65c2626715abb52f5bf6d250ed6a885cf27757a030f50c06d11549b4",
     "fig4_rows.csv": "20f4b9c7f8db9609727cc7ab56488034bbade4825284786b029834f92ee530c7",
 }
 
@@ -1082,11 +1102,15 @@ class TestSweepOnModel:
         "on the default damping grid the detuned sweep loses its slow "
         "revival before the lowest grid rung, so the fitted slope drops "
         "instead of rising; the estimator is only quantitative on resonance"))
-    def test_detuned_slope_not_smaller(self):
-        resonant = gamma_c_curve(sweep_config(j_values=(0.02, 0.04, 0.06, 0.08)))
-        detuned = gamma_c_curve(sweep_config(j_values=(0.02, 0.04, 0.06, 0.08),
-                                             delta=0.5))
-        assert detuned.slope >= resonant.slope
+    def test_detuned_slope_not_smaller(self, resonant_curve, detuned_curve):
+        assert detuned_curve.slope >= resonant_curve.slope
+
+    def test_detuned_estimates_pinned(self, detuned_curve):
+        # δ = 0.5: at J = 0.04 and 0.08 every rung shows a single peak, so
+        # the transition lies below the grid
+        estimates = detuned_curve.estimates
+        assert [est.gamma_c for est in estimates] == [0.01, 0.012, 0.03, 0.024]
+        assert [est.hop for est in estimates if "not_bracketed" in est.flags] == [0.04, 0.08]
 
 
 class TestPresets:
