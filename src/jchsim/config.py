@@ -18,7 +18,9 @@ field at once.
 A config states no rule or byte count of its own: its load pass calls
 the checks of the modules that own each input, naming this config's keys,
 gathers what they raise with ``errors.collect``, and sums the byte counts
-of the run's guards from their own functions.
+of the run's guards from their own functions.  A scenario has no key for
+the jump-free branch, which every run records: its count is reported
+under the model keys, which size it.
 """
 
 from __future__ import annotations
@@ -194,7 +196,6 @@ _SCENARIO_KEYS = {
         "projectors": _Key("observables", _as_projectors),
         "negativity": _Key("compute_negativity", _as_bool),
         "bipartition_cut": _Key("bipartition_cut", _as_int),
-        "conditional": _Key("include_conditional", _as_bool),
     },
     "output": _OUTPUT,
 }
@@ -325,7 +326,6 @@ class ScenarioConfig:
     observables: tuple[ProjectorSpec, ...] = ()
     compute_negativity: bool = False
     bipartition_cut: int = 1
-    include_conditional: bool = False
     output_name: str = "scenario"
     output_format: str = "csv"
 
@@ -375,7 +375,9 @@ class ScenarioConfig:
         terms = [(model_keys, basis_bytes(params, max_exc), "the basis"),
                  (model_keys, model_bytes(params, max_exc), "H and the loss operators"),
                  ("observables.projectors", model_bytes(params, max_exc, n_obs),
-                  "the projectors")]
+                  "the projectors"),
+                 (model_keys, batch_bytes(1, n_obs, n, sectors, record=True),
+                  "the jump-free branch")]
         if self.compute_negativity:
             block = transpose_block_bound(params.n_sites, max_exc, self.bipartition_cut)
             terms += [("observables.negativity", rho_bytes(n, sectors),
@@ -383,9 +385,6 @@ class ScenarioConfig:
                       ("observables.negativity, observables.bipartition_cut",
                        transpose_bytes(n, block),
                        f"the partial transpose's largest block of at most {block} states")]
-        if self.include_conditional:
-            terms.append(("observables.conditional",
-                          batch_bytes(1, n_obs, n, sectors, record=True), "the jump-free branch"))
         terms.append(("run.n_traj", batch_bytes(self.n_traj, n_obs, n, sectors),
                       f"the observable rows and live states of {self.n_traj} trajectories"))
         return _budget(terms)

@@ -138,12 +138,10 @@ def _classify_points(config: CriticalitySweepConfig,
             t_min=config.t_min,
             beat_period=beat_period)
 
-        max_pinned = float(pinned.max()) if pinned.size else 0.0
+        max_pinned = float(pinned.max())
         t_half = None
-        if max_pinned > 0.0:
-            above = np.nonzero(pinned >= 0.5 * max_pinned)[0]
-            if above.size:
-                t_half = float(grid.times[above[0]])
+        if max_pinned > 0.0:        # the maximum's own sample reaches half of it
+            t_half = float(grid.times[np.argmax(pinned >= 0.5 * max_pinned)])
         yield CriticalityRow(hop=float(hop), gamma=float(gamma), report=report,
                              max_pinned=max_pinned, t_half_pinned=t_half)
 

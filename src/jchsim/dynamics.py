@@ -94,7 +94,7 @@ __all__ = [
     "lindblad_evolve",
 ]
 
-BACKEND = "numpy"              # the trajectory kernel, echoed in sidecars
+BACKEND = "numpy"              # the trajectory kernel; perfbench records it
 DEFAULT_DT = 0.005
 DEFAULT_MAX_DT = 0.01
 _BISECT_TOL = 1e-10

@@ -253,8 +253,9 @@ def reduced_bipartition(rho, site_dims: Sequence[int], cut: int):
 # ---------------------------------------------------------------------------
 
 def blockade_beat_period(params: ModelParams) -> Optional[float]:
-    """Period of the two-excitation anharmonic beat, from the dressed energies.
+    """Period of the two-excitation anharmonic beat, from site 0's dressed energies.
 
+    Site 0's coupling ``g[0]`` sets it, also when the sites' couplings differ.
     Returns None when the model cannot host two excitations on a site or
     the mismatch vanishes.
     """
@@ -297,14 +298,6 @@ class PeakClassification:
 
     def __str__(self) -> str:
         return f"MultiPeak({self.count})" if self.kind == "MultiPeak" else self.kind
-
-    @property
-    def is_single(self) -> bool:
-        return self.kind == "SinglePeak"
-
-    @property
-    def is_multi(self) -> bool:
-        return self.kind == "MultiPeak"
 
 
 @dataclass(frozen=True)

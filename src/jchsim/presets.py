@@ -9,17 +9,20 @@ stored grid.
 Scenario presets:
 
 ``fig1``   lossless two-site blockade, J = 0.03, at zero detuning and at
-           detuning 0.9 (one deterministic trajectory each).
+           detuning 0.9 (one deterministic trajectory each); negativity.
 ``fig2``   damped two-site transfer, J = 0.03, gamma = 0.05: the pinned
            one-excitation-per-site population plateaus while the initial
-           doubly-excited state drains; negativity + conditional columns.
+           doubly-excited state drains; negativity.
 ``fig3``   J = 0.06 below (gamma = 0.02) and above (gamma = 0.06) the
-           critical damping; negativity + conditional columns.
+           critical damping; negativity.
 ``n3``     three sites, initial |3-, G, G>, populations, negativity across
-           the default cut + conditional.
-``n4``     four sites, initial |4-, G, G, G>, populations + conditional
-           (no negativity: the averaged state's 560 samples of 45 697
-           block entries, 409 MB, alone exceed the memory budget).
+           the default cut.
+``n4``     four sites, initial |4-, G, G, G>, populations (no negativity:
+           the averaged state's 560 samples of 45 697 block entries,
+           409 MB, alone exceed the memory budget).
+
+Every scenario's table also holds the jump-free branch: its survival and
+each projector's conditional mean.
 
 Sweep preset:
 
@@ -50,7 +53,7 @@ _BASE_SEED = 20260825
 def _scenario(name: str, seed_offset: int, *, n_sites: int, n_max: int,
               hop: float, gamma: float, omega_a: float, initial: str,
               projectors: str, t_end: float, negativity: bool,
-              conditional: bool, n_traj: int) -> ScenarioConfig:
+              n_traj: int) -> ScenarioConfig:
     return scenario_from_mapping({
         "model": {"n_sites": n_sites, "n_max": n_max, "hop": hop,
                   "gamma": gamma, "omega_a": omega_a, "omega_c": 0.0},
@@ -58,7 +61,7 @@ def _scenario(name: str, seed_offset: int, *, n_sites: int, n_max: int,
         "grid": {"t_end": t_end, "dt": 0.005, "spacing": "auto"},
         "run": {"n_traj": n_traj, "master_seed": _BASE_SEED + seed_offset},
         "observables": {"projectors": projectors, "negativity": negativity,
-                        "bipartition_cut": 1, "conditional": conditional},
+                        "bipartition_cut": 1},
         "output": {"name": name, "format": "csv"},
     })
 
@@ -66,7 +69,7 @@ def _scenario(name: str, seed_offset: int, *, n_sites: int, n_max: int,
 def _build_fig1() -> tuple:
     common = dict(n_sites=2, n_max=2, hop=0.03, gamma=0.0, initial="2-, G",
                   projectors="P20, P02, P11", t_end=1500.0, negativity=True,
-                  conditional=False, n_traj=1)
+                  n_traj=1)
     return (
         _scenario("fig1_delta0", 1, omega_a=0.0, **common),
         _scenario("fig1_delta09", 2, omega_a=0.9, **common),
@@ -76,14 +79,13 @@ def _build_fig1() -> tuple:
 def _build_fig2() -> tuple:
     return (_scenario("fig2", 3, n_sites=2, n_max=2, hop=0.03, gamma=0.05,
                       omega_a=0.0, initial="2-, G", projectors="P20, P02, P11",
-                      t_end=1500.0, negativity=True, conditional=True,
-                      n_traj=2000),)
+                      t_end=1500.0, negativity=True, n_traj=2000),)
 
 
 def _build_fig3() -> tuple:
     common = dict(n_sites=2, n_max=2, hop=0.06, omega_a=0.0, initial="2-, G",
                   projectors="P20, P02, P11", t_end=150.0, negativity=True,
-                  conditional=True, n_traj=2000)
+                  n_traj=2000)
     return (
         _scenario("fig3_below_critical", 4, gamma=0.02, **common),
         _scenario("fig3_above_critical", 5, gamma=0.06, **common),
@@ -94,14 +96,14 @@ def _build_n3() -> tuple:
     return (_scenario("n3", 6, n_sites=3, n_max=3, hop=0.03, gamma=0.05,
                       omega_a=0.0, initial="3-, G, G",
                       projectors="P300, P111", t_end=1500.0,
-                      negativity=True, conditional=True, n_traj=2000),)
+                      negativity=True, n_traj=2000),)
 
 
 def _build_n4() -> tuple:
     return (_scenario("n4", 7, n_sites=4, n_max=4, hop=0.03, gamma=0.05,
                       omega_a=0.0, initial="4-, G, G, G",
                       projectors="P4000, P1111", t_end=1500.0,
-                      negativity=False, conditional=True, n_traj=2000),)
+                      negativity=False, n_traj=2000),)
 
 
 def _build_fig4() -> CriticalitySweepConfig:
@@ -119,11 +121,6 @@ class PresetBundle:
     name: str
     scenarios: tuple = ()
     sweep: Optional[CriticalitySweepConfig] = None
-
-    @property
-    def kind(self) -> str:
-        """``sweep`` when the bundle holds a sweep config, else ``scenario``."""
-        return "scenario" if self.sweep is None else "sweep"
 
     def with_overrides(self, **overrides) -> "PresetBundle":
         """Apply :func:`~jchsim.config.apply_overrides` to every scenario (not the sweep)."""

@@ -2,11 +2,11 @@
 
 ``run_scenario`` turns a :class:`~jchsim.config.ScenarioConfig` into a
 trajectory ensemble, assembles the output table (time, ensemble means with
-standard errors, optionally the averaged-state negativity and the jump-free
-conditional columns), and writes it next to a JSON sidecar echoing every
-consumed parameter together with a content hash of the configuration and
-the ensemble's jump diagnostics.  Reruns of the same configuration produce
-byte-identical files.
+standard errors, optionally the averaged-state negativity, and the jump-free
+branch's survival and conditional means), and writes it next to a JSON
+sidecar echoing every consumed parameter together with a content hash of
+the configuration and the ensemble's jump diagnostics.  Reruns of the same
+configuration produce byte-identical files.
 
 CSV conventions: RFC-4180 (CRLF line ends, header row, '.' decimal); float
 cells use ``repr`` so values round-trip exactly.
@@ -29,7 +29,7 @@ from .config import (
     config_content_hash,
 )
 from .critical import CriticalityResult
-from .dynamics import BACKEND, EnsembleResult, mcwf_ensemble
+from .dynamics import EnsembleResult, mcwf_ensemble
 # traced name of perfbench's ensemble workloads; no run path calls it
 from .dynamics import no_jump_branch  # noqa: F401
 from .model import build_reduced_model
@@ -52,10 +52,6 @@ class ScenarioRunResult:
     columns: dict
     table_path: Optional[Path]
     sidecar_path: Optional[Path]
-
-    @property
-    def column_names(self) -> tuple:
-        return tuple(self.columns)
 
 
 def _cell(value):
@@ -139,7 +135,9 @@ def run_scenario(config: ScenarioConfig,
     of those that never do.
 
     The ensemble builds the block propagators and the projectors' block
-    restrictions once; the conditional columns come from its ``jump_free_branch``.
+    restrictions once.  Every run takes ``survival`` and each projector's
+    ``<name>_cond`` column from its ``jump_free_branch``, one recorded
+    column with no jumps.
 
     The ``negativity`` column is N(ρ̄), the negativity of the
     trajectory-averaged state across ``bipartition_cut``, taken by
@@ -172,11 +170,10 @@ def run_scenario(config: ScenarioConfig,
     if config.compute_negativity:
         columns["negativity"] = block_negativity(
             ensemble.rho_blocks, model.space, config.bipartition_cut)
-    if config.include_conditional:
-        branch = ensemble.jump_free_branch()
-        columns["survival"] = branch.survival
-        for spec in config.observables:
-            columns[f"{spec.name}_cond"] = branch.observables[spec.name]
+    branch = ensemble.jump_free_branch()
+    columns["survival"] = branch.survival
+    for spec in config.observables:
+        columns[f"{spec.name}_cond"] = branch.observables[spec.name]
 
     table_path = sidecar_path = None
     if out_dir is not None:
@@ -188,13 +185,10 @@ def run_scenario(config: ScenarioConfig,
             "config": config.to_mapping(),
             "content_hash": config_content_hash(config),
             "package_version": __version__,
-            "backend": BACKEND,
             "columns": list(columns),
             "jumps_per_channel": ensemble.jumps_per_channel.sum(axis=0).tolist(),
             "absorbing_entry": _absorbing_summary(ensemble.absorbing_entry,
                                                   config.grid.n_samples),
-            "projector_symmetrize": {spec.name: spec.symmetrize
-                                     for spec in config.observables},
             "table_file": table_path.name,
         })
     return ScenarioRunResult(config=config, ensemble=ensemble, columns=columns,
@@ -257,7 +251,6 @@ def write_criticality_outputs(result: CriticalityResult,
         "config": config.to_mapping(),
         "content_hash": config_content_hash(config),
         "package_version": __version__,
-        "backend": BACKEND,
         "slope": result.slope,
         "row_file": rows_path.name,
         "estimate_file": est_path.name,

@@ -214,7 +214,7 @@ def test_criterion_06_trapping_with_single_entanglement_peak(announce, trapping_
     times = config.grid.times
     report = classify_series(trapping_bundle["oracle_neg"], times,
                              beat_period=blockade_beat_period(config.model))
-    single = report.classification.is_single
+    single = report.classification.kind == "SinglePeak"
 
     cond_p11 = trapping_bundle["result"].columns["P11_cond"]
     t_neg_peak = float(report.peak_times[np.argmax(report.peak_heights)])
@@ -237,9 +237,9 @@ def test_criterion_07_revival_regimes_across_damping(announce):
     config = CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06, 0.08))
     below = classify_point(config, 0.06, 0.02)
     above = classify_point(config, 0.06, 0.06)
-    multi_ok = below.report.classification.is_multi and \
+    multi_ok = below.report.classification.kind == "MultiPeak" and \
         below.report.classification.count >= 2
-    single_ok = above.report.classification.is_single
+    single_ok = above.report.classification.kind == "SinglePeak"
     announce(7, "revivals below / single peak above the transition",
              multi_ok and single_ok,
              f"damping 0.02: {below.report.classification}; "

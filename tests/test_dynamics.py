@@ -720,6 +720,26 @@ class TestTrajectories:
         shown = exact > 1e-290
         assert np.allclose(branch.survival[shown], exact[shown], rtol=1e-6, atol=0.0)
 
+    @pytest.mark.parametrize("preset", ["fig2", "n3", "n4"])
+    def test_unjumped_fraction_within_dkw_band_of_branch_survival(self, preset):
+        # Decay never feeds the initial excitation sector, so a trajectory sits
+        # there exactly until its first jump: the ensemble mean of the sector's
+        # projector is S_n, the fraction not yet jumped, an empirical survival
+        # function whose exact value is the branch's survival.  The DKW band with
+        # Massart's constant holds max_t |S_n - S| <= sqrt(ln(2/alpha) / (2n))
+        # with probability 1 - alpha; alpha = 1e-6 and each preset's own
+        # trajectory count and seed were fixed before any run.
+        alpha = 1e-6
+        config = load_preset(preset).scenarios[0]
+        model = build_reduced_model(config.model, max_exc=config.max_excitation)
+        start = np.diag((model.n_tot == config.max_excitation).astype(np.complex128))
+        ens = mcwf_ensemble(model.h, model.collapse, model.space.product_state(config.initial),
+                            config.grid, n_traj=config.n_traj,
+                            master_seed=config.master_seed, observables={"start": start})
+        band = math.sqrt(math.log(2.0 / alpha) / (2 * config.n_traj))
+        dev = np.abs(ens.mean_observables["start"] - ens.jump_free_branch().survival)
+        assert dev.max() <= band
+
     def test_underflow_within_one_interval_raises(self):
         # e^(-2 gamma t) over one 1500-long sample interval is below the
         # smallest double: an error, not a row of NaN

@@ -56,7 +56,6 @@ SCENARIO_INI = textwrap.dedent("""\
     [observables]
     projectors = P20, P11, (1-;1-)+perm
     negativity = true
-    conditional = true
 
     [output]
     name = demo
@@ -69,7 +68,7 @@ SCENARIO_MAPPING = {
     "grid": {"t_end": 150, "spacing": "auto"},
     "run": {"n_traj": 4, "master_seed": 7},
     "observables": {"projectors": ["P20", "P11", "(1-;1-)+perm"],
-                    "negativity": True, "conditional": True},
+                    "negativity": True},
     "output": {"name": "demo", "format": "csv"},
 }
 
@@ -82,7 +81,7 @@ EVERY_SCENARIO_KEY = {
     "grid": {"t_end": 11.0, "t_start": 1.0, "dt": 0.005},
     "run": {"n_traj": 3, "master_seed": 9},
     "observables": {"projectors": ["P11", "P20+perm"], "negativity": True,
-                    "bipartition_cut": 1, "conditional": True},
+                    "bipartition_cut": 1},
     "output": {"name": "every", "format": "json"},
 }
 
@@ -216,6 +215,12 @@ class TestScenarioConfig:
             f"observables.projectors: {name}: 2 excitations in total, the basis holds at most 1"
             for name in ("P11", "P20")]
 
+    def test_conditional_is_not_a_scenario_key(self):
+        # every scenario runs the jump-free branch: there is nothing to switch on
+        with pytest.raises(ConfigError) as err:
+            tiny_scenario(observables={"conditional": True})
+        assert err.value.problems == ["observables.conditional: unknown key"]
+
     @pytest.mark.parametrize("grid, problem", [
         ({"dt": 0.0, "spacing": 2.0}, "grid.dt: must be positive and finite, got 0.0"),
         ({"dt": 0.0, "spacing": "auto"}, "grid.dt: must be positive and finite, got 0.0"),
@@ -231,7 +236,6 @@ class TestScenarioConfig:
         (tmp_path / "readme.ini").write_text(example)
         config = load_scenario_config(tmp_path / "readme.ini")
         assert config.output_name == "trapping"
-        assert config.include_conditional
 
     def test_content_hash_tracks_content(self):
         base = scenario_from_mapping(SCENARIO_MAPPING)
@@ -350,7 +354,8 @@ class TestScenarioConfig:
         # enumeration 64 · 2 · 8065 + 8192 bytes at its peak, and the one
         # trajectory's state and its stride copies, (8065 + 4 · 252) · 16 bytes
         # more, with its objects and a jump record for each of 63 sectors it can
-        # leave, 1 536 + 63 · 96
+        # leave, 1 536 + 63 · 96; the jump-free branch is that column again with
+        # its 6 states and squared norms, 6 · (8065 · 16 + 16)
         problems = problems_of(scenario_from_mapping, {
             "model": {"n_sites": 2, "n_max": 63, "gamma": 0.05},
             "initial": {"labels": ["63-", "G"]},
@@ -358,15 +363,17 @@ class TestScenarioConfig:
         })
         assert problems == [
             "model.n_sites, model.n_max, initial.labels, run.n_traj: the basis, H and the "
-            "loss operators, the observable rows and live states of 1 trajectories needs "
-            "3123316064 bytes, above the budget 268435456"]
+            "loss operators, the jump-free branch, the observable rows and live states of "
+            "1 trajectories needs 3124243152 bytes, above the budget 268435456"]
 
     def test_projectors_counted_against_the_budget(self):
         # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
         # and each projector is one more dense matrix of 71 436 304 bytes; the
         # basis enumeration peaks at 278 656 bytes, and the trajectory adds its
         # state and stride copies ((2113 + 4 · 128) · 16 bytes), its objects and
-        # jump records (1 536 + 32 · 96) and one row per projector (48)
+        # jump records (1 536 + 32 · 96) and one row per projector (48); the
+        # jump-free branch is that column again with its 6 states and squared
+        # norms, 6 · (2113 · 16 + 16), in place of the rows
         mapping = {
             "model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
             "initial": {"labels": ["32-", "G"]},
@@ -376,8 +383,9 @@ class TestScenarioConfig:
         mapping["observables"] = {"projectors": ["(32-;G)"]}
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.projectors, run.n_traj: "
-            "the basis, H and the loss operators, the projectors, the observable rows and "
-            "live states of 1 trajectories needs 286070528 bytes, above the budget 268435456"]
+            "the basis, H and the loss operators, the projectors, the jump-free branch, the "
+            "observable rows and live states of 1 trajectories needs 286320080 bytes, above "
+            "the budget 268435456"]
 
     def test_trajectory_rows_counted_against_the_budget(self):
         # fig2: each trajectory keeps 3 · 560 observable rows of 8 bytes and, while
@@ -393,8 +401,7 @@ class TestScenarioConfig:
         (problem,) = err.value.problems
         assert problem.startswith("model.n_sites, model.n_max, initial.labels, "
                                   "observables.projectors, observables.negativity, "
-                                  "observables.bipartition_cut, observables.conditional, "
-                                  "run.n_traj: ")
+                                  "observables.bipartition_cut, run.n_traj: ")
         assert problem.endswith("the observable rows and live states of 1000000 "
                                 "trajectories needs 15890413184 bytes, above the budget "
                                 "268435456")
@@ -406,7 +413,7 @@ class TestScenarioConfig:
             "initial": {"labels": ["1-"]},
             "grid": {"t_end": 10.0, "n_samples": 6},
             "run": {"n_traj": 3},
-            "observables": {"projectors": ["(1-)"], "conditional": True},
+            "observables": {"projectors": ["(1-)"]},
         })
         run = run_scenario(config)
         assert run.columns["P(1-)"][0] == pytest.approx(1.0)
@@ -429,7 +436,8 @@ class TestScenarioConfig:
         # n4's model with negativity on: ρ̄'s entries on the sectors of 1, 8, 32,
         # 88 and 192 states, (561 + 1) · 45 697 · 16 bytes with their rows and
         # columns, and the partial transpose's largest block across the cut,
-        # at most 257 states: 561 · (2 · 257² + 257) · 16 bytes
+        # at most 257 states: 561 · (2 · 257² + 257) · 16 bytes; the jump-free
+        # branch records 561 states of 321 amplitudes
         mapping = {
             "model": {"n_sites": 4, "n_max": 4},
             "initial": {"labels": ["4-", "G", "G", "G"]},
@@ -439,9 +447,9 @@ class TestScenarioConfig:
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.negativity, "
             "observables.bipartition_cut, run.n_traj: the basis, H and the loss operators, "
-            "ρ̄'s block entries over 561 samples, the partial transpose's largest block of "
-            "at most 257 states, the observable rows and live states of 1 trajectories "
-            "needs 1600694976 bytes, above the budget 268435456"]
+            "the jump-free branch, ρ̄'s block entries over 561 samples, the partial "
+            "transpose's largest block of at most 257 states, the observable rows and live "
+            "states of 1 trajectories needs 1603604592 bytes, above the budget 268435456"]
         # the preset: 560 samples, 2000 trajectories with 2 projectors, four damped
         # sites and the jump-free branch
         with pytest.raises(ConfigError, match="1667231200 bytes"):
@@ -672,7 +680,7 @@ class TestRunnerArtifacts:
 
     def test_column_order(self, run_dir):
         _, result = run_dir
-        assert result.column_names == (
+        assert tuple(result.columns) == (
             "t", "P20", "P20_stderr", "P11", "P11_stderr",
             "P(1-,1-)+perm", "P(1-,1-)+perm_stderr", "negativity",
             "survival", "P20_cond", "P11_cond", "P(1-,1-)+perm_cond")
@@ -683,7 +691,7 @@ class TestRunnerArtifacts:
         assert b"\r\n" in raw and b"\r\r" not in raw
         with open(result.table_path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(result.column_names)
+        assert rows[0] == list(result.columns)
         assert len(rows) == 1 + len(result.columns["t"])
         parsed = np.array([[float(x) for x in row] for row in rows[1:]])
         assert parsed[:, 0] == pytest.approx(result.columns["t"])
@@ -693,9 +701,8 @@ class TestRunnerArtifacts:
         sidecar = json.loads(result.sidecar_path.read_text())
         assert sidecar["kind"] == "scenario"
         assert sidecar["content_hash"] == config_content_hash(result.config)
-        assert sidecar["columns"] == list(result.column_names)
+        assert sidecar["columns"] == list(result.columns)
         assert sidecar["config"] == result.config.to_mapping()
-        assert sidecar["backend"] == "numpy"
         assert sidecar["table_file"] == result.table_path.name
 
     def test_sidecar_records_jump_diagnostics(self, tmp_path):
@@ -724,10 +731,9 @@ class TestRunnerArtifacts:
 
         monkeypatch.setattr(dynamics, "_build_machinery", counted)
         config = load_preset("fig2").with_overrides(n_traj=3).scenarios[0]
-        assert config.include_conditional
         result = run_scenario(config)
         assert len(calls) == 1
-        assert "survival" in result.column_names
+        assert "survival" in result.columns
 
     def test_reruns_are_byte_identical(self, run_dir, tmp_path):
         out, result = run_dir
@@ -798,7 +804,7 @@ class TestRunnerArtifacts:
         assert result.table_path.name == "tbl.json"
         assert result.sidecar_path.name == "tbl.meta.json"
         payload = json.loads(result.table_path.read_text())
-        assert payload["columns"] == list(result.column_names)
+        assert payload["columns"] == list(result.columns)
         assert payload["data"]["t"] == pytest.approx(result.columns["t"])
 
     def test_time_only_table(self, tmp_path):
@@ -808,11 +814,12 @@ class TestRunnerArtifacts:
             "grid": {"t_end": 10.0, "n_samples": 6},
             "output": {"name": "bare"},
         })
+        # no projector and no negativity: the times and the jump-free branch's survival
         result = run_scenario(config, out_dir=tmp_path)
-        assert result.column_names == ("t",)
+        assert tuple(result.columns) == ("t", "survival")
         with open(result.table_path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["t"]
+        assert rows[0] == ["t", "survival"]
         assert len(rows) == 7
 
 
@@ -952,20 +959,20 @@ def detuned_curve():
 # change that moves them on purpose records new digests here
 PRESET_DIGESTS = {
     "fig2.csv": "40a57d7a5c0ef1d51040cc33df0feb4b87d120c95f4c68a75f8d080df8cd9780",
-    "fig2.json": "e82255bfde9482c8520873cf0ffc698e56f338cf0343d4a10480e4685bbe3e5c",
+    "fig2.json": "4c1d48a66e22b950f5621bf78d65001905c8bd77d69cef2915390de9c9c3cd57",
     "fig3_above_critical.csv": "c0afa985dffbca0cc6283b0967c44ae510fa25a2a6ff02d21e6f166f94d23a77",
-    "fig3_above_critical.json": "4d2b48922063f8cba97263e800247a542e5696490eb812de1cda0345080f850e",
+    "fig3_above_critical.json": "fc2e0952c9a1b54f198bb30d1a6614d07d51c63a12cf6489615d84e0c83f52c2",
     "fig3_below_critical.csv": "95578582cd9869855ca33e57aa74dacf280dbe8dd12d7ca4df92e76454386375",
-    "fig3_below_critical.json": "cf2d097799532d0aa3c7253e43e9abcf099da4578a8ea87f1cfd46e62e7db7a9",
+    "fig3_below_critical.json": "51216bc76db2c300f25fda080361009e9d1f349bf75bf464f26bfacb16cd3f4c",
     "n3.csv": "c4d989c82c91db914fe77646ef13b0c398076f114c4f60a649f4c88f728fe406",
-    "n3.json": "0accf348a8edb5c200cff92fde146c3fab4fce1dd17d0f2587c539330a4df3dc",
+    "n3.json": "a2e6546332ce73cd4ab01f77099d1bb9507dbbd71d18bfd7ac970bf20ab500f8",
     "n4.csv": "dff3d3e2063fca2aa81314d004679faff696e5bbd262f552c77e1ce50a7a1a49",
-    "n4.json": "de88be9f3dc8d226612107372f3aac70c47c6b19c65d230072489cd63861b9b0",
-    "fig1_delta0.csv": "0868231c065354d97787cbd3bbdf5a2fcafc9eb611acf60bae2fe58e84e1a003",
-    "fig1_delta0.json": "9f2615891606c21e9e3243b24efb4cfb8ebfe99a41690bf66e4b2863874a5b5e",
-    "fig1_delta09.csv": "f6735b9f7624fb483145b67bc6cec48a850efd8957daeaea2d6d389b6e3fe4c4",
-    "fig1_delta09.json": "6f5876c546bcd05b6715c5ecb62d0f45f2fde55480d9e02caec97fc0e0264e08",
-    "fig4.json": "4769668912505a8f583e56f6385d6fe0b92442dd64fab53194bbb47caa449e68",
+    "n4.json": "17dcf8b82556fdbeb4574799dc52655717e73000fe4c742c295906c79811122e",
+    "fig1_delta0.csv": "cdd0277d08596d12f28b349025389d8ab5b8ded55c28c79b366d3365ba35f81b",
+    "fig1_delta0.json": "71643e7eeefe874299fb11b8d7d1d67e74a1d2afc3a35a0380ba7863c02da24c",
+    "fig1_delta09.csv": "e8f85242e8f0d1582baacdeaed13941ce66cfde882710ebfd809413d2daafcf1",
+    "fig1_delta09.json": "b90bbb1cc40a0939b254e35f4b215794a9547708f700eba954a6ac18932764a4",
+    "fig4.json": "ff6b7e65113df229ed777b01ab05511dc3eb6840751c40d91694de17da56fd36",
     "fig4_estimates.csv": "f9c8870d65c2626715abb52f5bf6d250ed6a885cf27757a030f50c06d11549b4",
     "fig4_rows.csv": "20f4b9c7f8db9609727cc7ab56488034bbade4825284786b029834f92ee530c7",
 }
@@ -998,9 +1005,9 @@ class TestSweepOnModel:
         for est in resonant_curve.estimates:
             for row in est.rows:
                 if row.gamma > 1.5 * est.gamma_c:
-                    assert row.report.classification.is_single
+                    assert row.report.classification.kind == "SinglePeak"
                 if row.gamma < 0.45 * est.gamma_c:
-                    assert row.report.classification.is_multi
+                    assert row.report.classification.kind == "MultiPeak"
 
     def test_critical_damping_grows_with_hop(self, resonant_curve):
         values = [est.gamma_c for est in resonant_curve.estimates]
@@ -1123,7 +1130,7 @@ class TestPresets:
         for name in PRESET_NAMES:
             bundle = load_preset(name)
             assert bundle.name == name
-            if bundle.kind == "sweep":
+            if bundle.sweep is not None:
                 assert bundle.sweep is not None and not bundle.scenarios
             else:
                 assert bundle.sweep is None and bundle.scenarios
@@ -1166,10 +1173,9 @@ class TestPresets:
             config = replace(preset, grid=grid, n_traj=min(preset.n_traj, 20),
                              compute_negativity=negativity)
             run_scenario(config)
-            # the basis, H, each projector, the ensemble, and the branch and
-            # partial transpose when the config asks for them
-            assert len(guarded) == (3 + len(config.observables) + negativity
-                                    + config.include_conditional)
+            # the basis, H, each projector, the ensemble, the branch, and the
+            # partial transpose when the config asks for it
+            assert len(guarded) == 4 + len(config.observables) + negativity
             assert loaded == [loaded[0]] and loaded[0] >= sum(guarded)
 
     def test_sweep_load_count_covers_every_guard_of_a_point(self, monkeypatch):

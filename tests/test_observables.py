@@ -467,13 +467,12 @@ class TestPeakFinding:
         report = find_peaks(y, t)
         assert report.classification.kind == "MultiPeak"
         assert report.classification.count == 2
-        assert report.classification.is_multi
 
     def test_small_ripples_below_prominence_ignored(self):
         t = np.linspace(0.0, 100.0, 2001)
         y = gaussian(t, 50.0, 15.0) + 0.005 * (1.0 + np.sin(2.0 * np.pi * t / 3.0))
         report = find_peaks(y, t)
-        assert report.classification.is_single
+        assert report.classification.kind == "SinglePeak"
 
     def test_zero_series_is_no_peak(self):
         t = np.linspace(0.0, 10.0, 50)
@@ -497,13 +496,13 @@ class TestClassifySeries:
         t = np.linspace(0.0, 100.0, 401)
         y = gaussian(t, 0.3, 0.1, height=0.5) + gaussian(t, 50.0, 10.0)
         report = classify_series(y, t, t_min=2.0)
-        assert report.classification.is_single
+        assert report.classification.kind == "SinglePeak"
 
     def test_overdamped_monotone_decay_counts_as_boundary_single(self):
         t = np.linspace(0.0, 100.0, 401)
         y = np.exp(-t / 10.0)
         report = classify_series(y, t, t_min=DEFAULT_BURN_IN)
-        assert report.classification.is_single
+        assert report.classification.kind == "SinglePeak"
         assert report.boundary_peak
         assert report.peak_times[0] == pytest.approx(1.0, abs=0.3)
 
@@ -514,8 +513,8 @@ class TestClassifySeries:
         wiggly = envelope * (0.6 + 0.4 * np.cos(2.0 * np.pi * t / beat))
         raw = classify_series(wiggly, t)
         notched = classify_series(wiggly, t, beat_period=beat)
-        assert raw.classification.is_multi
-        assert notched.classification.is_single
+        assert raw.classification.kind == "MultiPeak"
+        assert notched.classification.kind == "SinglePeak"
         assert notched.beat_filtered
 
     def test_notch_skipped_when_period_off_grid(self):
@@ -523,14 +522,14 @@ class TestClassifySeries:
         y = gaussian(t, 60.0, 18.0)
         report = classify_series(y, t, beat_period=0.31)
         assert not report.beat_filtered
-        assert report.classification.is_single
+        assert report.classification.kind == "SinglePeak"
 
     def test_slow_double_revival_survives_notch(self):
         beat = 2.0 * math.pi / (2.0 - math.sqrt(2.0))
         t = np.arange(0.0, 150.0, beat / 4.0)
         y = gaussian(t, 35.0, 9.0) + gaussian(t, 100.0, 9.0, height=0.9)
         report = classify_series(y, t, beat_period=beat)
-        assert report.classification.is_multi
+        assert report.classification.kind == "MultiPeak"
 
 
 class TestClassifierOnModelDynamics:
@@ -542,8 +541,8 @@ class TestClassifierOnModelDynamics:
         grid, series = oracle_negativity(params, model, psi0, t_end=150.0)
         report = classify_series(series, grid.times,
                                  beat_period=blockade_beat_period(params))
-        assert report.classification.is_multi == expected_multi
+        assert (report.classification.kind == "MultiPeak") == expected_multi
         if expected_multi:
             assert report.classification.count >= 2
         else:
-            assert report.classification.is_single
+            assert report.classification.kind == "SinglePeak"
