@@ -69,11 +69,21 @@ def _as_bool(raw: Any) -> bool:
 
 
 def _as_int(raw: Any) -> int:
-    """A whole number, or text that ``int`` reads as one; the field's type checks its range."""
+    """A whole number, or text that ``int`` or ``float`` reads as one, so
+    ``2.0`` passes as text as it does as a number; the field's type checks
+    its range."""
     try:
-        return whole(int(raw) if isinstance(raw, str) else raw, -math.inf, "")
-    except ValueError:                    # int()'s, or the rule's ConfigError
+        return whole(_as_number(raw) if isinstance(raw, str) else raw, -math.inf, "")
+    except ValueError:                    # float()'s, or the rule's ConfigError
         raise ConfigError(f"expected an integer, got {raw!r}") from None
+
+
+def _as_number(text: str):
+    """``text`` as ``int`` reads it, exact at any size, else as ``float`` reads it."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _as_float(raw: Any) -> float:
@@ -87,6 +97,12 @@ def _as_float(raw: Any) -> float:
 
 def _as_lower(raw: Any) -> str:
     return str(raw).lower()
+
+
+def _as_text(raw: Any) -> str:
+    if isinstance(raw, str):
+        return raw
+    raise ConfigError(f"expected text, got {raw!r}")
 
 
 def _split_items(raw: Any) -> list:
@@ -170,7 +186,7 @@ class _Key(NamedTuple):
     required: bool = False
 
 
-_OUTPUT = {"name": _Key("output_name", str),
+_OUTPUT = {"name": _Key("output_name", _as_text),
            "format": _Key("output_format", _as_lower)}
 
 _SCENARIO_KEYS = {

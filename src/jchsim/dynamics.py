@@ -70,7 +70,15 @@ shift is a global phase on pure states (populations, norms, jump
 statistics and entanglement are unchanged; returned state phases differ
 by e^{−ict}); it halves the spectral radius seen by the fixed-step scheme.
 It cancels identically in the density-matrix commutator, so the oracle
-uses H itself.
+uses H itself.  The exact jump-free flow never raises the squared norm, so
+a step that raises it above 1 shows a ``dt`` past the scheme's stability
+limit: a trajectory's step or the seedless branch that does raises
+``IntegratorError`` naming ``dt``, as does an oracle whose stride or samples
+are not finite.
+
+Every matrix a caller passes, H, a collapse operator or an observable, is
+read by one rule (``_square``): a square complex matrix of the model's
+dimension, else a ``SizeError`` that names it.
 """
 from __future__ import annotations
 
@@ -381,12 +389,13 @@ class _Machinery:
     block_obs: list          # ``_block_observables`` of the blocks
 
 
-def _check_ops(collapse: Sequence[np.ndarray], d: int) -> list:
-    ops = [as_complex_matrix(op) for op in collapse]
-    for op in ops:
-        if op.shape != (d, d):
-            raise SizeError(f"collapse operator shape {op.shape} does not match dim {d}")
-    return ops
+def _square(m, d: int, what: str) -> np.ndarray:
+    """``m`` as ``as_complex_matrix`` gives it, if it is ``d`` × ``d``; else a
+    ``SizeError`` that names it as ``what``."""
+    m = as_complex_matrix(m)
+    if m.shape != (d, d):
+        raise SizeError(f"{what} shape {m.shape} does not match dim {d}")
+    return m
 
 
 def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -394,9 +403,10 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
                      observables: Optional[Mapping[str, np.ndarray]] = None) -> _Machinery:
     h = require_hermitian(as_complex_matrix(h))
     d = h.shape[0]
-    ops = _check_ops(collapse, d)
+    ops = [_square(op, d, "collapse operator") for op in collapse]
     psi0 = _check_state(psi0, d)
-    obs = _coerce_observables(observables, d)
+    obs = {str(name): _square(op, d, f"observable {name!r}")
+           for name, op in (observables or {}).items()}
     support = np.flatnonzero(psi0)
     owner, parts = _partition(h, ops, support, float(np.trace(h).real) / d)
     n_fine = grid.n_fine
@@ -488,6 +498,14 @@ def _crossing_time(coeffs: list, frac: float, r: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _unstable(norm2: float, dt: float) -> IntegratorError:
+    """The error of a step that raised a jump-free squared norm to ``norm2``,
+    above 1 or not finite: the exact flow never raises it, so ``dt`` is past
+    the scheme's stability limit."""
+    return IntegratorError(f"the jump-free squared norm grew to {norm2:.3g}; "
+                           f"dt = {dt} is too coarse for the spectrum of H")
+
+
 def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
                    dt: float, rng: np.random.Generator, jumps: list):
     """Apply every jump inside the elementary step that starts at ``t0``.
@@ -497,7 +515,8 @@ def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: flo
     norm, a scalar polynomial of degree 8 in the time into the step, so the
     flow vector is formed only at the end of the step and at the jump.
     Returns the state at the end of the step, the pending threshold and the
-    block the state then occupies.
+    block the state then occupies.  A step that raises the squared norm
+    above 1 (``_unstable``) raises.
     """
     t_in_step = 0.0
     while True:
@@ -507,7 +526,10 @@ def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: flo
         for _ in range(4):
             powers.append(blk.gen @ powers[-1])
         end = _taylor_flow(powers, frac)
-        if np.vdot(end, end).real > r:
+        norm2 = np.vdot(end, end).real
+        if not norm2 <= 1.0 + _UNIT_NORM_ATOL:
+            raise _unstable(norm2, dt)
+        if norm2 > r:
             return end, r, b
         tau = _crossing_time(_flow_norm2_poly(powers), frac, r)
         # channel c with probability ||L_c phi||^2 / sum_k ||L_k phi||^2: the first
@@ -535,7 +557,8 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
     over need not be tried again.  The single step after the descent
     crosses; its jumps are resolved inside it, and a new descent starts.
     Returns the state at the end of the interval, the pending threshold and
-    the block the state then occupies.
+    the block the state then occupies.  A trial that raises the squared norm
+    above 1 (``_unstable``) raises.
     """
     n_fine, dt = grid.n_fine, grid.dt
     r = float(r)
@@ -548,7 +571,10 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
         for p in range((n_fine - done).bit_length() - 1, -1, -1):
             if done + (1 << p) <= n_fine:
                 trial = r_pows[p] @ work
-                if np.vdot(trial, trial).real > r:
+                norm2 = np.vdot(trial, trial).real
+                if not norm2 <= 1.0 + _UNIT_NORM_ATOL:
+                    raise _unstable(norm2, dt)
+                if norm2 > r:
                     work = trial
                     done += 1 << p
         if done < n_fine:
@@ -630,8 +656,9 @@ def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
                 record: bool = False) -> int:
     """Bytes of a batch of ``n_cols`` columns on blocks of ``block_dims``
     states: each column's live state and Python objects, with a jump record
-    per block it can leave, and, recorded, the column's states and squared
-    norms at every sample, else its observable rows.  Each loss lowers the
+    per block it can leave, and, recorded, the column's states and survival
+    at every sample with the temporaries of the branch's reduction over them,
+    else its observable rows.  Each loss lowers the
     excitation, so a column leaves a block at most once; channels that map
     a block into itself record jumps this does not count.
 
@@ -640,9 +667,14 @@ def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
     sits beside it, and the rows that stay are copied out of the products;
     a row that jumps is held as its own state and stacked with its new
     block's other arrivals, and that block's rows are concatenated and then
-    put in column order."""
+    put in column order.  The branch's reduction (``_jump_free_branch``)
+    holds, per sample, one observable's support columns, their product and
+    their conjugate, each counted on the largest block, with its complex
+    values, and every observable's values twice, before and after they are
+    transposed."""
     dim = sum(block_dims)
-    rows = (n_samples * (dim * 16 + 2 * 8) if record
+    reduction = n_observables and 3 * max(block_dims) * 16 + 16 + 2 * n_observables * 8
+    rows = (n_samples * (dim * 16 + 8 + reduction) if record
             else n_cols * n_observables * n_samples * 8)
     live = (dim + 4 * max(block_dims)) * 16
     return rows + n_cols * (live + _COLUMN_BYTES + _JUMP_BYTES * (len(block_dims) - 1))
@@ -678,7 +710,8 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     values stay 0.0; unless ρ̄ is kept it costs no per-sample work, and if
     no channel acts on it either, its rows are not stepped at all.  A block
     no channel acts on should keep the norm, so one whose stepped rows fall
-    below ``_RESCALE_FLOOR`` raises.
+    below ``_RESCALE_FLOOR`` raises, and so does a seedless column whose
+    squared norm rises above 1 (``_unstable``).
 
     Before any of them, or any column's seed or Generator, exists, the
     batch's arrays (``batch_bytes`` and, with ``keep_rho``, ``rho_bytes``)
@@ -705,9 +738,7 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     carried = 1.0
     states = survival = values = None
     if record:
-        # the column's rows, normalized once the loop is done, and their squared norms
         states = np.zeros((n, mach.dim), dtype=np.complex128)
-        norm2s = np.empty(n)
         survival = np.empty(n)
     else:
         values = np.zeros((n_cols, len(mach.names), n))
@@ -726,6 +757,8 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
             if b in idle:
                 continue
             blk = mach.blocks[b]
+            if not jumping and not norm2[0] <= 1.0 + _UNIT_NORM_ATOL:
+                raise _unstable(norm2[0], grid.dt)
             if blk.absorbing:
                 if not norm2.min() > _RESCALE_FLOOR:
                     raise IntegratorError(
@@ -735,8 +768,8 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
                 raise IntegratorError("the state's norm underflowed to 0 within one "
                                       "sample interval; use a smaller sample spacing")
             if record:
-                states[s, blk.index] = work[0]
-                norm2s[s], survival[s] = norm2[0], carried * norm2[0]
+                states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
+                survival[s] = carried * norm2[0]
             elif keep_rho or reduced[b]:
                 rows = work * (1.0 / np.sqrt(norm2))[:, None]
                 if reduced[b]:
@@ -747,8 +780,6 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
             if not jumping and not blk.absorbing and norm2[0] < _RESCALE_FLOOR:
                 carried *= norm2[0]
                 work[0] = work[0] * (1.0 / math.sqrt(norm2[0]))
-    if record:
-        states *= (1.0 / np.sqrt(norm2s))[:, None]
     return _Batch(values=values, rho_sum=rho_sum, states=states, survival=survival,
                   jumps=jumps, absorbed=absorbed)
 
@@ -784,18 +815,6 @@ def _batched_expectation(states: np.ndarray, op: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", states.conj(), states @ op.T).real
 
 
-def _coerce_observables(observables: Optional[Mapping[str, np.ndarray]],
-                        dim: int) -> dict:
-    """The named observables as complex ``(dim, dim)`` matrices."""
-    out = {}
-    for name, op in (observables or {}).items():
-        op = as_complex_matrix(op)
-        if op.shape != (dim, dim):
-            raise SizeError(f"observable {name!r} shape {op.shape} does not match dim {dim}")
-        out[str(name)] = op
-    return out
-
-
 def _block_observables(blocks: Sequence[_Part], obs: dict) -> list:
     """Each observable on each block's support: ``[block][observable]``.
 
@@ -828,8 +847,10 @@ def _jump_free_branch(mach: _Machinery) -> ConditionalBranch:
     """The seedless batch of one on built blocks, reduced on the block it
     never leaves."""
     batch = _propagate(mach, record=True, what="the jump-free branch")
-    values = _reduce(mach.block_obs[mach.start],
-                     batch.states[:, mach.blocks[mach.start].index])
+    index = mach.blocks[mach.start].index
+    # each support as basis columns of the recorded states: the block is not copied out
+    values = _reduce([(index[support], op) for support, op in mach.block_obs[mach.start]],
+                     batch.states)
     return ConditionalBranch(states=batch.states, survival=batch.survival,
                              observables=dict(zip(mach.names, np.ascontiguousarray(values.T))))
 
@@ -993,12 +1014,11 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
         raise ConfigError([f"rho0: trace must be 1, got {np.trace(rho0)!r}"])
     if np.linalg.eigvalsh(rho0).min() < -1e-8:
         raise ConfigError(["rho0: must be positive semidefinite"])
-    h = require_hermitian(as_complex_matrix(h))
-    if h.shape != (d, d):
-        raise SizeError(f"Hamiltonian shape {h.shape} does not match dim {d}")
+    h = require_hermitian(_square(h, d, "Hamiltonian"))
 
     support = np.flatnonzero(rho0.any(axis=0) | rho0.any(axis=1))
-    _, parts = _partition(h, _check_ops(collapse, d), support, 0.0)
+    _, parts = _partition(h, [_square(op, d, "collapse operator") for op in collapse],
+                          support, 0.0)
     _, rows, cols = _block_layout(parts)
     n_kept = len(rows)
     n = grid.n_samples
@@ -1014,6 +1034,9 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     coords[0] = np.where(lower, first.imag, first.real)
     for s in range(1, n):
         np.matmul(r_stride, coords[s - 1], out=coords[s])
+    if not (np.isfinite(r_stride).all() and np.isfinite(coords).all()):
+        raise IntegratorError("the master equation's stride or samples are not finite; "
+                              f"dt = {grid.dt} is too coarse for the spectrum of H")
     out = np.zeros((n, d, d), dtype=np.complex128)
     re_im = out.view(np.float64)          # Re ρ_rc at [r, 2c], Im ρ_rc at [r, 2c + 1]
     re_im[:, rows, 2 * cols + lower] = coords

@@ -12,7 +12,12 @@ Polariton (dressed) states per site::
     |n+> = sin(theta_n)|n, g> + cos(theta_n)|n-1, e>
 
 with ``theta_n = 0.5 * arctan(g sqrt(n) / (delta / 2))`` and
-``delta = omega_a - omega_c``.
+``delta = omega_a - omega_c``.  ``dressed_state`` takes the site whose
+coupling ``g`` sets the angle; the single-site dressed basis and its
+energies (``polariton_energy``, ``dressed_basis_matrix``,
+``transform_to_dressed_basis``, ``creation_in_polariton_basis``) are site
+0's, at ``g[0]``, as is the beat period that ``blockade_beat_period`` reads
+from them.
 
 H conserves the total excitation and each loss lowers it by one, so a run
 lives on the product states with at most the initial excitations
@@ -162,15 +167,16 @@ def mixing_angle(n: int, delta: float, g: float = 1.0) -> float:
     return 0.5 * math.atan2(g * math.sqrt(n), delta / 2.0)
 
 
-def polariton_energy(label: PolaritonLabel, params: ModelParams, site: int = 0) -> float:
-    """Energy of a single-site dressed state (vacuum energy is zero)."""
+def polariton_energy(label: PolaritonLabel, params: ModelParams) -> float:
+    """Energy of a single-site dressed state (vacuum energy is zero), at site
+    0's coupling ``g[0]``."""
     if label.branch == GROUND:
         return 0.0
     if problem := _beyond_cutoff(label, params):
         raise TruncationError(problem)
     n = label.n
     delta = params.detuning
-    g = params.g[site]
+    g = params.g[0]
     rabi = math.sqrt(delta * delta + 4.0 * g * g * n)
     sign = 1.0 if label.branch == PLUS else -1.0
     return params.omega_c * n + 0.5 * delta + 0.5 * sign * rabi
@@ -325,30 +331,30 @@ def dressed_index(label: PolaritonLabel) -> int:
     return 2 * label.n - (1 if label.branch == MINUS else 0)
 
 
-def dressed_basis_matrix(params: ModelParams, site: int = 0) -> np.ndarray:
-    """Unitary with dressed states as columns (bare basis rows).
+def dressed_basis_matrix(params: ModelParams) -> np.ndarray:
+    """Unitary with site 0's dressed states as columns (bare basis rows).
 
     Ordering: ``G, 1-, 1+, ..., n_max-, n_max+`` followed by the lone bare
     state ``|e, n_max>`` whose dressed partner lies beyond the photon cutoff.
     """
     d = params.site_dim
     u = np.zeros((d, d), dtype=np.complex128)
-    u[:, 0] = dressed_state(PolaritonLabel.ground(), params, site)
+    u[:, 0] = dressed_state(PolaritonLabel.ground(), params)
     for n in range(1, params.n_max + 1):
-        u[:, dressed_index(PolaritonLabel.minus(n))] = dressed_state(PolaritonLabel.minus(n), params, site)
-        u[:, dressed_index(PolaritonLabel.plus(n))] = dressed_state(PolaritonLabel.plus(n), params, site)
+        u[:, dressed_index(PolaritonLabel.minus(n))] = dressed_state(PolaritonLabel.minus(n), params)
+        u[:, dressed_index(PolaritonLabel.plus(n))] = dressed_state(PolaritonLabel.plus(n), params)
     u[(params.n_max + 1) + params.n_max, d - 1] = 1.0  # |e, n_max>
     return u
 
 
-def transform_to_dressed_basis(op: np.ndarray, params: ModelParams, site: int = 0) -> np.ndarray:
-    """Conjugate a single-site operator into the dressed ordering, ``U^dag op U``."""
-    u = dressed_basis_matrix(params, site)
+def transform_to_dressed_basis(op: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Conjugate a single-site operator into site 0's dressed ordering, ``U^dag op U``."""
+    u = dressed_basis_matrix(params)
     return u.conj().T @ op @ u
 
 
-def creation_in_polariton_basis(params: ModelParams, site: int = 0) -> np.ndarray:
-    """Photon creation operator written directly in the dressed ordering.
+def creation_in_polariton_basis(params: ModelParams) -> np.ndarray:
+    """Photon creation operator written directly in site 0's dressed ordering.
 
     Built from the doublet coefficients: branch-preserving ladders weighted
     by ``c_(n,+/-)`` and the branch-mixing ladders weighted by ``k``.  The row/column of the lone
@@ -357,7 +363,7 @@ def creation_in_polariton_basis(params: ModelParams, site: int = 0) -> np.ndarra
     """
     d = params.site_dim
     out = np.zeros((d, d), dtype=np.complex128)
-    delta, g = params.detuning, params.g[site]
+    delta, g = params.detuning, params.g[0]
     for n in range(1, params.n_max + 1):
         co = hopping_coefficients(n, delta, g)
         lo_minus = PolaritonLabel.minus(n - 1) if n > 1 else PolaritonLabel.ground()

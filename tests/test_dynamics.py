@@ -6,6 +6,7 @@ import functools
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -758,6 +759,61 @@ class TestTrajectories:
         with pytest.raises(IntegratorError, match="too coarse"):
             no_jump_branch(h, (), psi0, grid)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_step_past_the_stability_limit_raises_naming_dt(self):
+        # the exact jump-free flow never raises the squared norm.  At hop 300,
+        # |dt (λ - c)| reaches 3.0, past the degree-4 scheme's limit of 2√2: the
+        # stride overflows to NaN, on which a crossing once bisected to a zero
+        # step forever, so the jumping routes run in a process with a timeout.
+        # At hop 290 the norm grows but stays finite; at hop 250 (2.5) every
+        # pure-state route runs
+        grid = TimeGrid(t_end=20.0, n_samples=21, dt=0.005)
+        dt_named = r"; dt = 0\.005 is too coarse for the spectrum of H$"
+        script = textwrap.dedent("""\
+            import warnings
+            from conftest import two_site_model
+            from jchsim.dynamics import TimeGrid, mcwf_ensemble, mcwf_trajectory
+            from jchsim.errors import IntegratorError
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, model, psi0 = two_site_model(hop=300.0, gamma=0.05)
+            grid = TimeGrid(t_end=20.0, n_samples=21, dt=0.005)
+            for run in (lambda: mcwf_ensemble(model.h, model.collapse, psi0, grid,
+                                              n_traj=20, master_seed=1),
+                        lambda: mcwf_trajectory(model.h, model.collapse, psi0, grid, seed=1)):
+                try:
+                    run()
+                except IntegratorError as exc:
+                    print(exc)
+            """)
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+                              check=True, timeout=60)
+        errors = done.stdout.splitlines()
+        assert len(errors) == 2
+        for error in errors:
+            assert re.match("the jump-free squared norm grew to nan" + dt_named, error), error
+        _, model, psi0 = two_site_model(hop=300.0, gamma=0.05)
+        rho0 = np.outer(psi0, psi0.conj())
+        with pytest.raises(IntegratorError, match="^the jump-free squared norm grew to "
+                                                  + r"\S+" + dt_named):
+            no_jump_branch(model.h, model.collapse, psi0, grid)
+        with pytest.raises(IntegratorError, match="^the master equation's stride or samples "
+                                                  "are not finite" + dt_named):
+            lindblad_evolve(model.h, model.collapse, rho0, grid)
+        _, model, psi0 = two_site_model(hop=290.0, gamma=0.05)
+        with pytest.raises(IntegratorError, match=r"grew to 1\.03e\+30" + dt_named):
+            no_jump_branch(model.h, model.collapse, psi0, grid)
+        # lossless, where every block absorbs: |dt (λ - c)| = 3.5
+        with pytest.raises(IntegratorError, match=r"grew to 4\.29e\+11; dt = 0\.01 "):
+            no_jump_branch(np.diag([0.0, 700.0]), (), np.array([0.0, 1.0]),
+                           TimeGrid(t_end=1.0, n_samples=11, dt=0.01))
+        _, model, psi0 = two_site_model(hop=250.0, gamma=0.05)
+        branch = no_jump_branch(model.h, model.collapse, psi0, grid)
+        assert np.all(np.diff(branch.survival) < 0) and branch.survival[0] == pytest.approx(1.0)
+        mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=20, master_seed=1)
+
     def test_lossless_ensemble_is_its_one_trajectory(self):
         params, model, psi0 = two_site_model(hop=0.03, gamma=0.0)
         grid = TimeGrid(t_end=50.0, n_samples=26, dt=0.005)
@@ -784,6 +840,21 @@ class TestTrajectories:
         with pytest.raises(SizeError, match="observable 'bad' shape"):
             mcwf_ensemble(h, collapse, psi0, grid, n_traj=1, master_seed=0,
                           observables=bad)
+
+    def test_loss_operator_and_hamiltonian_of_wrong_shape_named(self):
+        h, collapse, _ = damped_mode()
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        grid = TimeGrid(t_end=1.0, n_samples=3, dt=0.005)
+        with pytest.raises(SizeError) as err:
+            mcwf_ensemble(h, [collapse[0], np.eye(3)], psi0, grid, n_traj=1, master_seed=0)
+        assert err.value.problems == ["collapse operator shape (3, 3) does not match dim 4"]
+        with pytest.raises(SizeError) as err:
+            lindblad_evolve(np.eye(3), collapse, np.outer(psi0, psi0), grid)
+        assert err.value.problems == ["Hamiltonian shape (3, 3) does not match dim 4"]
+        with pytest.raises(SizeError) as err:
+            lindblad_evolve(h, [np.eye(5)], np.outer(psi0, psi0), grid)
+        assert err.value.problems == ["collapse operator shape (5, 5) does not match dim 4"]
 
     @pytest.mark.parametrize("kwargs, problems", [
         (dict(n_traj=2.5), ["n_traj: need an integer >= 1, got 2.5"]),
@@ -1137,6 +1208,34 @@ class TestMemoryGuards:
                                         + (len(dims) - 1) * 96)]
             assert peaks[-1] < counts[0], name
 
+    def test_jump_free_branch_peaks_below_its_count(self, monkeypatch):
+        # the recorded states and survival, 560 · (dim · 16 + 8) bytes, and the
+        # reduction's temporaries, counted on the largest block, where the
+        # supports of the preset projectors hold at most 4, 8 and 16 states;
+        # the reduction reads each support as basis columns of the recorded
+        # states, so the start block is never copied out of them
+        counts = []
+        guard = dynamics.check_budget
+        monkeypatch.setattr(dynamics, "check_budget",
+                            lambda n_bytes, what: (counts.append(n_bytes), guard(n_bytes, what)))
+        for name, dims in (("fig2", [1, 4, 8]), ("n3", [1, 6, 18, 38]),
+                           ("n4", [1, 8, 32, 88, 192])):
+            config, model, psi0 = preset_problem(name)
+            observables = preset_projectors(config, model)
+            ens = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=2,
+                                master_seed=1, observables=observables)
+            counts.clear()
+            tracemalloc.start()
+            try:
+                ens.jump_free_branch()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            n_obs, k = len(observables), max(dims)
+            assert counts == [560 * (sum(dims) * 16 + 8 + 3 * k * 16 + 16 + 2 * n_obs * 8)
+                              + (sum(dims) + 4 * k) * 16 + 1536 + (len(dims) - 1) * 96]
+            assert peak <= counts[0], name
+
     def test_keep_rho_over_budget_raises_before_allocating(self):
         params = ModelParams(n_sites=4, hop=0.03, gamma=0.05, n_max=4)
         model = build_reduced_model(params, max_exc=4)
@@ -1153,8 +1252,8 @@ class TestMemoryGuards:
                           master_seed=0, keep_rho=True)
 
     def test_record_paths_and_negativity_raise_before_allocating(self, monkeypatch):
-        # fig2: a recorded run keeps 560 states of 13 amplitudes and two squared
-        # norms a sample, 560 · (13 · 16 + 16) bytes, its live state and stride
+        # fig2: a recorded run keeps 560 states of 13 amplitudes and a survival
+        # a sample, 560 · (13 · 16 + 8) bytes, its live state and stride
         # copies, (13 + 4 · 8) · 16, and its objects and a jump record for each of
         # two sectors, 1 536 + 2 · 96;
         # ρ̄'s partial transpose has blocks of at most 9 states, held twice with
@@ -1169,7 +1268,7 @@ class TestMemoryGuards:
 
         monkeypatch.setattr(dynamics, "_stride", never)
         monkeypatch.setattr(np.linalg, "eigvalsh", never)
-        record = 560 * (13 * 16 + 16) + (13 + 4 * 8) * 16 + 1536 + 2 * 96
+        record = 560 * (13 * 16 + 8) + (13 + 4 * 8) * 16 + 1536 + 2 * 96
         calls = [
             (record, "the jump-free branch", ens.jump_free_branch),
             (record, "the jump-free branch",

@@ -172,6 +172,28 @@ class TestScenarioConfig:
         assert any(p.startswith("observables.bipartition_cut:") for p in problems)
         assert "observables.projectors: P300: expected 2 site labels, got 3" in problems
 
+    @pytest.mark.parametrize("name", [None, ["x"], {"a": 1}])
+    def test_output_name_that_is_not_text_refused(self, name):
+        # once written with str(), these loaded as the file stems None, ['x'] and {'a': 1}
+        bad = {**SCENARIO_MAPPING, "output": {"name": name}}
+        assert problems_of(scenario_from_mapping, bad) == [
+            f"output.name: expected text, got {name!r}"]
+        assert problems_of(sweep_from_mapping, {**EVERY_SWEEP_KEY, "output": {"name": name}}) \
+            == [f"output.name: expected text, got {name!r}"]
+
+    def test_whole_number_written_as_decimal_text_loads_as_in_json(self, tmp_path):
+        # INI n_traj = 2.0 is the JSON 2.0 that linalg.whole takes as 2
+        mapping = json.loads(json.dumps(SCENARIO_MAPPING))
+        mapping["run"] = {"n_traj": 2.0, "master_seed": 7.0}
+        from_ini, from_json = load_both(tmp_path, mapping, load_scenario_config)
+        assert from_ini == from_json
+        assert (from_ini.n_traj, from_ini.master_seed) == (2, 7)
+        big = "123456789012345678901234567890"         # int() keeps every digit
+        assert tiny_scenario(run={"master_seed": big}).master_seed == int(big)
+        for text in ("2.5", "nan", "inf", "1e400", "two"):
+            assert problems_of(lambda run: tiny_scenario(run=run), {"n_traj": text}) == [
+                f"run.n_traj: expected an integer, got {text!r}"], text
+
     def test_projector_named_twice_rejected(self):
         mapping = json.loads(json.dumps(SCENARIO_MAPPING))
         mapping["observables"]["projectors"] = ["P20", "P11", "P20"]
@@ -355,7 +377,7 @@ class TestScenarioConfig:
         # trajectory's state and its stride copies, (8065 + 4 · 252) · 16 bytes
         # more, with its objects and a jump record for each of 63 sectors it can
         # leave, 1 536 + 63 · 96; the jump-free branch is that column again with
-        # its 6 states and squared norms, 6 · (8065 · 16 + 16)
+        # its 6 states and survivals, 6 · (8065 · 16 + 8)
         problems = problems_of(scenario_from_mapping, {
             "model": {"n_sites": 2, "n_max": 63, "gamma": 0.05},
             "initial": {"labels": ["63-", "G"]},
@@ -364,7 +386,7 @@ class TestScenarioConfig:
         assert problems == [
             "model.n_sites, model.n_max, initial.labels, run.n_traj: the basis, H and the "
             "loss operators, the jump-free branch, the observable rows and live states of "
-            "1 trajectories needs 3124243152 bytes, above the budget 268435456"]
+            "1 trajectories needs 3124243104 bytes, above the budget 268435456"]
 
     def test_projectors_counted_against_the_budget(self):
         # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
@@ -372,8 +394,9 @@ class TestScenarioConfig:
         # basis enumeration peaks at 278 656 bytes, and the trajectory adds its
         # state and stride copies ((2113 + 4 · 128) · 16 bytes), its objects and
         # jump records (1 536 + 32 · 96) and one row per projector (48); the
-        # jump-free branch is that column again with its 6 states and squared
-        # norms, 6 · (2113 · 16 + 16), in place of the rows
+        # jump-free branch is that column again with its 6 states and survivals
+        # and its reduction's temporaries on the 128-state top sector,
+        # 6 · (2113 · 16 + 8 + 3 · 128 · 16 + 16 + 2 · 8), in place of the rows
         mapping = {
             "model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
             "initial": {"labels": ["32-", "G"]},
@@ -384,7 +407,7 @@ class TestScenarioConfig:
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.projectors, run.n_traj: "
             "the basis, H and the loss operators, the projectors, the jump-free branch, the "
-            "observable rows and live states of 1 trajectories needs 286320080 bytes, above "
+            "observable rows and live states of 1 trajectories needs 286357088 bytes, above "
             "the budget 268435456"]
 
     def test_trajectory_rows_counted_against_the_budget(self):
@@ -393,7 +416,7 @@ class TestScenarioConfig:
         # sector, its objects and a jump record for each of the two sectors it
         # can leave: 13 440 + 720 + 1 536 + 2 · 96 bytes each, 15.9 GB at a
         # million; the model, projectors, ρ̄, its partial transpose and the
-        # jump-free branch add 2 413 184 bytes
+        # jump-free branch add 2 659 584 bytes
         bundle = load_preset("fig2")
         assert bundle.with_overrides(n_traj=2000).scenarios[0].n_traj == 2000
         with pytest.raises(ConfigError) as err:
@@ -403,7 +426,7 @@ class TestScenarioConfig:
                                   "observables.projectors, observables.negativity, "
                                   "observables.bipartition_cut, run.n_traj: ")
         assert problem.endswith("the observable rows and live states of 1000000 "
-                                "trajectories needs 15890413184 bytes, above the budget "
+                                "trajectories needs 15890659584 bytes, above the budget "
                                 "268435456")
 
     def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
@@ -437,7 +460,7 @@ class TestScenarioConfig:
         # 88 and 192 states, (561 + 1) · 45 697 · 16 bytes with their rows and
         # columns, and the partial transpose's largest block across the cut,
         # at most 257 states: 561 · (2 · 257² + 257) · 16 bytes; the jump-free
-        # branch records 561 states of 321 amplitudes
+        # branch records 561 states of 321 amplitudes and their survival
         mapping = {
             "model": {"n_sites": 4, "n_max": 4},
             "initial": {"labels": ["4-", "G", "G", "G"]},
@@ -449,10 +472,10 @@ class TestScenarioConfig:
             "observables.bipartition_cut, run.n_traj: the basis, H and the loss operators, "
             "the jump-free branch, ρ̄'s block entries over 561 samples, the partial "
             "transpose's largest block of at most 257 states, the observable rows and live "
-            "states of 1 trajectories needs 1603604592 bytes, above the budget 268435456"]
+            "states of 1 trajectories needs 1603600104 bytes, above the budget 268435456"]
         # the preset: 560 samples, 2000 trajectories with 2 projectors, four damped
         # sites and the jump-free branch
-        with pytest.raises(ConfigError, match="1667231200 bytes"):
+        with pytest.raises(ConfigError, match="1672414560 bytes"):
             replace(load_preset("n4").scenarios[0], compute_negativity=True)
 
     def test_partial_transpose_beyond_the_budget_refused_at_load(self):
@@ -1320,6 +1343,35 @@ class TestCli:
         assert main(["critical", "--config", str(config_path),
                      "--out", str(tmp_path / "out")]) == 1
         assert "grid.t_end: must be a finite number" in capsys.readouterr().err
+
+    def test_stiff_model_exits_one_naming_dt(self, tmp_path):
+        # hop 300 at dt 0.005 is past the integrator's stability limit: the run
+        # once looped in the trajectory kernel, and the sweep (hops 200-800)
+        # ended in numpy's LinAlgError from the negativity; hop 250 runs
+        scenario = {"model": {"n_sites": 2, "n_max": 2, "hop": 300, "gamma": 0.05},
+                    "initial": {"labels": "2-, G"},
+                    "grid": {"t_end": 20, "spacing": 1.0},
+                    "run": {"n_traj": 20, "master_seed": 1},
+                    "observables": {"projectors": "P20, P11", "negativity": True}}
+        sweep = {"sweep": {"j_values": "200, 400, 800"}, "grid": {"t_end": 20}}
+        path = [str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+        def cli(command, mapping):
+            config_path = tmp_path / f"{command}.json"
+            config_path.write_text(json.dumps(mapping))
+            return subprocess.run([sys.executable, "-m", "jchsim.cli", command, "--config",
+                                   str(config_path), "--out", str(tmp_path / "out")],
+                                  env=env, capture_output=True, text=True, timeout=60)
+
+        for command, mapping in (("run", scenario), ("critical", sweep)):
+            done = cli(command, mapping)
+            assert done.returncode == 1, done.stderr
+            last = done.stderr.splitlines()[-1]
+            assert last.startswith("error: ") and "dt = 0.005" in last, done.stderr
+        scenario["model"]["hop"] = 250
+        assert cli("run", scenario).returncode == 0
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"
