@@ -16,6 +16,11 @@ the basis, H at J = 0, the hop terms at unit J, the loss operators at unit
 Each point forms H = H0 + J·K and L = √γ·A and runs its own master
 equation; ``build_reduced_model`` gives every element of H and L a single
 term, so these are bit for bit the operators a build at (J, γ) gives.
+Those operators are nonzero in the same places at every point (J and γ
+are positive), so the blocks of the master equation and ρ's layout on
+them (``dynamics.BlockStructure``) and the partial transpose's blocks
+(``observables.TransposeBlocks``) are read once too; each point checks
+that they fit it and gives the bits a point read afresh would.
 Nothing is kept past the call.
 """
 
@@ -29,7 +34,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .config import CriticalitySweepConfig
-from .dynamics import lindblad_evolve
+from .dynamics import block_structure, lindblad_evolve
 from .linalg import check_budget
 from .model import build_reduced_model, damped_sites, dense_bytes, model_bytes
 from .observables import (
@@ -37,6 +42,7 @@ from .observables import (
     blockade_beat_period,
     block_negativity,
     classify_series,
+    transpose_blocks,
     negativity_series,  # noqa: F401 - a traced name of perfbench's gamma_c_sweep
     PeakReport,
 )
@@ -105,11 +111,14 @@ def _classify_points(config: CriticalitySweepConfig,
     """Each ``(hop, gamma)`` of ``points``, evolved and classified in turn.
 
     H0 and the loss operators A are the model at J = 0 and unit γ, and the
-    hop terms K are the model at J = 1 less H0.  The negativity is
-    ``block_negativity`` of the ``lindblad_evolve`` stack across the two
-    sites, read off the 13-dim reduced states.  The transition metrics
-    (pinned-state population maximum and half-rise time) come from the
-    same density-matrix trace as the classification.
+    hop terms K are the model at J = 1 less H0.  Each point makes one
+    ``lindblad_evolve`` call, on the block structure of H0 + K, A and ρ0,
+    read once before the first point.  The negativity is
+    ``block_negativity`` of its stack across the two sites, read off the
+    13-dim reduced states, on the partial transpose's blocks of the first
+    point's stack.  The transition metrics (pinned-state population
+    maximum and half-rise time) come from the same density-matrix trace as
+    the classification.
     """
     base = build_reduced_model(config.model_for(0.0, 1.0), max_exc=2)
     space, params = base.space, base.space.params
@@ -120,6 +129,8 @@ def _classify_points(config: CriticalitySweepConfig,
     pinned_op = _PINNED.operator(params, space)
     grid = config.grid_for(params)
     beat_period = blockade_beat_period(params)
+    structure = block_structure(base.h + hop_terms, base.collapse, rho0)
+    neg_blocks = None
 
     for hop, gamma in points:
         point = config.model_for(hop, gamma)
@@ -128,10 +139,12 @@ def _classify_points(config: CriticalitySweepConfig,
                      f"H and {len(damped)} loss operators on {space.dim} states")
         h = base.h + point.hop[0] * hop_terms
         collapse = [math.sqrt(point.gamma[j]) * base.collapse[j] for j in damped]
-        rhos = lindblad_evolve(h, collapse, rho0, grid)
+        rhos = lindblad_evolve(h, collapse, rho0, grid, structure=structure)
         pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
 
-        neg = block_negativity(rhos, space, cut=1)
+        if neg_blocks is None:
+            neg_blocks = transpose_blocks(rhos, space, cut=1)
+        neg = block_negativity(rhos, space, cut=1, blocks=neg_blocks)
         report = classify_series(
             neg, grid.times,
             prominence_threshold=config.prominence_threshold,
@@ -193,7 +206,10 @@ def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
     values in increasing order; any parallelism is BLAS threads in a point.
     The basis, H at J = 0, the hop terms, the loss operators at unit γ, ψ0,
     the pinned-state projector, the grid and the beat period are built once
-    for the whole sweep, and each point scales J and γ in.
+    for the whole sweep, and each point scales J and γ in.  So are the
+    master equation's block structure and the partial transpose's blocks,
+    which depend only on where the operators and states are nonzero; each
+    point still makes its own ``lindblad_evolve`` call.
     """
     rows = _classify_points(config, ((hop, ratio * hop) for hop in config.j_values
                                      for ratio in config.gamma_ratios))

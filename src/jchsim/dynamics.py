@@ -23,7 +23,10 @@ trajectories, ``mcwf_trajectory`` a batch of one, and the jump-free branch
 a seedless batch of one.  Every trajectory keeps its own random stream
 and draw order, so it is the same whatever else runs in its batch.
 
-The blocks, their propagators and the observables restricted to them
+Where the blocks lie depends only on where H, the collapse operators and
+ψ0 are nonzero; ``block_structure`` reads that into a ``BlockStructure``,
+and each block's generator and jump maps are sliced out of H and the L on
+it.  The blocks, their propagators and the observables restricted to them
 depend only on H, the collapse operators, ψ0, the grid and the observables,
 so they are built once per ensemble: ``mcwf_ensemble`` keeps them in its
 result, and ``EnsembleResult.jump_free_branch`` runs the conditional branch
@@ -49,8 +52,8 @@ The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
 entries (i, j) inside one block are propagated: a generator of
 (Σ_b k_b²)² entries for blocks of k_b states, not d⁴.  On the two-site
 presets (blocks of 1, 4 and 8 states) that is 81² instead of 169².  The
-oracle's ρ and the ensemble's ρ̄ are both held in one layout
-(``_block_layout``); ρ̄ as the complex entries, returned as a
+oracle's ρ and the ensemble's ρ̄ are both held in one layout, the
+``BlockStructure``'s; ρ̄ as the complex entries, returned as a
 ``BlockDensity``, and the oracle's ρ as real coordinates, Re ρ_ij on and
 above each block's diagonal and Im ρ_ij below it.  Each block is
 Hermitian, so those k_b² reals are the whole block, and the master
@@ -85,7 +88,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
@@ -99,7 +102,7 @@ __all__ = [
     "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT",
     "TimeGrid", "TrajectoryResult", "EnsembleResult", "ConditionalBranch",
     "mcwf_trajectory", "mcwf_ensemble", "no_jump_branch",
-    "lindblad_evolve",
+    "BlockStructure", "block_structure", "lindblad_evolve",
 ]
 
 BACKEND = "numpy"              # the trajectory kernel; perfbench records it
@@ -279,10 +282,11 @@ def _taylor4(m: np.ndarray) -> np.ndarray:
     return acc + np.eye(len(m))
 
 
-def _nonzero(m: np.ndarray) -> tuple:
-    """Row and column of each nonzero entry of ``m``, in row-major order, as
-    ``np.nonzero`` gives them."""
-    return np.divmod(np.flatnonzero(m != 0), m.shape[1])
+def _support(state: np.ndarray) -> np.ndarray:
+    """The basis states where a state vector, or a density matrix's rows or
+    columns, are nonzero."""
+    state = np.asarray(state)
+    return np.flatnonzero(state if state.ndim == 1 else state.any(axis=0) | state.any(axis=1))
 
 
 def _block_labels(d: int, h_pattern: tuple, patterns: list, support: np.ndarray) -> np.ndarray:
@@ -291,8 +295,9 @@ def _block_labels(d: int, h_pattern: tuple, patterns: list, support: np.ndarray)
     The blocks are the finest partition in which the ``support`` states lie
     in one block, H and every L†L couple states of one block only, and each
     L maps a whole block into a single block.  Read off the nonzero
-    patterns (``_nonzero``) of H and of each L: each state takes the
-    smallest label among the states it is linked to, until no label changes.
+    patterns, as (rows, columns) in row-major order, of H and of each L:
+    each state takes the smallest label among the states it is linked to,
+    until no label changes.
     """
     fixed = [h_pattern, (support[:-1], support[1:])]
     for rows, cols in patterns:
@@ -316,6 +321,106 @@ def _block_labels(d: int, h_pattern: tuple, patterns: list, support: np.ndarray)
 
 
 @dataclass(frozen=True)
+class BlockStructure:
+    """The blocks of a model, and ρ's layout on them: everything the
+    partition takes from the nonzero patterns of H, the collapse operators
+    and the start state alone.
+
+    ``block_structure`` reads it.  It keeps no entry of H or of an L, so
+    one structure serves every model whose operators have its patterns,
+    such as the points of a γ_c sweep, whose H = H0 + J·K and L = √γ·A
+    differ only in their numbers; ``check`` refuses any other.
+    """
+
+    dim: int
+    patterns: tuple          # flat indices of the nonzero entries of H, then of each L
+    support: np.ndarray      # the start state's support
+    members: tuple           # each block's basis states, ascending; blocks by smallest state
+    targets: tuple           # per channel: the block it maps each block into
+    start: int               # the block that holds the support
+    offsets: np.ndarray      # ρ's blocks in one vector: b row-major at offsets[b]:offsets[b + 1]
+
+    # the rest of that layout, read when first asked for: an ensemble that
+    # keeps no ρ̄ never needs it, and on n4's blocks it is about 1 MB
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The basis row of each entry."""
+        return np.concatenate([np.repeat(idx, len(idx)) for idx in self.members])
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The basis column of each entry."""
+        return np.concatenate([np.tile(idx, len(idx)) for idx in self.members])
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """Whether each entry lies below the diagonal, where its real coordinate is Im ρ_ij."""
+        return self.rows > self.cols
+
+    @cached_property
+    def picks(self) -> np.ndarray:
+        """Each real coordinate as a float of its block's matrix: float 2m is
+        entry m's real part and float 2m + 1 its imaginary part, and each
+        coordinate picks the one its side of the diagonal names."""
+        first = np.repeat(self.offsets[:-1], np.diff(self.offsets))
+        return 2 * (np.arange(self.offsets[-1]) - first) + self.lower
+
+    def check(self, h: np.ndarray, ops: Sequence[np.ndarray], state: np.ndarray) -> None:
+        """Raise ``SizeError``, naming the first that differs, unless H, each
+        of ``ops`` and ``state`` are nonzero exactly where those the structure
+        was read from are."""
+        if len(ops) != len(self.patterns) - 1:
+            raise SizeError(f"the block structure was read from {len(self.patterns) - 1} "
+                            f"collapse operators, got {len(ops)}")
+        named = ["Hamiltonian"] + [f"collapse operator {c}" for c in range(len(ops))]
+        for what, m, pattern in zip(named, [h, *ops], self.patterns):
+            if m.shape != (self.dim, self.dim) or not np.array_equal(
+                    np.flatnonzero(m != 0), pattern):
+                raise SizeError(f"{what} does not fit the block structure: it is not "
+                                "nonzero where the one it was read from is")
+        if not np.array_equal(_support(state), self.support):
+            raise SizeError("the start state does not fit the block structure: its support "
+                            "is not the one it was read from")
+
+
+def block_structure(h, collapse: Sequence, state) -> BlockStructure:
+    """The ``BlockStructure`` of H, the collapse operators and the start
+    state, a vector ψ0 or a density matrix ρ0: the blocks of
+    ``_block_labels``, and the block each channel maps each block into.
+
+    It reads only where they are nonzero, so of their entries it checks
+    nothing, and of their shapes that H and each L are d × d and the state
+    d or d × d, else ``SizeError``.  It costs a fixpoint over the patterns;
+    a caller whose models share their patterns reads it once and passes it
+    on.  A channel maps a block into the block of the first row, in
+    row-major order, of its entries in the block's columns, and a block it
+    does not touch into itself.
+    """
+    mats, state = [np.asarray(m) for m in [h, *collapse]], np.asarray(state)
+    d = mats[0].shape[0] if mats[0].ndim else 0
+    for what, m in zip(["Hamiltonian"] + ["collapse operator"] * len(collapse), mats):
+        if m.shape != (d, d):
+            raise SizeError(f"{what} shape {m.shape} does not match dim {d}")
+    if state.shape not in ((d,), (d, d)):
+        raise SizeError(f"state shape {state.shape} does not match dim {d}")
+    flat = [np.flatnonzero(m != 0) for m in mats]
+    support = _support(state)
+    patterns = [np.divmod(f, d) for f in flat]
+    owner = np.unique(_block_labels(d, patterns[0], patterns[1:], support),
+                      return_inverse=True)[1]
+    members = tuple(np.flatnonzero(owner == b) for b in range(owner.max() + 1))
+    targets = []
+    for rows, cols in patterns[1:]:
+        target = np.arange(len(members))
+        touched, first = np.unique(owner[cols], return_index=True)
+        target[touched] = owner[rows[first]]
+        targets.append(tuple(target.tolist()))
+    return BlockStructure(dim=d, patterns=tuple(flat), support=support, members=members,
+                          targets=tuple(targets), start=int(owner[support[0]]),
+                          offsets=np.cumsum([0] + [len(idx) ** 2 for idx in members]))
+
+
+@dataclass(frozen=True)
 class _Part:
     """One block of the partition: its states, generator and jump maps."""
 
@@ -325,49 +430,21 @@ class _Part:
     jumps: tuple             # per channel: L from this block into its target
 
 
-def _partition(h: np.ndarray, ops: list, support: np.ndarray,
-               center: float) -> tuple:
-    """The blocks of ``_block_labels`` with each block's generator and jump maps.
-
-    Each operator's nonzero pattern is read once.  A channel maps a block
-    into the block of the first row, in row-major order, of its entries in
-    the block's columns, and a block it does not touch into itself.
-    Returns the block of each basis state and one ``_Part`` per block,
-    ordered by the block's smallest state.
-    """
-    patterns = [_nonzero(op) for op in ops]
-    owner = np.unique(_block_labels(h.shape[0], _nonzero(h), patterns, support),
-                      return_inverse=True)[1]
-    members = [np.flatnonzero(owner == b) for b in range(owner.max() + 1)]
-    targets = []
-    for rows, cols in patterns:
-        target = np.arange(len(members))
-        touched, first = np.unique(owner[cols], return_index=True)
-        target[touched] = owner[rows[first]]
-        targets.append(target.tolist())
-    parts = []
+def _parts(structure: BlockStructure, h: np.ndarray, ops: list, center: float) -> list:
+    """Each block of ``structure`` with its generator and jump maps, sliced
+    out of H and the collapse operators ``ops``."""
+    members, parts = structure.members, []
     for b, idx in enumerate(members):
         gen = -1j * (h[np.ix_(idx, idx)] - center * np.eye(len(idx)))
         jumps = []
-        for op, target in zip(ops, targets):
+        for op, target in zip(ops, structure.targets):
             jump = op[np.ix_(members[target[b]], idx)]
             gen = gen - 0.5 * (jump.conj().T @ jump)
             jumps.append(np.ascontiguousarray(jump))
         parts.append(_Part(index=idx, gen=np.ascontiguousarray(gen),
-                           targets=tuple(target[b] for target in targets),
+                           targets=tuple(target[b] for target in structure.targets),
                            jumps=tuple(jumps)))
-    return owner, parts
-
-
-def _block_layout(parts: Sequence[_Part]) -> tuple:
-    """ρ's diagonal blocks as one vector: block b row-major at ``offsets[b]:offsets[b + 1]``.
-
-    Returns the offsets and the basis row and column of each entry.
-    """
-    offsets = np.cumsum([0] + [len(part.index) ** 2 for part in parts])
-    rows = np.concatenate([np.repeat(part.index, len(part.index)) for part in parts])
-    cols = np.concatenate([np.tile(part.index, len(part.index)) for part in parts])
-    return offsets, rows, cols
+    return parts
 
 
 @dataclass(frozen=True)
@@ -379,6 +456,7 @@ class _Block(_Part):
 
 @dataclass(frozen=True)
 class _Machinery:
+    structure: BlockStructure
     blocks: tuple            # of _Block, ordered by their smallest state
     start: int               # the block that holds psi0
     psi0: np.ndarray         # psi0 on that block
@@ -407,8 +485,8 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
     psi0 = _check_state(psi0, d)
     obs = {str(name): _square(op, d, f"observable {name!r}")
            for name, op in (observables or {}).items()}
-    support = np.flatnonzero(psi0)
-    owner, parts = _partition(h, ops, support, float(np.trace(h).real) / d)
+    structure = block_structure(h, ops, psi0)
+    parts = _parts(structure, h, ops, float(np.trace(h).real) / d)
     n_fine = grid.n_fine
     n_pow = n_fine.bit_length()
     # r_dt ** n_fine from the squarings, in matrix_power's order: the set bits of
@@ -426,8 +504,8 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
                              r_stride=np.ascontiguousarray(r_stride), r_pows=r_pows,
                              targets=part.targets, jumps=part.jumps,
                              absorbing=not any(jump.any() for jump in part.jumps)))
-    start = int(owner[support[0]])
-    return _Machinery(blocks=tuple(blocks), start=start,
+    start = structure.start
+    return _Machinery(structure=structure, blocks=tuple(blocks), start=start,
                       psi0=np.ascontiguousarray(psi0[blocks[start].index]),
                       n_chan=len(ops), dim=d, grid=grid, names=tuple(obs),
                       block_obs=_block_observables(blocks, obs))
@@ -705,7 +783,7 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     ``record`` the batch is one column whose rows and survival are kept;
     otherwise each group's rows are reduced at once at each sample: the
     observables on their supports and, with ``keep_rho``, the block's sum
-    of |ψ><ψ|, written into that block's slice of one ``_block_layout``
+    of |ψ><ψ|, written into that block's slice of the ``BlockStructure``'s
     array.  A block where every support is empty is not reduced, and its
     values stay 0.0; unless ρ̄ is kept it costs no per-sample work, and if
     no channel acts on it either, its rows are not stepped at all.  A block
@@ -742,7 +820,7 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
         survival = np.empty(n)
     else:
         values = np.zeros((n_cols, len(mach.names), n))
-    offsets = _block_layout(mach.blocks)[0] if keep_rho else None
+    offsets = mach.structure.offsets
     rho_sum = np.zeros((n, offsets[-1]), dtype=np.complex128) if keep_rho else None
     reduced = [any(len(sup) for sup, _ in entries) for entries in mach.block_obs]
     idle = set() if record else {b for b, blk in enumerate(mach.blocks)
@@ -750,36 +828,39 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     work = np.repeat(mach.psi0[None, :], n_cols, axis=0)
     # block -> (its columns, ascending; their states; their squared norms)
     groups = {mach.start: (np.arange(n_cols), work, _row_norm2(work))}
-    for s in range(n):
-        if s:
-            groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle)
-        for b, (cols, work, norm2) in groups.items():
-            if b in idle:
-                continue
-            blk = mach.blocks[b]
-            if not jumping and not norm2[0] <= 1.0 + _UNIT_NORM_ATOL:
-                raise _unstable(norm2[0], grid.dt)
-            if blk.absorbing:
-                if not norm2.min() > _RESCALE_FLOOR:
-                    raise IntegratorError(
-                        f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
-                        f"dt = {grid.dt} is too coarse for the spectrum of H")
-            elif not jumping and not norm2[0] > 0.0:
-                raise IntegratorError("the state's norm underflowed to 0 within one "
-                                      "sample interval; use a smaller sample spacing")
-            if record:
-                states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
-                survival[s] = carried * norm2[0]
-            elif keep_rho or reduced[b]:
-                rows = work * (1.0 / np.sqrt(norm2))[:, None]
-                if reduced[b]:
-                    values[cols, :, s] = _reduce(mach.block_obs[b], rows)
-                if keep_rho:
-                    np.matmul(rows.T, rows.conj(), out=rho_sum[s, offsets[b]:offsets[b + 1]]
-                              .reshape(len(blk.index), -1))
-            if not jumping and not blk.absorbing and norm2[0] < _RESCALE_FLOOR:
-                carried *= norm2[0]
-                work[0] = work[0] * (1.0 / math.sqrt(norm2[0]))
+    # past the stability limit a stride's products overflow; the norm checks
+    # after them raise on that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n):
+            if s:
+                groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle)
+            for b, (cols, work, norm2) in groups.items():
+                if b in idle:
+                    continue
+                blk = mach.blocks[b]
+                if not jumping and not norm2[0] <= 1.0 + _UNIT_NORM_ATOL:
+                    raise _unstable(norm2[0], grid.dt)
+                if blk.absorbing:
+                    if not norm2.min() > _RESCALE_FLOOR:
+                        raise IntegratorError(
+                            f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
+                            f"dt = {grid.dt} is too coarse for the spectrum of H")
+                elif not jumping and not norm2[0] > 0.0:
+                    raise IntegratorError("the state's norm underflowed to 0 within one "
+                                          "sample interval; use a smaller sample spacing")
+                if record:
+                    states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
+                    survival[s] = carried * norm2[0]
+                elif keep_rho or reduced[b]:
+                    rows = work * (1.0 / np.sqrt(norm2))[:, None]
+                    if reduced[b]:
+                        values[cols, :, s] = _reduce(mach.block_obs[b], rows)
+                    if keep_rho:
+                        np.matmul(rows.T, rows.conj(), out=rho_sum[s, offsets[b]:offsets[b + 1]]
+                                  .reshape(len(blk.index), -1))
+                if not jumping and not blk.absorbing and norm2[0] < _RESCALE_FLOOR:
+                    carried *= norm2[0]
+                    work[0] = work[0] * (1.0 / math.sqrt(norm2[0]))
     return _Batch(values=values, rho_sum=rho_sum, states=states, survival=survival,
                   jumps=jumps, absorbed=absorbed)
 
@@ -914,7 +995,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     stderr = {name: (rows[:, o].std(axis=0, ddof=1) / math.sqrt(n_traj) if n_runs > 1
                      else np.zeros(n)) for o, name in enumerate(mach.names)}
     rho_blocks = (BlockDensity(np.divide(batch.rho_sum, n_runs, out=batch.rho_sum),
-                               *_block_layout(mach.blocks)[1:]) if keep_rho else None)
+                               mach.structure.rows, mach.structure.cols) if keep_rho else None)
     copies = n_traj // n_runs
     return EnsembleResult(mean_observables=means, stderr=stderr, rho_blocks=rho_blocks,
                           jumps_per_channel=np.repeat(counts, copies, axis=0),
@@ -941,26 +1022,23 @@ def _hermitian_basis(k: int, first: int, end: int) -> np.ndarray:
     return basis
 
 
-def _real_generator(parts: list, spare: int) -> np.ndarray:
+def _real_generator(structure: BlockStructure, parts: list, spare: int) -> np.ndarray:
     """Generator of the master equation on the real coordinates of ρ's diagonal blocks.
 
-    Block b holds k_b² coordinates at its ``_block_layout`` slice, those of
-    ``_hermitian_basis``.  Column m is the derivative of basis matrix m:
-    G_b X + X G_b† in block b, and L X L† in the block each channel maps b
-    into.  The basis is applied in column chunks whose temporaries take at
-    most about ``spare`` bytes.
+    Block b holds k_b² coordinates at its slice of the ``structure``'s
+    layout, those of ``_hermitian_basis``.  Column m is the derivative of
+    basis matrix m: G_b X + X G_b† in block b, and L X L† in the block each
+    channel maps b into.  The basis is applied in column chunks whose
+    temporaries take at most about ``spare`` bytes.
     """
-    offsets, rows, cols = _block_layout(parts)
+    offsets, picks = structure.offsets, structure.picks
     block = [slice(first, end) for first, end in zip(offsets, offsets[1:])]
-    # float 2m of a block's matrix is entry m's real part and float 2m + 1 its
-    # imaginary part; each coordinate picks the one its side of the diagonal names
-    picks = 2 * (np.arange(len(rows)) - np.repeat(offsets[:-1], np.diff(offsets))) + (rows > cols)
 
     def coordinates(t, stack):
         """The coordinates of each matrix in a stack on block t, one row each."""
         return stack.reshape(len(stack), -1).view(np.float64)[:, picks[block[t]]]
 
-    sup = np.zeros((len(rows), len(rows)))
+    sup = np.zeros((offsets[-1], offsets[-1]))
     for b, part in enumerate(parts):
         k = len(part.index)
         # complex entries per column at most: the basis matrix, G X, X G† and
@@ -990,22 +1068,29 @@ def lindblad_bytes(n_samples: int, dim: int, block_dims) -> int:
 
 
 def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
-                    rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+                    rho0: np.ndarray, grid: TimeGrid, *,
+                    structure: Optional[BlockStructure] = None) -> np.ndarray:
     """Propagate the density matrix; returns (n_samples, d, d).
 
     The validation oracle, with the same fixed-step degree-4 scheme as the
     trajectory integrator.  ρ0's support lies in one block of the trajectory
     partition; H and every L†L act inside a block and each L maps a block
     into one block, so ρ stays block-diagonal.  Each diagonal block of k_b
-    states is Hermitian, so it is held as k_b² real coordinates in
-    ``_block_layout``: Re ρ_ij on and above the diagonal, Im ρ_ij below it.
-    The master equation is real-linear on them, so its generator
+    states is Hermitian, so it is held as k_b² real coordinates in the
+    ``BlockStructure``'s layout: Re ρ_ij on and above the diagonal, Im ρ_ij
+    below it.  The master equation is real-linear on them, so its generator
     (``_real_generator``), the Taylor step, the stride power and every
     sample's product are real, on (Σ_b k_b²)² entries.  The samples are
     scattered into the returned stack, which is exactly Hermitian and whose
     entries off the blocks are exact zeros.  A model without structure is
     one block.  Its peak (``lindblad_bytes``) is checked against
     ``linalg.MEMORY_CAP`` before any of its arrays is built.
+
+    The structure is ``block_structure(h, collapse, rho0)``.  A caller that
+    runs many models with the same patterns, as the γ_c sweep does, reads it
+    once and passes it as ``structure``: it must fit H, the collapse
+    operators and ρ0 (``BlockStructure.check``), else ``SizeError``, and
+    then gives the same bits as a structure read afresh.
     """
     rho0 = as_complex_matrix(rho0)
     d = rho0.shape[0]
@@ -1015,25 +1100,27 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     if np.linalg.eigvalsh(rho0).min() < -1e-8:
         raise ConfigError(["rho0: must be positive semidefinite"])
     h = require_hermitian(_square(h, d, "Hamiltonian"))
+    ops = [_square(op, d, "collapse operator") for op in collapse]
+    if structure is None:
+        structure = block_structure(h, ops, rho0)
+    else:
+        structure.check(h, ops, rho0)
 
-    support = np.flatnonzero(rho0.any(axis=0) | rho0.any(axis=1))
-    _, parts = _partition(h, [_square(op, d, "collapse operator") for op in collapse],
-                          support, 0.0)
-    _, rows, cols = _block_layout(parts)
-    n_kept = len(rows)
+    n_kept = int(structure.offsets[-1])
     n = grid.n_samples
-    n_bytes = lindblad_bytes(n, d, [len(part.index) for part in parts])
+    n_bytes = lindblad_bytes(n, d, [len(idx) for idx in structure.members])
     check_budget(n_bytes, f"four real generators on {n_kept} coordinates of ρ and {n} samples")
-    r_step = _real_generator(parts, n_bytes - n_kept ** 2 * 8)   # chunks in the count's rest
+    rows, cols, lower = structure.rows, structure.cols, structure.lower
+    parts = _parts(structure, h, ops, 0.0)
+    r_step = _real_generator(structure, parts, n_bytes - n_kept ** 2 * 8)   # chunks in the rest
     r_step *= grid.dt
     r_step = _taylor4(r_step)             # the rebinding frees dt·A before the powers
-    r_stride = np.linalg.matrix_power(r_step, grid.n_fine)
     coords = np.empty((n, n_kept))
-    lower = rows > cols
-    first = rho0[rows, cols]
-    coords[0] = np.where(lower, first.imag, first.real)
-    for s in range(1, n):
-        np.matmul(r_stride, coords[s - 1], out=coords[s])
+    coords[0] = rho0.view(np.float64)[rows, 2 * cols + lower]
+    with np.errstate(over="ignore", invalid="ignore"):      # their finiteness is checked next
+        r_stride = np.linalg.matrix_power(r_step, grid.n_fine)
+        for s in range(1, n):
+            np.matmul(r_stride, coords[s - 1], out=coords[s])
     if not (np.isfinite(r_stride).all() and np.isfinite(coords).all()):
         raise IntegratorError("the master equation's stride or samples are not finite; "
                               f"dt = {grid.dt} is too coarse for the spectrum of H")

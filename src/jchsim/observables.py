@@ -39,7 +39,8 @@ from .model import (ModelParams, PolaritonLabel, ReducedSpace, checked_labels,
 __all__ = [
     "DEFAULT_PROMINENCE_THRESHOLD", "DEFAULT_BURN_IN", "PROJECTOR_PRESETS",
     "ProjectorSpec", "PeakClassification", "PeakReport",
-    "block_negativity", "negativity", "negativity_series",
+    "TransposeBlocks", "block_negativity", "transpose_blocks", "negativity",
+    "negativity_series",
     "reduced_bipartition", "blockade_beat_period", "recommended_spacing",
     "find_peaks", "classify_series",
 ]
@@ -179,7 +180,78 @@ def negativity_series(rho_stack: np.ndarray, dims) -> np.ndarray:
     return out + 0.0   # +0.0 normalizes -0.0
 
 
-def block_negativity(rho, space: ReducedSpace, cut: int) -> np.ndarray:
+@dataclass(frozen=True)
+class TransposeBlocks:
+    """The blocks of the partial transpose across a cut, for one pattern of
+    a stack's entries.
+
+    The pattern is the entries nonzero at some sample (``kept``, as indices
+    of the stack's entries) and, for each, the product index of the row and
+    then of the column it is sent to (``product``).  Each block is the
+    indices of its entries in the stack, their rows and columns in the
+    block, and its size; the blocks run in the order of their smallest
+    product index.  ``transpose_blocks`` reads them from a stack, and
+    ``block_negativity`` uses them for a stack with the same pattern.
+    """
+
+    kept: np.ndarray
+    product: np.ndarray
+    blocks: tuple
+
+
+def _block_density(rho, space: ReducedSpace) -> BlockDensity:
+    """``rho`` if it is a ``BlockDensity``; an ``(n, dim, dim)`` stack as one
+    entry per matrix element."""
+    if isinstance(rho, BlockDensity):
+        return rho
+    stack = np.asarray(rho)
+    if stack.ndim != 3 or stack.shape[1:] != (space.dim, space.dim):
+        raise SizeError(f"expected a stack of {space.dim}-dim matrices, got shape {stack.shape}")
+    return BlockDensity(stack.reshape(len(stack), space.dim ** 2),
+                        *np.divmod(np.arange(space.dim ** 2), space.dim))
+
+
+def _transpose_pattern(rho: BlockDensity, space: ReducedSpace, cut: int) -> tuple:
+    """``TransposeBlocks.kept`` and ``TransposeBlocks.product`` of ``rho``.
+
+    Each basis state's product index splits into (left, right) at the cut,
+    and the partial transpose on the right sends entry (i, j) to row
+    (left_i, right_j) and column (left_j, right_i).
+    """
+    right_dim = space.params.site_dim ** (space.params.n_sites - cut)
+    left, right = np.divmod(space.full_indices, right_dim)
+    # an entry that is zero at every sample links nothing
+    kept = np.flatnonzero((rho.entries != 0).any(axis=0))
+    i, j = rho.rows[kept], rho.cols[kept]
+    return kept, np.concatenate([left[i] * right_dim + right[j], left[j] * right_dim + right[i]])
+
+
+def _transpose_blocks(kept: np.ndarray, product: np.ndarray) -> TransposeBlocks:
+    """The connected components of the (row, column) links of the pattern."""
+    # product indices of the transposed entries, numbered compactly
+    nodes, pos = np.unique(product, return_inverse=True)
+    row, col = pos[:len(kept)], pos[len(kept):]
+    labels, owner = np.unique(min_labels(np.arange(len(nodes)), row, col), return_inverse=True)
+    local = np.empty(len(nodes), dtype=np.intp)
+    blocks = []
+    for b in range(len(labels)):
+        members = owner == b
+        local[members] = np.arange(np.count_nonzero(members))
+        links = members[row]
+        blocks.append((kept[links], local[row[links]], local[col[links]],
+                       int(np.count_nonzero(members))))
+    return TransposeBlocks(kept=kept, product=product, blocks=tuple(blocks))
+
+
+def transpose_blocks(rho, space: ReducedSpace, cut: int) -> TransposeBlocks:
+    """The partial transpose's blocks across ``cut`` for the pattern of
+    ``rho``, a stack as ``block_negativity`` takes it."""
+    cut = checked_cut(cut, space.params.n_sites)
+    return _transpose_blocks(*_transpose_pattern(_block_density(rho, space), space, cut))
+
+
+def block_negativity(rho, space: ReducedSpace, cut: int, *,
+                     blocks: Optional[TransposeBlocks] = None) -> np.ndarray:
     """Negativity across ``cut`` of each state of a reduced-basis stack.
 
     ``rho`` is a ``BlockDensity``, such as the ensemble's ρ̄, or an ``(n,
@@ -194,40 +266,26 @@ def block_negativity(rho, space: ReducedSpace, cut: int) -> np.ndarray:
     block gets one ``eigvalsh`` of its ``(n, k, k)`` stack; the blocks'
     negative eigenvalues are added in the order of their smallest product
     index.
+
+    ``blocks`` from ``transpose_blocks`` are used if ``rho`` has the
+    pattern they were read from; otherwise, or without them, the blocks
+    are read from ``rho``.  A caller whose stacks share a pattern, such as
+    the points of a γ_c sweep, reads them once.
     """
-    n_sites = space.params.n_sites
-    cut = checked_cut(cut, n_sites)
-    if not isinstance(rho, BlockDensity):
-        stack = np.asarray(rho)
-        if stack.ndim != 3 or stack.shape[1:] != (space.dim, space.dim):
-            raise SizeError(f"expected a stack of {space.dim}-dim matrices, got shape {stack.shape}")
-        rho = BlockDensity(stack.reshape(len(stack), space.dim ** 2),
-                           *np.divmod(np.arange(space.dim ** 2), space.dim))
-    right_dim = space.params.site_dim ** (n_sites - cut)
-    left, right = np.divmod(space.full_indices, right_dim)
-    # an entry that is zero at every sample links nothing
-    kept = np.flatnonzero((rho.entries != 0).any(axis=0))
-    i, j = rho.rows[kept], rho.cols[kept]
-    # product indices of the transposed entries, numbered compactly
-    nodes, pos = np.unique(np.concatenate([left[i] * right_dim + right[j],
-                                           left[j] * right_dim + right[i]]),
-                           return_inverse=True)
-    row, col = pos[:len(i)], pos[len(i):]
-    blocks, owner = np.unique(min_labels(np.arange(len(nodes)), row, col),
-                              return_inverse=True)
-    largest = int(np.bincount(owner).max(initial=0))
-    check_budget(transpose_bytes(len(rho.entries), largest),
-                 f"the partial transpose's largest block, {largest} states over "
-                 f"{len(rho.entries)} samples,")
-    local = np.empty(len(nodes), dtype=np.intp)
-    out = np.zeros(len(rho.entries))
-    for b in range(len(blocks)):
-        members = owner == b
-        local[members] = np.arange(np.count_nonzero(members))
-        links = members[row]
-        block = np.zeros((len(rho.entries),) + (np.count_nonzero(members),) * 2,
-                         dtype=np.complex128)
-        block[:, local[row[links]], local[col[links]]] = rho.entries[:, kept[links]]
+    cut = checked_cut(cut, space.params.n_sites)
+    rho = _block_density(rho, space)
+    kept, product = _transpose_pattern(rho, space, cut)
+    if blocks is None or not (np.array_equal(kept, blocks.kept)
+                              and np.array_equal(product, blocks.product)):
+        blocks = _transpose_blocks(kept, product)
+    n = len(rho.entries)
+    largest = max((k for *_, k in blocks.blocks), default=0)
+    check_budget(transpose_bytes(n, largest),
+                 f"the partial transpose's largest block, {largest} states over {n} samples,")
+    out = np.zeros(n)
+    for entries, row, col, k in blocks.blocks:
+        block = np.zeros((n, k, k), dtype=np.complex128)
+        block[:, row, col] = rho.entries[:, entries]
         out -= np.minimum(np.linalg.eigvalsh(block), 0.0).sum(axis=1)
     return out + 0.0   # +0.0 normalizes -0.0
 

@@ -21,10 +21,10 @@ from scipy import stats
 
 from jchsim import dynamics, linalg, model as model_module
 from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
-                             _block_layout, _build_machinery, _crossing_time,
-                             _flow_norm2_poly, _partition, _real_generator, _reduce,
-                             _taylor_flow, lindblad_evolve, mcwf_ensemble,
-                             mcwf_trajectory, no_jump_branch)
+                             _build_machinery, _crossing_time, _flow_norm2_poly, _parts,
+                             _real_generator, _reduce, _taylor_flow, block_structure,
+                             lindblad_evolve, mcwf_ensemble, mcwf_trajectory,
+                             no_jump_branch)
 from jchsim.errors import ConfigError, IntegratorError, NotHermitianError, SizeError
 from jchsim.model import (ModelParams, ReducedSpace, build_reduced_model, excitation_basis,
                           prepare_product_polariton_state, site_operators)
@@ -433,14 +433,14 @@ def dense_reference_lindblad(h, collapse, rho0, grid):
     return np.array(out)
 
 
-def kron_block_superoperator(parts):
+def kron_block_superoperator(structure, parts):
     """The complex generator on the entries of ρ's diagonal blocks, by kron.
 
-    The entries are in ``_block_layout``.  Block (b, b) evolves under
-    G_b ρ_b + ρ_b G_b†, and each channel feeds L ρ_b L† into the block it
-    maps b into.
+    The entries are in the ``structure``'s layout.  Block (b, b) evolves
+    under G_b ρ_b + ρ_b G_b†, and each channel feeds L ρ_b L† into the
+    block it maps b into.
     """
-    offsets = _block_layout(parts)[0]
+    offsets = structure.offsets
     sup = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
     for b, part in enumerate(parts):
         eye = np.eye(len(part.index))
@@ -451,10 +451,10 @@ def kron_block_superoperator(parts):
     return sup
 
 
-def kron_generator_in_coordinates(parts):
+def kron_generator_in_coordinates(structure, parts):
     """``kron_block_superoperator`` mapped into the real coordinates: Re ρ_rc
     on and above the diagonal, Im ρ_rc below it."""
-    _, rows, cols = _block_layout(parts)
+    rows, cols = structure.rows, structure.cols
     where = {(r, c): m for m, (r, c) in enumerate(zip(rows, cols))}
     mirror = np.array([where[c, r] for r, c in zip(rows, cols)])
     # entries from coordinates: ρ_rc = x_m − i x_m' above the diagonal and
@@ -466,12 +466,12 @@ def kron_generator_in_coordinates(parts):
     to_entries[m[upper], mirror[upper]] = -1j
     to_entries[m[lower], m[lower]] = 1j
     to_entries[m[lower], mirror[lower]] = 1.0
-    image = kron_block_superoperator(parts) @ to_entries
+    image = kron_block_superoperator(structure, parts) @ to_entries
     return np.where(lower[:, None], image.imag, image.real)
 
 
 def coordinates_of(blocks):
-    """The real coordinates of Hermitian blocks, in ``_block_layout``."""
+    """The real coordinates of Hermitian blocks, in a ``BlockStructure``'s layout."""
     return np.concatenate([np.where(np.tril(np.ones(rho.shape, dtype=bool), -1),
                                     rho.imag, rho.real).ravel() for rho in blocks])
 
@@ -568,19 +568,20 @@ class TestLindblad:
     @pytest.mark.parametrize("case", sorted(LINDBLAD_CASES))
     def test_real_generator_matches_kron_generator(self, case):
         h, collapse, rho0, _, _ = LINDBLAD_CASES[case]()
-        support = np.flatnonzero(rho0.any(axis=0) | rho0.any(axis=1))
-        _, parts = _partition(h, collapse, support, 0.0)
-        sup = _real_generator(parts, 2**30)
-        assert np.abs(sup - kron_generator_in_coordinates(parts)).max() <= 1e-14
+        structure = block_structure(h, collapse, rho0)
+        parts = _parts(structure, h, collapse, 0.0)
+        sup = _real_generator(structure, parts, 2**30)
+        assert np.abs(sup - kron_generator_in_coordinates(structure, parts)).max() <= 1e-14
         # one basis matrix a chunk gives the same bits as one chunk a block
-        assert np.array_equal(_real_generator(parts, 0), sup)
+        assert np.array_equal(_real_generator(structure, parts, 0), sup)
 
     def test_generator_is_trace_free(self):
         _, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
-        _, parts = _partition(model.h, model.collapse, np.flatnonzero(psi0), 0.0)
+        structure = block_structure(model.h, model.collapse, psi0)
+        parts = _parts(structure, model.h, model.collapse, 0.0)
         assert len(parts) == 3
-        sup = _real_generator(parts, 2**30)
-        offsets, rows, cols = _block_layout(parts)
+        sup = _real_generator(structure, parts, 2**30)
+        offsets, rows, cols = structure.offsets, structure.rows, structure.cols
         rng = np.random.default_rng(0)
         blocks = []
         for part in parts:
@@ -606,12 +607,43 @@ class TestLindblad:
         assert np.array_equal(rhos, np.broadcast_to(rho0, (3, dim, dim)))
         # a dense H makes them one block: (80²)² entries, refused before they are built
         monkeypatch.setattr(dynamics, "_real_generator",
-                            lambda parts, spare: pytest.fail("the generator was built"))
+                            lambda structure, parts, spare: pytest.fail("the generator was built"))
         # four real generators, 4 · 6400² · 8 + 3 · (6400 · 8 + 80² · 16) bytes
         with pytest.raises(SizeError, match="four real generators on 6400 coordinates of ρ and "
                                             "3 samples needs 1311180800 bytes, above the budget "
                                             "268435456"):
             lindblad_evolve(random_hermitian(np.random.default_rng(2), dim), [], rho0, grid)
+
+    def test_structure_refuses_operators_it_does_not_fit(self):
+        _, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
+        h, collapse, rho0 = model.h, list(model.collapse), np.outer(psi0, psi0.conj())
+        grid = TimeGrid(t_end=2.0, n_samples=5, dt=0.005)
+        structure = block_structure(h, collapse, rho0)
+        rhos = lindblad_evolve(h, collapse, rho0, grid, structure=structure)
+        assert rhos.tobytes() == lindblad_evolve(h, collapse, rho0, grid).tobytes()
+        # one entry between the vacuum and a one-excitation state: outside the blocks
+        vacuum, one = structure.members[0][0], structure.members[1][0]
+        leaky = h.copy()
+        leaky[vacuum, one] = leaky[one, vacuum] = 0.1
+        lost = collapse[1].copy()
+        lost[vacuum, structure.members[2][0]] = 0.1
+        fit = "does not fit the block structure"
+        for args, what in (((leaky, collapse, rho0), "Hamiltonian"),
+                           ((h, [collapse[0], lost], rho0), "collapse operator 1"),
+                           ((h, collapse, np.eye(model.dim) / model.dim), "the start state")):
+            with pytest.raises(SizeError, match=f"^{what} {fit}"):
+                lindblad_evolve(*args, grid, structure=structure)
+        with pytest.raises(SizeError, match="^the block structure was read from 2 collapse "
+                                            "operators, got 1$"):
+            lindblad_evolve(h, collapse[:1], rho0, grid, structure=structure)
+        # a fresh structure takes them in
+        assert np.isfinite(lindblad_evolve(leaky, collapse, rho0, grid)).all()
+        # the structure reads patterns only, but of the right shapes
+        with pytest.raises(SizeError, match=r"^collapse operator shape \(12, 12\) does not "
+                                            "match dim 13$"):
+            block_structure(h, [collapse[0][:12, :12]], rho0)
+        with pytest.raises(SizeError, match=r"^state shape \(12,\) does not match dim 13$"):
+            block_structure(h, collapse, psi0[:12])
 
     def test_bad_initial_state_rejected(self):
         h, collapse, _ = damped_mode()
@@ -774,7 +806,7 @@ class TestTrajectories:
             from conftest import two_site_model
             from jchsim.dynamics import TimeGrid, mcwf_ensemble, mcwf_trajectory
             from jchsim.errors import IntegratorError
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)    # none may escape
             _, model, psi0 = two_site_model(hop=300.0, gamma=0.05)
             grid = TimeGrid(t_end=20.0, n_samples=21, dt=0.005)
             for run in (lambda: mcwf_ensemble(model.h, model.collapse, psi0, grid,

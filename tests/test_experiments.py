@@ -1058,9 +1058,9 @@ class TestSweepOnModel:
         seen = []
         evolve = critical.lindblad_evolve
 
-        def record(h, collapse, rho0, grid):
+        def record(h, collapse, rho0, grid, *, structure):
             seen.append((h, collapse))
-            return evolve(h, collapse, rho0, grid)
+            return evolve(h, collapse, rho0, grid, structure=structure)
 
         monkeypatch.setattr(critical, "lindblad_evolve", record)
         result = gamma_c_curve(config)
@@ -1094,6 +1094,45 @@ class TestSweepOnModel:
         gamma_c_curve(sweep_config(j_values=j_values, gamma_ratios=gamma_ratios))
         assert calls == {"build_reduced_model": 2,
                          "lindblad_evolve": len(j_values) * len(gamma_ratios)}
+
+    @pytest.mark.parametrize("j_values,gamma_ratios", [
+        ((0.02, 0.04, 0.06), (0.5,)), ((0.02, 0.04, 0.06, 0.08), DEFAULT_GAMMA_RATIOS)])
+    def test_sweep_reads_its_patterns_once(self, j_values, gamma_ratios, monkeypatch):
+        # the master equation's blocks and the partial transpose's, however many points
+        calls = {}
+        for owner, name in ((dynamics, "_block_labels"), (observables, "_transpose_blocks")):
+            def counted(*args, _name=name, _call=getattr(owner, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _call(*args)
+            monkeypatch.setattr(owner, name, counted)
+        gamma_c_curve(sweep_config(j_values=j_values, gamma_ratios=gamma_ratios))
+        assert calls == {"_block_labels": 1, "_transpose_blocks": 1}
+
+    def test_sweep_structures_give_the_bits_of_fresh_ones(self, monkeypatch):
+        # the master equation's at every fig4 point, and the partial transpose's
+        seen, negs = [], []
+        evolve, negativity = critical.lindblad_evolve, critical.block_negativity
+
+        def record(h, collapse, rho0, grid, *, structure):
+            rhos = evolve(h, collapse, rho0, grid, structure=structure)
+            seen.append((h, collapse, rho0, grid, structure, rhos))
+            return rhos
+
+        def record_negativity(rhos, space, cut, *, blocks):
+            negs.append((rhos, space, blocks, negativity(rhos, space, cut, blocks=blocks)))
+            return negs[-1][-1]
+
+        monkeypatch.setattr(critical, "lindblad_evolve", record)
+        monkeypatch.setattr(critical, "block_negativity", record_negativity)
+        config = load_preset("fig4").sweep
+        gamma_c_curve(config)
+        assert len(seen) == len(negs) == len(config.j_values) * len(config.gamma_ratios) == 36
+        assert len({id(structure) for *_, structure, _ in seen}) == 1
+        assert len({id(blocks) for *_, blocks, _ in negs}) == 1
+        for (h, collapse, rho0, grid, _, rhos), (stack, space, _, neg) in zip(seen, negs):
+            assert stack is rhos
+            assert rhos.tobytes() == evolve(h, collapse, rho0, grid).tobytes()
+            assert neg.tobytes() == negativity(rhos, space, 1).tobytes()
 
     def test_classification_invariant_under_frequency_rescale(self):
         # doubling every rate (coupling, hop, damping) halves every time
@@ -1368,8 +1407,9 @@ class TestCli:
         for command, mapping in (("run", scenario), ("critical", sweep)):
             done = cli(command, mapping)
             assert done.returncode == 1, done.stderr
-            last = done.stderr.splitlines()[-1]
-            assert last.startswith("error: ") and "dt = 0.005" in last, done.stderr
+            # the error line alone: no NumPy warning from the overflowing products
+            [line] = done.stderr.splitlines()
+            assert line.startswith("error: ") and "dt = 0.005" in line, done.stderr
         scenario["model"]["hop"] = 250
         assert cli("run", scenario).returncode == 0
 

@@ -25,7 +25,8 @@ from jchsim.observables import (DEFAULT_BURN_IN, PROJECTOR_PRESETS,
                                 ProjectorSpec, block_negativity, blockade_beat_period,
                                 classify_series, find_peaks, negativity,
                                 negativity_series, recommended_spacing,
-                                reduced_bipartition, transpose_block_bound, transpose_bytes)
+                                reduced_bipartition, transpose_block_bound, transpose_blocks,
+                                transpose_bytes)
 from jchsim.presets import load_preset
 from jchsim.runner import run_scenario
 
@@ -178,6 +179,41 @@ class TestBlockNegativity:
         expected = dense_negativity(model.space, rhos, 1)
         assert np.abs(block_negativity(rhos, model.space, 1) - expected).max() <= 1e-12
         assert expected.max() > 0.01
+
+    def test_blocks_are_reused_only_for_their_pattern(self, monkeypatch, rng,
+                                                      three_site_space):
+        config = load_preset("fig4").sweep
+        params = config.model_for(0.04, 0.04)
+        model = build_reduced_model(params, max_exc=2)
+        space = model.space
+        psi0 = space.reduce_vector(prepare_product_polariton_state(("2-", "G"), params))
+        rhos = lindblad_evolve(model.h, model.collapse, np.outer(psi0, psi0.conj()),
+                               config.grid_for(params))
+        blocks = transpose_blocks(rhos, space, 1)
+        read = observables_module._transpose_blocks
+        built = []
+        monkeypatch.setattr(observables_module, "_transpose_blocks",
+                            lambda *pattern: built.append(pattern) or read(*pattern))
+        fresh = block_negativity(rhos, space, 1)
+        assert len(built) == 1
+        assert block_negativity(rhos, space, 1, blocks=blocks).tobytes() == fresh.tobytes()
+        assert len(built) == 1
+        # ρ_24 and ρ_42 zero at every sample: a block of 2 splits in two, and
+        # the stack gets blocks of its own
+        zeroed = rhos.copy()
+        assert (zeroed[:, 2, 4] != 0).any()
+        zeroed[:, 2, 4] = zeroed[:, 4, 2] = 0.0
+        assert len(transpose_blocks(zeroed, space, 1).blocks) == len(blocks.blocks) + 1
+        got = block_negativity(zeroed, space, 1, blocks=blocks)
+        assert len(built) == 3
+        assert got.tobytes() == block_negativity(zeroed, space, 1).tobytes()
+        # blocks across one cut are not those across another
+        rhos = np.array([sector_density(rng, three_site_space) for _ in range(2)])
+        blocks = transpose_blocks(rhos, three_site_space, 1)
+        before = len(built)
+        got = block_negativity(rhos, three_site_space, 2, blocks=blocks)
+        assert len(built) == before + 1
+        assert got.tobytes() == block_negativity(rhos, three_site_space, 2).tobytes()
 
     @pytest.mark.parametrize("cut", [1, 2])
     def test_three_site_averaged_state(self, cut):
