@@ -73,11 +73,15 @@ shift is a global phase on pure states (populations, norms, jump
 statistics and entanglement are unchanged; returned state phases differ
 by e^{−ict}); it halves the spectral radius seen by the fixed-step scheme.
 It cancels identically in the density-matrix commutator, so the oracle
-uses H itself.  The exact jump-free flow never raises the squared norm, so
-a step that raises it above 1 shows a ``dt`` past the scheme's stability
-limit: a trajectory's step or the seedless branch that does raises
-``IntegratorError`` naming ``dt``, as does an oracle whose stride or samples
-are not finite.
+uses H itself.  The exact jump-free flow never raises the squared norm, and
+the pure-state scheme has one step rule: when the blocks are built, each
+block's step R must satisfy ‖R‖₂² ≤ 1 + ``_UNIT_NORM_ATOL``, else
+``IntegratorError`` names ``dt`` before anything propagates
+(``_check_step``).  Then no state's norm can grow, in a stride, a descent,
+a step with jumps or the seedless branch, and none is checked there.  The
+oracle's generator sees differences of eigenvalues, and its step's
+coordinate norm bounds no contraction, so it keeps its own check: a stride
+or samples that are not finite raise the same error.
 
 Every matrix a caller passes, H, a collapse operator or an observable, is
 read by one rule (``_square``): a square complex matrix of the model's
@@ -458,10 +462,7 @@ class _Block(_Part):
 class _Machinery:
     structure: BlockStructure
     blocks: tuple            # of _Block, ordered by their smallest state
-    start: int               # the block that holds psi0
-    psi0: np.ndarray         # psi0 on that block
-    n_chan: int
-    dim: int
+    psi0: np.ndarray         # psi0 on the structure's start block
     grid: TimeGrid           # the strides and powers are built for its dt and n_fine
     names: tuple             # of the observables
     block_obs: list          # ``_block_observables`` of the blocks
@@ -479,7 +480,7 @@ def _square(m, d: int, what: str) -> np.ndarray:
 def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
                      psi0: np.ndarray, grid: TimeGrid,
                      observables: Optional[Mapping[str, np.ndarray]] = None) -> _Machinery:
-    h = require_hermitian(as_complex_matrix(h))
+    h = require_hermitian(h)
     d = h.shape[0]
     ops = [_square(op, d, "collapse operator") for op in collapse]
     psi0 = _check_state(psi0, d)
@@ -497,6 +498,7 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
         k = len(part.index)
         r_pows = np.empty((n_pow, k, k), dtype=np.complex128)
         r_pows[0] = _taylor4(grid.dt * part.gen)
+        _check_step(r_pows[0], grid.dt)
         for p in range(1, n_pow):
             r_pows[p] = r_pows[p - 1] @ r_pows[p - 1]
         r_stride = r_pows[1] @ r_pows[0] if n_fine == 3 else reduce(np.matmul, r_pows[bits])
@@ -504,11 +506,27 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
                              r_stride=np.ascontiguousarray(r_stride), r_pows=r_pows,
                              targets=part.targets, jumps=part.jumps,
                              absorbing=not any(jump.any() for jump in part.jumps)))
-    start = structure.start
-    return _Machinery(structure=structure, blocks=tuple(blocks), start=start,
-                      psi0=np.ascontiguousarray(psi0[blocks[start].index]),
-                      n_chan=len(ops), dim=d, grid=grid, names=tuple(obs),
-                      block_obs=_block_observables(blocks, obs))
+    return _Machinery(structure=structure, blocks=tuple(blocks),
+                      psi0=np.ascontiguousarray(psi0[blocks[structure.start].index]),
+                      grid=grid, names=tuple(obs), block_obs=_block_observables(blocks, obs))
+
+
+def _check_step(step: np.ndarray, dt: float) -> None:
+    """Raise ``IntegratorError`` naming ``dt`` unless the step R keeps every
+    squared norm within 1 + ``_UNIT_NORM_ATOL``: ‖R‖₂² ≤ 1 + atol, tested as
+    a Cholesky of (1 + atol)·I − R†R.  A step that overflowed is refused
+    too, as the Cholesky need not flag a NaN.  ‖R‖₂ itself, an SVD, is taken
+    only to word the error."""
+    gap = (1.0 + _UNIT_NORM_ATOL) * np.eye(len(step)) - step.conj().T @ step
+    if np.isfinite(gap).all():
+        try:
+            np.linalg.cholesky(gap)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    norm2 = np.linalg.norm(step, 2) ** 2 if np.isfinite(step).all() else math.inf
+    raise IntegratorError(f"a step can multiply the jump-free squared norm by {norm2:.3g}; "
+                          f"dt = {dt} is too coarse for the spectrum of H")
 
 
 def _check_state(psi0: np.ndarray, d: int) -> np.ndarray:
@@ -576,14 +594,6 @@ def _crossing_time(coeffs: list, frac: float, r: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _unstable(norm2: float, dt: float) -> IntegratorError:
-    """The error of a step that raised a jump-free squared norm to ``norm2``,
-    above 1 or not finite: the exact flow never raises it, so ``dt`` is past
-    the scheme's stability limit."""
-    return IntegratorError(f"the jump-free squared norm grew to {norm2:.3g}; "
-                           f"dt = {dt} is too coarse for the spectrum of H")
-
-
 def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
                    dt: float, rng: np.random.Generator, jumps: list):
     """Apply every jump inside the elementary step that starts at ``t0``.
@@ -593,8 +603,8 @@ def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: flo
     norm, a scalar polynomial of degree 8 in the time into the step, so the
     flow vector is formed only at the end of the step and at the jump.
     Returns the state at the end of the step, the pending threshold and the
-    block the state then occupies.  A step that raises the squared norm
-    above 1 (``_unstable``) raises.
+    block the state then occupies.  No step here can raise the squared norm:
+    ``_build_machinery`` refused a ``dt`` whose step would (``_check_step``).
     """
     t_in_step = 0.0
     while True:
@@ -604,10 +614,7 @@ def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: flo
         for _ in range(4):
             powers.append(blk.gen @ powers[-1])
         end = _taylor_flow(powers, frac)
-        norm2 = np.vdot(end, end).real
-        if not norm2 <= 1.0 + _UNIT_NORM_ATOL:
-            raise _unstable(norm2, dt)
-        if norm2 > r:
+        if np.vdot(end, end).real > r:
             return end, r, b
         tau = _crossing_time(_flow_norm2_poly(powers), frac, r)
         # channel c with probability ||L_c phi||^2 / sum_k ||L_k phi||^2: the first
@@ -631,12 +638,12 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
     One dyadic descent finds the last step whose end stays above the
     threshold: the powers 2^p of the step are tried from the largest that
     fits the remainder down to 1, each from the state the passed trials
-    reached.  The jump-free norm never increases, so a power once passed
-    over need not be tried again.  The single step after the descent
-    crosses; its jumps are resolved inside it, and a new descent starts.
-    Returns the state at the end of the interval, the pending threshold and
-    the block the state then occupies.  A trial that raises the squared norm
-    above 1 (``_unstable``) raises.
+    reached.  The jump-free norm never increases, and no step built for
+    the blocks raises it (``_check_step``), so a power once passed over
+    need not be tried again.  The single step after the descent crosses;
+    its jumps are resolved inside it, and a new descent starts.  Returns
+    the state at the end of the interval, the pending threshold and the
+    block the state then occupies.
     """
     n_fine, dt = grid.n_fine, grid.dt
     r = float(r)
@@ -649,10 +656,7 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
         for p in range((n_fine - done).bit_length() - 1, -1, -1):
             if done + (1 << p) <= n_fine:
                 trial = r_pows[p] @ work
-                norm2 = np.vdot(trial, trial).real
-                if not norm2 <= 1.0 + _UNIT_NORM_ATOL:
-                    raise _unstable(norm2, dt)
-                if norm2 > r:
+                if np.vdot(trial, trial).real > r:
                     work = trial
                     done += 1 << p
         if done < n_fine:
@@ -786,10 +790,11 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     of |ψ><ψ|, written into that block's slice of the ``BlockStructure``'s
     array.  A block where every support is empty is not reduced, and its
     values stay 0.0; unless ρ̄ is kept it costs no per-sample work, and if
-    no channel acts on it either, its rows are not stepped at all.  A block
-    no channel acts on should keep the norm, so one whose stepped rows fall
-    below ``_RESCALE_FLOOR`` raises, and so does a seedless column whose
-    squared norm rises above 1 (``_unstable``).
+    no channel acts on it either, its rows are not stepped at all.  No
+    squared norm can rise, as every block's step was checked when the
+    blocks were built (``_check_step``); a block no channel acts on should
+    keep the norm, so one whose stepped rows fall below ``_RESCALE_FLOOR``
+    raises.
 
     Before any of them, or any column's seed or Generator, exists, the
     batch's arrays (``batch_bytes`` and, with ``keep_rho``, ``rho_bytes``)
@@ -805,18 +810,18 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
         n_bytes += rho_bytes(n, dims)
         parts.append(f"ρ̄'s block entries over {n} samples")
     check_budget(n_bytes, f"{what}: {', '.join(parts)}")
-    jumping = seed_of is not None and mach.n_chan > 0
+    jumping = seed_of is not None and len(mach.structure.targets) > 0
     rngs = pending = None
     if jumping:
         rngs = [np.random.default_rng(np.random.SeedSequence(seed_of(j))) for j in range(n_cols)]
         pending = np.array([_threshold(rng) for rng in rngs])
     jumps: list = [[] for _ in range(n_cols)]
-    absorbed = np.full(n_cols, 0 if mach.blocks[mach.start].absorbing else n,
+    absorbed = np.full(n_cols, 0 if mach.blocks[mach.structure.start].absorbing else n,
                        dtype=np.int64)
     carried = 1.0
     states = survival = values = None
     if record:
-        states = np.zeros((n, mach.dim), dtype=np.complex128)
+        states = np.zeros((n, mach.structure.dim), dtype=np.complex128)
         survival = np.empty(n)
     else:
         values = np.zeros((n_cols, len(mach.names), n))
@@ -827,40 +832,35 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
                                  if blk.absorbing and not (keep_rho or reduced[b])}
     work = np.repeat(mach.psi0[None, :], n_cols, axis=0)
     # block -> (its columns, ascending; their states; their squared norms)
-    groups = {mach.start: (np.arange(n_cols), work, _row_norm2(work))}
-    # past the stability limit a stride's products overflow; the norm checks
-    # after them raise on that
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n):
-            if s:
-                groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle)
-            for b, (cols, work, norm2) in groups.items():
-                if b in idle:
-                    continue
-                blk = mach.blocks[b]
-                if not jumping and not norm2[0] <= 1.0 + _UNIT_NORM_ATOL:
-                    raise _unstable(norm2[0], grid.dt)
-                if blk.absorbing:
-                    if not norm2.min() > _RESCALE_FLOOR:
-                        raise IntegratorError(
-                            f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
-                            f"dt = {grid.dt} is too coarse for the spectrum of H")
-                elif not jumping and not norm2[0] > 0.0:
-                    raise IntegratorError("the state's norm underflowed to 0 within one "
-                                          "sample interval; use a smaller sample spacing")
-                if record:
-                    states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
-                    survival[s] = carried * norm2[0]
-                elif keep_rho or reduced[b]:
-                    rows = work * (1.0 / np.sqrt(norm2))[:, None]
-                    if reduced[b]:
-                        values[cols, :, s] = _reduce(mach.block_obs[b], rows)
-                    if keep_rho:
-                        np.matmul(rows.T, rows.conj(), out=rho_sum[s, offsets[b]:offsets[b + 1]]
-                                  .reshape(len(blk.index), -1))
-                if not jumping and not blk.absorbing and norm2[0] < _RESCALE_FLOOR:
-                    carried *= norm2[0]
-                    work[0] = work[0] * (1.0 / math.sqrt(norm2[0]))
+    groups = {mach.structure.start: (np.arange(n_cols), work, _row_norm2(work))}
+    for s in range(n):
+        if s:
+            groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle)
+        for b, (cols, work, norm2) in groups.items():
+            if b in idle:
+                continue
+            blk = mach.blocks[b]
+            if blk.absorbing:
+                if not norm2.min() > _RESCALE_FLOOR:
+                    raise IntegratorError(
+                        f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
+                        f"dt = {grid.dt} is too coarse for the spectrum of H")
+            elif not jumping and not norm2[0] > 0.0:
+                raise IntegratorError("the state's norm underflowed to 0 within one "
+                                      "sample interval; use a smaller sample spacing")
+            if record:
+                states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
+                survival[s] = carried * norm2[0]
+            elif keep_rho or reduced[b]:
+                rows = work * (1.0 / np.sqrt(norm2))[:, None]
+                if reduced[b]:
+                    values[cols, :, s] = _reduce(mach.block_obs[b], rows)
+                if keep_rho:
+                    np.matmul(rows.T, rows.conj(), out=rho_sum[s, offsets[b]:offsets[b + 1]]
+                              .reshape(len(blk.index), -1))
+            if not jumping and not blk.absorbing and norm2[0] < _RESCALE_FLOOR:
+                carried *= norm2[0]
+                work[0] = work[0] * (1.0 / math.sqrt(norm2[0]))
     return _Batch(values=values, rho_sum=rho_sum, states=states, survival=survival,
                   jumps=jumps, absorbed=absorbed)
 
@@ -928,9 +928,10 @@ def _jump_free_branch(mach: _Machinery) -> ConditionalBranch:
     """The seedless batch of one on built blocks, reduced on the block it
     never leaves."""
     batch = _propagate(mach, record=True, what="the jump-free branch")
-    index = mach.blocks[mach.start].index
+    start = mach.structure.start
+    index = mach.blocks[start].index
     # each support as basis columns of the recorded states: the block is not copied out
-    values = _reduce([(index[support], op) for support, op in mach.block_obs[mach.start]],
+    values = _reduce([(index[support], op) for support, op in mach.block_obs[start]],
                      batch.states)
     return ConditionalBranch(states=batch.states, survival=batch.survival,
                              observables=dict(zip(mach.names, np.ascontiguousarray(values.T))))
@@ -982,11 +983,12 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     n = grid.n_samples
     mach = _build_machinery(h, collapse, psi0, grid, observables)
     # without a collapse channel every trajectory is the same jump-free run
-    n_runs = n_traj if mach.n_chan else 1
+    n_chan = len(mach.structure.targets)
+    n_runs = n_traj if n_chan else 1
     batch = _propagate(mach, n_runs, lambda j: (master_seed, j), keep_rho=keep_rho,
                        what=f"the ensemble of {n_runs} trajectories")
     rows = batch.values
-    counts = np.zeros((n_runs, mach.n_chan), dtype=np.int64)
+    counts = np.zeros((n_runs, n_chan), dtype=np.int64)
     for j, record in enumerate(batch.jumps):
         for _, chan in record:
             counts[j, chan] += 1
@@ -1092,9 +1094,8 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     operators and ρ0 (``BlockStructure.check``), else ``SizeError``, and
     then gives the same bits as a structure read afresh.
     """
-    rho0 = as_complex_matrix(rho0)
+    rho0 = require_hermitian(rho0, atol=1e-8)
     d = rho0.shape[0]
-    require_hermitian(rho0, atol=1e-8)
     if abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise ConfigError([f"rho0: trace must be 1, got {np.trace(rho0)!r}"])
     if np.linalg.eigvalsh(rho0).min() < -1e-8:

@@ -307,7 +307,7 @@ class TestBlocks:
         mach = _build_machinery(model.h, model.collapse, psi0, config.grid)
         sectors = [np.flatnonzero(model.n_tot == k) for k in range(config.max_excitation + 1)]
         assert [blk.index.tolist() for blk in mach.blocks] == [s.tolist() for s in sectors]
-        assert mach.start == config.max_excitation
+        assert mach.structure.start == config.max_excitation
         assert [blk.absorbing for blk in mach.blocks] == [True] + [False] * config.max_excitation
         # every loss channel lowers the excitation by one
         for k, blk in enumerate(mach.blocks[1:], start=1):
@@ -791,14 +791,14 @@ class TestTrajectories:
         with pytest.raises(IntegratorError, match="too coarse"):
             no_jump_branch(h, (), psi0, grid)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_step_past_the_stability_limit_raises_naming_dt(self):
         # the exact jump-free flow never raises the squared norm.  At hop 300,
-        # |dt (λ - c)| reaches 3.0, past the degree-4 scheme's limit of 2√2: the
-        # stride overflows to NaN, on which a crossing once bisected to a zero
-        # step forever, so the jumping routes run in a process with a timeout.
-        # At hop 290 the norm grows but stays finite; at hop 250 (2.5) every
-        # pure-state route runs
+        # |dt (λ - c)| reaches 3.0, past the degree-4 scheme's limit of 2√2.  A
+        # stride run there overflows to NaN, on which a crossing is bisected to a
+        # zero step forever, so the jumping routes run in a process with a
+        # timeout.  Every pure-state route refuses the step when its blocks are
+        # built, naming its squared norm ‖R‖₂²; at hop 250 (2.5) every one runs
         grid = TimeGrid(t_end=20.0, n_samples=21, dt=0.005)
         dt_named = r"; dt = 0\.005 is too coarse for the spectrum of H$"
         script = textwrap.dedent("""\
@@ -825,26 +825,54 @@ class TestTrajectories:
         errors = done.stdout.splitlines()
         assert len(errors) == 2
         for error in errors:
-            assert re.match("the jump-free squared norm grew to nan" + dt_named, error), error
+            assert re.match(r"a step can multiply the jump-free squared norm by 2\.26"
+                            + dt_named, error), error
         _, model, psi0 = two_site_model(hop=300.0, gamma=0.05)
         rho0 = np.outer(psi0, psi0.conj())
-        with pytest.raises(IntegratorError, match="^the jump-free squared norm grew to "
-                                                  + r"\S+" + dt_named):
+        with pytest.raises(IntegratorError, match="^a step can multiply the jump-free squared "
+                                                  r"norm by 2\.26" + dt_named):
             no_jump_branch(model.h, model.collapse, psi0, grid)
         with pytest.raises(IntegratorError, match="^the master equation's stride or samples "
                                                   "are not finite" + dt_named):
             lindblad_evolve(model.h, model.collapse, rho0, grid)
         _, model, psi0 = two_site_model(hop=290.0, gamma=0.05)
-        with pytest.raises(IntegratorError, match=r"grew to 1\.03e\+30" + dt_named):
+        with pytest.raises(IntegratorError, match=r"by 1\.42" + dt_named):
             no_jump_branch(model.h, model.collapse, psi0, grid)
         # lossless, where every block absorbs: |dt (λ - c)| = 3.5
-        with pytest.raises(IntegratorError, match=r"grew to 4\.29e\+11; dt = 0\.01 "):
+        with pytest.raises(IntegratorError, match=r"by 14\.6; dt = 0\.01 "):
             no_jump_branch(np.diag([0.0, 700.0]), (), np.array([0.0, 1.0]),
                            TimeGrid(t_end=1.0, n_samples=11, dt=0.01))
         _, model, psi0 = two_site_model(hop=250.0, gamma=0.05)
         branch = no_jump_branch(model.h, model.collapse, psi0, grid)
         assert np.all(np.diff(branch.survival) < 0) and branch.survival[0] == pytest.approx(1.0)
         mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=20, master_seed=1)
+
+    @pytest.mark.parametrize("case, runs", [
+        ("hop 250", True), ("hop 282", True), ("hop 283", False), ("hop 285", False),
+        ("hop 290", False), ("lossless 2.82", True), ("lossless 2.84", False)])
+    def test_ensemble_and_trajectory_alone_refuse_an_unstable_dt(self, case, runs):
+        # two sites at dt 0.005: the largest ‖R_b‖₂² of a block's step is at most
+        # 1 + 2.2e-16 up to hop 282, and 1.01, 1.11 and 1.42 at hop 283, 285 and
+        # 290, where, run unchecked, every row's norm grows, no jump is resolved
+        # and the ensemble and the trajectory return silently.  Lossless
+        # diag(0, E) has |dt (λ - c)| = dt E / 2 on both sides of the limit
+        # 2√2 ≈ 2.828
+        kind, value = case.split()
+        if kind == "hop":
+            _, model, psi0 = two_site_model(hop=float(value), gamma=0.05)
+            h, collapse = model.h, model.collapse
+            grid = TimeGrid(t_end=20.0, n_samples=21, dt=0.005)
+        else:
+            h, collapse, psi0 = np.diag([0.0, 2.0 * float(value) / 0.01]), (), np.array([0.0, 1.0])
+            grid = TimeGrid(t_end=1.0, n_samples=11, dt=0.01)
+        dt_named = rf"; dt = {re.escape(str(grid.dt))} is too coarse for the spectrum of H$"
+        for run in (lambda: mcwf_ensemble(h, collapse, psi0, grid, n_traj=20, master_seed=1),
+                    lambda: mcwf_trajectory(h, collapse, psi0, grid, seed=1)):
+            if runs:
+                run()
+            else:
+                with pytest.raises(IntegratorError, match=dt_named):
+                    run()
 
     def test_lossless_ensemble_is_its_one_trajectory(self):
         params, model, psi0 = two_site_model(hop=0.03, gamma=0.0)
