@@ -15,13 +15,18 @@ block.  A block on which every L vanishes, such as the vacuum, is
 absorbing: nothing leaves it, so a state in one takes no jump test.
 
 The loop is time-major: it advances a batch of columns, each one
-pure-state evolution, through the samples together.  The columns are
-grouped by the block each occupies, so each stride is one matrix product
-per occupied block, and each sample's observables are reduced for all of
-a block's rows at once.  ``mcwf_ensemble`` is a batch of ``n_traj``
-trajectories, ``mcwf_trajectory`` a batch of one, and the jump-free branch
-a seedless batch of one.  Every trajectory keeps its own random stream
-and draw order, so it is the same whatever else runs in its batch.
+pure-state evolution, through the samples together.  Until its first jump
+every column is the same state, the jump-free branch ψ̃(t), so the batch
+runs that state once (``_FreeRun``), and a column that has not jumped
+reads it: its values are the branch's, and its share of ρ̄ is ψ_cψ_c†.
+After its first jump a column is grouped with the others in the block it
+occupies, so each stride is one matrix product per occupied block, and
+each sample's observables are reduced for all of a block's rows at once.
+``mcwf_ensemble`` is a batch of ``n_traj`` trajectories and
+``mcwf_trajectory`` a batch of one; the jump-free branch is the run alone,
+and an ensemble's branch is its trajectories' run, written on to the end
+of the grid.  Every trajectory keeps its own random stream and draw order,
+so it is the same whatever else runs in its batch.
 
 Where the blocks lie depends only on where H, the collapse operators and
 ψ0 are nonzero; ``block_structure`` reads that into a ``BlockStructure``,
@@ -36,16 +41,25 @@ block, P4000 and P1111 need 2 and 16 of them.
 
 A trajectory advances a whole sample interval at a time while its squared
 norm stays above the waiting-time threshold.  An interval that crosses it
-is redone, for that column alone, in one dyadic descent over the powers
-2^p of the dt step, which
+is redone in one dyadic descent over the powers 2^p of the dt step, which
 finds the last step still above the threshold.  The crossing inside the
 next step is bisected on that step's squared norm, a real polynomial of
 degree 8 in the time into the step whose coefficients come from the Gram
-matrix of ψ, Gψ, …, G⁴ψ; no state vector is formed while bisecting.
-Crossings are resolved one row at a time, and a row's scalar work, the
-bisection's Horner steps and the channel draw's running sum, runs on
-Python floats: on the two-site blocks of 4 and 8 states a NumPy call costs
-more than the arithmetic it would do.
+matrix of ψ, Gψ, …, G⁴ψ; no state vector is formed while bisecting.  A
+row's scalar work, the bisection's Horner steps and the channel draw's
+running sum, runs on Python floats: on the two-site blocks of 4 and 8
+states a NumPy call costs more than the arithmetic it would do.
+
+The first jumps are read off the shared run (Dalibard, Castin & Mølmer,
+PRL 68, 580 (1992): the waiting time is where the jump-free norm falls to
+the threshold).  The run is written until its survival is at or below
+every column's first threshold, each column's crossing interval is found
+in one comparison with the survival, and all first crossings are resolved
+ahead of the strides in one pass (``_first_jumps``): one descent and one
+jump step for all the rows at once, each row against its own threshold,
+with each row's bisection and draw as above, and the rest of each
+interval for each target block's rows at once.  Later crossings are
+resolved one row at a time, in ``_stride``.
 
 The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
 ρ0's support in one block.  ρ then stays block-diagonal, so only the
@@ -78,7 +92,7 @@ the pure-state scheme has one step rule: when the blocks are built, each
 block's step R must satisfy ‖R‖₂² ≤ 1 + ``_UNIT_NORM_ATOL``, else
 ``IntegratorError`` names ``dt`` before anything propagates
 (``_check_step``).  Then no state's norm can grow, in a stride, a descent,
-a step with jumps or the seedless branch, and none is checked there.  The
+a step with jumps or the jump-free run, and none is checked there.  The
 oracle's generator sees differences of eigenvalues, and its step's
 coordinate norm bounds no contraction, so it keeps its own check: a stride
 or samples that are not finite raise the same error.
@@ -234,8 +248,9 @@ class EnsembleResult:
     The samples are those of the grid the ensemble ran on, and there is one
     row of ``jumps_per_channel`` and ``absorbing_entry`` per trajectory.  It
     keeps the block propagators and observables the trajectories ran on,
-    so that ``jump_free_branch`` runs the same model's conditional branch
-    without building them again.
+    and their jump-free run, so that ``jump_free_branch`` gives the same
+    model's conditional branch without building them again or writing a
+    sample of the run twice.
     """
 
     mean_observables: dict                # name -> (n_samples,) float array
@@ -245,10 +260,14 @@ class EnsembleResult:
     absorbing_entry: np.ndarray           # (n_traj,) int: first sample in an absorbing block,
                                           # n_samples if never
     _machinery: _Machinery = field(repr=False, compare=False)
+    _run: _FreeRun = field(repr=False, compare=False)
 
     def jump_free_branch(self) -> ConditionalBranch:
-        """``no_jump_branch`` of the ensemble's inputs and observables, on its blocks."""
-        return _jump_free_branch(self._machinery)
+        """``no_jump_branch`` of the ensemble's inputs and observables, on its
+        blocks: the trajectories' own jump-free run, written on from the
+        sample where they no longer needed it.  A second call returns the
+        same arrays."""
+        return _jump_free_branch(self._machinery, self._run)
 
 
 @dataclass(frozen=True)
@@ -497,8 +516,10 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
     for part in parts:
         k = len(part.index)
         r_pows = np.empty((n_pow, k, k), dtype=np.complex128)
-        r_pows[0] = _taylor4(grid.dt * part.gen)
-        _check_step(r_pows[0], grid.dt)
+        # a step that overflows is refused by its check, without a warning first
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_pows[0] = _taylor4(grid.dt * part.gen)
+            _check_step(r_pows[0], grid.dt)
         for p in range(1, n_pow):
             r_pows[p] = r_pows[p - 1] @ r_pows[p - 1]
         r_stride = r_pows[1] @ r_pows[0] if n_fine == 3 else reduce(np.matmul, r_pows[bits])
@@ -549,28 +570,46 @@ def _threshold(rng: np.random.Generator) -> float:
     return r if r > 0.0 else 1e-300
 
 
-def _taylor_flow(powers: list, tau: float) -> np.ndarray:
-    """Degree-4 Taylor flow over ``tau`` from powers = [ψ, Gψ, G²ψ, G³ψ, G⁴ψ]."""
+def _powers(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """[ψ, Gψ, G²ψ, G³ψ, G⁴ψ] as one ``(5, ...)`` array, for a state ψ or for
+    each row of a stack of them."""
+    powers = np.empty((5,) + psi.shape, dtype=np.complex128)
+    powers[0] = psi
+    for i in range(1, 5):
+        np.matmul(powers[i - 1], gen.T, out=powers[i])
+    return powers
+
+
+def _taylor_flow(powers, tau):
+    """Degree-4 Taylor flow over ``tau`` from powers = [ψ, Gψ, G²ψ, G³ψ, G⁴ψ].
+
+    Elementwise: the powers may be those of a stack of rows, as ``_powers``
+    gives them, with ``tau`` one time or a column of one time per row."""
     psi, v1, v2, v3, v4 = powers
     return psi + tau * (v1 + (tau / 2.0) * (v2 + (tau / 3.0) * (v3 + (tau / 4.0) * v4)))
 
 
-# the Gram entry <G^i ψ, G^j ψ> enters the coefficient of τ^(i+j) with weight 1/(i! j!)
+# the Gram entry <G^i ψ, G^j ψ> enters the coefficient of τ^(i+j) with weight 1/(i! j!);
+# row 5i + j of _GRAM_TO_POLY holds it in the column of τ^(i+j), highest degree first
 _GRAM_DEGREE = np.add.outer(np.arange(5), np.arange(5)).ravel()
 _INV_FACTORIAL = 1.0 / np.array([math.factorial(k) for k in range(5)])
-_GRAM_WEIGHT = np.outer(_INV_FACTORIAL, _INV_FACTORIAL).ravel()
+_GRAM_TO_POLY = np.zeros((25, 9))
+_GRAM_TO_POLY[np.arange(25), 8 - _GRAM_DEGREE] = np.outer(_INV_FACTORIAL, _INV_FACTORIAL).ravel()
 
 
-def _flow_norm2_poly(powers: list) -> list:
-    """‖_taylor_flow(powers, τ)‖² as a real polynomial of degree 8 in τ.
+def _flow_norm2_poly(powers) -> np.ndarray:
+    """‖_taylor_flow(powers, τ)‖² as a real polynomial of degree 8 in τ, one
+    per state.
 
     The coefficient of τ^n is Σ_{i+j=n} Re<G^iψ, G^jψ>/(i! j!), read off
-    the 5×5 Gram matrix of the powers.  Returned as Python floats, highest
-    degree first, the order ``_crossing_time`` takes.
+    the 5×5 Gram matrix of the powers, whose real part is the Gram matrix
+    of their float views.  Returned highest degree first, the order
+    ``_crossing_time`` takes: 9 coefficients for ``_powers`` of one state,
+    ``(m, 9)`` for those of a stack of ``m`` rows.
     """
-    v = np.array(powers)
-    gram = (v.conj() @ v.T).real.ravel()
-    return np.bincount(_GRAM_DEGREE, weights=gram * _GRAM_WEIGHT).tolist()[::-1]
+    v = np.asarray(powers).view(np.float64)
+    gram = np.einsum("i...k,j...k->...ij", v, v)
+    return gram.reshape(gram.shape[:-2] + (25,)) @ _GRAM_TO_POLY
 
 
 def _crossing_time(coeffs: list, frac: float, r: float) -> float:
@@ -594,9 +633,17 @@ def _crossing_time(coeffs: list, frac: float, r: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _channel(norms: list, rng: np.random.Generator) -> int:
+    """Channel c with probability ``norms[c]`` / Σ ``norms``, the squared
+    norms ‖L_c φ‖²: the first channel whose running sum exceeds the draw."""
+    acc = list(accumulate(norms))
+    return min(bisect_right(acc, rng.random() * acc[-1]), len(acc) - 1)
+
+
 def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
-                   dt: float, rng: np.random.Generator, jumps: list):
-    """Apply every jump inside the elementary step that starts at ``t0``.
+                   dt: float, rng: np.random.Generator, jumps: list, t_in_step: float = 0.0):
+    """Apply every jump inside the elementary step that starts at ``t0``,
+    from ``t_in_step`` into it on.
 
     The step is the degree-4 polynomial flow the fixed-step integrator
     applies.  Each threshold crossing is bisected on the flow's squared
@@ -606,24 +653,18 @@ def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: flo
     block the state then occupies.  No step here can raise the squared norm:
     ``_build_machinery`` refused a ``dt`` whose step would (``_check_step``).
     """
-    t_in_step = 0.0
     while True:
         blk = mach.blocks[b]
         frac = dt - t_in_step
-        powers = [work]
-        for _ in range(4):
-            powers.append(blk.gen @ powers[-1])
+        powers = _powers(blk.gen, work)
         end = _taylor_flow(powers, frac)
         if np.vdot(end, end).real > r:
             return end, r, b
-        tau = _crossing_time(_flow_norm2_poly(powers), frac, r)
-        # channel c with probability ||L_c phi||^2 / sum_k ||L_k phi||^2: the first
-        # channel whose running sum exceeds the draw
+        tau = _crossing_time(_flow_norm2_poly(powers).tolist(), frac, r)
         phi = _taylor_flow(powers, tau)
         jumped = [jump @ phi for jump in blk.jumps]
         norms = [np.vdot(v, v).real for v in jumped]
-        acc = list(accumulate(norms))
-        chan = min(bisect_right(acc, rng.random() * acc[-1]), len(acc) - 1)
+        chan = _channel(norms, rng)
         work = jumped[chan] * (1.0 / math.sqrt(norms[chan]))
         b = blk.targets[chan]
         jumps.append((t0 + t_in_step + tau, chan))
@@ -632,8 +673,9 @@ def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: flo
 
 
 def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
-                    grid: TimeGrid, rng: np.random.Generator, jumps: list):
-    """Redo the sample interval starting at ``t0`` in elementary steps.
+                    grid: TimeGrid, rng: np.random.Generator, jumps: list, done: int = 0):
+    """Redo the sample interval starting at ``t0`` in elementary steps, from
+    the end of its step ``done`` on.
 
     One dyadic descent finds the last step whose end stays above the
     threshold: the powers 2^p of the step are tried from the largest that
@@ -647,7 +689,6 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
     """
     n_fine, dt = grid.n_fine, grid.dt
     r = float(r)
-    done = 0
     while done < n_fine:
         if np.vdot(work, work).real < _NORM_UNDERFLOW:
             raise IntegratorError(
@@ -665,10 +706,199 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
     return work, r, b
 
 
+def _descend(r_pows: np.ndarray, rows: np.ndarray, r: np.ndarray, done: np.ndarray,
+             n_fine: int) -> None:
+    """``_resolve_stride``'s dyadic descent for a stack of rows at once, in
+    place: each row, ``done`` steps into its interval, takes each power 2^p
+    of the step that fits its remainder, from the largest down, while its
+    squared norm stays above its own threshold ``r``."""
+    for p in range(len(r_pows) - 1, -1, -1):
+        sel = np.flatnonzero(done + (1 << p) <= n_fine)
+        if len(sel):
+            trial = rows[sel] @ r_pows[p].T
+            ok = _row_norm2(trial) > r[sel]
+            rows[sel[ok]] = trial[ok]
+            done[sel[ok]] += 1 << p
+
+
 def _row_norm2(rows: np.ndarray) -> np.ndarray:
     """Squared norm of each row of a C-contiguous complex ``(m, k)`` array."""
     flat = rows.view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
+
+
+class _FreeRun:
+    """The jump-free branch on the start block, written a sample at a time
+    on demand.
+
+    Each sample takes one product with the block's stride propagator, and
+    the state is rescaled below ``_RESCALE_FLOOR`` with the factor carried
+    in the survival, so rows stay finite.  ``states`` (normalized, zero off
+    the block) and ``survival`` hold the first ``done`` samples.  A block no
+    channel acts on should keep the norm, so one whose state falls below
+    ``_RESCALE_FLOOR`` raises.
+    """
+
+    def __init__(self, mach: _Machinery):
+        n = mach.grid.n_samples
+        self.blk = mach.blocks[mach.structure.start]
+        self.dt = mach.grid.dt
+        self.states = np.zeros((n, mach.structure.dim), dtype=np.complex128)
+        self.survival = np.empty(n)
+        self.work = mach.psi0[None, :].copy()
+        self.carried = 1.0
+        self.done = 0
+        self.lost = False        # the squared norm underflowed to 0: the run ends there
+
+    def advance(self, level: float = -math.inf) -> None:
+        """Write samples until one's survival is at or below ``level``, or the
+        grid ends.  A state that underflows to 0 within one interval ends the
+        run, with survival 0.0 at that sample and no state; that is an error
+        unless ``level`` is at least 0.0, as every first threshold is, so
+        that no caller reads the run past it."""
+        blk, n = self.blk, len(self.survival)
+        # no crossing is tested at sample 0, so the run never stops there
+        while (self.done < n and not self.lost
+               and not (self.done > 1 and self.survival[self.done - 1] <= level)):
+            s = self.done
+            if s:
+                self.work = self.work @ blk.r_stride.T
+            norm2 = _row_norm2(self.work)[0]
+            if blk.absorbing and not norm2 > _RESCALE_FLOOR:
+                raise IntegratorError(
+                    f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
+                    f"dt = {self.dt} is too coarse for the spectrum of H")
+            self.survival[s] = self.carried * norm2
+            self.done = s + 1
+            if not norm2 > 0.0:
+                self.lost = True
+                break
+            self.states[s, blk.index] = self.work[0] * (1.0 / math.sqrt(norm2))
+            if not blk.absorbing and norm2 < _RESCALE_FLOOR:
+                self.carried *= norm2
+                self.work[0] = self.work[0] * (1.0 / math.sqrt(norm2))
+        if self.lost and not level >= 0.0:
+            raise IntegratorError("the state's norm underflowed to 0 within one "
+                                  "sample interval; use a smaller sample spacing")
+
+
+def _first_jumps(mach: _Machinery, run: _FreeRun, cols: np.ndarray, first: np.ndarray,
+                 pending: np.ndarray, rngs, jumps: list) -> dict:
+    """Resolve the first crossing of each column of ``cols``, which leaves
+    the jump-free ``run`` in the interval that ends at its sample ``first``.
+    Returns where each column stands at that sample, as ``_stride`` takes
+    arrivals: ``{sample: {block: [(column, state), ...]}}``.
+
+    A column is the run's state until its first jump, so its row is read
+    off the run, normalized, at the start of its interval, and its
+    threshold divided by the survival there.  The columns go in chunks of
+    ``_pass_rows`` rows.  A chunk takes one dyadic descent on the start
+    block (``_descend``), each row against its own threshold, and one
+    batched step: the Taylor powers, the step-end flow and the norm
+    polynomials.  Each row's crossing is bisected and its channel drawn as
+    ``_jumps_in_step`` does, from its own Generator and in its own order.
+    The rest of the interval then runs for each target block's rows at
+    once (``_finish_interval``).  A row that crosses again there, or that
+    by roundoff does not cross in the step the descent left it at, goes on
+    alone through ``_resolve_stride``.
+    """
+    grid, blk = mach.grid, mach.blocks[mach.structure.start]
+    n_fine, dt = grid.n_fine, grid.dt
+    joins: dict = {}
+
+    def join(j, b, state):
+        joins.setdefault(int(first[j]), {}).setdefault(b, []).append((j, state))
+
+    chunk_rows = _pass_rows(max(len(part.index) for part in mach.blocks))
+    for lo in range(0, len(cols), chunk_rows):
+        chunk = cols[lo:lo + chunk_rows]
+        s0 = first[chunk] - 1
+        survival = run.survival[s0]
+        if (survival < _NORM_UNDERFLOW).any():
+            raise IntegratorError(
+                "state norm fell below 1e-14 before the jump threshold was reached")
+        rows = run.states[s0[:, None], blk.index]
+        r = pending[chunk] / survival
+        t0 = grid.t_start + s0 * grid.spacing
+        done = np.zeros(len(chunk), dtype=np.int64)
+        _descend(blk.r_pows, rows, r, done, n_fine)
+        hit = np.flatnonzero(done < n_fine)
+        powers = _powers(blk.gen, rows[hit])
+        crossed = ~(_row_norm2(_taylor_flow(powers, dt)) > r[hit])
+        coeffs = _flow_norm2_poly(powers)
+        tau = np.zeros(len(hit))
+        for i in np.flatnonzero(crossed):
+            tau[i] = _crossing_time(coeffs[i].tolist(), dt, float(r[hit[i]]))
+        phi = _taylor_flow(powers, tau[:, None])
+        del powers
+        norms = np.stack([_row_norm2(phi @ jump.T) for jump in blk.jumps], axis=1)
+        chans = np.full(len(hit), -1)
+        for i in np.flatnonzero(crossed):
+            j = chunk[hit[i]]
+            chans[i] = _channel(norms[i].tolist(), rngs[j])
+            jumps[j].append((float(t0[hit[i]] + done[hit[i]] * dt) + float(tau[i]),
+                             int(chans[i])))
+            pending[j] = _threshold(rngs[j])
+        moved: dict = {}
+        for chan, (jump, dest) in enumerate(zip(blk.jumps, blk.targets)):
+            sel = np.flatnonzero(chans == chan)
+            if len(sel):
+                states = (phi[sel] @ jump.T) * (1.0 / np.sqrt(norms[sel, chan]))[:, None]
+                moved.setdefault(dest, []).append((hit[sel], states, tau[sel]))
+        del phi
+        for dest, parts in moved.items():
+            rows_in, states, taus = (np.concatenate(side) for side in zip(*parts))
+            _finish_interval(mach, dest, chunk[rows_in], states, taus, done[rows_in],
+                             t0[rows_in], pending, rngs, jumps, join)
+        # the rows whose own steps did not cross in this interval, or not in the step
+        # the descent left them at
+        alone = done == n_fine
+        alone[hit[~crossed]] = True
+        for i in np.flatnonzero(alone):
+            j = chunk[i]
+            state, pending[j], b = _resolve_stride(mach, mach.structure.start, rows[i], r[i],
+                                                   float(t0[i]), grid, rngs[j], jumps[j],
+                                                   int(done[i]))
+            join(j, b, state)
+    return joins
+
+
+def _finish_interval(mach: _Machinery, b: int, cols: np.ndarray, states: np.ndarray,
+                     tau: np.ndarray, done: np.ndarray, t0: np.ndarray, pending: np.ndarray,
+                     rngs, jumps: list, join) -> None:
+    """The rest of the interval for ``_first_jumps``' rows that jumped into
+    block ``b``: row i, column ``cols[i]``, holds its new state ``tau[i]``
+    into its step ``done[i]`` of the interval that starts at ``t0[i]``.
+    The rest of the step is one batched flow, and the steps after it one
+    dyadic descent; a row that crosses its new threshold in either goes on
+    alone, through ``_jumps_in_step`` and ``_resolve_stride``.  Hands each
+    column, with its state at the end of the interval and the block it
+    then occupies, to ``join``."""
+    grid, blk = mach.grid, mach.blocks[b]
+    n_fine, dt = grid.n_fine, grid.dt
+    r = pending[cols]
+    end = _taylor_flow(_powers(blk.gen, states), (dt - tau)[:, None])
+    above = _row_norm2(end) > r
+    steps = done + 1
+    go = np.flatnonzero(above)
+    rows, left = end[go], steps[go]
+    _descend(blk.r_pows, rows, r[go], left, n_fine)
+    for g, i in enumerate(go):
+        j = cols[i]
+        if left[g] < n_fine:
+            state, pending[j], dest = _resolve_stride(mach, b, rows[g], r[i], float(t0[i]),
+                                                      grid, rngs[j], jumps[j], int(left[g]))
+            join(j, dest, state)
+        else:
+            join(j, b, rows[g])
+    for i in np.flatnonzero(~above):
+        j = cols[i]
+        state, r_j, dest = _jumps_in_step(mach, b, states[i], float(r[i]),
+                                          float(t0[i] + done[i] * dt), dt, rngs[j], jumps[j],
+                                          float(tau[i]))
+        state, pending[j], dest = _resolve_stride(mach, dest, state, r_j, float(t0[i]), grid,
+                                                  rngs[j], jumps[j], int(steps[i]))
+        join(j, dest, state)
 
 
 @dataclass(frozen=True)
@@ -678,13 +908,13 @@ class _Batch:
     values: Optional[np.ndarray]     # (n_cols, n_observables, n_samples), reduced per sample
     rho_sum: Optional[np.ndarray]    # (n_samples, Σ_b k_b²): Σ over the rows of |ψ><ψ|
     states: Optional[np.ndarray]     # recorded batch of one: (n_samples, dim) normalized rows
-    survival: Optional[np.ndarray]   # recorded batch of one: squared norms, rescaling included
+    run: _FreeRun                    # the jump-free run, as far as the batch needed it
     jumps: list                      # per column: [(time, channel), ...]
     absorbed: np.ndarray             # (n_cols,) first sample in an absorbing block, or n_samples
 
 
 def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
-            absorbed: np.ndarray, idle: set) -> dict:
+            absorbed: np.ndarray, idle: set, arrivals: dict) -> dict:
     """Advance every column one sample interval, into the sample ``s``.
 
     Each block's rows take one product with its stride propagator, except
@@ -692,10 +922,12 @@ def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
     reads.  The rows whose squared norm fell to their pending threshold redo
     the interval one at a time in ``_resolve_stride`` with their own
     Generator; a row that jumps into another block joins that block's rows,
-    which stay ordered by column.  Returns the new groups.
+    which stay ordered by column, as do the ``arrivals``, ``{block:
+    [(column, state), ...]}``, the columns that join a block at ``s`` from
+    the jump-free run.  Returns the new groups.
     """
     grid = mach.grid
-    out, arrivals = {}, {}
+    out = {}
     for b, (cols, work, norm2) in groups.items():
         if b in idle:
             out[b] = (cols, work, norm2)
@@ -703,8 +935,7 @@ def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
         blk = mach.blocks[b]
         cand = work @ blk.r_stride.T
         norm2 = _row_norm2(cand)
-        crossed = () if rngs is None or blk.absorbing else np.flatnonzero(
-            ~(norm2 > pending[cols]))
+        crossed = () if blk.absorbing else np.flatnonzero(~(norm2 > pending[cols]))
         if len(crossed):
             t0 = grid.t_start + (s - 1) * grid.spacing
             stay = np.ones(len(cols), dtype=bool)
@@ -734,15 +965,34 @@ def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
     return out
 
 
+# the first-jump pass (``_first_jumps``) takes its columns in chunks of about this many bytes
+_PASS_BYTES = 1 << 22
+
+
+def _pass_row_bytes(k: int) -> int:
+    """Bytes one row of the first-jump pass holds at most, on blocks of at
+    most ``k`` states: its start-block row, the five Taylor powers with the
+    flow and its temporaries, or, in its target block, the powers, flow and
+    descent trials; and its scalars and norm polynomial."""
+    return 10 * k * 16 + 512
+
+
+def _pass_rows(k: int) -> int:
+    """Rows in one chunk of the first-jump pass on blocks of at most ``k`` states."""
+    return max(1, _PASS_BYTES // _pass_row_bytes(k))
+
+
 def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
                 record: bool = False) -> int:
     """Bytes of a batch of ``n_cols`` columns on blocks of ``block_dims``
-    states: each column's live state and Python objects, with a jump record
-    per block it can leave, and, recorded, the column's states and survival
-    at every sample with the temporaries of the branch's reduction over them,
-    else its observable rows.  Each loss lowers the
-    excitation, so a column leaves a block at most once; channels that map
-    a block into itself record jumps this does not count.
+    states: the jump-free run's states and survival at every sample, which a
+    recorded column writes its own rows over, with, recorded, the
+    temporaries of the branch's reduction over them, else each column's
+    observable rows; one chunk of the first-jump pass; and each column's
+    live state and Python objects, with a jump record per block it can
+    leave.  Each loss lowers the excitation, so a column leaves a block at
+    most once; channels that map a block into itself record jumps this does
+    not count.
 
     The live state is ``dim`` amplitudes, and ``_stride`` holds at most four
     more copies of it, each counted on the largest block: a row's product
@@ -753,13 +1003,15 @@ def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
     holds, per sample, one observable's support columns, their product and
     their conjugate, each counted on the largest block, with its complex
     values, and every observable's values twice, before and after they are
-    transposed."""
-    dim = sum(block_dims)
-    reduction = n_observables and 3 * max(block_dims) * 16 + 16 + 2 * n_observables * 8
-    rows = (n_samples * (dim * 16 + 8 + reduction) if record
-            else n_cols * n_observables * n_samples * 8)
-    live = (dim + 4 * max(block_dims)) * 16
-    return rows + n_cols * (live + _COLUMN_BYTES + _JUMP_BYTES * (len(block_dims) - 1))
+    transposed.  The jump-free branch counts as a batch of one."""
+    dim, k = sum(block_dims), max(block_dims)
+    reduction = n_observables and 3 * k * 16 + 16 + 2 * n_observables * 8
+    run = n_samples * (dim * 16 + 8 + (reduction if record else 0))
+    rows = 0 if record else n_cols * n_observables * n_samples * 8
+    first_jumps = min(n_cols, _pass_rows(k)) * _pass_row_bytes(k)
+    live = (dim + 4 * k) * 16
+    return run + rows + first_jumps + n_cols * (live + _COLUMN_BYTES
+                                                + _JUMP_BYTES * (len(block_dims) - 1))
 
 
 def rho_bytes(n_samples: int, block_dims) -> int:
@@ -777,24 +1029,32 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     collapse channel, column j is the trajectory of ``seed_of(j)``: uniforms
     are drawn one at a time from its own stream (the threshold, then per
     jump the channel and the next threshold), and the decaying norm carries
-    the waiting time.  Otherwise nothing jumps and every column would be the
-    same run, so the batch is one column; its state is rescaled below
-    ``_RESCALE_FLOOR`` with the factor carried in the survival, so rows stay
-    finite.
+    the waiting time.  Otherwise nothing jumps, and every column is the
+    jump-free run to the end of the grid.
 
-    The columns are grouped by the block each occupies, and every stride
-    advances a whole group with one matrix product (``_stride``).  With
-    ``record`` the batch is one column whose rows and survival are kept;
-    otherwise each group's rows are reduced at once at each sample: the
-    observables on their supports and, with ``keep_rho``, the block's sum
-    of |ψ><ψ|, written into that block's slice of the ``BlockStructure``'s
-    array.  A block where every support is empty is not reduced, and its
-    values stay 0.0; unless ρ̄ is kept it costs no per-sample work, and if
-    no channel acts on it either, its rows are not stepped at all.  No
-    squared norm can rise, as every block's step was checked when the
-    blocks were built (``_check_step``); a block no channel acts on should
-    keep the norm, so one whose stepped rows fall below ``_RESCALE_FLOOR``
-    raises.
+    Until its first jump every column is the same state, the jump-free
+    run's (``_FreeRun``), so no column is a row of the start block before
+    it.  The run is written until its survival is at or below every
+    column's first threshold; each column's crossing interval is read off
+    its survival at once, and every first jump is resolved ahead of time in
+    one pass (``_first_jumps``).  A column then joins its new block at the
+    end of that interval.  From there the columns are grouped by the block
+    each occupies, and every stride advances a whole group with one matrix
+    product (``_stride``).
+
+    With ``record`` the batch is one column, whose rows are kept: the run's
+    states up to its first jump, its own after.  Otherwise each group's
+    rows are reduced at once at each sample: the observables on their
+    supports and, with ``keep_rho``, the block's sum of |ψ><ψ|, written
+    into that block's slice of the ``BlockStructure``'s array.  A column
+    that has not jumped takes the run's reduced values, and adds the run's
+    |ψ><ψ| to ρ̄'s start block.  A block where every support is empty is not
+    reduced, and its values stay 0.0; unless ρ̄ is kept it costs no
+    per-sample work, and if no channel acts on it either, its rows are not
+    stepped at all.  No squared norm can rise, as every block's step was
+    checked when the blocks were built (``_check_step``); a block no channel
+    acts on should keep the norm, so one whose stepped rows fall below
+    ``_RESCALE_FLOOR`` raises.
 
     Before any of them, or any column's seed or Generator, exists, the
     batch's arrays (``batch_bytes`` and, with ``keep_rho``, ``rho_bytes``)
@@ -805,24 +1065,38 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     n = grid.n_samples
     dims = [len(blk.index) for blk in mach.blocks]
     n_bytes = batch_bytes(n_cols, len(mach.names), n, dims, record)
-    parts = ["recorded states and norms" if record else "observable rows", "live states"]
+    parts = (["recorded states and norms"] if record
+             else ["the jump-free run", "observable rows"]) + ["live states"]
     if keep_rho:
         n_bytes += rho_bytes(n, dims)
         parts.append(f"ρ̄'s block entries over {n} samples")
     check_budget(n_bytes, f"{what}: {', '.join(parts)}")
+    start = mach.structure.start
+    index = mach.blocks[start].index
     jumping = seed_of is not None and len(mach.structure.targets) > 0
     rngs = pending = None
     if jumping:
         rngs = [np.random.default_rng(np.random.SeedSequence(seed_of(j))) for j in range(n_cols)]
         pending = np.array([_threshold(rng) for rng in rngs])
     jumps: list = [[] for _ in range(n_cols)]
-    absorbed = np.full(n_cols, 0 if mach.blocks[mach.structure.start].absorbing else n,
-                       dtype=np.int64)
-    carried = 1.0
-    states = survival = values = None
+    absorbed = np.full(n_cols, 0 if mach.blocks[start].absorbing else n, dtype=np.int64)
+    run = _FreeRun(mach)
+    first = np.full(n_cols, n)           # the sample at which each column leaves the run
+    joins: dict = {}
+    if jumping and not mach.blocks[start].absorbing:
+        run.advance(pending.min())
+        # a column crosses in the first interval whose end has survival at or below its threshold
+        lowest = np.minimum.accumulate(run.survival[1:run.done])
+        first = 1 + np.searchsorted(-lowest, -pending)
+        joins = _first_jumps(mach, run, np.flatnonzero(first < n), first, pending, rngs, jumps)
+    else:
+        run.advance()
+    waiting = n_cols - np.cumsum(np.bincount(first, minlength=n + 1))[:n]   # per sample
+    order = np.argsort(first, kind="stable")            # the columns still waiting come last
+    states = values = None
     if record:
-        states = np.zeros((n, mach.structure.dim), dtype=np.complex128)
-        survival = np.empty(n)
+        states = run.states
+        states[first[0]:] = 0.0          # the column's own rows from its first jump on
     else:
         values = np.zeros((n_cols, len(mach.names), n))
     offsets = mach.structure.offsets
@@ -830,27 +1104,22 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     reduced = [any(len(sup) for sup, _ in entries) for entries in mach.block_obs]
     idle = set() if record else {b for b, blk in enumerate(mach.blocks)
                                  if blk.absorbing and not (keep_rho or reduced[b])}
-    work = np.repeat(mach.psi0[None, :], n_cols, axis=0)
     # block -> (its columns, ascending; their states; their squared norms)
-    groups = {mach.structure.start: (np.arange(n_cols), work, _row_norm2(work))}
+    groups: dict = {}
     for s in range(n):
         if s:
-            groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle)
+            groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle,
+                             joins.pop(s, {}))
         for b, (cols, work, norm2) in groups.items():
             if b in idle:
                 continue
             blk = mach.blocks[b]
-            if blk.absorbing:
-                if not norm2.min() > _RESCALE_FLOOR:
-                    raise IntegratorError(
-                        f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
-                        f"dt = {grid.dt} is too coarse for the spectrum of H")
-            elif not jumping and not norm2[0] > 0.0:
-                raise IntegratorError("the state's norm underflowed to 0 within one "
-                                      "sample interval; use a smaller sample spacing")
+            if blk.absorbing and not norm2.min() > _RESCALE_FLOOR:
+                raise IntegratorError(
+                    f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
+                    f"dt = {grid.dt} is too coarse for the spectrum of H")
             if record:
                 states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
-                survival[s] = carried * norm2[0]
             elif keep_rho or reduced[b]:
                 rows = work * (1.0 / np.sqrt(norm2))[:, None]
                 if reduced[b]:
@@ -858,10 +1127,19 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
                 if keep_rho:
                     np.matmul(rows.T, rows.conj(), out=rho_sum[s, offsets[b]:offsets[b + 1]]
                               .reshape(len(blk.index), -1))
-            if not jumping and not blk.absorbing and norm2[0] < _RESCALE_FLOOR:
-                carried *= norm2[0]
-                work[0] = work[0] * (1.0 / math.sqrt(norm2[0]))
-    return _Batch(values=values, rho_sum=rho_sum, states=states, survival=survival,
+        if waiting[s] and not record and (keep_rho or reduced[start]):
+            row = run.states[s:s + 1, index]
+            if reduced[start]:
+                values[order[n_cols - waiting[s]:], :, s] = _reduce(mach.block_obs[start], row)
+            if keep_rho:
+                # waiting[s] rows of the run's state
+                block = rho_sum[s, offsets[start]:offsets[start + 1]].reshape(len(index), -1)
+                shared = np.matmul(row.T, row.conj(), out=None if start in groups else block)
+                if waiting[s] > 1:
+                    shared.view(np.float64)[...] *= waiting[s]
+                if start in groups:
+                    block += shared
+    return _Batch(values=values, rho_sum=rho_sum, states=states, run=run,
                   jumps=jumps, absorbed=absorbed)
 
 
@@ -924,16 +1202,22 @@ def _reduce(entries: list, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jump_free_branch(mach: _Machinery) -> ConditionalBranch:
-    """The seedless batch of one on built blocks, reduced on the block it
-    never leaves."""
-    batch = _propagate(mach, record=True, what="the jump-free branch")
+def _jump_free_branch(mach: _Machinery, run: Optional[_FreeRun] = None) -> ConditionalBranch:
+    """The jump-free run on built blocks, written to the end of the grid and
+    reduced on the block it never leaves: ``run``, an ensemble's, goes on
+    from the sample where the ensemble left it, else a new run starts."""
+    dims = [len(blk.index) for blk in mach.blocks]
+    check_budget(batch_bytes(1, len(mach.names), mach.grid.n_samples, dims, record=True),
+                 "the jump-free branch: recorded states and norms, live states")
+    if run is None:
+        run = _FreeRun(mach)
+    run.advance()
     start = mach.structure.start
     index = mach.blocks[start].index
     # each support as basis columns of the recorded states: the block is not copied out
     values = _reduce([(index[support], op) for support, op in mach.block_obs[start]],
-                     batch.states)
-    return ConditionalBranch(states=batch.states, survival=batch.survival,
+                     run.states)
+    return ConditionalBranch(states=run.states, survival=run.survival,
                              observables=dict(zip(mach.names, np.ascontiguousarray(values.T))))
 
 
@@ -943,7 +1227,7 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
                    ) -> ConditionalBranch:
     """Evolve the jump-free branch: decaying norm plus renormalized states.
 
-    It is the seedless batch of one in ``_propagate``'s loop, rescaled
+    It is the jump-free run the trajectories share (``_FreeRun``), rescaled
     whenever its squared norm falls below ``_RESCALE_FLOOR``.  With
     ``collapse = ()`` this is the closed-system evolution.  A caller
     that has run ``mcwf_ensemble`` on the same inputs gets the same branch,
@@ -1002,7 +1286,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     return EnsembleResult(mean_observables=means, stderr=stderr, rho_blocks=rho_blocks,
                           jumps_per_channel=np.repeat(counts, copies, axis=0),
                           absorbing_entry=np.repeat(batch.absorbed, copies),
-                          _machinery=mach)
+                          _machinery=mach, _run=batch.run)
 
 
 # ---------------------------------------------------------------------------

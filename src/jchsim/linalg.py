@@ -82,11 +82,16 @@ def reals(values, field: str, **bounds) -> tuple:
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a square, finite, C-contiguous complex128 matrix."""
+    """Coerce to a square, finite, C-contiguous complex128 matrix.
+
+    Finiteness is read off the least and greatest float of the entries,
+    which NaN propagates to, so the check forms no temporary of the
+    matrix's size."""
     a = np.ascontiguousarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SizeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    flat = a.view(np.float64)
+    if a.size and not (math.isfinite(flat.min()) and math.isfinite(flat.max())):
         raise ValueError("matrix contains non-finite entries")
     return a
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from jchsim.model import (ModelParams, ReducedSpace, build_reduced_model, excita
                           prepare_product_polariton_state, site_operators)
 from jchsim.observables import ProjectorSpec, block_negativity
 from jchsim.presets import load_preset
+from jchsim.runner import run_scenario
 
 from conftest import (build_full_hamiltonian, dense_stack, poly_value, restrict,
                       total_excitation_operator, two_site_model)
@@ -405,6 +407,27 @@ class TestNormPolynomial:
                     inside += 1e-10 < tau < frac - 1e-10
         assert inside > 20 * len(norm_polynomial_blocks())
 
+    def test_stacked_powers_give_each_row_its_own_flow_and_polynomial(self):
+        # the first-jump pass takes _powers of a stack of rows, each with its own
+        # time into the step: the flow is elementwise, so each row's is the one
+        # of its own slice of the stack bitwise, and the powers and polynomial of
+        # the row alone agree with the stack's to roundoff
+        rng = np.random.default_rng(23)
+        for gen, dt in norm_polynomial_blocks():
+            k = gen.shape[0]
+            rows = rng.normal(size=(7, k)) + 1j * rng.normal(size=(7, k))
+            tau = dt * rng.uniform(size=7)
+            stack = dynamics._powers(gen, rows)
+            assert stack.shape == (5, 7, k)
+            flows = _taylor_flow(stack, tau[:, None])
+            coeffs = _flow_norm2_poly(stack)
+            for i in range(7):
+                assert np.array_equal(flows[i], _taylor_flow(stack[:, i], tau[i]))
+                powers = dynamics._powers(gen, rows[i])
+                assert np.abs(powers - stack[:, i]).max() <= 1e-13 * np.abs(powers).max()
+                alone = _flow_norm2_poly(powers)
+                assert np.abs(coeffs[i] - alone).max() <= 1e-13 * np.abs(alone).max()
+
 
 def dense_superoperator(h, collapse):
     """The master-equation generator on all of row-major vec(ρ), written out."""
@@ -775,12 +798,23 @@ class TestTrajectories:
 
     def test_underflow_within_one_interval_raises(self):
         # e^(-2 gamma t) over one 1500-long sample interval is below the
-        # smallest double: an error, not a row of NaN
-        h, collapse, _ = damped_mode(gamma=0.25)
+        # smallest double: an error, not a row of NaN.  Every trajectory leaves
+        # the jump-free run within that interval, so the ensemble runs, and an
+        # ensemble's branch raises as the branch alone does
+        h, collapse, a = damped_mode(gamma=0.25)
         psi0 = np.zeros(4, dtype=np.complex128)
         psi0[2] = 1.0
-        with pytest.raises(IntegratorError, match="underflowed"):
-            no_jump_branch(h, collapse, psi0, TimeGrid(t_end=3000.0, n_samples=3))
+        for n_samples in (2, 3):
+            grid = TimeGrid(t_end=1500.0 * (n_samples - 1), n_samples=n_samples)
+            with pytest.raises(IntegratorError, match="underflowed"):
+                no_jump_branch(h, collapse, psi0, grid)
+            ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=5, master_seed=1,
+                                observables={"n": a.conj().T @ a})
+            assert ens.jumps_per_channel.sum() == 10
+            assert np.allclose(ens.mean_observables["n"], [2.0] + [0.0] * (n_samples - 1),
+                               rtol=0.0, atol=1e-15)
+            with pytest.raises(IntegratorError, match="underflowed"):
+                ens.jump_free_branch()
 
     def test_norm_loss_where_no_channel_acts_raises(self):
         # |R|^2 = 1 - 1/72 + 1/576 per step at |dt (H - c)| = 1: no channel acts
@@ -846,6 +880,22 @@ class TestTrajectories:
         branch = no_jump_branch(model.h, model.collapse, psi0, grid)
         assert np.all(np.diff(branch.survival) < 0) and branch.survival[0] == pytest.approx(1.0)
         mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=20, master_seed=1)
+
+    def test_overflowing_step_raises_without_a_warning(self):
+        # at hop 1e80 the Taylor step overflows to inf and NaN; each route
+        # refuses it when its blocks are built, and nothing warns before that
+        _, model, psi0 = two_site_model(hop=1e80, gamma=0.05)
+        grid = TimeGrid(t_end=20.0, n_samples=21, dt=0.005)
+        message = (r"^a step can multiply the jump-free squared norm by inf; "
+                   r"dt = 0\.005 is too coarse for the spectrum of H$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: mcwf_ensemble(model.h, model.collapse, psi0, grid,
+                                              n_traj=20, master_seed=1),
+                        lambda: mcwf_trajectory(model.h, model.collapse, psi0, grid, seed=1),
+                        lambda: no_jump_branch(model.h, model.collapse, psi0, grid)):
+                with pytest.raises(IntegratorError, match=message):
+                    run()
 
     @pytest.mark.parametrize("case, runs", [
         ("hop 250", True), ("hop 282", True), ("hop 283", False), ("hop 285", False),
@@ -1069,6 +1119,109 @@ class TestSharedBlocks:
             assert not values[:, left].any()
 
 
+def _captured_batches(monkeypatch) -> list:
+    """The ``_Batch`` of every ``_propagate`` call from here on."""
+    batches, propagate = [], dynamics._propagate
+
+    def kept(*args, **kwargs):
+        batches.append(propagate(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(dynamics, "_propagate", kept)
+    return batches
+
+
+class TestFirstJumps:
+    def test_unjumped_columns_read_the_jump_free_run(self, monkeypatch):
+        # fig2 from |2-, G>: every first jump leaves the 8-state start block.  Up to
+        # the sample at which a trajectory joins its new block, its values are the
+        # branch's P_cond, and ρ̄'s start block is the count of such trajectories
+        # times ψ_c ψ_c†
+        config, model, psi0 = preset_problem("fig2")
+        grid = config.grid
+        batches = _captured_batches(monkeypatch)
+        ens = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=60, master_seed=1,
+                            observables=preset_projectors(config, model), keep_rho=True)
+        (batch,) = batches
+        branch = ens.jump_free_branch()
+        cond = np.array(list(branch.observables.values()))          # (n_obs, n_samples)
+        joined = np.array([np.searchsorted(grid.times, record[0][0]) for record in batch.jumps])
+        assert 1 <= joined.min() and joined.max() < grid.n_samples
+        for values, s_j in zip(batch.values, joined):
+            assert np.abs(values[:, :s_j] - cond[:, :s_j]).max() <= 1e-15
+        mach = ens._machinery
+        start = mach.structure.start
+        index = mach.blocks[start].index
+        offsets = mach.structure.offsets
+        entries = ens.rho_blocks.entries[:, offsets[start]:offsets[start + 1]]
+        for s in range(grid.n_samples):
+            left = np.count_nonzero(joined > s)
+            psi = branch.states[s, index]
+            want = left / 60 * np.outer(psi, psi.conj()).ravel()
+            assert np.abs(entries[s] - want).max() <= 1e-15, s
+
+    def test_first_jump_back_into_the_start_block_matches_replays(self, monkeypatch):
+        # ψ0 spans one and two excitations, so the whole model is one block and
+        # every jump lands back in it: a column joins it as a row after its first
+        # jump, and is the trajectory mcwf_trajectory replays for its seed
+        h, collapse, psi0, grid, obs = _branch_case("two_sectors")
+        mach = _build_machinery(h, collapse, psi0, grid)
+        assert len(mach.blocks) == 1 and mach.blocks[0].targets == (0, 0)
+        batches = _captured_batches(monkeypatch)
+        ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=16, master_seed=3,
+                            observables=obs)
+        (batch,) = batches
+        assert (ens.jumps_per_channel.sum(axis=1) >= 2).any()
+        per_traj = []
+        for j in range(16):
+            replay = mcwf_trajectory(h, collapse, psi0, grid, (3, j))
+            assert [c for _, c in batch.jumps[j]] == [c for _, c in replay.jumps]
+            if replay.jumps:
+                assert np.abs(np.subtract(batch.jumps[j], replay.jumps)).max() < 1e-10
+            per_traj.append([_batched_expectation(replay.states, op) for op in obs.values()])
+        means = np.mean(per_traj, axis=0)
+        for o, key in enumerate(obs):
+            assert np.abs(ens.mean_observables[key] - means[o]).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["fig2", "two_sectors"])
+    def test_no_column_is_a_start_block_row_before_its_first_jump(self, monkeypatch, name):
+        h, collapse, psi0, grid, obs = _branch_case(name)
+        start = _build_machinery(h, collapse, psi0, grid).structure.start
+        seen = []
+        stride = dynamics._stride
+
+        def checked(mach, groups, s, pending, rngs, jumps, *rest):
+            if start in groups:
+                seen.extend(len(jumps[j]) for j in groups[start][0])
+            return stride(mach, groups, s, pending, rngs, jumps, *rest)
+
+        monkeypatch.setattr(dynamics, "_stride", checked)
+        ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=30, master_seed=2,
+                            observables=obs)
+        assert ens.jumps_per_channel.sum() > 30
+        assert min(seen, default=1) >= 1
+        assert bool(seen) == (name == "two_sectors")
+
+    def test_scenario_writes_each_jump_free_sample_once(self, monkeypatch):
+        # the ensemble writes its run until every trajectory has left it; the
+        # branch goes on from there, on the same run
+        written = []
+        advance = dynamics._FreeRun.advance
+
+        def traced(run, *args):
+            before = run.done
+            advance(run, *args)
+            written.append((run, before, run.done))
+
+        monkeypatch.setattr(dynamics._FreeRun, "advance", traced)
+        config = load_preset("fig2").with_overrides(n_traj=40).scenarios[0]
+        result = run_scenario(config)
+        n = config.grid.n_samples
+        (run, first, stop), (again, resume, end) = written
+        assert again is run and (first, resume, end) == (0, stop, n) and 1 < stop < n
+        assert result.columns["survival"] is run.survival
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_at_blas_threads(threads):
     """``lindblad_evolve`` on two sites at n_max = 4 from |4-, G> (blocks of 1, 4,
@@ -1175,7 +1328,8 @@ class TestMemoryGuards:
         # 10⁶ trajectories of 41 samples of one observable on a 4-dim model of
         # four one-state blocks: 10⁶ · (41 · 8 + (4 + 4 · 1) · 16 + 1 536 + 3 · 96)
         # bytes of rows, live states with their stride copies, objects and jump
-        # records
+        # records; the jump-free run's 41 states and survivals, 41 · (4 · 16 + 8);
+        # and one chunk of the first-jump pass, 6 241 rows of 10 · 16 + 512 bytes
         h, collapse, a = damped_mode()
         psi0 = np.zeros(4, dtype=np.complex128)
         psi0[2] = 1.0
@@ -1188,8 +1342,8 @@ class TestMemoryGuards:
         tracemalloc.start()
         try:
             with pytest.raises(SizeError, match=r"the ensemble of 1000000 trajectories: "
-                                                r"observable rows, live states needs "
-                                                r"2280000000 bytes"):
+                                                r"the jump-free run, observable rows, live "
+                                                r"states needs 2284196904 bytes"):
                 mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
                               n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
             peak = tracemalloc.get_traced_memory()[1]
@@ -1218,7 +1372,9 @@ class TestMemoryGuards:
         # 10 000 trajectories of a damped mode from two photons: each holds a
         # Generator, its seed tuple and a jump list, about 1.1 KB of Python
         # objects against 64 bytes of state, 64 of stride copies and 24 of
-        # observable rows
+        # observable rows; the jump-free run keeps 3 states of 4 amplitudes and
+        # their survivals, and the first-jump pass takes chunks of 6 241 rows of
+        # 672 bytes
         h, collapse, a = damped_mode()
         psi0 = np.zeros(4, dtype=np.complex128)
         psi0[2] = 1.0
@@ -1234,26 +1390,40 @@ class TestMemoryGuards:
         finally:
             tracemalloc.stop()
         assert (ens.jumps_per_channel.sum(axis=1) == 2).any()
-        assert counts == [10_000 * (3 * 8 + (4 + 4 * 1) * 16 + 1536 + 3 * 96)]
+        assert counts == [10_000 * (3 * 8 + (4 + 4 * 1) * 16 + 1536 + 3 * 96)
+                          + 3 * (4 * 16 + 8) + 6241 * (10 * 16 + 512)]
         assert peak < counts[0]
 
-        # n3 and n4 over their first 40 samples, where rows of their top blocks
-        # of 38 and 192 states cross and jump: the rows, their products, the
-        # copies that stay and the arrivals in the next sector.  The batch's
-        # own peak, above what its blocks already hold
-        peaks = []
-        propagate = dynamics._propagate
+        # n3 and n4 over their first 40 samples, where the first jumps out of
+        # their top blocks of 38 and 192 states are resolved in one pass, in
+        # chunks of 636 and 134 rows, and rows of the next sectors cross and
+        # jump: the rows, their products, the copies that stay and the arrivals
+        # in the next sector.  The batch's own peak, above what its blocks
+        # already hold, and the pass's, above the arrivals it hands on
+        peaks, passes, highs = [], [], []
+        propagate, first_jumps = dynamics._propagate, dynamics._first_jumps
 
         def traced(*args, **kwargs):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+            highs.clear()
             batch = propagate(*args, **kwargs)
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            peaks.append(max([tracemalloc.get_traced_memory()[1]] + highs) - start)
             return batch
 
+        def traced_pass(*args):
+            highs.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            joins = first_jumps(*args)
+            now, peak = tracemalloc.get_traced_memory()
+            passes.append(peak - now)
+            highs.append(peak)
+            return joins
+
         monkeypatch.setattr(dynamics, "_propagate", traced)
-        for name, n_traj, dims in (("n3", 600, [1, 6, 18, 38]),
-                                   ("n4", 600, [1, 8, 32, 88, 192])):
+        monkeypatch.setattr(dynamics, "_first_jumps", traced_pass)
+        for name, n_traj, dims, chunk in (("n3", 600, [1, 6, 18, 38], 600),
+                                          ("n4", 600, [1, 8, 32, 88, 192], 134)):
             config, model, psi0 = preset_problem(name)
             grid = TimeGrid(t_end=39 * config.grid.spacing, n_samples=40, dt=config.grid.dt)
             counts.clear()
@@ -1264,16 +1434,21 @@ class TestMemoryGuards:
             finally:
                 tracemalloc.stop()
             assert ens.jumps_per_channel.sum() > n_traj
-            assert counts == [n_traj * (2 * 40 * 8 + (sum(dims) + 4 * max(dims)) * 16 + 1536
-                                        + (len(dims) - 1) * 96)]
+            k = max(dims)
+            first_pass = chunk * (10 * k * 16 + 512)
+            assert counts == [n_traj * (2 * 40 * 8 + (sum(dims) + 4 * k) * 16 + 1536
+                                        + (len(dims) - 1) * 96)
+                              + 40 * (sum(dims) * 16 + 8) + first_pass]
             assert peaks[-1] < counts[0], name
+            assert passes[-1] < first_pass, name
 
     def test_jump_free_branch_peaks_below_its_count(self, monkeypatch):
         # the recorded states and survival, 560 · (dim · 16 + 8) bytes, and the
         # reduction's temporaries, counted on the largest block, where the
         # supports of the preset projectors hold at most 4, 8 and 16 states;
         # the reduction reads each support as basis columns of the recorded
-        # states, so the start block is never copied out of them
+        # states, so the start block is never copied out of them.  The branch
+        # counts as a batch of one, with one row of the first-jump pass
         counts = []
         guard = dynamics.check_budget
         monkeypatch.setattr(dynamics, "check_budget",
@@ -1293,7 +1468,8 @@ class TestMemoryGuards:
                 tracemalloc.stop()
             n_obs, k = len(observables), max(dims)
             assert counts == [560 * (sum(dims) * 16 + 8 + 3 * k * 16 + 16 + 2 * n_obs * 8)
-                              + (sum(dims) + 4 * k) * 16 + 1536 + (len(dims) - 1) * 96]
+                              + (sum(dims) + 4 * k) * 16 + 1536 + (len(dims) - 1) * 96
+                              + 10 * k * 16 + 512]
             assert peak <= counts[0], name
 
     def test_keep_rho_over_budget_raises_before_allocating(self):
@@ -1304,18 +1480,20 @@ class TestMemoryGuards:
         grid = TimeGrid(t_end=1500.0, n_samples=601, dt=0.005)
         # blocks of 1, 8, 32, 88 and 192 states: (601 + 1) · 45 697 · 16 bytes for
         # ρ̄'s entries, rows and columns, 2 · (321 + 4 · 192) · 16 for the live
-        # states and their stride copies, and 2 · (1 536 + 4 · 96) for the
-        # trajectories' objects and jump records
+        # states and their stride copies, 2 · (1 536 + 4 · 96) for the
+        # trajectories' objects and jump records, 601 · (321 · 16 + 8) for the
+        # jump-free run and 2 · (10 · 192 · 16 + 512) for the first-jump pass
         with pytest.raises(SizeError, match=r"live states, ρ̄'s block entries over 601 samples "
-                                            r"needs 440192192 bytes"):
+                                            r"needs 443346200 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)
 
     def test_record_paths_and_negativity_raise_before_allocating(self, monkeypatch):
         # fig2: a recorded run keeps 560 states of 13 amplitudes and a survival
         # a sample, 560 · (13 · 16 + 8) bytes, its live state and stride
-        # copies, (13 + 4 · 8) · 16, and its objects and a jump record for each of
-        # two sectors, 1 536 + 2 · 96;
+        # copies, (13 + 4 · 8) · 16, its objects and a jump record for each of
+        # two sectors, 1 536 + 2 · 96, and one row of the first-jump pass,
+        # 10 · 8 · 16 + 512;
         # ρ̄'s partial transpose has blocks of at most 9 states, held twice with
         # their eigenvalues: 560 · (2 · 9² + 9) · 16 bytes
         config, model, psi0 = preset_problem("fig2")
@@ -1328,7 +1506,7 @@ class TestMemoryGuards:
 
         monkeypatch.setattr(dynamics, "_stride", never)
         monkeypatch.setattr(np.linalg, "eigvalsh", never)
-        record = 560 * (13 * 16 + 8) + (13 + 4 * 8) * 16 + 1536 + 2 * 96
+        record = 560 * (13 * 16 + 8) + (13 + 4 * 8) * 16 + 1536 + 2 * 96 + 10 * 8 * 16 + 512
         calls = [
             (record, "the jump-free branch", ens.jump_free_branch),
             (record, "the jump-free branch",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -48,7 +49,6 @@ class TestHermitian:
 
     def test_no_dim_squared_temporaries(self):
         # a 925-dim complex matrix takes 13.7 MB; the check holds under a quarter
-        import tracemalloc
         rng = np.random.default_rng(3)
         a = rng.normal(size=(925, 925)) + 1j * rng.normal(size=(925, 925))
         a = np.ascontiguousarray(a + a.conj().T)
@@ -63,6 +63,28 @@ class TestHermitian:
     def test_as_complex_matrix_rejects_nonsquare(self):
         with pytest.raises(SizeError):
             as_complex_matrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                     complex(1.0, -math.inf)])
+    def test_as_complex_matrix_rejects_non_finite_entries(self, bad):
+        m = np.eye(3, dtype=np.complex128)
+        m[2, 1] = bad
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            as_complex_matrix(m)
+
+    def test_as_complex_matrix_takes_the_empty_matrix(self):
+        assert as_complex_matrix(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_finiteness_check_forms_no_matrix_sized_temporary(self):
+        # n4's 321 states: a finiteness mask of the floats would be 206 KB
+        a = np.ones((321, 321), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            assert as_complex_matrix(a) is a
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 321 ** 2
 
 
 class TestMinLabels:
