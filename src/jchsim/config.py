@@ -392,8 +392,9 @@ class ScenarioConfig:
                  (model_keys, model_bytes(params, max_exc), "H and the loss operators"),
                  ("observables.projectors", model_bytes(params, max_exc, n_obs),
                   "the projectors"),
-                 (model_keys, batch_bytes(1, n_obs, n, sectors, record=True),
-                  "the jump-free branch")]
+                 # the branch writes on the ensemble's run, counted below: it adds its reduction
+                 (model_keys, batch_bytes(1, n_obs, n, sectors, record=True)
+                  - batch_bytes(1, 0, n, sectors, record=True), "the jump-free branch")]
         if self.compute_negativity:
             block = transpose_block_bound(params.n_sites, max_exc, self.bipartition_cut)
             terms += [("observables.negativity", rho_bytes(n, sectors),

@@ -14,19 +14,18 @@ photon loss lowers it by one); a model without such structure is one
 block.  A block on which every L vanishes, such as the vacuum, is
 absorbing: nothing leaves it, so a state in one takes no jump test.
 
-The loop is time-major: it advances a batch of columns, each one
-pure-state evolution, through the samples together.  Until its first jump
-every column is the same state, the jump-free branch ψ̃(t), so the batch
-runs that state once (``_FreeRun``), and a column that has not jumped
-reads it: its values are the branch's, and its share of ρ̄ is ψ_cψ_c†.
-After its first jump a column is grouped with the others in the block it
-occupies, so each stride is one matrix product per occupied block, and
-each sample's observables are reduced for all of a block's rows at once.
-``mcwf_ensemble`` is a batch of ``n_traj`` trajectories and
-``mcwf_trajectory`` a batch of one; the jump-free branch is the run alone,
-and an ensemble's branch is its trajectories' run, written on to the end
-of the grid.  Every trajectory keeps its own random stream and draw order,
-so it is the same whatever else runs in its batch.
+The loop is block-major: it finishes one block over the whole grid
+before it starts the next.  Until its first jump every column of a batch
+is the jump-free branch ψ̃(t), so the batch runs that state once
+(``_FreeRun``), and a column that has not jumped reads it.  Each later
+block is swept over the grid with the columns that land in it, one
+product a sample for all of its rows, reduced at once.  A block is swept
+after every other block that maps into it (``_sweep_order``), and again
+while columns re-enter it.  ``mcwf_ensemble`` is a batch of ``n_traj``
+trajectories and ``mcwf_trajectory`` a batch of one; an ensemble's branch
+is its trajectories' run, written on to the end of the grid.  Every
+trajectory keeps its own random stream and draw order, so it is the same
+whatever else runs in its batch.
 
 Where the blocks lie depends only on where H, the collapse operators and
 ψ0 are nonzero; ``block_structure`` reads that into a ``BlockStructure``,
@@ -51,15 +50,14 @@ running sum, runs on Python floats: on the two-site blocks of 4 and 8
 states a NumPy call costs more than the arithmetic it would do.
 
 The first jumps are read off the shared run (Dalibard, Castin & Mølmer,
-PRL 68, 580 (1992): the waiting time is where the jump-free norm falls to
-the threshold).  The run is written until its survival is at or below
-every column's first threshold, each column's crossing interval is found
-in one comparison with the survival, and all first crossings are resolved
-ahead of the strides in one pass (``_first_jumps``): one descent and one
-jump step for all the rows at once, each row against its own threshold,
-with each row's bisection and draw as above, and the rest of each
-interval for each target block's rows at once.  Later crossings are
-resolved one row at a time, in ``_stride``.
+PRL 68, 580 (1992)): each column's crossing interval is one comparison
+with the survival.  In a later block, a row whose squared norm falls to
+its threshold leaves the sweep with its state at the start of that
+interval.  Each block's crossings are resolved in one pass
+(``_jump_pass``; Radaelli, Landi & Binder, arXiv:2303.15405): one descent
+and one jump step for all the rows, each row's bisection and draw as
+above.  A column sits in one block at a time, so its jumps come in time
+order.
 
 The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
 ρ0's support in one block.  ρ then stays block-diagonal, so only the
@@ -687,12 +685,9 @@ def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: fl
     the state at the end of the interval, the pending threshold and the
     block the state then occupies.
     """
-    n_fine, dt = grid.n_fine, grid.dt
-    r = float(r)
+    n_fine, dt, r = grid.n_fine, grid.dt, float(r)
     while done < n_fine:
-        if np.vdot(work, work).real < _NORM_UNDERFLOW:
-            raise IntegratorError(
-                "state norm fell below 1e-14 before the jump threshold was reached")
+        _underflowed(np.vdot(work, work).real)
         r_pows = mach.blocks[b].r_pows
         for p in range((n_fine - done).bit_length() - 1, -1, -1):
             if done + (1 << p) <= n_fine:
@@ -735,8 +730,7 @@ class _FreeRun:
     the state is rescaled below ``_RESCALE_FLOOR`` with the factor carried
     in the survival, so rows stay finite.  ``states`` (normalized, zero off
     the block) and ``survival`` hold the first ``done`` samples.  A block no
-    channel acts on should keep the norm, so one whose state falls below
-    ``_RESCALE_FLOOR`` raises.
+    channel acts on should keep the norm (``_check_floor``).
     """
 
     def __init__(self, mach: _Machinery):
@@ -764,10 +758,7 @@ class _FreeRun:
             if s:
                 self.work = self.work @ blk.r_stride.T
             norm2 = _row_norm2(self.work)[0]
-            if blk.absorbing and not norm2 > _RESCALE_FLOOR:
-                raise IntegratorError(
-                    f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
-                    f"dt = {self.dt} is too coarse for the spectrum of H")
+            _check_floor(blk, norm2, self.dt)
             self.survival[s] = self.carried * norm2
             self.done = s + 1
             if not norm2 > 0.0:
@@ -782,100 +773,101 @@ class _FreeRun:
                                   "sample interval; use a smaller sample spacing")
 
 
-def _first_jumps(mach: _Machinery, run: _FreeRun, cols: np.ndarray, first: np.ndarray,
-                 pending: np.ndarray, rngs, jumps: list) -> dict:
-    """Resolve the first crossing of each column of ``cols``, which leaves
-    the jump-free ``run`` in the interval that ends at its sample ``first``.
-    Returns where each column stands at that sample, as ``_stride`` takes
-    arrivals: ``{sample: {block: [(column, state), ...]}}``.
+def _check_floor(blk: _Block, norm2, dt: float) -> None:
+    """Raise ``IntegratorError`` if any of ``norm2`` fell below ``_RESCALE_FLOOR``
+    in a block no channel acts on."""
+    if blk.absorbing and not norm2.min() > _RESCALE_FLOOR:
+        raise IntegratorError(f"the norm of a state no channel acts on fell below "
+                              f"{_RESCALE_FLOOR}; dt = {dt} is too coarse for the spectrum of H")
 
-    A column is the run's state until its first jump, so its row is read
-    off the run, normalized, at the start of its interval, and its
-    threshold divided by the survival there.  The columns go in chunks of
-    ``_pass_rows`` rows.  A chunk takes one dyadic descent on the start
-    block (``_descend``), each row against its own threshold, and one
-    batched step: the Taylor powers, the step-end flow and the norm
-    polynomials.  Each row's crossing is bisected and its channel drawn as
-    ``_jumps_in_step`` does, from its own Generator and in its own order.
-    The rest of the interval then runs for each target block's rows at
-    once (``_finish_interval``).  A row that crosses again there, or that
-    by roundoff does not cross in the step the descent left it at, goes on
-    alone through ``_resolve_stride``.
+
+def _underflowed(norm2) -> None:
+    """Raise ``IntegratorError`` if any of ``norm2`` is below ``_NORM_UNDERFLOW``."""
+    if (np.asarray(norm2) < _NORM_UNDERFLOW).any():
+        raise IntegratorError(
+            "state norm fell below 1e-14 before the jump threshold was reached")
+
+
+def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows: np.ndarray,
+               r: np.ndarray, pending: np.ndarray, rngs, jumps: list, arrivals: dict) -> None:
+    """Resolve in one pass the crossing of each column of ``cols`` out of
+    block ``b``: row i of ``rows`` is column ``cols[i]``'s state at sample
+    ``s0[i]``, which starts the interval where its squared norm falls to
+    ``r[i]``.
+
+    The rows take one dyadic descent (``_descend``), each against its own
+    threshold, and one batched step: the Taylor powers, the step-end flow
+    and the norm polynomials.  Each row's crossing is bisected and its
+    channel drawn as ``_jumps_in_step`` does, from its own Generator.  The
+    rest of the interval runs for each target block's rows at once
+    (``_finish_interval``).  A row that crosses again there, or that by
+    roundoff does not cross in the step the descent left it at, goes on
+    alone through ``_resolve_stride``.  Each column joins its block's
+    ``arrivals``.
     """
-    grid, blk = mach.grid, mach.blocks[mach.structure.start]
+    grid, blk = mach.grid, mach.blocks[b]
     n_fine, dt = grid.n_fine, grid.dt
-    joins: dict = {}
+    t0 = grid.t_start + s0 * grid.spacing
+    done = np.zeros(len(cols), dtype=np.int64)
+    _descend(blk.r_pows, rows, r, done, n_fine)
+    hit = np.flatnonzero(done < n_fine)
+    powers = _powers(blk.gen, rows[hit])
+    crossed = ~(_row_norm2(_taylor_flow(powers, dt)) > r[hit])
+    coeffs = _flow_norm2_poly(powers)
+    tau = np.zeros(len(hit))
+    for i in np.flatnonzero(crossed):
+        tau[i] = _crossing_time(coeffs[i].tolist(), dt, float(r[hit[i]]))
+    phi = _taylor_flow(powers, tau[:, None])
+    del powers
+    norms = np.stack([_row_norm2(phi @ jump.T) for jump in blk.jumps], axis=1)
+    chans = np.full(len(hit), -1)
+    for i in np.flatnonzero(crossed):
+        j = cols[hit[i]]
+        chans[i] = _channel(norms[i].tolist(), rngs[j])
+        jumps[j].append((float(t0[hit[i]] + done[hit[i]] * dt) + float(tau[i]), int(chans[i])))
+        pending[j] = _threshold(rngs[j])
+    moved: dict = {}
+    for chan, (jump, dest) in enumerate(zip(blk.jumps, blk.targets)):
+        sel = np.flatnonzero(chans == chan)
+        if len(sel):
+            states = (phi[sel] @ jump.T) * (1.0 / np.sqrt(norms[sel, chan]))[:, None]
+            moved.setdefault(dest, []).append((hit[sel], states, tau[sel]))
+    del phi
+    for dest, parts in moved.items():
+        rows_in, states, taus = (np.concatenate(side) for side in zip(*parts))
+        _finish_interval(mach, dest, cols[rows_in], states, taus, done[rows_in], s0[rows_in],
+                         pending, rngs, jumps, arrivals)
+    # the rows whose own steps did not cross in this interval, or not in the step
+    # the descent left them at
+    alone = done == n_fine
+    alone[hit[~crossed]] = True
+    for i in np.flatnonzero(alone):
+        j = cols[i]
+        state, pending[j], dest = _resolve_stride(mach, b, rows[i], r[i], float(t0[i]), grid,
+                                                  rngs[j], jumps[j], int(done[i]))
+        _arrive(arrivals, dest, cols[i:i + 1], s0[i:i + 1], state[None])
 
-    def join(j, b, state):
-        joins.setdefault(int(first[j]), {}).setdefault(b, []).append((j, state))
 
-    chunk_rows = _pass_rows(max(len(part.index) for part in mach.blocks))
-    for lo in range(0, len(cols), chunk_rows):
-        chunk = cols[lo:lo + chunk_rows]
-        s0 = first[chunk] - 1
-        survival = run.survival[s0]
-        if (survival < _NORM_UNDERFLOW).any():
-            raise IntegratorError(
-                "state norm fell below 1e-14 before the jump threshold was reached")
-        rows = run.states[s0[:, None], blk.index]
-        r = pending[chunk] / survival
-        t0 = grid.t_start + s0 * grid.spacing
-        done = np.zeros(len(chunk), dtype=np.int64)
-        _descend(blk.r_pows, rows, r, done, n_fine)
-        hit = np.flatnonzero(done < n_fine)
-        powers = _powers(blk.gen, rows[hit])
-        crossed = ~(_row_norm2(_taylor_flow(powers, dt)) > r[hit])
-        coeffs = _flow_norm2_poly(powers)
-        tau = np.zeros(len(hit))
-        for i in np.flatnonzero(crossed):
-            tau[i] = _crossing_time(coeffs[i].tolist(), dt, float(r[hit[i]]))
-        phi = _taylor_flow(powers, tau[:, None])
-        del powers
-        norms = np.stack([_row_norm2(phi @ jump.T) for jump in blk.jumps], axis=1)
-        chans = np.full(len(hit), -1)
-        for i in np.flatnonzero(crossed):
-            j = chunk[hit[i]]
-            chans[i] = _channel(norms[i].tolist(), rngs[j])
-            jumps[j].append((float(t0[hit[i]] + done[hit[i]] * dt) + float(tau[i]),
-                             int(chans[i])))
-            pending[j] = _threshold(rngs[j])
-        moved: dict = {}
-        for chan, (jump, dest) in enumerate(zip(blk.jumps, blk.targets)):
-            sel = np.flatnonzero(chans == chan)
-            if len(sel):
-                states = (phi[sel] @ jump.T) * (1.0 / np.sqrt(norms[sel, chan]))[:, None]
-                moved.setdefault(dest, []).append((hit[sel], states, tau[sel]))
-        del phi
-        for dest, parts in moved.items():
-            rows_in, states, taus = (np.concatenate(side) for side in zip(*parts))
-            _finish_interval(mach, dest, chunk[rows_in], states, taus, done[rows_in],
-                             t0[rows_in], pending, rngs, jumps, join)
-        # the rows whose own steps did not cross in this interval, or not in the step
-        # the descent left them at
-        alone = done == n_fine
-        alone[hit[~crossed]] = True
-        for i in np.flatnonzero(alone):
-            j = chunk[i]
-            state, pending[j], b = _resolve_stride(mach, mach.structure.start, rows[i], r[i],
-                                                   float(t0[i]), grid, rngs[j], jumps[j],
-                                                   int(done[i]))
-            join(j, b, state)
-    return joins
+def _arrive(arrivals: dict, b: int, cols: np.ndarray, s0: np.ndarray, states: np.ndarray):
+    """Add ``cols`` to block ``b``'s arrivals, with their ``states`` there,
+    at the end samples ``s0 + 1`` of their intervals."""
+    if len(cols):
+        arrivals.setdefault(b, []).append((cols, s0 + 1, states))
 
 
 def _finish_interval(mach: _Machinery, b: int, cols: np.ndarray, states: np.ndarray,
-                     tau: np.ndarray, done: np.ndarray, t0: np.ndarray, pending: np.ndarray,
-                     rngs, jumps: list, join) -> None:
-    """The rest of the interval for ``_first_jumps``' rows that jumped into
+                     tau: np.ndarray, done: np.ndarray, s0: np.ndarray, pending: np.ndarray,
+                     rngs, jumps: list, arrivals: dict) -> None:
+    """The rest of the interval for ``_jump_pass``' rows that jumped into
     block ``b``: row i, column ``cols[i]``, holds its new state ``tau[i]``
-    into its step ``done[i]`` of the interval that starts at ``t0[i]``.
-    The rest of the step is one batched flow, and the steps after it one
-    dyadic descent; a row that crosses its new threshold in either goes on
-    alone, through ``_jumps_in_step`` and ``_resolve_stride``.  Hands each
-    column, with its state at the end of the interval and the block it
-    then occupies, to ``join``."""
+    into its step ``done[i]`` of the interval that starts at sample
+    ``s0[i]``.  The rest of the step is one batched flow, and the steps
+    after it one dyadic descent; a row that crosses its new threshold in
+    either goes on alone, through ``_jumps_in_step`` and ``_resolve_stride``.
+    Each column joins its block's ``arrivals``."""
     grid, blk = mach.grid, mach.blocks[b]
     n_fine, dt = grid.n_fine, grid.dt
+    t0 = grid.t_start + s0 * grid.spacing
     r = pending[cols]
     end = _taylor_flow(_powers(blk.gen, states), (dt - tau)[:, None])
     above = _row_norm2(end) > r
@@ -883,14 +875,13 @@ def _finish_interval(mach: _Machinery, b: int, cols: np.ndarray, states: np.ndar
     go = np.flatnonzero(above)
     rows, left = end[go], steps[go]
     _descend(blk.r_pows, rows, r[go], left, n_fine)
-    for g, i in enumerate(go):
-        j = cols[i]
-        if left[g] < n_fine:
-            state, pending[j], dest = _resolve_stride(mach, b, rows[g], r[i], float(t0[i]),
-                                                      grid, rngs[j], jumps[j], int(left[g]))
-            join(j, dest, state)
-        else:
-            join(j, b, rows[g])
+    whole = left == n_fine
+    _arrive(arrivals, b, cols[go[whole]], s0[go[whole]], rows[whole])
+    for g in np.flatnonzero(~whole):
+        i, j = go[g], cols[go[g]]
+        state, pending[j], dest = _resolve_stride(mach, b, rows[g], r[i], float(t0[i]), grid,
+                                                  rngs[j], jumps[j], int(left[g]))
+        _arrive(arrivals, dest, cols[i:i + 1], s0[i:i + 1], state[None])
     for i in np.flatnonzero(~above):
         j = cols[i]
         state, r_j, dest = _jumps_in_step(mach, b, states[i], float(r[i]),
@@ -898,12 +889,12 @@ def _finish_interval(mach: _Machinery, b: int, cols: np.ndarray, states: np.ndar
                                           float(tau[i]))
         state, pending[j], dest = _resolve_stride(mach, dest, state, r_j, float(t0[i]), grid,
                                                   rngs[j], jumps[j], int(steps[i]))
-        join(j, dest, state)
+        _arrive(arrivals, dest, cols[i:i + 1], s0[i:i + 1], state[None])
 
 
 @dataclass(frozen=True)
 class _Batch:
-    """What ``_propagate`` returns for a batch of columns."""
+    """What ``_propagate`` returns for a batch of columns, written by its sweeps."""
 
     values: Optional[np.ndarray]     # (n_cols, n_observables, n_samples), reduced per sample
     rho_sum: Optional[np.ndarray]    # (n_samples, Σ_b k_b²): Σ over the rows of |ψ><ψ|
@@ -913,73 +904,100 @@ class _Batch:
     absorbed: np.ndarray             # (n_cols,) first sample in an absorbing block, or n_samples
 
 
-def _stride(mach: _Machinery, groups: dict, s: int, pending, rngs, jumps: list,
-            absorbed: np.ndarray, idle: set, arrivals: dict) -> dict:
-    """Advance every column one sample interval, into the sample ``s``.
+def _sweep_order(structure: BlockStructure) -> list:
+    """The blocks in the order ``_propagate`` sweeps them: each after every
+    other block that maps into it (``targets``); a cycle is entered at its
+    smallest block."""
+    feeds = [{t[b] for t in structure.targets} - {b} for b in range(len(structure.members))]
+    order, left = [], list(range(len(structure.members)))
+    while left:
+        fed = set().union(*(feeds[a] for a in left))
+        order.append(next((b for b in left if b not in fed), left[0]))
+        left.remove(order[-1])
+    return order
 
-    Each block's rows take one product with its stride propagator, except
-    in the ``idle`` blocks, which nothing leaves and whose rows nothing
-    reads.  The rows whose squared norm fell to their pending threshold redo
-    the interval one at a time in ``_resolve_stride`` with their own
-    Generator; a row that jumps into another block joins that block's rows,
-    which stay ordered by column, as do the ``arrivals``, ``{block:
-    [(column, state), ...]}``, the columns that join a block at ``s`` from
-    the jump-free run.  Returns the new groups.
+
+def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch, reduced: bool,
+           add: bool) -> tuple:
+    """Sweep block ``b`` over the grid with the columns of ``arrived``, chunks
+    of ``(columns, samples, states)``: each joins the block's rows, kept in
+    column order, at its sample.
+
+    Each sample is one product of the rows with the stride propagator,
+    then their reduction: a recorded row, else, if ``reduced``, the
+    observables and, with ρ̄ kept, one product written into the block's
+    slice, or added if ``add``.  A block no channel acts on takes no jump
+    test, and is not stepped if nothing reads its rows.  A row whose
+    squared norm falls to its threshold leaves the sweep.  Returns those
+    rows: columns, interval start samples and states there.
     """
-    grid = mach.grid
-    out = {}
-    for b, (cols, work, norm2) in groups.items():
-        if b in idle:
-            out[b] = (cols, work, norm2)
+    grid, blk = mach.grid, mach.blocks[b]
+    cols, at, states = (np.concatenate(side) for side in zip(*arrived))
+    order = np.lexsort((cols, at))
+    cols, at, states = cols[order], at[order], states[order]
+    if blk.absorbing:
+        batch.absorbed[cols] = at
+    held = [(cols[:0], at[:0], states[:0])]
+    if blk.absorbing and batch.states is None and batch.rho_sum is None and not reduced:
+        return held[0]
+    offsets, k = mach.structure.offsets, len(blk.index)
+    rows, work, norm2, lo = cols[:0], states[:0], np.empty(0), 0
+    for s in range(at[0], grid.n_samples):
+        if len(rows):
+            cand = work @ blk.r_stride.T
+            new2 = _row_norm2(cand)
+            out = None if blk.absorbing else ~(new2 > pending[rows])
+            if out is not None and out.any():
+                _underflowed(norm2[out])
+                held.append((rows[out], np.full(np.count_nonzero(out), s - 1), work[out]))
+                rows, cand, new2 = rows[~out], cand[~out], new2[~out]
+            work, norm2 = cand, new2
+        hi = at.searchsorted(s, "right")
+        if hi > lo:
+            rows = np.concatenate([rows, cols[lo:hi]])
+            by_col = np.argsort(rows, kind="stable")
+            rows, work = rows[by_col], np.concatenate([work, states[lo:hi]])[by_col]
+            norm2, lo = _row_norm2(work), hi
+        if not len(rows):
+            if lo == len(at):
+                break
             continue
-        blk = mach.blocks[b]
-        cand = work @ blk.r_stride.T
-        norm2 = _row_norm2(cand)
-        crossed = () if blk.absorbing else np.flatnonzero(~(norm2 > pending[cols]))
-        if len(crossed):
-            t0 = grid.t_start + (s - 1) * grid.spacing
-            stay = np.ones(len(cols), dtype=bool)
-            for i in crossed:
-                j = cols[i]
-                state, pending[j], dest = _resolve_stride(mach, b, work[i], pending[j], t0,
-                                                          grid, rngs[j], jumps[j])
-                if dest == b:
-                    cand[i], norm2[i] = state, np.vdot(state, state).real
-                else:
-                    stay[i] = False
-                    arrivals.setdefault(dest, []).append((j, state))
-            cols, cand, norm2 = cols[stay], cand[stay], norm2[stay]
-        if len(cols):
-            out[b] = (cols, cand, norm2)
-    for dest, moved in arrivals.items():
-        cols = np.array([j for j, _ in moved])
-        work = np.array([state for _, state in moved])
-        if mach.blocks[dest].absorbing:
-            absorbed[cols] = s
-        if dest in out:
-            old_cols, old_work, _ = out[dest]
-            cols = np.concatenate([old_cols, cols])
-            order = np.argsort(cols, kind="stable")
-            cols, work = cols[order], np.concatenate([old_work, work])[order]
-        out[dest] = (cols, work, _row_norm2(work))
-    return out
+        _check_floor(blk, norm2, grid.dt)
+        if batch.states is not None:
+            batch.states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
+        elif reduced or batch.rho_sum is not None:
+            normed = work * (1.0 / np.sqrt(norm2))[:, None]
+            if reduced:
+                batch.values[rows, :, s] = _reduce(mach.block_obs[b], normed)
+            if batch.rho_sum is not None:
+                block = batch.rho_sum[s, offsets[b]:offsets[b + 1]].reshape(k, -1)
+                product = np.matmul(normed.T, normed.conj(), out=None if add else block)
+                if add:
+                    block += product
+    return tuple(np.concatenate(side) for side in zip(*held))
 
 
-# the first-jump pass (``_first_jumps``) takes its columns in chunks of about this many bytes
+# the jump pass (``_jump_pass``) takes its rows in chunks of about this many bytes
 _PASS_BYTES = 1 << 22
 
 
 def _pass_row_bytes(k: int) -> int:
-    """Bytes one row of the first-jump pass holds at most, on blocks of at
-    most ``k`` states: its start-block row, the five Taylor powers with the
-    flow and its temporaries, or, in its target block, the powers, flow and
-    descent trials; and its scalars and norm polynomial."""
+    """Bytes one row of the jump pass holds at most, on blocks of at most
+    ``k`` states: its row, the Taylor powers with the flow and temporaries,
+    or, in its target block, the powers, flow and descent trials; and its
+    scalars and norm polynomial."""
     return 10 * k * 16 + 512
 
 
 def _pass_rows(k: int) -> int:
-    """Rows in one chunk of the first-jump pass on blocks of at most ``k`` states."""
+    """Rows in one chunk of the jump pass on blocks of at most ``k`` states."""
     return max(1, _PASS_BYTES // _pass_row_bytes(k))
+
+
+def _chunks(mach: _Machinery, n_rows: int) -> list:
+    """``n_rows`` rows of the jump pass as slices of ``_pass_rows`` rows."""
+    step = _pass_rows(max(len(blk.index) for blk in mach.blocks))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
@@ -988,30 +1006,29 @@ def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
     states: the jump-free run's states and survival at every sample, which a
     recorded column writes its own rows over, with, recorded, the
     temporaries of the branch's reduction over them, else each column's
-    observable rows; one chunk of the first-jump pass; and each column's
-    live state and Python objects, with a jump record per block it can
-    leave.  Each loss lowers the excitation, so a column leaves a block at
-    most once; channels that map a block into itself record jumps this does
-    not count.
+    observable rows; one chunk of the jump pass; and each column's live
+    state and Python objects, with a jump record per block it can leave.
+    Each loss lowers the excitation, so a column leaves a block at most
+    once; channels that map a block into itself record jumps this does not
+    count.
 
-    The live state is ``dim`` amplitudes, and ``_stride`` holds at most four
-    more copies of it, each counted on the largest block: a row's product
-    sits beside it, and the rows that stay are copied out of the products;
-    a row that jumps is held as its own state and stacked with its new
-    block's other arrivals, and that block's rows are concatenated and then
-    put in column order.  The branch's reduction (``_jump_free_branch``)
-    holds, per sample, one observable's support columns, their product and
-    their conjugate, each counted on the largest block, with its complex
-    values, and every observable's values twice, before and after they are
-    transposed.  The jump-free branch counts as a batch of one."""
+    The live state is ``dim`` amplitudes, and six more copies of it are
+    counted on the largest block: a row's product, the rows that stay, the
+    arrivals concatenated and put in order with the rows; a crossing row,
+    held until its sweep ends, and an arrival waiting for its block.  The
+    branch's reduction (``_jump_free_branch``) holds, per sample, one
+    observable's support columns, their product and conjugate, each counted
+    on the largest block, with its complex values, and every observable's
+    values before and after they are transposed.  A fresh jump-free branch
+    counts as a batch of one; one on an ensemble's run adds its reduction."""
     dim, k = sum(block_dims), max(block_dims)
     reduction = n_observables and 3 * k * 16 + 16 + 2 * n_observables * 8
     run = n_samples * (dim * 16 + 8 + (reduction if record else 0))
     rows = 0 if record else n_cols * n_observables * n_samples * 8
-    first_jumps = min(n_cols, _pass_rows(k)) * _pass_row_bytes(k)
-    live = (dim + 4 * k) * 16
-    return run + rows + first_jumps + n_cols * (live + _COLUMN_BYTES
-                                                + _JUMP_BYTES * (len(block_dims) - 1))
+    jump_pass = min(n_cols, _pass_rows(k)) * _pass_row_bytes(k)
+    live = (dim + 6 * k) * 16
+    return run + rows + jump_pass + n_cols * (live + _COLUMN_BYTES
+                                              + _JUMP_BYTES * (len(block_dims) - 1))
 
 
 def rho_bytes(n_samples: int, block_dims) -> int:
@@ -1022,8 +1039,8 @@ def rho_bytes(n_samples: int, block_dims) -> int:
 
 def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = False,
                keep_rho: bool = False, what: str = "the batch") -> _Batch:
-    """Advance a batch of ``n_cols`` columns through the sample grid together,
-    time-major.
+    """Advance a batch of ``n_cols`` columns through the sample grid, one
+    block at a time.
 
     Column j is one pure-state evolution from ψ0.  With ``seed_of`` and a
     collapse channel, column j is the trajectory of ``seed_of(j)``: uniforms
@@ -1032,29 +1049,23 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     the waiting time.  Otherwise nothing jumps, and every column is the
     jump-free run to the end of the grid.
 
-    Until its first jump every column is the same state, the jump-free
-    run's (``_FreeRun``), so no column is a row of the start block before
-    it.  The run is written until its survival is at or below every
-    column's first threshold; each column's crossing interval is read off
-    its survival at once, and every first jump is resolved ahead of time in
-    one pass (``_first_jumps``).  A column then joins its new block at the
-    end of that interval.  From there the columns are grouped by the block
-    each occupies, and every stride advances a whole group with one matrix
-    product (``_stride``).
+    Until its first jump every column is the jump-free run's state
+    (``_FreeRun``), written until its survival is at or below every first
+    threshold, so each column's crossing interval is read off the survival
+    at once.  Then the blocks are swept in ``_sweep_order`` (``_sweep``),
+    each with the columns that land in it; the crossings out of the run
+    and those of each sweep are resolved in one pass (``_jump_pass``),
+    and each column joins its next block at the end of its interval.
 
     With ``record`` the batch is one column, whose rows are kept: the run's
-    states up to its first jump, its own after.  Otherwise each group's
-    rows are reduced at once at each sample: the observables on their
-    supports and, with ``keep_rho``, the block's sum of |ψ><ψ|, written
-    into that block's slice of the ``BlockStructure``'s array.  A column
-    that has not jumped takes the run's reduced values, and adds the run's
-    |ψ><ψ| to ρ̄'s start block.  A block where every support is empty is not
-    reduced, and its values stay 0.0; unless ρ̄ is kept it costs no
-    per-sample work, and if no channel acts on it either, its rows are not
-    stepped at all.  No squared norm can rise, as every block's step was
-    checked when the blocks were built (``_check_step``); a block no channel
-    acts on should keep the norm, so one whose stepped rows fall below
-    ``_RESCALE_FLOOR`` raises.
+    states up to its first jump, its own after.  Otherwise each block's
+    rows are reduced at each sample: the observables on their supports and,
+    with ``keep_rho``, the block's sum of |ψ><ψ| in its slice of the
+    ``BlockStructure``'s array.  A column that has not jumped takes the
+    run's values, and its |ψ><ψ| is written first into ρ̄'s start block; a
+    sweep of that block, or a block's second sweep, adds to the slice.  A
+    block where every support is empty is not reduced (its values stay
+    0.0).  No squared norm can rise (``_check_step``).
 
     Before any of them, or any column's seed or Generator, exists, the
     batch's arrays (``batch_bytes`` and, with ``keep_rho``, ``rho_bytes``)
@@ -1082,17 +1093,22 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     absorbed = np.full(n_cols, 0 if mach.blocks[start].absorbing else n, dtype=np.int64)
     run = _FreeRun(mach)
     first = np.full(n_cols, n)           # the sample at which each column leaves the run
-    joins: dict = {}
+    arrivals: dict = {}                  # block -> [(columns, samples, states), ...]
     if jumping and not mach.blocks[start].absorbing:
         run.advance(pending.min())
         # a column crosses in the first interval whose end has survival at or below its threshold
         lowest = np.minimum.accumulate(run.survival[1:run.done])
         first = 1 + np.searchsorted(-lowest, -pending)
-        joins = _first_jumps(mach, run, np.flatnonzero(first < n), first, pending, rngs, jumps)
+        leaving = np.flatnonzero(first < n)
+        for chunk in _chunks(mach, len(leaving)):
+            # each row the run's normalized state, with its threshold divided by the survival
+            cols = leaving[chunk]
+            s0 = first[cols] - 1
+            _underflowed(run.survival[s0])
+            _jump_pass(mach, start, cols, s0, run.states[s0[:, None], index],
+                       pending[cols] / run.survival[s0], pending, rngs, jumps, arrivals)
     else:
         run.advance()
-    waiting = n_cols - np.cumsum(np.bincount(first, minlength=n + 1))[:n]   # per sample
-    order = np.argsort(first, kind="stable")            # the columns still waiting come last
     states = values = None
     if record:
         states = run.states
@@ -1102,45 +1118,29 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     offsets = mach.structure.offsets
     rho_sum = np.zeros((n, offsets[-1]), dtype=np.complex128) if keep_rho else None
     reduced = [any(len(sup) for sup, _ in entries) for entries in mach.block_obs]
-    idle = set() if record else {b for b, blk in enumerate(mach.blocks)
-                                 if blk.absorbing and not (keep_rho or reduced[b])}
-    # block -> (its columns, ascending; their states; their squared norms)
-    groups: dict = {}
-    for s in range(n):
-        if s:
-            groups = _stride(mach, groups, s, pending, rngs, jumps, absorbed, idle,
-                             joins.pop(s, {}))
-        for b, (cols, work, norm2) in groups.items():
-            if b in idle:
-                continue
-            blk = mach.blocks[b]
-            if blk.absorbing and not norm2.min() > _RESCALE_FLOOR:
-                raise IntegratorError(
-                    f"the norm of a state no channel acts on fell below {_RESCALE_FLOOR}; "
-                    f"dt = {grid.dt} is too coarse for the spectrum of H")
-            if record:
-                states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
-            elif keep_rho or reduced[b]:
-                rows = work * (1.0 / np.sqrt(norm2))[:, None]
-                if reduced[b]:
-                    values[cols, :, s] = _reduce(mach.block_obs[b], rows)
-                if keep_rho:
-                    np.matmul(rows.T, rows.conj(), out=rho_sum[s, offsets[b]:offsets[b + 1]]
-                              .reshape(len(blk.index), -1))
-        if waiting[s] and not record and (keep_rho or reduced[start]):
-            row = run.states[s:s + 1, index]
-            if reduced[start]:
-                values[order[n_cols - waiting[s]:], :, s] = _reduce(mach.block_obs[start], row)
-            if keep_rho:
-                # waiting[s] rows of the run's state
-                block = rho_sum[s, offsets[start]:offsets[start + 1]].reshape(len(index), -1)
-                shared = np.matmul(row.T, row.conj(), out=None if start in groups else block)
-                if waiting[s] > 1:
-                    shared.view(np.float64)[...] *= waiting[s]
-                if start in groups:
-                    block += shared
-    return _Batch(values=values, rho_sum=rho_sum, states=states, run=run,
-                  jumps=jumps, absorbed=absorbed)
+    batch = _Batch(values=values, rho_sum=rho_sum, states=states, run=run,
+                   jumps=jumps, absorbed=absorbed)
+    waiting = n_cols - np.cumsum(np.bincount(first, minlength=n + 1))[:n]   # per sample
+    order = np.argsort(first, kind="stable")            # the columns still waiting come last
+    for s in np.flatnonzero(waiting) if not record and (keep_rho or reduced[start]) else ():
+        row = run.states[s:s + 1, index]
+        if reduced[start]:
+            values[order[n_cols - waiting[s]:], :, s] = _reduce(mach.block_obs[start], row)
+        if keep_rho:
+            # waiting[s] rows of the run's state, written before any sweep adds to the block
+            shared = np.matmul(row.T, row.conj(), out=rho_sum[s, offsets[start]:offsets[start + 1]]
+                               .reshape(len(index), -1))
+            if waiting[s] > 1:
+                shared.view(np.float64)[...] *= waiting[s]
+    swept, blocks = {start}, _sweep_order(mach.structure)
+    while arrivals:
+        b = next(c for c in blocks if c in arrivals)
+        cols, s0, rows = _sweep(mach, b, arrivals.pop(b), pending, batch, reduced[b], b in swept)
+        swept.add(b)
+        for chunk in _chunks(mach, len(cols)):
+            _jump_pass(mach, b, cols[chunk], s0[chunk], rows[chunk], pending[cols[chunk]],
+                       pending, rngs, jumps, arrivals)
+    return batch
 
 
 def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -1205,12 +1205,16 @@ def _reduce(entries: list, rows: np.ndarray) -> np.ndarray:
 def _jump_free_branch(mach: _Machinery, run: Optional[_FreeRun] = None) -> ConditionalBranch:
     """The jump-free run on built blocks, written to the end of the grid and
     reduced on the block it never leaves: ``run``, an ensemble's, goes on
-    from the sample where the ensemble left it, else a new run starts."""
-    dims = [len(blk.index) for blk in mach.blocks]
-    check_budget(batch_bytes(1, len(mach.names), mach.grid.n_samples, dims, record=True),
-                 "the jump-free branch: recorded states and norms, live states")
+    from where the ensemble left it, else a new run starts."""
+    dims, n = [len(blk.index) for blk in mach.blocks], mach.grid.n_samples
+    n_bytes = batch_bytes(1, len(mach.names), n, dims, record=True)
     if run is None:
+        check_budget(n_bytes, "the jump-free branch: recorded states and norms, live states")
         run = _FreeRun(mach)
+    else:
+        # the ensemble counted its run
+        check_budget(n_bytes - batch_bytes(1, 0, n, dims, record=True),
+                     "the jump-free branch: the reduction of its states")
     run.advance()
     start = mach.structure.start
     index = mach.blocks[start].index
@@ -1250,8 +1254,8 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
                   observables=None, keep_rho: bool = False) -> EnsembleResult:
     """Average ``n_traj`` trajectories with per-index RNG streams.
 
-    The trajectories are one batch of ``n_traj`` columns in ``_propagate``'s
-    time-major loop.  Trajectory j draws from SeedSequence((master_seed, j))
+    The trajectories are one batch of ``n_traj`` columns in ``_propagate``.
+    Trajectory j draws from SeedSequence((master_seed, j))
     in its own order, so it is the trajectory ``mcwf_trajectory`` gives for
     seed (master_seed, j), whatever else runs in the batch; reduction runs
     in index order, so repeated runs are byte-identical.  ``_propagate``

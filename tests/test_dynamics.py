@@ -1027,6 +1027,8 @@ def _branch_case(name):
     if name == "closed":
         _, model, psi0 = two_site_model(hop=0.03, gamma=0.05)
         h, collapse = model.h, ()
+    elif name == "mixing_channel":
+        h, collapse, psi0 = _mixing_channel()
     else:
         h, collapse, psi0 = _two_sector_state()
     obs = {"diag": np.diag(np.arange(len(psi0), dtype=np.float64)),
@@ -1131,6 +1133,46 @@ def _captured_batches(monkeypatch) -> list:
     return batches
 
 
+def _counted(monkeypatch, name: str) -> list:
+    """The arguments of every call of ``dynamics.<name>`` from here on."""
+    calls, function = [], getattr(dynamics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+def _reentered_block_matches_replays(monkeypatch, name):
+    """16 columns of a one-block case whose channels map the block into
+    itself: each jump sends a column back into the block, to be taken by
+    its next sweep, and each column is the trajectory ``mcwf_trajectory``
+    replays for its seed."""
+    h, collapse, psi0, grid, obs = _branch_case(name)
+    mach = _build_machinery(h, collapse, psi0, grid)
+    assert len(mach.blocks) == 1 and set(mach.blocks[0].targets) == {0}
+    sweeps = _counted(monkeypatch, "_sweep")
+    batches = _captured_batches(monkeypatch)
+    ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=16, master_seed=3, observables=obs)
+    (batch,) = batches
+    n_jumps = ens.jumps_per_channel.sum(axis=1)
+    assert n_jumps.max() >= 2
+    # a column's k-th jump lands it in the block's k-th sweep
+    assert len(sweeps) == n_jumps.max()
+    per_traj = []
+    for j in range(16):
+        replay = mcwf_trajectory(h, collapse, psi0, grid, (3, j))
+        assert [c for _, c in batch.jumps[j]] == [c for _, c in replay.jumps]
+        if replay.jumps:
+            assert np.abs(np.subtract(batch.jumps[j], replay.jumps)).max() < 1e-10
+        per_traj.append([_batched_expectation(replay.states, op) for op in obs.values()])
+    means = np.mean(per_traj, axis=0)
+    for o, key in enumerate(obs):
+        assert np.abs(ens.mean_observables[key] - means[o]).max() < 1e-12
+
+
 class TestFirstJumps:
     def test_unjumped_columns_read_the_jump_free_run(self, monkeypatch):
         # fig2 from |2-, G>: every first jump leaves the 8-state start block.  Up to
@@ -1164,38 +1206,22 @@ class TestFirstJumps:
         # ψ0 spans one and two excitations, so the whole model is one block and
         # every jump lands back in it: a column joins it as a row after its first
         # jump, and is the trajectory mcwf_trajectory replays for its seed
-        h, collapse, psi0, grid, obs = _branch_case("two_sectors")
-        mach = _build_machinery(h, collapse, psi0, grid)
-        assert len(mach.blocks) == 1 and mach.blocks[0].targets == (0, 0)
-        batches = _captured_batches(monkeypatch)
-        ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=16, master_seed=3,
-                            observables=obs)
-        (batch,) = batches
-        assert (ens.jumps_per_channel.sum(axis=1) >= 2).any()
-        per_traj = []
-        for j in range(16):
-            replay = mcwf_trajectory(h, collapse, psi0, grid, (3, j))
-            assert [c for _, c in batch.jumps[j]] == [c for _, c in replay.jumps]
-            if replay.jumps:
-                assert np.abs(np.subtract(batch.jumps[j], replay.jumps)).max() < 1e-10
-            per_traj.append([_batched_expectation(replay.states, op) for op in obs.values()])
-        means = np.mean(per_traj, axis=0)
-        for o, key in enumerate(obs):
-            assert np.abs(ens.mean_observables[key] - means[o]).max() < 1e-12
+        _reentered_block_matches_replays(monkeypatch, "two_sectors")
 
     @pytest.mark.parametrize("name", ["fig2", "two_sectors"])
     def test_no_column_is_a_start_block_row_before_its_first_jump(self, monkeypatch, name):
         h, collapse, psi0, grid, obs = _branch_case(name)
         start = _build_machinery(h, collapse, psi0, grid).structure.start
         seen = []
-        stride = dynamics._stride
+        sweep = dynamics._sweep
 
-        def checked(mach, groups, s, pending, rngs, jumps, *rest):
-            if start in groups:
-                seen.extend(len(jumps[j]) for j in groups[start][0])
-            return stride(mach, groups, s, pending, rngs, jumps, *rest)
+        def checked(mach, b, arrived, pending, batch, *rest):
+            # every column a sweep of the start block takes has jumped by then
+            if b == start:
+                seen.extend(len(batch.jumps[j]) for cols, _, _ in arrived for j in cols)
+            return sweep(mach, b, arrived, pending, batch, *rest)
 
-        monkeypatch.setattr(dynamics, "_stride", checked)
+        monkeypatch.setattr(dynamics, "_sweep", checked)
         ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=30, master_seed=2,
                             observables=obs)
         assert ens.jumps_per_channel.sum() > 30
@@ -1220,6 +1246,49 @@ class TestFirstJumps:
         (run, first, stop), (again, resume, end) = written
         assert again is run and (first, resume, end) == (0, stop, n) and 1 < stop < n
         assert result.columns["survival"] is run.survival
+
+
+class TestBlockSweeps:
+    def test_mixing_channel_block_is_swept_again_and_matches_replays(self, monkeypatch):
+        # one dense channel maps the model's one block into itself
+        _reentered_block_matches_replays(monkeypatch, "mixing_channel")
+
+    def test_blocks_are_swept_in_the_order_their_maps_give(self, monkeypatch):
+        # dark_block: the excited state, block 0, decays into block 1, so block 0
+        # is swept first; on the presets every loss lowers the sector, so the
+        # sectors go from the top down.  Each block is swept once
+        h, collapse, psi0 = dark_block_model()
+        grid = TimeGrid(t_end=20.0, n_samples=21)
+        assert dynamics._sweep_order(block_structure(h, collapse, psi0)) == [0, 1]
+        sweeps = _counted(monkeypatch, "_sweep")
+        ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=50, master_seed=1,
+                            observables={"e": np.diag([1.0, 0.0, 0.0])})
+        assert ens.jumps_per_channel.sum() > 0
+        assert [args[1] for args in sweeps] == [1]
+        for name in ("fig2", "n3", "n4"):
+            config, model, psi0 = preset_problem(name)
+            structure = block_structure(model.h, model.collapse, psi0)
+            top = config.max_excitation
+            assert dynamics._sweep_order(structure) == list(range(top, -1, -1))
+            sweeps.clear()
+            grid = TimeGrid(t_end=99 * config.grid.spacing, n_samples=100, dt=config.grid.dt)
+            mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=40, master_seed=1,
+                          observables=preset_projectors(config, model), keep_rho=True)
+            assert [args[1] for args in sweeps] == list(range(top - 1, -1, -1)), name
+
+    def test_later_jumps_are_resolved_in_one_pass_a_block(self, monkeypatch):
+        # fig2 at 200 trajectories: 400 jumps, each block's crossings in one
+        # pass; only a row that crosses twice in one interval, or not at all
+        # in the step its descent stopped at, goes on alone
+        config, model, psi0 = preset_problem("fig2")
+        alone = _counted(monkeypatch, "_resolve_stride")
+        passes = _counted(monkeypatch, "_jump_pass")
+        ens = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=200,
+                            master_seed=config.master_seed,
+                            observables=preset_projectors(config, model))
+        assert ens.jumps_per_channel.sum() == 400
+        assert [args[1] for args in passes] == [2, 1]
+        assert len(alone) <= 10
 
 
 @functools.lru_cache(maxsize=None)
@@ -1326,10 +1395,11 @@ class TestDeterminism:
 class TestMemoryGuards:
     def test_trajectory_rows_over_budget_raise_before_allocating(self, monkeypatch):
         # 10⁶ trajectories of 41 samples of one observable on a 4-dim model of
-        # four one-state blocks: 10⁶ · (41 · 8 + (4 + 4 · 1) · 16 + 1 536 + 3 · 96)
-        # bytes of rows, live states with their stride copies, objects and jump
-        # records; the jump-free run's 41 states and survivals, 41 · (4 · 16 + 8);
-        # and one chunk of the first-jump pass, 6 241 rows of 10 · 16 + 512 bytes
+        # four one-state blocks: 10⁶ · (41 · 8 + (4 + 6 · 1) · 16 + 1 536 + 3 · 96)
+        # bytes of rows, live states with the sweep's copies, its held crossing
+        # rows and the waiting arrivals, objects and jump records; the jump-free
+        # run's 41 states and survivals, 41 · (4 · 16 + 8); and one chunk of the
+        # jump pass, 6 241 rows of 10 · 16 + 512 bytes
         h, collapse, a = damped_mode()
         psi0 = np.zeros(4, dtype=np.complex128)
         psi0[2] = 1.0
@@ -1337,13 +1407,13 @@ class TestMemoryGuards:
         def never(*args, **kwargs):
             raise AssertionError("the batch ran")
 
-        # the batch's own guard, in _propagate, raises before its first stride
-        monkeypatch.setattr(dynamics, "_stride", never)
+        # the batch's own guard, in _propagate, raises before the jump-free run exists
+        monkeypatch.setattr(dynamics, "_FreeRun", never)
         tracemalloc.start()
         try:
             with pytest.raises(SizeError, match=r"the ensemble of 1000000 trajectories: "
                                                 r"the jump-free run, observable rows, live "
-                                                r"states needs 2284196904 bytes"):
+                                                r"states needs 2316196904 bytes"):
                 mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
                               n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
             peak = tracemalloc.get_traced_memory()[1]
@@ -1371,10 +1441,10 @@ class TestMemoryGuards:
     def test_accepted_batch_peaks_below_its_count(self, monkeypatch):
         # 10 000 trajectories of a damped mode from two photons: each holds a
         # Generator, its seed tuple and a jump list, about 1.1 KB of Python
-        # objects against 64 bytes of state, 64 of stride copies and 24 of
-        # observable rows; the jump-free run keeps 3 states of 4 amplitudes and
-        # their survivals, and the first-jump pass takes chunks of 6 241 rows of
-        # 672 bytes
+        # objects against 64 bytes of state, 96 of the sweep's copies, held
+        # crossing rows and waiting arrivals and 24 of observable rows; the
+        # jump-free run keeps 3 states of 4 amplitudes and their survivals,
+        # and the jump pass takes chunks of 6 241 rows of 672 bytes
         h, collapse, a = damped_mode()
         psi0 = np.zeros(4, dtype=np.complex128)
         psi0[2] = 1.0
@@ -1390,18 +1460,20 @@ class TestMemoryGuards:
         finally:
             tracemalloc.stop()
         assert (ens.jumps_per_channel.sum(axis=1) == 2).any()
-        assert counts == [10_000 * (3 * 8 + (4 + 4 * 1) * 16 + 1536 + 3 * 96)
+        assert counts == [10_000 * (3 * 8 + (4 + 6 * 1) * 16 + 1536 + 3 * 96)
                           + 3 * (4 * 16 + 8) + 6241 * (10 * 16 + 512)]
         assert peak < counts[0]
 
         # n3 and n4 over their first 40 samples, where the first jumps out of
         # their top blocks of 38 and 192 states are resolved in one pass, in
-        # chunks of 636 and 134 rows, and rows of the next sectors cross and
-        # jump: the rows, their products, the copies that stay and the arrivals
-        # in the next sector.  The batch's own peak, above what its blocks
-        # already hold, and the pass's, above the arrivals it hands on
+        # chunks of 636 and 134 rows, and rows of the lower sectors cross and
+        # are resolved in one pass a sector after its sweep: the rows, their
+        # products, the copies that stay, the held crossing rows and the
+        # arrivals waiting for the next sector.  The batch's own peak, above
+        # what its blocks already hold, and each pass's, above the arrivals it
+        # hands on
         peaks, passes, highs = [], [], []
-        propagate, first_jumps = dynamics._propagate, dynamics._first_jumps
+        propagate, jump_pass = dynamics._propagate, dynamics._jump_pass
 
         def traced(*args, **kwargs):
             start = tracemalloc.get_traced_memory()[0]
@@ -1414,19 +1486,19 @@ class TestMemoryGuards:
         def traced_pass(*args):
             highs.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
-            joins = first_jumps(*args)
+            jump_pass(*args)
             now, peak = tracemalloc.get_traced_memory()
             passes.append(peak - now)
             highs.append(peak)
-            return joins
 
         monkeypatch.setattr(dynamics, "_propagate", traced)
-        monkeypatch.setattr(dynamics, "_first_jumps", traced_pass)
+        monkeypatch.setattr(dynamics, "_jump_pass", traced_pass)
         for name, n_traj, dims, chunk in (("n3", 600, [1, 6, 18, 38], 600),
                                           ("n4", 600, [1, 8, 32, 88, 192], 134)):
             config, model, psi0 = preset_problem(name)
             grid = TimeGrid(t_end=39 * config.grid.spacing, n_samples=40, dt=config.grid.dt)
             counts.clear()
+            passes.clear()
             tracemalloc.start()
             try:
                 ens = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=n_traj,
@@ -1436,19 +1508,19 @@ class TestMemoryGuards:
             assert ens.jumps_per_channel.sum() > n_traj
             k = max(dims)
             first_pass = chunk * (10 * k * 16 + 512)
-            assert counts == [n_traj * (2 * 40 * 8 + (sum(dims) + 4 * k) * 16 + 1536
+            assert counts == [n_traj * (2 * 40 * 8 + (sum(dims) + 6 * k) * 16 + 1536
                                         + (len(dims) - 1) * 96)
                               + 40 * (sum(dims) * 16 + 8) + first_pass]
             assert peaks[-1] < counts[0], name
-            assert passes[-1] < first_pass, name
+            assert len(passes) > 1 and max(passes) < first_pass, name
 
     def test_jump_free_branch_peaks_below_its_count(self, monkeypatch):
         # the recorded states and survival, 560 · (dim · 16 + 8) bytes, and the
         # reduction's temporaries, counted on the largest block, where the
         # supports of the preset projectors hold at most 4, 8 and 16 states;
         # the reduction reads each support as basis columns of the recorded
-        # states, so the start block is never copied out of them.  The branch
-        # counts as a batch of one, with one row of the first-jump pass
+        # states, so the start block is never copied out of them.  A fresh
+        # branch counts as a batch of one, with one row of the jump pass
         counts = []
         guard = dynamics.check_budget
         monkeypatch.setattr(dynamics, "check_budget",
@@ -1459,18 +1531,23 @@ class TestMemoryGuards:
             observables = preset_projectors(config, model)
             ens = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=2,
                                 master_seed=1, observables=observables)
-            counts.clear()
-            tracemalloc.start()
-            try:
-                ens.jump_free_branch()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
             n_obs, k = len(observables), max(dims)
-            assert counts == [560 * (sum(dims) * 16 + 8 + 3 * k * 16 + 16 + 2 * n_obs * 8)
-                              + (sum(dims) + 4 * k) * 16 + 1536 + (len(dims) - 1) * 96
-                              + 10 * k * 16 + 512]
-            assert peak <= counts[0], name
+            reduction = 560 * (3 * k * 16 + 16 + 2 * n_obs * 8)
+            record = (560 * (sum(dims) * 16 + 8) + reduction + (sum(dims) + 6 * k) * 16
+                      + 1536 + (len(dims) - 1) * 96 + 10 * k * 16 + 512)
+            # the ensemble's branch writes on the ensemble's run: it adds the reduction;
+            # a branch on the same blocks with a run of its own counts that run too
+            for call, count in ((ens.jump_free_branch, reduction),
+                                (lambda: dynamics._jump_free_branch(ens._machinery), record)):
+                counts.clear()
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert counts == [count]
+                assert peak <= counts[0], name
 
     def test_keep_rho_over_budget_raises_before_allocating(self):
         params = ModelParams(n_sites=4, hop=0.03, gamma=0.05, n_max=4)
@@ -1479,36 +1556,40 @@ class TestMemoryGuards:
             prepare_product_polariton_state(("4-", "G", "G", "G"), params))
         grid = TimeGrid(t_end=1500.0, n_samples=601, dt=0.005)
         # blocks of 1, 8, 32, 88 and 192 states: (601 + 1) · 45 697 · 16 bytes for
-        # ρ̄'s entries, rows and columns, 2 · (321 + 4 · 192) · 16 for the live
-        # states and their stride copies, 2 · (1 536 + 4 · 96) for the
-        # trajectories' objects and jump records, 601 · (321 · 16 + 8) for the
-        # jump-free run and 2 · (10 · 192 · 16 + 512) for the first-jump pass
+        # ρ̄'s entries, rows and columns, 2 · (321 + 6 · 192) · 16 for the live
+        # states, the sweep's copies, held crossing rows and waiting arrivals,
+        # 2 · (1 536 + 4 · 96) for the trajectories' objects and jump records,
+        # 601 · (321 · 16 + 8) for the jump-free run and 2 · (10 · 192 · 16 + 512)
+        # for the jump pass
         with pytest.raises(SizeError, match=r"live states, ρ̄'s block entries over 601 samples "
-                                            r"needs 443346200 bytes"):
+                                            r"needs 443358488 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)
 
     def test_record_paths_and_negativity_raise_before_allocating(self, monkeypatch):
         # fig2: a recorded run keeps 560 states of 13 amplitudes and a survival
-        # a sample, 560 · (13 · 16 + 8) bytes, its live state and stride
-        # copies, (13 + 4 · 8) · 16, its objects and a jump record for each of
-        # two sectors, 1 536 + 2 · 96, and one row of the first-jump pass,
-        # 10 · 8 · 16 + 512;
+        # a sample, 560 · (13 · 16 + 8) bytes, its live state and the sweep's
+        # copies, (13 + 6 · 8) · 16, its objects and a jump record for each of
+        # two sectors, 1 536 + 2 · 96, and one row of the jump pass,
+        # 10 · 8 · 16 + 512; an ensemble's branch writes on the ensemble's
+        # run and adds the reduction of its three projectors alone,
+        # 560 · (3 · 8 · 16 + 16 + 2 · 3 · 8);
         # ρ̄'s partial transpose has blocks of at most 9 states, held twice with
         # their eigenvalues: 560 · (2 · 9² + 9) · 16 bytes
         config, model, psi0 = preset_problem("fig2")
         grid = config.grid
         ens = mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=4, master_seed=1,
-                            keep_rho=True)
+                            observables=preset_projectors(config, model), keep_rho=True)
 
         def never(*args, **kwargs):
             raise AssertionError("allocated past the guard")
 
-        monkeypatch.setattr(dynamics, "_stride", never)
+        monkeypatch.setattr(dynamics, "_FreeRun", never)
         monkeypatch.setattr(np.linalg, "eigvalsh", never)
-        record = 560 * (13 * 16 + 8) + (13 + 4 * 8) * 16 + 1536 + 2 * 96 + 10 * 8 * 16 + 512
+        record = 560 * (13 * 16 + 8) + (13 + 6 * 8) * 16 + 1536 + 2 * 96 + 10 * 8 * 16 + 512
         calls = [
-            (record, "the jump-free branch", ens.jump_free_branch),
+            (560 * (3 * 8 * 16 + 16 + 2 * 3 * 8), "the jump-free branch: the reduction",
+             ens.jump_free_branch),
             (record, "the jump-free branch",
              lambda: no_jump_branch(model.h, model.collapse, psi0, grid)),
             (record, "the trajectory",

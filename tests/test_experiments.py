@@ -374,11 +374,12 @@ class TestScenarioConfig:
     def test_dense_model_over_budget_rejected(self):
         # 8065 reduced states: H and two loss operators need 3.1 GB; the basis
         # enumeration 64 · 2 · 8065 + 8192 bytes at its peak, and the one
-        # trajectory's state and its stride copies, (8065 + 4 · 252) · 16 bytes
-        # more, with its objects and a jump record for each of 63 sectors it can
-        # leave, 1 536 + 63 · 96, the jump-free run's 6 states and survivals,
-        # 6 · (8065 · 16 + 8), and one row of the first-jump pass, 10 · 252 · 16
-        # + 512; the jump-free branch is that column again
+        # trajectory's state with the sweep's copies, held crossing row and
+        # waiting arrival, (8065 + 6 · 252) · 16 bytes more, with its objects
+        # and a jump record for each of 63 sectors it can leave, 1 536 + 63 · 96,
+        # the jump-free run's 6 states and survivals, 6 · (8065 · 16 + 8), and
+        # one row of the jump pass, 10 · 252 · 16 + 512; the jump-free branch
+        # writes on that run and, with no projector, adds nothing
         problems = problems_of(scenario_from_mapping, {
             "model": {"n_sites": 2, "n_max": 63, "gamma": 0.05},
             "initial": {"labels": ["63-", "G"]},
@@ -386,19 +387,20 @@ class TestScenarioConfig:
         })
         assert problems == [
             "model.n_sites, model.n_max, initial.labels, run.n_traj: the basis, H and the "
-            "loss operators, the jump-free branch, the observable rows and live states of "
-            "1 trajectories needs 3125099056 bytes, above the budget 268435456"]
+            "loss operators, the observable rows and live states of 1 trajectories needs "
+            "3124139248 bytes, above the budget 268435456"]
 
     def test_projectors_counted_against_the_budget(self):
         # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
         # and each projector is one more dense matrix of 71 436 304 bytes; the
         # basis enumeration peaks at 278 656 bytes, and the trajectory adds its
-        # state and stride copies ((2113 + 4 · 128) · 16 bytes), its objects and
-        # jump records (1 536 + 32 · 96), one row per projector (48), the
-        # jump-free run's 6 states and survivals, 6 · (2113 · 16 + 8), and one
-        # row of the first-jump pass, 10 · 128 · 16 + 512; the jump-free branch
-        # is that column again with its reduction's temporaries on the 128-state
-        # top sector, 6 · (3 · 128 · 16 + 16 + 2 · 8), in place of the rows
+        # state, the sweep's copies, held crossing row and waiting arrival
+        # ((2113 + 6 · 128) · 16 bytes), its objects and jump records
+        # (1 536 + 32 · 96), one row per projector (48), the jump-free run's 6
+        # states and survivals, 6 · (2113 · 16 + 8), and one row of the jump
+        # pass, 10 · 128 · 16 + 512; the jump-free branch writes on that run and
+        # adds its reduction's temporaries on the 128-state top sector,
+        # 6 · (3 · 128 · 16 + 16 + 2 · 8)
         mapping = {
             "model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
             "initial": {"labels": ["32-", "G"]},
@@ -409,17 +411,18 @@ class TestScenarioConfig:
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.projectors, run.n_traj: "
             "the basis, H and the loss operators, the projectors, the jump-free branch, the "
-            "observable rows and live states of 1 trajectories needs 286601968 bytes, above "
+            "observable rows and live states of 1 trajectories needs 286335568 bytes, above "
             "the budget 268435456"]
 
     def test_trajectory_rows_counted_against_the_budget(self):
         # fig2: each trajectory keeps 3 · 560 observable rows of 8 bytes and, while
-        # the batch runs, its 13-dim state with four stride copies of the 8-state
-        # sector, its objects and a jump record for each of the two sectors it
-        # can leave: 13 440 + 720 + 1 536 + 2 · 96 bytes each, 15.9 GB at a
-        # million; the model, projectors, ρ̄, its partial transpose, the
-        # jump-free branch, the trajectories' jump-free run and a chunk of 2 340
-        # rows of their first-jump pass add 6 975 616 bytes
+        # the batch runs, its 13-dim state with six copies of the 8-state sector
+        # (the sweep's, its held crossing row and its waiting arrival), its
+        # objects and a jump record for each of the two sectors it can leave:
+        # 13 440 + 976 + 1 536 + 2 · 96 bytes each, 16.1 GB at a million; the
+        # model, projectors, ρ̄, its partial transpose, the jump-free branch's
+        # reduction, the trajectories' jump-free run and a chunk of 2 340 rows of
+        # their jump pass add 6 850 416 bytes
         bundle = load_preset("fig2")
         assert bundle.with_overrides(n_traj=2000).scenarios[0].n_traj == 2000
         with pytest.raises(ConfigError) as err:
@@ -429,7 +432,7 @@ class TestScenarioConfig:
                                   "observables.projectors, observables.negativity, "
                                   "observables.bipartition_cut, run.n_traj: ")
         assert problem.endswith("the observable rows and live states of 1000000 "
-                                "trajectories needs 15894975616 bytes, above the budget "
+                                "trajectories needs 16150850416 bytes, above the budget "
                                 "268435456")
 
     def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
@@ -462,9 +465,9 @@ class TestScenarioConfig:
         # n4's model with negativity on: ρ̄'s entries on the sectors of 1, 8, 32,
         # 88 and 192 states, (561 + 1) · 45 697 · 16 bytes with their rows and
         # columns, and the partial transpose's largest block across the cut,
-        # at most 257 states: 561 · (2 · 257² + 257) · 16 bytes; the jump-free
-        # branch records 561 states of 321 amplitudes and their survival, and the
-        # trajectory holds them again as its jump-free run
+        # at most 257 states: 561 · (2 · 257² + 257) · 16 bytes; the trajectory's
+        # jump-free run holds 561 states of 321 amplitudes and their survival,
+        # which the jump-free branch writes on, adding nothing with no projector
         mapping = {
             "model": {"n_sites": 4, "n_max": 4},
             "initial": {"labels": ["4-", "G", "G", "G"]},
@@ -474,12 +477,12 @@ class TestScenarioConfig:
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.negativity, "
             "observables.bipartition_cut, run.n_traj: the basis, H and the loss operators, "
-            "the jump-free branch, ρ̄'s block entries over 561 samples, the partial "
-            "transpose's largest block of at most 257 states, the observable rows and live "
-            "states of 1 trajectories needs 1606548352 bytes, above the budget 268435456"]
+            "ρ̄'s block entries over 561 samples, the partial transpose's largest block of "
+            "at most 257 states, the observable rows and live states of 1 trajectories "
+            "needs 1603618136 bytes, above the budget 268435456"]
         # the preset: 560 samples, 2000 trajectories with 2 projectors, four damped
         # sites and the jump-free branch
-        with pytest.raises(ConfigError, match="1679511520 bytes"):
+        with pytest.raises(ConfigError, match="1688868304 bytes"):
             replace(load_preset("n4").scenarios[0], compute_negativity=True)
 
     def test_partial_transpose_beyond_the_budget_refused_at_load(self):
@@ -987,11 +990,11 @@ def detuned_curve():
 # --traj 20 and n3 and n4 at --traj 2: outputs are pinned across commits, and a
 # change that moves them on purpose records new digests here
 PRESET_DIGESTS = {
-    "fig2.csv": "6060f0fe47c84f5fd981bb32c236dd7de51e7af19c753016c03955125588f934",
+    "fig2.csv": "d1e8ca11858659ebfe04cbab3f92cc4223da4d152c7b0f190908bf375f240624",
     "fig2.json": "4c1d48a66e22b950f5621bf78d65001905c8bd77d69cef2915390de9c9c3cd57",
-    "fig3_above_critical.csv": "8a00930b04e26e87e20e8871adf892eb2d4f74782ed5ef22137f551d42bc409e",
+    "fig3_above_critical.csv": "9e148a3aae2d1537f23ae3d14169c66fba33c91d76f67b0693f342ffe68b254f",
     "fig3_above_critical.json": "fc2e0952c9a1b54f198bb30d1a6614d07d51c63a12cf6489615d84e0c83f52c2",
-    "fig3_below_critical.csv": "fdc468ab2ee6c1841426f590d7322147be9d3bdf84e65ac778468098fea37c2e",
+    "fig3_below_critical.csv": "051824570363a10630d4781b04a5ea79b6f2b92c780e6c11e699761523a2da37",
     "fig3_below_critical.json": "51216bc76db2c300f25fda080361009e9d1f349bf75bf464f26bfacb16cd3f4c",
     "n3.csv": "3649554cbfd07fcf1f219b97c3618bc487f66c512982f08ed55ae083bd28a4ee",
     "n3.json": "a2e6546332ce73cd4ab01f77099d1bb9507dbbd71d18bfd7ac970bf20ab500f8",
