@@ -54,10 +54,13 @@ PRL 68, 580 (1992)): each column's crossing interval is one comparison
 with the survival.  In a later block, a row whose squared norm falls to
 its threshold leaves the sweep with its state at the start of that
 interval.  Each block's crossings are resolved in one pass
-(``_jump_pass``; Radaelli, Landi & Binder, arXiv:2303.15405): one descent
-and one jump step for all the rows, each row's bisection and draw as
-above.  A column sits in one block at a time, so its jumps come in time
-order.
+(``_jump_pass``; Radaelli, Landi & Binder, arXiv:2303.15405), which
+carries every row to the end of its interval in rounds: in each, a block
+at a time, one descent for the rows at a step boundary and one step for
+the others, each row's bisection and draw as above.  A second jump in the
+same interval is one more round, and so is a step that by roundoff does
+not cross where the descent stopped.  A column sits in one block at a
+time, so its jumps come in time order.
 
 The density-matrix oracle ``lindblad_evolve`` uses the same partition, with
 ρ0's support in one block.  ρ then stays block-diagonal, so only the
@@ -638,75 +641,15 @@ def _channel(norms: list, rng: np.random.Generator) -> int:
     return min(bisect_right(acc, rng.random() * acc[-1]), len(acc) - 1)
 
 
-def _jumps_in_step(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
-                   dt: float, rng: np.random.Generator, jumps: list, t_in_step: float = 0.0):
-    """Apply every jump inside the elementary step that starts at ``t0``,
-    from ``t_in_step`` into it on.
-
-    The step is the degree-4 polynomial flow the fixed-step integrator
-    applies.  Each threshold crossing is bisected on the flow's squared
-    norm, a scalar polynomial of degree 8 in the time into the step, so the
-    flow vector is formed only at the end of the step and at the jump.
-    Returns the state at the end of the step, the pending threshold and the
-    block the state then occupies.  No step here can raise the squared norm:
-    ``_build_machinery`` refused a ``dt`` whose step would (``_check_step``).
-    """
-    while True:
-        blk = mach.blocks[b]
-        frac = dt - t_in_step
-        powers = _powers(blk.gen, work)
-        end = _taylor_flow(powers, frac)
-        if np.vdot(end, end).real > r:
-            return end, r, b
-        tau = _crossing_time(_flow_norm2_poly(powers).tolist(), frac, r)
-        phi = _taylor_flow(powers, tau)
-        jumped = [jump @ phi for jump in blk.jumps]
-        norms = [np.vdot(v, v).real for v in jumped]
-        chan = _channel(norms, rng)
-        work = jumped[chan] * (1.0 / math.sqrt(norms[chan]))
-        b = blk.targets[chan]
-        jumps.append((t0 + t_in_step + tau, chan))
-        r = _threshold(rng)
-        t_in_step += tau
-
-
-def _resolve_stride(mach: _Machinery, b: int, work: np.ndarray, r: float, t0: float,
-                    grid: TimeGrid, rng: np.random.Generator, jumps: list, done: int = 0):
-    """Redo the sample interval starting at ``t0`` in elementary steps, from
-    the end of its step ``done`` on.
-
-    One dyadic descent finds the last step whose end stays above the
-    threshold: the powers 2^p of the step are tried from the largest that
-    fits the remainder down to 1, each from the state the passed trials
-    reached.  The jump-free norm never increases, and no step built for
-    the blocks raises it (``_check_step``), so a power once passed over
-    need not be tried again.  The single step after the descent crosses;
-    its jumps are resolved inside it, and a new descent starts.  Returns
-    the state at the end of the interval, the pending threshold and the
-    block the state then occupies.
-    """
-    n_fine, dt, r = grid.n_fine, grid.dt, float(r)
-    while done < n_fine:
-        _underflowed(np.vdot(work, work).real)
-        r_pows = mach.blocks[b].r_pows
-        for p in range((n_fine - done).bit_length() - 1, -1, -1):
-            if done + (1 << p) <= n_fine:
-                trial = r_pows[p] @ work
-                if np.vdot(trial, trial).real > r:
-                    work = trial
-                    done += 1 << p
-        if done < n_fine:
-            work, r, b = _jumps_in_step(mach, b, work, r, t0 + done * dt, dt, rng, jumps)
-            done += 1
-    return work, r, b
-
-
 def _descend(r_pows: np.ndarray, rows: np.ndarray, r: np.ndarray, done: np.ndarray,
              n_fine: int) -> None:
-    """``_resolve_stride``'s dyadic descent for a stack of rows at once, in
-    place: each row, ``done`` steps into its interval, takes each power 2^p
-    of the step that fits its remainder, from the largest down, while its
-    squared norm stays above its own threshold ``r``."""
+    """One dyadic descent for a stack of rows at once, in place: each row,
+    ``done`` steps into its interval, takes each power 2^p of the dt step
+    that fits its remainder, from the largest down, while its squared norm
+    stays above its own threshold ``r``.  That finds the last step whose end
+    stays above it: the jump-free norm never increases, and no step built
+    for the blocks raises it (``_check_step``), so a power once passed over
+    need not be tried again."""
     for p in range(len(r_pows) - 1, -1, -1):
         sel = np.flatnonzero(done + (1 << p) <= n_fine)
         if len(sel):
@@ -790,62 +733,80 @@ def _underflowed(norm2) -> None:
 
 def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows: np.ndarray,
                r: np.ndarray, pending: np.ndarray, rngs, jumps: list, arrivals: dict) -> None:
-    """Resolve in one pass the crossing of each column of ``cols`` out of
-    block ``b``: row i of ``rows`` is column ``cols[i]``'s state at sample
-    ``s0[i]``, which starts the interval where its squared norm falls to
-    ``r[i]``.
+    """Resolve in one pass every crossing of the columns ``cols`` in the
+    interval where each leaves block ``b``: row i of ``rows`` is column
+    ``cols[i]``'s state at sample ``s0[i]``, which starts the interval where
+    its squared norm falls to ``r[i]``.
 
-    The rows take one dyadic descent (``_descend``), each against its own
-    threshold, and one batched step: the Taylor powers, the step-end flow
-    and the norm polynomials.  Each row's crossing is bisected and its
-    channel drawn as ``_jumps_in_step`` does, from its own Generator.  The
-    rest of the interval runs for each target block's rows at once
-    (``_finish_interval``).  A row that crosses again there, or that by
-    roundoff does not cross in the step the descent left it at, goes on
-    alone through ``_resolve_stride``.  Each column joins its block's
-    ``arrivals``.
+    The rows go on in rounds until each ends its interval.  A row carries
+    its block, the whole dt steps ``done`` it has taken in the interval and
+    the time ``into`` it has run into the next, and each round takes the
+    live rows one block at a time.  The rows at a step boundary take one
+    dyadic descent (``_descend``), each against its own threshold; a row
+    that ends its interval there joins its block's ``arrivals``.  Every
+    other row takes one batched step to the end of its step: the Taylor
+    powers and the flow.  A row still above its threshold there goes on
+    from the step's end.  The crossing of each other row is bisected on its
+    step's norm polynomial, its channel and next threshold are drawn from
+    its own Generator, and it goes on, ``into`` its step, in the block the
+    channel maps it into.  A column sits in one block and one round at a
+    time, so its jumps and draws come in time order.
     """
-    grid, blk = mach.grid, mach.blocks[b]
+    grid = mach.grid
     n_fine, dt = grid.n_fine, grid.dt
     t0 = grid.t_start + s0 * grid.spacing
-    done = np.zeros(len(cols), dtype=np.int64)
-    _descend(blk.r_pows, rows, r, done, n_fine)
-    hit = np.flatnonzero(done < n_fine)
-    powers = _powers(blk.gen, rows[hit])
-    crossed = ~(_row_norm2(_taylor_flow(powers, dt)) > r[hit])
-    coeffs = _flow_norm2_poly(powers)
-    tau = np.zeros(len(hit))
-    for i in np.flatnonzero(crossed):
-        tau[i] = _crossing_time(coeffs[i].tolist(), dt, float(r[hit[i]]))
-    phi = _taylor_flow(powers, tau[:, None])
-    del powers
-    norms = np.stack([_row_norm2(phi @ jump.T) for jump in blk.jumps], axis=1)
-    chans = np.full(len(hit), -1)
-    for i in np.flatnonzero(crossed):
-        j = cols[hit[i]]
-        chans[i] = _channel(norms[i].tolist(), rngs[j])
-        jumps[j].append((float(t0[hit[i]] + done[hit[i]] * dt) + float(tau[i]), int(chans[i])))
-        pending[j] = _threshold(rngs[j])
-    moved: dict = {}
-    for chan, (jump, dest) in enumerate(zip(blk.jumps, blk.targets)):
-        sel = np.flatnonzero(chans == chan)
-        if len(sel):
-            states = (phi[sel] @ jump.T) * (1.0 / np.sqrt(norms[sel, chan]))[:, None]
-            moved.setdefault(dest, []).append((hit[sel], states, tau[sel]))
-    del phi
-    for dest, parts in moved.items():
-        rows_in, states, taus = (np.concatenate(side) for side in zip(*parts))
-        _finish_interval(mach, dest, cols[rows_in], states, taus, done[rows_in], s0[rows_in],
-                         pending, rngs, jumps, arrivals)
-    # the rows whose own steps did not cross in this interval, or not in the step
-    # the descent left them at
-    alone = done == n_fine
-    alone[hit[~crossed]] = True
-    for i in np.flatnonzero(alone):
-        j = cols[i]
-        state, pending[j], dest = _resolve_stride(mach, b, rows[i], r[i], float(t0[i]), grid,
-                                                  rngs[j], jumps[j], int(done[i]))
-        _arrive(arrivals, dest, cols[i:i + 1], s0[i:i + 1], state[None])
+    r, done, into = r.copy(), np.zeros(len(cols), dtype=np.int64), np.zeros(len(cols))
+    live = {b: [(np.arange(len(cols)), rows)]}
+    while live:
+        here, live = live, {}
+        for b, parts in here.items():
+            blk = mach.blocks[b]
+            ids, rows = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            edge = into[ids] == 0.0
+            if edge.any():
+                _underflowed(_row_norm2(rows)[edge])
+                reach = np.where(edge, done[ids], n_fine)  # a row into its step stays there
+                _descend(blk.r_pows, rows, r[ids], reach, n_fine)
+                done[ids[edge]] = reach[edge]
+            end = done[ids] == n_fine
+            if end.any():
+                _arrive(arrivals, b, cols[ids[end]], s0[ids[end]], rows[end])
+                ids, rows = ids[~end], rows[~end]
+            if not len(ids):
+                continue
+            frac = dt - into[ids]
+            powers = _powers(blk.gen, rows)
+            rows = _taylor_flow(powers, frac[:, None])
+            above = _row_norm2(rows) > r[ids]
+            done[ids[above]] += 1
+            into[ids[above]] = 0.0
+            if above.any():
+                live.setdefault(b, []).append((ids[above], rows[above]))
+            cross = np.flatnonzero(~above)
+            if not len(cross):
+                continue
+            del rows
+            coeffs = _flow_norm2_poly(powers)
+            tau = np.zeros(len(ids))
+            for c in cross:
+                tau[c] = _crossing_time(coeffs[c].tolist(), float(frac[c]), float(r[ids[c]]))
+            phi = _taylor_flow(powers, tau[:, None])[cross]
+            del powers
+            ids, tau = ids[cross], tau[cross]
+            norms = np.stack([_row_norm2(phi @ jump.T) for jump in blk.jumps], axis=1)
+            chans = np.empty(len(ids), dtype=np.int64)
+            for c, i in enumerate(ids):
+                j = cols[i]
+                chans[c] = _channel(norms[c].tolist(), rngs[j])
+                jumps[j].append((float(t0[i] + done[i] * dt) + float(into[i]) + float(tau[c]),
+                                 int(chans[c])))
+                r[i] = pending[j] = _threshold(rngs[j])
+            into[ids] += tau
+            for chan, (jump, dest) in enumerate(zip(blk.jumps, blk.targets)):
+                sel = np.flatnonzero(chans == chan)
+                if len(sel):
+                    states = (phi[sel] @ jump.T) * (1.0 / np.sqrt(norms[sel, chan]))[:, None]
+                    live.setdefault(dest, []).append((ids[sel], states))
 
 
 def _arrive(arrivals: dict, b: int, cols: np.ndarray, s0: np.ndarray, states: np.ndarray):
@@ -853,43 +814,6 @@ def _arrive(arrivals: dict, b: int, cols: np.ndarray, s0: np.ndarray, states: np
     at the end samples ``s0 + 1`` of their intervals."""
     if len(cols):
         arrivals.setdefault(b, []).append((cols, s0 + 1, states))
-
-
-def _finish_interval(mach: _Machinery, b: int, cols: np.ndarray, states: np.ndarray,
-                     tau: np.ndarray, done: np.ndarray, s0: np.ndarray, pending: np.ndarray,
-                     rngs, jumps: list, arrivals: dict) -> None:
-    """The rest of the interval for ``_jump_pass``' rows that jumped into
-    block ``b``: row i, column ``cols[i]``, holds its new state ``tau[i]``
-    into its step ``done[i]`` of the interval that starts at sample
-    ``s0[i]``.  The rest of the step is one batched flow, and the steps
-    after it one dyadic descent; a row that crosses its new threshold in
-    either goes on alone, through ``_jumps_in_step`` and ``_resolve_stride``.
-    Each column joins its block's ``arrivals``."""
-    grid, blk = mach.grid, mach.blocks[b]
-    n_fine, dt = grid.n_fine, grid.dt
-    t0 = grid.t_start + s0 * grid.spacing
-    r = pending[cols]
-    end = _taylor_flow(_powers(blk.gen, states), (dt - tau)[:, None])
-    above = _row_norm2(end) > r
-    steps = done + 1
-    go = np.flatnonzero(above)
-    rows, left = end[go], steps[go]
-    _descend(blk.r_pows, rows, r[go], left, n_fine)
-    whole = left == n_fine
-    _arrive(arrivals, b, cols[go[whole]], s0[go[whole]], rows[whole])
-    for g in np.flatnonzero(~whole):
-        i, j = go[g], cols[go[g]]
-        state, pending[j], dest = _resolve_stride(mach, b, rows[g], r[i], float(t0[i]), grid,
-                                                  rngs[j], jumps[j], int(left[g]))
-        _arrive(arrivals, dest, cols[i:i + 1], s0[i:i + 1], state[None])
-    for i in np.flatnonzero(~above):
-        j = cols[i]
-        state, r_j, dest = _jumps_in_step(mach, b, states[i], float(r[i]),
-                                          float(t0[i] + done[i] * dt), dt, rngs[j], jumps[j],
-                                          float(tau[i]))
-        state, pending[j], dest = _resolve_stride(mach, dest, state, r_j, float(t0[i]), grid,
-                                                  rngs[j], jumps[j], int(steps[i]))
-        _arrive(arrivals, dest, cols[i:i + 1], s0[i:i + 1], state[None])
 
 
 @dataclass(frozen=True)
@@ -983,9 +907,9 @@ _PASS_BYTES = 1 << 22
 
 def _pass_row_bytes(k: int) -> int:
     """Bytes one row of the jump pass holds at most, on blocks of at most
-    ``k`` states: its row, the Taylor powers with the flow and temporaries,
-    or, in its target block, the powers, flow and descent trials; and its
-    scalars and norm polynomial."""
+    ``k`` states: its row and, in one round, the descent's trials or the
+    Taylor powers with the step-end or crossing flow and its temporaries;
+    and its scalars and norm polynomial."""
     return 10 * k * 16 + 512
 
 

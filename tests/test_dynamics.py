@@ -315,17 +315,21 @@ class TestBlocks:
         for k, blk in enumerate(mach.blocks[1:], start=1):
             assert blk.targets == (k - 1,) * len(model.collapse)
 
-    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-    def test_trajectories_match_dense_reference(self, case):
+    @pytest.mark.parametrize(
+        "case, coarse", [pytest.param(case, False, id=case) for case in sorted(REFERENCE_CASES)]
+        + [pytest.param(case, True, id=f"{case}-coarse")
+           for case in ("detuned", "fig2", "two_sectors")])
+    def test_trajectories_match_dense_reference(self, case, coarse):
         h, collapse, psi0 = REFERENCE_CASES[case]()
         h, psi0 = np.asarray(h), np.asarray(psi0, dtype=np.complex128)
-        # n_fine = 200, or the fig2 preset's own 536: a 10-level dyadic descent
+        # n_fine = 200, or the fig2 preset's own 536: a 10-level dyadic descent;
+        # coarse, n_fine = 6 000, where some intervals hold two jumps
         grid = (load_preset("fig2").scenarios[0].grid if case == "fig2_preset"
-                else TimeGrid(t_end=300.0, n_samples=301, dt=0.005))
+                else TimeGrid(t_end=300.0, n_samples=11 if coarse else 301, dt=0.005))
         n_blocks = len(_build_machinery(h, collapse, psi0, grid).blocks)
         assert n_blocks == {"fig2": 3, "fig2_preset": 3, "detuned": 3, "two_sectors": 1,
                             "dark_block": 2, "mixing_channel": 1}[case]
-        n_jumps = 0
+        n_jumps = n_doubled = 0
         for seed in range(6):
             traj = mcwf_trajectory(h, collapse, psi0, grid, seed=(7, seed))
             rows, jumps = dense_reference_trajectory(h, collapse, psi0, grid, (7, seed))
@@ -333,7 +337,12 @@ class TestBlocks:
             assert np.abs(np.subtract(traj.jumps, jumps)).max(initial=0.0) < 1e-10
             assert np.abs(traj.states - rows).max() < 1e-12
             n_jumps += len(jumps)
+            # the intervals that hold a second jump
+            at = [int((t - grid.t_start) // grid.spacing) for t, _ in jumps]
+            n_doubled += len(at) - len(set(at))
         assert n_jumps > 0
+        if coarse:
+            assert n_doubled > 0
 
     @pytest.mark.parametrize("name", ["fig2", "n3", "n4"])
     def test_every_trajectory_ends_in_the_vacuum_after_n0_jumps(self, name):
@@ -1278,17 +1287,14 @@ class TestBlockSweeps:
 
     def test_later_jumps_are_resolved_in_one_pass_a_block(self, monkeypatch):
         # fig2 at 200 trajectories: 400 jumps, each block's crossings in one
-        # pass; only a row that crosses twice in one interval, or not at all
-        # in the step its descent stopped at, goes on alone
+        # pass, which carries every row to the end of its interval
         config, model, psi0 = preset_problem("fig2")
-        alone = _counted(monkeypatch, "_resolve_stride")
         passes = _counted(monkeypatch, "_jump_pass")
         ens = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=200,
                             master_seed=config.master_seed,
                             observables=preset_projectors(config, model))
         assert ens.jumps_per_channel.sum() == 400
         assert [args[1] for args in passes] == [2, 1]
-        assert len(alone) <= 10
 
 
 @functools.lru_cache(maxsize=None)
