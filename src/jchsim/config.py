@@ -33,8 +33,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
-from .dynamics import (DEFAULT_DT, TimeGrid, batch_bytes, ensemble_problems, lindblad_bytes,
-                       rho_bytes)
+from .dynamics import (DEFAULT_DT, TimeGrid, batch_bytes, branch_bytes, ensemble_problems,
+                       lindblad_bytes, rho_bytes)
 from .errors import ConfigError, collect
 from .linalg import check_budget, real, reals, whole
 from .model import (ModelParams, PolaritonLabel, basis_bytes, check_product_index,
@@ -393,8 +393,7 @@ class ScenarioConfig:
                  ("observables.projectors", model_bytes(params, max_exc, n_obs),
                   "the projectors"),
                  # the branch writes on the ensemble's run, counted below: it adds its reduction
-                 (model_keys, batch_bytes(1, n_obs, n, sectors, record=True)
-                  - batch_bytes(1, 0, n, sectors, record=True), "the jump-free branch")]
+                 (model_keys, branch_bytes(n_obs, n, sectors), "the jump-free branch")]
         if self.compute_negativity:
             block = transpose_block_bound(params.n_sites, max_exc, self.bipartition_cut)
             terms += [("observables.negativity", rho_bytes(n, sectors),

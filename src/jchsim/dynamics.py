@@ -44,10 +44,10 @@ is redone in one dyadic descent over the powers 2^p of the dt step, which
 finds the last step still above the threshold.  The crossing inside the
 next step is bisected on that step's squared norm, a real polynomial of
 degree 8 in the time into the step whose coefficients come from the Gram
-matrix of ψ, Gψ, …, G⁴ψ; no state vector is formed while bisecting.  A
-row's scalar work, the bisection's Horner steps and the channel draw's
-running sum, runs on Python floats: on the two-site blocks of 4 and 8
-states a NumPy call costs more than the arithmetic it would do.
+matrix of ψ, Gψ, …, G⁴ψ; no state vector is formed while bisecting.  Only
+the bisection's Horner steps run a row at a time, on Python floats: on the
+two-site blocks of 4 and 8 states a NumPy call costs more than the
+arithmetic it would do.  A round's channel draws are one ``cumsum``.
 
 The first jumps are read off the shared run (Dalibard, Castin & Mølmer,
 PRL 68, 580 (1992)): each column's crossing interval is one comparison
@@ -57,7 +57,7 @@ interval.  Each block's crossings are resolved in one pass
 (``_jump_pass``; Radaelli, Landi & Binder, arXiv:2303.15405), which
 carries every row to the end of its interval in rounds: in each, a block
 at a time, one descent for the rows at a step boundary and one step for
-the others, each row's bisection and draw as above.  A second jump in the
+the others, each row's bisection as above.  A second jump in the
 same interval is one more round, and so is a step that by roundoff does
 not cross where the descent stopped.  A column sits in one block at a
 time, so its jumps come in time order.
@@ -105,10 +105,8 @@ dimension, else a ``SizeError`` that names it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -131,11 +129,11 @@ _BISECT_TOL = 1e-10
 _UNIT_NORM_ATOL = 1e-8
 _NORM_UNDERFLOW = 1e-28
 _RESCALE_FLOOR = 1e-150        # jump-free squared norm below which the state is rescaled
-# a column's Python objects (``batch_bytes``): its Generator with its SeedSequence
-# and seed tuple and its jump list, about 1.1 KB by tracemalloc, with the
-# temporaries of a row that jumps; and each jump's (time, channel) record
-_COLUMN_BYTES = 1536
-_JUMP_BYTES = 96
+# a column's Python objects (``batch_bytes``): its Generator, SeedSequence and
+# seed tuple, 0.91 KB by tracemalloc, and 0.19 KB for a crossing row's draw;
+# and each jump's column, time and channel in its round's record
+_COLUMN_BYTES = 1280
+_JUMP_BYTES = 24
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +563,6 @@ def _check_state(psi0: np.ndarray, d: int) -> np.ndarray:
 # pure-state evolutions: jump-free branches and quantum trajectories
 # ---------------------------------------------------------------------------
 
-def _threshold(rng: np.random.Generator) -> float:
-    """Next waiting-time threshold for the decaying squared norm."""
-    r = rng.random()
-    return r if r > 0.0 else 1e-300
-
-
 def _powers(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """[ψ, Gψ, G²ψ, G³ψ, G⁴ψ] as one ``(5, ...)`` array, for a state ψ or for
     each row of a stack of them."""
@@ -634,11 +626,12 @@ def _crossing_time(coeffs: list, frac: float, r: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _channel(norms: list, rng: np.random.Generator) -> int:
-    """Channel c with probability ``norms[c]`` / Σ ``norms``, the squared
-    norms ‖L_c φ‖²: the first channel whose running sum exceeds the draw."""
-    acc = list(accumulate(norms))
-    return min(bisect_right(acc, rng.random() * acc[-1]), len(acc) - 1)
+def _channels(norms: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each row's channel c, drawn with probability ``norms[:, c]`` / Σ
+    ``norms`` (‖L_cφ‖²) by its uniform ``u``: the first whose running sum
+    exceeds ``u`` · Σ, else the last."""
+    acc = np.cumsum(norms, axis=1)
+    return np.minimum((acc <= (u * acc[:, -1])[:, None]).sum(axis=1), norms.shape[1] - 1)
 
 
 def _descend(r_pows: np.ndarray, rows: np.ndarray, r: np.ndarray, done: np.ndarray,
@@ -742,15 +735,18 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
     its block, the whole dt steps ``done`` it has taken in the interval and
     the time ``into`` it has run into the next, and each round takes the
     live rows one block at a time.  The rows at a step boundary take one
-    dyadic descent (``_descend``), each against its own threshold; a row
-    that ends its interval there joins its block's ``arrivals``.  Every
+    dyadic descent (``_descend``), each against its own threshold, none in
+    a block no channel acts on; a row that ends its interval there joins its
+    block's ``arrivals``.  Every
     other row takes one batched step to the end of its step: the Taylor
     powers and the flow.  A row still above its threshold there goes on
     from the step's end.  The crossing of each other row is bisected on its
-    step's norm polynomial, its channel and next threshold are drawn from
-    its own Generator, and it goes on, ``into`` its step, in the block the
-    channel maps it into.  A column sits in one block and one round at a
-    time, so its jumps and draws come in time order.
+    step's norm polynomial, and two uniforms from its own Generator pick its
+    channel (``_channels``) and its next threshold.  The round's jumps are
+    one record (columns, times, channels) in ``jumps``, and each row goes
+    on, ``into`` its step, in the block its channel maps it into.  A column
+    sits in one block and one round at a time, so its records come in time
+    order.
     """
     grid = mach.grid
     n_fine, dt = grid.n_fine, grid.dt
@@ -762,6 +758,8 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
         for b, parts in here.items():
             blk = mach.blocks[b]
             ids, rows = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            if blk.absorbing:               # no channel acts there: no row crosses
+                r[ids] = -np.inf
             edge = into[ids] == 0.0
             if edge.any():
                 _underflowed(_row_norm2(rows)[edge])
@@ -770,7 +768,7 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
                 done[ids[edge]] = reach[edge]
             end = done[ids] == n_fine
             if end.any():
-                _arrive(arrivals, b, cols[ids[end]], s0[ids[end]], rows[end])
+                arrivals.setdefault(b, []).append((cols[ids[end]], s0[ids[end]] + 1, rows[end]))
                 ids, rows = ids[~end], rows[~end]
             if not len(ids):
                 continue
@@ -794,26 +792,16 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
             del powers
             ids, tau = ids[cross], tau[cross]
             norms = np.stack([_row_norm2(phi @ jump.T) for jump in blk.jumps], axis=1)
-            chans = np.empty(len(ids), dtype=np.int64)
-            for c, i in enumerate(ids):
-                j = cols[i]
-                chans[c] = _channel(norms[c].tolist(), rngs[j])
-                jumps[j].append((float(t0[i] + done[i] * dt) + float(into[i]) + float(tau[c]),
-                                 int(chans[c])))
-                r[i] = pending[j] = _threshold(rngs[j])
+            u = np.array([rngs[j].random(2) for j in cols[ids]])
+            chans = _channels(norms, u[:, 0])
+            jumps.append((cols[ids], (t0[ids] + done[ids] * dt) + into[ids] + tau, chans))
+            r[ids] = pending[cols[ids]] = np.maximum(u[:, 1], 1e-300)
             into[ids] += tau
             for chan, (jump, dest) in enumerate(zip(blk.jumps, blk.targets)):
                 sel = np.flatnonzero(chans == chan)
                 if len(sel):
                     states = (phi[sel] @ jump.T) * (1.0 / np.sqrt(norms[sel, chan]))[:, None]
                     live.setdefault(dest, []).append((ids[sel], states))
-
-
-def _arrive(arrivals: dict, b: int, cols: np.ndarray, s0: np.ndarray, states: np.ndarray):
-    """Add ``cols`` to block ``b``'s arrivals, with their ``states`` there,
-    at the end samples ``s0 + 1`` of their intervals."""
-    if len(cols):
-        arrivals.setdefault(b, []).append((cols, s0 + 1, states))
 
 
 @dataclass(frozen=True)
@@ -824,7 +812,7 @@ class _Batch:
     rho_sum: Optional[np.ndarray]    # (n_samples, Σ_b k_b²): Σ over the rows of |ψ><ψ|
     states: Optional[np.ndarray]     # recorded batch of one: (n_samples, dim) normalized rows
     run: _FreeRun                    # the jump-free run, as far as the batch needed it
-    jumps: list                      # per column: [(time, channel), ...]
+    jumps: list                      # per round with crossings: (columns, times, channels)
     absorbed: np.ndarray             # (n_cols,) first sample in an absorbing block, or n_samples
 
 
@@ -841,6 +829,8 @@ def _sweep_order(structure: BlockStructure) -> list:
     return order
 
 
+# a row at norm 0 reads NaN until the floor check refuses it
+@np.errstate(divide="ignore", invalid="ignore")
 def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch, reduced: bool,
            add: bool) -> tuple:
     """Sweep block ``b`` over the grid with the columns of ``arrived``, chunks
@@ -851,7 +841,8 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch, redu
     then their reduction: a recorded row, else, if ``reduced``, the
     observables and, with ρ̄ kept, one product written into the block's
     slice, or added if ``add``.  A block no channel acts on takes no jump
-    test, and is not stepped if nothing reads its rows.  A row whose
+    test, is not stepped if nothing reads its rows, and meets its floor
+    check once, after the sweep.  A row whose
     squared norm falls to its threshold leaves the sweep.  Returns those
     rows: columns, interval start samples and states there.
     """
@@ -886,9 +877,8 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch, redu
             if lo == len(at):
                 break
             continue
-        _check_floor(blk, norm2, grid.dt)
         if batch.states is not None:
-            batch.states[s, blk.index] = work[0] * (1.0 / math.sqrt(norm2[0]))
+            batch.states[s, blk.index] = work[0] * (1.0 / np.sqrt(norm2[0]))
         elif reduced or batch.rho_sum is not None:
             normed = work * (1.0 / np.sqrt(norm2))[:, None]
             if reduced:
@@ -898,6 +888,8 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch, redu
                 product = np.matmul(normed.T, normed.conj(), out=None if add else block)
                 if add:
                     block += product
+    # no row leaves an absorbing block, and no norm rises
+    _check_floor(blk, norm2, grid.dt)
     return tuple(np.concatenate(side) for side in zip(*held))
 
 
@@ -924,35 +916,36 @@ def _chunks(mach: _Machinery, n_rows: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
-def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims,
-                record: bool = False) -> int:
+def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims) -> int:
     """Bytes of a batch of ``n_cols`` columns on blocks of ``block_dims``
     states: the jump-free run's states and survival at every sample, which a
-    recorded column writes its own rows over, with, recorded, the
-    temporaries of the branch's reduction over them, else each column's
-    observable rows; one chunk of the jump pass; and each column's live
-    state and Python objects, with a jump record per block it can leave.
-    Each loss lowers the excitation, so a column leaves a block at most
-    once; channels that map a block into itself record jumps this does not
-    count.
+    recorded column writes its own rows over; each column's observable rows;
+    one chunk of the jump pass; and each column's live state and Python
+    objects, with a jump record per block it can leave.  Each loss lowers
+    the excitation, so a column leaves a block at most once; channels that
+    map a block into itself record jumps this does not count.
 
     The live state is ``dim`` amplitudes, and six more copies of it are
     counted on the largest block: a row's product, the rows that stay, the
     arrivals concatenated and put in order with the rows; a crossing row,
-    held until its sweep ends, and an arrival waiting for its block.  The
-    branch's reduction (``_jump_free_branch``) holds, per sample, one
-    observable's support columns, their product and conjugate, each counted
-    on the largest block, with its complex values, and every observable's
-    values before and after they are transposed.  A fresh jump-free branch
-    counts as a batch of one; one on an ensemble's run adds its reduction."""
+    held until its sweep ends, and an arrival waiting for its block.  A
+    fresh jump-free branch counts as a batch of one, with its reduction
+    (``branch_bytes``)."""
     dim, k = sum(block_dims), max(block_dims)
-    reduction = n_observables and 3 * k * 16 + 16 + 2 * n_observables * 8
-    run = n_samples * (dim * 16 + 8 + (reduction if record else 0))
-    rows = 0 if record else n_cols * n_observables * n_samples * 8
+    run = n_samples * (dim * 16 + 8)
+    rows = n_cols * n_observables * n_samples * 8
     jump_pass = min(n_cols, _pass_rows(k)) * _pass_row_bytes(k)
     live = (dim + 6 * k) * 16
     return run + rows + jump_pass + n_cols * (live + _COLUMN_BYTES
                                               + _JUMP_BYTES * (len(block_dims) - 1))
+
+
+def branch_bytes(n_observables: int, n_samples: int, block_dims) -> int:
+    """Bytes of the jump-free branch's reduction: per sample, one
+    observable's support columns, their product and conjugate, each counted
+    on the largest block, with its complex values, and every observable's
+    values before and after they are transposed; none without observables."""
+    return n_observables and n_samples * (3 * max(block_dims) * 16 + 16 + 2 * n_observables * 8)
 
 
 def rho_bytes(n_samples: int, block_dims) -> int:
@@ -968,8 +961,8 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
 
     Column j is one pure-state evolution from ψ0.  With ``seed_of`` and a
     collapse channel, column j is the trajectory of ``seed_of(j)``: uniforms
-    are drawn one at a time from its own stream (the threshold, then per
-    jump the channel and the next threshold), and the decaying norm carries
+    are drawn from its own stream (the threshold, then per jump the channel
+    and the next threshold in one call), and the decaying norm carries
     the waiting time.  Otherwise nothing jumps, and every column is the
     jump-free run to the end of the grid.
 
@@ -999,7 +992,7 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     grid = mach.grid
     n = grid.n_samples
     dims = [len(blk.index) for blk in mach.blocks]
-    n_bytes = batch_bytes(n_cols, len(mach.names), n, dims, record)
+    n_bytes = batch_bytes(n_cols, len(mach.names), n, dims)
     parts = (["recorded states and norms"] if record
              else ["the jump-free run", "observable rows"]) + ["live states"]
     if keep_rho:
@@ -1012,8 +1005,8 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     rngs = pending = None
     if jumping:
         rngs = [np.random.default_rng(np.random.SeedSequence(seed_of(j))) for j in range(n_cols)]
-        pending = np.array([_threshold(rng) for rng in rngs])
-    jumps: list = [[] for _ in range(n_cols)]
+        pending = np.maximum([rng.random() for rng in rngs], 1e-300)
+    jumps: list = []
     absorbed = np.full(n_cols, 0 if mach.blocks[start].absorbing else n, dtype=np.int64)
     run = _FreeRun(mach)
     first = np.full(n_cols, n)           # the sample at which each column leaves the run
@@ -1090,7 +1083,8 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     seed = tuple(parts) if isinstance(seed, tuple) else parts[0]
     mach = _build_machinery(h, collapse, psi0, grid)
     batch = _propagate(mach, 1, lambda j: seed, record=True, what="the trajectory")
-    return TrajectoryResult(states=batch.states, jumps=tuple(batch.jumps[0]))
+    return TrajectoryResult(states=batch.states, jumps=tuple(
+        (t, c) for _, times, chans in batch.jumps for t, c in zip(times.tolist(), chans.tolist())))
 
 
 def _batched_expectation(states: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -1131,14 +1125,14 @@ def _jump_free_branch(mach: _Machinery, run: Optional[_FreeRun] = None) -> Condi
     reduced on the block it never leaves: ``run``, an ensemble's, goes on
     from where the ensemble left it, else a new run starts."""
     dims, n = [len(blk.index) for blk in mach.blocks], mach.grid.n_samples
-    n_bytes = batch_bytes(1, len(mach.names), n, dims, record=True)
+    reduction = branch_bytes(len(mach.names), n, dims)
     if run is None:
-        check_budget(n_bytes, "the jump-free branch: recorded states and norms, live states")
+        check_budget(batch_bytes(1, 0, n, dims) + reduction,
+                     "the jump-free branch: recorded states and norms, live states")
         run = _FreeRun(mach)
     else:
         # the ensemble counted its run
-        check_budget(n_bytes - batch_bytes(1, 0, n, dims, record=True),
-                     "the jump-free branch: the reduction of its states")
+        check_budget(reduction, "the jump-free branch: the reduction of its states")
     run.advance()
     start = mach.structure.start
     index = mach.blocks[start].index
@@ -1199,14 +1193,12 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     n_runs = n_traj if n_chan else 1
     batch = _propagate(mach, n_runs, lambda j: (master_seed, j), keep_rho=keep_rho,
                        what=f"the ensemble of {n_runs} trajectories")
-    rows = batch.values
     counts = np.zeros((n_runs, n_chan), dtype=np.int64)
-    for j, record in enumerate(batch.jumps):
-        for _, chan in record:
-            counts[j, chan] += 1
+    for cols, _, chans in batch.jumps:
+        np.add.at(counts, (cols, chans), 1)
 
-    means = {name: rows[:, o].mean(axis=0) for o, name in enumerate(mach.names)}
-    stderr = {name: (rows[:, o].std(axis=0, ddof=1) / math.sqrt(n_traj) if n_runs > 1
+    means = {name: batch.values[:, o].mean(axis=0) for o, name in enumerate(mach.names)}
+    stderr = {name: (batch.values[:, o].std(axis=0, ddof=1) / math.sqrt(n_traj) if n_runs > 1
                      else np.zeros(n)) for o, name in enumerate(mach.names)}
     rho_blocks = (BlockDensity(np.divide(batch.rho_sum, n_runs, out=batch.rho_sum),
                                mach.structure.rows, mach.structure.cols) if keep_rho else None)

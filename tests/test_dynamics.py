@@ -12,6 +12,8 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +440,43 @@ class TestNormPolynomial:
                 assert np.abs(coeffs[i] - alone).max() <= 1e-13 * np.abs(alone).max()
 
 
+class TestJumpDraws:
+    def test_round_channel_pick_is_each_rows_bisection_of_its_running_sum(self):
+        # a round picks every crossing row's channel at once; each pick is the
+        # one-row rule, the first channel whose running sum (added left to
+        # right) exceeds u·Σ, clipped to the last channel
+        def one_row(norms, u):
+            acc = list(accumulate(norms))
+            return min(bisect_right(acc, u * acc[-1]), len(acc) - 1)
+
+        rng = np.random.default_rng(5)
+        cases = [(rng.uniform(size=(300, n)) * 10.0 ** rng.uniform(-300, 0, size=(300, 1)),
+                  rng.uniform(size=300)) for n in (1, 2, 3, 4, 7)]
+        cases += [
+            # draws exactly on a running sum, at 0 and at the total
+            (np.array([[0.25, 0.25, 0.5]] * 4), np.array([0.0, 0.25, 0.5, 1.0])),
+            # zero-norm channels, all mass on the last channel, every norm zero
+            (np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 2.0],
+                       [0.0, 0.0, 0.0, 0.0]]), np.array([0.0, 0.5, 0.999, 0.3])),
+            # one channel
+            (np.array([[0.3], [0.0], [1e-300]]), np.array([0.0, 0.5, 0.999])),
+        ]
+        for norms, u in cases:
+            want = [one_row(row, x) for row, x in zip(norms.tolist(), u.tolist())]
+            assert dynamics._channels(norms, u).tolist() == want
+        assert [one_row(*case) for case in (([0.25, 0.25, 0.5], 0.25), ([0, 0.5, 0, 0.5], 0.0),
+                                            ([0.0, 0.0, 2.0], 0.0))] == [1, 1, 2]
+
+    def test_two_uniforms_in_one_call_are_two_draws(self):
+        # a crossing row takes its channel draw and its next threshold in one
+        # call of its Generator: the same two doubles as two single draws
+        for seed in range(200):
+            one, two = (np.random.default_rng(np.random.SeedSequence((seed, 7)))
+                        for _ in range(2))
+            for _ in range(5):
+                assert one.random(2).tolist() == [two.random(), two.random()]
+
+
 def dense_superoperator(h, collapse):
     """The master-equation generator on all of row-major vec(ρ), written out."""
     d = h.shape[0]
@@ -559,6 +598,7 @@ LINDBLAD_CASES = {
     "damped_mode": _lindblad_damped_mode,
     "mixing_channel": _lindblad_mixing_channel,
 }
+
 
 
 class TestLindblad:
@@ -833,6 +873,24 @@ class TestTrajectories:
         grid = TimeGrid(t_end=1000.0, n_samples=11, dt=0.01)
         with pytest.raises(IntegratorError, match="too coarse"):
             no_jump_branch(h, (), psi0, grid)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t_end", [400.0, 1000.0])
+    def test_norm_loss_in_an_absorbing_block_after_a_jump_raises(self, t_end):
+        # |e> decays into |g>, on which no channel acts; at |dt (H - c)| = 1 the
+        # scheme keeps 1 - 1/72 + 1/576 of |g>'s squared norm a step, so a row
+        # that lands there falls below the floor about 281 after its jump, and
+        # to 0.0 by about 607.  The sweep of |g> refuses it, whether its rows
+        # are recorded or reduced on an observable, and no warning escapes
+        h = np.diag([0.0, 200.0]).astype(np.complex128)
+        collapse = [np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)]
+        psi0 = np.array([1.0, 0.0], dtype=np.complex128)
+        grid = TimeGrid(t_end=t_end, n_samples=41, dt=0.01)
+        with pytest.raises(IntegratorError, match="too coarse"):
+            mcwf_trajectory(h, collapse, psi0, grid, seed=1)
+        with pytest.raises(IntegratorError, match="too coarse"):
+            mcwf_ensemble(h, collapse, psi0, grid, n_traj=5, master_seed=1,
+                          observables={"g": np.diag([0.0, 1.0])})
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_step_past_the_stability_limit_raises_naming_dt(self):
@@ -1124,10 +1182,21 @@ class TestSharedBlocks:
                       observables=preset_projectors(config, model), keep_rho=True)
         assert set(reduced) == {8}
         (batch,) = batches
-        for values, record in zip(batch.values, batch.jumps):
+        for values, record in zip(batch.values, _column_jumps(batch)):
             left = grid.times > record[0][0]      # the samples after the first jump
             assert left.any() and values[:, ~left].any()
             assert not values[:, left].any()
+
+
+def _column_jumps(batch) -> list:
+    """Each column's ``[(time, channel), ...]``, read off the batch's
+    per-round records ``(columns, times, channels)``, in which a column's
+    jumps come in time order."""
+    jumps = [[] for _ in batch.absorbed]
+    for cols, times, chans in batch.jumps:
+        for j, t, c in zip(cols.tolist(), times.tolist(), chans.tolist()):
+            jumps[j].append((t, c))
+    return jumps
 
 
 def _captured_batches(monkeypatch) -> list:
@@ -1166,6 +1235,7 @@ def _reentered_block_matches_replays(monkeypatch, name):
     batches = _captured_batches(monkeypatch)
     ens = mcwf_ensemble(h, collapse, psi0, grid, n_traj=16, master_seed=3, observables=obs)
     (batch,) = batches
+    jumps = _column_jumps(batch)
     n_jumps = ens.jumps_per_channel.sum(axis=1)
     assert n_jumps.max() >= 2
     # a column's k-th jump lands it in the block's k-th sweep
@@ -1173,9 +1243,9 @@ def _reentered_block_matches_replays(monkeypatch, name):
     per_traj = []
     for j in range(16):
         replay = mcwf_trajectory(h, collapse, psi0, grid, (3, j))
-        assert [c for _, c in batch.jumps[j]] == [c for _, c in replay.jumps]
+        assert [c for _, c in jumps[j]] == [c for _, c in replay.jumps]
         if replay.jumps:
-            assert np.abs(np.subtract(batch.jumps[j], replay.jumps)).max() < 1e-10
+            assert np.abs(np.subtract(jumps[j], replay.jumps)).max() < 1e-10
         per_traj.append([_batched_expectation(replay.states, op) for op in obs.values()])
     means = np.mean(per_traj, axis=0)
     for o, key in enumerate(obs):
@@ -1196,7 +1266,8 @@ class TestFirstJumps:
         (batch,) = batches
         branch = ens.jump_free_branch()
         cond = np.array(list(branch.observables.values()))          # (n_obs, n_samples)
-        joined = np.array([np.searchsorted(grid.times, record[0][0]) for record in batch.jumps])
+        joined = np.array([np.searchsorted(grid.times, record[0][0])
+                           for record in _column_jumps(batch)])
         assert 1 <= joined.min() and joined.max() < grid.n_samples
         for values, s_j in zip(batch.values, joined):
             assert np.abs(values[:, :s_j] - cond[:, :s_j]).max() <= 1e-15
@@ -1227,7 +1298,8 @@ class TestFirstJumps:
         def checked(mach, b, arrived, pending, batch, *rest):
             # every column a sweep of the start block takes has jumped by then
             if b == start:
-                seen.extend(len(batch.jumps[j]) for cols, _, _ in arrived for j in cols)
+                jumps = _column_jumps(batch)
+                seen.extend(len(jumps[j]) for cols, _, _ in arrived for j in cols)
             return sweep(mach, b, arrived, pending, batch, *rest)
 
         monkeypatch.setattr(dynamics, "_sweep", checked)
@@ -1360,13 +1432,14 @@ class TestDeterminism:
         assert np.array_equal(large.jumps_per_channel[:7], small.jumps_per_channel)
         assert np.array_equal(large.absorbing_entry[:7], small.absorbing_entry)
         batch = dynamics._propagate(large._machinery, 64, lambda j: (seed, j))
+        jumps = _column_jumps(batch)
         per_traj = []
         for j in range(7):
             replay = mcwf_trajectory(model.h, model.collapse, psi0, grid, (seed, j))
-            assert [c for _, c in batch.jumps[j]] == [c for _, c in replay.jumps]
-            assert np.abs(np.subtract(batch.jumps[j], replay.jumps)).max() < 1e-10
+            assert [c for _, c in jumps[j]] == [c for _, c in replay.jumps]
+            assert np.abs(np.subtract(jumps[j], replay.jumps)).max() < 1e-10
             per_traj.append([_batched_expectation(replay.states, op) for op in obs.values()])
-        assert sum(len(record) for record in batch.jumps[:7]) == 7 * config.max_excitation
+        assert sum(len(record) for record in jumps[:7]) == 7 * config.max_excitation
         means = np.mean(per_traj, axis=0)
         for o, key in enumerate(obs):
             assert np.abs(small.mean_observables[key] - means[o]).max() < 1e-12
@@ -1401,7 +1474,7 @@ class TestDeterminism:
 class TestMemoryGuards:
     def test_trajectory_rows_over_budget_raise_before_allocating(self, monkeypatch):
         # 10⁶ trajectories of 41 samples of one observable on a 4-dim model of
-        # four one-state blocks: 10⁶ · (41 · 8 + (4 + 6 · 1) · 16 + 1 536 + 3 · 96)
+        # four one-state blocks: 10⁶ · (41 · 8 + (4 + 6 · 1) · 16 + 1 280 + 3 · 24)
         # bytes of rows, live states with the sweep's copies, its held crossing
         # rows and the waiting arrivals, objects and jump records; the jump-free
         # run's 41 states and survivals, 41 · (4 · 16 + 8); and one chunk of the
@@ -1419,7 +1492,7 @@ class TestMemoryGuards:
         try:
             with pytest.raises(SizeError, match=r"the ensemble of 1000000 trajectories: "
                                                 r"the jump-free run, observable rows, live "
-                                                r"states needs 2316196904 bytes"):
+                                                r"states needs 1844196904 bytes"):
                 mcwf_ensemble(h, collapse, psi0, TimeGrid(t_end=10.0, n_samples=41),
                               n_traj=10**6, master_seed=0, observables={"n": a.conj().T @ a})
             peak = tracemalloc.get_traced_memory()[1]
@@ -1446,8 +1519,8 @@ class TestMemoryGuards:
 
     def test_accepted_batch_peaks_below_its_count(self, monkeypatch):
         # 10 000 trajectories of a damped mode from two photons: each holds a
-        # Generator, its seed tuple and a jump list, about 1.1 KB of Python
-        # objects against 64 bytes of state, 96 of the sweep's copies, held
+        # Generator and its seed tuple, with a crossing row's draw about 1.1 KB
+        # of Python objects, against 64 bytes of state, 96 of the sweep's copies, held
         # crossing rows and waiting arrivals and 24 of observable rows; the
         # jump-free run keeps 3 states of 4 amplitudes and their survivals,
         # and the jump pass takes chunks of 6 241 rows of 672 bytes
@@ -1466,7 +1539,7 @@ class TestMemoryGuards:
         finally:
             tracemalloc.stop()
         assert (ens.jumps_per_channel.sum(axis=1) == 2).any()
-        assert counts == [10_000 * (3 * 8 + (4 + 6 * 1) * 16 + 1536 + 3 * 96)
+        assert counts == [10_000 * (3 * 8 + (4 + 6 * 1) * 16 + 1280 + 3 * 24)
                           + 3 * (4 * 16 + 8) + 6241 * (10 * 16 + 512)]
         assert peak < counts[0]
 
@@ -1514,8 +1587,8 @@ class TestMemoryGuards:
             assert ens.jumps_per_channel.sum() > n_traj
             k = max(dims)
             first_pass = chunk * (10 * k * 16 + 512)
-            assert counts == [n_traj * (2 * 40 * 8 + (sum(dims) + 6 * k) * 16 + 1536
-                                        + (len(dims) - 1) * 96)
+            assert counts == [n_traj * (2 * 40 * 8 + (sum(dims) + 6 * k) * 16 + 1280
+                                        + (len(dims) - 1) * 24)
                               + 40 * (sum(dims) * 16 + 8) + first_pass]
             assert peaks[-1] < counts[0], name
             assert len(passes) > 1 and max(passes) < first_pass, name
@@ -1540,7 +1613,7 @@ class TestMemoryGuards:
             n_obs, k = len(observables), max(dims)
             reduction = 560 * (3 * k * 16 + 16 + 2 * n_obs * 8)
             record = (560 * (sum(dims) * 16 + 8) + reduction + (sum(dims) + 6 * k) * 16
-                      + 1536 + (len(dims) - 1) * 96 + 10 * k * 16 + 512)
+                      + 1280 + (len(dims) - 1) * 24 + 10 * k * 16 + 512)
             # the ensemble's branch writes on the ensemble's run: it adds the reduction;
             # a branch on the same blocks with a run of its own counts that run too
             for call, count in ((ens.jump_free_branch, reduction),
@@ -1564,11 +1637,11 @@ class TestMemoryGuards:
         # blocks of 1, 8, 32, 88 and 192 states: (601 + 1) · 45 697 · 16 bytes for
         # ρ̄'s entries, rows and columns, 2 · (321 + 6 · 192) · 16 for the live
         # states, the sweep's copies, held crossing rows and waiting arrivals,
-        # 2 · (1 536 + 4 · 96) for the trajectories' objects and jump records,
+        # 2 · (1 280 + 4 · 24) for the trajectories' objects and jump records,
         # 601 · (321 · 16 + 8) for the jump-free run and 2 · (10 · 192 · 16 + 512)
         # for the jump pass
         with pytest.raises(SizeError, match=r"live states, ρ̄'s block entries over 601 samples "
-                                            r"needs 443358488 bytes"):
+                                            r"needs 443357400 bytes"):
             mcwf_ensemble(model.h, model.collapse, psi0, grid, n_traj=2,
                           master_seed=0, keep_rho=True)
 
@@ -1576,7 +1649,7 @@ class TestMemoryGuards:
         # fig2: a recorded run keeps 560 states of 13 amplitudes and a survival
         # a sample, 560 · (13 · 16 + 8) bytes, its live state and the sweep's
         # copies, (13 + 6 · 8) · 16, its objects and a jump record for each of
-        # two sectors, 1 536 + 2 · 96, and one row of the jump pass,
+        # two sectors, 1 280 + 2 · 24, and one row of the jump pass,
         # 10 · 8 · 16 + 512; an ensemble's branch writes on the ensemble's
         # run and adds the reduction of its three projectors alone,
         # 560 · (3 · 8 · 16 + 16 + 2 · 3 · 8);
@@ -1592,7 +1665,7 @@ class TestMemoryGuards:
 
         monkeypatch.setattr(dynamics, "_FreeRun", never)
         monkeypatch.setattr(np.linalg, "eigvalsh", never)
-        record = 560 * (13 * 16 + 8) + (13 + 6 * 8) * 16 + 1536 + 2 * 96 + 10 * 8 * 16 + 512
+        record = 560 * (13 * 16 + 8) + (13 + 6 * 8) * 16 + 1280 + 2 * 24 + 10 * 8 * 16 + 512
         calls = [
             (560 * (3 * 8 * 16 + 16 + 2 * 3 * 8), "the jump-free branch: the reduction",
              ens.jump_free_branch),

@@ -376,7 +376,7 @@ class TestScenarioConfig:
         # enumeration 64 · 2 · 8065 + 8192 bytes at its peak, and the one
         # trajectory's state with the sweep's copies, held crossing row and
         # waiting arrival, (8065 + 6 · 252) · 16 bytes more, with its objects
-        # and a jump record for each of 63 sectors it can leave, 1 536 + 63 · 96,
+        # and a jump record for each of 63 sectors it can leave, 1 280 + 63 · 24,
         # the jump-free run's 6 states and survivals, 6 · (8065 · 16 + 8), and
         # one row of the jump pass, 10 · 252 · 16 + 512; the jump-free branch
         # writes on that run and, with no projector, adds nothing
@@ -388,7 +388,7 @@ class TestScenarioConfig:
         assert problems == [
             "model.n_sites, model.n_max, initial.labels, run.n_traj: the basis, H and the "
             "loss operators, the observable rows and live states of 1 trajectories needs "
-            "3124139248 bytes, above the budget 268435456"]
+            "3124134456 bytes, above the budget 268435456"]
 
     def test_projectors_counted_against_the_budget(self):
         # 2113 reduced states: H and two loss operators take 214 308 912 bytes,
@@ -396,7 +396,7 @@ class TestScenarioConfig:
         # basis enumeration peaks at 278 656 bytes, and the trajectory adds its
         # state, the sweep's copies, held crossing row and waiting arrival
         # ((2113 + 6 · 128) · 16 bytes), its objects and jump records
-        # (1 536 + 32 · 96), one row per projector (48), the jump-free run's 6
+        # (1 280 + 32 · 24), one row per projector (48), the jump-free run's 6
         # states and survivals, 6 · (2113 · 16 + 8), and one row of the jump
         # pass, 10 · 128 · 16 + 512; the jump-free branch writes on that run and
         # adds its reduction's temporaries on the 128-state top sector,
@@ -411,7 +411,7 @@ class TestScenarioConfig:
         assert problems_of(scenario_from_mapping, mapping) == [
             "model.n_sites, model.n_max, initial.labels, observables.projectors, run.n_traj: "
             "the basis, H and the loss operators, the projectors, the jump-free branch, the "
-            "observable rows and live states of 1 trajectories needs 286335568 bytes, above "
+            "observable rows and live states of 1 trajectories needs 286333008 bytes, above "
             "the budget 268435456"]
 
     def test_trajectory_rows_counted_against_the_budget(self):
@@ -419,7 +419,7 @@ class TestScenarioConfig:
         # the batch runs, its 13-dim state with six copies of the 8-state sector
         # (the sweep's, its held crossing row and its waiting arrival), its
         # objects and a jump record for each of the two sectors it can leave:
-        # 13 440 + 976 + 1 536 + 2 · 96 bytes each, 16.1 GB at a million; the
+        # 13 440 + 976 + 1 280 + 2 · 24 bytes each, 15.7 GB at a million; the
         # model, projectors, ρ̄, its partial transpose, the jump-free branch's
         # reduction, the trajectories' jump-free run and a chunk of 2 340 rows of
         # their jump pass add 6 850 416 bytes
@@ -432,7 +432,7 @@ class TestScenarioConfig:
                                   "observables.projectors, observables.negativity, "
                                   "observables.bipartition_cut, run.n_traj: ")
         assert problem.endswith("the observable rows and live states of 1000000 "
-                                "trajectories needs 16150850416 bytes, above the budget "
+                                "trajectories needs 15750850416 bytes, above the budget "
                                 "268435456")
 
     def test_huge_photon_cutoff_runs_on_its_reduced_model(self):
@@ -479,10 +479,10 @@ class TestScenarioConfig:
             "observables.bipartition_cut, run.n_traj: the basis, H and the loss operators, "
             "ρ̄'s block entries over 561 samples, the partial transpose's largest block of "
             "at most 257 states, the observable rows and live states of 1 trajectories "
-            "needs 1603618136 bytes, above the budget 268435456"]
+            "needs 1603617592 bytes, above the budget 268435456"]
         # the preset: 560 samples, 2000 trajectories with 2 projectors, four damped
         # sites and the jump-free branch
-        with pytest.raises(ConfigError, match="1688868304 bytes"):
+        with pytest.raises(ConfigError, match="1687780304 bytes"):
             replace(load_preset("n4").scenarios[0], compute_negativity=True)
 
     def test_partial_transpose_beyond_the_budget_refused_at_load(self):
