@@ -202,7 +202,6 @@ _SCENARIO_KEYS = {
     "initial": {"labels": _Key("initial", _as_labels, required=True)},
     "grid": {
         "t_end": _Key("t_end", _as_float, required=True),
-        "t_start": _Key("t_start", _as_float),
         "dt": _Key("dt", _as_float),
         "spacing": _Key("spacing", _as_spacing),
         "n_samples": _Key("n_samples", _as_int),
@@ -225,7 +224,6 @@ _SWEEP_KEYS = {
     "model": {"g": _Key("coupling", _as_float)},
     "grid": {
         "t_end": _Key("t_end", _as_float),
-        "t_start": _Key("t_start", _as_float),
         "dt": _Key("dt", _as_float),
     },
     "classifier": {
@@ -420,8 +418,7 @@ class ScenarioConfig:
 # the sweep key behind each field its model or grid can reject; the spacing
 # is a quarter beat on the dt lattice, so one that does not fit needs a later t_end
 _SWEEP_MODEL_KEYS = {"omega_a": "sweep.delta:", "g": "model.g:", "dt": "grid.dt:",
-                     "t_start": "grid.t_start:", "t_end": "grid.t_end:",
-                     "spacing": "grid.t_end: spacing"}
+                     "t_end": "grid.t_end:", "spacing": "grid.t_end: spacing"}
 
 
 @dataclass(frozen=True)
@@ -442,7 +439,6 @@ class CriticalitySweepConfig:
     delta: float = 0.0
     coupling: float = 1.0
     t_end: float = 150.0
-    t_start: float = 0.0
     dt: float = DEFAULT_DT
     prominence_threshold: float = DEFAULT_PROMINENCE_THRESHOLD
     t_min: float = DEFAULT_BURN_IN
@@ -464,8 +460,7 @@ class CriticalitySweepConfig:
         grid = None
         try:
             grid = TimeGrid.with_spacing(
-                self.t_end, recommended_spacing(self.model_for(0.0, 0.0), self.dt),
-                dt=self.dt, t_start=self.t_start)
+                self.t_end, recommended_spacing(self.model_for(0.0, 0.0), self.dt), dt=self.dt)
         except ConfigError as exc:
             for problem in exc.problems:
                 name, _, rest = problem.partition(": ")
@@ -493,7 +488,7 @@ class CriticalitySweepConfig:
         params, n = self.model_for(1.0, 1.0), grid.n_samples
         sectors = sector_dims(2, params.n_max)
         block = transpose_block_bound(2, params.n_max, 1)
-        keys = "grid.t_end, grid.t_start, grid.dt"
+        keys = "grid.t_end, grid.dt"
         return _budget([
             (keys, 2 * basis_bytes(params, params.n_max), "two bases"),
             (keys, 2 * model_bytes(params, params.n_max), "two models' H and loss operators"),

@@ -107,7 +107,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Mapping, Optional, Sequence
+from typing import ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -140,38 +140,34 @@ _JUMP_BYTES = 24
 # time grid
 # ---------------------------------------------------------------------------
 
-def _bound_problems(t_start, t_end, dt) -> tuple:
-    """The grid's bounds and step as ``linalg.real`` takes them, None where it
-    refuses one, and a problem for each refused one and for a span that does
-    not run forward or is too long for a float."""
+def _bound_problems(t_end, dt) -> tuple:
+    """The grid's end and step as ``linalg.real`` takes them, each above 0,
+    None where it refuses one, and a problem for each refused one."""
     problems = []
-    t0, t1 = collect(problems, real, t_start, "t_start"), collect(problems, real, t_end, "t_end")
-    if None not in (t0, t1) and not t1 > t0:
-        problems.append(f"t_end: must exceed t_start, got {t_end} <= {t_start}")
-    elif None not in (t0, t1):
-        collect(problems, real, t1 - t0, "t_end - t_start")
-    return (t0, t1, collect(problems, real, dt, "dt", above=0.0)), problems
+    return (collect(problems, real, t_end, "t_end", above=0.0),
+            collect(problems, real, dt, "dt", above=0.0)), problems
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform output grid with an integrator substep.
 
-    ``n_samples`` points span [t_start, t_end] inclusive.  A whole number
-    given as a float is stored as an int, and the bounds and step as floats
-    (``linalg.whole`` and ``linalg.real``); the sample spacing must be an
-    integer multiple of the integrator step ``dt``.
+    ``n_samples`` points span [0, t_end] inclusive: every run starts at
+    t = 0.  A whole number given as a float is stored as an int, and the
+    end and step as floats (``linalg.whole`` and ``linalg.real``); the
+    sample spacing must be an integer multiple of the integrator step
+    ``dt``.
     """
 
     t_end: float
     n_samples: int
     dt: float = DEFAULT_DT
-    t_start: float = 0.0
+    t_start: ClassVar[float] = 0.0     # not a field: only perfbench reads it
 
     def __post_init__(self):
-        (t_start, t_end, dt), problems = _bound_problems(self.t_start, self.t_end, self.dt)
+        (t_end, dt), problems = _bound_problems(self.t_end, self.dt)
         n_samples = collect(problems, whole, self.n_samples, 2, "n_samples")
-        spacing = None if problems else (t_end - t_start) / (n_samples - 1)
+        spacing = None if problems else t_end / (n_samples - 1)
         if dt is not None and dt > DEFAULT_MAX_DT:
             problems.append(f"dt: {self.dt} exceeds the stability cap {DEFAULT_MAX_DT}")
         ratio = None if spacing is None else collect(problems, real, spacing / dt, "spacing/dt")
@@ -184,36 +180,30 @@ class TimeGrid:
                     f"(spacing/dt = {ratio!r})")
         if problems:
             raise ConfigError(problems)
-        for name, value in (("t_end", t_end), ("n_samples", n_samples), ("dt", dt),
-                            ("t_start", t_start)):
+        for name, value in (("t_end", t_end), ("n_samples", n_samples), ("dt", dt)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def with_spacing(cls, t_end: float, spacing: float, dt: float = DEFAULT_DT,
-                     t_start: float = 0.0) -> "TimeGrid":
-        """Grid with the requested sample spacing snapped to the dt lattice.
+    def with_spacing(cls, t_end: float, spacing: float, dt: float = DEFAULT_DT) -> "TimeGrid":
+        """Grid from 0 with the requested sample spacing snapped to the dt
+        lattice.
 
         ``t_end`` is trimmed down to the last full sample interval.
         """
-        (t_start, t_end, dt), problems = _bound_problems(t_start, t_end, dt)
+        (t_end, dt), problems = _bound_problems(t_end, dt)
         collect(problems, real, spacing, "spacing", above=0.0)
         if problems:
             raise ConfigError(problems)
         n_fine = max(1, round(spacing / dt))
         snapped = n_fine * dt
-        n_samples = int(math.floor((t_end - t_start) / snapped + 1e-9)) + 1
+        n_samples = int(math.floor(t_end / snapped + 1e-9)) + 1
         if n_samples < 2:
-            raise ConfigError([f"spacing: {spacing} does not fit inside ({t_start}, {t_end})"])
-        return cls(t_end=t_start + (n_samples - 1) * snapped, n_samples=n_samples,
-                   dt=dt, t_start=t_start)
-
-    @property
-    def span(self) -> float:
-        return self.t_end - self.t_start
+            raise ConfigError([f"spacing: {spacing} does not fit inside (0.0, {t_end})"])
+        return cls(t_end=(n_samples - 1) * snapped, n_samples=n_samples, dt=dt)
 
     @property
     def spacing(self) -> float:
-        return self.span / (self.n_samples - 1)
+        return self.t_end / (self.n_samples - 1)
 
     @property
     def n_fine(self) -> int:
@@ -222,7 +212,7 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t_start + self.spacing * np.arange(self.n_samples)
+        return self.spacing * np.arange(self.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +656,8 @@ class _FreeRun:
     the state is rescaled below ``_RESCALE_FLOOR`` with the factor carried
     in the survival, so rows stay finite.  ``states`` (normalized, zero off
     the block) and ``survival`` hold the first ``done`` samples.  A block no
-    channel acts on should keep the norm (``_check_floor``).
+    channel acts on should keep the norm: each ``advance`` checks it once
+    (``_check_floor``).
     """
 
     def __init__(self, mach: _Machinery):
@@ -694,7 +685,6 @@ class _FreeRun:
             if s:
                 self.work = self.work @ blk.r_stride.T
             norm2 = _row_norm2(self.work)[0]
-            _check_floor(blk, norm2, self.dt)
             self.survival[s] = self.carried * norm2
             self.done = s + 1
             if not norm2 > 0.0:
@@ -704,6 +694,8 @@ class _FreeRun:
             if not blk.absorbing and norm2 < _RESCALE_FLOOR:
                 self.carried *= norm2
                 self.work[0] = self.work[0] * (1.0 / math.sqrt(norm2))
+        # a block no channel acts on is never rescaled: its survival is its squared norm
+        _check_floor(blk, self.survival[:self.done], self.dt)
         if self.lost and not level >= 0.0:
             raise IntegratorError("the state's norm underflowed to 0 within one "
                                   "sample interval; use a smaller sample spacing")
@@ -750,7 +742,7 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
     """
     grid = mach.grid
     n_fine, dt = grid.n_fine, grid.dt
-    t0 = grid.t_start + s0 * grid.spacing
+    t0 = s0 * grid.spacing
     r, done, into = r.copy(), np.zeros(len(cols), dtype=np.int64), np.zeros(len(cols))
     live = {b: [(np.arange(len(cols)), rows)]}
     while live:
@@ -954,17 +946,17 @@ def rho_bytes(n_samples: int, block_dims) -> int:
     return (n_samples + 1) * sum(k * k for k in block_dims) * 16
 
 
-def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = False,
+def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
                keep_rho: bool = False, what: str = "the batch") -> _Batch:
     """Advance a batch of ``n_cols`` columns through the sample grid, one
     block at a time.
 
-    Column j is one pure-state evolution from ψ0.  With ``seed_of`` and a
-    collapse channel, column j is the trajectory of ``seed_of(j)``: uniforms
-    are drawn from its own stream (the threshold, then per jump the channel
-    and the next threshold in one call), and the decaying norm carries
-    the waiting time.  Otherwise nothing jumps, and every column is the
-    jump-free run to the end of the grid.
+    Column j is one pure-state evolution from ψ0.  With a collapse channel,
+    column j is the trajectory of ``seed_of(j)``: uniforms are drawn from
+    its own stream (the threshold, then per jump the channel and the next
+    threshold in one call), and the decaying norm carries the waiting time.
+    Otherwise nothing jumps, and every column is the jump-free run to the
+    end of the grid.
 
     Until its first jump every column is the jump-free run's state
     (``_FreeRun``), written until its survival is at or below every first
@@ -1001,7 +993,7 @@ def _propagate(mach: _Machinery, n_cols: int = 1, seed_of=None, record: bool = F
     check_budget(n_bytes, f"{what}: {', '.join(parts)}")
     start = mach.structure.start
     index = mach.blocks[start].index
-    jumping = seed_of is not None and len(mach.structure.targets) > 0
+    jumping = len(mach.structure.targets) > 0
     rngs = pending = None
     if jumping:
         rngs = [np.random.default_rng(np.random.SeedSequence(seed_of(j))) for j in range(n_cols)]

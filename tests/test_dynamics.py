@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 import math
@@ -122,7 +123,7 @@ def dense_reference_trajectory(h, collapse, psi0, grid, seed):
                         done += 1 << p
                         break
                 else:
-                    t0 = grid.t_start + (s - 1) * grid.spacing + done * grid.dt
+                    t0 = (s - 1) * grid.spacing + done * grid.dt
                     t_in = 0.0
                     while True:
                         ps = [work]
@@ -152,12 +153,23 @@ def dense_reference_trajectory(h, collapse, psi0, grid, seed):
 class TestTimeGrid:
     def test_basic_properties(self):
         grid = TimeGrid(t_end=10.0, n_samples=101, dt=0.005)
-        assert grid.span == pytest.approx(10.0)
+        assert grid.t_end == 10.0
         assert grid.spacing == pytest.approx(0.1)
         assert grid.n_fine == 20
         assert len(grid.times) == 101
         assert grid.times[0] == 0.0
         assert grid.times[-1] == pytest.approx(10.0)
+
+    def test_every_grid_starts_at_zero(self):
+        # the start is a class constant that no constructor takes
+        assert TimeGrid.t_start == 0.0
+        assert "t_start" not in {f.name for f in dataclasses.fields(TimeGrid)}
+        assert TimeGrid(t_end=10.0, n_samples=6).times[0] == 0.0
+        assert TimeGrid.with_spacing(10.0, 2.0).times[0] == 0.0
+        with pytest.raises(TypeError):
+            TimeGrid(t_end=10.0, n_samples=6, t_start=0.0)
+        with pytest.raises(TypeError):
+            TimeGrid.with_spacing(10.0, 2.0, t_start=0.0)
 
     def test_with_spacing_snaps_to_step_lattice(self):
         grid = TimeGrid.with_spacing(150.0, 2.6801)
@@ -340,7 +352,7 @@ class TestBlocks:
             assert np.abs(traj.states - rows).max() < 1e-12
             n_jumps += len(jumps)
             # the intervals that hold a second jump
-            at = [int((t - grid.t_start) // grid.spacing) for t, _ in jumps]
+            at = [int(t // grid.spacing) for t, _ in jumps]
             n_doubled += len(at) - len(set(at))
         assert n_jumps > 0
         if coarse:
@@ -738,19 +750,16 @@ class TestTrajectories:
 
     def test_single_trajectory_step_function(self):
         # one damped mode from the one-photon state: the trajectory is |1>
-        # until its single jump, |0> afterwards; jump times share the grid's
-        # clock, also when it does not start at zero
+        # until its single jump, |0> afterwards; jump times share the grid's clock
         h, collapse, a = damped_mode(dim=2, gamma=0.5)
         psi0 = np.array([0.0, 1.0], dtype=np.complex128)
-        for t_start in (0.0, 5.0):
-            grid = TimeGrid(t_end=t_start + 20.0, n_samples=201, dt=0.005,
-                            t_start=t_start)
-            traj = mcwf_trajectory(h, collapse, psi0, grid, seed=12)
-            assert len(traj.jumps) == 1
-            t_jump = traj.jumps[0][0]
-            pop1 = np.abs(traj.states[:, 1]) ** 2
-            assert np.all(pop1[grid.times < t_jump] == pytest.approx(1.0))
-            assert np.all(pop1[grid.times > t_jump] == pytest.approx(0.0))
+        grid = TimeGrid(t_end=20.0, n_samples=201, dt=0.005)
+        traj = mcwf_trajectory(h, collapse, psi0, grid, seed=12)
+        assert len(traj.jumps) == 1
+        t_jump = traj.jumps[0][0]
+        pop1 = np.abs(traj.states[:, 1]) ** 2
+        assert np.all(pop1[grid.times < t_jump] == pytest.approx(1.0))
+        assert np.all(pop1[grid.times > t_jump] == pytest.approx(0.0))
 
     def test_first_jump_times_exponential(self):
         # waiting times from the one-photon state follow Exp(gamma)
@@ -865,12 +874,15 @@ class TestTrajectories:
             with pytest.raises(IntegratorError, match="underflowed"):
                 ens.jump_free_branch()
 
-    def test_norm_loss_where_no_channel_acts_raises(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t_end", [400.0, 1000.0])
+    def test_norm_loss_where_no_channel_acts_raises(self, t_end):
         # |R|^2 = 1 - 1/72 + 1/576 per step at |dt (H - c)| = 1: no channel acts
-        # on |1>, so its rows come from powers of R, which underflow by t = 300
+        # on |1>, so its rows come from powers of R, which fall below the floor
+        # by t = 300 and to 0.0 before t = 1000; the run's one check refuses both
         h = np.diag([0.0, 200.0]).astype(np.complex128)
         psi0 = np.array([0.0, 1.0], dtype=np.complex128)
-        grid = TimeGrid(t_end=1000.0, n_samples=11, dt=0.01)
+        grid = TimeGrid(t_end=t_end, n_samples=11, dt=0.01)
         with pytest.raises(IntegratorError, match="too coarse"):
             no_jump_branch(h, (), psi0, grid)
 

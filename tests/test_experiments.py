@@ -78,7 +78,7 @@ EVERY_SCENARIO_KEY = {
     "model": {"n_sites": 2, "n_max": 2, "hop": [0.03], "gamma": [0.05, 0.04],
               "omega_a": 0.2, "omega_c": 0.1, "g": [1.0, 1.1]},
     "initial": {"labels": ["2-", "G"]},
-    "grid": {"t_end": 11.0, "t_start": 1.0, "dt": 0.005},
+    "grid": {"t_end": 11.0, "dt": 0.005},
     "run": {"n_traj": 3, "master_seed": 9},
     "observables": {"projectors": ["P11", "P20+perm"], "negativity": True,
                     "bipartition_cut": 1},
@@ -90,7 +90,7 @@ EVERY_SWEEP_KEY = {
     "sweep": {"j_values": [0.02, 0.04, 0.06], "gamma_ratios": [0.5, 1.0, 2.0],
               "delta": 0.3},
     "model": {"g": 1.5},
-    "grid": {"t_end": 120.0, "t_start": 2.0, "dt": 0.0025},
+    "grid": {"t_end": 120.0, "dt": 0.0025},
     "classifier": {"prominence_threshold": 0.1, "t_min": 3.0},
     "output": {"name": "every", "format": "json"},
 }
@@ -237,6 +237,20 @@ class TestScenarioConfig:
             f"observables.projectors: {name}: 2 excitations in total, the basis holds at most 1"
             for name in ("P11", "P20")]
 
+    @pytest.mark.parametrize("mapping, load", [(SCENARIO_MAPPING, load_scenario_config),
+                                               (EVERY_SWEEP_KEY, load_sweep_config)],
+                             ids=["scenario", "sweep"])
+    def test_grid_start_is_not_a_key(self, tmp_path, mapping, load):
+        # every grid starts at t = 0
+        mapping = json.loads(json.dumps(mapping))
+        mapping["grid"]["t_start"] = 0.0
+        for path, text in ((tmp_path / "start.ini", as_ini(mapping)),
+                           (tmp_path / "start.json", json.dumps(mapping))):
+            path.write_text(text)
+            with pytest.raises(ConfigError) as err:
+                load(path)
+            assert err.value.problems == ["grid.t_start: unknown key"]
+
     def test_conditional_is_not_a_scenario_key(self):
         # every scenario runs the jump-free branch: there is nothing to switch on
         with pytest.raises(ConfigError) as err:
@@ -258,6 +272,27 @@ class TestScenarioConfig:
         (tmp_path / "readme.ini").write_text(example)
         config = load_scenario_config(tmp_path / "readme.ini")
         assert config.output_name == "trapping"
+
+    def test_readme_load_counts_match_the_code(self):
+        # each count README gives under "At load", read off the ConfigError of
+        # the config it describes, in README's space-grouped form
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        damped = {"model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
+                  "initial": {"labels": ["32-", "G"]},
+                  "grid": {"t_end": 10.0, "n_samples": 6},
+                  "observables": {"projectors": ["(32-;G)"]}}
+        loads = [
+            lambda: replace(load_preset("n4").scenarios[0], compute_negativity=True),
+            lambda: load_preset("fig2").with_overrides(n_traj=1_000_000),
+            lambda: scenario_from_mapping(damped),
+            lambda: CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06), t_end=1e7),
+        ]
+        for load in loads:
+            with pytest.raises(ConfigError) as err:
+                load()
+            (problem,) = err.value.problems
+            n_bytes = int(problem.split(" needs ")[1].split(" bytes")[0])
+            assert f"{n_bytes:,}".replace(",", " ") in readme, n_bytes
 
     def test_content_hash_tracks_content(self):
         base = scenario_from_mapping(SCENARIO_MAPPING)
@@ -308,12 +343,8 @@ class TestScenarioConfig:
         assert problems == ["run: unknown section"]
 
     @pytest.mark.parametrize("grid, problem", [
-        ({"t_end": math.inf, "spacing": 2.0}, "grid.t_end: must be a finite number, got inf"),
-        ({"t_end": math.inf, "n_samples": 6}, "grid.t_end: must be a finite number, got inf"),
-        ({"t_end": 10.0, "t_start": -math.inf, "spacing": 2.0},
-         "grid.t_start: must be a finite number, got -inf"),
-        ({"t_end": 10.0, "t_start": -math.inf, "n_samples": 6},
-         "grid.t_start: must be a finite number, got -inf"),
+        ({"t_end": math.inf, "spacing": 2.0}, "grid.t_end: must be positive and finite, got inf"),
+        ({"t_end": math.inf, "n_samples": 6}, "grid.t_end: must be positive and finite, got inf"),
     ])
     def test_non_finite_grid_bound_reported(self, grid, problem):
         bad = {**SCENARIO_MAPPING, "grid": grid}
@@ -322,9 +353,11 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("sampling", [{"spacing": 2.0}, {"spacing": "auto"},
                                           {"n_samples": 6}])
     def test_reversed_span_names_t_end(self, sampling):
-        bad = {**SCENARIO_MAPPING, "grid": {"t_end": 1.0, "t_start": 10.0, **sampling}}
-        assert problems_of(scenario_from_mapping, bad) == [
-            "grid.t_end: must exceed t_start, got 1.0 <= 10.0"]
+        # every grid starts at 0, so a t_end at or below 0 spans nothing
+        for t_end in (0.0, -1.0):
+            bad = {**SCENARIO_MAPPING, "grid": {"t_end": t_end, **sampling}}
+            assert problems_of(scenario_from_mapping, bad) == [
+                f"grid.t_end: must be positive and finite, got {t_end}"]
 
     def test_spacing_and_samples_mutually_exclusive(self):
         with pytest.raises(ConfigError):
@@ -533,11 +566,15 @@ class TestSweepConfig:
         with pytest.raises(ConfigError) as err:
             CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06), t_end=1e7)
         assert err.value.problems == [
-            "grid.t_end, grid.t_start, grid.dt: two bases, two models' H and loss operators, "
+            "grid.t_end, grid.dt: two bases, two models' H and loss operators, "
             "the hop terms, the pinned-state projector, a point's H and loss operators, the "
             "master equation's generators and 3731344 samples, the partial transpose's "
             "largest block of at most 9 states needs 22716681680 bytes, above the budget "
             "268435456"]
+
+    def test_grid_start_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06), t_start=0.0)
 
     def test_defaults_and_grid(self):
         config = CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06))
@@ -567,8 +604,7 @@ class TestSweepConfig:
                                     "sweep.source: unknown key"]
 
     @pytest.mark.parametrize("grid, problem", [
-        ({"t_end": math.inf}, "grid.t_end: must be a finite number, got inf"),
-        ({"t_start": -math.inf}, "grid.t_start: must be a finite number, got -inf"),
+        ({"t_end": math.inf}, "grid.t_end: must be positive and finite, got inf"),
     ])
     def test_non_finite_grid_bound_reported(self, grid, problem):
         problems = problems_of(sweep_from_mapping, {
@@ -576,10 +612,11 @@ class TestSweepConfig:
         assert problems == [problem]
 
     def test_reversed_span_names_t_end(self):
-        problems = problems_of(sweep_from_mapping, {
-            "sweep": {"j_values": [0.02, 0.04, 0.06]},
-            "grid": {"t_end": 5.0, "t_start": 10.0}})
-        assert problems == ["grid.t_end: must exceed t_start, got 5.0 <= 10.0"]
+        # every grid starts at 0, so a t_end at or below 0 spans nothing
+        for t_end in (0.0, -5.0):
+            problems = problems_of(sweep_from_mapping, {
+                "sweep": {"j_values": [0.02, 0.04, 0.06]}, "grid": {"t_end": t_end}})
+            assert problems == [f"grid.t_end: must be positive and finite, got {t_end}"]
 
     def test_every_value_checked_at_load(self):
         base = {"sweep": {"j_values": [0.02, 0.04, 0.06]}}
@@ -991,20 +1028,20 @@ def detuned_curve():
 # change that moves them on purpose records new digests here
 PRESET_DIGESTS = {
     "fig2.csv": "d1e8ca11858659ebfe04cbab3f92cc4223da4d152c7b0f190908bf375f240624",
-    "fig2.json": "4c1d48a66e22b950f5621bf78d65001905c8bd77d69cef2915390de9c9c3cd57",
+    "fig2.json": "d29b7fdc2fcbea8e3cacfcd26c820c75376f5f646556a31554638208eb1683d1",
     "fig3_above_critical.csv": "9e148a3aae2d1537f23ae3d14169c66fba33c91d76f67b0693f342ffe68b254f",
-    "fig3_above_critical.json": "fc2e0952c9a1b54f198bb30d1a6614d07d51c63a12cf6489615d84e0c83f52c2",
+    "fig3_above_critical.json": "cb4488f8ed474792ef497f2f1e926560ef385ee70d5d17703552cb799622a7db",
     "fig3_below_critical.csv": "051824570363a10630d4781b04a5ea79b6f2b92c780e6c11e699761523a2da37",
-    "fig3_below_critical.json": "51216bc76db2c300f25fda080361009e9d1f349bf75bf464f26bfacb16cd3f4c",
+    "fig3_below_critical.json": "38e14f9396b75880636b51891da9b07993bda35d47943abdefbae419fdc228d3",
     "n3.csv": "3649554cbfd07fcf1f219b97c3618bc487f66c512982f08ed55ae083bd28a4ee",
-    "n3.json": "a2e6546332ce73cd4ab01f77099d1bb9507dbbd71d18bfd7ac970bf20ab500f8",
+    "n3.json": "55c49c51302a8965af74eb4d7a8b033907b8856ba159cef837839806e821a44e",
     "n4.csv": "6d5d082f52c0c33bcd53e3b6c6184aef84e068cd12cf7af69d094395a3120ff8",
-    "n4.json": "17dcf8b82556fdbeb4574799dc52655717e73000fe4c742c295906c79811122e",
+    "n4.json": "1243ac71085466cec1ef754326ffe5de4291e35af94e416050674543216436d6",
     "fig1_delta0.csv": "cdd0277d08596d12f28b349025389d8ab5b8ded55c28c79b366d3365ba35f81b",
-    "fig1_delta0.json": "71643e7eeefe874299fb11b8d7d1d67e74a1d2afc3a35a0380ba7863c02da24c",
+    "fig1_delta0.json": "184d898a2755028a63f276aa56a0b997241df54ffaff49b84e5cb06829cc9248",
     "fig1_delta09.csv": "e8f85242e8f0d1582baacdeaed13941ce66cfde882710ebfd809413d2daafcf1",
-    "fig1_delta09.json": "b90bbb1cc40a0939b254e35f4b215794a9547708f700eba954a6ac18932764a4",
-    "fig4.json": "ff6b7e65113df229ed777b01ab05511dc3eb6840751c40d91694de17da56fd36",
+    "fig1_delta09.json": "a700a1521f3b68c58fc30280e03338da420e3d21f8f858ffbabd8fbfe8f7b1d5",
+    "fig4.json": "682713604345756125482e5d9816b85feceb1fff480da242fd2ac8f259b8b6d6",
     "fig4_estimates.csv": "f9c8870d65c2626715abb52f5bf6d250ed6a885cf27757a030f50c06d11549b4",
     "fig4_rows.csv": "20f4b9c7f8db9609727cc7ab56488034bbade4825284786b029834f92ee530c7",
 }
@@ -1390,7 +1427,7 @@ class TestCli:
                                "[grid]\nt_end = inf\n")
         assert main(["critical", "--config", str(config_path),
                      "--out", str(tmp_path / "out")]) == 1
-        assert "grid.t_end: must be a finite number" in capsys.readouterr().err
+        assert "grid.t_end: must be positive and finite" in capsys.readouterr().err
 
     def test_stiff_model_exits_one_naming_dt(self, tmp_path):
         # hop 300 at dt 0.005 is past the integrator's stability limit: the run
