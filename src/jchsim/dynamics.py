@@ -194,9 +194,9 @@ class TimeGrid:
         collect(problems, real, spacing, "spacing", above=0.0)
         if problems:
             raise ConfigError(problems)
-        n_fine = max(1, round(spacing / dt))
+        n_fine = max(1, round(real(spacing / dt, "spacing/dt")))
         snapped = n_fine * dt
-        n_samples = int(math.floor(t_end / snapped + 1e-9)) + 1
+        n_samples = int(math.floor(real(t_end / snapped, "t_end/spacing") + 1e-9)) + 1
         if n_samples < 2:
             raise ConfigError([f"spacing: {spacing} does not fit inside (0.0, {t_end})"])
         return cls(t_end=(n_samples - 1) * snapped, n_samples=n_samples, dt=dt)

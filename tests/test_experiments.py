@@ -261,6 +261,10 @@ class TestScenarioConfig:
         ({"dt": 0.0, "spacing": 2.0}, "grid.dt: must be positive and finite, got 0.0"),
         ({"dt": 0.0, "spacing": "auto"}, "grid.dt: must be positive and finite, got 0.0"),
         ({"spacing": "inf"}, "grid.spacing: must be positive and finite, got inf"),
+        # a sample count or step count beyond the float range
+        ({"t_end": 1e308, "spacing": 1e-300, "dt": 1e-300},
+         "grid.t_end/spacing: must be a finite number, got inf"),
+        ({"spacing": 1e300, "dt": 1e-10}, "grid.spacing/dt: must be a finite number, got inf"),
     ])
     def test_degenerate_grid_reported(self, grid, problem):
         bad = {**SCENARIO_MAPPING, "grid": {"t_end": 10.0, **grid}}
@@ -345,6 +349,12 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("grid, problem", [
         ({"t_end": math.inf, "spacing": 2.0}, "grid.t_end: must be positive and finite, got inf"),
         ({"t_end": math.inf, "n_samples": 6}, "grid.t_end: must be positive and finite, got inf"),
+        ({"t_end": -math.inf, "spacing": 2.0},
+         "grid.t_end: must be positive and finite, got -inf"),
+        ({"t_end": -math.inf, "n_samples": 6},
+         "grid.t_end: must be positive and finite, got -inf"),
+        ({"t_end": math.nan, "spacing": 2.0}, "grid.t_end: must be positive and finite, got nan"),
+        ({"t_end": math.nan, "n_samples": 6}, "grid.t_end: must be positive and finite, got nan"),
     ])
     def test_non_finite_grid_bound_reported(self, grid, problem):
         bad = {**SCENARIO_MAPPING, "grid": grid}
@@ -605,6 +615,8 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("grid, problem", [
         ({"t_end": math.inf}, "grid.t_end: must be positive and finite, got inf"),
+        ({"t_end": -math.inf}, "grid.t_end: must be positive and finite, got -inf"),
+        ({"t_end": math.nan}, "grid.t_end: must be positive and finite, got nan"),
     ])
     def test_non_finite_grid_bound_reported(self, grid, problem):
         problems = problems_of(sweep_from_mapping, {
@@ -1428,6 +1440,18 @@ class TestCli:
         assert main(["critical", "--config", str(config_path),
                      "--out", str(tmp_path / "out")]) == 1
         assert "grid.t_end: must be positive and finite" in capsys.readouterr().err
+
+    def test_run_sample_count_beyond_the_float_range_exits_one(self, tmp_path, capsys):
+        # t_end / spacing overflows a float: a problem naming the grid, not a traceback
+        config_path = tmp_path / "scenario.ini"
+        config_path.write_text("[model]\nn_sites = 2\nn_max = 2\nhop = 0.03\ngamma = 0.05, 0.0\n\n"
+                               "[initial]\nlabels = 2-, G\n\n"
+                               "[grid]\nt_end = 1e308\nspacing = 1e-300\ndt = 1e-300\n")
+        assert main(["run", "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert ("grid.t_end/spacing: must be a finite number, got inf"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_stiff_model_exits_one_naming_dt(self, tmp_path):
         # hop 300 at dt 0.005 is past the integrator's stability limit: the run

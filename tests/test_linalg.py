@@ -258,6 +258,7 @@ REAL_ENTRIES = {
                           "gamma: ", -0.05),
     "ModelParams.omega_a": (lambda v: ModelParams(n_sites=2, omega_a=v), 0.9, "omega_a: ", None),
     "ModelParams.omega_c": (lambda v: ModelParams(n_sites=2, omega_c=v), 0.9, "omega_c: ", None),
+    "mixing_angle.g": (lambda v: mixing_angle(1, 0.3, v), 1.0, "g: ", 0.0),
     "TimeGrid.t_end": (lambda v: TimeGrid(t_end=v, n_samples=6), 10.0, "t_end: ", 0.0),
     "TimeGrid.dt": (lambda v: TimeGrid(t_end=10.0, n_samples=6, dt=v), 0.005, "dt: ", 0.0),
     "TimeGrid.with_spacing.t_end": (lambda v: TimeGrid.with_spacing(v, 2.0), 10.0,
@@ -332,6 +333,17 @@ class TestRealNumberRule:
         with pytest.raises(ConfigError) as err:
             TimeGrid(t_end=1e300, n_samples=2, dt=1e-300)
         assert err.value.problems == ["spacing/dt: must be a finite number, got inf"]
+
+    @pytest.mark.parametrize("call, problem", [
+        (lambda: TimeGrid.with_spacing(1e308, 1e-300, dt=1e-300),
+         "t_end/spacing: must be a finite number, got inf"),
+        (lambda: TimeGrid.with_spacing(10.0, 1e300, dt=1e-10),
+         "spacing/dt: must be a finite number, got inf"),
+    ])
+    def test_snapped_spacing_beyond_the_float_range_refused(self, call, problem):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert err.value.problems == [problem]
 
     def test_config_text_still_read_as_numbers(self):
         sweep = sweep_from_mapping({"sweep": {"j_values": "0.02, 0.04, 0.06", "delta": "0.3"},
