@@ -93,8 +93,7 @@ def _mapping_items() -> list:
     worst_at = ""
     for n_max in (1, 2, 3):
         for delta in (0.0, 0.9, 2.0):
-            params = ModelParams(n_sites=1, omega_a=delta, omega_c=0.0,
-                                 n_max=n_max)
+            params = ModelParams(n_sites=1, omega_a=delta, n_max=n_max)
             rebuilt = creation_in_polariton_basis(params)
             oracle = transform_to_dressed_basis(site_operators(n_max).a_dag,
                                                 params)

@@ -196,7 +196,6 @@ _SCENARIO_KEYS = {
         "hop": _Key("hop", _as_rates),
         "gamma": _Key("gamma", _as_rates),
         "omega_a": _Key("omega_a", _as_float),
-        "omega_c": _Key("omega_c", _as_float),
         "g": _Key("g", _as_rates),
     },
     "initial": {"labels": _Key("initial", _as_labels, required=True)},
@@ -410,7 +409,6 @@ class ScenarioConfig:
     def to_mapping(self) -> dict:
         """Plain nested dict echoing every consumed parameter (sidecar form)."""
         echo = _echo(_SCENARIO_KEYS, self, model=self.model, grid=self.grid)
-        echo["model"]["detuning"] = self.model.detuning
         echo["initial"]["max_excitation"] = self.max_excitation
         return echo
 
@@ -501,8 +499,8 @@ class CriticalitySweepConfig:
              f"the partial transpose's largest block of at most {block} states")])
 
     def model_for(self, hop: float, gamma: float) -> ModelParams:
-        return ModelParams(n_sites=2, omega_a=self.delta, omega_c=0.0,
-                           g=self.coupling, hop=hop, gamma=gamma, n_max=2)
+        return ModelParams(n_sites=2, omega_a=self.delta, g=self.coupling,
+                           hop=hop, gamma=gamma, n_max=2)
 
     def grid_for(self, params: ModelParams) -> TimeGrid:
         """The sample grid of every point: it depends on neither hop nor damping."""
@@ -510,7 +508,7 @@ class CriticalitySweepConfig:
 
     def to_mapping(self) -> dict:
         echo = _echo(_SWEEP_KEYS, self)
-        echo["model"].update(n_sites=2, n_max=2, omega_a=self.delta, omega_c=0.0)
+        echo["model"].update(n_sites=2, n_max=2, omega_a=self.delta)
         return echo
 
 

@@ -823,19 +823,19 @@ def _sweep_order(structure: BlockStructure) -> list:
 
 # a row at norm 0 reads NaN until the floor check refuses it
 @np.errstate(divide="ignore", invalid="ignore")
-def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch, reduced: bool,
-           add: bool) -> tuple:
+def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch,
+           reduced: bool) -> tuple:
     """Sweep block ``b`` over the grid with the columns of ``arrived``, chunks
     of ``(columns, samples, states)``: each joins the block's rows, kept in
     column order, at its sample.
 
     Each sample is one product of the rows with the stride propagator,
     then their reduction: a recorded row, else, if ``reduced``, the
-    observables and, with ρ̄ kept, one product written into the block's
-    slice, or added if ``add``.  A block no channel acts on takes no jump
-    test, is not stepped if nothing reads its rows, and meets its floor
-    check once, after the sweep.  A row whose
-    squared norm falls to its threshold leaves the sweep.  Returns those
+    observables and, with ρ̄ kept, one product added to the block's
+    slice.  A block no channel acts on takes no jump test, is not stepped
+    if nothing reads its rows, and meets its floor check once, after the
+    sweep.  A row whose squared norm falls to its threshold leaves the
+    sweep, and the jump pass checks its norm for underflow.  Returns those
     rows: columns, interval start samples and states there.
     """
     grid, blk = mach.grid, mach.blocks[b]
@@ -855,7 +855,6 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch, redu
             new2 = _row_norm2(cand)
             out = None if blk.absorbing else ~(new2 > pending[rows])
             if out is not None and out.any():
-                _underflowed(norm2[out])
                 held.append((rows[out], np.full(np.count_nonzero(out), s - 1), work[out]))
                 rows, cand, new2 = rows[~out], cand[~out], new2[~out]
             work, norm2 = cand, new2
@@ -877,9 +876,7 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch, redu
                 batch.values[rows, :, s] = _reduce(mach.block_obs[b], normed)
             if batch.rho_sum is not None:
                 block = batch.rho_sum[s, offsets[b]:offsets[b + 1]].reshape(k, -1)
-                product = np.matmul(normed.T, normed.conj(), out=None if add else block)
-                if add:
-                    block += product
+                block += np.matmul(normed.T, normed.conj())
     # no row leaves an absorbing block, and no norm rises
     _check_floor(blk, norm2, grid.dt)
     return tuple(np.concatenate(side) for side in zip(*held))
@@ -1041,11 +1038,10 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
                                .reshape(len(index), -1))
             if waiting[s] > 1:
                 shared.view(np.float64)[...] *= waiting[s]
-    swept, blocks = {start}, _sweep_order(mach.structure)
+    blocks = _sweep_order(mach.structure)
     while arrivals:
         b = next(c for c in blocks if c in arrivals)
-        cols, s0, rows = _sweep(mach, b, arrivals.pop(b), pending, batch, reduced[b], b in swept)
-        swept.add(b)
+        cols, s0, rows = _sweep(mach, b, arrivals.pop(b), pending, batch, reduced[b])
         for chunk in _chunks(mach, len(cols)):
             _jump_pass(mach, b, cols[chunk], s0[chunk], rows[chunk], pending[cols[chunk]],
                        pending, rngs, jumps, arrivals)

@@ -11,9 +11,10 @@ Polariton (dressed) states per site::
     |n-> = cos(theta_n)|n, g> - sin(theta_n)|n-1, e>
     |n+> = sin(theta_n)|n, g> + cos(theta_n)|n-1, e>
 
-with ``theta_n = 0.5 * arctan(g sqrt(n) / (delta / 2))`` and
-``delta = omega_a - omega_c``.  ``dressed_state`` takes the site whose
-coupling ``g`` sets the angle; the single-site dressed basis and its
+with ``theta_n = 0.5 * arctan(g sqrt(n) / (delta / 2))``.  Energies are
+written in the frame rotating at the cavity frequency, so ``delta`` is
+``omega_a``, the atom-cavity detuning.  ``dressed_state`` takes the site
+whose coupling ``g`` sets the angle; the single-site dressed basis and its
 energies (``polariton_energy``, ``dressed_basis_matrix``,
 ``transform_to_dressed_basis``, ``creation_in_polariton_basis``) are site
 0's, at ``g[0]``, as is the beat period that ``blockade_beat_period`` reads
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -64,11 +65,17 @@ def _as_tuple(value, n: int, name: str, **bounds) -> tuple:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters of a cavity array.  Rates are in units of ``g``."""
+    """Physical parameters of a cavity array.  Rates are in units of ``g``.
+
+    Energies are in the frame rotating at the cavity frequency: ``omega_a``
+    is the atom-cavity detuning, and photons carry no energy.  H conserves
+    the total excitation N, so the frame only puts a phase on each N sector,
+    which no observable that keeps N sees.
+    """
 
     n_sites: int
     omega_a: float = 0.0
-    omega_c: float = 0.0
+    omega_c: ClassVar[float] = 0.0     # not a field: only perfbench reads it
     g: float | Sequence[float] = 1.0
     hop: float | Sequence[float] = 0.0
     gamma: float | Sequence[float] = 0.0
@@ -81,17 +88,12 @@ class ModelParams:
                   "g": collect(problems, _as_tuple, self.g, n, "g", above=0.0),
                   "hop": collect(problems, _as_tuple, self.hop, max(n - 1, 0), "hop"),
                   "gamma": collect(problems, _as_tuple, self.gamma, n, "gamma", least=0.0),
-                  "omega_a": collect(problems, real, self.omega_a, "omega_a"),
-                  "omega_c": collect(problems, real, self.omega_c, "omega_c")}
+                  "omega_a": collect(problems, real, self.omega_a, "omega_a")}
         if problems:
             raise ConfigError(problems)
         object.__setattr__(self, "n_sites", n)
         for name, value in values.items():
             object.__setattr__(self, name, value)
-
-    @property
-    def detuning(self) -> float:
-        return self.omega_a - self.omega_c
 
     @property
     def site_dim(self) -> int:
@@ -168,18 +170,16 @@ def mixing_angle(n: int, delta: float, g: float = 1.0) -> float:
 
 
 def polariton_energy(label: PolaritonLabel, params: ModelParams) -> float:
-    """Energy of a single-site dressed state (vacuum energy is zero), at site
-    0's coupling ``g[0]``."""
+    """Energy of a single-site dressed state in the cavity's rotating frame
+    (vacuum energy is zero), at site 0's coupling ``g[0]``."""
     if label.branch == GROUND:
         return 0.0
     if problem := _beyond_cutoff(label, params):
         raise TruncationError(problem)
-    n = label.n
-    delta = params.detuning
-    g = params.g[0]
-    rabi = math.sqrt(delta * delta + 4.0 * g * g * n)
+    delta, g = params.omega_a, params.g[0]
+    rabi = math.sqrt(delta * delta + 4.0 * g * g * label.n)
     sign = 1.0 if label.branch == PLUS else -1.0
-    return params.omega_c * n + 0.5 * delta + 0.5 * sign * rabi
+    return 0.5 * delta + 0.5 * sign * rabi
 
 
 def _dressed_components(label: PolaritonLabel, params: ModelParams, site: int) -> tuple:
@@ -189,7 +189,7 @@ def _dressed_components(label: PolaritonLabel, params: ModelParams, site: int) -
     if problem := _beyond_cutoff(label, params):
         raise TruncationError(problem)
     n = label.n
-    th = mixing_angle(n, params.detuning, params.g[site])
+    th = mixing_angle(n, params.omega_a, params.g[site])
     g_comp, e_comp = math.cos(th), -math.sin(th)
     if label.branch == PLUS:
         g_comp, e_comp = math.sin(th), math.cos(th)
@@ -363,7 +363,7 @@ def creation_in_polariton_basis(params: ModelParams) -> np.ndarray:
     """
     d = params.site_dim
     out = np.zeros((d, d), dtype=np.complex128)
-    delta, g = params.detuning, params.g[0]
+    delta, g = params.omega_a, params.g[0]
     for n in range(1, params.n_max + 1):
         co = hopping_coefficients(n, delta, g)
         lo_minus = PolaritonLabel.minus(n - 1) if n > 1 else PolaritonLabel.ground()
@@ -594,6 +594,11 @@ def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:
     is materialised and every matrix element receives a single term.  H and
     the loss operators are dense, and their bytes count against the budget
     before anything is built.
+
+    H is in the cavity's rotating frame (see :class:`ModelParams`): an
+    observable that keeps N reads the same values in any frame, and one
+    that changes N, on a state spanning sectors, reads its rotating-frame
+    value.
     """
     check_product_index(params)
     max_exc = checked_max_exc(params, max_exc)
@@ -601,11 +606,10 @@ def build_reduced_model(params: ModelParams, max_exc: int) -> ReducedModel:
     check_budget(model_bytes(params, max_exc), f"H and {len(damped)} loss operators on "
                                                f"{excitation_dim(params.n_sites, max_exc)} states")
     space = excitation_basis(params, max_exc)
-    photons, atoms = space.states[..., 0], space.states[..., 1]
+    atoms = space.states[..., 1]
     h = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    # Python's sum starts from the int 0: an empty site at negative frequency gives +0.0
-    np.fill_diagonal(h, sum(params.omega_a * atoms[:, j] + params.omega_c * photons[:, j]
-                            for j in range(params.n_sites)))
+    # Python's sum starts from the int 0: an empty site at negative detuning gives +0.0
+    np.fill_diagonal(h, sum(params.omega_a * atoms[:, j] for j in range(params.n_sites)))
     for j in range(params.n_sites):
         # g (a^dag sigma^- + a sigma^+): the atom emits a photon, or absorbs one
         _add_process(h, space, params.g[j], [(j, 1, -1)])

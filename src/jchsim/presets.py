@@ -56,7 +56,7 @@ def _scenario(name: str, seed_offset: int, *, n_sites: int, n_max: int,
               n_traj: int) -> ScenarioConfig:
     return scenario_from_mapping({
         "model": {"n_sites": n_sites, "n_max": n_max, "hop": hop,
-                  "gamma": gamma, "omega_a": omega_a, "omega_c": 0.0},
+                  "gamma": gamma, "omega_a": omega_a},
         "initial": {"labels": initial},
         "grid": {"t_end": t_end, "dt": 0.005, "spacing": "auto"},
         "run": {"n_traj": n_traj, "master_seed": _BASE_SEED + seed_offset},

@@ -33,8 +33,7 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def two_site_model(hop: float, gamma: float, delta: float = 0.0,
                    n_max: int = 2):
     """Reduced two-site model with both excitations initially in one cavity."""
-    params = ModelParams(n_sites=2, omega_a=delta, omega_c=0.0,
-                         hop=hop, gamma=gamma, n_max=n_max)
+    params = ModelParams(n_sites=2, omega_a=delta, hop=hop, gamma=gamma, n_max=n_max)
     model = build_reduced_model(params, max_exc=2)
     return params, model, model.space.product_state(("2-", "G"))
 
@@ -78,14 +77,14 @@ def embed_site_operator(op: np.ndarray, site: int, params: ModelParams) -> np.nd
 
 
 def build_full_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Local ``omega_a |e><e| + omega_c n + g_j (a^dag sigma^- + a sigma^+)``
-    plus nearest-neighbour hopping ``J_j (a_j^dag a_{j+1} + h.c.)``."""
+    """Local ``omega_a |e><e| + g_j (a^dag sigma^- + a sigma^+)`` plus
+    nearest-neighbour hopping ``J_j (a_j^dag a_{j+1} + h.c.)``, in the frame
+    rotating at the cavity frequency, as ``build_reduced_model`` writes it."""
     ops = site_operators(params.n_max)
     h = np.zeros((params.dim, params.dim), dtype=np.complex128)
     for j in range(params.n_sites):
         jc = ops.a_dag @ ops.sigma_minus
-        local = (params.omega_a * ops.excited + params.omega_c * ops.number
-                 + params.g[j] * (jc + jc.conj().T))
+        local = params.omega_a * ops.excited + params.g[j] * (jc + jc.conj().T)
         h += embed_site_operator(local, j, params)
     for j in range(params.n_sites - 1):
         term = (embed_site_operator(ops.a_dag, j, params)

@@ -874,6 +874,35 @@ class TestTrajectories:
             with pytest.raises(IntegratorError, match="underflowed"):
                 ens.jump_free_branch()
 
+    @pytest.mark.parametrize("draws, t_end, n_samples", [
+        ((0.0,), 2000.0, 41),            # the shared run: the first threshold is 1e-300
+        ((0.5, 0.5, 0.0), 4000.0, 81),   # |1>'s sweep: the threshold after the first jump
+    ], ids=["shared_run", "later_sweep"])
+    def test_norm_underflow_before_the_threshold_raises(self, monkeypatch, draws, t_end,
+                                                        n_samples):
+        # a draw of exactly 0.0 sets the threshold to 1e-300, which the squared
+        # norm reaches only after it falls below 1e-28.  Generator.random()
+        # returns 0.0 with probability 2^-53, so the draws are scripted
+        class Scripted:
+            def __init__(self, seed):
+                self.left = list(draws)
+
+            def random(self, size=None):
+                picked = [self.left.pop(0) for _ in range(size or 1)]
+                return np.array(picked) if size else picked[0]
+
+        monkeypatch.setattr(np.random, "default_rng", Scripted)
+        h, collapse, a = damped_mode(gamma=0.25)
+        psi0 = np.zeros(4, dtype=np.complex128)
+        psi0[2] = 1.0
+        grid = TimeGrid(t_end=t_end, n_samples=n_samples)
+        message = "state norm fell below 1e-14 before the jump threshold was reached"
+        with pytest.raises(IntegratorError, match=message):
+            mcwf_trajectory(h, collapse, psi0, grid, seed=1)
+        with pytest.raises(IntegratorError, match=message):
+            mcwf_ensemble(h, collapse, psi0, grid, n_traj=1, master_seed=1,
+                          observables={"n": a.conj().T @ a})
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t_end", [400.0, 1000.0])
     def test_norm_loss_where_no_channel_acts_raises(self, t_end):

@@ -76,7 +76,7 @@ SCENARIO_MAPPING = {
 # every scenario key, written as the sidecar echoes it
 EVERY_SCENARIO_KEY = {
     "model": {"n_sites": 2, "n_max": 2, "hop": [0.03], "gamma": [0.05, 0.04],
-              "omega_a": 0.2, "omega_c": 0.1, "g": [1.0, 1.1]},
+              "omega_a": 0.2, "g": [1.0, 1.1]},
     "initial": {"labels": ["2-", "G"]},
     "grid": {"t_end": 11.0, "dt": 0.005},
     "run": {"n_traj": 3, "master_seed": 9},
@@ -251,6 +251,17 @@ class TestScenarioConfig:
                 load(path)
             assert err.value.problems == ["grid.t_start: unknown key"]
 
+    def test_cavity_frequency_is_not_a_key(self, tmp_path):
+        # energies are in the cavity's rotating frame: omega_a is the detuning
+        mapping = json.loads(json.dumps(SCENARIO_MAPPING))
+        mapping["model"]["omega_c"] = 0.0
+        for path, text in ((tmp_path / "cavity.ini", as_ini(mapping)),
+                           (tmp_path / "cavity.json", json.dumps(mapping))):
+            path.write_text(text)
+            with pytest.raises(ConfigError) as err:
+                load_scenario_config(path)
+            assert err.value.problems == ["model.omega_c: unknown key"]
+
     def test_conditional_is_not_a_scenario_key(self):
         # every scenario runs the jump-free branch: there is nothing to switch on
         with pytest.raises(ConfigError) as err:
@@ -279,7 +290,8 @@ class TestScenarioConfig:
 
     def test_readme_load_counts_match_the_code(self):
         # each count README gives under "At load", read off the ConfigError of
-        # the config it describes, in README's space-grouped form
+        # the config it describes, in README's space-grouped form; n4's also
+        # in its preset row
         readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
         damped = {"model": {"n_sites": 2, "n_max": 32, "gamma": 0.05},
                   "initial": {"labels": ["32-", "G"]},
@@ -291,12 +303,15 @@ class TestScenarioConfig:
             lambda: scenario_from_mapping(damped),
             lambda: CriticalitySweepConfig(j_values=(0.02, 0.04, 0.06), t_end=1e7),
         ]
+        counts = []
         for load in loads:
             with pytest.raises(ConfigError) as err:
                 load()
             (problem,) = err.value.problems
             n_bytes = int(problem.split(" needs ")[1].split(" bytes")[0])
-            assert f"{n_bytes:,}".replace(",", " ") in readme, n_bytes
+            counts.append(f"{n_bytes:,}".replace(",", " "))
+            assert counts[-1] in readme, n_bytes
+        assert f"the load-time count is {counts[0]} B" in readme
 
     def test_content_hash_tracks_content(self):
         base = scenario_from_mapping(SCENARIO_MAPPING)
@@ -565,9 +580,7 @@ class TestScenarioConfig:
     def test_mapping_echo_covers_every_model_field(self):
         config = scenario_from_mapping(SCENARIO_MAPPING)
         echo = config.to_mapping()["model"]
-        for key in ("n_sites", "n_max", "hop", "gamma", "omega_a", "omega_c",
-                    "g", "detuning"):
-            assert key in echo
+        assert set(echo) == {"n_sites", "n_max", "hop", "gamma", "omega_a", "g"}
 
 
 class TestSweepConfig:
@@ -1040,20 +1053,20 @@ def detuned_curve():
 # change that moves them on purpose records new digests here
 PRESET_DIGESTS = {
     "fig2.csv": "d1e8ca11858659ebfe04cbab3f92cc4223da4d152c7b0f190908bf375f240624",
-    "fig2.json": "d29b7fdc2fcbea8e3cacfcd26c820c75376f5f646556a31554638208eb1683d1",
+    "fig2.json": "7924e48c6e64477817ed00d04ec891c64c65c9d48a1ae25cd953cfc146fb2060",
     "fig3_above_critical.csv": "9e148a3aae2d1537f23ae3d14169c66fba33c91d76f67b0693f342ffe68b254f",
-    "fig3_above_critical.json": "cb4488f8ed474792ef497f2f1e926560ef385ee70d5d17703552cb799622a7db",
+    "fig3_above_critical.json": "f19f9fdb6026cc60482979691a4264fe90d661b1b907a46e3b57eeedbe619a74",
     "fig3_below_critical.csv": "051824570363a10630d4781b04a5ea79b6f2b92c780e6c11e699761523a2da37",
-    "fig3_below_critical.json": "38e14f9396b75880636b51891da9b07993bda35d47943abdefbae419fdc228d3",
+    "fig3_below_critical.json": "103f8b4ae5fba8a06e92162b5b076cf373a7dc39a036cfa324c75dbeace04df6",
     "n3.csv": "3649554cbfd07fcf1f219b97c3618bc487f66c512982f08ed55ae083bd28a4ee",
-    "n3.json": "55c49c51302a8965af74eb4d7a8b033907b8856ba159cef837839806e821a44e",
+    "n3.json": "32ad2b2edc5bac5e0a7b4f17ab5487cc5b035e176bba7b4c509a0fe9a7df7d68",
     "n4.csv": "6d5d082f52c0c33bcd53e3b6c6184aef84e068cd12cf7af69d094395a3120ff8",
-    "n4.json": "1243ac71085466cec1ef754326ffe5de4291e35af94e416050674543216436d6",
+    "n4.json": "1a8ea8be8dfef71cc2027f87dc653ab7a2aff4536de9413ea8e8c60809033706",
     "fig1_delta0.csv": "cdd0277d08596d12f28b349025389d8ab5b8ded55c28c79b366d3365ba35f81b",
-    "fig1_delta0.json": "184d898a2755028a63f276aa56a0b997241df54ffaff49b84e5cb06829cc9248",
+    "fig1_delta0.json": "0a5ee5f492b075f417813ae7d8ba501cc70bf12eee2615dd94b320efb2f395e5",
     "fig1_delta09.csv": "e8f85242e8f0d1582baacdeaed13941ce66cfde882710ebfd809413d2daafcf1",
-    "fig1_delta09.json": "a700a1521f3b68c58fc30280e03338da420e3d21f8f858ffbabd8fbfe8f7b1d5",
-    "fig4.json": "682713604345756125482e5d9816b85feceb1fff480da242fd2ac8f259b8b6d6",
+    "fig1_delta09.json": "5a42e8f68280e828b97a31b91f91c28e78a69103a2d125f337875f56951825fa",
+    "fig4.json": "7d7123ce38acdf0ca9f767096adb0dc5ad5032ed228e5e092594d7aba2d57fbc",
     "fig4_estimates.csv": "f9c8870d65c2626715abb52f5bf6d250ed6a885cf27757a030f50c06d11549b4",
     "fig4_rows.csv": "20f4b9c7f8db9609727cc7ab56488034bbade4825284786b029834f92ee530c7",
 }

@@ -257,7 +257,6 @@ REAL_ENTRIES = {
     "ModelParams.gamma": (lambda v: ModelParams(n_sites=2, gamma=(0.05, v)), 0.05,
                           "gamma: ", -0.05),
     "ModelParams.omega_a": (lambda v: ModelParams(n_sites=2, omega_a=v), 0.9, "omega_a: ", None),
-    "ModelParams.omega_c": (lambda v: ModelParams(n_sites=2, omega_c=v), 0.9, "omega_c: ", None),
     "mixing_angle.g": (lambda v: mixing_angle(1, 0.3, v), 1.0, "g: ", 0.0),
     "TimeGrid.t_end": (lambda v: TimeGrid(t_end=v, n_samples=6), 10.0, "t_end: ", 0.0),
     "TimeGrid.dt": (lambda v: TimeGrid(t_end=10.0, n_samples=6, dt=v), 0.005, "dt: ", 0.0),
@@ -318,8 +317,8 @@ class TestRealNumberRule:
         grid = TimeGrid(t_end=10, n_samples=6, dt=np.float64(0.005))
         sweep = CriticalitySweepConfig(j_values=(1, 2, np.int64(3)), gamma_ratios=(1,),
                                        prominence_threshold=np.float64(0.05), t_min=1)
-        for value in (*params.g, *params.hop, *params.gamma, params.omega_a, params.omega_c,
-                      grid.t_end, grid.dt, *sweep.j_values, *sweep.gamma_ratios,
+        for value in (*params.g, *params.hop, *params.gamma, params.omega_a, grid.t_end,
+                      grid.dt, *sweep.j_values, *sweep.gamma_ratios,
                       sweep.prominence_threshold, sweep.t_min):
             assert type(value) is float
 

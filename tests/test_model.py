@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -28,16 +29,16 @@ from conftest import (build_full_hamiltonian, collapse_operators, embed, restric
 detunings = st.floats(-3.0, 3.0, allow_nan=False)
 
 # (ModelParams keywords, max_exc): uniform and site-dependent couplings,
-# detuned and negative frequencies, undamped sites, max_exc below n_max
+# detuned both ways, undamped sites, max_exc below n_max
 REDUCED_CASES = [
-    pytest.param(dict(n_sites=1, n_max=3, omega_a=0.4, omega_c=-0.3, g=1.2, gamma=0.07), 2,
+    pytest.param(dict(n_sites=1, n_max=3, omega_a=0.4, g=1.2, gamma=0.07), 2,
                  id="one-site"),
     pytest.param(dict(n_sites=2, n_max=2, hop=0.03, gamma=0.05), 2, id="two-sites-uniform"),
-    pytest.param(dict(n_sites=2, n_max=3, omega_a=-0.6, omega_c=0.2, g=(0.9, 1.3), hop=0.04,
+    pytest.param(dict(n_sites=2, n_max=3, omega_a=-0.6, g=(0.9, 1.3), hop=0.04,
                       gamma=(0.0, 0.08)), 2, id="two-sites"),
-    pytest.param(dict(n_sites=3, n_max=2, omega_a=0.3, omega_c=0.1, g=(1.0, 0.8, 1.1),
+    pytest.param(dict(n_sites=3, n_max=2, omega_a=0.3, g=(1.0, 0.8, 1.1),
                       hop=(0.05, -0.02), gamma=(0.1, 0.0, 0.03)), 1, id="three-sites-one-excitation"),
-    pytest.param(dict(n_sites=3, n_max=3, omega_a=-0.2, omega_c=-0.5, g=(1.1, 0.7, 1.0),
+    pytest.param(dict(n_sites=3, n_max=3, omega_a=-0.2, g=(1.1, 0.7, 1.0),
                       hop=(0.02, 0.06), gamma=(0.04, 0.09, 0.02)), 2, id="three-sites"),
 ]
 
@@ -105,6 +106,29 @@ class TestDressedStates:
         params = ModelParams(n_sites=1, n_max=1)
         with pytest.raises(TruncationError):
             polariton_energy(PolaritonLabel.minus(2), params)
+
+    def test_energy_is_in_the_cavity_frame(self):
+        # no photon energy: |1-> at zero detuning lies g below the vacuum
+        params = ModelParams(n_sites=1, g=1.3)
+        assert polariton_energy(PolaritonLabel.minus(1), params) == -1.3
+
+
+class TestCavityFrame:
+    def test_cavity_frequency_is_not_an_input(self):
+        # energies are in the frame rotating at the cavity frequency, which
+        # leaves every table unchanged: omega_c is a constant, not a field
+        assert ModelParams.omega_c == 0.0
+        assert "omega_c" not in {f.name for f in dataclasses.fields(ModelParams)}
+        assert ModelParams(n_sites=2).omega_c == 0.0
+        with pytest.raises(TypeError):
+            ModelParams(n_sites=2, omega_c=0.1)
+
+    @pytest.mark.parametrize("kwargs,max_exc", REDUCED_CASES)
+    def test_diagonal_is_the_detuning_per_excited_atom(self, kwargs, max_exc):
+        params = ModelParams(**kwargs)
+        model = build_reduced_model(params, max_exc=max_exc)
+        excited = model.space.states[..., 1].sum(axis=1)
+        assert np.array_equal(model.h.diagonal(), params.omega_a * excited)
 
 
 class TestOperatorMapping:
