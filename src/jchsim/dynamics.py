@@ -39,7 +39,10 @@ where its restriction has a nonzero row or column: on n4's 192-state top
 block, P4000 and P1111 need 2 and 16 of them.
 
 A trajectory advances a whole sample interval at a time while its squared
-norm stays above the waiting-time threshold.  An interval that crosses it
+norm stays above the waiting-time threshold, a uniform draw floored at
+``_THRESHOLD_FLOOR`` = 2⁻⁵³, the least positive value ``Generator.random()``
+returns.  Every squared norm the loop tests lies above its row's threshold,
+so none of them can reach zero before the jump.  An interval that crosses it
 is redone in one dyadic descent over the powers 2^p of the dt step, which
 finds the last step still above the threshold.  The crossing inside the
 next step is bisected on that step's squared norm, a real polynomial of
@@ -83,20 +86,17 @@ R(dt·A) = Σ_{k≤4} (dt·A)^k / k!.  R is computed once per run and applied
 per step; whole sample intervals use matrix powers of R, so the scheme,
 its order, and its roundoff behaviour are identical everywhere.
 
-Pure-state propagators are built from H − c·I with c = tr(H)/dim.  The
-shift is a global phase on pure states (populations, norms, jump
-statistics and entanglement are unchanged; returned state phases differ
-by e^{−ict}); it halves the spectral radius seen by the fixed-step scheme.
-It cancels identically in the density-matrix commutator, so the oracle
-uses H itself.  The exact jump-free flow never raises the squared norm, and
-the pure-state scheme has one step rule: when the blocks are built, each
-block's step R must satisfy ‖R‖₂² ≤ 1 + ``_UNIT_NORM_ATOL``, else
-``IntegratorError`` names ``dt`` before anything propagates
-(``_check_step``).  Then no state's norm can grow, in a stride, a descent,
-a step with jumps or the jump-free run, and none is checked there.  The
-oracle's generator sees differences of eigenvalues, and its step's
-coordinate norm bounds no contraction, so it keeps its own check: a stride
-or samples that are not finite raise the same error.
+Every propagator is built from H itself, so the pure-state integrators
+return the states of the frame H is written in.  The exact jump-free flow
+never raises the squared norm, and the pure-state scheme has one step rule:
+when the blocks are built, each block's step R must satisfy
+‖R‖₂² ≤ 1 + ``_UNIT_NORM_ATOL``, else ``IntegratorError`` names ``dt``
+before anything propagates (``_check_step``).  Then no state's norm can
+grow, in a stride, a descent, a step with jumps or the jump-free run, and
+none is checked there.  The oracle's generator sees differences of
+eigenvalues, and its step's coordinate norm bounds no contraction, so it
+keeps its own check: a stride or samples that are not finite raise the
+same error.
 
 Every matrix a caller passes, H, a collapse operator or an observable, is
 read by one rule (``_square``): a square complex matrix of the model's
@@ -127,8 +127,10 @@ DEFAULT_DT = 0.005
 DEFAULT_MAX_DT = 0.01
 _BISECT_TOL = 1e-10
 _UNIT_NORM_ATOL = 1e-8
-_NORM_UNDERFLOW = 1e-28
 _RESCALE_FLOOR = 1e-150        # jump-free squared norm below which the state is rescaled
+# the least waiting-time threshold: Generator.random() returns k·2⁻⁵³, so this
+# raises only a draw of 0.0, and every row's squared norm stays above it
+_THRESHOLD_FLOOR = 2.0 ** -53
 # a column's Python objects (``batch_bytes``): its Generator, SeedSequence and
 # seed tuple, 0.91 KB by tracemalloc, and 0.19 KB for a crossing row's draw;
 # and each jump's column, time and channel in its round's record
@@ -223,7 +225,8 @@ class TimeGrid:
 class TrajectoryResult:
     """One realization: unit-norm sampled states (lossless too) plus the jump record.
 
-    Row s of ``states`` is the sample at ``grid.times[s]`` of the grid it ran on.
+    Row s of ``states`` is the sample at ``grid.times[s]`` of the grid it ran
+    on, in the frame H is written in, phase included.
     """
 
     states: np.ndarray                    # (n_samples, dim), unit norm rows
@@ -437,17 +440,17 @@ class _Part:
     """One block of the partition: its states, generator and jump maps."""
 
     index: np.ndarray        # the block's basis states, ascending
-    gen: np.ndarray          # no-jump generator -i(H - cI) - (1/2) Σ L†L on the block
+    gen: np.ndarray          # no-jump generator -iH - (1/2) Σ L†L on the block
     targets: tuple           # per channel: the block L maps this one into
     jumps: tuple             # per channel: L from this block into its target
 
 
-def _parts(structure: BlockStructure, h: np.ndarray, ops: list, center: float) -> list:
+def _parts(structure: BlockStructure, h: np.ndarray, ops: list) -> list:
     """Each block of ``structure`` with its generator and jump maps, sliced
     out of H and the collapse operators ``ops``."""
     members, parts = structure.members, []
     for b, idx in enumerate(members):
-        gen = -1j * (h[np.ix_(idx, idx)] - center * np.eye(len(idx)))
+        gen = -1j * h[np.ix_(idx, idx)]
         jumps = []
         for op, target in zip(ops, structure.targets):
             jump = op[np.ix_(members[target[b]], idx)]
@@ -495,7 +498,7 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
     obs = {str(name): _square(op, d, f"observable {name!r}")
            for name, op in (observables or {}).items()}
     structure = block_structure(h, ops, psi0)
-    parts = _parts(structure, h, ops, float(np.trace(h).real) / d)
+    parts = _parts(structure, h, ops)
     n_fine = grid.n_fine
     n_pow = n_fine.bit_length()
     # r_dt ** n_fine from the squarings, in matrix_power's order: the set bits of
@@ -543,9 +546,9 @@ def _check_state(psi0: np.ndarray, d: int) -> np.ndarray:
     psi0 = np.ascontiguousarray(np.asarray(psi0, dtype=np.complex128))
     if psi0.shape != (d,):
         raise SizeError(f"state shape {psi0.shape} does not match dim {d}")
-    if abs(np.vdot(psi0, psi0).real - 1.0) > _UNIT_NORM_ATOL:
-        raise ConfigError([f"psi0: must have unit norm, got ||psi0||^2 = "
-                           f"{np.vdot(psi0, psi0).real!r}"])
+    norm2 = float(np.vdot(psi0, psi0).real)
+    if abs(norm2 - 1.0) > _UNIT_NORM_ATOL:
+        raise ConfigError([f"psi0: must have unit norm, got ||psi0||^2 = {norm2!r}"])
     return psi0
 
 
@@ -709,13 +712,6 @@ def _check_floor(blk: _Block, norm2, dt: float) -> None:
                               f"{_RESCALE_FLOOR}; dt = {dt} is too coarse for the spectrum of H")
 
 
-def _underflowed(norm2) -> None:
-    """Raise ``IntegratorError`` if any of ``norm2`` is below ``_NORM_UNDERFLOW``."""
-    if (np.asarray(norm2) < _NORM_UNDERFLOW).any():
-        raise IntegratorError(
-            "state norm fell below 1e-14 before the jump threshold was reached")
-
-
 def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows: np.ndarray,
                r: np.ndarray, pending: np.ndarray, rngs, jumps: list, arrivals: dict) -> None:
     """Resolve in one pass every crossing of the columns ``cols`` in the
@@ -734,7 +730,10 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
     powers and the flow.  A row still above its threshold there goes on
     from the step's end.  The crossing of each other row is bisected on its
     step's norm polynomial, and two uniforms from its own Generator pick its
-    channel (``_channels``) and its next threshold.  The round's jumps are
+    channel (``_channels``) and its next threshold, floored at
+    ``_THRESHOLD_FLOOR``.  Every row's squared norm stays above its
+    threshold: the rows come in at the start of their crossing interval,
+    and the descent and the step stop above it.  The round's jumps are
     one record (columns, times, channels) in ``jumps``, and each row goes
     on, ``into`` its step, in the block its channel maps it into.  A column
     sits in one block and one round at a time, so its records come in time
@@ -754,7 +753,6 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
                 r[ids] = -np.inf
             edge = into[ids] == 0.0
             if edge.any():
-                _underflowed(_row_norm2(rows)[edge])
                 reach = np.where(edge, done[ids], n_fine)  # a row into its step stays there
                 _descend(blk.r_pows, rows, r[ids], reach, n_fine)
                 done[ids[edge]] = reach[edge]
@@ -787,7 +785,7 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
             u = np.array([rngs[j].random(2) for j in cols[ids]])
             chans = _channels(norms, u[:, 0])
             jumps.append((cols[ids], (t0[ids] + done[ids] * dt) + into[ids] + tau, chans))
-            r[ids] = pending[cols[ids]] = np.maximum(u[:, 1], 1e-300)
+            r[ids] = pending[cols[ids]] = np.maximum(u[:, 1], _THRESHOLD_FLOOR)
             into[ids] += tau
             for chan, (jump, dest) in enumerate(zip(blk.jumps, blk.targets)):
                 sel = np.flatnonzero(chans == chan)
@@ -834,9 +832,10 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch,
     observables and, with ρ̄ kept, one product added to the block's
     slice.  A block no channel acts on takes no jump test, is not stepped
     if nothing reads its rows, and meets its floor check once, after the
-    sweep.  A row whose squared norm falls to its threshold leaves the
-    sweep, and the jump pass checks its norm for underflow.  Returns those
-    rows: columns, interval start samples and states there.
+    sweep.  A row whose squared norm falls to its threshold in an interval
+    leaves the sweep with its state at the interval's start, where its
+    squared norm is still above the threshold.  Returns those rows:
+    columns, interval start samples and states there.
     """
     grid, blk = mach.grid, mach.blocks[b]
     cols, at, states = (np.concatenate(side) for side in zip(*arrived))
@@ -951,7 +950,8 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
     Column j is one pure-state evolution from ψ0.  With a collapse channel,
     column j is the trajectory of ``seed_of(j)``: uniforms are drawn from
     its own stream (the threshold, then per jump the channel and the next
-    threshold in one call), and the decaying norm carries the waiting time.
+    threshold in one call; each threshold floored at ``_THRESHOLD_FLOOR``),
+    and the decaying norm carries the waiting time.
     Otherwise nothing jumps, and every column is the jump-free run to the
     end of the grid.
 
@@ -994,7 +994,7 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
     rngs = pending = None
     if jumping:
         rngs = [np.random.default_rng(np.random.SeedSequence(seed_of(j))) for j in range(n_cols)]
-        pending = np.maximum([rng.random() for rng in rngs], 1e-300)
+        pending = np.maximum([rng.random() for rng in rngs], _THRESHOLD_FLOOR)
     jumps: list = []
     absorbed = np.full(n_cols, 0 if mach.blocks[start].absorbing else n, dtype=np.int64)
     run = _FreeRun(mach)
@@ -1010,7 +1010,6 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
             # each row the run's normalized state, with its threshold divided by the survival
             cols = leaving[chunk]
             s0 = first[cols] - 1
-            _underflowed(run.survival[s0])
             _jump_pass(mach, start, cols, s0, run.states[s0[:, None], index],
                        pending[cols] / run.survival[s0], pending, rngs, jumps, arrivals)
     else:
@@ -1058,7 +1057,7 @@ def mcwf_trajectory(h: np.ndarray, collapse: Sequence[np.ndarray],
     of the degree-4 flow, of degree 8 in time), a channel j is selected
     with probability ‖L_jψ‖²/Σ_k‖L_kψ‖², and the state is projected and
     renormalized.  It is a batch of one column in ``_propagate``'s loop,
-    with its rows recorded.
+    with its rows recorded: the states of the frame H is written in.
     Deterministic given (seed, grid, inputs).  The seed is an int >= 0 or
     a tuple of them, as ``SeedSequence`` takes it; anything else is refused
     before the blocks are built.
@@ -1137,11 +1136,12 @@ def no_jump_branch(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarr
                    ) -> ConditionalBranch:
     """Evolve the jump-free branch: decaying norm plus renormalized states.
 
-    It is the jump-free run the trajectories share (``_FreeRun``), rescaled
-    whenever its squared norm falls below ``_RESCALE_FLOOR``.  With
-    ``collapse = ()`` this is the closed-system evolution.  A caller
-    that has run ``mcwf_ensemble`` on the same inputs gets the same branch,
-    without building the blocks again, from ``EnsembleResult.jump_free_branch``.
+    It is the jump-free run the trajectories share (``_FreeRun``), in the
+    frame H is written in, rescaled whenever its squared norm falls below
+    ``_RESCALE_FLOOR``.  With ``collapse = ()`` this is the closed-system
+    evolution.  A caller that has run ``mcwf_ensemble`` on the same inputs
+    gets the same branch, without building the blocks again, from
+    ``EnsembleResult.jump_free_branch``.
     """
     return _jump_free_branch(_build_machinery(h, collapse, psi0, grid, observables))
 
@@ -1288,8 +1288,9 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     """
     rho0 = require_hermitian(rho0, atol=1e-8)
     d = rho0.shape[0]
-    if abs(np.trace(rho0).real - 1.0) > 1e-8:
-        raise ConfigError([f"rho0: trace must be 1, got {np.trace(rho0)!r}"])
+    trace = float(np.trace(rho0).real)
+    if abs(trace - 1.0) > 1e-8:
+        raise ConfigError([f"rho0: trace must be 1, got {trace!r}"])
     if np.linalg.eigvalsh(rho0).min() < -1e-8:
         raise ConfigError(["rho0: must be positive semidefinite"])
     h = require_hermitian(_square(h, d, "Hamiltonian"))
@@ -1304,7 +1305,7 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     n_bytes = lindblad_bytes(n, d, [len(idx) for idx in structure.members])
     check_budget(n_bytes, f"four real generators on {n_kept} coordinates of ρ and {n} samples")
     rows, cols, lower = structure.rows, structure.cols, structure.lower
-    parts = _parts(structure, h, ops, 0.0)
+    parts = _parts(structure, h, ops)
     r_step = _real_generator(structure, parts, n_bytes - n_kept ** 2 * 8)   # chunks in the rest
     r_step *= grid.dt
     r_step = _taylor4(r_step)             # the rebinding frees dt·A before the powers

@@ -729,6 +729,75 @@ class TestSweepConfig:
         assert len(problems) == 2
 
 
+class TestValueRules:
+    """One case for each config rule that no other test reaches."""
+
+    @pytest.mark.parametrize("text, value", [("off", False), (" No ", False), ("0", False),
+                                             ("on", True)])
+    def test_boolean_text_loads(self, text, value):
+        assert tiny_scenario(observables={"negativity": text}).compute_negativity is value
+
+    def test_boolean_text_that_is_neither_refused(self):
+        bad = {**SCENARIO_MAPPING, "observables": {"negativity": "maybe"}}
+        assert problems_of(scenario_from_mapping, bad) == [
+            "observables.negativity: expected a boolean, got 'maybe'"]
+
+    @pytest.mark.parametrize("raw, problem", [
+        (5, "expected a comma-separated list, got 5"),
+        ([], "empty list"),
+        (" , ", "empty list"),
+    ])
+    def test_list_that_is_not_one_or_is_empty_refused(self, raw, problem):
+        assert problems_of(sweep_from_mapping, {"sweep": {"j_values": raw}}) == [
+            f"sweep.j_values: {problem}"]
+
+    def test_every_bad_list_item_reported(self):
+        assert problems_of(sweep_from_mapping, {"sweep": {"j_values": [0.02, "a", None]}}) == [
+            "sweep.j_values: expected a number, got 'a'",
+            "sweep.j_values: expected a number, got None"]
+
+    def test_bad_projector_refused_and_empty_list_asks_for_none(self):
+        bad = {**SCENARIO_MAPPING, "observables": {"projectors": ["P20", "(2-; Q)"]}}
+        [problem] = problems_of(scenario_from_mapping, bad)
+        assert problem.startswith("observables.projectors: bad projector '(2-; Q)' (")
+        for empty in ("", [], "  "):
+            assert tiny_scenario(observables={"projectors": empty}).observables == ()
+
+    @pytest.mark.parametrize("section", ["model", "output"])
+    def test_section_that_is_not_a_mapping_refused(self, section):
+        bad = {**SCENARIO_MAPPING, section: ["n_sites", 2]}
+        assert f"{section}: expected a mapping of keys" in problems_of(scenario_from_mapping,
+                                                                        bad)
+
+    @pytest.mark.parametrize("name", ["", "runs/demo"])
+    def test_output_name_that_is_not_a_bare_stem_refused(self, name):
+        bad = {**SCENARIO_MAPPING, "output": {"name": name}}
+        assert problems_of(scenario_from_mapping, bad) == [
+            f"output.name: must be a bare file stem, got {name!r}"]
+
+    @pytest.mark.parametrize("name", ["j_values", "gamma_ratios"])
+    def test_empty_sweep_grid_refused(self, name):
+        kwargs = {"j_values": (0.02, 0.04, 0.06), name: ()}
+        with pytest.raises(ConfigError) as err:
+            CriticalitySweepConfig(**kwargs)
+        assert f"sweep.{name}: required and non-empty" in err.value.problems
+
+    @pytest.mark.parametrize("suffix, text, problem", [
+        (".json", "{", "invalid JSON ("),
+        (".json", "[1, 2]", "top level must be an object"),
+        (".ini", "[model]\nn_sites\n", "invalid config ("),
+        (".ini", "n_sites = 2\n", "invalid config ("),
+    ], ids=["json_syntax", "json_list", "ini_syntax", "ini_no_section"])
+    def test_unreadable_file_refused_naming_it(self, tmp_path, suffix, text, problem):
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(text)
+        for load in (load_scenario_config, load_sweep_config):
+            with pytest.raises(ConfigError) as err:
+                load(path)
+            [message] = err.value.problems
+            assert message.startswith(f"{path}: {problem}"), message
+
+
 def rowwise_table(path: Path, columns: dict) -> bytes:
     """The CSV table written a row at a time, each cell through ``_text``."""
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -1064,7 +1133,7 @@ PRESET_DIGESTS = {
     "n4.json": "1a8ea8be8dfef71cc2027f87dc653ab7a2aff4536de9413ea8e8c60809033706",
     "fig1_delta0.csv": "cdd0277d08596d12f28b349025389d8ab5b8ded55c28c79b366d3365ba35f81b",
     "fig1_delta0.json": "0a5ee5f492b075f417813ae7d8ba501cc70bf12eee2615dd94b320efb2f395e5",
-    "fig1_delta09.csv": "e8f85242e8f0d1582baacdeaed13941ce66cfde882710ebfd809413d2daafcf1",
+    "fig1_delta09.csv": "64c0c89aa40f6cb1ccef403e0c388840577b6b7c726e3ad094d5d2d566122674",
     "fig1_delta09.json": "5a42e8f68280e828b97a31b91f91c28e78a69103a2d125f337875f56951825fa",
     "fig4.json": "7d7123ce38acdf0ca9f767096adb0dc5ad5032ed228e5e092594d7aba2d57fbc",
     "fig4_estimates.csv": "f9c8870d65c2626715abb52f5bf6d250ed6a885cf27757a030f50c06d11549b4",
@@ -1400,6 +1469,12 @@ class TestCli:
         assert main(["run", "--config", str(config_path),
                      "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "demo.csv").exists()
+
+    def test_unreadable_config_exits_1_with_an_io_error(self, tmp_path, capsys):
+        # a directory exists, so it passes the missing-file check and fails to read
+        assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 21] Is a directory")
+        assert not (tmp_path / "out").exists()
 
     def test_critical_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "sweep.ini"

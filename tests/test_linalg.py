@@ -158,6 +158,18 @@ class TestPartialTranspose:
         with pytest.raises(SizeError):
             partial_transpose(np.ones((2, 6, 5)), (2, 3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_raise(self, bad):
+        rho = np.eye(6) / 6
+        rho[1, 2] = bad
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            partial_transpose(rho, (2, 3))
+
+    @pytest.mark.parametrize("which", [2, -1])
+    def test_factor_other_than_0_or_1_raises(self, which):
+        with pytest.raises(SizeError, match=f"^which must be 0 or 1, got {which}$"):
+            partial_transpose(np.eye(6) / 6, (2, 3), which=which)
+
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +339,12 @@ class TestRealNumberRule:
         with pytest.raises(ConfigError) as err:
             ModelParams(n_sites=1, hop=hop)
         assert err.value.problems == [f"hop: must be a finite number, got {hop!r}"]
+
+    def test_int_beyond_the_float_range_refused(self):
+        # float() of 10**400 overflows; the rule refuses it as not finite
+        with pytest.raises(ConfigError) as err:
+            ModelParams(n_sites=2, omega_a=10**400)
+        assert err.value.problems == [f"omega_a: must be a finite number, got {10**400!r}"]
 
     def test_step_ratio_beyond_the_float_range_refused(self):
         with pytest.raises(ConfigError) as err:

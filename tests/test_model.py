@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from jchsim import linalg
 from jchsim.errors import ConfigError, SizeError, TruncationError
-from jchsim.model import (ModelParams, PolaritonLabel, basis_bytes, build_reduced_model,
-                          creation_in_polariton_basis, dressed_basis_matrix,
-                          dressed_state, excitation_basis, excitation_dim,
+from jchsim.model import (GROUND, MINUS, ModelParams, PolaritonLabel, basis_bytes,
+                          build_reduced_model, checked_labels, creation_in_polariton_basis,
+                          dressed_basis_matrix, dressed_state, excitation_basis, excitation_dim,
                           hopping_coefficients, mixing_angle, polariton_energy,
                           prepare_product_polariton_state, sector_dims, site_operators,
                           transform_to_dressed_basis)
@@ -379,3 +379,37 @@ class TestInitialStates:
         with pytest.raises(TruncationError):
             prepare_product_polariton_state(("2-", "G"), params)
 
+
+class TestInputRules:
+    """One case for each model rule that no other test reaches."""
+
+    def test_rate_list_of_the_wrong_length_refused(self):
+        with pytest.raises(ConfigError) as err:
+            ModelParams(n_sites=3, gamma=[0.1, 0.2])
+        assert err.value.problems == ["gamma: expected 3 entries, got 2"]
+
+    @pytest.mark.parametrize("n, branch", [(0, MINUS), (2, GROUND)])
+    def test_label_whose_count_and_branch_disagree_refused(self, n, branch):
+        with pytest.raises(ConfigError) as err:
+            PolaritonLabel(n, branch)
+        assert err.value.problems == [f"label ({n}, {branch}): n = 0 iff branch is ground"]
+
+    def test_dressed_state_beyond_the_cutoff_refused(self):
+        with pytest.raises(TruncationError, match=r"^\|3-> needs 3 photons, cutoff is 2$"):
+            dressed_state(PolaritonLabel.minus(3), ModelParams(n_sites=1, n_max=2))
+
+    def test_every_unparseable_label_named(self):
+        with pytest.raises(ConfigError) as err:
+            checked_labels(["x", "2-", "1*"], ModelParams(n_sites=3, n_max=2), field="initial")
+        assert [p.split(" (")[0] for p in err.value.problems] == [
+            "initial: bad label 'x'", "initial: bad label '1*'"]
+
+    def test_vector_of_the_wrong_shape_or_outside_the_basis_refused(self):
+        params = ModelParams(n_sites=2, n_max=2)
+        space = excitation_basis(params, max_exc=1)
+        with pytest.raises(SizeError, match=r"^vector shape \(9,\) does not match full dim 36$"):
+            space.reduce_vector(np.zeros(9, dtype=np.complex128))
+        outside = prepare_product_polariton_state(("2-", "G"), params)
+        with pytest.raises(TruncationError, match=r"^state has weight 1\.000e\+00 outside "
+                                                  "the excitation subspace$"):
+            space.reduce_vector(outside)

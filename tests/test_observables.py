@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -107,6 +108,12 @@ class TestNegativity:
         stack = np.array([random_density_matrix(rng, 4) for _ in range(3)])
         series = negativity_series(stack, (2, 2))
         assert series == pytest.approx([negativity(r, (2, 2)) for r in stack])
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 4, 4)])
+    def test_negativity_series_refuses_what_is_not_a_stack(self, shape):
+        with pytest.raises(SizeError, match=rf"^expected an \(n, d, d\) stack, got shape "
+                                            rf"{re.escape(str(shape))}$"):
+            negativity_series(np.zeros(shape), (2, 2))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (6, 6)])
     def test_series_equals_one_matrix_at_a_time_bitwise(self, rng, dims):
@@ -434,6 +441,11 @@ class TestBeatPeriod:
     def test_single_photon_cutoff_has_no_beat(self):
         assert blockade_beat_period(ModelParams(n_sites=2, n_max=1)) is None
 
+    def test_vanishing_mismatch_has_no_beat(self):
+        # far detuned, |n−> is nearly the bare n-photon state: E2 + E0 − 2E1
+        # is about 2g⁴/δ³, and the computed value lies below 1e-12 at δ = 1e6
+        assert blockade_beat_period(ModelParams(n_sites=2, omega_a=1e6, n_max=2)) is None
+
     def test_recommended_spacing_on_step_lattice(self):
         for delta in (0.0, 0.5, 0.9):
             params = ModelParams(n_sites=2, omega_a=delta, n_max=2)
@@ -552,6 +564,14 @@ class TestClassifySeries:
         assert raw.classification.kind == "MultiPeak"
         assert notched.classification.kind == "SinglePeak"
         assert notched.beat_filtered
+
+    @pytest.mark.parametrize("t", [np.array([0.0, 5.0]), np.zeros(5)],
+                             ids=["two_samples", "no_spacing"])
+    def test_notch_skipped_without_two_taps_to_average(self, t):
+        y = np.linspace(1.0, 0.0, len(t))
+        report = classify_series(y, t, t_min=0.0, beat_period=2.0)
+        assert not report.beat_filtered
+        assert report.peak_times.tolist() == [0.0] and report.boundary_peak
 
     def test_notch_skipped_when_period_off_grid(self):
         t = np.linspace(0.0, 150.0, 301)

@@ -1,8 +1,10 @@
-"""The code-line counter that ROADMAP.md and CHANGES.md quote (tools/code_lines.py)."""
+"""The tools under tools/: the code-line counter that ROADMAP.md and CHANGES.md quote, the
+benchmark pair summary and the untested-statement lister."""
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,3 +89,49 @@ def test_pair_summary_on_canned_results():
     assert entry["failed"] == {"parent": 0, "change": 2}
     assert entry["correct"] == {"parent": True, "change": False}
     assert list(summary) == ["w"]
+
+
+_lines_spec = importlib.util.spec_from_file_location("untested_lines",
+                                                     ROOT / "tools" / "untested_lines.py")
+untested_lines = importlib.util.module_from_spec(_lines_spec)
+_lines_spec.loader.exec_module(untested_lines)
+
+# a package of two functions: the script calls one on both of its paths and
+# never the other, whose body holds a two-line statement
+FIXTURE_MODULE = '''\
+"""The fixture's module docstring."""
+
+
+def called(x):
+    """Reached on both paths."""
+    if x > 0:
+        return x
+    return -x
+
+
+def never(x):
+    """Defined, never called."""
+    y = (x
+         + 1)
+    return y
+'''
+FIXTURE_SCRIPT = "import sys\nfrom tracedpkg.mod import called\ncalled(2)\nsys.exit(called(-3))\n"
+
+
+def test_untested_lines_lists_the_uncalled_body(tmp_path, capsys, monkeypatch):
+    package = tmp_path / "tracedpkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(FIXTURE_MODULE)
+    script = tmp_path / "run.py"
+    script.write_text(FIXTURE_SCRIPT)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        # the command's exit status is the tool's
+        assert untested_lines.main(["--package", str(package), str(script)]) == 3
+    finally:
+        for name in ("tracedpkg.mod", "tracedpkg"):
+            sys.modules.pop(name, None)
+    mod = package / "mod.py"
+    assert capsys.readouterr().out.splitlines() == [
+        f"{mod}:13: y = (x", f"{mod}:15: return y", "statements never executed: 2"]
