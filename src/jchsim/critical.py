@@ -18,10 +18,10 @@ equation; ``build_reduced_model`` gives every element of H and L a single
 term, so these are bit for bit the operators a build at (J, γ) gives.
 Those operators are nonzero in the same places at every point (J and γ
 are positive), so the blocks of the master equation and ρ's layout on
-them (``dynamics.BlockStructure``) and the partial transpose's blocks
-(``observables.TransposeBlocks``) are read once too; each point checks
-that they fit it and gives the bits a point read afresh would.
-Nothing is kept past the call.
+them (``dynamics.BlockStructure``) are read once too; each point checks
+that they fit it and gives the bits a point read afresh would.  The
+negativity needs no such reading: the partial transpose's blocks are the
+excitation-imbalance classes of the basis.  Nothing is kept past the call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .observables import (
     blockade_beat_period,
     block_negativity,
     classify_series,
-    transpose_blocks,
     negativity_series,  # noqa: F401 - a traced name of perfbench's gamma_c_sweep
     PeakReport,
 )
@@ -58,13 +57,13 @@ _PINNED = ProjectorSpec(preset="P11")
 
 @dataclass(frozen=True)
 class CriticalityRow:
-    """One (hop, gamma) grid point: peak report plus transition metrics."""
+    """One (hop, gamma) grid point: peak report plus the pinned-state
+    population maximum."""
 
     hop: float
     gamma: float
     report: PeakReport
     max_pinned: float
-    t_half_pinned: Optional[float]
 
     @property
     def gamma_ratio(self) -> float:
@@ -115,10 +114,8 @@ def _classify_points(config: CriticalitySweepConfig,
     ``lindblad_evolve`` call, on the block structure of H0 + K, A and ρ0,
     read once before the first point.  The negativity is
     ``block_negativity`` of its stack across the two sites, read off the
-    13-dim reduced states, on the partial transpose's blocks of the first
-    point's stack.  The transition metrics (pinned-state population
-    maximum and half-rise time) come from the same density-matrix trace as
-    the classification.
+    13-dim reduced states.  The pinned-state population maximum comes from
+    the same density-matrix trace as the classification.
     """
     base = build_reduced_model(config.model_for(0.0, 1.0), max_exc=2)
     space, params = base.space, base.space.params
@@ -130,7 +127,6 @@ def _classify_points(config: CriticalitySweepConfig,
     grid = config.grid_for(params)
     beat_period = blockade_beat_period(params)
     structure = block_structure(base.h + hop_terms, base.collapse, rho0)
-    neg_blocks = None
 
     for hop, gamma in points:
         point = config.model_for(hop, gamma)
@@ -141,22 +137,13 @@ def _classify_points(config: CriticalitySweepConfig,
         collapse = [math.sqrt(point.gamma[j]) * base.collapse[j] for j in damped]
         rhos = lindblad_evolve(h, collapse, rho0, grid, structure=structure)
         pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
-
-        if neg_blocks is None:
-            neg_blocks = transpose_blocks(rhos, space, cut=1)
-        neg = block_negativity(rhos, space, cut=1, blocks=neg_blocks)
         report = classify_series(
-            neg, grid.times,
+            block_negativity(rhos, space, cut=1), grid.times,
             prominence_threshold=config.prominence_threshold,
             t_min=config.t_min,
             beat_period=beat_period)
-
-        max_pinned = float(pinned.max())
-        t_half = None
-        if max_pinned > 0.0:        # the maximum's own sample reaches half of it
-            t_half = float(grid.times[np.argmax(pinned >= 0.5 * max_pinned)])
         yield CriticalityRow(hop=float(hop), gamma=float(gamma), report=report,
-                             max_pinned=max_pinned, t_half_pinned=t_half)
+                             max_pinned=float(pinned.max()))
 
 
 def _grid_flags(config: CriticalitySweepConfig) -> list:
@@ -206,10 +193,10 @@ def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
     values in increasing order; any parallelism is BLAS threads in a point.
     The basis, H at J = 0, the hop terms, the loss operators at unit γ, ψ0,
     the pinned-state projector, the grid and the beat period are built once
-    for the whole sweep, and each point scales J and γ in.  So are the
-    master equation's block structure and the partial transpose's blocks,
-    which depend only on where the operators and states are nonzero; each
-    point still makes its own ``lindblad_evolve`` call.
+    for the whole sweep, and each point scales J and γ in.  So is the
+    master equation's block structure, which depends only on where the
+    operators and states are nonzero; each point still makes its own
+    ``lindblad_evolve`` call.
     """
     rows = _classify_points(config, ((hop, ratio * hop) for hop in config.j_values
                                      for ratio in config.gamma_ratios))

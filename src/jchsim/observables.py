@@ -4,10 +4,13 @@
 partial transpose of each reduced-basis state straight off the state's
 entries and diagonalizes it block by block, never forming the site_dim^N
 product space.  A state that commutes with the total excitation has a
-partial transpose that is block-diagonal in the excitation imbalance across
-the cut (fig4's 13-dim states: blocks of 9, 6, 6, 2 and 2 in the 36-dim
-space).  ``negativity``/``negativity_series`` keep the dense product-space
-form as the reference that tests compare against; no run path calls them.
+partial transpose that is block-diagonal in the excitation imbalance q
+across the cut, the left sites' excitations less the right sites'
+(Cornfeld, Goldstein & Sela, PRA 98, 032302 (2018)), so the blocks are read
+off the basis: fig4's 13-dim states have blocks of 9, 6, 6, 2 and 2 in the
+36-dim space.  A state that links two excitation sectors is refused.
+``negativity``/``negativity_series`` keep the dense product-space form as
+the reference that tests compare against; no run path calls them.
 
 ``checked_cut`` is the one cut rule; ``transpose_bytes`` counts the bytes
 that the guard of the partial transpose's largest block checks.
@@ -31,16 +34,15 @@ import numpy as np
 
 from .errors import ConfigError, SizeError
 from .dynamics import DEFAULT_DT
-from .linalg import (BlockDensity, as_complex_matrix, check_budget, min_labels,
-                     partial_transpose, real, whole)
+from .linalg import (BlockDensity, as_complex_matrix, check_budget, partial_transpose,
+                     real, whole)
 from .model import (ModelParams, PolaritonLabel, ReducedSpace, checked_labels,
                     dense_bytes, polariton_energy, sector_dims)
 
 __all__ = [
     "DEFAULT_PROMINENCE_THRESHOLD", "DEFAULT_BURN_IN", "PROJECTOR_PRESETS",
     "ProjectorSpec", "PeakClassification", "PeakReport",
-    "TransposeBlocks", "block_negativity", "transpose_blocks", "negativity",
-    "negativity_series",
+    "block_negativity", "negativity", "negativity_series",
     "reduced_bipartition", "blockade_beat_period", "recommended_spacing",
     "find_peaks", "classify_series",
 ]
@@ -139,14 +141,16 @@ def transpose_bytes(n_samples: int, block: int) -> int:
 
 
 def transpose_block_bound(n_sites: int, max_exc: int, cut: int) -> int:
-    """At least the states of the partial transpose's largest block across
-    ``cut``, for a state on the basis with at most ``max_exc`` excitations
-    that keeps the total excitation, as ρ̄ does.
+    """The states of the partial transpose's largest block across ``cut``,
+    for a state on the basis with at most ``max_exc`` excitations that
+    keeps the total excitation, as ρ̄ does.
 
     The transpose sends each entry to a row and a column whose left
-    excitations less their right ones are one number q, so each block lies
-    in one q: at most Σ_a L_a·R_(a−q) states, with L and R the sector sizes
-    of the sites left and right of the cut.
+    excitations less their right ones are one number q, and
+    ``block_negativity`` takes each q as one block: at most Σ_a L_a·R_(a−q)
+    states, with L and R the sector sizes of the sites left and right of
+    the cut, and exactly that many for a state with every entry of its
+    sectors nonzero.
     """
     left, right = sector_dims(cut, max_exc), sector_dims(n_sites - cut, max_exc)
     return max(sum(left[a] * right[a - q]
@@ -180,25 +184,6 @@ def negativity_series(rho_stack: np.ndarray, dims) -> np.ndarray:
     return out + 0.0   # +0.0 normalizes -0.0
 
 
-@dataclass(frozen=True)
-class TransposeBlocks:
-    """The blocks of the partial transpose across a cut, for one pattern of
-    a stack's entries.
-
-    The pattern is the entries nonzero at some sample (``kept``, as indices
-    of the stack's entries) and, for each, the product index of the row and
-    then of the column it is sent to (``product``).  Each block is the
-    indices of its entries in the stack, their rows and columns in the
-    block, and its size; the blocks run in the order of their smallest
-    product index.  ``transpose_blocks`` reads them from a stack, and
-    ``block_negativity`` uses them for a stack with the same pattern.
-    """
-
-    kept: np.ndarray
-    product: np.ndarray
-    blocks: tuple
-
-
 def _block_density(rho, space: ReducedSpace) -> BlockDensity:
     """``rho`` if it is a ``BlockDensity``; an ``(n, dim, dim)`` stack as one
     entry per matrix element."""
@@ -211,47 +196,7 @@ def _block_density(rho, space: ReducedSpace) -> BlockDensity:
                         *np.divmod(np.arange(space.dim ** 2), space.dim))
 
 
-def _transpose_pattern(rho: BlockDensity, space: ReducedSpace, cut: int) -> tuple:
-    """``TransposeBlocks.kept`` and ``TransposeBlocks.product`` of ``rho``.
-
-    Each basis state's product index splits into (left, right) at the cut,
-    and the partial transpose on the right sends entry (i, j) to row
-    (left_i, right_j) and column (left_j, right_i).
-    """
-    right_dim = space.params.site_dim ** (space.params.n_sites - cut)
-    left, right = np.divmod(space.full_indices, right_dim)
-    # an entry that is zero at every sample links nothing
-    kept = np.flatnonzero((rho.entries != 0).any(axis=0))
-    i, j = rho.rows[kept], rho.cols[kept]
-    return kept, np.concatenate([left[i] * right_dim + right[j], left[j] * right_dim + right[i]])
-
-
-def _transpose_blocks(kept: np.ndarray, product: np.ndarray) -> TransposeBlocks:
-    """The connected components of the (row, column) links of the pattern."""
-    # product indices of the transposed entries, numbered compactly
-    nodes, pos = np.unique(product, return_inverse=True)
-    row, col = pos[:len(kept)], pos[len(kept):]
-    labels, owner = np.unique(min_labels(np.arange(len(nodes)), row, col), return_inverse=True)
-    local = np.empty(len(nodes), dtype=np.intp)
-    blocks = []
-    for b in range(len(labels)):
-        members = owner == b
-        local[members] = np.arange(np.count_nonzero(members))
-        links = members[row]
-        blocks.append((kept[links], local[row[links]], local[col[links]],
-                       int(np.count_nonzero(members))))
-    return TransposeBlocks(kept=kept, product=product, blocks=tuple(blocks))
-
-
-def transpose_blocks(rho, space: ReducedSpace, cut: int) -> TransposeBlocks:
-    """The partial transpose's blocks across ``cut`` for the pattern of
-    ``rho``, a stack as ``block_negativity`` takes it."""
-    cut = checked_cut(cut, space.params.n_sites)
-    return _transpose_blocks(*_transpose_pattern(_block_density(rho, space), space, cut))
-
-
-def block_negativity(rho, space: ReducedSpace, cut: int, *,
-                     blocks: Optional[TransposeBlocks] = None) -> np.ndarray:
+def block_negativity(rho, space: ReducedSpace, cut: int) -> np.ndarray:
     """Negativity across ``cut`` of each state of a reduced-basis stack.
 
     ``rho`` is a ``BlockDensity``, such as the ensemble's ρ̄, or an ``(n,
@@ -260,33 +205,59 @@ def block_negativity(rho, space: ReducedSpace, cut: int, *,
     sites regrouped at ``cut``, without the product space.  Each basis
     state's product index splits into (left, right) at the cut, and the
     partial transpose on the right sends entry (i, j) to row (left_i,
-    right_j) and column (left_j, right_i).  Its blocks are the connected
-    components of those (row, column) links over the entries that are
-    nonzero at some sample, so the split is exact for any state.  Each
-    block gets one ``eigvalsh`` of its ``(n, k, k)`` stack; the blocks'
-    negative eigenvalues are added in the order of their smallest product
-    index.
-
-    ``blocks`` from ``transpose_blocks`` are used if ``rho`` has the
-    pattern they were read from; otherwise, or without them, the blocks
-    are read from ``rho``.  A caller whose stacks share a pattern, such as
-    the points of a γ_c sweep, reads them once.
+    right_j) and column (left_j, right_i).  The state must keep the total
+    excitation: an entry nonzero at some sample whose row and column lie
+    in different sectors is a ``ConfigError`` naming ``rho``.  Then the row
+    and the column have one excitation imbalance q, left_i's excitations
+    less right_j's, and the blocks are the q-classes of the rows and
+    columns of the entries nonzero at some sample.  Each block gets one
+    ``eigvalsh`` of its ``(n, k, k)`` stack, its states in ascending
+    product index; the blocks' negative eigenvalues are added in the order
+    of their smallest product index.
     """
     cut = checked_cut(cut, space.params.n_sites)
     rho = _block_density(rho, space)
-    kept, product = _transpose_pattern(rho, space, cut)
-    if blocks is None or not (np.array_equal(kept, blocks.kept)
-                              and np.array_equal(product, blocks.product)):
-        blocks = _transpose_blocks(kept, product)
+    # an entry that is zero at every sample links nothing
+    kept = np.flatnonzero((rho.entries != 0).any(axis=0))
+    i, j = rho.rows[kept], rho.cols[kept]
+    mixed = np.flatnonzero(space.n_tot[i] != space.n_tot[j])
+    if mixed.size:
+        a, b = i[mixed[0]], j[mixed[0]]
+        raise ConfigError([f"rho: entry ({a}, {b}) links excitation sectors {space.n_tot[a]} "
+                           f"and {space.n_tot[b]}; the negativity needs a state that keeps "
+                           f"the total excitation"])
+    right_dim = space.params.site_dim ** (space.params.n_sites - cut)
+    left, right = np.divmod(space.full_indices, right_dim)
+    left_exc = space.states[:, :cut].sum(axis=(1, 2))
+    right_exc = space.states[:, cut:].sum(axis=(1, 2))
+    # product indices of the transposed entries' rows and columns, numbered compactly
+    nodes, pos = np.unique(np.concatenate([left[i] * right_dim + right[j],
+                                           left[j] * right_dim + right[i]]),
+                           return_inverse=True)
+    row, col = pos[:len(kept)], pos[len(kept):]
+    q = np.empty(len(nodes), dtype=np.intp)
+    q[row] = q[col] = left_exc[i] - right_exc[j]
+    # each node's block: its q-class, numbered in the order of the class's smallest node
+    _, first, cls = np.unique(q, return_index=True, return_inverse=True)
+    block = np.argsort(np.argsort(first))[cls]
+    sizes = np.bincount(block)
+    local = np.empty(len(nodes), dtype=np.intp)
+    local[np.argsort(block, kind="stable")] = (np.arange(len(nodes))
+                                               - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    # the entries grouped by block, each at its row and column in the block
+    order = np.argsort(block[row], kind="stable")
+    bounds = np.cumsum(np.r_[0, np.bincount(block[row], minlength=len(sizes))]).tolist()
+    entries, row, col = kept[order], local[row[order]], local[col[order]]
+
     n = len(rho.entries)
-    largest = max((k for *_, k in blocks.blocks), default=0)
+    largest = int(sizes.max(initial=0))
     check_budget(transpose_bytes(n, largest),
                  f"the partial transpose's largest block, {largest} states over {n} samples,")
     out = np.zeros(n)
-    for entries, row, col, k in blocks.blocks:
-        block = np.zeros((n, k, k), dtype=np.complex128)
-        block[:, row, col] = rho.entries[:, entries]
-        out -= np.minimum(np.linalg.eigvalsh(block), 0.0).sum(axis=1)
+    for k, lo, hi in zip(sizes.tolist(), bounds, bounds[1:]):
+        stack = np.zeros((n, k, k), dtype=np.complex128)
+        stack[:, row[lo:hi], col[lo:hi]] = rho.entries[:, entries[lo:hi]]
+        out -= np.minimum(np.linalg.eigvalsh(stack), 0.0).sum(axis=1)
     return out + 0.0   # +0.0 normalizes -0.0
 
 

@@ -220,7 +220,6 @@ _ROW_COLUMNS = {
     "boundary_peak": lambda row: row.report.boundary_peak,
     "beat_filtered": lambda row: row.report.beat_filtered,
     "max_pinned": lambda row: row.max_pinned,
-    "t_half_pinned": lambda row: row.t_half_pinned,
 }
 _ESTIMATE_COLUMNS = {
     "hop": lambda est: est.hop,

@@ -995,7 +995,7 @@ def fake_report(count: int, height: float) -> PeakReport:
 
 def fake_row(gamma: float, count: int, height: float = 0.1) -> CriticalityRow:
     return CriticalityRow(hop=0.06, gamma=gamma, report=fake_report(count, height),
-                          max_pinned=0.1, t_half_pinned=None)
+                          max_pinned=0.1)
 
 
 def sweep_config(**kwargs) -> CriticalitySweepConfig:
@@ -1071,7 +1071,6 @@ class TestSweepOutputs:
         assert data["classification"] == ["MultiPeak(3)", "MultiPeak(2)"]
         assert data["n_peaks"] == [3, 2]
         assert data["boundary_peak"] == [False, False]
-        assert data["t_half_pinned"] == [None, None]
         assert data["peak_times"] == ["0.0;1.0;2.0", "0.0;1.0"]
         estimates = json.loads(paths["estimates"].read_text())
         assert estimates["columns"] == ["hop", "gamma_c", "gamma_c_ratio", "flags"]
@@ -1131,13 +1130,13 @@ PRESET_DIGESTS = {
     "n3.json": "32ad2b2edc5bac5e0a7b4f17ab5487cc5b035e176bba7b4c509a0fe9a7df7d68",
     "n4.csv": "6d5d082f52c0c33bcd53e3b6c6184aef84e068cd12cf7af69d094395a3120ff8",
     "n4.json": "1a8ea8be8dfef71cc2027f87dc653ab7a2aff4536de9413ea8e8c60809033706",
-    "fig1_delta0.csv": "cdd0277d08596d12f28b349025389d8ab5b8ded55c28c79b366d3365ba35f81b",
+    "fig1_delta0.csv": "4bc3b8e0349f3afefaef16922152940a09dbdd3c203d279afcbd2d6d42ef8e88",
     "fig1_delta0.json": "0a5ee5f492b075f417813ae7d8ba501cc70bf12eee2615dd94b320efb2f395e5",
-    "fig1_delta09.csv": "64c0c89aa40f6cb1ccef403e0c388840577b6b7c726e3ad094d5d2d566122674",
+    "fig1_delta09.csv": "d78ac26b172a7abeeb102d115f85aae348a3f8fa31657c150599cef0630ddbb0",
     "fig1_delta09.json": "5a42e8f68280e828b97a31b91f91c28e78a69103a2d125f337875f56951825fa",
     "fig4.json": "7d7123ce38acdf0ca9f767096adb0dc5ad5032ed228e5e092594d7aba2d57fbc",
     "fig4_estimates.csv": "f9c8870d65c2626715abb52f5bf6d250ed6a885cf27757a030f50c06d11549b4",
-    "fig4_rows.csv": "20f4b9c7f8db9609727cc7ab56488034bbade4825284786b029834f92ee530c7",
+    "fig4_rows.csv": "befd9bfe5e0d03f78f79eee85a02d63255a585f98cf4f09132bb60129375a571",
 }
 
 
@@ -1216,7 +1215,7 @@ class TestSweepOnModel:
             return (row.hop, row.gamma, report.peak_times.tobytes(),
                     report.peak_heights.tobytes(), report.prominences.tobytes(),
                     report.global_max, report.boundary_peak, report.beat_filtered,
-                    row.max_pinned, row.t_half_pinned)
+                    row.max_pinned)
 
         config = resonant_curve.config
         for row in resonant_curve.rows():
@@ -1238,18 +1237,16 @@ class TestSweepOnModel:
     @pytest.mark.parametrize("j_values,gamma_ratios", [
         ((0.02, 0.04, 0.06), (0.5,)), ((0.02, 0.04, 0.06, 0.08), DEFAULT_GAMMA_RATIOS)])
     def test_sweep_reads_its_patterns_once(self, j_values, gamma_ratios, monkeypatch):
-        # the master equation's blocks and the partial transpose's, however many points
-        calls = {}
-        for owner, name in ((dynamics, "_block_labels"), (observables, "_transpose_blocks")):
-            def counted(*args, _name=name, _call=getattr(owner, name)):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _call(*args)
-            monkeypatch.setattr(owner, name, counted)
+        # the master equation's blocks, however many points
+        calls = []
+        read = dynamics._block_labels
+        monkeypatch.setattr(dynamics, "_block_labels",
+                            lambda *args: calls.append(args) or read(*args))
         gamma_c_curve(sweep_config(j_values=j_values, gamma_ratios=gamma_ratios))
-        assert calls == {"_block_labels": 1, "_transpose_blocks": 1}
+        assert len(calls) == 1
 
     def test_sweep_structures_give_the_bits_of_fresh_ones(self, monkeypatch):
-        # the master equation's at every fig4 point, and the partial transpose's
+        # the master equation's at every fig4 point, and each point's negativity
         seen, negs = [], []
         evolve, negativity = critical.lindblad_evolve, critical.block_negativity
 
@@ -1258,8 +1255,8 @@ class TestSweepOnModel:
             seen.append((h, collapse, rho0, grid, structure, rhos))
             return rhos
 
-        def record_negativity(rhos, space, cut, *, blocks):
-            negs.append((rhos, space, blocks, negativity(rhos, space, cut, blocks=blocks)))
+        def record_negativity(rhos, space, cut):
+            negs.append((rhos, space, negativity(rhos, space, cut)))
             return negs[-1][-1]
 
         monkeypatch.setattr(critical, "lindblad_evolve", record)
@@ -1268,8 +1265,7 @@ class TestSweepOnModel:
         gamma_c_curve(config)
         assert len(seen) == len(negs) == len(config.j_values) * len(config.gamma_ratios) == 36
         assert len({id(structure) for *_, structure, _ in seen}) == 1
-        assert len({id(blocks) for *_, blocks, _ in negs}) == 1
-        for (h, collapse, rho0, grid, _, rhos), (stack, space, _, neg) in zip(seen, negs):
+        for (h, collapse, rho0, grid, _, rhos), (stack, space, neg) in zip(seen, negs):
             assert stack is rhos
             assert rhos.tobytes() == evolve(h, collapse, rho0, grid).tobytes()
             assert neg.tobytes() == negativity(rhos, space, 1).tobytes()
@@ -1293,7 +1289,7 @@ class TestSweepOnModel:
             report = row.report
             print(json.dumps([str(report.classification), report.peak_times.tolist(),
                               report.peak_heights.tolist(), report.prominences.tolist(),
-                              report.global_max, row.max_pinned, row.t_half_pinned]))
+                              report.global_max, row.max_pinned]))
             """)
         path = [str(Path(__file__).resolve().parents[1] / "src"),
                 os.environ.get("PYTHONPATH", "")]

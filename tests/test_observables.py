@@ -26,8 +26,7 @@ from jchsim.observables import (DEFAULT_BURN_IN, PROJECTOR_PRESETS,
                                 ProjectorSpec, block_negativity, blockade_beat_period,
                                 classify_series, find_peaks, negativity,
                                 negativity_series, recommended_spacing,
-                                reduced_bipartition, transpose_block_bound, transpose_blocks,
-                                transpose_bytes)
+                                reduced_bipartition, transpose_block_bound, transpose_bytes)
 from jchsim.presets import load_preset
 from jchsim.runner import run_scenario
 
@@ -152,6 +151,14 @@ def sector_density(rng, space) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def block_sizes(monkeypatch) -> list:
+    """The size of each block ``block_negativity`` diagonalizes from now on."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda stack: sizes.append(stack.shape[-1]) or eigvalsh(stack))
+    return sizes
+
+
 @pytest.fixture(scope="module")
 def three_site_space():
     return excitation_basis(ModelParams(n_sites=3, hop=0.03, n_max=2), max_exc=2)
@@ -161,7 +168,7 @@ class TestBlockNegativity:
     """``block_negativity`` against the product-space ``negativity_series``."""
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3"])
-    def test_scenario_averaged_state(self, preset):
+    def test_scenario_averaged_state(self, monkeypatch, preset):
         for config in load_preset(preset).with_overrides(n_traj=3).scenarios:
             run = run_scenario(config)
             space = build_reduced_model(config.model, config.max_excitation).space
@@ -173,8 +180,14 @@ class TestBlockNegativity:
             assert (run.columns["negativity"].tobytes()
                     == block_negativity(dense, space, config.bipartition_cut).tobytes())
             if preset == "fig1":
-                # lossless: some entries inside the block stay zero at every sample
+                # lossless: some entries inside the block stay zero at every
+                # sample, and the q = 0 class of 9 falls apart into two linked
+                # parts; it is still one block
                 assert not (run.ensemble.rho_blocks.entries != 0).any(axis=0).all()
+                with monkeypatch.context() as patch:
+                    sizes = block_sizes(patch)
+                    block_negativity(run.ensemble.rho_blocks, space, config.bipartition_cut)
+                assert sorted(sizes) == [2, 2, 6, 6, 9]
 
     def test_sweep_point_stack(self):
         config = load_preset("fig4").sweep
@@ -186,41 +199,6 @@ class TestBlockNegativity:
         expected = dense_negativity(model.space, rhos, 1)
         assert np.abs(block_negativity(rhos, model.space, 1) - expected).max() <= 1e-12
         assert expected.max() > 0.01
-
-    def test_blocks_are_reused_only_for_their_pattern(self, monkeypatch, rng,
-                                                      three_site_space):
-        config = load_preset("fig4").sweep
-        params = config.model_for(0.04, 0.04)
-        model = build_reduced_model(params, max_exc=2)
-        space = model.space
-        psi0 = space.reduce_vector(prepare_product_polariton_state(("2-", "G"), params))
-        rhos = lindblad_evolve(model.h, model.collapse, np.outer(psi0, psi0.conj()),
-                               config.grid_for(params))
-        blocks = transpose_blocks(rhos, space, 1)
-        read = observables_module._transpose_blocks
-        built = []
-        monkeypatch.setattr(observables_module, "_transpose_blocks",
-                            lambda *pattern: built.append(pattern) or read(*pattern))
-        fresh = block_negativity(rhos, space, 1)
-        assert len(built) == 1
-        assert block_negativity(rhos, space, 1, blocks=blocks).tobytes() == fresh.tobytes()
-        assert len(built) == 1
-        # ρ_24 and ρ_42 zero at every sample: a block of 2 splits in two, and
-        # the stack gets blocks of its own
-        zeroed = rhos.copy()
-        assert (zeroed[:, 2, 4] != 0).any()
-        zeroed[:, 2, 4] = zeroed[:, 4, 2] = 0.0
-        assert len(transpose_blocks(zeroed, space, 1).blocks) == len(blocks.blocks) + 1
-        got = block_negativity(zeroed, space, 1, blocks=blocks)
-        assert len(built) == 3
-        assert got.tobytes() == block_negativity(zeroed, space, 1).tobytes()
-        # blocks across one cut are not those across another
-        rhos = np.array([sector_density(rng, three_site_space) for _ in range(2)])
-        blocks = transpose_blocks(rhos, three_site_space, 1)
-        before = len(built)
-        got = block_negativity(rhos, three_site_space, 2, blocks=blocks)
-        assert len(built) == before + 1
-        assert got.tobytes() == block_negativity(rhos, three_site_space, 2).tobytes()
 
     @pytest.mark.parametrize("cut", [1, 2])
     def test_three_site_averaged_state(self, cut):
@@ -277,14 +255,19 @@ class TestBlockNegativity:
     def test_transpose_block_bound_is_the_largest_block(self, monkeypatch, n_sites, max_exc,
                                                         cut, largest):
         # a state with every entry of every sector block nonzero has the
-        # largest partial-transpose blocks any such state can have
+        # largest partial-transpose blocks any such state can have: one per
+        # excitation imbalance q, of Σ_a L_a·R_(a−q) states
         space = excitation_basis(ModelParams(n_sites=n_sites, n_max=max_exc), max_exc)
         rows, cols = np.nonzero(space.n_tot[:, None] == space.n_tot[None, :])
-        seen = []
+        seen, sizes = [], block_sizes(monkeypatch)
         monkeypatch.setattr(observables_module, "transpose_bytes",
                             lambda n, block: seen.append(block) or 0)
         block_negativity(BlockDensity(np.ones((1, len(rows))), rows, cols), space, cut)
         assert seen == [largest] == [transpose_block_bound(n_sites, max_exc, cut)]
+        left, right = sector_dims(cut, max_exc), sector_dims(n_sites - cut, max_exc)
+        classes = [sum(left[a] * right[a - q] for a in range(len(left)) if 0 <= a - q < len(right))
+                   for q in range(-max_exc, max_exc + 1)]
+        assert sorted(sizes) == sorted(k for k in classes if k)
 
     @pytest.mark.parametrize("cut", [1, 2])
     def test_random_excitation_commuting_states(self, rng, three_site_space, cut):
@@ -295,23 +278,37 @@ class TestBlockNegativity:
         assert expected.min() > 0.0
 
     def test_random_dense_state(self, rng, three_site_space):
-        rho = random_density_matrix(rng, three_site_space.dim)[None]
+        # a dense state does not keep the total excitation: it is refused
+        space = three_site_space
         for cut in (1, 2):
-            expected = dense_negativity(three_site_space, rho, cut)
-            assert abs(block_negativity(rho, three_site_space, cut) - expected).max() <= 1e-12
+            with pytest.raises(ConfigError, match=r"^rho: entry \(\d+, \d+\) links excitation "
+                                                  r"sectors \d and \d; "):
+                block_negativity(random_density_matrix(rng, space.dim)[None], space, cut)
+
+    def test_state_linking_sectors_is_refused(self, rng, three_site_space):
+        space = three_site_space
+        one, two = np.flatnonzero(space.n_tot == 1)[0], np.flatnonzero(space.n_tot == 2)[0]
+        rhos = np.array([sector_density(rng, space) for _ in range(2)])
+        rhos[1, one, two] = rhos[1, two, one] = 0.01
+        for cut in (1, 2):
+            with pytest.raises(ConfigError, match=rf"^rho: entry \({one}, {two}\) links "
+                                                  r"excitation sectors 1 and 2; "):
+                block_negativity(rhos, space, cut)
 
     def test_samples_with_different_patterns(self, rng, three_site_space):
         space = three_site_space
         mixed = sector_density(rng, space)
-        rhos = np.array([mixed, random_density_matrix(rng, space.dim),
-                         np.diag(np.diag(mixed)), np.zeros_like(mixed), mixed])
+        rhos = np.array([mixed, np.diag(np.diag(mixed)), np.zeros_like(mixed), mixed])
         for cut in (1, 2):
             expected = dense_negativity(space, rhos, cut)
             got = block_negativity(rhos, space, cut)
             assert np.abs(got - expected).max() <= 1e-12
-            assert got[2] == got[3] == 0.0
-            # the stack's union pattern merges blocks; a sample's value does not change
-            assert got[0] == pytest.approx(block_negativity(rhos[:1], space, cut)[0], abs=1e-12)
+            assert got[1] == got[2] == 0.0
+            assert got[0] == got[3] == block_negativity(rhos[:1], space, cut)[0]
+            # a sample that links sectors is refused, whatever the others hold
+            dense = random_density_matrix(rng, space.dim)[None]
+            with pytest.raises(ConfigError, match=r"^rho: "):
+                block_negativity(np.concatenate([rhos, dense]), space, cut)
 
     def test_zero_stack_and_validation(self, three_site_space):
         space = three_site_space
