@@ -12,14 +12,19 @@ run on that block alone; no full-size propagator is formed.  On the presets
 the blocks are the excitation sectors (H keeps the total excitation, each
 photon loss lowers it by one); a model without such structure is one
 block.  A block on which every L vanishes, such as the vacuum, is
-absorbing: nothing leaves it, so a state in one takes no jump test.
+absorbing: nothing leaves it, so a state in one takes no jump test.  A
+block whose generator vanishes as well, as the vacuum's does in the
+cavity's rotating frame, is still: its step is exactly I, so its rows
+never change.
 
 The loop is block-major: it finishes one block over the whole grid
 before it starts the next.  Until its first jump every column of a batch
 is the jump-free branch ψ̃(t), so the batch runs that state once
 (``_FreeRun``), and a column that has not jumped reads it.  Each later
 block is swept over the grid with the columns that land in it, one
-product a sample for all of its rows, reduced at once.  A block is swept
+product a sample for all of its rows, reduced at once.  A still block is
+visited only at the samples where rows arrive, and each visit's reduction
+stands for every sample up to the next.  A block is swept
 after every other block that maps into it (``_sweep_order``), and again
 while columns re-enter it.  ``mcwf_ensemble`` is a batch of ``n_traj``
 trajectories and ``mcwf_trajectory`` a batch of one; an ensemble's branch
@@ -60,7 +65,8 @@ interval.  Each block's crossings are resolved in one pass
 (``_jump_pass``; Radaelli, Landi & Binder, arXiv:2303.15405), which
 carries every row to the end of its interval in rounds: in each, a block
 at a time, one descent for the rows at a step boundary and one step for
-the others, each row's bisection as above.  A second jump in the
+the others, each row's bisection as above; a row that jumps into a still
+block ends its interval there as it is.  A second jump in the
 same interval is one more round, and so is a step that by roundoff does
 not cross where the descent stopped.  A column sits in one block at a
 time, so its jumps come in time order.
@@ -467,6 +473,7 @@ class _Block(_Part):
     r_stride: np.ndarray     # propagator over one sample interval
     r_pows: np.ndarray       # (p_max, k, k): dt-step propagator to powers 2^p
     absorbing: bool          # every L vanishes on the block: nothing leaves it
+    still: bool              # the generator vanishes: absorbing, and its step is exactly I
 
 
 @dataclass(frozen=True)
@@ -518,7 +525,8 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
         blocks.append(_Block(index=part.index, gen=part.gen,
                              r_stride=np.ascontiguousarray(r_stride), r_pows=r_pows,
                              targets=part.targets, jumps=part.jumps,
-                             absorbing=not any(jump.any() for jump in part.jumps)))
+                             absorbing=not any(jump.any() for jump in part.jumps),
+                             still=not part.gen.any()))
     return _Machinery(structure=structure, blocks=tuple(blocks),
                       psi0=np.ascontiguousarray(psi0[blocks[structure.start].index]),
                       grid=grid, names=tuple(obs), block_obs=_block_observables(blocks, obs))
@@ -735,9 +743,10 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
     threshold: the rows come in at the start of their crossing interval,
     and the descent and the step stop above it.  The round's jumps are
     one record (columns, times, channels) in ``jumps``, and each row goes
-    on, ``into`` its step, in the block its channel maps it into.  A column
-    sits in one block and one round at a time, so its records come in time
-    order.
+    on, ``into`` its step, in the block its channel maps it into, or, if
+    that block is still, joins its ``arrivals`` at once: there the rest of
+    the interval is steps of exactly I.  A column sits in one block and one
+    round at a time, so its records come in time order.
     """
     grid = mach.grid
     n_fine, dt = grid.n_fine, grid.dt
@@ -791,7 +800,11 @@ def _jump_pass(mach: _Machinery, b: int, cols: np.ndarray, s0: np.ndarray, rows:
                 sel = np.flatnonzero(chans == chan)
                 if len(sel):
                     states = (phi[sel] @ jump.T) * (1.0 / np.sqrt(norms[sel, chan]))[:, None]
-                    live.setdefault(dest, []).append((ids[sel], states))
+                    if mach.blocks[dest].still:     # its step is I: the row ends its interval
+                        arrivals.setdefault(dest, []).append(
+                            (cols[ids[sel]], s0[ids[sel]] + 1, states))
+                    else:
+                        live.setdefault(dest, []).append((ids[sel], states))
 
 
 @dataclass(frozen=True)
@@ -830,12 +843,16 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch,
     Each sample is one product of the rows with the stride propagator,
     then their reduction: a recorded row, else, if ``reduced``, the
     observables and, with ρ̄ kept, one product added to the block's
-    slice.  A block no channel acts on takes no jump test, is not stepped
-    if nothing reads its rows, and meets its floor check once, after the
-    sweep.  A row whose squared norm falls to its threshold in an interval
-    leaves the sweep with its state at the interval's start, where its
-    squared norm is still above the threshold.  Returns those rows:
-    columns, interval start samples and states there.
+    slice.  A still block's step is exactly I, so it visits only the
+    distinct arrival samples: each visit merges the rows arriving there and
+    writes its reduction over every sample up to the next visit, with ρ̄'s
+    product added at each, the bits the per-sample loop would write.  A
+    block no channel acts on takes no jump test, is not swept if nothing
+    reads its rows, and meets its floor check once, after the sweep.  A
+    row whose squared norm falls to its threshold in an interval leaves the
+    sweep with its state at the interval's start, where its squared norm is
+    still above the threshold.  Returns those rows: columns, interval start
+    samples and states there.
     """
     grid, blk = mach.grid, mach.blocks[b]
     cols, at, states = (np.concatenate(side) for side in zip(*arrived))
@@ -848,8 +865,9 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch,
         return held[0]
     offsets, k = mach.structure.offsets, len(blk.index)
     rows, work, norm2, lo = cols[:0], states[:0], np.empty(0), 0
-    for s in range(at[0], grid.n_samples):
-        if len(rows):
+    visits = (np.unique(at) if blk.still else np.arange(at[0], grid.n_samples)).tolist()
+    for s, end in zip(visits, visits[1:] + [grid.n_samples]):
+        if len(rows) and not blk.still:
             cand = work @ blk.r_stride.T
             new2 = _row_norm2(cand)
             out = None if blk.absorbing else ~(new2 > pending[rows])
@@ -868,14 +886,14 @@ def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch,
                 break
             continue
         if batch.states is not None:
-            batch.states[s, blk.index] = work[0] * (1.0 / np.sqrt(norm2[0]))
+            batch.states[s:end, blk.index] = work[0] * (1.0 / np.sqrt(norm2[0]))
         elif reduced or batch.rho_sum is not None:
             normed = work * (1.0 / np.sqrt(norm2))[:, None]
             if reduced:
-                batch.values[rows, :, s] = _reduce(mach.block_obs[b], normed)
+                batch.values[rows, :, s:end] = _reduce(mach.block_obs[b], normed)[:, :, None]
             if batch.rho_sum is not None:
-                block = batch.rho_sum[s, offsets[b]:offsets[b + 1]].reshape(k, -1)
-                block += np.matmul(normed.T, normed.conj())
+                span = batch.rho_sum[s:end, offsets[b]:offsets[b + 1]].reshape(end - s, k, k)
+                span += np.matmul(normed.T, normed.conj())
     # no row leaves an absorbing block, and no norm rises
     _check_floor(blk, norm2, grid.dt)
     return tuple(np.concatenate(side) for side in zip(*held))
@@ -898,9 +916,16 @@ def _pass_rows(k: int) -> int:
     return max(1, _PASS_BYTES // _pass_row_bytes(k))
 
 
-def _chunks(mach: _Machinery, n_rows: int) -> list:
-    """``n_rows`` rows of the jump pass as slices of ``_pass_rows`` rows."""
-    step = _pass_rows(max(len(blk.index) for blk in mach.blocks))
+def _chunks(mach: _Machinery, b: int, n_rows: int) -> list:
+    """``n_rows`` rows of a jump pass from block ``b`` as slices: as many rows
+    on the blocks a row can reach from ``b`` as fit in the bytes of a chunk
+    on the model's largest block, ``batch_bytes``'s pass term."""
+    reach = {b}
+    while new := {t for c in reach for t in mach.blocks[c].targets} - reach:
+        reach |= new
+    k = max(len(blk.index) for blk in mach.blocks)
+    held = _pass_rows(k) * _pass_row_bytes(k)
+    step = held // _pass_row_bytes(max(len(mach.blocks[c].index) for c in reach))
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
@@ -1006,7 +1031,7 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
         lowest = np.minimum.accumulate(run.survival[1:run.done])
         first = 1 + np.searchsorted(-lowest, -pending)
         leaving = np.flatnonzero(first < n)
-        for chunk in _chunks(mach, len(leaving)):
+        for chunk in _chunks(mach, start, len(leaving)):
             # each row the run's normalized state, with its threshold divided by the survival
             cols = leaving[chunk]
             s0 = first[cols] - 1
@@ -1041,7 +1066,7 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
     while arrivals:
         b = next(c for c in blocks if c in arrivals)
         cols, s0, rows = _sweep(mach, b, arrivals.pop(b), pending, batch, reduced[b])
-        for chunk in _chunks(mach, len(cols)):
+        for chunk in _chunks(mach, b, len(cols)):
             _jump_pass(mach, b, cols[chunk], s0[chunk], rows[chunk], pending[cols[chunk]],
                        pending, rngs, jumps, arrivals)
     return batch

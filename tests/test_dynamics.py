@@ -973,7 +973,9 @@ class TestTrajectories:
         # scheme keeps 1 - 1/72 + 1/576 of |g>'s squared norm a step, so a row
         # that lands there falls below the floor about 281 after its jump, and
         # to 0.0 by about 607.  The sweep of |g> refuses it, whether its rows
-        # are recorded or reduced on an observable, and no warning escapes
+        # are recorded, reduced on an observable or only added to ρ̄: |g> is
+        # absorbing but not still (H is -100 there), so its rows are stepped,
+        # and no warning escapes
         h = np.diag([-100.0, 100.0]).astype(np.complex128)
         collapse = [np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)]
         psi0 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -983,6 +985,9 @@ class TestTrajectories:
         with pytest.raises(IntegratorError, match="too coarse"):
             mcwf_ensemble(h, collapse, psi0, grid, n_traj=5, master_seed=1,
                           observables={"g": np.diag([0.0, 1.0])})
+        assert not _build_machinery(h, collapse, psi0, grid).blocks[0].still
+        with pytest.raises(IntegratorError, match=r"; dt = 0\.01 is too coarse"):
+            mcwf_ensemble(h, collapse, psi0, grid, n_traj=5, master_seed=1, keep_rho=True)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_step_past_the_stability_limit_raises_naming_dt(self):
@@ -1473,6 +1478,94 @@ class TestBlockSweeps:
                             observables=preset_projectors(config, model))
         assert ens.jumps_per_channel.sum() == 400
         assert [args[1] for args in passes] == [2, 1]
+
+
+def _vacuum_ensemble(name, n_traj, **kwargs):
+    """A preset's ensemble with a projector on its vacuum, the one still
+    block, and the vacuum's block number."""
+    config, model, psi0 = preset_problem(name)
+    vacuum = np.diag((model.n_tot == 0).astype(float))
+    ens = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=n_traj,
+                        master_seed=config.master_seed, observables={"vac": vacuum}, **kwargs)
+    still = [b for b, blk in enumerate(ens._machinery.blocks) if blk.still]
+    assert len(still) == 1 and ens._machinery.blocks[still[0]].index.tolist() == [0]
+    return config, ens, still[0]
+
+
+class TestStillBlocks:
+    # the vacuum: H is 0 there in the cavity's rotating frame and no channel
+    # acts, so its generator vanishes and its step is exactly I
+    @pytest.mark.parametrize("name", ["fig2", "n3"])
+    def test_still_block_is_reduced_once_per_arrival_sample(self, monkeypatch, name):
+        # the projector's support is the vacuum alone, so only the vacuum's
+        # sweep reduces, and it does so at each distinct arrival sample
+        reductions = _counted(monkeypatch, "_reduce")
+        config, ens, _ = _vacuum_ensemble(name, 200)
+        entry = ens.absorbing_entry
+        arrivals = np.unique(entry[entry < config.grid.n_samples])
+        assert 1 < len(arrivals) < config.grid.n_samples - arrivals[0]
+        assert len(reductions) == len(arrivals)
+        assert all(rows.shape[1] == 1 for _, rows in reductions)
+
+    @pytest.mark.parametrize("name", ["fig2", "n3"])
+    def test_still_block_writes_the_absorbed_count(self, name):
+        # each row in the vacuum adds 1/n to ρ̄'s 1×1 slice and to the
+        # projector's mean, from its absorbing entry on; between two arrival
+        # samples the slice keeps its bits
+        n_traj = 120
+        config, ens, vac = _vacuum_ensemble(name, n_traj, keep_rho=True)
+        offsets = ens._machinery.structure.offsets
+        slice_ = ens.rho_blocks.entries[:, offsets[vac]]
+        entry = ens.absorbing_entry
+        absorbed = (entry[None, :] <= np.arange(config.grid.n_samples)[:, None]).sum(axis=1)
+        assert absorbed[-1] == n_traj
+        assert np.abs(slice_ * n_traj - absorbed).max() <= 1e-12
+        assert np.abs(ens.mean_observables["vac"] - absorbed / n_traj).max() <= 1e-12
+        still = np.flatnonzero(np.diff(absorbed) == 0) + 1
+        assert len(still) and (slice_[still] == slice_[still - 1]).all()
+
+    def test_recorded_rows_are_constant_from_the_absorbing_entry_on(self):
+        config, model, psi0 = preset_problem("fig2")
+        grid = config.grid
+        for j in range(3):
+            traj = mcwf_trajectory(model.h, model.collapse, psi0, grid, (config.master_seed, j))
+            entry = np.searchsorted(grid.times, traj.jumps[-1][0])
+            assert 1 < entry < grid.n_samples - 1
+            assert (traj.states[entry:] == traj.states[entry]).all()
+
+    @pytest.mark.parametrize("name", ["fig2", "n4"])
+    def test_no_descent_runs_on_the_still_block(self, monkeypatch, name):
+        # a row that jumps into the vacuum joins its arrivals at the end of
+        # its interval, without a step or a descent there
+        descents = _counted(monkeypatch, "_descend")
+        _, ens, vac = _vacuum_ensemble(name, 40)
+        assert (ens.absorbing_entry < ens._machinery.grid.n_samples).all()
+        vacuum_pows = ens._machinery.blocks[vac].r_pows
+        assert descents and all(args[0] is not vacuum_pows for args in descents)
+
+    def test_passes_are_sized_on_the_blocks_they_can_reach(self, monkeypatch):
+        # n3 (blocks of 1, 6, 18 and 38 states) at 2 000 trajectories: a pass
+        # from a lower block takes as many rows on the blocks it can reach as
+        # fit in a chunk on the 38-state block, which batch_bytes counts
+        config, model, psi0 = preset_problem("n3")
+        n_traj = 2000
+        passes = _counted(monkeypatch, "_jump_pass")
+        ens = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=n_traj,
+                            master_seed=config.master_seed)
+        dims = [len(blk.index) for blk in ens._machinery.blocks]
+        assert dims == [1, 6, 18, 38]
+        row_bytes = dynamics._pass_row_bytes
+        term = min(n_traj, dynamics._pass_rows(38)) * row_bytes(38)
+        per_block = {}
+        for _, b, cols, *_ in passes:
+            # every loss lowers the sector, so b is the largest block its rows reach
+            assert len(cols) * row_bytes(dims[b]) <= term
+            per_block.setdefault(b, []).append(len(cols))
+        for b, sizes in per_block.items():
+            step = term // row_bytes(dims[b])
+            assert sizes == [step] * (len(sizes) - 1) + [sizes[-1]] and sizes[-1] <= step
+        assert sorted(per_block) == [1, 2, 3]
+        assert len(passes) == 7
 
 
 @functools.lru_cache(maxsize=None)
