@@ -16,12 +16,10 @@ the basis, H at J = 0, the hop terms at unit J, the loss operators at unit
 Each point forms H = H0 + J·K and L = √γ·A and runs its own master
 equation; ``build_reduced_model`` gives every element of H and L a single
 term, so these are bit for bit the operators a build at (J, γ) gives.
-Those operators are nonzero in the same places at every point (J and γ
-are positive), so the blocks of the master equation and ρ's layout on
-them (``dynamics.BlockStructure``) are read once too; each point checks
-that they fit it and gives the bits a point read afresh would.  The
-negativity needs no such reading: the partial transpose's blocks are the
-excitation-imbalance classes of the basis.  Nothing is kept past the call.
+Each point's ``lindblad_evolve`` reads its own blocks, the rungs of the
+excitation ladder, and the negativity reads the partial transpose's
+blocks off the basis: its excitation-imbalance classes.  Nothing is kept
+past the call.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .config import CriticalitySweepConfig
-from .dynamics import block_structure, lindblad_evolve
+from .dynamics import lindblad_evolve
 from .linalg import check_budget
 from .model import build_reduced_model, damped_sites, dense_bytes, model_bytes
 from .observables import (
@@ -111,8 +109,7 @@ def _classify_points(config: CriticalitySweepConfig,
 
     H0 and the loss operators A are the model at J = 0 and unit γ, and the
     hop terms K are the model at J = 1 less H0.  Each point makes one
-    ``lindblad_evolve`` call, on the block structure of H0 + K, A and ρ0,
-    read once before the first point.  The negativity is
+    ``lindblad_evolve`` call.  The negativity is
     ``block_negativity`` of its stack across the two sites, read off the
     13-dim reduced states.  The pinned-state population maximum comes from
     the same density-matrix trace as the classification.
@@ -126,7 +123,6 @@ def _classify_points(config: CriticalitySweepConfig,
     pinned_op = _PINNED.operator(params, space)
     grid = config.grid_for(params)
     beat_period = blockade_beat_period(params)
-    structure = block_structure(base.h + hop_terms, base.collapse, rho0)
 
     for hop, gamma in points:
         point = config.model_for(hop, gamma)
@@ -135,7 +131,7 @@ def _classify_points(config: CriticalitySweepConfig,
                      f"H and {len(damped)} loss operators on {space.dim} states")
         h = base.h + point.hop[0] * hop_terms
         collapse = [math.sqrt(point.gamma[j]) * base.collapse[j] for j in damped]
-        rhos = lindblad_evolve(h, collapse, rho0, grid, structure=structure)
+        rhos = lindblad_evolve(h, collapse, rho0, grid)
         pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
         report = classify_series(
             block_negativity(rhos, space, cut=1), grid.times,
@@ -193,10 +189,8 @@ def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
     values in increasing order; any parallelism is BLAS threads in a point.
     The basis, H at J = 0, the hop terms, the loss operators at unit γ, ψ0,
     the pinned-state projector, the grid and the beat period are built once
-    for the whole sweep, and each point scales J and γ in.  So is the
-    master equation's block structure, which depends only on where the
-    operators and states are nonzero; each point still makes its own
-    ``lindblad_evolve`` call.
+    for the whole sweep, and each point scales J and γ in and makes its
+    own ``lindblad_evolve`` call.
     """
     rows = _classify_points(config, ((hop, ratio * hop) for hop in config.j_values
                                      for ratio in config.gamma_ratios))

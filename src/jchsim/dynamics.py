@@ -3,18 +3,21 @@
 The closed system, the jump-free branch and each quantum trajectory between
 its jumps all evolve under H − (i/2)ΣL†L, in ``_propagate``.
 
-That loop runs on blocks of the basis, read once from the nonzero patterns
-of H, the collapse operators and ψ0: the finest partition in which ψ0 lies
-in one block, H and every L†L couple states of one block only, and each L
-maps a whole block into a single block.  A trajectory therefore occupies
-exactly one block at every instant, and its strides, jumps and reductions
-run on that block alone; no full-size propagator is formed.  On the presets
-the blocks are the excitation sectors (H keeps the total excitation, each
-photon loss lowers it by one); a model without such structure is one
-block.  A block on which every L vanishes, such as the vacuum, is
-absorbing: nothing leaves it, so a state in one takes no jump test.  A
-block whose generator vanishes as well, as the vacuum's does in the
-cavity's rotating frame, is still: its step is exactly I, so its rows
+That loop runs on blocks of the basis, the rungs of the excitation ladder,
+read once from the nonzero patterns of H and the collapse operators
+(``block_structure``): H keeps the total excitation and each photon loss
+lowers it by one, so the states H links share a rung and an entry
+L[r, c] ≠ 0 puts r one rung below c.  A block is one rung of one
+connected ladder, and ψ0 lies in one block; operators that contradict
+the rungs, and a ψ0 that spans two blocks, are refused.  H and every L†L
+then couple states of one block only, and each L maps a block into the
+one a rung below.  A trajectory therefore occupies exactly one block at
+every instant, and its strides, jumps and reductions run on that block
+alone; no full-size propagator is formed.  On the presets the blocks are
+the excitation sectors.  A block on which every L vanishes, such as the
+vacuum, is absorbing: nothing leaves it, so a state in one takes no jump
+test.  A block whose generator vanishes as well, as the vacuum's does in
+the cavity's rotating frame, is still: its step is exactly I, so its rows
 never change.
 
 The loop is block-major: it finishes one block over the whole grid
@@ -24,16 +27,17 @@ is the jump-free branch ψ̃(t), so the batch runs that state once
 block is swept over the grid with the columns that land in it, one
 product a sample for all of its rows, reduced at once.  A still block is
 visited only at the samples where rows arrive, and each visit's reduction
-stands for every sample up to the next.  A block is swept
-after every other block that maps into it (``_sweep_order``), and again
-while columns re-enter it.  ``mcwf_ensemble`` is a batch of ``n_traj``
+stands for every sample up to the next.  The blocks are swept down the
+rungs from the start block, each at most once: a jump lowers its column
+one rung.  ``mcwf_ensemble`` is a batch of ``n_traj``
 trajectories and ``mcwf_trajectory`` a batch of one; an ensemble's branch
 is its trajectories' run, written on to the end of the grid.  Every
 trajectory keeps its own random stream and draw order, so it is the same
 whatever else runs in its batch.
 
-Where the blocks lie depends only on where H, the collapse operators and
-ψ0 are nonzero; ``block_structure`` reads that into a ``BlockStructure``,
+Where the blocks lie depends only on where H and the collapse operators
+are nonzero, and the start block on where ψ0 is; ``block_structure`` reads
+that into a ``BlockStructure``,
 and each block's generator and jump maps are sliced out of H and the L on
 it.  The blocks, their propagators and the observables restricted to them
 depend only on H, the collapse operators, ψ0, the grid and the observables,
@@ -303,62 +307,18 @@ def _taylor4(m: np.ndarray) -> np.ndarray:
     return acc + np.eye(len(m))
 
 
-def _support(state: np.ndarray) -> np.ndarray:
-    """The basis states where a state vector, or a density matrix's rows or
-    columns, are nonzero."""
-    state = np.asarray(state)
-    return np.flatnonzero(state if state.ndim == 1 else state.any(axis=0) | state.any(axis=1))
-
-
-def _block_labels(d: int, h_pattern: tuple, patterns: list, support: np.ndarray) -> np.ndarray:
-    """Block of each of the ``d`` basis states, labelled by the block's smallest state.
-
-    The blocks are the finest partition in which the ``support`` states lie
-    in one block, H and every L†L couple states of one block only, and each
-    L maps a whole block into a single block.  Read off the nonzero
-    patterns, as (rows, columns) in row-major order, of H and of each L:
-    each state takes the smallest label among the states it is linked to,
-    until no label changes.
-    """
-    fixed = [h_pattern, (support[:-1], support[1:])]
-    for rows, cols in patterns:
-        # states sent onto one row are coupled by L†L; rows come sorted
-        same = rows[1:] == rows[:-1]
-        fixed.append((cols[1:][same], cols[:-1][same]))
-    labels = np.arange(d)
-    while True:
-        links = list(fixed)
-        for rows, cols in patterns:
-            # the images of one block must share a block
-            order = np.argsort(labels[cols], kind="stable")
-            src = labels[cols][order]
-            same = src[1:] == src[:-1]
-            links.append((rows[order][1:][same], rows[order][:-1][same]))
-        i, j = (np.concatenate(side) for side in zip(*links))
-        new = min_labels(labels, i, j)
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
 @dataclass(frozen=True)
 class BlockStructure:
-    """The blocks of a model, and ρ's layout on them: everything the
-    partition takes from the nonzero patterns of H, the collapse operators
-    and the start state alone.
+    """The blocks of a model, and ρ's layout on them: everything read from
+    where H, the collapse operators and the start state are nonzero.
 
-    ``block_structure`` reads it.  It keeps no entry of H or of an L, so
-    one structure serves every model whose operators have its patterns,
-    such as the points of a γ_c sweep, whose H = H0 + J·K and L = √γ·A
-    differ only in their numbers; ``check`` refuses any other.
+    ``block_structure`` reads it.  It keeps no entry of H or of an L.
     """
 
     dim: int
-    patterns: tuple          # flat indices of the nonzero entries of H, then of each L
-    support: np.ndarray      # the start state's support
     members: tuple           # each block's basis states, ascending; blocks by smallest state
     targets: tuple           # per channel: the block it maps each block into
-    start: int               # the block that holds the support
+    start: int               # the block that holds the start state
     offsets: np.ndarray      # ρ's blocks in one vector: b row-major at offsets[b]:offsets[b + 1]
 
     # the rest of that layout, read when first asked for: an ensemble that
@@ -386,36 +346,52 @@ class BlockStructure:
         first = np.repeat(self.offsets[:-1], np.diff(self.offsets))
         return 2 * (np.arange(self.offsets[-1]) - first) + self.lower
 
-    def check(self, h: np.ndarray, ops: Sequence[np.ndarray], state: np.ndarray) -> None:
-        """Raise ``SizeError``, naming the first that differs, unless H, each
-        of ``ops`` and ``state`` are nonzero exactly where those the structure
-        was read from are."""
-        if len(ops) != len(self.patterns) - 1:
-            raise SizeError(f"the block structure was read from {len(self.patterns) - 1} "
-                            f"collapse operators, got {len(ops)}")
-        named = ["Hamiltonian"] + [f"collapse operator {c}" for c in range(len(ops))]
-        for what, m, pattern in zip(named, [h, *ops], self.patterns):
-            if m.shape != (self.dim, self.dim) or not np.array_equal(
-                    np.flatnonzero(m != 0), pattern):
-                raise SizeError(f"{what} does not fit the block structure: it is not "
-                                "nonzero where the one it was read from is")
-        if not np.array_equal(_support(state), self.support):
-            raise SizeError("the start state does not fit the block structure: its support "
-                            "is not the one it was read from")
+
+def _rungs(d: int, classes: np.ndarray, links: list) -> tuple:
+    """The ladder and the rung of each of the ``d`` states of the H-classes
+    ``classes``, walked over the distinct class-to-class ``links`` of the
+    collapse operators, (rows, columns) each: a ladder is labelled by its
+    first class, at rung 0, and an entry L[r, c] puts r one rung below c."""
+    pairs = np.unique(np.concatenate([np.empty(0, dtype=np.intp)]
+                                     + [classes[r] * d + classes[c] for r, c in links]))
+    steps: dict = {}
+    for low, high in zip(*(side.tolist() for side in np.divmod(pairs, d))):
+        steps.setdefault(high, []).append((low, -1))
+        steps.setdefault(low, []).append((high, 1))
+    root, rung = np.arange(d), np.zeros(d, dtype=np.int64)
+    seen: set = set()
+    for first in sorted(steps):
+        todo = [] if first in seen else [first]
+        seen.add(first)
+        while todo:
+            a = todo.pop()
+            for b, step in steps[a]:
+                if b not in seen:
+                    seen.add(b)
+                    root[b], rung[b] = first, rung[a] + step
+                    todo.append(b)
+    return root[classes], rung[classes]
 
 
 def block_structure(h, collapse: Sequence, state) -> BlockStructure:
     """The ``BlockStructure`` of H, the collapse operators and the start
-    state, a vector ψ0 or a density matrix ρ0: the blocks of
-    ``_block_labels``, and the block each channel maps each block into.
+    state, a vector ψ0 or a density matrix ρ0: the rungs of the excitation
+    ladder.
 
-    It reads only where they are nonzero, so of their entries it checks
-    nothing, and of their shapes that H and each L are d × d and the state
-    d or d × d, else ``SizeError``.  It costs a fixpoint over the patterns;
-    a caller whose models share their patterns reads it once and passes it
-    on.  A channel maps a block into the block of the first row, in
-    row-major order, of its entries in the block's columns, and a block it
-    does not touch into itself.
+    H keeps the total excitation N and each loss lowers it by one, so the
+    blocks are read in two steps: the classes of the states H links
+    (``linalg.min_labels``), then one rung for each class from the
+    collapse operators, an entry L[r, c] ≠ 0 putting r one rung below c.
+    A block is one rung of one connected ladder; blocks are ordered by
+    their smallest state.  A channel maps a block into the block one rung
+    below it, or, if it does not act on the block, into itself.
+
+    It reads only where they are nonzero, and of their shapes checks that
+    H and each L are d × d and the state d or d × d, else ``SizeError``.
+    It refuses with a ``ConfigError`` an L entry the rungs contradict, such
+    as one that keeps N, or one whose two states H links, and a start
+    state whose support spans two blocks, each naming the input and the
+    entry.
     """
     mats, state = [np.asarray(m) for m in [h, *collapse]], np.asarray(state)
     d = mats[0].shape[0] if mats[0].ndim else 0
@@ -424,20 +400,38 @@ def block_structure(h, collapse: Sequence, state) -> BlockStructure:
             raise SizeError(f"{what} shape {m.shape} does not match dim {d}")
     if state.shape not in ((d,), (d, d)):
         raise SizeError(f"state shape {state.shape} does not match dim {d}")
-    flat = [np.flatnonzero(m != 0) for m in mats]
-    support = _support(state)
-    patterns = [np.divmod(f, d) for f in flat]
-    owner = np.unique(_block_labels(d, patterns[0], patterns[1:], support),
-                      return_inverse=True)[1]
-    members = tuple(np.flatnonzero(owner == b) for b in range(owner.max() + 1))
+    links = [np.divmod(np.flatnonzero(m != 0), d) for m in mats]
+    classes = min_labels(np.arange(d), *links[0])
+    root, rung = _rungs(d, classes, links[1:])
+    for chan, (rows, cols) in enumerate(links[1:]):
+        bad = np.flatnonzero(rung[rows] != rung[cols] - 1)
+        if len(bad):
+            r, c = rows[bad[0]], cols[bad[0]]
+            why = ("it keeps the state" if r == c else "the Hamiltonian links the two"
+                   if classes[r] == classes[c] else
+                   f"the loss entries put state {r} at rung {rung[r] - rung[c]:+d} from state {c}")
+            raise ConfigError([f"collapse operator {chan}: entry ({r}, {c}) must take state {c} "
+                               f"one rung down the excitation ladder, but {why}"])
+    # the blocks numbered in the order of their smallest states
+    number: dict = {}
+    owner = np.array([number.setdefault(key, len(number))
+                      for key in zip(root.tolist(), rung.tolist())], dtype=np.intp)
+    # the states where ψ0, or ρ0's rows or columns, are nonzero
+    support = np.flatnonzero(state if state.ndim == 1 else state.any(axis=0) | state.any(axis=1))
+    spans = np.flatnonzero(owner[support] != owner[support[0]])
+    if len(spans):
+        raise ConfigError([f"{'psi0' if state.ndim == 1 else 'rho0'}: its support holds states "
+                           f"{support[0]} and {support[spans[0]]}, which lie in different "
+                           "blocks of the excitation ladder; the start state must lie in one"])
+    members = tuple(np.flatnonzero(owner == b) for b in range(len(number)))
     targets = []
-    for rows, cols in patterns[1:]:
+    for rows, cols in links[1:]:
+        # every entry in a block's columns lands one rung below it, in one block
         target = np.arange(len(members))
-        touched, first = np.unique(owner[cols], return_index=True)
-        target[touched] = owner[rows[first]]
+        target[owner[cols]] = owner[rows]
         targets.append(tuple(target.tolist()))
-    return BlockStructure(dim=d, patterns=tuple(flat), support=support, members=members,
-                          targets=tuple(targets), start=int(owner[support[0]]),
+    return BlockStructure(dim=d, members=members, targets=tuple(targets),
+                          start=int(owner[support[0]]),
                           offsets=np.cumsum([0] + [len(idx) ** 2 for idx in members]))
 
 
@@ -480,6 +474,7 @@ class _Block(_Part):
 class _Machinery:
     structure: BlockStructure
     blocks: tuple            # of _Block, ordered by their smallest state
+    ladder: tuple            # the start block and each block below it, one a rung
     psi0: np.ndarray         # psi0 on the structure's start block
     grid: TimeGrid           # the strides and powers are built for its dt and n_fine
     names: tuple             # of the observables
@@ -527,7 +522,10 @@ def _build_machinery(h: np.ndarray, collapse: Sequence[np.ndarray],
                              targets=part.targets, jumps=part.jumps,
                              absorbing=not any(jump.any() for jump in part.jumps),
                              still=not part.gen.any()))
-    return _Machinery(structure=structure, blocks=tuple(blocks),
+    ladder = [structure.start]
+    while below := set(blocks[ladder[-1]].targets) - {ladder[-1]}:
+        ladder += below
+    return _Machinery(structure=structure, blocks=tuple(blocks), ladder=tuple(ladder),
                       psi0=np.ascontiguousarray(psi0[blocks[structure.start].index]),
                       grid=grid, names=tuple(obs), block_obs=_block_observables(blocks, obs))
 
@@ -663,11 +661,12 @@ class _FreeRun:
     """The jump-free branch on the start block, written a sample at a time
     on demand.
 
-    Each sample takes one product with the block's stride propagator, and
-    the state is rescaled below ``_RESCALE_FLOOR`` with the factor carried
-    in the survival, so rows stay finite.  ``states`` (normalized, zero off
-    the block) and ``survival`` hold the first ``done`` samples.  A block no
-    channel acts on should keep the norm: each ``advance`` checks it once
+    Each sample takes one product with the block's stride propagator, none
+    on a still block, whose step is exactly I, and the state is rescaled
+    below ``_RESCALE_FLOOR`` with the factor carried in the survival, so
+    rows stay finite.  ``states`` (normalized, zero off the block) and
+    ``survival`` hold the first ``done`` samples.  A block no channel acts
+    on should keep the norm: each ``advance`` checks it once
     (``_check_floor``).
     """
 
@@ -693,7 +692,7 @@ class _FreeRun:
         while (self.done < n and not self.lost
                and not (self.done > 1 and self.survival[self.done - 1] <= level)):
             s = self.done
-            if s:
+            if s and not blk.still:          # a still block's step is exactly I
                 self.work = self.work @ blk.r_stride.T
             norm2 = _row_norm2(self.work)[0]
             self.survival[s] = self.carried * norm2
@@ -819,19 +818,6 @@ class _Batch:
     absorbed: np.ndarray             # (n_cols,) first sample in an absorbing block, or n_samples
 
 
-def _sweep_order(structure: BlockStructure) -> list:
-    """The blocks in the order ``_propagate`` sweeps them: each after every
-    other block that maps into it (``targets``); a cycle is entered at its
-    smallest block."""
-    feeds = [{t[b] for t in structure.targets} - {b} for b in range(len(structure.members))]
-    order, left = [], list(range(len(structure.members)))
-    while left:
-        fed = set().union(*(feeds[a] for a in left))
-        order.append(next((b for b in left if b not in fed), left[0]))
-        left.remove(order[-1])
-    return order
-
-
 # a row at norm 0 reads NaN until the floor check refuses it
 @np.errstate(divide="ignore", invalid="ignore")
 def _sweep(mach: _Machinery, b: int, arrived: list, pending, batch: _Batch,
@@ -918,11 +904,10 @@ def _pass_rows(k: int) -> int:
 
 def _chunks(mach: _Machinery, b: int, n_rows: int) -> list:
     """``n_rows`` rows of a jump pass from block ``b`` as slices: as many rows
-    on the blocks a row can reach from ``b`` as fit in the bytes of a chunk
-    on the model's largest block, ``batch_bytes``'s pass term."""
-    reach = {b}
-    while new := {t for c in reach for t in mach.blocks[c].targets} - reach:
-        reach |= new
+    on the blocks a row can reach from ``b``, ``b`` and those below it, as
+    fit in the bytes of a chunk on the model's largest block,
+    ``batch_bytes``'s pass term."""
+    reach = mach.ladder[mach.ladder.index(b):]
     k = max(len(blk.index) for blk in mach.blocks)
     held = _pass_rows(k) * _pass_row_bytes(k)
     step = held // _pass_row_bytes(max(len(mach.blocks[c].index) for c in reach))
@@ -934,9 +919,9 @@ def batch_bytes(n_cols: int, n_observables: int, n_samples: int, block_dims) -> 
     states: the jump-free run's states and survival at every sample, which a
     recorded column writes its own rows over; each column's observable rows;
     one chunk of the jump pass; and each column's live state and Python
-    objects, with a jump record per block it can leave.  Each loss lowers
-    the excitation, so a column leaves a block at most once; channels that
-    map a block into itself record jumps this does not count.
+    objects, with a jump record per block it can leave: each jump lowers
+    its column one rung of the excitation ladder, so a column leaves each
+    block at most once.
 
     The live state is ``dim`` amplitudes, and six more copies of it are
     counted on the largest block: a row's product, the rows that stay, the
@@ -983,8 +968,9 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
     Until its first jump every column is the jump-free run's state
     (``_FreeRun``), written until its survival is at or below every first
     threshold, so each column's crossing interval is read off the survival
-    at once.  Then the blocks are swept in ``_sweep_order`` (``_sweep``),
-    each with the columns that land in it; the crossings out of the run
+    at once.  Then the blocks below the start block are swept down the
+    rungs (``_sweep``), each at most once and with the columns that land
+    in it; the crossings out of the run
     and those of each sweep are resolved in one pass (``_jump_pass``),
     and each column joins its next block at the end of its interval.
 
@@ -993,8 +979,8 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
     rows are reduced at each sample: the observables on their supports and,
     with ``keep_rho``, the block's sum of |ψ><ψ| in its slice of the
     ``BlockStructure``'s array.  A column that has not jumped takes the
-    run's values, and its |ψ><ψ| is written first into ρ̄'s start block; a
-    sweep of that block, or a block's second sweep, adds to the slice.  A
+    run's values, and its |ψ><ψ| is written into ρ̄'s start block, which
+    no sweep visits; each other block's slice is its one sweep's.  A
     block where every support is empty is not reduced (its values stay
     0.0).  No squared norm can rise (``_check_step``).
 
@@ -1057,18 +1043,17 @@ def _propagate(mach: _Machinery, n_cols: int, seed_of, record: bool = False,
         if reduced[start]:
             values[order[n_cols - waiting[s]:], :, s] = _reduce(mach.block_obs[start], row)
         if keep_rho:
-            # waiting[s] rows of the run's state, written before any sweep adds to the block
+            # waiting[s] rows of the run's state; no sweep adds to the start block
             shared = np.matmul(row.T, row.conj(), out=rho_sum[s, offsets[start]:offsets[start + 1]]
                                .reshape(len(index), -1))
             if waiting[s] > 1:
                 shared.view(np.float64)[...] *= waiting[s]
-    blocks = _sweep_order(mach.structure)
-    while arrivals:
-        b = next(c for c in blocks if c in arrivals)
-        cols, s0, rows = _sweep(mach, b, arrivals.pop(b), pending, batch, reduced[b])
-        for chunk in _chunks(mach, b, len(cols)):
-            _jump_pass(mach, b, cols[chunk], s0[chunk], rows[chunk], pending[cols[chunk]],
-                       pending, rngs, jumps, arrivals)
+    for b in mach.ladder[1:]:
+        if b in arrivals:
+            cols, s0, rows = _sweep(mach, b, arrivals.pop(b), pending, batch, reduced[b])
+            for chunk in _chunks(mach, b, len(cols)):
+                _jump_pass(mach, b, cols[chunk], s0[chunk], rows[chunk], pending[cols[chunk]],
+                           pending, rngs, jumps, arrivals)
     return batch
 
 
@@ -1287,29 +1272,25 @@ def lindblad_bytes(n_samples: int, dim: int, block_dims) -> int:
 
 
 def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
-                    rho0: np.ndarray, grid: TimeGrid, *,
-                    structure: Optional[BlockStructure] = None) -> np.ndarray:
+                    rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Propagate the density matrix; returns (n_samples, d, d).
 
     The validation oracle, with the same fixed-step degree-4 scheme as the
-    trajectory integrator.  ρ0's support lies in one block of the trajectory
-    partition; H and every L†L act inside a block and each L maps a block
-    into one block, so ρ stays block-diagonal.  Each diagonal block of k_b
+    trajectory integrator, on the trajectories' blocks, the rungs of the
+    excitation ladder (``block_structure``).  ρ0's support must lie in one
+    block, else a ``ConfigError`` names ``rho0``: its coherences between
+    blocks would otherwise be dropped.  H and every L†L act inside a block
+    and each L maps a block into the one a rung below, so ρ stays
+    block-diagonal.  Each diagonal block of k_b
     states is Hermitian, so it is held as k_b² real coordinates in the
     ``BlockStructure``'s layout: Re ρ_ij on and above the diagonal, Im ρ_ij
     below it.  The master equation is real-linear on them, so its generator
     (``_real_generator``), the Taylor step, the stride power and every
     sample's product are real, on (Σ_b k_b²)² entries.  The samples are
     scattered into the returned stack, which is exactly Hermitian and whose
-    entries off the blocks are exact zeros.  A model without structure is
-    one block.  Its peak (``lindblad_bytes``) is checked against
-    ``linalg.MEMORY_CAP`` before any of its arrays is built.
-
-    The structure is ``block_structure(h, collapse, rho0)``.  A caller that
-    runs many models with the same patterns, as the γ_c sweep does, reads it
-    once and passes it as ``structure``: it must fit H, the collapse
-    operators and ρ0 (``BlockStructure.check``), else ``SizeError``, and
-    then gives the same bits as a structure read afresh.
+    entries off the blocks are exact zeros.  Its peak (``lindblad_bytes``)
+    is checked against ``linalg.MEMORY_CAP`` before any of its arrays is
+    built.
     """
     rho0 = require_hermitian(rho0, atol=1e-8)
     d = rho0.shape[0]
@@ -1320,10 +1301,7 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
         raise ConfigError(["rho0: must be positive semidefinite"])
     h = require_hermitian(_square(h, d, "Hamiltonian"))
     ops = [_square(op, d, "collapse operator") for op in collapse]
-    if structure is None:
-        structure = block_structure(h, ops, rho0)
-    else:
-        structure.check(h, ops, rho0)
+    structure = block_structure(h, ops, rho0)
 
     n_kept = int(structure.offsets[-1])
     n = grid.n_samples

@@ -1197,9 +1197,9 @@ class TestSweepOnModel:
         seen = []
         evolve = critical.lindblad_evolve
 
-        def record(h, collapse, rho0, grid, *, structure):
+        def record(h, collapse, rho0, grid):
             seen.append((h, collapse))
-            return evolve(h, collapse, rho0, grid, structure=structure)
+            return evolve(h, collapse, rho0, grid)
 
         monkeypatch.setattr(critical, "lindblad_evolve", record)
         result = gamma_c_curve(config)
@@ -1234,41 +1234,17 @@ class TestSweepOnModel:
         assert calls == {"build_reduced_model": 2,
                          "lindblad_evolve": len(j_values) * len(gamma_ratios)}
 
-    @pytest.mark.parametrize("j_values,gamma_ratios", [
-        ((0.02, 0.04, 0.06), (0.5,)), ((0.02, 0.04, 0.06, 0.08), DEFAULT_GAMMA_RATIOS)])
-    def test_sweep_reads_its_patterns_once(self, j_values, gamma_ratios, monkeypatch):
-        # the master equation's blocks, however many points
-        calls = []
-        read = dynamics._block_labels
-        monkeypatch.setattr(dynamics, "_block_labels",
-                            lambda *args: calls.append(args) or read(*args))
-        gamma_c_curve(sweep_config(j_values=j_values, gamma_ratios=gamma_ratios))
-        assert len(calls) == 1
-
-    def test_sweep_structures_give_the_bits_of_fresh_ones(self, monkeypatch):
-        # the master equation's at every fig4 point, and each point's negativity
-        seen, negs = [], []
-        evolve, negativity = critical.lindblad_evolve, critical.block_negativity
-
-        def record(h, collapse, rho0, grid, *, structure):
-            rhos = evolve(h, collapse, rho0, grid, structure=structure)
-            seen.append((h, collapse, rho0, grid, structure, rhos))
-            return rhos
-
-        def record_negativity(rhos, space, cut):
-            negs.append((rhos, space, negativity(rhos, space, cut)))
-            return negs[-1][-1]
-
-        monkeypatch.setattr(critical, "lindblad_evolve", record)
-        monkeypatch.setattr(critical, "block_negativity", record_negativity)
+    def test_each_point_reads_its_own_blocks(self, monkeypatch):
+        # the fig4 points' master equations, each on the rungs of its own
+        # operators: the excitation sectors of 1, 4 and 8 states
+        reads = []
+        read = dynamics.block_structure
+        monkeypatch.setattr(dynamics, "block_structure",
+                            lambda *args: reads.append(read(*args)) or reads[-1])
         config = load_preset("fig4").sweep
         gamma_c_curve(config)
-        assert len(seen) == len(negs) == len(config.j_values) * len(config.gamma_ratios) == 36
-        assert len({id(structure) for *_, structure, _ in seen}) == 1
-        for (h, collapse, rho0, grid, _, rhos), (stack, space, neg) in zip(seen, negs):
-            assert stack is rhos
-            assert rhos.tobytes() == evolve(h, collapse, rho0, grid).tobytes()
-            assert neg.tobytes() == negativity(rhos, space, 1).tobytes()
+        assert len(reads) == len(config.j_values) * len(config.gamma_ratios) == 36
+        assert {tuple(len(idx) for idx in structure.members) for structure in reads} == {(1, 4, 8)}
 
     def test_classification_invariant_under_frequency_rescale(self):
         # doubling every rate (coupling, hop, damping) halves every time
