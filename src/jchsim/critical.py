@@ -13,13 +13,16 @@ draws no random numbers and has no trajectory count or seed.
 The points differ only in J and γ.  A sweep builds once what they share:
 the basis, H at J = 0, the hop terms at unit J, the loss operators at unit
 γ, ψ0 and ρ0, the pinned-state projector, the grid and the beat period.
-Each point forms H = H0 + J·K and L = √γ·A and runs its own master
-equation; ``build_reduced_model`` gives every element of H and L a single
-term, so these are bit for bit the operators a build at (J, γ) gives.
-Each point's ``lindblad_evolve`` reads its own blocks, the rungs of the
-excitation ladder, and the negativity reads the partial transpose's
-blocks off the basis: its excitation-imbalance classes.  Nothing is kept
-past the call.
+Each point forms H = H0 + J·K and L = √γ·A; ``build_reduced_model`` gives
+every element of H and L a single term, so these are bit for bit the
+operators a build at (J, γ) gives.  The points then run in stacks of a
+few: one ``lindblad_evolve`` call evolves a stack's master equations,
+reading their blocks, the rungs of the excitation ladder, and ρ's layout
+once, and one ``block_negativity`` call takes all of the stack's
+samples, its blocks read off the basis: the partial transpose's
+excitation-imbalance classes.  Every point has the same blocks, so each
+row is bit for bit what a stack of one gives.  Nothing is kept past the
+stack.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .config import CriticalitySweepConfig
-from .dynamics import lindblad_evolve
+from . import linalg
+from .dynamics import lindblad_bytes, lindblad_evolve
 from .linalg import check_budget
-from .model import build_reduced_model, damped_sites, dense_bytes, model_bytes
+from .model import build_reduced_model, damped_sites, dense_bytes, model_bytes, sector_dims
 from .observables import (
     ProjectorSpec,
     blockade_beat_period,
@@ -42,6 +46,8 @@ from .observables import (
     classify_series,
     negativity_series,  # noqa: F401 - a traced name of perfbench's gamma_c_sweep
     PeakReport,
+    transpose_block_bound,
+    transpose_bytes,
 )
 
 __all__ = [
@@ -51,6 +57,8 @@ __all__ = [
 
 _INITIAL_LABELS = ("2-", "G")
 _PINNED = ProjectorSpec(preset="P11")
+# the points one master-equation call takes at most; see ``_stack_size``
+_STACK = 4
 
 
 @dataclass(frozen=True)
@@ -103,16 +111,41 @@ def classify_point(config: CriticalitySweepConfig, hop: float, gamma: float) -> 
     return next(_classify_points(config, [(hop, gamma)]))
 
 
+def _stack_bytes(params, n_points: int, n_samples: int) -> int:
+    """Bytes a stack of ``n_points`` points of the model ``params`` holds:
+    their H and loss operators, their master equation (``lindblad_bytes``)
+    and the partial transpose's largest block over all of their samples.
+    For one point these are the terms the load pass counts for it."""
+    sectors = sector_dims(2, params.n_max)
+    block = transpose_block_bound(2, params.n_max, 1)
+    return (n_points * model_bytes(params, params.n_max)
+            + lindblad_bytes(n_samples, sum(sectors), sectors, n_points)
+            + transpose_bytes(n_points * n_samples, block))
+
+
+def _stack_size(params, n_samples: int) -> int:
+    """Points in one stack: ``_STACK``, or fewer where a stack's count would
+    pass ``MEMORY_CAP``, and at least one, whose count the sweep's load pass
+    took.  A stack of ``_STACK`` = 4 points takes most of the gain over lone
+    points on the ``fig4`` sweep; larger stacks gain little more and raise
+    the peak memory."""
+    return max((p for p in range(2, _STACK + 1)
+                if _stack_bytes(params, p, n_samples) <= linalg.MEMORY_CAP), default=1)
+
+
 def _classify_points(config: CriticalitySweepConfig,
                      points: Iterable[tuple]) -> Iterator[CriticalityRow]:
     """Each ``(hop, gamma)`` of ``points``, evolved and classified in turn.
 
     H0 and the loss operators A are the model at J = 0 and unit γ, and the
-    hop terms K are the model at J = 1 less H0.  Each point makes one
-    ``lindblad_evolve`` call.  The negativity is
-    ``block_negativity`` of its stack across the two sites, read off the
-    13-dim reduced states.  The pinned-state population maximum comes from
-    the same density-matrix trace as the classification.
+    hop terms K are the model at J = 1 less H0.  The points go in stacks of
+    ``_stack_size``, and each stack makes one ``lindblad_evolve`` call on
+    its stacked H and loss operators.  The negativity is one
+    ``block_negativity`` call on the stack's samples across the two sites,
+    read off the 13-dim reduced states and split back per point.  Each
+    point's pinned-state population maximum comes from the same
+    density-matrix trace as its classification.  Every point damps both
+    sites (γ > 0), so a stack's loss operators are one per site.
     """
     base = build_reduced_model(config.model_for(0.0, 1.0), max_exc=2)
     space, params = base.space, base.space.params
@@ -123,23 +156,29 @@ def _classify_points(config: CriticalitySweepConfig,
     pinned_op = _PINNED.operator(params, space)
     grid = config.grid_for(params)
     beat_period = blockade_beat_period(params)
+    size = _stack_size(config.model_for(1.0, 1.0), grid.n_samples)
 
-    for hop, gamma in points:
-        point = config.model_for(hop, gamma)
-        damped = damped_sites(point)
-        check_budget(model_bytes(point, 2),
-                     f"H and {len(damped)} loss operators on {space.dim} states")
-        h = base.h + point.hop[0] * hop_terms
-        collapse = [math.sqrt(point.gamma[j]) * base.collapse[j] for j in damped]
+    points = iter(points)
+    for stack in iter(lambda: list(itertools.islice(points, size)), []):
+        models = [config.model_for(hop, gamma) for hop, gamma in stack]
+        damped = damped_sites(models[0])
+        check_budget(len(stack) * model_bytes(models[0], 2),
+                     f"{len(stack)} points' H and {len(damped)} loss operators "
+                     f"on {space.dim} states")
+        h = np.stack([base.h + point.hop[0] * hop_terms for point in models])
+        collapse = [np.stack([math.sqrt(point.gamma[j]) * base.collapse[j] for point in models])
+                    for j in damped]
         rhos = lindblad_evolve(h, collapse, rho0, grid)
-        pinned = np.einsum("nij,ji->n", rhos, pinned_op).real
-        report = classify_series(
-            block_negativity(rhos, space, cut=1), grid.times,
-            prominence_threshold=config.prominence_threshold,
-            t_min=config.t_min,
-            beat_period=beat_period)
-        yield CriticalityRow(hop=float(hop), gamma=float(gamma), report=report,
-                             max_pinned=float(pinned.max()))
+        negativity = block_negativity(rhos.reshape(-1, space.dim, space.dim), space, cut=1)
+        for (hop, gamma), rho, series in zip(stack, rhos, negativity.reshape(len(stack), -1)):
+            pinned = np.einsum("nij,ji->n", rho, pinned_op).real
+            report = classify_series(
+                series, grid.times,
+                prominence_threshold=config.prominence_threshold,
+                t_min=config.t_min,
+                beat_period=beat_period)
+            yield CriticalityRow(hop=float(hop), gamma=float(gamma), report=report,
+                                 max_pinned=float(pinned.max()))
 
 
 def _grid_flags(config: CriticalitySweepConfig) -> list:
@@ -185,12 +224,13 @@ def estimate_critical_gamma(config: CriticalitySweepConfig, hop: float,
 def gamma_c_curve(config: CriticalitySweepConfig) -> CriticalityResult:
     """Estimate gamma_c for every hop value and fit a line through the origin.
 
-    The points run one after another: hop by hop, and each hop's damping
-    values in increasing order; any parallelism is BLAS threads in a point.
-    The basis, H at J = 0, the hop terms, the loss operators at unit γ, ψ0,
-    the pinned-state projector, the grid and the beat period are built once
-    for the whole sweep, and each point scales J and γ in and makes its
-    own ``lindblad_evolve`` call.
+    The points run in order, hop by hop, and each hop's damping values in
+    increasing order, a few at a time in stacks; any parallelism is BLAS
+    threads in a stack.  The basis, H at J = 0, the hop terms, the loss
+    operators at unit γ, ψ0, the pinned-state projector, the grid and the
+    beat period are built once for the whole sweep; each point scales J and
+    γ in, and each stack of points makes one ``lindblad_evolve`` call and
+    one ``block_negativity`` call (``_classify_points``).
     """
     rows = _classify_points(config, ((hop, ratio * hop) for hop in config.j_values
                                      for ratio in config.gamma_ratios))

@@ -87,7 +87,10 @@ above each block's diagonal and Im ρ_ij below it.  Each block is
 Hermitian, so those k_b² reals are the whole block, and the master
 equation is real-linear on them: the oracle's generator, step, stride and
 samples are real matrices, whose products cost about a quarter of complex
-ones.
+ones.  The oracle also takes a stack of points, models that share ρ0 and
+the grid, as the γ_c sweep's do: their blocks, ρ's layout and each block's
+Hermitian basis are made once for the stack, and each sample is one
+product over it, every point's row keeping the bits of its lone call.
 
 All integrators share one numerical scheme: the classical fixed-step
 4th-order Runge-Kutta update, which for these linear time-invariant
@@ -122,8 +125,8 @@ from typing import ClassVar, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, IntegratorError, SizeError, collect
-from .linalg import (BlockDensity, as_complex_matrix, check_budget, min_labels,
-                     real, require_hermitian, whole)
+from .linalg import (BlockDensity, as_complex_matrix, check_budget, check_hermitian,
+                     min_labels, real, require_hermitian, whole)
 
 __all__ = [
     "BACKEND", "DEFAULT_DT", "DEFAULT_MAX_DT",
@@ -447,14 +450,15 @@ class _Part:
 
 def _parts(structure: BlockStructure, h: np.ndarray, ops: list) -> list:
     """Each block of ``structure`` with its generator and jump maps, sliced
-    out of H and the collapse operators ``ops``."""
+    out of H and the collapse operators ``ops``: of one model, or of each
+    point of a stack of them, each part then holding a stack of its own."""
     members, parts = structure.members, []
     for b, idx in enumerate(members):
-        gen = -1j * h[np.ix_(idx, idx)]
+        gen = -1j * h[..., idx[:, None], idx]
         jumps = []
         for op, target in zip(ops, structure.targets):
-            jump = op[np.ix_(members[target[b]], idx)]
-            gen = gen - 0.5 * (jump.conj().T @ jump)
+            jump = op[..., members[target[b]][:, None], idx]
+            gen = gen - 0.5 * (jump.conj().swapaxes(-1, -2) @ jump)
             jumps.append(np.ascontiguousarray(jump))
         parts.append(_Part(index=idx, gen=np.ascontiguousarray(gen),
                            targets=tuple(target[b] for target in structure.targets),
@@ -481,12 +485,20 @@ class _Machinery:
     block_obs: list          # ``_block_observables`` of the blocks
 
 
-def _square(m, d: int, what: str) -> np.ndarray:
+def _square(m, d: int, what: str, points: Optional[int] = None) -> np.ndarray:
     """``m`` as ``as_complex_matrix`` gives it, if it is ``d`` × ``d``; else a
-    ``SizeError`` that names it as ``what``."""
-    m = as_complex_matrix(m)
-    if m.shape != (d, d):
-        raise SizeError(f"{what} shape {m.shape} does not match dim {d}")
+    ``SizeError`` that names it as ``what``.  Given a count of ``points``,
+    ``m`` is a stack of that many, coerced as one array and each point read
+    by that rule."""
+    if points is None:
+        m, shape, rule = as_complex_matrix(m), (d, d), f"dim {d}"
+    else:
+        m, shape, rule = (np.ascontiguousarray(m, dtype=np.complex128), (points, d, d),
+                          f"{points} points of dim {d}")
+        for point in m if m.ndim == 3 else [m]:
+            as_complex_matrix(point)
+    if m.shape != shape:
+        raise SizeError(f"{what} shape {m.shape} does not match {rule}")
     return m
 
 
@@ -661,8 +673,9 @@ class _FreeRun:
     """The jump-free branch on the start block, written a sample at a time
     on demand.
 
-    Each sample takes one product with the block's stride propagator, none
-    on a still block, whose step is exactly I, and the state is rescaled
+    Each sample takes one product with the block's stride propagator, and
+    a still block, whose step is exactly I, writes its first sample over
+    the rest of its run at once; the state is rescaled
     below ``_RESCALE_FLOOR`` with the factor carried in the survival, so
     rows stay finite.  ``states`` (normalized, zero off the block) and
     ``survival`` hold the first ``done`` samples.  A block no channel acts
@@ -701,7 +714,14 @@ class _FreeRun:
                 self.lost = True
                 break
             self.states[s, blk.index] = self.work[0] * (1.0 / math.sqrt(norm2))
-            if not blk.absorbing and norm2 < _RESCALE_FLOOR:
+            if blk.still:
+                # every later sample repeats this one (ψ0's unit norm is never
+                # rescaled): one fill up to where the loop would stop
+                end = n if not self.survival[s] <= level else max(s + 1, 2)
+                self.survival[s + 1:end] = self.survival[s]
+                self.states[s + 1:end, blk.index] = self.states[s, blk.index]
+                self.done = end
+            elif not blk.absorbing and norm2 < _RESCALE_FLOOR:
                 self.carried *= norm2
                 self.work[0] = self.work[0] * (1.0 / math.sqrt(norm2))
         # a block no channel acts on is never rescaled: its survival is its squared norm
@@ -1232,43 +1252,55 @@ def _real_generator(structure: BlockStructure, parts: list, spare: int) -> np.nd
     Block b holds k_b² coordinates at its slice of the ``structure``'s
     layout, those of ``_hermitian_basis``.  Column m is the derivative of
     basis matrix m: G_b X + X G_b† in block b, and L X L† in the block each
-    channel maps b into.  The basis is applied in column chunks whose
-    temporaries take at most about ``spare`` bytes.
+    channel maps b into.  ``parts`` of a stack of points give a stack of
+    generators, one a point, each column of the same basis matrix.  The
+    basis is applied in column chunks whose temporaries take at most about
+    ``spare`` bytes.
     """
     offsets, picks = structure.offsets, structure.picks
     block = [slice(first, end) for first, end in zip(offsets, offsets[1:])]
+    lead = parts[0].gen.shape[:-2]
 
     def coordinates(t, stack):
         """The coordinates of each matrix in a stack on block t, one row each."""
-        return stack.reshape(len(stack), -1).view(np.float64)[:, picks[block[t]]]
+        flat = stack.reshape(stack.shape[:-2] + (math.prod(stack.shape[-2:]),)).view(np.float64)
+        return flat[..., picks[block[t]]].swapaxes(-1, -2)
 
-    sup = np.zeros((offsets[-1], offsets[-1]))
+    def adjoint(m):
+        """m† of each matrix, with an axis for the basis matrices."""
+        return m.conj().swapaxes(-1, -2)[..., None, :, :]
+
+    sup = np.zeros(lead + (offsets[-1], offsets[-1]))
     for b, part in enumerate(parts):
         k = len(part.index)
-        # complex entries per column at most: the basis matrix, G X, X G† and
-        # their coordinates, then one channel's L X, L X L† and its coordinates
+        # complex entries per column and point at most: the basis matrix, G X,
+        # X G† and their coordinates, then one channel's L X, L X L† and its
+        # coordinates
         width = 4 * k * k + max((len(parts[t].index) * (k + 2 * len(parts[t].index))
                                  for t in part.targets), default=0)
-        chunk = max(1, spare // (16 * width))
+        chunk = max(1, spare // (16 * width * max(1, math.prod(lead))))
         for first in range(0, k * k, chunk):
             end = min(first + chunk, k * k)
             basis = _hermitian_basis(k, first, end)
             col = slice(offsets[b] + first, offsets[b] + end)
-            deriv = part.gen @ basis
-            deriv += basis @ part.gen.conj().T
-            sup[block[b], col] += coordinates(b, deriv).T
+            deriv = part.gen[..., None, :, :] @ basis
+            deriv += basis @ adjoint(part.gen)
+            sup[..., block[b], col] += coordinates(b, deriv)
             for t, jump in zip(part.targets, part.jumps):
-                sup[block[t], col] += coordinates(t, jump @ basis @ jump.conj().T).T
+                sup[..., block[t], col] += coordinates(
+                    t, jump[..., None, :, :] @ basis @ adjoint(jump))
     return sup
 
 
-def lindblad_bytes(n_samples: int, dim: int, block_dims) -> int:
-    """Peak bytes of ``lindblad_evolve`` on blocks of ``block_dims`` states of
-    a ``dim``-state model: four real generators on the Σ_b k_b² coordinates
-    of ρ (``_taylor4`` and ``matrix_power`` each hold four at their peaks),
-    the sampled coordinates and the returned ``(n_samples, dim, dim)`` stack."""
+def lindblad_bytes(n_samples: int, dim: int, block_dims, n_points: int = 1) -> int:
+    """Peak bytes of ``lindblad_evolve`` on a stack of ``n_points`` points,
+    each on blocks of ``block_dims`` states of a ``dim``-state model: a real
+    generator a point on the Σ_b k_b² coordinates of ρ and three more
+    (``_taylor4`` and ``matrix_power`` each hold a point's generator and
+    three more at their peaks), and each point's sampled coordinates and
+    returned ``(n_samples, dim, dim)`` stack."""
     n_kept = sum(k * k for k in block_dims)
-    return 4 * n_kept ** 2 * 8 + n_samples * (n_kept * 8 + dim * dim * 16)
+    return (n_points + 3) * n_kept ** 2 * 8 + n_points * n_samples * (n_kept * 8 + dim * dim * 16)
 
 
 def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -1291,6 +1323,16 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     entries off the blocks are exact zeros.  Its peak (``lindblad_bytes``)
     is checked against ``linalg.MEMORY_CAP`` before any of its arrays is
     built.
+
+    ``h`` may also be a ``(P, d, d)`` stack of points, each collapse
+    operator then a ``(P, d, d)`` stack of the same P, from one ρ0 on one
+    grid; the call returns ``(P, n_samples, d, d)``.  ρ0 is checked, the
+    blocks are read off the stack's union pattern, and ρ's layout and each
+    block's Hermitian basis are made once for the stack; the generators are
+    formed for every point at once, and each sample is one product over the
+    stack.  The Taylor step and the stride power are taken a point at a
+    time.  Where the points share their blocks, as the γ_c sweep's do, row
+    p is bit for bit the call on point p alone: a lone H is a stack of one.
     """
     rho0 = require_hermitian(rho0, atol=1e-8)
     d = rho0.shape[0]
@@ -1299,31 +1341,40 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
         raise ConfigError([f"rho0: trace must be 1, got {trace!r}"])
     if np.linalg.eigvalsh(rho0).min() < -1e-8:
         raise ConfigError(["rho0: must be positive semidefinite"])
-    h = require_hermitian(_square(h, d, "Hamiltonian"))
-    ops = [_square(op, d, "collapse operator") for op in collapse]
-    structure = block_structure(h, ops, rho0)
+    points = len(h) if np.ndim(h) == 3 else None
+    h = _square(h, d, "Hamiltonian", points)
+    stack = h.reshape(-1, d, d)               # a lone H is a stack of one
+    for point in stack:
+        check_hermitian(point)
+    ops = [_square(op, d, "collapse operator", points).reshape(stack.shape) for op in collapse]
+    structure = block_structure(stack.any(axis=0), [op.any(axis=0) for op in ops], rho0)
 
-    n_kept = int(structure.offsets[-1])
-    n = grid.n_samples
-    n_bytes = lindblad_bytes(n, d, [len(idx) for idx in structure.members])
-    check_budget(n_bytes, f"four real generators on {n_kept} coordinates of ρ and {n} samples")
+    n_points, n_kept, n = len(stack), int(structure.offsets[-1]), grid.n_samples
+    n_bytes = lindblad_bytes(n, d, [len(idx) for idx in structure.members], n_points)
+    generators = ("four real generators" if points is None
+                  else f"{n_points + 3} real generators of {n_points} points")
+    check_budget(n_bytes, f"{generators} on {n_kept} coordinates of ρ and {n} samples")
     rows, cols, lower = structure.rows, structure.cols, structure.lower
-    parts = _parts(structure, h, ops)
-    r_step = _real_generator(structure, parts, n_bytes - n_kept ** 2 * 8)   # chunks in the rest
-    r_step *= grid.dt
-    r_step = _taylor4(r_step)             # the rebinding frees dt·A before the powers
-    coords = np.empty((n, n_kept))
+    sup = _real_generator(structure, _parts(structure, stack, ops),
+                          n_bytes - n_points * n_kept ** 2 * 8)      # chunks in the rest
+    # each point's generator becomes its dt step, then its stride, in place
+    for r_step in sup:
+        r_step *= grid.dt
+        r_step[...] = _taylor4(r_step)
+        with np.errstate(over="ignore", invalid="ignore"):      # its finiteness is checked below
+            r_step[...] = np.linalg.matrix_power(r_step, grid.n_fine)
+    coords = np.empty((n, n_points, n_kept))
     coords[0] = rho0.view(np.float64)[rows, 2 * cols + lower]
-    with np.errstate(over="ignore", invalid="ignore"):      # their finiteness is checked next
-        r_stride = np.linalg.matrix_power(r_step, grid.n_fine)
+    with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, n):
-            np.matmul(r_stride, coords[s - 1], out=coords[s])
-    if not (np.isfinite(r_stride).all() and np.isfinite(coords).all()):
+            np.matmul(sup, coords[s - 1, :, :, None], out=coords[s, :, :, None])
+    if not (np.isfinite(sup).all() and np.isfinite(coords).all()):
         raise IntegratorError("the master equation's stride or samples are not finite; "
                               f"dt = {grid.dt} is too coarse for the spectrum of H")
-    out = np.zeros((n, d, d), dtype=np.complex128)
+    out = np.zeros((n_points, n, d, d), dtype=np.complex128)
     re_im = out.view(np.float64)          # Re ρ_rc at [r, 2c], Im ρ_rc at [r, 2c + 1]
-    re_im[:, rows, 2 * cols + lower] = coords
-    np.negative(coords, out=coords, where=lower)
-    re_im[:, cols, 2 * rows + lower] = coords      # ρ_cr = conj(ρ_rc)
-    return out
+    by_point = coords.transpose(1, 0, 2)
+    re_im[:, :, rows, 2 * cols + lower] = by_point
+    np.negative(by_point, out=by_point, where=lower)
+    re_im[:, :, cols, 2 * rows + lower] = by_point      # ρ_cr = conj(ρ_rc)
+    return out if points is not None else out[0]

@@ -4,9 +4,10 @@
 labels, seeds) and ``real`` for real-number ones (rates, times, steps);
 each takes the caller's field name and raises an error that starts with it.
 ``check_budget`` guards ``MEMORY_CAP`` for counts made beside each guard,
-which the config's load pass sums; ``as_complex_matrix`` and
-``require_hermitian`` check matrices.  ``BlockDensity`` is the
-block layout of ρ̄ and ``min_labels`` merges basis states into blocks.
+which the config's load pass sums; ``as_complex_matrix``,
+``require_hermitian`` and ``check_hermitian`` check matrices.
+``BlockDensity`` is the block layout of ρ̄ and ``min_labels`` merges basis
+states into blocks.
 ``partial_transpose`` acts on an operator of a (left, right) bipartition,
 factor 0 the slower index as in ``np.kron(A, B)``; only the product-space
 reference negativity uses it.  All operators are complex128 ``numpy``
@@ -103,19 +104,26 @@ def check_budget(n_bytes: int, what: str) -> None:
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Raise :class:`NotHermitianError` unless ``m`` is Hermitian within ``atol``.
+    """``m`` as ``as_complex_matrix`` gives it; :class:`NotHermitianError`
+    unless it is Hermitian within ``atol`` (``check_hermitian``)."""
+    a = as_complex_matrix(m)
+    check_hermitian(a, atol)
+    return a
+
+
+def check_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> None:
+    """Raise :class:`NotHermitianError` unless the square complex matrix
+    ``a``, as ``as_complex_matrix`` gives it, is Hermitian within ``atol``.
 
     The deviation max |a − a†| is taken over blocks of about
     ``_HERMITIAN_CHUNK`` entries at a time, so no dim² temporary is formed.
     """
-    a = as_complex_matrix(m)
     d = a.shape[0]
     step = max(1, _HERMITIAN_CHUNK // max(d, 1))
     dev = max((np.max(np.abs(a[i:i + step] - a[:, i:i + step].conj().T))
                for i in range(0, d, step)), default=0.0)
     if dev > atol:
         raise NotHermitianError(f"matrix deviates from Hermiticity by {dev:.3e} (atol {atol:.1e})")
-    return a
 
 
 def min_labels(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -913,6 +913,92 @@ class TestLindblad:
         with pytest.raises(ConfigError):
             lindblad_evolve(h, collapse, unnormalized, grid)
 
+    def test_hamiltonian_faults_are_named_in_order(self):
+        # ρ0 first, then H's shape, finiteness, dimension and Hermiticity, then
+        # the loss operators: each fault named as a lone H has always named it
+        h, collapse, _ = damped_mode()
+        rho0 = np.diag([0.0, 0.0, 1.0, 0.0]).astype(np.complex128)
+        grid = TimeGrid(t_end=1.0, n_samples=3, dt=0.005)
+        skew = h.copy()
+        skew[0, 1] = 1.0
+        nan = skew.copy()
+        nan[3, 3] = np.nan
+        cases = [((h, collapse, 2.0 * rho0), ConfigError, r"rho0: trace must be 1, got 2\.0"),
+                 ((nan, collapse, 2.0 * rho0), ConfigError, r"rho0: trace must be 1"),
+                 ((np.ones((4, 3)), collapse, rho0), SizeError,
+                  r"^expected a square matrix, got shape \(4, 3\)$"),
+                 ((np.ones(4), collapse, rho0), SizeError,
+                  r"^expected a square matrix, got shape \(4,\)$"),
+                 ((nan, collapse, rho0), ValueError, r"^matrix contains non-finite entries$"),
+                 ((skew[:3, :3], collapse, rho0), SizeError,
+                  r"^Hamiltonian shape \(3, 3\) does not match dim 4$"),
+                 ((skew, collapse, rho0), NotHermitianError,
+                  r"^matrix deviates from Hermiticity by 1\.000e\+00 \(atol 1\.0e-10\)$"),
+                 ((skew, [np.eye(5)], rho0), NotHermitianError, r"^matrix deviates"),
+                 ((h, [np.eye(5)], rho0), SizeError,
+                  r"^collapse operator shape \(5, 5\) does not match dim 4$")]
+        for args, error, message in cases:
+            with pytest.raises(error, match=message):
+                lindblad_evolve(*args, grid)
+        # a stack: each point read by the same rule, the loss operators stacked alike
+        stack = np.stack([h, h, h])
+        ops = [np.stack([op] * 3) for op in collapse]
+        for hs, error, message in [
+                (np.stack([h, nan, h]), ValueError, r"^matrix contains non-finite entries$"),
+                (np.stack([h, h, skew]), NotHermitianError, r"^matrix deviates from Hermiticity"),
+                (np.ones((3, 4, 3)), SizeError, r"^expected a square matrix, got shape \(4, 3\)$"),
+                (stack[:, :3, :3], SizeError,
+                 r"^Hamiltonian shape \(3, 3, 3\) does not match 3 points of dim 4$")]:
+            with pytest.raises(error, match=message):
+                lindblad_evolve(hs, ops, rho0, grid)
+        for bad, shape in ((collapse, r"\(4, 4\)"), ([op[:2] for op in ops], r"\(2, 4, 4\)")):
+            with pytest.raises(SizeError, match=f"^collapse operator shape {shape} does not "
+                                                "match 3 points of dim 4$"):
+                lindblad_evolve(stack, bad, rho0, grid)
+
+    def test_hamiltonian_is_coerced_once(self, monkeypatch):
+        # H is coerced and checked for finite entries once, and its
+        # Hermiticity read off the coerced array: a lone H and each point of
+        # a stack
+        h, collapse, _ = damped_mode()
+        h = h + np.diag(np.arange(4.0))
+        rho0 = np.diag([0.0, 0.0, 1.0, 0.0]).astype(np.complex128)
+        grid = TimeGrid(t_end=1.0, n_samples=3, dt=0.005)
+        seen = []
+        coerce = linalg.as_complex_matrix
+
+        def counted(m):
+            seen.append(np.asarray(m).shape)
+            return coerce(m)
+
+        monkeypatch.setattr(linalg, "as_complex_matrix", counted)
+        monkeypatch.setattr(dynamics, "as_complex_matrix", counted)
+        lindblad_evolve(h, collapse, rho0, grid)
+        # ρ0, H and the loss operator, one coercion each
+        assert seen == [(4, 4)] * 3
+        seen.clear()
+        lindblad_evolve(np.stack([h, 2.0 * h]), [np.stack([collapse[0]] * 2)], rho0, grid)
+        assert seen == [(4, 4)] * 5
+
+    def test_stack_rows_are_the_bits_of_lone_calls(self):
+        # points of different hop, damping and detuning on one ρ0 and grid,
+        # stacked, against each point's lone call
+        grid = TimeGrid(t_end=30.0, n_samples=16, dt=0.005)
+        points = [two_site_model(hop, gamma, delta)
+                  for hop, gamma, delta in ((0.03, 0.05, 0.0), (0.02, 0.2, 0.5),
+                                            (0.08, 0.01, -0.3), (0.05, 0.05, 0.9))]
+        psi0 = points[0][2]
+        rho0 = np.outer(psi0, psi0.conj())
+        lone = [lindblad_evolve(model.h, model.collapse, rho0, grid) for _, model, _ in points]
+        assert lone[0].shape == (16, 13, 13)
+        for size in (1, 3, 4):
+            models = [model for _, model, _ in points[:size]]
+            stacked = lindblad_evolve(np.stack([m.h for m in models]),
+                                      [np.stack(ops) for ops in zip(*(m.collapse for m in models))],
+                                      rho0, grid)
+            assert stacked.shape == (size, 16, 13, 13)
+            assert [row.tobytes() for row in stacked] == [rhos.tobytes() for rhos in lone[:size]]
+
 
 class TestTrajectories:
     def test_zero_damping_equals_unitary_exactly(self):
@@ -1670,6 +1756,25 @@ class TestStillBlocks:
         traj = mcwf_trajectory(h, collapse, psi0, grid, seed=1)
         assert (traj.states == psi0).all() and traj.jumps == ()
 
+    def test_still_start_block_is_written_in_one_fill(self, monkeypatch):
+        # fig2 from the vacuum: the run's state never changes, so its 560
+        # samples take one squared norm, not one a sample
+        norms = _counted(monkeypatch, "_row_norm2")
+        config, model, _ = preset_problem("fig2")
+        vacuum = model.space.product_state(("G", "G"))
+        traj = mcwf_trajectory(model.h, model.collapse, vacuum, config.grid,
+                               (config.master_seed, 0))
+        assert config.grid.n_samples == 560 and len(norms) == 1
+        assert (traj.states == vacuum).all() and traj.jumps == ()
+        # a level at or above the survival stops the fill where the
+        # per-sample loop stops: at sample 1, the first tested for a crossing
+        run = dynamics._FreeRun(_build_machinery(model.h, model.collapse, vacuum, config.grid))
+        run.advance(1.0)
+        assert run.done == 2 and (run.survival[:2] == 1.0).all()
+        run.advance(0.5)
+        assert run.done == 560 and (run.survival == 1.0).all()
+        assert (run.states == vacuum).all()
+
     def test_passes_are_sized_on_the_blocks_they_can_reach(self, monkeypatch):
         # n3 (blocks of 1, 6, 18 and 38 states) at 2 000 trajectories: a pass
         # from a lower block takes as many rows on the blocks it can reach as
@@ -1726,6 +1831,86 @@ class TestThreeSites:
         exact = block_negativity(rhos, model.space, config.bipartition_cut)
         assert 0.04 < exact.max() < 0.05
         assert np.abs(result.columns["negativity"] - exact).max() <= 0.02
+
+
+@pytest.fixture(scope="module")
+def n4_first_jumps():
+    """n4's preset ensemble, at its 2 000 trajectories and seed, with its
+    projectors; each trajectory's first-jump time, inf for none; and the
+    start block's states and jump-free generator −iH − ½ΣL†L."""
+    config = load_preset("n4").scenarios[0]
+    model = build_reduced_model(config.model, max_exc=config.max_excitation)
+    psi0 = model.space.product_state(config.initial)
+    batches = []
+    propagate = dynamics._propagate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_propagate",
+                      lambda *args, **kwargs: batches.append(propagate(*args, **kwargs))
+                      or batches[-1])
+        ens = mcwf_ensemble(model.h, model.collapse, psi0, config.grid, n_traj=config.n_traj,
+                            master_seed=config.master_seed,
+                            observables=preset_projectors(config, model))
+    first = np.full(config.n_traj, np.inf)
+    for cols, times, _ in batches[0].jumps:
+        np.minimum.at(first, cols, times)
+    start = np.flatnonzero(model.n_tot == config.max_excitation)
+    gen = -1j * model.h[np.ix_(start, start)]
+    for op in model.collapse:
+        gen -= 0.5 * (op[:, start].conj().T @ op[:, start])
+    return config, model, ens, first, start, gen
+
+
+class TestFourSites:
+    # n4 has no master-equation oracle: its jump-free branch and its first
+    # jumps are checked on the 192-state start block; each bound was fixed
+    # before any run
+    def test_jump_free_branch_within_1e8_of_expm(self, n4_first_jumps):
+        # the branch's survival and conditional populations against exact
+        # propagation by scipy's expm over each sample interval
+        config, model, ens, _, start, gen = n4_first_jumps
+        assert len(start) == 192
+        branch = ens.jump_free_branch()
+        step = scipy.linalg.expm(config.grid.spacing * gen)
+        psi = model.space.product_state(config.initial)[start]
+        projectors = {name: op[np.ix_(start, start)]
+                      for name, op in preset_projectors(config, model).items()}
+        assert sorted(projectors) == ["P1111", "P4000"]
+        exact = {name: [] for name in ["survival", *projectors]}
+        for _ in range(config.grid.n_samples):
+            norm2 = np.vdot(psi, psi).real
+            exact["survival"].append(norm2)
+            for name, op in projectors.items():
+                exact[name].append(np.vdot(psi, op @ psi).real / norm2)
+            psi = step @ psi
+        assert np.abs(branch.survival - exact["survival"]).max() <= 1e-8
+        for name in projectors:
+            assert np.abs(branch.observables[name] - exact[name]).max() <= 1e-8
+
+    def test_first_jump_times_lie_in_the_dkw_band(self, n4_first_jumps):
+        # a trajectory's first-jump time T has the CDF F = 1 − S, with S(t) =
+        # ‖e^{Gt}ψ0‖² the jump-free survival on the start block, read at each
+        # T off G's eigenvectors.  The empirical CDF's largest distance from F
+        # over [0, t_end] lies inside the DKW band with Massart's constant,
+        # sqrt(ln(2/α) / (2n)) at α = 1e-6: 0.060 at 2 000
+        config, model, ens, first, start, gen = n4_first_jumps
+        lam, vecs = np.linalg.eig(gen)
+        coef = np.linalg.solve(vecs, model.space.product_state(config.initial)[start])
+
+        def survival(t):
+            return (np.abs(vecs @ (np.exp(np.outer(lam, t)) * coef[:, None])) ** 2).sum(axis=0)
+
+        # the eigenvectors give the branch's survival on the grid
+        times = config.grid.times
+        assert np.abs(survival(times) - ens.jump_free_branch().survival).max() <= 1e-8
+        n = config.n_traj
+        jumped = np.sort(first[first <= times[-1]])
+        assert 0 < len(jumped) and np.isinf(first[first > times[-1]]).all()
+        cdf, rank = 1.0 - survival(jumped), np.arange(1, len(jumped) + 1)
+        distance = max((rank / n - cdf).max(), (cdf - (rank - 1) / n).max(),
+                       abs(len(jumped) / n - (1.0 - survival(times[-1:])[0])))
+        band = math.sqrt(math.log(2.0 / 1e-6) / (2 * n))
+        assert n == 2000 and round(band, 3) == 0.060
+        assert distance <= band
 
 
 @functools.lru_cache(maxsize=None)
@@ -2087,3 +2272,25 @@ class TestMemoryGuards:
             tracemalloc.stop()
         assert counted == [4 * 481 ** 2 * 8 + 11 * (481 * 8 + 41 ** 2 * 16)]
         assert 3 * 481 ** 2 * 8 < peak <= counted[0]
+
+    def test_lindblad_stack_peak_stays_under_its_count(self, monkeypatch):
+        # three points on blocks of 1, 4, 8, 12 and 16 states: a real generator
+        # a point on 481 coordinates of ρ, and three more at the peaks of
+        # _taylor4 and matrix_power, which take a point at a time
+        counted = []
+        monkeypatch.setattr(dynamics, "check_budget", lambda n_bytes, what: counted.append(n_bytes))
+        models = [build_reduced_model(ModelParams(n_sites=2, hop=hop, gamma=0.05, n_max=4),
+                                      max_exc=4) for hop in (0.02, 0.03, 0.04)]
+        psi0 = models[0].space.product_state(("4-", "G"))
+        rho0 = np.outer(psi0, psi0.conj())
+        h = np.stack([model.h for model in models])
+        collapse = [np.stack(ops) for ops in zip(*(model.collapse for model in models))]
+        grid = TimeGrid(t_end=0.35, n_samples=11, dt=0.005)
+        tracemalloc.start()
+        try:
+            lindblad_evolve(h, collapse, rho0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted == [6 * 481 ** 2 * 8 + 3 * 11 * (481 * 8 + 41 ** 2 * 16)]
+        assert 5 * 481 ** 2 * 8 < peak <= counted[0]

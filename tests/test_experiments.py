@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jchsim import (config as config_module, critical, dynamics, model as model_module,
-                    observables)
+from jchsim import (config as config_module, critical, dynamics, linalg,
+                    model as model_module, observables)
 from jchsim.checks import SUITE_NAMES, run_suite
 from jchsim.cli import main
 from jchsim.config import (DEFAULT_GAMMA_RATIOS, CriticalitySweepConfig,
@@ -1111,6 +1111,21 @@ def resonant_curve():
     return gamma_c_curve(sweep_config(j_values=(0.02, 0.04, 0.06, 0.08)))
 
 
+def sweep_row_bits(result) -> list:
+    """Every cell of every row of a sweep, floats and arrays as their bytes."""
+    return [(row.hop, row.gamma, str(row.report.classification),
+             row.report.peak_times.tobytes(), row.report.peak_heights.tobytes(),
+             row.report.prominences.tobytes(), row.report.global_max,
+             row.report.boundary_peak, row.report.beat_filtered, row.max_pinned)
+            for row in result.rows()]
+
+
+@pytest.fixture(scope="module")
+def fig4_rows():
+    """``sweep_row_bits`` of the fig4 preset's sweep at the default stack size."""
+    return sweep_row_bits(gamma_c_curve(load_preset("fig4").sweep))
+
+
 @pytest.fixture(scope="module")
 def detuned_curve():
     return gamma_c_curve(sweep_config(j_values=(0.02, 0.04, 0.06, 0.08), delta=0.5))
@@ -1193,12 +1208,14 @@ class TestSweepOnModel:
     @pytest.mark.parametrize("kwargs", [{}, {"delta": 0.5}, {"coupling": 0.7, "delta": -0.3}])
     def test_each_point_runs_the_operators_of_its_own_build(self, kwargs, monkeypatch):
         # H0 + J·K and √γ·A equal a fresh build at (J, γ) bit for bit
+        # stack by stack: each point is one row of its stack's H and loss operators
         config = sweep_config(j_values=(0.02, 0.04, 0.06, 0.08), **kwargs)
         seen = []
         evolve = critical.lindblad_evolve
 
         def record(h, collapse, rho0, grid):
-            seen.append((h, collapse))
+            assert h.shape == (len(h), 13, 13) and 1 <= len(h) <= critical._STACK
+            seen.extend(zip(h, zip(*collapse), strict=True))
             return evolve(h, collapse, rho0, grid)
 
         monkeypatch.setattr(critical, "lindblad_evolve", record)
@@ -1224,18 +1241,20 @@ class TestSweepOnModel:
     @pytest.mark.parametrize("j_values,gamma_ratios", [
         ((0.02, 0.04, 0.06), (0.5,)), ((0.02, 0.04, 0.06, 0.08), DEFAULT_GAMMA_RATIOS)])
     def test_sweep_builds_its_models_once(self, j_values, gamma_ratios, monkeypatch):
-        calls = {"build_reduced_model": 0, "lindblad_evolve": 0}
+        # one master equation and one negativity call a stack of points
+        calls = {"build_reduced_model": 0, "lindblad_evolve": 0, "block_negativity": 0}
         for name in calls:
             def counted(*args, _name=name, _call=getattr(critical, name), **kwargs):
                 calls[_name] += 1
                 return _call(*args, **kwargs)
             monkeypatch.setattr(critical, name, counted)
         gamma_c_curve(sweep_config(j_values=j_values, gamma_ratios=gamma_ratios))
-        assert calls == {"build_reduced_model": 2,
-                         "lindblad_evolve": len(j_values) * len(gamma_ratios)}
+        stacks = math.ceil(len(j_values) * len(gamma_ratios) / critical._STACK)
+        assert calls == {"build_reduced_model": 2, "lindblad_evolve": stacks,
+                         "block_negativity": stacks}
 
-    def test_each_point_reads_its_own_blocks(self, monkeypatch):
-        # the fig4 points' master equations, each on the rungs of its own
+    def test_each_stack_reads_its_blocks_once(self, monkeypatch):
+        # the fig4 points' master equations, a stack's on the rungs of its
         # operators: the excitation sectors of 1, 4 and 8 states
         reads = []
         read = dynamics.block_structure
@@ -1243,8 +1262,52 @@ class TestSweepOnModel:
                             lambda *args: reads.append(read(*args)) or reads[-1])
         config = load_preset("fig4").sweep
         gamma_c_curve(config)
-        assert len(reads) == len(config.j_values) * len(config.gamma_ratios) == 36
+        assert len(config.j_values) * len(config.gamma_ratios) == 36
+        assert len(reads) == 36 // critical._STACK == 9
         assert {tuple(len(idx) for idx in structure.members) for structure in reads} == {(1, 4, 8)}
+
+    @pytest.mark.parametrize("size", [1, 36])
+    def test_fig4_rows_are_the_bits_of_every_stack_size(self, size, fig4_rows, monkeypatch):
+        # stacks of one point, of the default size and of the whole sweep
+        monkeypatch.setattr(critical, "_STACK", size)
+        assert sweep_row_bits(gamma_c_curve(load_preset("fig4").sweep)) == fig4_rows
+
+    def test_stacks_shrink_to_fit_the_budget(self, fig4_rows, monkeypatch):
+        # a budget that holds one point's count, the load pass's, but no
+        # stack of two: the sweep runs a point at a time, with the same bits
+        config = load_preset("fig4").sweep
+        params, n = config.model_for(1.0, 1.0), config.grid_for(None).n_samples
+        assert critical._stack_size(params, n) == critical._STACK
+        one, two = (critical._stack_bytes(params, p, n) for p in (1, 2))
+        monkeypatch.setattr(linalg, "MEMORY_CAP", (one + two) // 2)
+        assert critical._stack_size(params, n) == 1
+        calls = []
+        evolve = critical.lindblad_evolve
+        monkeypatch.setattr(critical, "lindblad_evolve",
+                            lambda h, *args: calls.append(len(h)) or evolve(h, *args))
+        assert sweep_row_bits(gamma_c_curve(config)) == fig4_rows
+        assert calls == [1] * 36
+
+    def test_fig4_table_independent_of_blas_threads(self, tmp_path):
+        # the whole fig4 sweep in fresh processes at 1 and 2 BLAS threads
+        script = textwrap.dedent("""\
+            import sys
+            from jchsim.critical import gamma_c_curve
+            from jchsim.presets import load_preset
+            from jchsim.runner import write_criticality_outputs
+            write_criticality_outputs(gamma_c_curve(load_preset("fig4").sweep), sys.argv[1])
+            """)
+        path = [str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH", "")]
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+            tables.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(tables[0]) == 3 and tables[0] == tables[1]
 
     def test_classification_invariant_under_frequency_rescale(self):
         # doubling every rate (coupling, hop, damping) halves every time
