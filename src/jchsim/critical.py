@@ -18,11 +18,13 @@ every element of H and L a single term, so these are bit for bit the
 operators a build at (J, γ) gives.  The points then run in stacks of a
 few: one ``lindblad_evolve`` call evolves a stack's master equations,
 reading their blocks, the rungs of the excitation ladder, and ρ's layout
-once, and one ``block_negativity`` call takes all of the stack's
-samples, its blocks read off the basis: the partial transpose's
-excitation-imbalance classes.  Every point has the same blocks, so each
-row is bit for bit what a stack of one gives.  Nothing is kept past the
-stack.
+once and taking their generators, Taylor steps and strides together (it
+counts four real generators a point), and one ``block_negativity`` call
+takes all of the stack's samples, its blocks read off the basis: the
+partial transpose's excitation-imbalance classes.  Every point has the
+same blocks, so each row is bit for bit what a stack of one gives.
+Nothing is kept past the stack but the gathers that build the
+generators, which the next stack, on the same blocks, reads again.
 """
 
 from __future__ import annotations
@@ -126,7 +128,9 @@ def _stack_bytes(params, n_points: int, n_samples: int) -> int:
 def _stack_size(params, n_samples: int) -> int:
     """Points in one stack: ``_STACK``, or fewer where a stack's count would
     pass ``MEMORY_CAP``, and at least one, whose count the sweep's load pass
-    took.  A stack of ``_STACK`` = 4 points takes most of the gain over lone
+    took.  The master equation of a stack of P points counts 4P real
+    generators, as its Taylor step and stride take the whole stack at once.
+    A stack of ``_STACK`` = 4 points takes most of the gain over lone
     points on the ``fig4`` sweep; larger stacks gain little more and raise
     the peak memory."""
     return max((p for p in range(2, _STACK + 1)

@@ -88,9 +88,12 @@ Hermitian, so those k_b² reals are the whole block, and the master
 equation is real-linear on them: the oracle's generator, step, stride and
 samples are real matrices, whose products cost about a quarter of complex
 ones.  The oracle also takes a stack of points, models that share ρ0 and
-the grid, as the γ_c sweep's do: their blocks, ρ's layout and each block's
-Hermitian basis are made once for the stack, and each sample is one
-product over it, every point's row keeping the bits of its lone call.
+the grid, as the γ_c sweep's do: their blocks and ρ's layout are made
+once for the stack, and its generators, Taylor step, stride and each
+sample are each one call over it, every point's row keeping the bits of
+its lone call.  The generator is read off G and L⊗L̄ by signed gathers:
+the coordinates of each Hermitian basis matrix's derivative are ±Re or
+±Im of one or two of their entries.
 
 All integrators share one numerical scheme: the classical fixed-step
 4th-order Runge-Kutta update, which for these linear time-invariant
@@ -119,7 +122,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
@@ -298,16 +301,17 @@ class ConditionalBranch:
 # ---------------------------------------------------------------------------
 
 def _taylor4(m: np.ndarray) -> np.ndarray:
-    """I + m(I + (m/2)(I + (m/3)(I + m/4))), from the inside out.
+    """I + m(I + (m/2)(I + (m/3)(I + m/4))), from the inside out, of a
+    matrix or of each matrix in a stack.
 
     Each I is made just before it is added in place, so that m and at most
-    three more matrices of its size are live at once.
+    three more arrays of its size are live at once.
     """
     acc = m / 4.0
     for scaled in (lambda: m / 3.0, lambda: m / 2.0, lambda: m):
-        acc += np.eye(len(m))
+        acc += np.eye(m.shape[-1])
         acc = scaled() @ acc
-    return acc + np.eye(len(m))
+    return acc + np.eye(m.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -327,27 +331,13 @@ class BlockStructure:
     # the rest of that layout, read when first asked for: an ensemble that
     # keeps no ρ̄ never needs it, and on n4's blocks it is about 1 MB
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The basis row of each entry."""
-        return np.concatenate([np.repeat(idx, len(idx)) for idx in self.members])
-
-    @cached_property
-    def cols(self) -> np.ndarray:
-        """The basis column of each entry."""
-        return np.concatenate([np.tile(idx, len(idx)) for idx in self.members])
-
-    @cached_property
-    def lower(self) -> np.ndarray:
-        """Whether each entry lies below the diagonal, where its real coordinate is Im ρ_ij."""
-        return self.rows > self.cols
-
-    @cached_property
-    def picks(self) -> np.ndarray:
-        """Each real coordinate as a float of its block's matrix: float 2m is
-        entry m's real part and float 2m + 1 its imaginary part, and each
-        coordinate picks the one its side of the diagonal names."""
-        first = np.repeat(self.offsets[:-1], np.diff(self.offsets))
-        return 2 * (np.arange(self.offsets[-1]) - first) + self.lower
+    def layout(self) -> tuple:
+        """The basis row and column of each entry, and whether it lies below
+        the diagonal, where its real coordinate is Im ρ_ij: one pass over
+        the blocks."""
+        rows, cols = (np.concatenate(side) for side in zip(
+            *((np.repeat(idx, len(idx)), np.tile(idx, len(idx))) for idx in self.members)))
+        return rows, cols, rows > cols
 
 
 def _rungs(d: int, classes: np.ndarray, links: list) -> tuple:
@@ -1219,7 +1209,7 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
     stderr = {name: (batch.values[:, o].std(axis=0, ddof=1) / math.sqrt(n_traj) if n_runs > 1
                      else np.zeros(n)) for o, name in enumerate(mach.names)}
     rho_blocks = (BlockDensity(np.divide(batch.rho_sum, n_runs, out=batch.rho_sum),
-                               mach.structure.rows, mach.structure.cols) if keep_rho else None)
+                               *mach.structure.layout[:2]) if keep_rho else None)
     copies = n_traj // n_runs
     return EnsembleResult(mean_observables=means, stderr=stderr, rho_blocks=rho_blocks,
                           jumps_per_channel=np.repeat(counts, copies, axis=0),
@@ -1231,76 +1221,98 @@ def mcwf_ensemble(h: np.ndarray, collapse: Sequence[np.ndarray], psi0: np.ndarra
 # density-matrix oracle
 # ---------------------------------------------------------------------------
 
-def _hermitian_basis(k: int, first: int, end: int) -> np.ndarray:
-    """The Hermitian k×k matrices of the coordinates ``first:end``, row-major.
+def _signed(flat: np.ndarray, unit: np.ndarray) -> tuple:
+    """The float of a complex array's real view, and its sign, that give
+    Re(unit · z) for z the array's entry ``flat``, each unit ±1 or ±i."""
+    return 2 * flat + (unit.imag != 0), unit.real - unit.imag
 
-    Coordinate (i, j) is Re X_ij on and above the diagonal and Im X_ij below
-    it; its basis matrix is the Hermitian X whose coordinates are 0 but for
-    that one, which is 1.
+
+@lru_cache(maxsize=1)
+def _gathers(sizes: tuple, points: int) -> tuple:
+    """The signed gathers that build the real generator of ``points``
+    points on blocks of ``sizes`` states: for G X, then for X G†, where each
+    term lands in the stack's generators, flattened, its float in the
+    points' G, blocks and points end to end, and its sign; and per block
+    the floats and signs in L⊗L̄ of the two terms of each column of
+    L X L†, and the turns of L⊗L̄'s rows, (k, k, 1, 1).
+
+    Coordinate m = (i, j) of a block of k states has the basis matrix X =
+    v E_ij + v̄ E_ji, with v = 1 above the diagonal and i below it (X = E_ii
+    on it), and coordinate n = (r, c) of a Hermitian Y is Re Y_rc on and
+    above the diagonal and Im Y_rc = Re(−i Y_rc) below it.  G X has column
+    j = v·G[:, i] and, off the diagonal, column i = v̄·G[:, j]; X G† = (G X)†
+    holds the same entries conjugated at the transposed places, so a
+    coordinate sums at most one term of each.  L X L† is v·(L⊗L̄)[:, m] +
+    v̄·(L⊗L̄)[:, m'], m' = (j, i), once the rows of L⊗L̄ read as Im are
+    turned by −i.  Each term is thus ±Re or ±Im of one complex entry: a
+    signed gather from a real view.  The last stack's gathers are kept for
+    the next, as a sweep's stacks share their blocks, unless
+    ``lindblad_evolve`` drops them.
     """
-    i, j = np.divmod(np.arange(first, end), k)
-    value = np.where(i > j, 1j, 1.0)
-    basis = np.zeros((end - first, k, k), dtype=np.complex128)
-    basis[np.arange(end - first), i, j] = value
-    basis[np.arange(end - first), j, i] = value.conj()
-    return basis
+    n_kept, first = sum(k * k for k in sizes), 0      # a block's first coordinate and entry
+    products, columns = ([], []), []
+    for k in sizes:
+        i, j = np.divmod(np.arange(k * k), k)
+        v = np.where(i > j, 1j, 1.0)
+        (one, s_one), (two, s_two) = _signed(np.arange(k * k), v), _signed(j * k + i, v.conj())
+        columns.append((np.concatenate([one, two]), np.concatenate([s_one, s_two * (i != j)]),
+                        np.where(i > j, -1j, 1.0).reshape(k, k, 1, 1)))
+        # G X: row r of column j is v·G[r, i], and off the diagonal of column i v̄·G[r, j]
+        off = np.flatnonzero(i != j)
+        m, at, reads, units = (np.tile(np.concatenate(pair), k) for pair in
+                               ((np.arange(k * k), off), (j, i[off]), (i, j[off]),
+                                (v, v[off].conj())))
+        r = np.repeat(np.arange(k), len(m) // k)
+        for terms, row, col, turn in ((products[0], r, at, -1j), (products[1], at, r, 1j)):
+            terms.append(((first + row * k + col) * n_kept + first + m,
+                          *_signed(first + r * k + reads, units * np.where(row > col, turn, 1.0))))
+        first += k * k
+    # each point's coordinates and floats lie one point further on
+    point = np.arange(points)[:, None]
+    return (tuple(tuple((np.concatenate(a) + point * step).ravel()
+                        for a, step in zip(zip(*terms), (n_kept ** 2, 2 * n_kept, 0)))
+                  for terms in products), tuple(columns))
 
 
-def _real_generator(structure: BlockStructure, parts: list, spare: int) -> np.ndarray:
+def _real_generator(structure: BlockStructure, parts: list) -> np.ndarray:
     """Generator of the master equation on the real coordinates of ρ's diagonal blocks.
 
     Block b holds k_b² coordinates at its slice of the ``structure``'s
-    layout, those of ``_hermitian_basis``.  Column m is the derivative of
+    layout, in the order of ``_gathers``.  Column m is the derivative of
     basis matrix m: G_b X + X G_b† in block b, and L X L† in the block each
-    channel maps b into.  ``parts`` of a stack of points give a stack of
-    generators, one a point, each column of the same basis matrix.  The
-    basis is applied in column chunks whose temporaries take at most about
-    ``spare`` bytes.
+    channel maps b into.  Each is a signed gather (``_gathers``): of the
+    O(k_b³) entries of G_b that G_b X and X G_b† read, and of each jump
+    map's L⊗L̄, its two terms summed first.  They are added onto zeros, G X
+    before X G† and channel by channel, so every coordinate has the bits of
+    the products with X.  ``parts`` of a stack of points give a stack of
+    generators, one a point.
     """
-    offsets, picks = structure.offsets, structure.picks
-    block = [slice(first, end) for first, end in zip(offsets, offsets[1:])]
-    lead = parts[0].gen.shape[:-2]
-
-    def coordinates(t, stack):
-        """The coordinates of each matrix in a stack on block t, one row each."""
-        flat = stack.reshape(stack.shape[:-2] + (math.prod(stack.shape[-2:]),)).view(np.float64)
-        return flat[..., picks[block[t]]].swapaxes(-1, -2)
-
-    def adjoint(m):
-        """m† of each matrix, with an axis for the basis matrices."""
-        return m.conj().swapaxes(-1, -2)[..., None, :, :]
-
+    offsets, lead = structure.offsets, parts[0].gen.shape[:-2]
+    products, columns = _gathers(tuple(len(part.index) for part in parts), math.prod(lead))
     sup = np.zeros(lead + (offsets[-1], offsets[-1]))
+    gens = np.concatenate([part.gen.reshape(lead + (-1,)) for part in parts], axis=-1)
+    for positions, floats, signs in products:
+        sup.reshape(-1)[positions] += signs * np.take(gens.view(np.float64), floats)
     for b, part in enumerate(parts):
-        k = len(part.index)
-        # complex entries per column and point at most: the basis matrix, G X,
-        # X G† and their coordinates, then one channel's L X, L X L† and its
-        # coordinates
-        width = 4 * k * k + max((len(parts[t].index) * (k + 2 * len(parts[t].index))
-                                 for t in part.targets), default=0)
-        chunk = max(1, spare // (16 * width * max(1, math.prod(lead))))
-        for first in range(0, k * k, chunk):
-            end = min(first + chunk, k * k)
-            basis = _hermitian_basis(k, first, end)
-            col = slice(offsets[b] + first, offsets[b] + end)
-            deriv = part.gen[..., None, :, :] @ basis
-            deriv += basis @ adjoint(part.gen)
-            sup[..., block[b], col] += coordinates(b, deriv)
-            for t, jump in zip(part.targets, part.jumps):
-                sup[..., block[t], col] += coordinates(
-                    t, jump[..., None, :, :] @ basis @ adjoint(jump))
+        (floats, signs, _), k, cols = columns[b], len(part.index), slice(*offsets[b:b + 2])
+        # a channel that does not act on the block maps it into itself, and adds nothing
+        for t, jump in ((t, jump) for t, jump in zip(part.targets, part.jumps) if t != b):
+            kron = jump[..., :, None, :, None] * (columns[t][2] * jump.conj()[..., None, :, None, :])
+            terms = np.take(kron.reshape(lead + (-1, k * k)).view(np.float64), floats, axis=-1)
+            terms *= signs
+            sup[..., offsets[t]:offsets[t + 1], cols] += terms[..., :k * k] + terms[..., k * k:]
     return sup
 
 
 def lindblad_bytes(n_samples: int, dim: int, block_dims, n_points: int = 1) -> int:
     """Peak bytes of ``lindblad_evolve`` on a stack of ``n_points`` points,
-    each on blocks of ``block_dims`` states of a ``dim``-state model: a real
-    generator a point on the Σ_b k_b² coordinates of ρ and three more
-    (``_taylor4`` and ``matrix_power`` each hold a point's generator and
-    three more at their peaks), and each point's sampled coordinates and
+    each on blocks of ``block_dims`` states of a ``dim``-state model: four
+    real generators a point on the Σ_b k_b² coordinates of ρ (``_taylor4``
+    and ``matrix_power`` each hold the stack's generators and three more
+    stacks at their peaks), and each point's sampled coordinates and
     returned ``(n_samples, dim, dim)`` stack."""
     n_kept = sum(k * k for k in block_dims)
-    return (n_points + 3) * n_kept ** 2 * 8 + n_points * n_samples * (n_kept * 8 + dim * dim * 16)
+    return n_points * (4 * n_kept ** 2 * 8 + n_samples * (n_kept * 8 + dim * dim * 16))
 
 
 def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -1327,12 +1339,13 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     ``h`` may also be a ``(P, d, d)`` stack of points, each collapse
     operator then a ``(P, d, d)`` stack of the same P, from one ρ0 on one
     grid; the call returns ``(P, n_samples, d, d)``.  ρ0 is checked, the
-    blocks are read off the stack's union pattern, and ρ's layout and each
-    block's Hermitian basis are made once for the stack; the generators are
-    formed for every point at once, and each sample is one product over the
-    stack.  The Taylor step and the stride power are taken a point at a
-    time.  Where the points share their blocks, as the γ_c sweep's do, row
-    p is bit for bit the call on point p alone: a lone H is a stack of one.
+    blocks are read off the stack's union pattern, and ρ's layout is made
+    once for the stack; the generators are gathered for every point at once
+    (the gathers are kept for a next stack on the same blocks where the
+    count holds them), and the Taylor step, the stride power and each
+    sample are one call over the stack.  Where the points share their
+    blocks, as the γ_c sweep's do, row p is bit for bit the call on point p
+    alone: a lone H is a stack of one.
     """
     rho0 = require_hermitian(rho0, atol=1e-8)
     d = rho0.shape[0]
@@ -1350,22 +1363,25 @@ def lindblad_evolve(h: np.ndarray, collapse: Sequence[np.ndarray],
     structure = block_structure(stack.any(axis=0), [op.any(axis=0) for op in ops], rho0)
 
     n_points, n_kept, n = len(stack), int(structure.offsets[-1]), grid.n_samples
-    n_bytes = lindblad_bytes(n, d, [len(idx) for idx in structure.members], n_points)
+    sizes = tuple(len(idx) for idx in structure.members)
+    n_bytes = lindblad_bytes(n, d, sizes, n_points)
     generators = ("four real generators" if points is None
-                  else f"{n_points + 3} real generators of {n_points} points")
+                  else f"{4 * n_points} real generators of {n_points} points")
     check_budget(n_bytes, f"{generators} on {n_kept} coordinates of ρ and {n} samples")
-    rows, cols, lower = structure.rows, structure.cols, structure.lower
-    sup = _real_generator(structure, _parts(structure, stack, ops),
-                          n_bytes - n_points * n_kept ** 2 * 8)      # chunks in the rest
-    # each point's generator becomes its dt step, then its stride, in place
-    for r_step in sup:
-        r_step *= grid.dt
-        r_step[...] = _taylor4(r_step)
-        with np.errstate(over="ignore", invalid="ignore"):      # its finiteness is checked below
-            r_step[...] = np.linalg.matrix_power(r_step, grid.n_fine)
-    coords = np.empty((n, n_points, n_kept))
-    coords[0] = rho0.view(np.float64)[rows, 2 * cols + lower]
-    with np.errstate(over="ignore", invalid="ignore"):
+    rows, cols, lower = structure.layout
+    sup = _real_generator(structure, _parts(structure, stack, ops))
+    # the gathers stay for the next stack only where the count holds them: beside
+    # the step's peak, where the samples' share is not yet taken, and beside the samples
+    kept = sum(a.nbytes for terms in sum(_gathers(sizes, n_points), ()) for a in terms)
+    if kept > min(n_bytes - 4 * sup.nbytes, 3 * sup.nbytes):
+        _gathers.cache_clear()
+    # the stack's generators become their dt steps, then their strides
+    sup *= grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):      # their finiteness is checked below
+        sup = _taylor4(sup)
+        sup = np.linalg.matrix_power(sup, grid.n_fine)
+        coords = np.empty((n, n_points, n_kept))
+        coords[0] = rho0.view(np.float64)[rows, 2 * cols + lower]
         for s in range(1, n):
             np.matmul(sup, coords[s - 1, :, :, None], out=coords[s, :, :, None])
     if not (np.isfinite(sup).all() and np.isfinite(coords).all()):

@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from jchsim import dynamics, linalg, model as model_module
+from jchsim import critical, dynamics, linalg, model as model_module
+from jchsim.critical import gamma_c_curve
 from jchsim.dynamics import (TimeGrid, _batched_expectation, _block_observables,
                              _build_machinery, _crossing_time, _flow_norm2_poly, _parts,
                              _real_generator, _reduce, _taylor_flow, block_structure,
@@ -715,7 +716,7 @@ def kron_block_superoperator(structure, parts):
 def kron_generator_in_coordinates(structure, parts):
     """``kron_block_superoperator`` mapped into the real coordinates: Re ρ_rc
     on and above the diagonal, Im ρ_rc below it."""
-    rows, cols = structure.rows, structure.cols
+    rows, cols, _ = structure.layout
     where = {(r, c): m for m, (r, c) in enumerate(zip(rows, cols))}
     mirror = np.array([where[c, r] for r, c in zip(rows, cols)])
     # entries from coordinates: ρ_rc = x_m − i x_m' above the diagonal and
@@ -729,6 +730,52 @@ def kron_generator_in_coordinates(structure, parts):
     to_entries[m[lower], mirror[lower]] = 1.0
     image = kron_block_superoperator(structure, parts) @ to_entries
     return np.where(lower[:, None], image.imag, image.real)
+
+
+def basis_matrix_generator(structure, parts, chunk=256):
+    """The real generator as ``_real_generator`` built it before it read G and
+    L⊗L̄ by signed gathers: each Hermitian basis matrix X multiplied out,
+    G X + X G† and each channel's (L X) L†, in chunks of ``chunk`` basis
+    matrices, and the coordinates of each product added onto zeros."""
+    offsets = structure.offsets
+    rows, cols, lower = structure.layout
+    first = np.repeat(offsets[:-1], np.diff(offsets))
+    picks = 2 * (np.arange(offsets[-1]) - first) + lower
+    block = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+    lead = parts[0].gen.shape[:-2]
+
+    def coordinates(t, stack):
+        flat = stack.reshape(stack.shape[:-2] + (-1,)).view(np.float64)
+        return flat[..., picks[block[t]]].swapaxes(-1, -2)
+
+    def adjoint(m):
+        return m.conj().swapaxes(-1, -2)[..., None, :, :]
+
+    sup = np.zeros(lead + (offsets[-1], offsets[-1]))
+    for b, part in enumerate(parts):
+        k = len(part.index)
+        for start in range(0, k * k, chunk):
+            end = min(start + chunk, k * k)
+            i, j = np.divmod(np.arange(start, end), k)
+            value = np.where(i > j, 1j, 1.0)
+            basis = np.zeros((end - start, k, k), dtype=np.complex128)
+            basis[np.arange(end - start), i, j] = value
+            basis[np.arange(end - start), j, i] = value.conj()
+            col = slice(offsets[b] + start, offsets[b] + end)
+            deriv = part.gen[..., None, :, :] @ basis
+            deriv += basis @ adjoint(part.gen)
+            sup[..., block[b], col] += coordinates(b, deriv)
+            for t, jump in zip(part.targets, part.jumps):
+                sup[..., block[t], col] += coordinates(
+                    t, jump[..., None, :, :] @ basis @ adjoint(jump))
+    return sup
+
+
+def _preset_model(name, index=0):
+    config = load_preset(name).scenarios[index]
+    model = build_reduced_model(config.model, config.max_excitation)
+    psi0 = model.space.product_state(config.initial)
+    return model.h, model.collapse, np.outer(psi0, psi0.conj())
 
 
 def coordinates_of(blocks):
@@ -821,10 +868,30 @@ class TestLindblad:
         h, collapse, rho0, _, _ = LINDBLAD_CASES[case]()
         structure = block_structure(h, collapse, rho0)
         parts = _parts(structure, h, collapse)
-        sup = _real_generator(structure, parts, 2**30)
+        sup = _real_generator(structure, parts)
         assert np.abs(sup - kron_generator_in_coordinates(structure, parts)).max() <= 1e-14
-        # one basis matrix a chunk gives the same bits as one chunk a block
-        assert np.array_equal(_real_generator(structure, parts, 0), sup)
+
+    @pytest.mark.parametrize("case", ["fig1_delta0", "fig1_delta09", "fig2", "n3", "fig4_stacks"])
+    def test_real_generator_is_the_bits_of_the_basis_matrix_products(self, case, monkeypatch):
+        # every loss operator of the presets has at most one entry in a row,
+        # so each coordinate sums the same one or two rounded terms as the
+        # products with X do; the fig4 stacks as the sweep passes them
+        # (planted_ladders' L has two entries in a row: it is held to the
+        # kron reference above)
+        name, _, which = case.partition("_")
+        models = [] if name == "fig4" else [_preset_model(name, int(which == "delta09"))]
+        if name == "fig4":
+            evolve = critical.lindblad_evolve
+            monkeypatch.setattr(critical, "lindblad_evolve",
+                                lambda *args: models.append(args[:3]) or evolve(*args))
+            gamma_c_curve(load_preset("fig4").sweep)
+        for h, collapse, rho0 in models:
+            union = (h.any(axis=0), [op.any(axis=0) for op in collapse]) if h.ndim == 3 else (h, collapse)
+            structure = block_structure(*union, rho0)
+            parts = _parts(structure, h, collapse)
+            sup = _real_generator(structure, parts)
+            assert sup.tobytes() == basis_matrix_generator(structure, parts).tobytes()
+        assert len(models) == (9 if name == "fig4" else 1)
 
     def test_start_matrix_that_is_not_a_density_refused(self):
         h, collapse, _ = damped_mode()
@@ -842,8 +909,8 @@ class TestLindblad:
         structure = block_structure(model.h, model.collapse, psi0)
         parts = _parts(structure, model.h, model.collapse)
         assert len(parts) == 3
-        sup = _real_generator(structure, parts, 2**30)
-        offsets, rows, cols = structure.offsets, structure.rows, structure.cols
+        sup = _real_generator(structure, parts)
+        offsets, (rows, cols, _) = structure.offsets, structure.layout
         rng = np.random.default_rng(0)
         blocks = []
         for part in parts:
@@ -869,7 +936,7 @@ class TestLindblad:
         assert np.array_equal(rhos, np.broadcast_to(rho0, (3, dim, dim)))
         # a dense H makes them one block: (80²)² entries, refused before they are built
         monkeypatch.setattr(dynamics, "_real_generator",
-                            lambda structure, parts, spare: pytest.fail("the generator was built"))
+                            lambda structure, parts: pytest.fail("the generator was built"))
         # four real generators, 4 · 6400² · 8 + 3 · (6400 · 8 + 80² · 16) bytes
         with pytest.raises(SizeError, match="four real generators on 6400 coordinates of ρ and "
                                             "3 samples needs 1311180800 bytes, above the budget "
@@ -2273,10 +2340,32 @@ class TestMemoryGuards:
         assert counted == [4 * 481 ** 2 * 8 + 11 * (481 * 8 + 41 ** 2 * 16)]
         assert 3 * 481 ** 2 * 8 < peak <= counted[0]
 
+    def test_real_generator_peaks_within_the_count_beside_it(self):
+        # n3's blocks of 1, 6, 18 and 38 states: the generator on 1 805
+        # coordinates of ρ is 26.1 MB, and its gathers, built afresh, and each
+        # channel's L⊗L̄ stay within the three more generators that the count
+        # leaves beside it before any sample
+        config = load_preset("n3").scenarios[0]
+        model = build_reduced_model(config.model, config.max_excitation)
+        psi0 = model.space.product_state(config.initial)
+        structure = block_structure(model.h, model.collapse, psi0)
+        parts = _parts(structure, model.h, model.collapse)
+        dims = [len(idx) for idx in structure.members]
+        dynamics._gathers.cache_clear()
+        tracemalloc.start()
+        try:
+            sup = _real_generator(structure, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dims == [1, 6, 18, 38] and sup.nbytes == 1805 ** 2 * 8
+        assert peak - sup.nbytes <= dynamics.lindblad_bytes(0, model.dim, dims) - sup.nbytes
+
     def test_lindblad_stack_peak_stays_under_its_count(self, monkeypatch):
-        # three points on blocks of 1, 4, 8, 12 and 16 states: a real generator
-        # a point on 481 coordinates of ρ, and three more at the peaks of
-        # _taylor4 and matrix_power, which take a point at a time
+        # three points on blocks of 1, 4, 8, 12 and 16 states: four real
+        # generators a point on 481 coordinates of ρ, the stack's generators
+        # and three more stacks at the peaks of _taylor4 and matrix_power,
+        # which take the whole stack at once
         counted = []
         monkeypatch.setattr(dynamics, "check_budget", lambda n_bytes, what: counted.append(n_bytes))
         models = [build_reduced_model(ModelParams(n_sites=2, hop=hop, gamma=0.05, n_max=4),
@@ -2292,5 +2381,5 @@ class TestMemoryGuards:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counted == [6 * 481 ** 2 * 8 + 3 * 11 * (481 * 8 + 41 ** 2 * 16)]
-        assert 5 * 481 ** 2 * 8 < peak <= counted[0]
+        assert counted == [3 * (4 * 481 ** 2 * 8 + 11 * (481 * 8 + 41 ** 2 * 16))]
+        assert 11 * 481 ** 2 * 8 < peak <= counted[0]
